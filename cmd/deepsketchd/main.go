@@ -124,7 +124,7 @@ func main() {
 	pinnedRegress := flag.Float64("pinned-max-regress", deepsketch.DefaultPinnedMaxRegress, "pinned-benchmark rail tolerance: a refresh candidate's median and p95 q-error on the pinned set may each be at most this ratio × the live version's")
 	retainVersions := flag.Int("retain-versions", 0, "persisted non-live version files kept per sketch after a promote (0 = keep all)")
 	retainWALBytes := flag.Int64("retain-wal-bytes", 0, "WAL size budget; checkpointed segments are pruned down to it after a promote (0 = keep all)")
-	engineFlag := flag.String("engine", "f64", "inference precision for installed sketches: f64 (reference), f32 (reduced precision), int8 (experimental)")
+	engineFlag := flag.String("engine", "f64", "inference precision for installed sketches: f64 (reference) or f32 (reduced precision)")
 	flag.Parse()
 
 	engine, err := deepsketch.ParseEnginePrecision(*engineFlag)
@@ -1408,8 +1408,8 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if est.Version > 0 {
 		resp["version"] = est.Version
 	}
-	// Tag the inference precision that computed the answer ("f64", "f32",
-	// "int8"); cache hits keep the original computation's tag, non-model
+	// Tag the inference precision that computed the answer ("f64" or
+	// "f32"); cache hits keep the original computation's tag, non-model
 	// fallbacks have none.
 	if est.Engine != "" {
 		resp["engine"] = est.Engine

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -292,6 +293,21 @@ func TestEngineFlagInstall(t *testing.T) {
 	}
 	if resp.Engine != "f32" {
 		t.Errorf("estimate engine tag = %q, want f32", resp.Engine)
+	}
+}
+
+// TestEngineFlagRejectsInt8 starts the real binary with the engine that was
+// removed: it must refuse at start-up — before binding anything — and name
+// the values that are left.
+func TestEngineFlagRejectsInt8(t *testing.T) {
+	out, err := exec.Command("go", "run", ".", "-addr", "127.0.0.1:0", "-engine", "int8").CombinedOutput()
+	if err == nil {
+		t.Fatalf("deepsketchd -engine int8 exited 0:\n%s", out)
+	}
+	for _, want := range []string{"int8", "f64", "f32"} {
+		if !bytes.Contains(out, []byte(want)) {
+			t.Errorf("start-up error does not name %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -162,9 +162,9 @@ const (
 
 // EnginePrecision selects the numeric format of a sketch's MSCN inference
 // engine (Sketch.SetEnginePrecision). Training always stays float64; the
-// reduced-precision paths are inference-only, convert weight snapshots once
-// per weight version, and are gated on bounded q-error deviation vs the
-// f64 reference.
+// reduced-precision path is inference-only, converts a weight snapshot once
+// per weight version, and is gated on bounded q-error deviation vs the f64
+// reference.
 type EnginePrecision = mscn.Precision
 
 // Inference engine precisions.
@@ -174,12 +174,10 @@ const (
 	// EngineF32 halves weight memory traffic; per-query q-error deviation
 	// vs f64 is bounded <1% by the equivalence gate.
 	EngineF32 = mscn.F32
-	// EngineInt8 is the experimental per-layer-scaled quantized path.
-	EngineInt8 = mscn.Int8
 )
 
-// ParseEnginePrecision parses an -engine flag spelling ("f64", "f32",
-// "int8"); the empty string means f64.
+// ParseEnginePrecision parses an -engine flag spelling ("f64" or "f32");
+// the empty string means f64.
 func ParseEnginePrecision(s string) (EnginePrecision, error) { return mscn.ParsePrecision(s) }
 
 // Dataset generator configs.

@@ -263,9 +263,17 @@ func funcKey(fn *types.Func) string {
 
 // calleeFunc resolves the static callee of a call expression, or nil for
 // dynamic calls (func values, interface methods are still returned — the
-// caller distinguishes them via the receiver type).
+// caller distinguishes them via the receiver type). A call with explicit
+// type arguments, f[T](…), resolves to the generic f like an inferred one.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch inst := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(inst.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(inst.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			return fn

@@ -68,3 +68,40 @@ func kernelBox(x []float64) {
 	box = x // want "assignment boxes"
 	_ = box
 }
+
+// Generic kernels: the analyzer must follow inferred and explicit
+// instantiations and methods on generic receivers to their annotations,
+// and must not mistake a type parameter for an interface.
+
+type float interface{ ~float32 | ~float64 }
+
+type vec[T float] struct{ data []T }
+
+//deepsketch:zeroalloc
+func (v vec[T]) rowOK(i int) []T { return v.data[i*8 : (i+1)*8] }
+
+//deepsketch:zeroalloc
+func scaleOK[T float](x []T, n int) {
+	inv := 1 / T(n) // a conversion to a type parameter boxes nothing
+	for i := range x {
+		x[i] *= inv
+	}
+}
+
+func helperGeneric[T float](x []T) T { return x[0] }
+
+//deepsketch:zeroalloc
+func genericCallersOK(v vec[float32], x []float64) {
+	scaleOK(x, 2)                   // inferred type argument
+	scaleOK[float32](v.rowOK(0), 2) // explicit type argument
+}
+
+//deepsketch:zeroalloc
+func genericBad[T float](x []T) []T {
+	out := make([]T, len(x)) // want "make allocates in a zeroalloc function"
+	var box interface{}
+	box = x[0] // want "assignment boxes"
+	_ = box
+	_ = helperGeneric[T](x) // want "call to .*helperGeneric, which is neither annotated"
+	return out
+}

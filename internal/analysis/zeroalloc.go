@@ -183,7 +183,7 @@ func checkZeroAllocConversion(pass *Pass, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "conversion to string allocates in a zeroalloc function")
 	case isString(src) && isByteOrRuneSlice(dst):
 		pass.Reportf(call.Pos(), "string to slice conversion allocates in a zeroalloc function")
-	case types.IsInterface(dst) && !types.IsInterface(src):
+	case boxes(dst, src):
 		pass.Reportf(call.Pos(), "conversion to interface boxes its operand in a zeroalloc function")
 	}
 }
@@ -217,7 +217,7 @@ func checkZeroAllocArgs(pass *Pass, call *ast.CallExpr, fn *types.Func) {
 		if at == nil || info.Types[arg].IsNil() {
 			continue
 		}
-		if types.IsInterface(pt) && !types.IsInterface(at) {
+		if boxes(pt, at) {
 			pass.Reportf(arg.Pos(), "passing %s as %s boxes it in a zeroalloc function", at, pt)
 		}
 	}
@@ -240,8 +240,7 @@ func checkZeroAllocAssign(pass *Pass, assign *ast.AssignStmt) {
 		lt := info.Types[lhs].Type
 		rhs := assign.Rhs[i]
 		rt := info.Types[rhs].Type
-		if lt != nil && rt != nil && !info.Types[rhs].IsNil() &&
-			types.IsInterface(lt) && !types.IsInterface(rt) {
+		if lt != nil && rt != nil && !info.Types[rhs].IsNil() && boxes(lt, rt) {
 			pass.Reportf(rhs.Pos(), "assignment boxes %s into %s in a zeroalloc function", rt, lt)
 		}
 	}
@@ -263,10 +262,25 @@ func checkZeroAllocReturn(pass *Pass, fd *ast.FuncDecl, ret *ast.ReturnStmt) {
 		if rt == nil || info.Types[res].IsNil() {
 			continue
 		}
-		if types.IsInterface(results.At(i).Type()) && !types.IsInterface(rt) {
+		if boxes(results.At(i).Type(), rt) {
 			pass.Reportf(res.Pos(), "return boxes %s into %s in a zeroalloc function", rt, results.At(i).Type())
 		}
 	}
+}
+
+// boxes reports whether a src value stored as dst is converted from a
+// concrete type to an interface. A type parameter counts as concrete on
+// either side: go/types gives it its constraint as underlying type, but the
+// compiler stencils it to a value shape, so T(n) and f(v T) box nothing.
+func boxes(dst, src types.Type) bool {
+	return isInterface(dst) && !isInterface(src)
+}
+
+func isInterface(t types.Type) bool {
+	if _, ok := types.Unalias(t).(*types.TypeParam); ok {
+		return false
+	}
+	return types.IsInterface(t)
 }
 
 func isString(t types.Type) bool {

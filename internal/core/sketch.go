@@ -118,10 +118,10 @@ var _ estimator.Estimator = (*Sketch)(nil)
 func (s *Sketch) Name() string { return s.Cfg.Name }
 
 // SetEnginePrecision selects the numeric format of the sketch's MSCN
-// inference engine (f64 reference, f32, or the experimental int8). Safe to
-// call on a serving sketch; in-flight estimates finish on the precision
-// they started with. Estimates are tagged with the precision that computed
-// them (Estimate.Engine).
+// inference engine (f64 reference or f32). Safe to call on a serving
+// sketch; in-flight estimates finish on the precision they started with.
+// Estimates are tagged with the precision that computed them
+// (Estimate.Engine).
 func (s *Sketch) SetEnginePrecision(p mscn.Precision) { s.Model.SetPrecision(p) }
 
 // EnginePrecision reports the current inference precision.

@@ -43,7 +43,7 @@ type Estimate struct {
 	// a traditional estimator, or a fallback backend.
 	Version int `json:"version,omitempty"`
 	// Engine tags the inference precision that computed the estimate
-	// ("f64", "f32", "int8") when the backend is an MSCN sketch; estimate
+	// ("f64" or "f32") when the backend is an MSCN sketch; estimate
 	// caches preserve it, so a hit reports the precision of the original
 	// computation. Empty for non-model backends.
 	Engine string `json:"engine,omitempty"`

@@ -77,7 +77,7 @@ func BenchmarkPredictSingle(b *testing.B) {
 // pass on a prebuilt batch and scratch — the number that must stay at
 // 0 allocs/op. "single" is one query; "mixed64" is a 64-query ragged batch
 // of mixed shapes (the coalescer's flush shape under load). Each shape runs
-// once per inference precision (f64 reference, f32, experimental int8).
+// once per inference precision (f64 reference, f32).
 func BenchmarkForwardPacked(b *testing.B) {
 	run := func(n int, p Precision) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -107,7 +107,7 @@ func BenchmarkForwardPacked(b *testing.B) {
 		name string
 		n    int
 	}{{"single", 1}, {"mixed64", 64}} {
-		for _, p := range []Precision{F64, F32, Int8} {
+		for _, p := range []Precision{F64, F32} {
 			b.Run(shape.name+"/engine="+p.String(), run(shape.n, p))
 		}
 	}

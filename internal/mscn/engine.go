@@ -13,37 +13,42 @@ import (
 
 // Engine is the packed ragged-batch inference path of the model: fused
 // Linear+ReLU kernels over PackedBatch rows, segment average pooling instead
-// of masked pooling, and sync.Pool-backed workspaces so a steady-state
-// forward pass performs zero heap allocations. It shares the model's weights
-// (read-only) with the tape-based training path and is safe for concurrent
-// use — every concurrent caller gets its own scratch from the pool. Obtain
-// one with Model.Engine (shared, cached) or NewEngine.
+// of masked pooling, and sync.Pool-backed scratch so a steady-state forward
+// pass performs zero heap allocations. It shares the model's weights
+// (read-only) with the training path and is safe for concurrent use — every
+// concurrent caller gets its own scratch from the pool. Obtain one with
+// Model.Engine (shared, cached) or NewEngine.
 //
-// The forward pass runs at the model's Precision: f64 directly on the
-// weights, f32/int8 on per-weight-generation converted snapshots
-// (engine32.go) so reduced precision never pays conversion per forward and
-// never serves stale weights after a Refresh/Swap.
+// The forward pass is forwardPacked instantiated at the model's Precision:
+// f64 reads the live weights in place, f32 reads a copy converted once per
+// weight generation, so reduced precision never pays conversion per forward
+// and never serves stale weights after a Refresh/Swap.
 type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
 
-	// Reduced-precision weight snapshots, built lazily under convMu and
-	// tagged with the Model.WeightGen they were converted from.
-	convMu sync.Mutex
-	w32    atomic.Pointer[weights32]
-	w8     atomic.Pointer[weights8]
+	// reduced is the f32 weight snapshot, built lazily under convMu and
+	// tagged with the Model.WeightGen it was converted from.
+	convMu  sync.Mutex
+	reduced atomic.Pointer[snapshot]
+}
+
+// snapshot is a float32 copy of all eight layers, tagged with the weight
+// generation it was converted from.
+type snapshot struct {
+	gen uint64
+	w   weights[float32]
 }
 
 // engineScratch bundles the per-goroutine reusable state: a packed batch,
-// the forward workspaces (f64 and f32 — only the active precision's arena
-// grows), and small staging slices.
+// the forward arenas (only the active precision's grows), and the staging
+// for single-query Predict.
 type engineScratch struct {
-	pb   PackedBatch
-	ws   nn.Workspace
-	ws32 nn.Workspace32
-	xq   []int8 // int8 path: per-layer quantized activations
-	out  []float64
-	one  [1]featurize.Encoded
+	pb      PackedBatch
+	ws      nn.Workspace
+	reduced nn.Arena[float32]
+	one     [1]featurize.Encoded
+	out     [1]float64
 }
 
 // NewEngine builds an inference engine over the model's weights.
@@ -56,54 +61,134 @@ func (e *Engine) scratch() *engineScratch {
 	return &engineScratch{}
 }
 
-// Forward runs one packed forward pass, writing the normalized prediction
-// for query i into out[i]. out must have length ≥ pb.B; ws provides the
-// scratch and must not be shared with a concurrent pass. Steady-state (after
-// the workspace has grown to the batch shape) the call performs zero heap
-// allocations.
+// weights is the inference view of the model's eight layers at element
+// type T, in Model.layers order: set module k (tables, joins, predicates)
+// is w[2k], w[2k+1]; the output network is w[6], w[7].
+type weights[T nn.Float] [8]nn.Layer[T]
+
+// weights returns the float64 inference view of the eight layers. It
+// aliases the live parameters, so training steps show through it with no
+// rebuild and no generation tag.
+//
+//deepsketch:zeroalloc
+func (m *Model) weights() (w weights[float64]) {
+	for i, l := range m.layers() {
+		w[i] = l.View()
+	}
+	return w
+}
+
+// activations records the intermediates of one packed forward. All matrices
+// alias the arena the forward ran on and live until its next Reserve; the
+// packed trainer keeps them as its tape.
+type activations[T nn.Float] struct {
+	h1, h2, pool [3]nn.Mat[T] // per set module, post-ReLU / pooled
+	concat       nn.Mat[T]
+	oA1          nn.Mat[T]
+	out          nn.Mat[T] // sigmoid output, B×1
+}
+
+// forwardFloats is the arena forwardPacked consumes on pb at hidden width
+// h: two hidden activations per set row, three pools + concat (3·B·h) +
+// oA1, and the B outputs.
+//
+//deepsketch:zeroalloc
+func forwardFloats(pb *PackedBatch, h int) int {
+	nt, nj, np := pb.Rows()
+	return (2*(nt+nj+np)+7*pb.B)*h + pb.B
+}
+
+// forwardPacked is the MSCN forward pass on packed rows — the only one:
+// per set module Linear+ReLU twice then a segment average pool, the three
+// pools concatenated, the two-layer output network, a sigmoid. xs and offs
+// are the packed feature rows and CSR offsets of the three sets (see
+// PackedBatch.sets); every intermediate is carved from ws — which the
+// caller has Reserved — and recorded in act; the normalized predictions
+// (act.out) are also written to out (len B), widened when T is float32.
+//
+//deepsketch:zeroalloc
+func forwardPacked[T nn.Float](w *weights[T], xs [3]nn.Mat[T], offs [3][]int, ws *nn.Arena[T], act *activations[T], out []float64) {
+	b := len(out)
+	h := w[7].In
+	for k := 0; k < 3; k++ {
+		rows := xs[k].Rows
+		act.h1[k] = ws.Alloc(rows, h)
+		w[2*k].ForwardFused(xs[k], act.h1[k], true)
+		act.h2[k] = ws.Alloc(rows, h)
+		w[2*k+1].ForwardFused(act.h1[k], act.h2[k], true)
+		act.pool[k] = ws.Alloc(b, h)
+		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
+	}
+	act.concat = ws.Alloc(b, 3*h)
+	for bi := 0; bi < b; bi++ {
+		dst := act.concat.Row(bi)
+		copy(dst[:h], act.pool[0].Row(bi))
+		copy(dst[h:2*h], act.pool[1].Row(bi))
+		copy(dst[2*h:], act.pool[2].Row(bi))
+	}
+	act.oA1 = ws.Alloc(b, h)
+	w[6].ForwardFused(act.concat, act.oA1, true)
+	act.out = ws.Alloc(b, 1)
+	w[7].ForwardFused(act.oA1, act.out, false)
+	nn.SigmoidInPlace(act.out)
+	nn.ConvertRows(nn.Matrix{Rows: b, Cols: 1, Data: out}, act.out)
+}
+
+// Forward runs one packed forward pass in float64 on the live weights,
+// writing the normalized prediction for query i into out[i]. out must have
+// length ≥ pb.B; ws provides the scratch and must not be shared with a
+// concurrent pass. Steady-state (after the workspace has grown to the batch
+// shape) the call performs zero heap allocations.
 //
 //deepsketch:zeroalloc
 func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
-	m := e.m
-	h := m.Cfg.HiddenUnits
-	b := pb.B
-	nt, nj, np := pb.Rows()
-	ws.Reserve((2*(nt+nj+np) + 7*b) * h)
+	ws.Reserve(forwardFloats(pb, e.m.Cfg.HiddenUnits))
+	w := e.m.weights()
+	xs, offs := pb.sets()
+	var act activations[float64]
+	forwardPacked(&w, xs, offs, ws, &act, out[:pb.B])
+}
 
-	th1 := ws.Alloc(nt, h)
-	m.table1.ForwardFused(pb.TX, th1, true)
-	th2 := ws.Alloc(nt, h)
-	m.table2.ForwardFused(th1, th2, true)
-	tPool := ws.Alloc(b, h)
-	nn.SegmentAvgPool(th2, pb.TOff, tPool)
-
-	jh1 := ws.Alloc(nj, h)
-	m.join1.ForwardFused(pb.JX, jh1, true)
-	jh2 := ws.Alloc(nj, h)
-	m.join2.ForwardFused(jh1, jh2, true)
-	jPool := ws.Alloc(b, h)
-	nn.SegmentAvgPool(jh2, pb.JOff, jPool)
-
-	ph1 := ws.Alloc(np, h)
-	m.pred1.ForwardFused(pb.PX, ph1, true)
-	ph2 := ws.Alloc(np, h)
-	m.pred2.ForwardFused(ph1, ph2, true)
-	pPool := ws.Alloc(b, h)
-	nn.SegmentAvgPool(ph2, pb.POff, pPool)
-
-	concat := ws.Alloc(b, 3*h)
-	for bi := 0; bi < b; bi++ {
-		dst := concat.Row(bi)
-		copy(dst[:h], tPool.Row(bi))
-		copy(dst[h:2*h], jPool.Row(bi))
-		copy(dst[2*h:], pPool.Row(bi))
+// forwardReduced runs one packed forward pass in float32 on the converted
+// weight snapshot. Packed feature rows convert f64→f32 into the arena on
+// entry (each element touched once — negligible next to the GEMMs) and the
+// B predictions widen back on exit. Same contract and steady-state
+// zero-allocation property as Forward.
+//
+//deepsketch:zeroalloc
+func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []float64) {
+	//deepsketch:ignore zeroalloc snapshot converts once per weight generation, then caches
+	w := e.snapshot()
+	src, offs := pb.sets()
+	ws.Reserve(len(src[0].Data) + len(src[1].Data) + len(src[2].Data) + forwardFloats(pb, e.m.Cfg.HiddenUnits))
+	var xs [3]nn.Mat[float32]
+	for k, x := range src {
+		xs[k] = ws.Alloc(x.Rows, x.Cols)
+		nn.ConvertRows(xs[k], x)
 	}
+	var act activations[float32]
+	forwardPacked(w, xs, offs, ws, &act, out[:pb.B])
+}
 
-	o1 := ws.Alloc(b, h)
-	m.out1.ForwardFused(concat, o1, true)
-	outM := nn.Matrix{Rows: b, Cols: 1, Data: out[:b]}
-	m.out2.ForwardFused(o1, outM, false)
-	nn.SigmoidInPlace(outM)
+// snapshot returns the cached f32 weights for the current weight
+// generation, converting them once under convMu on a miss. The
+// double-checked load keeps the hot path to one atomic read.
+func (e *Engine) snapshot() *weights[float32] {
+	gen := e.m.WeightGen()
+	if s := e.reduced.Load(); s != nil && s.gen == gen {
+		return &s.w
+	}
+	e.convMu.Lock()
+	defer e.convMu.Unlock()
+	if s := e.reduced.Load(); s != nil && s.gen == gen {
+		return &s.w
+	}
+	s := &snapshot{gen: gen}
+	for i, l := range e.m.layers() {
+		s.w[i] = nn.ConvertLayer[float32](l)
+	}
+	e.reduced.Store(s)
+	return &s.w
 }
 
 // forward dispatches one packed forward pass to the model's current
@@ -112,14 +197,11 @@ func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
 //
 //deepsketch:zeroalloc
 func (e *Engine) forward(pb *PackedBatch, s *engineScratch, out []float64) {
-	switch e.m.Precision() {
-	case F32:
-		e.forward32(pb, s, out)
-	case Int8:
-		e.forward8(pb, s, out)
-	default:
-		e.Forward(pb, &s.ws, out)
+	if e.m.Precision() == F32 {
+		e.forwardReduced(pb, &s.reduced, out)
+		return
 	}
+	e.Forward(pb, &s.ws, out)
 }
 
 // Predict returns the normalized prediction for one featurized query using
@@ -134,11 +216,41 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if cap(s.out) < 1 {
-		s.out = make([]float64, 1)
-	}
-	e.forward(&s.pb, s, s.out[:1])
+	e.forward(&s.pb, s, s.out[:])
 	return s.out[0], nil
+}
+
+// packedForward runs one packed forward pass on a pooled scratch: forward
+// (the serving precision) or its f64 arm alone.
+type packedForward func(pb *PackedBatch, s *engineScratch, out []float64)
+
+// predictChunks writes normalized predictions for n queries into out (len
+// n): in model-batch-size chunks (forEachChunk), each on its own pooled
+// scratch, build packs queries [lo,hi) into the scratch's batch and fwd
+// predicts them.
+func (e *Engine) predictChunks(ctx context.Context, n int, out []float64, fwd packedForward, build func(pb *PackedBatch, lo, hi int) error) error {
+	if len(out) != n {
+		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), n)
+	}
+	if n == 0 {
+		return nil
+	}
+	return e.forEachChunk(ctx, n, func(lo, hi int) error {
+		s := e.scratch()
+		defer e.pool.Put(s)
+		if err := build(&s.pb, lo, hi); err != nil {
+			return err
+		}
+		fwd(&s.pb, s, out[lo:hi])
+		return nil
+	})
+}
+
+// predictAll is predictChunks over already-featurized queries.
+func (e *Engine) predictAll(ctx context.Context, encs []featurize.Encoded, out []float64, fwd packedForward) error {
+	return e.predictChunks(ctx, len(encs), out, fwd, func(pb *PackedBatch, lo, hi int) error {
+		return pb.Build(encs[lo:hi], e.m.TDim, e.m.JDim, e.m.PDim)
+	})
 }
 
 // PredictAllInto writes normalized predictions for encs into out (equal
@@ -148,21 +260,7 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 // chunks, chunks fan out across cores, each on its own pooled scratch. ctx
 // is checked between chunks.
 func (e *Engine) PredictAllInto(ctx context.Context, encs []featurize.Encoded, out []float64) error {
-	if len(out) != len(encs) {
-		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), len(encs))
-	}
-	if len(encs) == 0 {
-		return nil
-	}
-	return e.forEachChunk(ctx, len(encs), func(lo, hi int) error {
-		s := e.scratch()
-		defer e.pool.Put(s)
-		if err := s.pb.Build(encs[lo:hi], e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
-			return err
-		}
-		e.forward(&s.pb, s, out[lo:hi])
-		return nil
-	})
+	return e.predictAll(ctx, encs, out, e.forward)
 }
 
 // predictAllF64 is PredictAllInto pinned to the f64 reference path,
@@ -171,20 +269,8 @@ func (e *Engine) PredictAllInto(ctx context.Context, encs []featurize.Encoded, o
 // reduced-precision snapshot that mid-training weight mutation has made
 // stale.
 func (e *Engine) predictAllF64(ctx context.Context, encs []featurize.Encoded, out []float64) error {
-	if len(out) != len(encs) {
-		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), len(encs))
-	}
-	if len(encs) == 0 {
-		return nil
-	}
-	return e.forEachChunk(ctx, len(encs), func(lo, hi int) error {
-		s := e.scratch()
-		defer e.pool.Put(s)
-		if err := s.pb.Build(encs[lo:hi], e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
-			return err
-		}
-		e.Forward(&s.pb, &s.ws, out[lo:hi])
-		return nil
+	return e.predictAll(ctx, encs, out, func(pb *PackedBatch, s *engineScratch, out []float64) {
+		e.Forward(pb, &s.ws, out)
 	})
 }
 
@@ -290,19 +376,7 @@ type QuerySource interface {
 // copies — then predicted exactly like PredictAllInto (same chunking, same
 // cross-core fan-out, same ctx checks between chunks).
 func (e *Engine) PredictSourceInto(ctx context.Context, src QuerySource, n int, out []float64) error {
-	if len(out) != n {
-		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), n)
-	}
-	if n == 0 {
-		return nil
-	}
-	return e.forEachChunk(ctx, n, func(lo, hi int) error {
-		s := e.scratch()
-		defer e.pool.Put(s)
-		if err := s.pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
-			return err
-		}
-		e.forward(&s.pb, s, out[lo:hi])
-		return nil
+	return e.predictChunks(ctx, n, out, e.forward, func(pb *PackedBatch, lo, hi int) error {
+		return pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim)
 	})
 }

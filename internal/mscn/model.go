@@ -133,12 +133,12 @@ type Model struct {
 
 	// precision selects the engine's forward-pass numeric format
 	// (Precision). The f64 weights remain the source of truth; reduced
-	// precisions read converted snapshots keyed to weightGen.
+	// precision reads a converted snapshot keyed to weightGen.
 	precision atomic.Uint32
 	// weightGen counts wholesale weight replacements (ReadWeights, end of a
-	// training run). The engine tags its reduced-precision snapshots with
-	// the generation they were built at and rebuilds on mismatch, so a
-	// Refresh/Swap can never serve a stale f32/int8 snapshot.
+	// training run). The engine tags its reduced-precision snapshot with
+	// the generation it was built at and rebuilds on mismatch, so a
+	// Refresh/Swap can never serve a stale f32 snapshot.
 	weightGen atomic.Uint64
 
 	engOnce sync.Once
@@ -217,11 +217,21 @@ func (m *Model) Clone() *Model {
 	return nm
 }
 
+// layers returns the eight layers in the fixed order everything that
+// enumerates them shares — Params (the serialization contract), the
+// inference views, the packed training loops: set modules first (tables,
+// joins, predicates; module k at 2k, 2k+1), then the output network.
+//
+//deepsketch:zeroalloc
+func (m *Model) layers() [8]*nn.Linear {
+	return [8]*nn.Linear{m.table1, m.table2, m.join1, m.join2, m.pred1, m.pred2, m.out1, m.out2}
+}
+
 // Params returns all learnable parameters in a fixed order (the
 // serialization contract).
 func (m *Model) Params() []*nn.Param {
 	var ps []*nn.Param
-	for _, l := range []*nn.Linear{m.table1, m.table2, m.join1, m.join2, m.pred1, m.pred2, m.out1, m.out2} {
+	for _, l := range m.layers() {
 		ps = append(ps, l.Params()...)
 	}
 	return ps

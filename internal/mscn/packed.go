@@ -24,6 +24,15 @@ type PackedBatch struct {
 	TOff, JOff, POff []int
 }
 
+// sets returns the packed feature rows and CSR offsets of the three sets in
+// fixed module order (tables, joins, predicates) — what forwardPacked and
+// the packed backward iterate over.
+//
+//deepsketch:zeroalloc
+func (pb *PackedBatch) sets() ([3]nn.Matrix, [3][]int) {
+	return [3]nn.Matrix{pb.TX, pb.JX, pb.PX}, [3][]int{pb.TOff, pb.JOff, pb.POff}
+}
+
 // BuildPackedBatch packs featurized queries for inference. All Encoded
 // values must come from the same encoder (equal widths).
 func BuildPackedBatch(encs []featurize.Encoded, tdim, jdim, pdim int) (*PackedBatch, error) {

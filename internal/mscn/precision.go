@@ -15,11 +15,6 @@ const (
 	// snapshot: half the weight memory traffic, gated on <1% per-query
 	// q-error deviation by the equivalence tests.
 	F32
-	// Int8 is the experimental per-layer-scaled quantized path: int8
-	// weights (symmetric per-layer scale), dynamically quantized
-	// activations, int32 accumulation. A stretch probe, not a production
-	// default.
-	Int8
 )
 
 // String returns the engine-tag spelling used by flags and API responses.
@@ -27,8 +22,6 @@ func (p Precision) String() string {
 	switch p {
 	case F32:
 		return "f32"
-	case Int8:
-		return "int8"
 	default:
 		return "f64"
 	}
@@ -41,9 +34,7 @@ func ParsePrecision(s string) (Precision, error) {
 		return F64, nil
 	case "f32":
 		return F32, nil
-	case "int8":
-		return Int8, nil
 	default:
-		return F64, fmt.Errorf("mscn: unknown engine precision %q (want f64, f32 or int8)", s)
+		return F64, fmt.Errorf("mscn: unknown engine precision %q (want f64 or f32)", s)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"deepsketch/internal/featurize"
+	"deepsketch/internal/nn"
 )
 
 // f32EngineTol bounds the per-query relative deviation of the f32 forward
@@ -76,41 +78,9 @@ func TestEngineF32Equivalence(t *testing.T) {
 	}
 }
 
-// TestEngineInt8Sanity: the experimental int8 path must stay finite, in
-// (0,1), and loosely track the f64 output — per-layer symmetric
-// quantization at h=32 keeps the normalized output within a few percent.
-func TestEngineInt8Sanity(t *testing.T) {
-	const tdim, jdim, pdim = 21, 4, 8
-	rng := rand.New(rand.NewSource(44))
-	m := New(Config{HiddenUnits: 32, Seed: 11}, tdim, jdim, pdim)
-	e := m.Engine()
-	encs := make([]featurize.Encoded, 40)
-	for i := range encs {
-		encs[i] = randEnc(rng, 1+rng.Intn(4), rng.Intn(4), rng.Intn(4), tdim, jdim, pdim)
-	}
-	want, err := e.PredictAll(encs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetPrecision(Int8)
-	defer m.SetPrecision(F64)
-	got, err := e.PredictAll(encs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if math.IsNaN(got[i]) || got[i] <= 0 || got[i] >= 1 {
-			t.Fatalf("query %d: int8 output %v outside (0,1)", i, got[i])
-		}
-		if d := math.Abs(got[i] - want[i]); d > 0.1 {
-			t.Errorf("query %d: int8 %v vs f64 %v (|Δ|=%g) — quantization error too large", i, got[i], want[i], d)
-		}
-	}
-}
-
 // TestForwardPacked32ZeroAlloc mirrors TestForwardPackedZeroAlloc for the
-// reduced-precision paths: once warmed, neither the f32 nor the int8
-// forward may touch the heap.
+// reduced-precision path: once warmed, the f32 forward may not touch the
+// heap.
 func TestForwardPacked32ZeroAlloc(t *testing.T) {
 	const tdim, jdim, pdim = 30, 6, 10
 	rng := rand.New(rand.NewSource(9))
@@ -124,29 +94,21 @@ func TestForwardPacked32ZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s engineScratch
+	var ws nn.Arena[float32]
 	out := make([]float64, len(encs))
-	e.forward32(pb, &s, out) // warm the arena and the weight snapshot
+	e.forwardReduced(pb, &ws, out) // warm the arena and the weight snapshot
 	allocs := testing.AllocsPerRun(50, func() {
-		e.forward32(pb, &s, out)
+		e.forwardReduced(pb, &ws, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state forward32 allocates %.1f times per op, want 0", allocs)
-	}
-
-	e.forward8(pb, &s, out)
-	allocs = testing.AllocsPerRun(50, func() {
-		e.forward8(pb, &s, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state forward8 allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("steady-state f32 forward allocates %.1f times per op, want 0", allocs)
 	}
 }
 
 // TestEngineSnapshotInvalidation: replacing the model's weights (the
 // Refresh/Swap path runs through ReadWeights) must invalidate the cached
-// f32/int8 snapshots — a stale snapshot would silently serve the old
-// sketch's estimates at reduced precision.
+// f32 snapshot — a stale snapshot would silently serve the old sketch's
+// estimates at reduced precision.
 func TestEngineSnapshotInvalidation(t *testing.T) {
 	const tdim, jdim, pdim = 13, 3, 5
 	oldM := New(Config{HiddenUnits: 16, Seed: 21}, tdim, jdim, pdim)
@@ -154,45 +116,65 @@ func TestEngineSnapshotInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	enc := randEnc(rng, 2, 1, 2, tdim, jdim, pdim)
 
-	for _, p := range []Precision{F32, Int8} {
-		oldM.SetPrecision(p)
-		newM.SetPrecision(p)
-		before, err := oldM.Engine().Predict(enc) // caches the snapshot
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := newM.Engine().Predict(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if before == want {
-			t.Fatalf("%v: distinct seeds produced equal predictions — test is vacuous", p)
-		}
+	oldM.SetPrecision(F32)
+	newM.SetPrecision(F32)
+	before, err := oldM.Engine().Predict(enc) // caches the snapshot
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newM.Engine().Predict(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before == want {
+		t.Fatal("distinct seeds produced equal predictions — test is vacuous")
+	}
 
-		var buf bytes.Buffer
-		if err := newM.WriteWeights(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := oldM.ReadWeights(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := oldM.Engine().Predict(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%v: after ReadWeights predict = %v, want %v (stale snapshot: before-swap value was %v)",
-				p, got, want, before)
-		}
+	var buf bytes.Buffer
+	if err := newM.WriteWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := oldM.ReadWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := oldM.Engine().Predict(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("after ReadWeights predict = %v, want %v (stale snapshot: before-swap value was %v)",
+			got, want, before)
+	}
+}
 
-		// Restore oldM's original weights for the next precision round.
-		restore := New(Config{HiddenUnits: 16, Seed: 21}, tdim, jdim, pdim)
-		buf.Reset()
-		if err := restore.WriteWeights(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := oldM.ReadWeights(&buf); err != nil {
-			t.Fatal(err)
+// TestTrainForwardMatchesEngineForward: the packed trainer and the f64
+// engine run the same forward, so on the same weights and ragged batch
+// (empty sets, singletons, chains) their predictions are the same bits.
+func TestTrainForwardMatchesEngineForward(t *testing.T) {
+	const tdim, jdim, pdim = 37, 5, 11
+	rng := rand.New(rand.NewSource(46))
+	m := New(Config{HiddenUnits: 32, Seed: 7}, tdim, jdim, pdim)
+	shapes := [][3]int{{1, 0, 0}, {2, 0, 3}, {1, 0, 1}, {5, 4, 2}, {3, 2, 0}, {4, 3, 3}, {2, 1, 1}}
+	encs := make([]featurize.Encoded, len(shapes))
+	for i, sh := range shapes {
+		encs[i] = randEnc(rng, sh[0], sh[1], sh[2], tdim, jdim, pdim)
+	}
+
+	wk := newTrainWorker(m.Params())
+	trained := make([]float64, len(encs))
+	if err := wk.forward(m, encs, trained); err != nil {
+		t.Fatal(err)
+	}
+	pb, err := BuildPackedBatch(encs, tdim, jdim, pdim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws nn.Workspace
+	served := make([]float64, len(encs))
+	m.Engine().Forward(pb, &ws, served)
+	for i := range served {
+		if trained[i] != served[i] {
+			t.Errorf("query %d (shape %v): trainer forward %v != engine forward %v", i, shapes[i], trained[i], served[i])
 		}
 	}
 }
@@ -204,14 +186,18 @@ func TestPrecisionParseAndClone(t *testing.T) {
 	for _, c := range []struct {
 		s    string
 		want Precision
-	}{{"f64", F64}, {"", F64}, {"f32", F32}, {"int8", Int8}} {
+	}{{"f64", F64}, {"", F64}, {"f32", F32}} {
 		got, err := ParsePrecision(c.s)
 		if err != nil || got != c.want {
 			t.Fatalf("ParsePrecision(%q) = %v, %v; want %v", c.s, got, err, c.want)
 		}
 	}
-	if _, err := ParsePrecision("fp16"); err == nil {
-		t.Fatal("ParsePrecision(fp16) should error")
+	// int8 was an engine once; the rejection must name what is left.
+	for _, s := range []string{"fp16", "int8"} {
+		_, err := ParsePrecision(s)
+		if err == nil || !strings.Contains(err.Error(), "f64") || !strings.Contains(err.Error(), "f32") {
+			t.Fatalf("ParsePrecision(%q) error = %v, want one naming f64 and f32", s, err)
+		}
 	}
 	m := New(Config{HiddenUnits: 8, Seed: 1}, 3, 2, 2)
 	m.SetPrecision(F32)

@@ -63,8 +63,8 @@ func (o TrainOptions) epochs(cfg Config) int {
 }
 
 // Indices into Model.Params() / trainWorker.grads, fixed by the Params()
-// serialization contract: layer li contributes W at 2·li and b at 2·li+1 in
-// the order table1, table2, join1, join2, pred1, pred2, out1, out2.
+// serialization contract: layer li of Model.layers contributes W at 2·li
+// and b at 2·li+1, so set module k's layers sit at Params indices 4k..4k+3.
 const (
 	gradOut1W = 12
 	gradOut1B = 13
@@ -72,32 +72,16 @@ const (
 	gradOut2B = 15
 )
 
-// setLayers returns the set-module layer pairs in fixed module order
-// (tables, joins, predicates) — the order of Params() and of every packed
-// training loop. Module k's layers sit at Params indices 4k..4k+3.
-func (m *Model) setLayers() [3][2]*nn.Linear {
-	return [3][2]*nn.Linear{{m.table1, m.table2}, {m.join1, m.join2}, {m.pred1, m.pred2}}
-}
-
-// packedTape records the forward intermediates of one worker's packed shard
-// so the backward pass can consume them. All matrices alias the worker's
-// workspace arena and live exactly one step.
-type packedTape struct {
-	h1, h2, pool [3]nn.Matrix // per set module, post-ReLU / pooled
-	concat       nn.Matrix
-	oA1          nn.Matrix
-	out          nn.Matrix // sigmoid output, shard×1
-}
-
 // trainWorker is the private state of one data-parallel worker: a packed
-// sub-batch, a workspace arena for the step's intermediates, and gradient
-// buffers mirroring Model.Params(). Nothing here is ever shared between
-// workers, which is what keeps the parallel path race-free and the
-// reduction deterministic.
+// sub-batch, a workspace arena for the step's intermediates, the forward's
+// activations kept as the backward's tape (they alias the arena and live
+// exactly one step), and gradient buffers mirroring Model.Params(). Nothing
+// here is ever shared between workers, which is what keeps the parallel
+// path race-free and the reduction deterministic.
 type trainWorker struct {
 	pb      PackedBatch
 	ws      nn.Workspace
-	tp      packedTape
+	tp      activations[float64]
 	grads   [][]float64 // parallel to Model.Params()
 	lossSum float64     // per-shard loss sum of the current step
 }
@@ -119,8 +103,8 @@ func (wk *trainWorker) zeroGrads() {
 	}
 }
 
-// forward packs encs and runs the fused forward pass, recording
-// intermediates on the tape and writing normalized predictions into preds
+// forward packs encs and runs forwardPacked on the live weights, keeping
+// the activations as the tape and writing normalized predictions into preds
 // (len(encs)). The workspace is reserved for the whole step — forward and
 // backward — so the backward Allocs continue the same arena.
 func (wk *trainWorker) forward(m *Model, encs []featurize.Encoded, preds []float64) error {
@@ -130,37 +114,13 @@ func (wk *trainWorker) forward(m *Model, encs []featurize.Encoded, preds []float
 	b := wk.pb.B
 	h := m.Cfg.HiddenUnits
 	nt, nj, np := wk.pb.Rows()
-	// Forward: 2 hidden activations per set row, 3 pools + concat (3bh) +
-	// oA1 + out. Backward: dOut + dOA1 + dConcat (3bh) + dPool + 2 hidden
-	// gradients per set row. One Reserve covers both phases.
-	wk.ws.Reserve(4*(nt+nj+np)*h + 12*b*h + 2*b)
+	// Backward: dOut + dOA1 + dConcat (3bh) + dPool + 2 hidden gradients
+	// per set row. One Reserve covers both phases.
+	wk.ws.Reserve(forwardFloats(&wk.pb, h) + 2*(nt+nj+np)*h + 5*b*h + b)
 
-	tp := &wk.tp
-	xs := [3]nn.Matrix{wk.pb.TX, wk.pb.JX, wk.pb.PX}
-	offs := [3][]int{wk.pb.TOff, wk.pb.JOff, wk.pb.POff}
-	layers := m.setLayers()
-	for k := 0; k < 3; k++ {
-		rows := xs[k].Rows
-		tp.h1[k] = wk.ws.Alloc(rows, h)
-		layers[k][0].ForwardFused(xs[k], tp.h1[k], true)
-		tp.h2[k] = wk.ws.Alloc(rows, h)
-		layers[k][1].ForwardFused(tp.h1[k], tp.h2[k], true)
-		tp.pool[k] = wk.ws.Alloc(b, h)
-		nn.SegmentAvgPool(tp.h2[k], offs[k], tp.pool[k])
-	}
-	tp.concat = wk.ws.Alloc(b, 3*h)
-	for bi := 0; bi < b; bi++ {
-		dst := tp.concat.Row(bi)
-		copy(dst[:h], tp.pool[0].Row(bi))
-		copy(dst[h:2*h], tp.pool[1].Row(bi))
-		copy(dst[2*h:], tp.pool[2].Row(bi))
-	}
-	tp.oA1 = wk.ws.Alloc(b, h)
-	m.out1.ForwardFused(tp.concat, tp.oA1, true)
-	tp.out = wk.ws.Alloc(b, 1)
-	m.out2.ForwardFused(tp.oA1, tp.out, false)
-	nn.SigmoidInPlace(tp.out)
-	copy(preds, tp.out.Data)
+	w := m.weights()
+	xs, offs := wk.pb.sets()
+	forwardPacked(&w, xs, offs, &wk.ws, &wk.tp, preds)
 	return nil
 }
 
@@ -182,9 +142,8 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 	m.out1.BackwardFused(tp.concat, dOA1, &dConcat, wk.grads[gradOut1W], wk.grads[gradOut1B])
 
 	dPool := wk.ws.Alloc(b, h)
-	xs := [3]nn.Matrix{wk.pb.TX, wk.pb.JX, wk.pb.PX}
-	offs := [3][]int{wk.pb.TOff, wk.pb.JOff, wk.pb.POff}
-	layers := m.setLayers()
+	xs, offs := wk.pb.sets()
+	layers := m.layers()
 	for k := 0; k < 3; k++ {
 		off := k * h
 		for bi := 0; bi < b; bi++ {
@@ -201,9 +160,9 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 		nn.SegmentAvgPoolBackward(dPool, offs[k], dH2)
 		nn.ReLUBackwardInPlace(tp.h2[k], dH2)
 		dH1 := wk.ws.Alloc(rows, h)
-		layers[k][1].BackwardFused(tp.h1[k], dH2, &dH1, wk.grads[4*k+2], wk.grads[4*k+3])
+		layers[2*k+1].BackwardFused(tp.h1[k], dH2, &dH1, wk.grads[4*k+2], wk.grads[4*k+3])
 		nn.ReLUBackwardInPlace(tp.h1[k], dH1)
-		layers[k][0].BackwardFused(xs[k], dH1, nil, wk.grads[4*k], wk.grads[4*k+1])
+		layers[2*k].BackwardFused(xs[k], dH1, nil, wk.grads[4*k], wk.grads[4*k+1])
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"testing"
+	"unsafe"
 
 	"deepsketch/internal/datagen"
 )
@@ -37,32 +38,43 @@ func BenchmarkLinearForward(b *testing.B) {
 
 // BenchmarkLinearForwardFused measures the serial register-tiled inference
 // kernel against BenchmarkLinearForward (parallel per-row dot loop) on the
-// same shape. Zero allocs/op expected.
+// same shape, at both element types. Zero allocs/op expected.
 func BenchmarkLinearForwardFused(b *testing.B) {
+	b.Run("f64", benchForwardFused[float64])
+	b.Run("f32", benchForwardFused[float32])
+}
+
+func benchForwardFused[T Float](b *testing.B) {
 	l, x := benchLinear(b)
-	y := NewMatrix(benchBatch, benchOut)
-	b.SetBytes(int64(benchBatch * benchIn * 8))
+	lt, xt := ConvertLayer[T](l), convertMat[T](x)
+	y := NewMat[T](benchBatch, benchOut)
+	b.SetBytes(int64(benchBatch*benchIn) * int64(unsafe.Sizeof(T(0))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.ForwardFused(x, y, true)
+		lt.ForwardFused(xt, y, true)
 	}
 }
 
 // BenchmarkSegmentAvgPool mirrors BenchmarkMaskedAvgPool on the packed
 // representation: same 64 sets of 2 valid elements, no padding rows.
 func BenchmarkSegmentAvgPool(b *testing.B) {
+	b.Run("f64", benchSegmentAvgPool[float64])
+	b.Run("f32", benchSegmentAvgPool[float32])
+}
+
+func benchSegmentAvgPool[T Float](b *testing.B) {
 	rng := datagen.NewRand(2)
 	const sets, valid, width = 64, 2, 64
-	x := NewMatrix(sets*valid, width)
+	x := NewMat[T](sets*valid, width)
 	for i := range x.Data {
-		x.Data[i] = rng.Float64()
+		x.Data[i] = T(rng.Float64())
 	}
 	offsets := make([]int, sets+1)
 	for i := 1; i <= sets; i++ {
 		offsets[i] = i * valid
 	}
-	out := NewMatrix(sets, width)
+	out := NewMat[T](sets, width)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,36 +1,53 @@
 package nn
 
-// Inference-only kernels: a bump-allocated scratch arena (Workspace), fused
+import "math"
+
+// Inference-only kernels: a bump-allocated scratch arena (Arena), fused
 // Linear+ReLU with a register-tiled GEMM, and CSR-style segment pooling.
 // These power the packed ragged-batch engine in internal/mscn. They are
 // deliberately serial and allocation-free: concurrency comes from running
-// independent forward passes on separate Workspaces (one per goroutine),
-// not from fanning a single pass across cores. The training path keeps the
+// independent forward passes on separate arenas (one per goroutine), not
+// from fanning a single pass across cores. The training path keeps the
 // tape-friendly allocating functions in layers.go.
+//
+// Every kernel is generic over Float and used at float64 (the reference
+// engine and the packed trainer's forward) and float32 (the reduced-
+// precision engine). Under Go's scalar codegen the fused GEMM is
+// execution-port-bound — float32 and float64 multiply-add have identical
+// scalar throughput — so float32 buys halved weight traffic, not
+// arithmetic: ~10% on batched ragged shapes, parity on single-query shapes
+// that fit in L2, more when weights spill cache (larger samples, wider
+// hidden layers, many resident sketches). Training stays entirely float64
+// (Adam moments, gradient reduction, the fused backward kernels): reduced
+// precision is an inference-only trade, gated by the q-error equivalence
+// tests in the mscn package.
 
-// Workspace is a reusable scratch arena for inference forward passes. Alloc
+// Arena is a reusable scratch arena for inference forward passes. Alloc
 // hands out matrices backed by one contiguous buffer via bump allocation;
 // Reset recycles the whole arena without freeing. After the buffer has grown
 // to a steady-state batch shape, a Reserve/Alloc cycle performs zero heap
 // allocations.
 //
-// Ownership rules: a Workspace may serve at most one forward pass at a time —
+// Ownership rules: an Arena may serve at most one forward pass at a time —
 // it is NOT safe for concurrent use. Matrices returned by Alloc alias the
 // arena and die at the next Reset/Reserve; callers must copy anything they
-// keep. Pool Workspaces (e.g. sync.Pool) to serve concurrent traffic.
-type Workspace struct {
-	buf []float64
+// keep. Pool arenas (e.g. sync.Pool) to serve concurrent traffic.
+type Arena[T Float] struct {
+	buf []T
 	off int
 }
 
-// Reserve resets the arena and ensures capacity for n floats, so that
+// Workspace is the float64 arena of the f64 engine and the packed trainer.
+type Workspace = Arena[float64]
+
+// Reserve resets the arena and ensures capacity for n elements, so that
 // subsequent Allocs totalling at most n cannot grow the buffer mid-pass.
 //
 //deepsketch:zeroalloc
-func (w *Workspace) Reserve(n int) {
+func (w *Arena[T]) Reserve(n int) {
 	if cap(w.buf) < n {
 		//deepsketch:ignore zeroalloc amortized arena growth; steady state never reallocates
-		w.buf = make([]float64, n)
+		w.buf = make([]T, n)
 	} else {
 		w.buf = w.buf[:cap(w.buf)]
 	}
@@ -38,7 +55,7 @@ func (w *Workspace) Reserve(n int) {
 }
 
 // Reset recycles the arena, invalidating previously allocated matrices.
-func (w *Workspace) Reset() { w.off = 0 }
+func (w *Arena[T]) Reset() { w.off = 0 }
 
 // Alloc returns a rows×cols matrix carved from the arena. Contents are
 // uninitialized — every kernel writing into it must overwrite or zero it.
@@ -46,7 +63,7 @@ func (w *Workspace) Reset() { w.off = 0 }
 // old backing array.
 //
 //deepsketch:zeroalloc
-func (w *Workspace) Alloc(rows, cols int) Matrix {
+func (w *Arena[T]) Alloc(rows, cols int) Mat[T] {
 	n := rows * cols
 	if w.off+n > len(w.buf) {
 		grow := 2 * len(w.buf)
@@ -54,12 +71,38 @@ func (w *Workspace) Alloc(rows, cols int) Matrix {
 			grow = n
 		}
 		//deepsketch:ignore zeroalloc amortized arena growth; steady state never reallocates
-		w.buf = make([]float64, grow)
+		w.buf = make([]T, grow)
 		w.off = 0
 	}
-	m := Matrix{Rows: rows, Cols: cols, Data: w.buf[w.off : w.off+n : w.off+n]}
+	m := Mat[T]{Rows: rows, Cols: cols, Data: w.buf[w.off : w.off+n : w.off+n]}
 	w.off += n
 	return m
+}
+
+// Layer is the inference view of a Linear at element type T: y = x·Wᵀ + b
+// with W row-major [out][in]. It holds no gradients. Linear.View aliases the
+// live float64 parameters; ConvertLayer copies them to another element type
+// once per weight version (the mscn engine converts per Model weight
+// generation, never per forward).
+type Layer[T Float] struct {
+	In, Out int
+	W, B    []T
+}
+
+// View returns l's float64 inference view. It aliases l.W.Data and l.B.Data
+// — no conversion, no copy — so parameter updates are visible through it.
+//
+//deepsketch:zeroalloc
+func (l *Linear) View() Layer[float64] {
+	return Layer[float64]{In: l.In, Out: l.Out, W: l.W.Data, B: l.B.Data}
+}
+
+// ConvertLayer copies l's current weights to element type T.
+func ConvertLayer[T Float](l *Linear) Layer[T] {
+	v := Layer[T]{In: l.In, Out: l.Out, W: make([]T, len(l.W.Data)), B: make([]T, len(l.B.Data))}
+	convert(v.W, l.W.Data)
+	convert(v.B, l.B.Data)
+	return v
 }
 
 // ForwardFused computes y = x·Wᵀ + b into the preallocated y, optionally
@@ -68,12 +111,18 @@ func (w *Workspace) Alloc(rows, cols int) Matrix {
 // path. y must be x.Rows×l.Out and may not alias x.
 //
 //deepsketch:zeroalloc
-func (l *Linear) ForwardFused(x, y Matrix, relu bool) {
+func (l Layer[T]) ForwardFused(x, y Mat[T], relu bool) {
 	if x.Cols != l.In || y.Rows != x.Rows || y.Cols != l.Out {
 		panic("nn: ForwardFused dimension mismatch")
 	}
-	gemmBias(x, l.W.Data, l.B.Data, y, relu)
+	gemmBias(x, l.W, l.B, y, relu)
 }
+
+// ForwardFused on a Linear is Layer.ForwardFused on its aliased float64
+// view — the forward of the packed training path.
+//
+//deepsketch:zeroalloc
+func (l *Linear) ForwardFused(x, y Matrix, relu bool) { l.View().ForwardFused(x, y, relu) }
 
 // gemmBias is the serial blocked kernel behind ForwardFused: 2 rows × 4
 // output units per tile, 8 independent accumulators, one pass over the
@@ -84,7 +133,7 @@ func (l *Linear) ForwardFused(x, y Matrix, relu bool) {
 // intensity of a per-element dot loop.
 //
 //deepsketch:zeroalloc
-func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
+func gemmBias[T Float](x Mat[T], w, bias []T, y Mat[T], relu bool) {
 	in, out, n := x.Cols, y.Cols, x.Rows
 	r := 0
 	for ; r+2 <= n; r += 2 {
@@ -98,8 +147,8 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 			w1 := w[(o+1)*in : (o+1)*in+in]
 			w2 := w[(o+2)*in : (o+2)*in+in]
 			w3 := w[(o+3)*in : (o+3)*in+in]
-			var a00, a01, a02, a03 float64
-			var a10, a11, a12, a13 float64
+			var a00, a01, a02, a03 T
+			var a10, a11, a12, a13 T
 			for k := 0; k < in; k++ {
 				xv0, xv1 := x0[k], x1[k]
 				wv0, wv1, wv2, wv3 := w0[k], w1[k], w2[k], w3[k]
@@ -136,7 +185,7 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 		}
 		for ; o < out; o++ {
 			wo := w[o*in : o*in+in]
-			var a0, a1 float64
+			var a0, a1 T
 			for k := 0; k < in; k++ {
 				wv := wo[k]
 				a0 += x0[k] * wv
@@ -157,7 +206,7 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 		for ; o+2 <= out; o += 2 {
 			w0 := w[o*in : o*in+in]
 			w1 := w[(o+1)*in : (o+1)*in+in]
-			var a0, a1 float64
+			var a0, a1 T
 			for k := 0; k < in; k++ {
 				xv := xr[k]
 				a0 += xv * w0[k]
@@ -171,7 +220,7 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 		}
 		for ; o < out; o++ {
 			wo := w[o*in : o*in+in]
-			var a float64
+			var a T
 			for k := 0; k < in; k++ {
 				a += xr[k] * wo[k]
 			}
@@ -185,7 +234,7 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 }
 
 //deepsketch:zeroalloc
-func relu1(v float64) float64 {
+func relu1[T Float](v T) T {
 	if v > 0 {
 		return v
 	}
@@ -199,7 +248,7 @@ func relu1(v float64) float64 {
 // be preallocated (B×x.Cols) and is fully overwritten; no allocations.
 //
 //deepsketch:zeroalloc
-func SegmentAvgPool(x Matrix, offsets []int, out Matrix) {
+func SegmentAvgPool[T Float](x Mat[T], offsets []int, out Mat[T]) {
 	b := out.Rows
 	if len(offsets) != b+1 || offsets[b] != x.Rows || out.Cols != x.Cols {
 		panic("nn: SegmentAvgPool shape mismatch")
@@ -221,10 +270,42 @@ func SegmentAvgPool(x Matrix, offsets []int, out Matrix) {
 			}
 		}
 		if n := hi - lo; n > 1 {
-			inv := 1.0 / float64(n)
+			inv := 1 / T(n)
 			for c := range dst {
 				dst[c] *= inv
 			}
 		}
+	}
+}
+
+// SigmoidInPlace applies 1/(1+e^-x) element-wise, overwriting x. The
+// exponential is computed in float64 (math.Exp has no float32 twin in the
+// standard library) and rounded once per element.
+//
+//deepsketch:zeroalloc
+func SigmoidInPlace[T Float](x Mat[T]) {
+	for i, v := range x.Data {
+		x.Data[i] = T(1.0 / (1.0 + math.Exp(-float64(v))))
+	}
+}
+
+// ConvertRows copies src into dst element-wise, converting between element
+// types; the matrices must have identical shapes. It is how packed float64
+// feature rows enter the float32 pipeline and how its outputs widen back:
+// the conversion touches each element once, which is negligible next to
+// the GEMMs that re-stream the weight matrices per output unit.
+//
+//deepsketch:zeroalloc
+func ConvertRows[D, S Float](dst Mat[D], src Mat[S]) {
+	if dst.Rows != src.Rows || dst.Cols != src.Cols {
+		panic("nn: ConvertRows shape mismatch")
+	}
+	convert(dst.Data, src.Data)
+}
+
+//deepsketch:zeroalloc
+func convert[D, S Float](dst []D, src []S) {
+	for i, v := range src {
+		dst[i] = D(v)
 	}
 }

@@ -7,11 +7,49 @@ import (
 	"deepsketch/internal/datagen"
 )
 
-// TestForwardFusedMatchesForward: the tiled fused kernel must match the
-// reference dot-product forward across shapes that hit every tile-remainder
-// path (rows and outputs not divisible by 4).
-func TestForwardFusedMatchesForward(t *testing.T) {
-	rng := datagen.NewRand(7)
+// The kernel tests below take the element type as one more input: every
+// helper runs at float64 against a tight bound and at float32 against
+// f32RelTol. f32 kernels accumulate in float32, so they drift from the f64
+// reference by rounding noise that grows with the inner dimension; a
+// relative bound of ~1e-5 is comfortable for these shapes while still
+// catching any real kernel bug (tiling, remainder, offset errors produce
+// O(1) deviations).
+const (
+	f64Tol    = 1e-12
+	f32RelTol = 2e-5
+)
+
+// relDiff is |got-want|, relative to |want| once that exceeds 1.
+func relDiff[T Float](got T, want float64) float64 {
+	d := math.Abs(float64(got) - want)
+	if m := math.Abs(want); m > 1 {
+		d /= m
+	}
+	return d
+}
+
+// dirty returns a rows×cols matrix filled with a sentinel, to prove a
+// kernel fully overwrites a reused output buffer.
+func dirty[T Float](rows, cols int) Mat[T] {
+	m := NewMat[T](rows, cols)
+	for i := range m.Data {
+		m.Data[i] = 999
+	}
+	return m
+}
+
+// convertMat returns src converted to element type T.
+func convertMat[T Float](src Matrix) Mat[T] {
+	dst := NewMat[T](src.Rows, src.Cols)
+	ConvertRows(dst, src)
+	return dst
+}
+
+// testForwardFused: the tiled fused kernel at T must match the reference
+// f64 dot-product forward across shapes that hit every tile-remainder path
+// (rows not divisible by 2, outputs not divisible by 4/2).
+func testForwardFused[T Float](t *testing.T, seed int64, tol float64) {
+	rng := datagen.NewRand(seed)
 	for _, shape := range [][3]int{
 		{1, 3, 1}, {2, 5, 4}, {3, 8, 5}, {4, 16, 4}, {5, 7, 9},
 		{8, 33, 12}, {17, 10, 6}, {64, 21, 13},
@@ -22,20 +60,17 @@ func TestForwardFusedMatchesForward(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = rng.Float64()*2 - 1
 		}
+		lt, xt := ConvertLayer[T](l), convertMat[T](x)
 		for _, relu := range []bool{false, true} {
 			want := l.Forward(x)
 			if relu {
 				want = ReLU(want)
 			}
-			got := NewMatrix(rows, out)
-			// Dirty the output to prove full overwrite.
-			for i := range got.Data {
-				got.Data[i] = 999
-			}
-			l.ForwardFused(x, got, relu)
+			got := dirty[T](rows, out)
+			lt.ForwardFused(xt, got, relu)
 			for i := range want.Data {
-				if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-12 {
-					t.Fatalf("shape %v relu=%v: fused[%d]=%v want %v (|Δ|=%g)",
+				if d := relDiff(got.Data[i], want.Data[i]); d > tol {
+					t.Fatalf("shape %v relu=%v: fused[%d]=%v want %v (Δ=%g)",
 						shape, relu, i, got.Data[i], want.Data[i], d)
 				}
 			}
@@ -43,10 +78,13 @@ func TestForwardFusedMatchesForward(t *testing.T) {
 	}
 }
 
-// TestSegmentAvgPoolMatchesMasked: CSR segment pooling must agree with the
-// padded masked pooling on equivalent inputs, including empty segments.
-func TestSegmentAvgPoolMatchesMasked(t *testing.T) {
-	rng := datagen.NewRand(8)
+func TestForwardFusedMatchesForward(t *testing.T) { testForwardFused[float64](t, 7, f64Tol) }
+func TestForwardFused32MatchesF64(t *testing.T)   { testForwardFused[float32](t, 21, f32RelTol) }
+
+// testSegmentAvgPool: CSR segment pooling at T must agree with the padded
+// f64 masked pooling on equivalent inputs, including empty segments.
+func testSegmentAvgPool[T Float](t *testing.T, seed int64, tol float64) {
+	rng := datagen.NewRand(seed)
 	const b, maxS, h = 5, 4, 3
 	lens := []int{2, 0, 4, 1, 3}
 
@@ -75,37 +113,56 @@ func TestSegmentAvgPoolMatchesMasked(t *testing.T) {
 	}
 
 	want := MaskedAvgPool(padded, mask, b, maxS)
-	got := NewMatrix(b, h)
-	for i := range got.Data {
-		got.Data[i] = 999 // prove full overwrite, incl. empty segments
-	}
-	SegmentAvgPool(packed, offsets, got)
+	got := dirty[T](b, h) // prove full overwrite, incl. empty segments
+	SegmentAvgPool(convertMat[T](packed), offsets, got)
 	for i := range want.Data {
-		if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-12 {
+		if d := relDiff(got.Data[i], want.Data[i]); d > tol {
 			t.Fatalf("pool[%d] = %v, want %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
-// TestWorkspaceReuse: Reserve/Alloc must reuse the arena (zero allocations
-// at steady state) and growth must leave earlier matrices intact.
-func TestWorkspaceReuse(t *testing.T) {
-	var ws Workspace
+func TestSegmentAvgPoolMatchesMasked(t *testing.T) { testSegmentAvgPool[float64](t, 8, f64Tol) }
+func TestSegmentAvgPool32MatchesF64(t *testing.T)  { testSegmentAvgPool[float32](t, 22, f32RelTol) }
+
+// TestSigmoidInPlace32MatchesF64: the f32 sigmoid computes through float64
+// exp and rounds once, so it should sit within one ulp-ish of the f64 one.
+func TestSigmoidInPlace32MatchesF64(t *testing.T) {
+	rng := datagen.NewRand(23)
+	x := NewMatrix(3, 4)
+	for i := range x.Data {
+		x.Data[i] = rng.Float64()*8 - 4
+	}
+	want := x.Clone()
+	SigmoidInPlace(want)
+	got := convertMat[float32](x)
+	SigmoidInPlace(got)
+	for i := range want.Data {
+		if d := relDiff(got.Data[i], want.Data[i]); d > f32RelTol {
+			t.Fatalf("sigmoid32[%d] = %v, want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// testArenaReuse: Reserve/Alloc must reuse the arena (zero allocations at
+// steady state) and growth must leave earlier matrices intact.
+func testArenaReuse[T Float](t *testing.T) {
+	var ws Arena[T]
 	ws.Reserve(12)
 	a := ws.Alloc(2, 3)
 	for i := range a.Data {
-		a.Data[i] = float64(i)
+		a.Data[i] = T(i)
 	}
 	// Force growth: earlier matrix keeps its (old) backing storage.
 	b := ws.Alloc(10, 10)
 	b.Data[0] = 7
 	for i := range a.Data {
-		if a.Data[i] != float64(i) {
+		if a.Data[i] != T(i) {
 			t.Fatalf("growth corrupted earlier matrix at %d", i)
 		}
 	}
 
-	ws2 := &Workspace{}
+	ws2 := &Arena[T]{}
 	ws2.Reserve(64)
 	ws2.Alloc(4, 8) // warm
 	allocs := testing.AllocsPerRun(20, func() {
@@ -117,6 +174,9 @@ func TestWorkspaceReuse(t *testing.T) {
 		t.Fatalf("steady-state Reserve/Alloc allocates %.1f times, want 0", allocs)
 	}
 }
+
+func TestWorkspaceReuse(t *testing.T)   { testArenaReuse[float64](t) }
+func TestWorkspace32Reuse(t *testing.T) { testArenaReuse[float32](t) }
 
 // TestBackwardIntoMatchesBackward: the reusable-buffer backward (including
 // the nil-dx params-only mode) must accumulate identical gradients.

@@ -220,15 +220,6 @@ func SigmoidBackward(y, dy Matrix) Matrix {
 	return dx
 }
 
-// SigmoidInPlace applies 1/(1+e^-x) element-wise, overwriting x.
-//
-//deepsketch:zeroalloc
-func SigmoidInPlace(x Matrix) {
-	for i, v := range x.Data {
-		x.Data[i] = 1.0 / (1.0 + math.Exp(-v))
-	}
-}
-
 // ReLUBackwardInPlace masks dy in place given the forward output y: the
 // gradient survives only where the output was positive. Legal whenever the
 // tape no longer needs the unmasked dy (always true in this model).

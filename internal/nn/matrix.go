@@ -9,17 +9,18 @@
 // Two forward paths coexist. The training path (Forward/ForwardInto,
 // Backward/BackwardInto, MaskedAvgPool) keeps tape-friendly semantics and
 // fans out across cores; its Into variants let the trainer reuse buffers
-// between mini-batches. The inference path (ForwardFused, SegmentAvgPool,
-// Workspace in infer.go) is serial, padding-free and allocation-free:
-// packed ragged batches, a register-tiled fused Linear+ReLU GEMM, and
-// bump-allocated scratch. A Workspace serves one forward pass at a time —
-// concurrency comes from one Workspace per goroutine, never from sharing.
+// between mini-batches. The inference path (Layer.ForwardFused,
+// SegmentAvgPool, Arena in infer.go) is serial, padding-free and
+// allocation-free: packed ragged batches, a register-tiled fused
+// Linear+ReLU GEMM, and bump-allocated scratch. An Arena serves one forward
+// pass at a time — concurrency comes from one Arena per goroutine, never
+// from sharing.
 //
-// Inference additionally offers reduced-precision mirrors: float32 kernels
-// (infer32.go: Linear32, SegmentAvgPool32, Workspace32) that halve weight
-// memory traffic, and an experimental per-layer-scaled int8 GEMM
-// (infer8.go). Weight snapshots convert once per weight version; the f64
-// training state is the single source of truth.
+// The inference kernels are written once over Float (float32 | float64)
+// and instantiated at both: float64 reads the training weights in place,
+// float32 reads a copy converted once per weight version and halves the
+// weight memory traffic. The f64 training state is the single source of
+// truth.
 package nn
 
 import (
@@ -28,30 +29,41 @@ import (
 	"sync"
 )
 
-// Matrix is a dense row-major matrix.
-type Matrix struct {
+// Float is the element type the matrix and the inference kernels are
+// generic over. The compiler stencils one body per float shape, so each
+// instantiation runs the same scalar code a hand-written copy would.
+type Float interface{ ~float32 | ~float64 }
+
+// Mat is a dense row-major matrix.
+type Mat[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// NewMatrix allocates a zeroed Rows×Cols matrix.
-func NewMatrix(rows, cols int) Matrix {
-	return Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+// Matrix is the float64 matrix of the training path and the f64 engine.
+type Matrix = Mat[float64]
+
+// NewMat allocates a zeroed Rows×Cols matrix of element type T.
+func NewMat[T Float](rows, cols int) Mat[T] {
+	return Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// NewMatrix allocates a zeroed Rows×Cols float64 matrix.
+func NewMatrix(rows, cols int) Matrix { return NewMat[float64](rows, cols) }
 
 // At returns element (r, c).
-func (m Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
+func (m Mat[T]) At(r, c int) T { return m.Data[r*m.Cols+c] }
 
 // Set assigns element (r, c).
-func (m Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
+func (m Mat[T]) Set(r, c int, v T) { m.Data[r*m.Cols+c] = v }
 
 // Row returns the r-th row as a slice aliasing the matrix storage.
 //
 //deepsketch:zeroalloc
-func (m Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
+func (m Mat[T]) Row(r int) []T { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // Zero clears all elements in place.
-func (m Matrix) Zero() {
+func (m Mat[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
@@ -60,10 +72,10 @@ func (m Matrix) Zero() {
 // Reshape resizes m to rows×cols in place, reusing the backing slice when
 // its capacity allows and reallocating otherwise. Contents are unspecified
 // afterwards; callers must fully overwrite (or Zero) the matrix.
-func (m *Matrix) Reshape(rows, cols int) {
+func (m *Mat[T]) Reshape(rows, cols int) {
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
+		m.Data = make([]T, n)
 	} else {
 		m.Data = m.Data[:n]
 	}
@@ -71,13 +83,13 @@ func (m *Matrix) Reshape(rows, cols int) {
 }
 
 // Clone returns a deep copy.
-func (m Matrix) Clone() Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
+func (m Mat[T]) Clone() Mat[T] {
+	c := NewMat[T](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
-func (m Matrix) String() string {
+func (m Mat[T]) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkAppend measures WAL append throughput at the default fsync
-// batching — the serving path's journaling cost, and one of the metrics
-// the BENCH_deepsketch.json perf-trajectory artifact tracks across PRs.
+// batching — the serving path's journaling cost, tracked end to end as
+// wal.appends_per_s in BENCHMARK.json.
 func BenchmarkAppend(b *testing.B) {
 	l, err := Open(b.TempDir(), Options{})
 	if err != nil {
