@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper at bench
-// scale (see DESIGN.md §4 for the experiment index; cmd/experiments runs the
-// full-scale versions). Accuracy numbers are attached to benchmark results
+// scale (cmd/experiments runs the full-scale versions and lists them in its
+// package comment). Accuracy numbers are attached to benchmark results
 // via ReportMetric (q-error statistics), so `go test -bench=.` doubles as a
 // shape check:
 //
@@ -371,7 +371,7 @@ func BenchmarkZeroTuple(b *testing.B) {
 
 // BenchmarkAblationBitmaps trains the MSCN with and without sample bitmaps
 // on the fixture's training data and reports JOB-light accuracy for both —
-// the design-choice ablation of DESIGN.md/E8.
+// the design-choice ablation for the sample-bitmap input.
 func BenchmarkAblationBitmaps(b *testing.B) {
 	f := fixtureB(b)
 	b.Run("with-bitmaps", func(b *testing.B) {

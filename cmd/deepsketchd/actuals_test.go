@@ -30,6 +30,29 @@ func noTruthServer(driftCfg deepsketch.DriftConfig, ctrlCfg deepsketch.DriftCont
 	})
 }
 
+// minObserved mirrors the drift controller's evidence minimum: a triggered
+// cycle trains on the WAL only once it holds this many distinct actuals.
+const minObserved = 32
+
+// driftView fetches the parts of GET .../drift the feedback-loop tests
+// assert on: the controller's cycle (with its workload decision) and the
+// monitor's trigger record.
+func driftView(t *testing.T, h http.Handler, id int) (deepsketch.DriftCycleStatus, deepsketch.DriftStatus) {
+	t.Helper()
+	rec := get(t, h, fmt.Sprintf("/api/sketches/%d/drift", id))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("drift endpoint: %d %s", rec.Code, rec.Body)
+	}
+	var out struct {
+		Cycle   deepsketch.DriftCycleStatus `json:"cycle"`
+		Monitor deepsketch.DriftStatus      `json:"monitor"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Cycle, out.Monitor
+}
+
 // postActual reports one observed actual for sketch id.
 func postActual(t *testing.T, h http.Handler, id int, sql string, actual float64, client string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -282,7 +305,7 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	d := srv.datasets["imdb"]
 
-	// Enough distinct queries that the WAL accumulates >= walDeltaMin
+	// Enough distinct queries that the WAL accumulates >= minObserved
 	// distinct logged actuals — the refresh must come from observed traffic.
 	sqls := make([]string, 0, 40)
 	for i := 0; i < 40; i++ {
@@ -332,9 +355,10 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// The refresh drew its delta workload from the WAL, not the generator.
-	if got := srv.walWorkloads.Load(); got < 1 {
-		t.Fatalf("refresh did not use the WAL-derived workload (walWorkloads=%d)", got)
+	// The refresh drew its delta workload from the WAL, not the generator —
+	// the controller's recorded decision, not a side counter.
+	if cy, _ := driftView(t, h, id); cy.Source != "wal" || cy.Count < minObserved {
+		t.Fatalf("refresh trained on %q workload of %d queries, want wal with >= %d", cy.Source, cy.Count, minObserved)
 	}
 
 	// Phase 2: keep feeding; the gate judges on POST-resolved canary
@@ -371,7 +395,7 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &driftResp); err != nil {
 		t.Fatal(err)
 	}
-	if driftResp.WAL == nil || driftResp.WALActuals < walDeltaMin || driftResp.WALRefresh < 1 {
+	if driftResp.WAL == nil || driftResp.WALActuals < minObserved || driftResp.WALRefresh < 1 {
 		t.Errorf("drift endpoint wal fields: %+v", driftResp)
 	}
 
@@ -403,6 +427,82 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 		if rec := post(t, h2, "/api/estimate", estimateReq{SketchID: 1, SQL: sql}); rec.Code != http.StatusOK {
 			t.Fatalf("estimate after restart failed: %d %s", rec.Code, rec.Body)
 		}
+	}
+}
+
+// TestTriggerDeferredUntilEvidence: a drift trigger that fires while the
+// WAL holds too few actuals to train on is declined, not consumed — no
+// cycle, the shortfall visible on the drift endpoint, no cooldown stamped
+// (the test's cooldown is an hour) — and the still-exceeded threshold
+// starts the cycle by itself as soon as the evidence is there.
+func TestTriggerDeferredUntilEvidence(t *testing.T) {
+	driftCfg := deepsketch.DriftConfig{
+		SampleEvery: 1, Window: 64, MinSamples: 6,
+		MaxMedianQ: 1.01, Cooldown: time.Hour, QueueSize: 4096,
+	}
+	ctrlCfg := deepsketch.DriftControllerConfig{
+		CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100, Epochs: 1, Workers: 2,
+	}
+	srv := noTruthServer(driftCfg, ctrlCfg, t.TempDir())
+	h := srv.routes()
+	id := buildReadySketch(t, h, "deferred")
+	d := srv.datasets["imdb"]
+	feed := func(from, to int) {
+		t.Helper()
+		sqls := make([]string, 0, to-from)
+		for i := from; i < to; i++ {
+			sqls = append(sqls, fmt.Sprintf("SELECT COUNT(*) FROM title t WHERE t.production_year>%d", 1900+3*i))
+		}
+		for _, sql := range sqls {
+			if rec := post(t, h, "/api/estimate", estimateReq{SketchID: id, SQL: sql}); rec.Code != http.StatusOK {
+				t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
+			}
+		}
+		srv.monitors["imdb"].Drain(context.Background())
+		for _, sql := range sqls {
+			q, err := deepsketch.ParseSQL(d, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc, err := deepsketch.TrueCardinality(d, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := postActual(t, h, id, sql, float64(tc), "app"); rec.Code != http.StatusOK {
+				t.Fatalf("actual: %d %s", rec.Code, rec.Body)
+			}
+		}
+	}
+
+	// Ten resolved actuals: past MinSamples, so the trigger fires — and is
+	// declined, every time, because the WAL is short.
+	feed(0, 10)
+	cy, mon := driftView(t, h, id)
+	if cy.State != "idle" || cy.Source != "" {
+		t.Fatalf("a cycle ran on short evidence: %+v", cy)
+	}
+	if cy.Deferred == nil || cy.Deferred.Have >= minObserved || cy.Deferred.Want != minObserved || cy.Deferred.Since.IsZero() {
+		t.Fatalf("deferred = %+v, want the shortfall against %d", cy.Deferred, minObserved)
+	}
+	if mon.LastTrigger != nil {
+		t.Fatalf("declined trigger was consumed (cooldown stamped): %+v", mon.LastTrigger)
+	}
+	if status, version, canary := entryState(t, h, id); status != "ready" || version != 1 || canary != nil {
+		t.Fatalf("entry moved on a declined trigger: %s v%d %+v", status, version, canary)
+	}
+
+	// Thirty more: the evidence arrives, the next re-fire is accepted.
+	feed(10, 40)
+	awaitStatus(t, h, id, "canarying")
+	cy, mon = driftView(t, h, id)
+	if cy.Source != "wal" || cy.Count < minObserved || cy.Deferred != nil || cy.Shortfall != nil {
+		t.Fatalf("cycle after the evidence arrived: %+v, want a wal workload and no deferral", cy)
+	}
+	if mon.LastTrigger == nil || mon.LastTrigger.Kind != "median" {
+		t.Fatalf("accepted trigger not on record: %+v", mon.LastTrigger)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"deepsketch"
 )
@@ -194,5 +196,107 @@ func TestCanaryEndpointNotFoundAndBadFraction(t *testing.T) {
 	}
 	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{"fraction": -0.1}); rec.Code != http.StatusBadRequest {
 		t.Errorf("fraction -0.1: %d", rec.Code)
+	}
+}
+
+// TestCycleInFlightConflicts: while the controller runs a cycle for a
+// sketch — here one held open on its workload source — every other way of
+// changing the sketch's version conflicts with 409, whoever started the
+// cycle, and a drift trigger is declined without burning its cooldown.
+func TestCycleInFlightConflicts(t *testing.T) {
+	srv := newServerOpts(serverOptions{
+		titles: 600, orders: 300, seed: 2, driftTruth: true,
+		driftCfg: deepsketch.DriftConfig{
+			SampleEvery: 1, Window: 64, MinSamples: 6,
+			MaxMedianQ: 1.01, Cooldown: time.Hour, QueueSize: 4096,
+		},
+	})
+	h := srv.routes()
+	id := buildReadySketch(t, h, "busy")
+	blob := get(t, h, fmt.Sprintf("/api/sketches/%d/download", id)).Body.Bytes()
+
+	release := make(chan struct{})
+	err := srv.controllers["imdb"].Start("busy", deepsketch.DriftCycleOptions{
+		Reason: deepsketch.DriftReason{Kind: "operator"}, Epochs: 1,
+		Workload: func(ctx context.Context, name string) ([]deepsketch.LabeledQuery, error) {
+			<-release
+			return srv.syntheticSource("imdb", refreshReq{Queries: 80})(ctx, name)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, _, _ := entryState(t, h, id); status != "refreshing" {
+		t.Fatalf("entry is %q with a cycle in flight", status)
+	}
+	path := fmt.Sprintf("/api/sketches/%d", id)
+	for what, rec := range map[string]*httptest.ResponseRecorder{
+		"refresh":  post(t, h, path+"/refresh", refreshReq{}),
+		"canary":   post(t, h, path+"/canary", map[string]any{"fraction": 0.5}),
+		"upload":   put(t, h, path, blob),
+		"rollback": post(t, h, path+"/rollback", nil),
+	} {
+		if rec.Code != http.StatusConflict {
+			t.Errorf("%s during a cycle: %d %s, want 409", what, rec.Code, rec.Body)
+		}
+	}
+
+	// Drifted traffic meanwhile: the trigger fires and is declined.
+	for year := 1960; year < 2020; year += 5 {
+		sql := fmt.Sprintf("SELECT COUNT(*) FROM title t WHERE t.production_year>%d", year)
+		if rec := post(t, h, "/api/estimate", estimateReq{SketchID: id, SQL: sql}); rec.Code != http.StatusOK {
+			t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
+		}
+	}
+	srv.monitors["imdb"].Drain(context.Background())
+	cy, mon := driftView(t, h, id)
+	if cy.State != "refreshing" || cy.Reason == nil || cy.Reason.Kind != "operator" {
+		t.Fatalf("cycle = %+v, want the operator's still in flight", cy)
+	}
+	if len(mon.Versions) == 0 || mon.Versions[0].Samples < 6 || mon.LastTrigger != nil {
+		t.Fatalf("monitor = %+v, want the threshold tripped but no trigger consumed", mon)
+	}
+
+	close(release)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if status, version, _ := entryState(t, h, id); status != "ready" || version != 2 {
+		t.Fatalf("after the cycle: %s v%d, want ready v2", status, version)
+	}
+}
+
+// TestGateJudgesOperatorCanary: an operator-started canary is a controller
+// cycle like any other, so with the automatic loop running its gate
+// promotes (or aborts) it — not only after a restart had adopted it.
+func TestGateJudgesOperatorCanary(t *testing.T) {
+	srv := newServerOpts(serverOptions{
+		titles: 600, orders: 300, seed: 2, driftTruth: true,
+		driftCfg: deepsketch.DriftConfig{SampleEvery: 1, Window: 64, QueueSize: 4096},
+		ctrlCfg:  deepsketch.DriftControllerConfig{PromoteAfter: 3, MaxQRatio: 100},
+	})
+	h := srv.routes()
+	id := buildReadySketch(t, h, "gated")
+	rec := post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{
+		"fraction": 0.5, "queries": 120, "epochs": 1, "workers": 2,
+	})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("canary: %d %s", rec.Code, rec.Body)
+	}
+	awaitStatus(t, h, id, "canarying")
+	if cy, _ := driftView(t, h, id); cy.State != "canarying" || cy.CanaryVer != 2 {
+		t.Fatalf("cycle = %+v, want the operator's canary under the gate", cy)
+	}
+	// Traffic on both sides of the split, ground-truthed; then one gate pass.
+	for year := 1900; year < 2020; year += 3 {
+		sql := fmt.Sprintf("SELECT COUNT(*) FROM title t WHERE t.production_year>%d", year)
+		if rec := post(t, h, "/api/estimate", estimateReq{SketchID: id, SQL: sql}); rec.Code != http.StatusOK {
+			t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
+		}
+	}
+	srv.monitors["imdb"].Drain(context.Background())
+	srv.controllers["imdb"].Tick()
+	if status, version, canary := entryState(t, h, id); status != "ready" || version != 2 || canary != nil {
+		t.Fatalf("after the gate: %s v%d canary %+v, want promoted to ready v2", status, version, canary)
 	}
 }

@@ -18,21 +18,23 @@ import (
 // transition. The monitor queue and gate are driven explicitly (Drain and
 // Tick) instead of background loops, keeping the test deterministic.
 func TestAutoDriftLoopDaemon(t *testing.T) {
-	srv := newServerWithDrift(800, 400, 3,
-		deepsketch.DriftConfig{
+	srv := newServerOpts(serverOptions{
+		titles: 800, orders: 400, seed: 3, driftTruth: true,
+		driftCfg: deepsketch.DriftConfig{
 			// Sample everything, judge after 6 samples, and treat any median
 			// q-error above 1.01 as drift — a deliberately hair-trigger
 			// config so the tiny fixture sketch provably trips it.
 			SampleEvery: 1, Window: 64, MinSamples: 6,
 			MaxMedianQ: 1.01, Cooldown: time.Hour, QueueSize: 4096,
 		},
-		deepsketch.DriftControllerConfig{
+		ctrlCfg: deepsketch.DriftControllerConfig{
 			// The gate is intentionally lax (ratio 100): this test is about
 			// the daemon wiring, not the gate's judgement — the drift
 			// package's e2e test covers that.
 			CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100,
 			Epochs: 1, Workers: 2,
-		})
+		},
+	})
 	h := srv.routes()
 	id := buildReadySketch(t, h, "auto drift")
 	ctx := context.Background()
@@ -110,5 +112,10 @@ func TestAutoDriftLoopDaemon(t *testing.T) {
 	}
 	if out.Cycle.State != "idle" {
 		t.Errorf("cycle state %q after promotion, want idle", out.Cycle.State)
+	}
+	// No -wal: there is no observed traffic to wait for, so the cycle
+	// trained on a synthetic workload at once — and says so.
+	if out.Cycle.Source != "synthetic" || out.Cycle.Count == 0 || out.Cycle.Shortfall != nil {
+		t.Errorf("cycle workload = %+v, want a synthetic workload with no shortfall", out.Cycle.WorkloadInfo)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -58,7 +60,7 @@ func buildReadySketch(t *testing.T, h http.Handler, name string) int {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("create status %d: %s", rec.Code, rec.Body)
 	}
-	var entry sketchEntry
+	var entry sketchView
 	if err := json.Unmarshal(rec.Body.Bytes(), &entry); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestUploadSwapRollbackVersions(t *testing.T) {
 	if recUp.Code != 200 {
 		t.Fatalf("upload status %d: %s", recUp.Code, recUp.Body)
 	}
-	var upEntry sketchEntry
+	var upEntry sketchView
 	if err := json.Unmarshal(recUp.Body.Bytes(), &upEntry); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestUploadSwapRollbackVersions(t *testing.T) {
 	rec := post(t, h, "/api/sketches", createReq{
 		Name: "tpch-target", Dataset: "tpch", SampleSize: 24, TrainQueries: 100, Epochs: 1, HiddenUnits: 8, Seed: 3,
 	})
-	var tpchEntry sketchEntry
+	var tpchEntry sketchView
 	if err := json.Unmarshal(rec.Body.Bytes(), &tpchEntry); err != nil {
 		t.Fatal(err)
 	}
@@ -228,5 +230,74 @@ func TestRefreshEndpoint(t *testing.T) {
 	// Refresh of a missing sketch 404s.
 	if rec := post(t, h, "/api/sketches/999/refresh", refreshReq{}); rec.Code != http.StatusNotFound {
 		t.Errorf("missing sketch refresh status = %d", rec.Code)
+	}
+}
+
+// TestFailedBuildNameReuse: a name is free again after a failed build, so a
+// dead "failed" entry and the live one can share it. Only the live,
+// published entry may follow the registry and the controller: its status
+// and store move with a refresh cycle, the failed entry stays exactly as
+// it died.
+func TestFailedBuildNameReuse(t *testing.T) {
+	srv := testServer(t)
+	srv.store = t.TempDir()
+	h := srv.routes()
+	rec := post(t, h, "/api/sketches", createReq{Name: "again", Dataset: "imdb", Tables: []string{"no_such_table"}})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	var dead sketchView
+	if err := json.Unmarshal(rec.Body.Bytes(), &dead); err != nil {
+		t.Fatal(err)
+	}
+	failed := func() sketchView {
+		t.Helper()
+		var v sketchView
+		if err := json.Unmarshal(get(t, h, fmt.Sprintf("/api/sketches/%d", dead.ID)).Body.Bytes(), &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for deadline := time.Now().Add(30 * time.Second); failed().Status != "failed"; {
+		if time.Now().After(deadline) {
+			t.Fatalf("build over an unknown table did not fail: %+v", failed())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	before := failed()
+	if before.Error == "" || before.Version != 0 {
+		t.Fatalf("failed entry = %+v", before)
+	}
+
+	live := buildReadySketch(t, h, "again")
+	if live == dead.ID {
+		t.Fatal("rebuild reused the failed entry's id")
+	}
+	if e := srv.entryByName("imdb", "again"); e == nil || e.ID != live {
+		t.Fatalf("entryByName = %+v, want the published entry %d", e, live)
+	}
+	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", live), refreshReq{Queries: 80, Epochs: 1, Workers: 2}); rec.Code != http.StatusAccepted {
+		t.Fatalf("refresh: %d %s", rec.Code, rec.Body)
+	}
+	if st, _, _ := entryState(t, h, live); st != "refreshing" {
+		t.Errorf("live entry is %q during its refresh", st)
+	}
+	if mid := failed(); mid != before {
+		t.Errorf("failed entry moved with the live one's cycle: %+v", mid)
+	}
+	awaitStatus(t, h, live, "ready")
+	if _, version, _ := entryState(t, h, live); version != 2 {
+		t.Fatalf("live entry at v%d after its refresh, want 2", version)
+	}
+	if after := failed(); after != before {
+		t.Errorf("failed entry changed: %+v, was %+v", after, before)
+	}
+	if _, err := os.Stat(filepath.Join(srv.store, "again", "v2.dsk")); err != nil {
+		t.Errorf("the live entry's refreshed version was not persisted: %v", err)
+	}
+	// Operator endpoints on the dead entry conflict instead of reaching the
+	// live sketch that shares its name.
+	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/rollback", dead.ID), nil); rec.Code != http.StatusConflict {
+		t.Errorf("rollback on the failed entry: %d %s, want 409", rec.Code, rec.Body)
 	}
 }

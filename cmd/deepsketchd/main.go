@@ -17,7 +17,7 @@
 //	GET  /api/sketches/{id}            status, progress, epochs, version history, canary
 //	PUT  /api/sketches/{id}            upload a sketch file and swap it in as a new version
 //	GET  /api/sketches/{id}/download   serialized sketch file
-//	POST /api/sketches/{id}/refresh    warm-start retrain on a delta workload, swap in
+//	POST /api/sketches/{id}/refresh    warm-start retrain on a delta workload, swap in (409 while a cycle or canary is active)
 //	POST /api/sketches/{id}/rollback   revert to the previous version
 //	GET  /api/sketches/{id}/drift      live q-error windows, trigger state, canary cycle
 //	POST /api/sketches/{id}/canary     refresh into a canary at a traffic fraction (or re-fraction)
@@ -31,9 +31,9 @@
 // Sketches are versioned, long-lived serving artifacts managed by a
 // per-dataset lifecycle registry: the initial build is version 1, and
 // every refresh, upload or rollback changes which version serves — under
-// traffic, atomically, with the estimate caches invalidated on the next
-// request (they watch the registry generation). To refresh a sketch after
-// the data has drifted:
+// traffic, atomically. The estimate caches are keyed by the version that
+// would answer, so the previous version's cached answers simply stop being
+// looked up. To refresh a sketch after the data has drifted:
 //
 //	POST /api/sketches/1/refresh
 //	{"queries": 2000, "epochs": 5, "workers": 4}
@@ -41,10 +41,13 @@
 // The daemon generates and labels a fresh delta workload over the sketch's
 // tables, fine-tunes a clone of the serving model — resuming the Adam
 // moments persisted in the sketch file, so a handful of epochs reaches
-// full-build quality — and swaps the result in as the next version. The
-// old version keeps serving until the swap; a failed refresh never
-// replaces it. Poll GET /api/sketches/1 for status ("refreshing" → "ready",
-// the version field bumps) and the full version history. If the refreshed
+// full-build quality — and swaps the result in as the next version. It is
+// the same cycle the drift controller runs for an automatic repair: with
+// -pinned-benchmark set the candidate must pass the pinned rail first (PUT
+// upload is the way around it). The old version keeps serving until the
+// swap; a failed or rejected refresh never replaces it. Poll GET
+// /api/sketches/1 for status ("refreshing" → "ready", the version field
+// bumps) and the full version history. If the refreshed
 // model misbehaves, POST /api/sketches/1/rollback restores the previous
 // version immediately; estimate responses carry the serving version so
 // clients can tell which model answered. Retrained offline instead? Upload
@@ -60,7 +63,9 @@
 // rest. Estimate caches are keyed by serving version, so both splits stay
 // coherent. Watch GET /api/sketches/1/drift for the per-version windowed
 // q-error comparison, then POST /api/sketches/1/promote to make the
-// candidate live — or DELETE /api/sketches/1/canary to withdraw it.
+// candidate live — or DELETE /api/sketches/1/canary to withdraw it. With
+// -drift on, the comparative q-error gate judges an operator's canary like
+// any other and promotes or aborts it by itself.
 //
 // # Automatic drift repair
 //
@@ -69,9 +74,12 @@
 // cardinality asynchronously, and keeps a windowed q-error distribution
 // per sketch version. When the windowed median or p95 exceeds its
 // threshold — or the -drift-staleness clock expires — the daemon
-// warm-refreshes the sketch on a fresh delta workload, canaries it at
-// -canary-fraction, and promotes or aborts on the comparative windowed
-// q-error once -canary-promote-after ground-truthed canary samples are in.
+// warm-refreshes the sketch, canaries it at -canary-fraction, and promotes
+// or aborts on the comparative windowed q-error once -canary-promote-after
+// ground-truthed canary samples are in. With -wal the refresh trains on
+// the logged actuals (observed traffic) once at least 32 distinct ones
+// exist, and the trigger waits — bounded — until they do; otherwise it
+// trains on a synthetic workload. GET .../drift says which, and how many.
 // All of it is persisted to -store, so a restart mid-canary resumes the
 // rollout where it left off.
 package main
@@ -89,7 +97,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -193,7 +200,7 @@ func main() {
 	}
 	// Every background loop hangs off a signal-cancellable context: on
 	// SIGINT/SIGTERM the monitors and controllers wind down, the HTTP
-	// server drains, and Close joins the in-flight build/refresh goroutines
+	// server drains, and Close joins the in-flight builds and refresh cycles
 	// before the process exits — so a shutdown can never truncate a store
 	// write or a WAL append mid-record.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -228,36 +235,49 @@ func main() {
 	log.Printf("deepsketchd: shut down cleanly")
 }
 
-// sketchEntry tracks one sketch through its lifecycle.
-type sketchEntry struct {
+// sketchView is a sketch's JSON shape.
+type sketchView struct {
 	ID      int    `json:"id"`
 	Name    string `json:"name"`
 	Dataset string `json:"dataset"`
-	Status  string `json:"status"` // building | ready | refreshing | failed
+	Status  string `json:"status"` // building | failed | ready | refreshing | canarying
 	Error   string `json:"error,omitempty"`
-	// Version is the serving sketch version in the dataset's lifecycle
+	// Version is the live sketch version in the dataset's lifecycle
 	// registry: 1 after the initial build, bumped by every upload-and-swap
 	// or refresh, moved back by rollback.
 	Version int       `json:"version,omitempty"`
 	Created time.Time `json:"created"`
-	sketch  *deepsketch.Sketch
+}
+
+// sketchEntry is one sketch the daemon knows about. Until its first
+// version enters the dataset's registry the entry is unpublished and keeps
+// its own build status; once published it stores no lifecycle state at all
+// — status, version and error are read from their owners, the registry and
+// the drift controller, on every request (see view).
+type sketchEntry struct {
+	// The embedded view's ID, Name, Dataset and Created are fixed at
+	// registration. Status ("building" or "failed") and Error describe the
+	// entry only while it is unpublished; published flips once, when
+	// version 1 enters the registry. Those three are guarded by server.mu.
+	sketchView
+	published bool
 	// serving is the entry's serving stack: an LRU estimate cache over a
 	// clamped, drift-observed, micro-batching coalescer over the registry's
 	// per-name view. All request traffic to this sketch goes through it.
-	// The stack is built once and survives every version change: the
-	// registry view routes each query to whichever version (live or canary
-	// split) should answer it, and cache keys embed that serving version —
-	// so a swap, canary or rollback can never surface a previous version's
-	// cached answer, and only the remapped queries' entries go cold.
+	// The stack is built once (installVersion), before the entry is
+	// published, and survives every version change: the registry view routes
+	// each query to whichever version (live or canary split) should answer
+	// it, and cache keys embed that serving version — so a swap, canary or
+	// rollback can never surface a previous version's cached answer, and
+	// only the remapped queries' entries go cold.
 	serving deepsketch.Estimator
 	mon     *deepsketch.Monitor
-	// adminMu serializes version-changing admin operations on this entry
-	// (upload-and-swap, refresh start/completion, rollback): each is a
-	// check-then-act sequence across the registry, the entry fields and the
-	// store file, and interleaving two of them could leave the entry's
-	// serving stack and persisted file pointing at a different version than
-	// the registry serves. Held around whole operations; s.mu (which only
-	// guards field access) nests inside it.
+	// adminMu makes "one registry mutation, then its store write" a single
+	// step per entry: operator upload, rollback, promote, abort and
+	// re-fraction hold it around both halves, and so does the drift-event
+	// handler for the transitions a cycle produces. Without it two store
+	// writes could land in the opposite order of the mutations they record.
+	// server.mu (which only guards field access) nests inside it.
 	adminMu sync.Mutex
 }
 
@@ -271,16 +291,16 @@ type server struct {
 	baseline map[string]baseline
 	// registries hold each dataset's versioned sketch fleet: auto-routed
 	// queries dispatch through the registry's router to the most specific
-	// ready sketch, and the admin endpoints publish, swap, refresh, canary
-	// and roll back versions through the registry. auto wraps each router
+	// ready sketch, and the admin endpoints publish, swap, canary and roll
+	// back versions through the registry. auto wraps each router
 	// in the serving chain Router → PostgreSQL, so a query no sketch covers
 	// still gets an answer instead of an error.
 	registries map[string]*deepsketch.SketchRegistry
 	auto       map[string]*deepsketch.EstimateCache
 	// monitors watch each dataset's live estimate quality (drift windows);
-	// controllers close the loop (trigger → refresh → canary → gate). The
-	// monitor queues are only drained once main starts their Run loops, or
-	// when a drift cycle drains them explicitly.
+	// controllers run every refresh cycle — a drift trigger's, an operator's
+	// refresh, an operator's canary — and the canary gate. The monitor
+	// queues are only drained once main starts their Run loops.
 	monitors    map[string]*deepsketch.DriftMonitor
 	controllers map[string]*deepsketch.DriftController
 
@@ -300,34 +320,37 @@ type server struct {
 	walDelta       int
 	retainVersions int
 	retainWALBytes int64
-	// walWorkloads counts refreshes whose delta workload came from the WAL
-	// (vs synthetic generation) — observability for the feedback loop.
-	walWorkloads atomic.Uint64
 
 	// store, when non-empty, is a directory where ready sketches are
 	// persisted and from which they are restored at startup.
 	store string
 
-	// engine is the inference precision applied to every sketch version the
-	// daemon installs (builds, uploads, refreshes, rollbacks, restores).
+	// engine is the inference precision applied to every sketch version that
+	// enters the daemon (builds, uploads, restores); refreshed versions
+	// inherit it from the version they were fine-tuned from.
 	engine deepsketch.EnginePrecision
 
 	mu       sync.RWMutex
 	sketches map[int]*sketchEntry
 	nextID   int
 
-	// bg tracks every background build/refresh goroutine the server
-	// launches. Close joins it before releasing the WALs: without the
-	// join, Close could return — and a test or the process could tear the
-	// store directory down — while a build is still writing sketch files.
+	// bg tracks every background build goroutine the server launches (the
+	// controllers track their own refresh cycles). Close joins both before
+	// releasing the WALs: without the join, Close could return — and a test
+	// or the process could tear the store directory down — while a build
+	// or a refresh is still writing sketch files.
 	bg sync.WaitGroup
 }
 
-// Close joins the in-flight background build/refresh goroutines and then
-// closes the observation WALs. After it returns no goroutine owned by
-// this server is touching the store directory or the WAL files.
+// Close joins the in-flight builds and refresh cycles — whoever started
+// them — and then closes the observation WALs. After it returns no
+// goroutine owned by this server is touching the store directory or the
+// WAL files.
 func (s *server) Close() error {
 	s.bg.Wait()
+	for _, ctrl := range s.controllers {
+		ctrl.Close()
+	}
 	var firstErr error
 	for name, l := range s.wals {
 		if l == nil {
@@ -366,17 +389,6 @@ type serverOptions struct {
 	// engine is the inference precision every installed sketch is switched
 	// to (zero value = EngineF64, the full-precision reference).
 	engine deepsketch.EnginePrecision
-}
-
-func newServer(titles, orders int, seed int64) *server {
-	return newServerWithDrift(titles, orders, seed, deepsketch.DriftConfig{}, deepsketch.DriftControllerConfig{})
-}
-
-func newServerWithDrift(titles, orders int, seed int64, driftCfg deepsketch.DriftConfig, ctrlCfg deepsketch.DriftControllerConfig) *server {
-	return newServerOpts(serverOptions{
-		titles: titles, orders: orders, seed: seed,
-		driftCfg: driftCfg, ctrlCfg: ctrlCfg, driftTruth: true,
-	})
 }
 
 func newServerOpts(opts serverOptions) *server {
@@ -430,8 +442,9 @@ func newServerOpts(opts serverOptions) *server {
 		// The drift monitor windows q-errors per sketch version; with
 		// -drift-truth it ground-truths sampled estimates against the exact
 		// executor (the demo's HyPer role), without it every sampled estimate
-		// parks pending until a logged actual arrives. The controller turns
-		// monitor triggers into automatic refresh+canary cycles.
+		// parks pending until a logged actual arrives. The controller runs
+		// every refresh cycle: the ones monitor triggers start and the ones
+		// the refresh/canary endpoints start.
 		var truth deepsketch.Estimator
 		if opts.driftTruth {
 			truth = deepsketch.TruthEstimator(d)
@@ -442,7 +455,7 @@ func newServerOpts(opts serverOptions) *server {
 		dataset := name
 		// The pinned-benchmark rail: a frozen clean labeled set per dataset,
 		// loaded (or generated once and persisted) at boot, that every
-		// refresh candidate must not regress on before its canary starts.
+		// refresh candidate must not regress on before it is installed.
 		// Unlike the live windows and the WAL-derived delta workload — both
 		// functions of observed traffic, which an adaptive feedback source
 		// controls — the pinned set predates any attack traffic.
@@ -455,22 +468,17 @@ func newServerOpts(opts serverOptions) *server {
 			dcc.Pinned = pb
 			dcc.PinnedMaxRegress = opts.pinnedMaxRegress
 		}
-		dcc.Workload = func(ctx context.Context, sketchName string) ([]deepsketch.LabeledQuery, error) {
-			return s.deltaWorkload(ctx, dataset, sketchName)
-		}
-		dcc.OnEvent = func(ev deepsketch.DriftEvent) { s.onDriftEvent(dataset, ev) }
-		// A trigger that fires while an operator's refresh/canary fine-tune
-		// is still training (entry "refreshing", no canary installed yet)
-		// must not start a second concurrent retrain of the same sketch.
-		dcc.SkipTrigger = func(sketchName string) bool {
-			e := s.entryByName(dataset, sketchName)
-			if e == nil {
-				return false
+		// The two workload sources a triggered cycle chooses between: the
+		// WAL's logged actuals when -wal is set (the controller requires
+		// enough of them, and says so when it has to wait or give up), and
+		// the synthetic generator — the same one operator refreshes use.
+		if s.wals[name] != nil {
+			dcc.Observed = func(sketchName string) []deepsketch.LabeledQuery {
+				return s.walWorkload(dataset, sketchName)
 			}
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return e.Status != "ready"
 		}
+		dcc.Synthetic = s.syntheticSource(dataset, refreshReq{})
+		dcc.OnEvent = func(ev deepsketch.DriftEvent) { s.onDriftEvent(dataset, ev) }
 		s.controllers[name] = deepsketch.NewDriftController(reg, mon, dcc)
 		// Auto-routed traffic gets the same serving treatment as explicit
 		// sketch requests: coalesced batched inference behind the router,
@@ -499,47 +507,49 @@ func newServerOpts(opts serverOptions) *server {
 	return s
 }
 
-// walDeltaMin is the fewest distinct logged actuals worth fine-tuning on;
-// below it the synthetic generator produces a better-covered workload.
-const walDeltaMin = 32
-
-// deltaWorkload assembles the controller's fine-tune input for automatic
-// refreshes. When the observation WAL holds enough logged actuals for the
-// sketch, the delta workload IS the observed traffic — the most recent
-// distinct query signatures with their actual cardinalities, no synthetic
-// generation and no exact executor in the loop. Otherwise it falls back to
-// generating and labeling a fresh synthetic workload over the sketch's
-// tables, seeded by the history length so consecutive cycles see fresh
-// queries.
-func (s *server) deltaWorkload(_ context.Context, dataset, sketchName string) ([]deepsketch.LabeledQuery, error) {
-	d := s.datasets[dataset]
-	reg := s.registries[dataset]
-	live, _, err := reg.Live(sketchName)
-	if err != nil {
-		return nil, err
+// syntheticSource returns a workload source that generates and labels a
+// fresh delta workload over the live sketch's tables — the one synthetic
+// generator behind operator refreshes and canaries (req from the request
+// body) and behind triggered cycles that have no observed traffic to train
+// on (zero req). The default seed derives from the monotone history
+// length, not the live version number: after a rollback the live version
+// repeats, and the seed must not, or the refresh would regenerate the
+// exact delta workload that produced the rolled-back model.
+func (s *server) syntheticSource(dataset string, req refreshReq) func(context.Context, string) ([]deepsketch.LabeledQuery, error) {
+	return func(_ context.Context, sketchName string) ([]deepsketch.LabeledQuery, error) {
+		d := s.datasets[dataset]
+		reg := s.registries[dataset]
+		live, _, err := reg.Live(sketchName)
+		if err != nil {
+			return nil, err
+		}
+		count, seed := req.Queries, req.Seed
+		if count <= 0 {
+			count = 1000
+		}
+		if seed == 0 {
+			vs, err := reg.Versions(sketchName)
+			if err != nil {
+				return nil, err
+			}
+			seed = int64(len(vs) + 1)
+		}
+		qs, err := deepsketch.GenerateWorkload(d, deepsketch.GenConfig{
+			Seed: seed, Count: count, Tables: live.Cfg.Tables,
+			MaxJoins: live.Cfg.MaxJoins, MaxPreds: live.Cfg.MaxPreds, Dedup: true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return deepsketch.LabelWorkload(d, qs, req.Workers)
 	}
-	if lw := s.walWorkload(dataset, sketchName); len(lw) >= walDeltaMin {
-		s.walWorkloads.Add(1)
-		log.Printf("deepsketchd: refresh of %q fine-tuning on %d WAL-logged actuals", sketchName, len(lw))
-		return lw, nil
-	}
-	histLen := 0
-	if vs, err := reg.Versions(sketchName); err == nil {
-		histLen = len(vs)
-	}
-	qs, err := deepsketch.GenerateWorkload(d, deepsketch.GenConfig{
-		Seed: int64(histLen + 1), Count: 1000, Tables: live.Cfg.Tables,
-		MaxJoins: live.Cfg.MaxJoins, MaxPreds: live.Cfg.MaxPreds, Dedup: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return deepsketch.LabelWorkload(d, qs, 0)
 }
 
-// onDriftEvent mirrors automatic drift-cycle transitions onto the sketch
-// entry and the persistent store, so the admin API and a restarted daemon
-// both see what the controller did.
+// onDriftEvent is where the daemon follows the controller's cycles — every
+// refresh, whoever started it: it logs each transition and makes the ones
+// that change what a restart must restore durable (a new version file, the
+// live pointer, the canary state, retention after a promote). It writes no
+// status: the API reads that from the controller and the registry.
 func (s *server) onDriftEvent(dataset string, ev deepsketch.DriftEvent) {
 	e := s.entryByName(dataset, ev.Name)
 	if e == nil {
@@ -548,118 +558,127 @@ func (s *server) onDriftEvent(dataset string, ev deepsketch.DriftEvent) {
 	reg := s.registries[dataset]
 	switch ev.Kind {
 	case "refresh_started":
-		log.Printf("deepsketchd: drift trigger on %q (%s): refreshing", ev.Name, ev.Reason)
-		s.mu.Lock()
-		if e.Status == "ready" {
-			e.Status = "refreshing"
+		log.Printf("deepsketchd: refresh of %q started (%s), %s workload", ev.Name, ev.Reason, ev.Workload.Source)
+		if sf := ev.Workload.Shortfall; sf != nil {
+			log.Printf("deepsketchd: refresh of %q falls back to a synthetic workload: still %d of %d logged actuals since %s",
+				ev.Name, sf.Have, sf.Want, sf.Since.Format(time.RFC3339))
 		}
-		s.mu.Unlock()
-	case "canary_started":
-		log.Printf("deepsketchd: drift refresh of %q canarying as v%d", ev.Name, ev.Version)
+	case "swapped", "canary_started":
+		log.Printf("deepsketchd: refresh of %q landed v%d (%s, %d %s queries)",
+			ev.Name, ev.Version, ev.Kind, ev.Workload.Count, ev.Workload.Source)
 		e.adminMu.Lock()
 		if sk, err := reg.Sketch(ev.Name, ev.Version); err == nil {
-			s.mu.Lock()
-			e.Status = "canarying"
-			s.mu.Unlock()
 			s.persistVersion(e, sk, ev.Version)
 		}
 		e.adminMu.Unlock()
-	case "promoted":
-		log.Printf("deepsketchd: canary v%d of %q promoted", ev.Version, ev.Name)
+	case "promoted", "aborted":
+		log.Printf("deepsketchd: canary v%d of %q %s by the q-error gate", ev.Version, ev.Name, ev.Kind)
 		e.adminMu.Lock()
-		if sk, err := reg.Sketch(ev.Name, ev.Version); err == nil {
-			s.installVersion(e, sk, ev.Version, "ready", "")
-			s.persistState(e)
+		s.persistState(e)
+		if ev.Kind == "promoted" {
 			s.applyRetention(dataset, e)
 		}
 		e.adminMu.Unlock()
-	case "aborted":
-		log.Printf("deepsketchd: canary v%d of %q aborted (comparative q-error gate)", ev.Version, ev.Name)
-		e.adminMu.Lock()
-		if live, lv, err := reg.Live(ev.Name); err == nil {
-			s.installVersion(e, live, lv, "ready", fmt.Sprintf("canary v%d aborted by the q-error gate", ev.Version))
-			s.persistState(e)
-		}
-		e.adminMu.Unlock()
 	case "pinned_rejected":
-		if ev.Pinned != nil {
-			log.Printf("deepsketchd: drift refresh of %q rejected by the pinned benchmark: candidate median %.3g vs live %.3g (tolerance %.2fx), p95 %.3g vs %.3g",
-				ev.Name, ev.Pinned.Candidate.Median, ev.Pinned.Live.Median, ev.Pinned.MaxRegress,
-				ev.Pinned.Candidate.P95, ev.Pinned.Live.P95)
-		} else {
-			log.Printf("deepsketchd: drift refresh of %q rejected by the pinned benchmark", ev.Name)
-		}
-		s.mu.Lock()
-		if e.Status == "refreshing" {
-			e.Status = "ready"
-			e.Error = "drift refresh rejected: candidate regressed on the pinned benchmark"
-		}
-		s.mu.Unlock()
+		log.Printf("deepsketchd: refresh of %q rejected by the pinned benchmark: candidate median %.3g vs live %.3g (tolerance %.2fx), p95 %.3g vs %.3g",
+			ev.Name, ev.Pinned.Candidate.Median, ev.Pinned.Live.Median, ev.Pinned.MaxRegress,
+			ev.Pinned.Candidate.P95, ev.Pinned.Live.P95)
 	case "error":
-		log.Printf("deepsketchd: drift cycle for %q failed: %v", ev.Name, ev.Err)
-		s.mu.Lock()
-		if e.Status == "refreshing" {
-			e.Status = "ready"
-			e.Error = "drift refresh failed: " + ev.Err.Error()
-		}
-		s.mu.Unlock()
+		log.Printf("deepsketchd: refresh cycle for %q failed: %v", ev.Name, ev.Err)
 	}
 }
 
-// entryByName finds the entry serving (dataset, name), or nil.
+// entryByName finds the published entry serving (dataset, name), or nil.
+// Published-ness decides: a name may be reused after a failed build, so a
+// dead "failed" entry can share it with the live one, and only the live
+// one may receive the controller's events.
 func (s *server) entryByName(dataset, name string) *sketchEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, e := range s.sketches {
-		if e.Dataset == dataset && e.Name == name {
+		if e.published && e.Dataset == dataset && e.Name == name {
 			return e
 		}
 	}
 	return nil
 }
 
+// failBuild records why an unpublished entry will never serve.
+func (s *server) failBuild(e *sketchEntry, err error) {
+	s.mu.Lock()
+	e.Status, e.Error = "failed", err.Error()
+	s.mu.Unlock()
+}
+
 // markReady publishes a built sketch into the dataset's registry as a new
-// name (version 1), installs its serving stack and persists it.
+// name (version 1) and persists it. From here on the entry's status is
+// derived, not stored.
 func (s *server) markReady(e *sketchEntry, sk *deepsketch.Sketch) {
+	s.installVersion(e, sk)
 	ver, err := s.registries[e.Dataset].Publish(e.Name, sk)
 	if err != nil {
-		s.mu.Lock()
-		e.Status = "failed"
-		e.Error = err.Error()
-		s.mu.Unlock()
+		s.failBuild(e, err)
 		return
 	}
-	s.installVersion(e, sk, ver, "ready", "")
+	s.mu.Lock()
+	e.published = true
+	s.mu.Unlock()
 	s.persistVersion(e, sk, ver)
 }
 
-// installVersion points the entry at a (new or rolled-back) sketch version.
-// The serving stack is built once, on the first install, and shared across
-// versions: it serves through the registry's per-name view, whose answers
-// and cache keys are version-aware, so a version change needs no stack
-// rebuild — the old version's cache lines simply stop being looked up.
-func (s *server) installVersion(e *sketchEntry, sk *deepsketch.Sketch, ver int, status, errMsg string) {
-	// Every install path funnels through here (build, upload, refresh,
-	// rollback, canary accept, store restore), so this is the one place the
-	// daemon's -engine precision is applied.
+// installVersion readies a sketch version that enters the daemon from
+// outside the registry — a build, an upload, a store restore — and does
+// the two things only the daemon can: apply its -engine precision (refresh
+// candidates inherit it from the version they clone) and, once per entry,
+// build the serving stack. The stack is shared across versions: it serves
+// through the registry's per-name view, whose answers and cache keys are
+// version-aware, so a version change needs no stack rebuild — the old
+// version's cache lines simply stop being looked up.
+func (s *server) installVersion(e *sketchEntry, sk *deepsketch.Sketch) {
 	sk.SetEnginePrecision(s.engine)
 	s.mu.Lock()
-	if e.serving == nil {
-		d := s.datasets[e.Dataset]
-		reg := s.registries[e.Dataset]
-		e.serving = deepsketch.WithCache(
-			deepsketch.ObserveEstimates(
-				deepsketch.Clamp(
-					deepsketch.NewCoalescer(reg.Serving(e.Name), deepsketch.CoalesceOptions{}),
-					deepsketch.MaxCardinality(d)),
-				s.monitors[e.Dataset]),
-			1024).KeyFunc(reg.CacheKey(e.Name))
+	defer s.mu.Unlock()
+	if e.serving != nil {
+		return
 	}
-	e.sketch = sk
-	e.Version = ver
-	e.Status = status
-	e.Error = errMsg
-	s.mu.Unlock()
+	d := s.datasets[e.Dataset]
+	reg := s.registries[e.Dataset]
+	e.serving = deepsketch.WithCache(
+		deepsketch.ObserveEstimates(
+			deepsketch.Clamp(
+				deepsketch.NewCoalescer(reg.Serving(e.Name), deepsketch.CoalesceOptions{}),
+				deepsketch.MaxCardinality(d)),
+			s.monitors[e.Dataset]),
+		1024).KeyFunc(reg.CacheKey(e.Name))
+}
+
+// view snapshots an entry for the API. An unpublished entry reports its
+// stored build status. A published one reads everything from the owners of
+// that state — the controller's cycle first, then the registry — so that
+// "ready" is never reported with the version from before the cycle that
+// just finished: refreshing while a cycle trains or installs, canarying
+// while the registry splits traffic, ready otherwise; the error is why the
+// last cycle did not land.
+func (s *server) view(e *sketchEntry) sketchView {
+	s.mu.RLock()
+	v, published := e.sketchView, e.published
+	s.mu.RUnlock()
+	if !published {
+		return v
+	}
+	reg := s.registries[e.Dataset]
+	cy := s.controllers[e.Dataset].Cycle(e.Name)
+	_, canarying := reg.Canary(e.Name)
+	live, _ := reg.LiveVersion(e.Name)
+	status := "ready"
+	switch {
+	case cy.State == "refreshing":
+		status = "refreshing"
+	case canarying:
+		status = "canarying"
+	}
+	v.Status, v.Error, v.Version = status, cy.LastError, live
+	return v
 }
 
 func (s *server) routes() http.Handler {
@@ -689,34 +708,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("deepsketchd: encode response: %v", err)
 	}
-}
-
-// snapshotJSON marshals v while holding the server read lock — entry fields
-// are mutex-guarded, but the lock must never be held across the network
-// write (a client that stops reading would otherwise block every other
-// request behind the next writer). Pair with writeRawJSON.
-func (s *server) snapshotJSON(v any) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return json.Marshal(v)
-}
-
-func writeRawJSON(w http.ResponseWriter, status int, blob []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(append(blob, '\n')); err != nil {
-		log.Printf("deepsketchd: write response: %v", err)
-	}
-}
-
-// writeEntry responds with an entry snapshot taken under the lock.
-func (s *server) writeEntry(w http.ResponseWriter, status int, e *sketchEntry) {
-	blob, err := s.snapshotJSON(e)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRawJSON(w, status, blob)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -786,7 +777,7 @@ func (s *server) handleSketchCreate(w http.ResponseWriter, r *http.Request) {
 		defer s.bg.Done()
 		s.build(entry, d, req)
 	}()
-	writeJSON(w, http.StatusAccepted, entry)
+	writeJSON(w, http.StatusAccepted, s.view(entry))
 }
 
 func (s *server) register(name, dataset string) (*sketchEntry, error) {
@@ -794,7 +785,7 @@ func (s *server) register(name, dataset string) (*sketchEntry, error) {
 	defer s.mu.Unlock()
 	if name != "" {
 		for _, e := range s.sketches {
-			if e.Name == name && e.Dataset == dataset && e.Status != "failed" {
+			if e.Name == name && e.Dataset == dataset && (e.published || e.Status != "failed") {
 				return nil, fmt.Errorf("sketch %q already exists on %s (id %d); upload to PUT /api/sketches/%d to replace it", name, dataset, e.ID, e.ID)
 			}
 		}
@@ -805,8 +796,8 @@ func (s *server) register(name, dataset string) (*sketchEntry, error) {
 		name = fmt.Sprintf("%s-sketch-%d", dataset, id)
 	}
 	e := &sketchEntry{
-		ID: id, Name: name, Dataset: dataset, Status: "building",
-		Created: time.Now(), mon: deepsketch.NewMonitor(),
+		sketchView: sketchView{ID: id, Name: name, Dataset: dataset, Status: "building", Created: time.Now()},
+		mon:        deepsketch.NewMonitor(),
 	}
 	s.sketches[id] = e
 	return e, nil
@@ -828,10 +819,7 @@ func (s *server) build(e *sketchEntry, d *deepsketch.DB, req createReq) {
 	}
 	sk, err := deepsketch.Build(d, cfg, e.mon)
 	if err != nil {
-		s.mu.Lock()
-		e.Status = "failed"
-		e.Error = err.Error()
-		s.mu.Unlock()
+		s.failBuild(e, err)
 		return
 	}
 	s.markReady(e, sk)
@@ -859,19 +847,18 @@ func (s *server) startPrebuilt() {
 
 func (s *server) handleSketchList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	out := make([]*sketchEntry, 0, len(s.sketches))
+	entries := make([]*sketchEntry, 0, len(s.sketches))
 	for id := 1; id < s.nextID; id++ {
 		if e, ok := s.sketches[id]; ok {
-			out = append(out, e)
+			entries = append(entries, e)
 		}
 	}
-	blob, err := json.Marshal(out)
 	s.mu.RUnlock()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+	out := make([]sketchView, len(entries))
+	for i, e := range entries {
+		out[i] = s.view(e)
 	}
-	writeRawJSON(w, http.StatusOK, blob)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) entryByID(r *http.Request) (*sketchEntry, error) {
@@ -895,7 +882,7 @@ func (s *server) handleSketchGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	type resp struct {
-		*sketchEntry
+		sketchView
 		Progress trainmon.Snapshot          `json:"progress"`
 		Epochs   []trainmon.Event           `json:"epoch_events"`
 		Versions []deepsketch.SketchVersion `json:"versions,omitempty"`
@@ -918,12 +905,7 @@ func (s *server) handleSketchGet(w http.ResponseWriter, r *http.Request) {
 	if ci, ok := s.registries[e.Dataset].Canary(e.Name); ok {
 		canary = &ci
 	}
-	blob, err := s.snapshotJSON(resp{sketchEntry: e, Progress: e.mon.Snapshot(), Epochs: epochs, Versions: versions, Canary: canary})
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRawJSON(w, http.StatusOK, blob)
+	writeJSON(w, http.StatusOK, resp{sketchView: s.view(e), Progress: e.mon.Snapshot(), Epochs: epochs, Versions: versions, Canary: canary})
 }
 
 func (s *server) handleSketchDownload(w http.ResponseWriter, r *http.Request) {
@@ -932,10 +914,8 @@ func (s *server) handleSketchDownload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	s.mu.RLock()
-	sk := e.sketch
-	s.mu.RUnlock()
-	if sk == nil {
+	sk, _, err := s.registries[e.Dataset].Live(e.Name)
+	if err != nil {
 		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d not ready", e.ID))
 		return
 	}
@@ -966,26 +946,23 @@ func (s *server) handleSketchUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	e.adminMu.Lock()
 	defer e.adminMu.Unlock()
-	s.mu.RLock()
-	status, dataset := e.Status, e.Dataset
-	s.mu.RUnlock()
-	if status != "ready" {
+	if status := s.view(e).Status; status != "ready" {
 		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
 		return
 	}
-	if sk.DBName != dataset {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("uploaded sketch is for dataset %q, entry %d serves %q", sk.DBName, e.ID, dataset))
+	if sk.DBName != e.Dataset {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("uploaded sketch is for dataset %q, entry %d serves %q", sk.DBName, e.ID, e.Dataset))
 		return
 	}
 	sk.Cfg.Name = e.Name
-	ver, err := s.registries[dataset].Swap(e.Name, sk)
+	s.installVersion(e, sk)
+	ver, err := s.registries[e.Dataset].Swap(e.Name, sk)
 	if err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	s.installVersion(e, sk, ver, "ready", "")
 	s.persistVersion(e, sk, ver)
-	s.writeEntry(w, http.StatusOK, e)
+	writeJSON(w, http.StatusOK, s.view(e))
 }
 
 type refreshReq struct {
@@ -1005,7 +982,7 @@ type refreshReq struct {
 // handleSketchRefresh warm-start retrains the serving sketch on a freshly
 // generated delta workload in the background and swaps the result in as a
 // new version. The current version keeps serving until the swap; a failed
-// refresh leaves it serving and records the error on the entry.
+// or rail-rejected refresh leaves it serving and reports the error.
 func (s *server) handleSketchRefresh(w http.ResponseWriter, r *http.Request) {
 	e, err := s.entryByID(r)
 	if err != nil {
@@ -1017,101 +994,27 @@ func (s *server) handleSketchRefresh(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	// Default seed: derived from the monotone history length, not the live
-	// version number — after a rollback the live version repeats, and the
-	// seed must not, or the refresh would regenerate the exact delta
-	// workload that produced the rolled-back model. adminMu is held, so the
-	// history cannot change underneath.
-	histLen := 0
-	if vs, err := s.registries[e.Dataset].Versions(e.Name); err == nil {
-		histLen = len(vs)
-	}
-	s.mu.Lock()
-	if e.Status != "ready" {
-		status := e.Status
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
-		return
-	}
-	e.Status = "refreshing"
-	e.Error = ""
-	if req.Queries <= 0 {
-		req.Queries = 1000
-	}
-	if req.Seed == 0 {
-		req.Seed = int64(histLen + 1)
-	}
-	sk := e.sketch
-	s.mu.Unlock()
-
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		s.refresh(e, sk, req, 0)
-	}()
-	s.writeEntry(w, http.StatusAccepted, e)
+	s.startCycle(w, e, req, 0)
 }
 
-// refresh runs the delta-workload fine-tune in the background and lands
-// the result as a direct swap (fraction 0) or as a canary at the given
-// traffic fraction. Entry status is "refreshing" for the whole run, which
-// 409s any concurrent upload/rollback/refresh; completion takes adminMu so
-// the install+persist pair cannot interleave with an admin operation
-// racing the final status flip.
-func (s *server) refresh(e *sketchEntry, sk *deepsketch.Sketch, req refreshReq, fraction float64) {
-	fail := func(err error) {
-		// The old version never stopped serving; keep it and record why
-		// the refresh did not land.
-		e.adminMu.Lock()
-		defer e.adminMu.Unlock()
-		s.mu.Lock()
-		e.Status = "ready"
-		e.Error = "refresh failed: " + err.Error()
-		s.mu.Unlock()
-	}
-	d := s.datasets[e.Dataset]
-	qs, err := deepsketch.GenerateWorkload(d, deepsketch.GenConfig{
-		Seed: req.Seed, Count: req.Queries, Tables: sk.Cfg.Tables,
-		MaxJoins: sk.Cfg.MaxJoins, MaxPreds: sk.Cfg.MaxPreds, Dedup: true,
+// startCycle starts an operator's refresh cycle in the drift controller —
+// a direct swap (fraction 0) or a canary at the given traffic fraction —
+// and answers 202 with the entry already "refreshing", or 409 when the
+// controller refuses: the sketch is not published, or it already has a
+// cycle (an operator's or a drift trigger's) or an active canary.
+func (s *server) startCycle(w http.ResponseWriter, e *sketchEntry, req refreshReq, fraction float64) {
+	err := s.controllers[e.Dataset].Start(e.Name, deepsketch.DriftCycleOptions{
+		Reason:         deepsketch.DriftReason{Kind: "operator"},
+		Workload:       s.syntheticSource(e.Dataset, req),
+		CanaryFraction: fraction,
+		Epochs:         req.Epochs, StopAtValQ: req.StopAtValQ, Workers: req.Workers,
+		Monitor: e.mon,
 	})
 	if err != nil {
-		fail(err)
+		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	labeled, err := deepsketch.LabelWorkload(d, qs, req.Workers)
-	if err != nil {
-		fail(err)
-		return
-	}
-	ver, ns, err := s.registries[e.Dataset].Refresh(context.Background(), deepsketch.RegistryRefreshOptions{
-		Name: e.Name, Workload: labeled,
-		Epochs: req.Epochs, StopAtValQ: req.StopAtValQ, Workers: req.Workers,
-		Monitor: e.mon, Canary: fraction,
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-	s.monitors[e.Dataset].MarkRefreshed(e.Name)
-	e.adminMu.Lock()
-	if fraction > 0 {
-		// The canary is in the registry history but not live: the entry
-		// keeps reporting the live version; only the status changes.
-		s.mu.Lock()
-		e.Status = "canarying"
-		e.Error = ""
-		s.mu.Unlock()
-		s.persistVersion(e, ns, ver)
-		log.Printf("deepsketchd: refreshed sketch %q into canary v%d at %g%% (%d delta queries)",
-			e.Name, ver, fraction*100, len(labeled))
-	} else {
-		s.installVersion(e, ns, ver, "ready", "")
-		s.persistVersion(e, ns, ver)
-		log.Printf("deepsketchd: refreshed sketch %q to version %d (%d delta queries)", e.Name, ver, len(labeled))
-	}
-	e.adminMu.Unlock()
+	writeJSON(w, http.StatusAccepted, s.view(e))
 }
 
 // canaryReq parameterizes POST /api/sketches/{id}/canary: the refresh
@@ -1144,47 +1047,20 @@ func (s *server) handleSketchCanary(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("fraction %v outside (0, 1]", req.Fraction))
 		return
 	}
+	reg := s.registries[e.Dataset]
+	if _, ok := reg.Canary(e.Name); !ok {
+		s.startCycle(w, e, req.refreshReq, req.Fraction)
+		return
+	}
+	// Active canary: adjust the traffic split.
 	e.adminMu.Lock()
 	defer e.adminMu.Unlock()
-	reg := s.registries[e.Dataset]
-	if _, ok := reg.Canary(e.Name); ok {
-		// Active canary: adjust the traffic split.
-		if err := reg.SetCanaryFraction(e.Name, req.Fraction); err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		s.persistState(e)
-		s.writeEntry(w, http.StatusOK, e)
+	if err := reg.SetCanaryFraction(e.Name, req.Fraction); err != nil {
+		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	histLen := 0
-	if vs, err := reg.Versions(e.Name); err == nil {
-		histLen = len(vs)
-	}
-	s.mu.Lock()
-	if e.Status != "ready" {
-		status := e.Status
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
-		return
-	}
-	e.Status = "refreshing"
-	e.Error = ""
-	if req.Queries <= 0 {
-		req.Queries = 1000
-	}
-	if req.Seed == 0 {
-		req.Seed = int64(histLen + 1)
-	}
-	sk := e.sketch
-	s.mu.Unlock()
-
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		s.refresh(e, sk, req.refreshReq, req.Fraction)
-	}()
-	s.writeEntry(w, http.StatusAccepted, e)
+	s.persistState(e)
+	writeJSON(w, http.StatusOK, s.view(e))
 }
 
 // handleSketchPromote makes the active canary the live version for all
@@ -1197,22 +1073,15 @@ func (s *server) handleSketchPromote(w http.ResponseWriter, r *http.Request) {
 	}
 	e.adminMu.Lock()
 	defer e.adminMu.Unlock()
-	reg := s.registries[e.Dataset]
-	ver, err := reg.PromoteCanary(e.Name)
+	ver, err := s.registries[e.Dataset].PromoteCanary(e.Name)
 	if err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	sk, err := reg.Sketch(e.Name, ver)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.installVersion(e, sk, ver, "ready", "")
 	s.persistState(e)
 	s.applyRetention(e.Dataset, e)
 	log.Printf("deepsketchd: canary v%d of %q promoted by operator", ver, e.Name)
-	s.writeEntry(w, http.StatusOK, e)
+	writeJSON(w, http.StatusOK, s.view(e))
 }
 
 // handleSketchCanaryAbort withdraws the active canary; the live version
@@ -1235,15 +1104,9 @@ func (s *server) handleSketchCanaryAbort(w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	live, lv, err := reg.Live(e.Name)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.installVersion(e, live, lv, "ready", "")
 	s.persistState(e)
 	log.Printf("deepsketchd: canary v%d of %q aborted by operator", ci.Version, e.Name)
-	s.writeEntry(w, http.StatusOK, e)
+	writeJSON(w, http.StatusOK, s.view(e))
 }
 
 // handleSketchDrift reports the sketch's live-quality picture: the drift
@@ -1265,7 +1128,7 @@ func (s *server) handleSketchDrift(w http.ResponseWriter, r *http.Request) {
 	if l := s.wals[e.Dataset]; l != nil {
 		resp["wal"] = l.Stats()
 		resp["wal_actuals"] = l.ActualCount(e.Name)
-		resp["wal_workloads"] = s.walWorkloads.Load()
+		resp["wal_workloads"] = s.controllers[e.Dataset].ObservedCycles()
 	}
 	// The rail's last judgment travels inside "cycle" (CycleStatus.Pinned);
 	// these describe the rail configuration itself.
@@ -1286,21 +1149,16 @@ func (s *server) handleSketchRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	e.adminMu.Lock()
 	defer e.adminMu.Unlock()
-	s.mu.RLock()
-	status := e.Status
-	s.mu.RUnlock()
-	if status != "ready" {
+	if status := s.view(e).Status; status != "ready" {
 		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
 		return
 	}
-	ver, sk, err := s.registries[e.Dataset].Rollback(e.Name)
-	if err != nil {
+	if _, _, err := s.registries[e.Dataset].Rollback(e.Name); err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	s.installVersion(e, sk, ver, "ready", "")
 	s.persistState(e)
-	s.writeEntry(w, http.StatusOK, e)
+	writeJSON(w, http.StatusOK, s.view(e))
 }
 
 func (s *server) readySketch(id int) (*sketchEntry, error) {
@@ -1310,7 +1168,7 @@ func (s *server) readySketch(id int) (*sketchEntry, error) {
 	if !ok {
 		return nil, fmt.Errorf("no sketch %d", id)
 	}
-	if e.sketch == nil {
+	if !e.published {
 		return nil, fmt.Errorf("sketch %d is %s", id, e.Status)
 	}
 	return e, nil
@@ -1354,10 +1212,9 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		s.mu.RLock()
-		serving = e.serving
-		dataset = e.Dataset
-		s.mu.RUnlock()
+		// Both were set before the entry was published, which readySketch
+		// observed under the lock.
+		serving, dataset = e.serving, e.Dataset
 	}
 	d := s.datasets[dataset]
 	q, err := deepsketch.ParseSQL(d, req.SQL)
@@ -1445,7 +1302,12 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 			req.Buckets = 20
 		}
 	}
-	res, err := e.sketch.EstimateTemplateSQL(r.Context(), req.SQL, g, req.Buckets)
+	live, _, err := s.registries[e.Dataset].Live(e.Name)
+	if err != nil {
+		writeErr(w, http.StatusNotFound, err)
+		return
+	}
+	res, err := live.EstimateTemplateSQL(r.Context(), req.SQL, g, req.Buckets)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -14,6 +14,12 @@ import (
 	"deepsketch"
 )
 
+// newServer is the tests' constructor: a daemon over small datasets with
+// the in-process truth source on and everything else at its defaults.
+func newServer(titles, orders int, seed int64) *server {
+	return newServerOpts(serverOptions{titles: titles, orders: orders, seed: seed, driftTruth: true})
+}
+
 func testServer(t *testing.T) *server {
 	t.Helper()
 	return newServer(800, 400, 3)
@@ -65,7 +71,7 @@ func TestSketchLifecycleAndEstimate(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("create status %d: %s", rec.Code, rec.Body)
 	}
-	var entry sketchEntry
+	var entry sketchView
 	if err := json.Unmarshal(rec.Body.Bytes(), &entry); err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +279,10 @@ func TestEngineFlagInstall(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	srv.mu.RLock()
-	sk := srv.sketches[1].sketch
-	srv.mu.RUnlock()
+	sk, _, err := srv.registries["imdb"].Live("imdb-sketch-1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := sk.EnginePrecision(); got != deepsketch.EngineF32 {
 		t.Fatalf("installed precision = %v, want f32", got)
 	}

@@ -84,6 +84,23 @@ func TestPinnedBenchmarkBootPersistence(t *testing.T) {
 	if resp.PinnedSize != srv.pinned["imdb"].Len() || resp.PinnedMaxRegress != 1.25 {
 		t.Errorf("drift endpoint rail fields = %+v, want size %d tolerance 1.25", resp, srv.pinned["imdb"].Len())
 	}
+
+	// The rail judges every refresh candidate — an operator's too, not only
+	// a drift trigger's. Whatever the verdict on this tiny fixture, there
+	// must be one on record once the operator's refresh has run.
+	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), refreshReq{Queries: 80, Epochs: 1, Workers: 2}); rec.Code != http.StatusAccepted {
+		t.Fatalf("refresh: %d %s", rec.Code, rec.Body)
+	}
+	if err := srv.Close(); err != nil { // joins the cycle
+		t.Fatal(err)
+	}
+	cy, _ := driftView(t, h, id)
+	if cy.State != "idle" || cy.Pinned == nil {
+		t.Fatalf("operator refresh was not judged by the pinned rail: %+v", cy)
+	}
+	if status, version, _ := entryState(t, h, id); status != "ready" || (version == 2) != cy.Pinned.Pass {
+		t.Errorf("entry %s v%d after a rail verdict pass=%v", status, version, cy.Pinned.Pass)
+	}
 }
 
 // TestPinnedRailRejectsPoisonedRefresh is the daemon-level counterpart of
@@ -185,5 +202,10 @@ func TestPinnedRailRejectsPoisonedRefresh(t *testing.T) {
 	}
 	if driftResp.Cycle.Pinned == nil || driftResp.Cycle.Pinned.Pass || driftResp.PinnedSize == 0 {
 		t.Errorf("drift endpoint after rejection = %s", rec.Body.Bytes())
+	}
+	// The rail judged the model the adversary actually steered: the
+	// candidate was trained on the poisoned WAL, not on a synthetic workload.
+	if cy, _ := driftView(t, h, id); cy.Source != "wal" || cy.Count < minObserved {
+		t.Errorf("rejected candidate trained on %q workload of %d queries, want wal with >= %d", cy.Source, cy.Count, minObserved)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"deepsketch"
 	"deepsketch/internal/fsx"
@@ -25,9 +24,9 @@ import (
 // Version files are written once (a version's weights never change after
 // it is published); state.json is rewritten atomically (temp + rename) on
 // every live-pointer or canary transition, so a crash between the two
-// leaves a consistent store. Flat legacy <name>.dsk files from the
-// previous single-version layout still load (as a one-version history)
-// and migrate to the directory layout on their next persisted change.
+// leaves a consistent store. Anything else in the store directory — a
+// stray file, a <name>.dsk from the pre-versioned flat layout — is logged
+// and skipped, never fatal.
 
 // storeState is the per-sketch state.json payload.
 type storeState struct {
@@ -92,9 +91,8 @@ func (s *server) persistState(e *sketchEntry) {
 	}
 }
 
-// loadStore restores every persisted sketch: directory layouts first
-// (full version history + live pointer + canary), then flat legacy .dsk
-// files (single version), skipping anything that fails to load.
+// loadStore restores every persisted sketch directory (full version
+// history + live pointer + canary), skipping anything that fails to load.
 func (s *server) loadStore() (int, error) {
 	entries, err := os.ReadDir(s.store)
 	if err != nil {
@@ -103,47 +101,17 @@ func (s *server) loadStore() (int, error) {
 		}
 		return 0, err
 	}
-	var dirs, flats []string
-	for _, ent := range entries {
-		switch {
-		case ent.IsDir():
-			dirs = append(dirs, ent.Name())
-		case strings.HasSuffix(ent.Name(), ".dsk"):
-			flats = append(flats, ent.Name())
-		}
-	}
-	sort.Strings(dirs)
-	sort.Strings(flats)
 	loaded := 0
-	for _, name := range dirs {
-		if err := s.loadVersionedDir(filepath.Join(s.store, name)); err != nil {
-			log.Printf("deepsketchd: skipping %s: %v", name, err)
+	// ReadDir sorts by name, so ids are assigned in a stable order.
+	for _, ent := range entries {
+		if !ent.IsDir() {
+			log.Printf("deepsketchd: skipping %s: not a sketch directory", filepath.Join(s.store, ent.Name()))
 			continue
 		}
-		loaded++
-	}
-	for _, name := range flats {
-		path := filepath.Join(s.store, name)
-		sk, err := deepsketch.LoadFile(path)
-		if err != nil {
-			log.Printf("deepsketchd: skipping %s: %v", path, err)
+		if err := s.loadVersionedDir(filepath.Join(s.store, ent.Name())); err != nil {
+			log.Printf("deepsketchd: skipping %s: %v", ent.Name(), err)
 			continue
 		}
-		if _, ok := s.datasets[sk.DBName]; !ok {
-			log.Printf("deepsketchd: skipping %s: unknown dataset %q", path, sk.DBName)
-			continue
-		}
-		e, err := s.register(sk.Name(), sk.DBName)
-		if err != nil {
-			// Typically: the directory layout already restored this name —
-			// the flat file is a leftover from the pre-versioned store.
-			log.Printf("deepsketchd: skipping %s: %v", path, err)
-			continue
-		}
-		s.markReady(e, sk)
-		s.mu.Lock()
-		e.Created = time.Now()
-		s.mu.Unlock()
 		loaded++
 	}
 	return loaded, nil
@@ -188,10 +156,6 @@ func (s *server) loadVersionedDir(dir string) error {
 		if sk.Name() != st.Name {
 			return fmt.Errorf("v%d.dsk is named %q, state says %q", ver, sk.Name(), st.Name)
 		}
-		// The live version passes through installVersion below, but a resumed
-		// canary serves traffic straight from the registry — set the daemon's
-		// engine precision on every restored version.
-		sk.SetEnginePrecision(s.engine)
 		found[ver] = sk
 		if ver > maxVer {
 			maxVer = ver
@@ -214,12 +178,10 @@ func (s *server) loadVersionedDir(dir string) error {
 	if err := reg.Restore(st.Name, versions, st.Live); err != nil {
 		return err
 	}
-	status := "ready"
 	if c := st.Canary; c != nil {
 		if err := reg.ResumeCanary(st.Name, c.Version, c.Fraction); err != nil {
 			log.Printf("deepsketchd: %s: canary not resumed: %v", st.Name, err)
 		} else {
-			status = "canarying"
 			// Hand the resumed canary to the drift controller so the
 			// comparative q-error gate finishes the rollout (when the
 			// automatic loop is running; otherwise the operator promotes or
@@ -232,9 +194,14 @@ func (s *server) loadVersionedDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	s.installVersion(e, versions[st.Live-1], st.Live, status, "")
+	// Every restored version may serve again — the live one now, a resumed
+	// canary straight from the registry, an older one after a rollback — so
+	// each gets the daemon's engine precision. Nothing is listening yet.
+	for _, sk := range found {
+		s.installVersion(e, sk)
+	}
 	s.mu.Lock()
-	e.Created = time.Now()
+	e.published = true
 	s.mu.Unlock()
 	return nil
 }

@@ -26,7 +26,7 @@ func TestStorePersistAndRestore(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("create status %d", rec.Code)
 	}
-	var entry sketchEntry
+	var entry sketchView
 	if err := json.Unmarshal(rec.Body.Bytes(), &entry); err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,19 @@ func TestStorePersistAndRestore(t *testing.T) {
 			t.Fatal("timeout waiting for build")
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+
+	// Stray files beside the sketch directories — a <name>.dsk from the
+	// pre-versioned flat layout, anything else — are skipped, never fatal
+	// and never restored as a sketch.
+	blob, err := os.ReadFile(filepath.Join(dir, "persisted_one", "v1.dsk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{"legacy.dsk": blob, "notes.txt": []byte("junk")} {
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Second server: must restore the sketch from disk and serve estimates.
@@ -147,57 +160,6 @@ func TestStoreRestartMidCanaryResumes(t *testing.T) {
 	status, version, canary = entryState(t, h3, 1)
 	if status != "ready" || version != 2 || canary != nil {
 		t.Fatalf("after promote restart: status=%s version=%d canary=%+v", status, version, canary)
-	}
-}
-
-// TestLegacyFlatStoreMigration: a flat pre-versioned <name>.dsk migrates
-// to the directory layout the moment it is loaded (not on its first
-// change), so a later refresh + restart restores the refreshed version —
-// the flat leftover can never shadow it.
-func TestLegacyFlatStoreMigration(t *testing.T) {
-	dir := t.TempDir()
-	d := deepsketch.NewIMDb(deepsketch.IMDbConfig{Seed: 2, Titles: 600})
-	sk, err := deepsketch.Build(d, deepsketch.Config{
-		Name: "legacy", SampleSize: 24, TrainQueries: 80, Seed: 2, Workers: 2,
-		Model: deepsketch.ModelConfig{HiddenUnits: 8, Epochs: 1, BatchSize: 32, Seed: 2},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := deepsketch.SaveFile(sk, filepath.Join(dir, "legacy.dsk")); err != nil {
-		t.Fatal(err)
-	}
-
-	srv1 := newServer(600, 300, 2)
-	srv1.store = dir
-	if n, err := srv1.loadStore(); err != nil || n != 1 {
-		t.Fatalf("flat restore: n=%d err=%v", n, err)
-	}
-	// Loading migrated the flat file to the directory layout.
-	if _, err := os.Stat(filepath.Join(dir, "legacy", "v1.dsk")); err != nil {
-		t.Fatalf("flat file was not migrated to the versioned layout: %v", err)
-	}
-	h1 := srv1.routes()
-	if rec := post(t, h1, "/api/sketches/1/refresh", map[string]any{"queries": 80, "epochs": 1, "workers": 2}); rec.Code != http.StatusAccepted {
-		t.Fatalf("refresh: %d %s", rec.Code, rec.Body)
-	}
-	awaitStatus(t, h1, 1, "ready")
-	if _, ver, _ := entryState(t, h1, 1); ver != 2 {
-		t.Fatalf("refresh did not land v2")
-	}
-
-	// Restart: the refreshed v2 must survive; the flat leftover is skipped.
-	srv2 := newServer(600, 300, 2)
-	srv2.store = dir
-	if n, err := srv2.loadStore(); err != nil || n != 1 {
-		t.Fatalf("second restore: n=%d err=%v", n, err)
-	}
-	h2 := srv2.routes()
-	if _, ver, _ := entryState(t, h2, 1); ver != 2 {
-		t.Fatalf("restored serving version %d, want the refreshed 2", ver)
-	}
-	if vs, err := srv2.registries["imdb"].Versions("legacy"); err != nil || len(vs) != 2 || !vs[1].Live {
-		t.Fatalf("restored history: %+v, %v", vs, err)
 	}
 }
 

@@ -266,7 +266,7 @@ func runFig2(c *ctx) error {
 // magnitude; at this reproduction's table sizes, the main sketch's samples
 // cover >1% and a 0-tuple situation pins the selectivity into a narrow
 // band where any guess is adequate. Shrinking the samples restores the
-// paper's coverage regime (see EXPERIMENTS.md).
+// paper's coverage regime.
 func runZeroTuple(c *ctx) error {
 	ssize := c.sc.samples / 8
 	if ssize < 48 {

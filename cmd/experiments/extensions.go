@@ -110,8 +110,8 @@ func runSampleSize(c *ctx) error {
 // feed each estimator's cardinalities into the same DP join enumerator
 // (C_out cost model) and compare the true cost of the chosen plans against
 // the optimal plan — the methodology of the JOB papers the demo cites.
-// This goes beyond the demo's own evaluation (which shows estimates only)
-// and is marked as an extension in DESIGN.md.
+// This goes beyond the demo's own evaluation (which shows estimates only):
+// it is an extension, not a reproduction.
 func runOptimizer(c *ctx) error {
 	s, err := c.mainSketch()
 	if err != nil {
@@ -165,7 +165,7 @@ func runOptimizer(c *ctx) error {
 
 // runLossAblation compares the paper's mean q-error objective against L1 in
 // log space on identical data — a design-choice ablation for the loss
-// function called out in DESIGN.md.
+// function.
 func runLossAblation(c *ctx) error {
 	td, err := c.trainingData()
 	if err != nil {

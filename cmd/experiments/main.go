@@ -1,7 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation, mapped to this reproduction's synthetic substrate (see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// results):
+// evaluation, mapped to this reproduction's synthetic substrate:
 //
 //	table1     Table 1    — q-errors on JOB-light: Deep Sketch vs HyPer vs PostgreSQL
 //	fig1a      Figure 1a  — creation pipeline stage costs; training time scaling

@@ -199,8 +199,8 @@ type (
 // Router dispatches estimates across multiple registered sketches,
 // preferring the most specific covering sketch (the system answer to the
 // paper's open question of which schema parts to sketch). Sketches can be
-// swapped and unregistered under live traffic (Swap, Unregister), and
-// Generation exposes the mutation counter serving caches watch.
+// swapped and unregistered under live traffic (Swap, Unregister); key a
+// serving cache with CacheKey so it stays coherent across those mutations.
 type Router = router.Router
 
 // NewRouter returns an empty sketch router.
@@ -252,12 +252,17 @@ type (
 	DriftReason = drift.Reason
 	// DriftStatus is a sketch's monitoring snapshot.
 	DriftStatus = drift.Status
-	// DriftController closes the loop over a SketchRegistry: trigger →
-	// warm refresh → canary → comparative q-error gate → promote/abort.
+	// DriftController runs every refresh cycle over a SketchRegistry:
+	// workload → warm refresh → pinned rail → swap or canary →
+	// comparative q-error gate → promote/abort. Drift triggers start
+	// cycles by themselves; DriftController.Start starts one on request.
 	DriftController = drift.Controller
 	// DriftControllerConfig parameterizes a DriftController (canary
-	// fraction, promote gate, refresh budget, delta-workload source).
+	// fraction, promote gate, refresh budget, the observed and synthetic
+	// workload sources).
 	DriftControllerConfig = drift.ControllerConfig
+	// DriftCycleOptions parameterizes one DriftController.Start cycle.
+	DriftCycleOptions = drift.CycleOptions
 	// DriftEvent is one controller state transition.
 	DriftEvent = drift.Event
 	// DriftCycleStatus reports a sketch's controller cycle state.

@@ -3,7 +3,6 @@ package attack
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -181,7 +180,7 @@ func newStack(t *testing.T, fix *e2eFixture, pinned *drift.PinnedBenchmark) *e2e
 		CanaryFraction: 0.5, PromoteAfter: 8, MaxQRatio: 1.5,
 		Epochs: 30, Workers: 2, Synchronous: true,
 		Pinned: pinned, PinnedMaxRegress: 1.25,
-		Workload: func(ctx context.Context, name string) ([]workload.LabeledQuery, error) {
+		Observed: func(name string) []workload.LabeledQuery {
 			recs := s.walog.RecentActuals(name, 256)
 			out := make([]workload.LabeledQuery, 0, len(recs))
 			for _, r := range recs {
@@ -191,10 +190,7 @@ func newStack(t *testing.T, fix *e2eFixture, pinned *drift.PinnedBenchmark) *e2e
 				}
 				out = append(out, workload.LabeledQuery{Query: res.Query, Card: int64(r.Actual)})
 			}
-			if len(out) == 0 {
-				return nil, fmt.Errorf("no WAL-derived delta workload for %s", name)
-			}
-			return out, nil
+			return out
 		},
 		OnEvent: func(ev drift.Event) {
 			s.evMu.Lock()

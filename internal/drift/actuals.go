@@ -173,15 +173,11 @@ func (m *Monitor) record(name string, version int, estimate, actual float64, eva
 	vw.samples++
 	var reason Reason
 	var fire bool
-	var handler func(string, Reason)
 	if evaluate {
 		reason, fire = m.evaluateLocked(ns, version, vw)
-		if fire {
-			handler = m.onTrig
-		}
 	}
 	m.mu.Unlock()
-	if fire && handler != nil {
-		handler(name, reason)
+	if fire {
+		m.fire(name, reason)
 	}
 }

@@ -58,7 +58,7 @@ func TestResolveActualRecordsAndTriggers(t *testing.T) {
 		SampleEvery: 1, Window: 16, MinSamples: 4,
 		MaxMedianQ: 2.0, Cooldown: time.Hour,
 	}, nil)
-	m.OnTrigger(func(name string, r Reason) { fired = append(fired, r) })
+	m.OnTrigger(func(name string, r Reason) bool { fired = append(fired, r); return true })
 
 	for i := 0; i < 6; i++ {
 		m.Observe("s", 1, probeQuery(i), 1000)
@@ -144,7 +144,7 @@ func TestRestorePathsDoNotTriggerOrJournal(t *testing.T) {
 		SampleEvery: 1, Window: 16, MinSamples: 2,
 		MaxMedianQ: 1.5, Cooldown: time.Hour, Journal: j,
 	}, nil)
-	m.OnTrigger(func(name string, r Reason) { fired = append(fired, r) })
+	m.OnTrigger(func(name string, r Reason) bool { fired = append(fired, r); return true })
 
 	// Replay: restore pendings, resolve some, record pre-matched pairs —
 	// q-errors far over threshold, yet replay must never fire triggers.

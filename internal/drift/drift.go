@@ -52,8 +52,9 @@ import (
 
 // Reason describes why a drift trigger fired.
 type Reason struct {
-	// Kind is "median", "p95" or "staleness" — or "adopted" on a cycle the
-	// controller adopted rather than triggered (Controller.AdoptCanary).
+	// Kind is "median", "p95" or "staleness" — or, on a cycle no trigger
+	// started, "operator" (Controller.Start from an admin request) or
+	// "adopted" (Controller.AdoptCanary).
 	Kind string `json:"kind"`
 	// Version is the sketch version whose window tripped (0 for staleness).
 	Version int `json:"version,omitempty"`
@@ -65,6 +66,9 @@ type Reason struct {
 }
 
 func (r Reason) String() string {
+	if r.Threshold == 0 {
+		return r.Kind // "operator", "adopted": no threshold was exceeded
+	}
 	return fmt.Sprintf("%s %.3g > %.3g (v%d)", r.Kind, r.Value, r.Threshold, r.Version)
 }
 
@@ -171,7 +175,7 @@ type Monitor struct {
 	names sync.Map // string → *nameState
 
 	mu           sync.Mutex // guards cold-path nameState fields, onTrig, pending
-	onTrig       func(name string, r Reason)
+	onTrig       func(name string, r Reason) bool
 	pending      map[pendingKey]*list.Element
 	pendingOrder *list.List // front = oldest; values are *pendingObs
 
@@ -207,13 +211,33 @@ func NewMonitorSource(cfg Config, src ActualsSource) *Monitor {
 	}
 }
 
-// OnTrigger installs the trigger handler. The handler is called without
+// OnTrigger installs the trigger handler. The handler reports whether it
+// accepted the trigger: only an accepted trigger is consumed (stamps the
+// cooldown and Status.LastTrigger), a declined one re-fires on the next
+// sample that still exceeds the threshold. The handler is called without
 // internal locks held and may call back into the monitor; it must not
 // block for long, or ground-truth processing stalls behind it.
-func (m *Monitor) OnTrigger(fn func(name string, r Reason)) {
+func (m *Monitor) OnTrigger(fn func(name string, r Reason) bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.onTrig = fn
+}
+
+// fire offers one trigger to the handler and, if it is accepted (or no
+// handler is installed), starts name's cooldown. No locks held by the caller.
+func (m *Monitor) fire(name string, r Reason) {
+	m.mu.Lock()
+	handler := m.onTrig
+	m.mu.Unlock()
+	if handler != nil && !handler(name, r) {
+		return
+	}
+	ns := m.state(name)
+	m.mu.Lock()
+	ns.lastTrigger = time.Now()
+	ns.lastFired = r
+	ns.hasFired = true
+	m.mu.Unlock()
 }
 
 // Observe reports one served estimate: the answering sketch's name and
@@ -329,8 +353,13 @@ func (ns *nameState) windowLocked(version, capacity int) *versionWindow {
 }
 
 // evaluateLocked checks the just-updated window against the q-error
-// thresholds, honouring the cooldown; m.mu held.
+// thresholds, honouring the cooldown; m.mu held. The caller fires the
+// returned trigger once the lock is released.
 func (m *Monitor) evaluateLocked(ns *nameState, version int, vw *versionWindow) (Reason, bool) {
+	if m.cfg.MaxMedianQ <= 0 && m.cfg.MaxP95Q <= 0 {
+		// Nothing armed: skip the window copy-and-sort Summary costs.
+		return Reason{}, false
+	}
 	if vw.win.Len() < m.cfg.MinSamples {
 		return Reason{}, false
 	}
@@ -338,19 +367,13 @@ func (m *Monitor) evaluateLocked(ns *nameState, version int, vw *versionWindow) 
 		return Reason{}, false
 	}
 	s := vw.win.Summary()
-	var r Reason
 	switch {
 	case m.cfg.MaxMedianQ > 0 && s.Median > m.cfg.MaxMedianQ:
-		r = Reason{Kind: "median", Version: version, Value: s.Median, Threshold: m.cfg.MaxMedianQ}
+		return Reason{Kind: "median", Version: version, Value: s.Median, Threshold: m.cfg.MaxMedianQ}, true
 	case m.cfg.MaxP95Q > 0 && s.P95 > m.cfg.MaxP95Q:
-		r = Reason{Kind: "p95", Version: version, Value: s.P95, Threshold: m.cfg.MaxP95Q}
-	default:
-		return Reason{}, false
+		return Reason{Kind: "p95", Version: version, Value: s.P95, Threshold: m.cfg.MaxP95Q}, true
 	}
-	ns.lastTrigger = time.Now()
-	ns.lastFired = r
-	ns.hasFired = true
-	return r, true
+	return Reason{}, false
 }
 
 // CheckStaleness fires a staleness trigger for every monitored sketch
@@ -360,32 +383,19 @@ func (m *Monitor) CheckStaleness() {
 	if m.cfg.MaxStaleness <= 0 {
 		return
 	}
-	type fired struct {
-		name string
-		r    Reason
-	}
-	var fires []fired
+	fires := map[string]Reason{}
 	m.mu.Lock()
-	handler := m.onTrig
 	m.names.Range(func(key, v any) bool {
-		name, ns := key.(string), v.(*nameState)
+		ns := v.(*nameState)
 		age := time.Since(ns.lastRefresh)
-		if age <= m.cfg.MaxStaleness || time.Since(ns.lastTrigger) < m.cfg.Cooldown {
-			return true
+		if age > m.cfg.MaxStaleness && time.Since(ns.lastTrigger) >= m.cfg.Cooldown {
+			fires[key.(string)] = Reason{Kind: "staleness", Value: age.Seconds(), Threshold: m.cfg.MaxStaleness.Seconds()}
 		}
-		r := Reason{Kind: "staleness", Value: age.Seconds(), Threshold: m.cfg.MaxStaleness.Seconds()}
-		ns.lastTrigger = time.Now()
-		ns.lastFired = r
-		ns.hasFired = true
-		fires = append(fires, fired{name, r})
 		return true
 	})
 	m.mu.Unlock()
-	if handler == nil {
-		return
-	}
-	for _, f := range fires {
-		handler(f.name, f.r)
+	for name, r := range fires {
+		m.fire(name, r)
 	}
 }
 

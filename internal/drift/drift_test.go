@@ -45,11 +45,12 @@ func TestMonitorMedianTriggerAndCooldown(t *testing.T) {
 		SampleEvery: 1, Window: 16, MinSamples: 4,
 		MaxMedianQ: 2.0, Cooldown: time.Hour,
 	}, constTruth(100))
-	m.OnTrigger(func(name string, r Reason) {
+	m.OnTrigger(func(name string, r Reason) bool {
 		if name != "s" {
 			t.Errorf("trigger for %q", name)
 		}
 		fired = append(fired, r)
+		return true
 	})
 	// Estimates 10x off truth: q-error 10, median way over 2.0.
 	for i := 0; i < 8; i++ {
@@ -78,7 +79,7 @@ func TestMonitorP95Trigger(t *testing.T) {
 		SampleEvery: 1, Window: 32, MinSamples: 10,
 		MaxP95Q: 5, Cooldown: time.Hour,
 	}, constTruth(100))
-	m.OnTrigger(func(_ string, r Reason) { fired = append(fired, r) })
+	m.OnTrigger(func(_ string, r Reason) bool { fired = append(fired, r); return true })
 	// Median stays 1 (estimate == truth), but every 10th estimate is 100x
 	// off: the tail trips p95 without moving the median.
 	for i := 0; i < 40; i++ {
@@ -99,7 +100,7 @@ func TestMonitorStaleness(t *testing.T) {
 	m := NewMonitor(Config{
 		SampleEvery: 1, MaxStaleness: time.Millisecond, Cooldown: time.Hour,
 	}, constTruth(100))
-	m.OnTrigger(func(_ string, r Reason) { fired = append(fired, r) })
+	m.OnTrigger(func(_ string, r Reason) bool { fired = append(fired, r); return true })
 	m.Observe("s", 1, probeQuery(1), 100) // creates the name, arms the clock
 	m.CheckStaleness()
 	if len(fired) != 0 {
@@ -117,7 +118,7 @@ func TestMonitorStaleness(t *testing.T) {
 	// MarkRefreshed resets the clock: after cooldown is the only suppressor
 	// left, a refreshed sketch does not re-fire.
 	m2 := NewMonitor(Config{SampleEvery: 1, MaxStaleness: time.Hour}, constTruth(100))
-	m2.OnTrigger(func(_ string, r Reason) { t.Errorf("fresh sketch fired %+v", r) })
+	m2.OnTrigger(func(_ string, r Reason) bool { t.Errorf("fresh sketch fired %+v", r); return true })
 	m2.Observe("s", 1, probeQuery(1), 100)
 	m2.MarkRefreshed("s")
 	m2.CheckStaleness()

@@ -108,7 +108,7 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 	ctrl := NewController(reg, mon, ControllerConfig{
 		CanaryFraction: 0.1, PromoteAfter: 8, MaxQRatio: 1.0,
 		Epochs: 40, Workers: 2, Synchronous: true,
-		Workload: func(context.Context, string) ([]workload.LabeledQuery, error) { return delta, nil },
+		Synthetic: func(context.Context, string) ([]workload.LabeledQuery, error) { return delta, nil },
 		OnEvent: func(ev Event) {
 			evMu.Lock()
 			events = append(events, ev)

@@ -15,8 +15,8 @@
 //     previous version. Both are one router copy-on-write mutation.
 //   - Refresh warm-start retrains the live version on a drift-delta
 //     workload (resuming its Adam state via core.Refresh) and swaps the
-//     result in — or, with RefreshOptions.Canary set, installs it as a
-//     canary instead of swapping.
+//     result in; RefreshCandidate stops before the install, so a caller
+//     can judge the candidate and then Swap or StartCanary it.
 //
 // # Canary state machine
 //
@@ -38,11 +38,12 @@
 // persistent store after a restart, so an interrupted canary resumes where
 // it left off.
 //
-// Every mutation bumps the underlying router's generation; serving caches
-// wired with serve.Cache.WatchGeneration(reg.Generation) therefore drop
-// stale estimates on the first request after a swap — no manual resets.
-// Caches additionally keyed with serve.Cache.KeyFunc(router.CacheKey) stay
-// correct per canary split without wholesale invalidation.
+// Serving caches stay coherent across every mutation by being keyed with
+// serve.Cache.KeyFunc(router.CacheKey) (or Registry.CacheKey for a
+// single-name stack): the key embeds the version that would answer, so a
+// swap, canary split, promote or rollback makes exactly the remapped
+// queries' old entries unreachable — no wholesale invalidation, no manual
+// resets.
 package lifecycle
 
 import (
@@ -123,9 +124,8 @@ func New() *Registry {
 // from what routes.
 func (g *Registry) Router() *router.Router { return g.r }
 
-// Generation returns the underlying router's mutation counter — the value
-// serving caches watch (serve.Cache.WatchGeneration) to invalidate after a
-// publish, swap, rollback or unregister.
+// Generation returns the underlying router's mutation counter: it moves on
+// every publish, swap, canary change, rollback or unregister.
 func (g *Registry) Generation() uint64 { return g.r.Generation() }
 
 // Publish installs s as the newest version of name and makes it live
@@ -579,11 +579,6 @@ type RefreshOptions struct {
 	Workers int
 	// Monitor receives stage/epoch events (nil for none).
 	Monitor *trainmon.Monitor
-	// Canary, when in (0, 1], installs the refreshed sketch as a canary at
-	// that traffic fraction instead of swapping it live — the de-risked
-	// rollout path: promote it with PromoteCanary once its comparative
-	// q-error holds up, or withdraw it with AbortCanary. 0 swaps directly.
-	Canary float64
 }
 
 // RefreshCandidate warm-start retrains the live version of o.Name on the
@@ -591,8 +586,7 @@ type RefreshOptions struct {
 // no canary, no new version number. It is the judgment seam of the refresh
 // path — a caller (the drift controller's pinned-benchmark rail, an
 // offline gate) evaluates the candidate first and only then installs it
-// via StartCanary or Swap. o.Canary is ignored. The live sketch serves
-// untouched throughout.
+// via StartCanary or Swap. The live sketch serves untouched throughout.
 func (g *Registry) RefreshCandidate(ctx context.Context, o RefreshOptions) (*core.Sketch, error) {
 	live, _, err := g.Live(o.Name)
 	if err != nil {
@@ -604,8 +598,7 @@ func (g *Registry) RefreshCandidate(ctx context.Context, o RefreshOptions) (*cor
 }
 
 // Refresh warm-start retrains the live version of o.Name on the delta
-// workload and swaps the result in (or, with o.Canary set, installs it as
-// a canary at that traffic fraction), returning the new version number and
+// workload and swaps the result in, returning the new version number and
 // sketch. The live sketch serves untouched for the whole fine-tune; the
 // swap at the end is the same atomic copy-on-write mutation as Publish.
 // Two concurrent refreshes of one name both fine-tune from the version
@@ -615,12 +608,7 @@ func (g *Registry) Refresh(ctx context.Context, o RefreshOptions) (int, *core.Sk
 	if err != nil {
 		return 0, nil, err
 	}
-	var v int
-	if o.Canary > 0 {
-		v, err = g.StartCanary(o.Name, ns, o.Canary)
-	} else {
-		v, err = g.Swap(o.Name, ns)
-	}
+	v, err := g.Swap(o.Name, ns)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -140,7 +140,7 @@ func TestLifecycleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := serve.NewCache(serve.Clamp(reg.Router(), serve.MaxCardinality(d)), 1024).
-		WatchGeneration(reg.Generation)
+		KeyFunc(reg.Router().CacheKey)
 
 	// Fixed probe queries, all covered by the sketch.
 	probeQs := make([]db.Query, 0, 8)
@@ -271,7 +271,7 @@ func TestRegistryConcurrentMutations(t *testing.T) {
 	if _, err := reg.Publish("imdb", a); err != nil {
 		t.Fatal(err)
 	}
-	cache := serve.NewCache(reg.Router(), 256).WatchGeneration(reg.Generation)
+	cache := serve.NewCache(reg.Router(), 256).KeyFunc(reg.Router().CacheKey)
 	q := db.Query{Tables: []db.TableRef{{Table: "title", Alias: "t"}}}
 	ctx := context.Background()
 

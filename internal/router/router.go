@@ -98,15 +98,13 @@ func (e *entry) covers(q db.Query) bool {
 // serves through the same interface as a single one. Sketches can be
 // swapped and unregistered under live traffic: every mutation installs a
 // fresh entry slice (copy-on-write) and bumps the registry generation, so
-// in-flight batches keep routing against the snapshot they started with
-// while caches keyed on the generation know to invalidate.
+// in-flight batches keep routing against the snapshot they started with;
+// caches stay coherent through version-aware keys (CacheKey).
 type Router struct {
 	mu      sync.RWMutex
 	entries []*entry
-	// gen is atomic, not mutex-guarded: serving caches read it on every
-	// lookup (serve.Cache.WatchGeneration), and a lock-free load keeps the
-	// registry mutex out of the estimate hot path — PR 3 deliberately
-	// reduced that path to one RLock per batch.
+	// gen is atomic, not mutex-guarded, so reading it never touches the
+	// registry mutex the estimate hot path takes once per batch.
 	gen atomic.Uint64
 	// serial hands out entry incarnations (see entry.inc).
 	serial atomic.Uint64
@@ -289,8 +287,7 @@ func (r *Router) Unregister(name string) bool {
 }
 
 // Generation returns a counter that increments on every registry mutation
-// (Register, Swap, Unregister). Serving caches watch it to drop answers
-// computed against a previous registry view — see serve.Cache.WatchGeneration.
+// (Register, Swap, Unregister, canary changes).
 func (r *Router) Generation() uint64 { return r.gen.Load() }
 
 // snapshot returns the current entry list under one brief RLock. Mutations

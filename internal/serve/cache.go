@@ -15,12 +15,9 @@ import (
 // equal as sets — same tables, joins and predicates in any clause order —
 // share one entry. A single sketch is immutable once trained and its cached
 // estimates never go stale; when the backend is a mutable registry (a
-// Router whose sketches swap under traffic), tie the cache to the
-// registry's generation with WatchGeneration so a swap drops every cached
-// answer from the previous registry view. When the backend additionally
-// splits traffic between versions of one sketch (a canary rollout), the
+// Router whose sketches swap, canary and roll back under traffic), the
 // bare signature is no longer a sound key — the same query's correct
-// answer depends on which version its split selects — so key the cache
+// answer depends on which version answers it right now — so key the cache
 // with KeyFunc(router.CacheKey), which qualifies the signature with the
 // answering version.
 type Cache struct {
@@ -38,12 +35,6 @@ type Cache struct {
 	// under an older generation is dropped, so an invalidation cannot be
 	// undone by an in-flight computation racing it.
 	gen uint64
-	// watch, when set, reads the backend registry's generation; lastWatch
-	// is the value the current cache contents were computed under. A change
-	// observed at request entry invalidates before lookup, so no request
-	// can be answered from entries predating the registry mutation.
-	watch     func() uint64
-	lastWatch uint64
 
 	hits, misses uint64
 }
@@ -126,51 +117,18 @@ func (c *Cache) key(q db.Query) string {
 	return q.Signature()
 }
 
-// WatchGeneration ties the cache's lifetime to a registry generation
-// counter (e.g. Router.Generation or a lifecycle Registry's): at every
-// request entry the cache compares gen() to the value its contents were
-// computed under and invalidates itself on change. With this wired, a
-// sketch swap needs no manual Reset call — the first request after the
-// swap sees the bumped generation, drops the stale entries, and recomputes
-// against the new registry view. Returns the cache for call chaining.
-func (c *Cache) WatchGeneration(gen func() uint64) *Cache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.watch = gen
-	if gen != nil {
-		c.lastWatch = gen()
-	}
-	return c
-}
-
 // generation snapshots the invalidation generation before a computation
-// starts, first applying any pending registry-generation invalidation.
+// starts.
 func (c *Cache) generation() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncWatchLocked()
 	return c.gen
 }
 
-// syncWatchLocked invalidates the cache when the watched registry
-// generation moved since the contents were computed.
-func (c *Cache) syncWatchLocked() {
-	if c.watch == nil {
-		return
-	}
-	if g := c.watch(); g != c.lastWatch {
-		c.lastWatch = g
-		c.invalidateLocked()
-	}
-}
-
-// lookup returns the cached estimate for key, marking it recently used. A
-// watched registry generation is synced first, so a lookup can never serve
-// an entry computed before the registry's latest mutation.
+// lookup returns the cached estimate for key, marking it recently used.
 func (c *Cache) lookup(key string, start time.Time) (estimator.Estimate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncWatchLocked()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
@@ -199,7 +157,6 @@ func (c *Cache) lookup(key string, start time.Time) (estimator.Estimate, bool) {
 func (c *Cache) insert(key string, e estimator.Estimate, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncWatchLocked()
 	if gen != c.gen {
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -501,118 +500,6 @@ func TestCacheReset(t *testing.T) {
 	if got.CacheHit {
 		t.Error("entry must be recomputed after Reset")
 	}
-}
-
-// mutableFake is a fake whose answers change when its generation bumps —
-// the shape of a Router with sketches swapping underneath a cache.
-type mutableFake struct {
-	fake
-	gen uint64 // atomic
-}
-
-func newMutableFake() *mutableFake {
-	m := &mutableFake{}
-	m.fake.name = "mutable"
-	m.fake.fn = func(q db.Query) (float64, error) {
-		return float64(atomic.LoadUint64(&m.gen))*1e6 + float64(q.Preds[0].Val), nil
-	}
-	return m
-}
-
-func (m *mutableFake) bump()              { atomic.AddUint64(&m.gen, 1) }
-func (m *mutableFake) generation() uint64 { return atomic.LoadUint64(&m.gen) }
-
-// TestCacheWatchGeneration: a cache watching a registry generation must
-// drop its contents as soon as the generation moves — the first request
-// after a swap recomputes instead of serving the old registry's answer.
-func TestCacheWatchGeneration(t *testing.T) {
-	m := newMutableFake()
-	c := NewCache(m, 8).WatchGeneration(m.generation)
-	ctx := context.Background()
-	q := query(42)
-
-	first, err := c.Estimate(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit, err := c.Estimate(ctx, q); err != nil || !hit.CacheHit {
-		t.Fatalf("second lookup should hit: %+v, %v", hit, err)
-	}
-
-	m.bump() // the swap
-	after, err := c.Estimate(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.CacheHit {
-		t.Error("post-swap request served from the pre-swap cache")
-	}
-	if after.Cardinality == first.Cardinality {
-		t.Error("post-swap request returned the old registry's answer")
-	}
-	// The new answer caches normally until the next bump.
-	if hit, err := c.Estimate(ctx, q); err != nil || !hit.CacheHit || hit.Cardinality != after.Cardinality {
-		t.Errorf("post-swap recompute did not cache: %+v, %v", hit, err)
-	}
-}
-
-// TestCacheWatchGenerationUnderLoad: generation invalidation under
-// concurrent single and batched traffic (run with -race). Invariant: no
-// request may ever observe an answer older than the registry generation at
-// the time it entered the cache.
-func TestCacheWatchGenerationUnderLoad(t *testing.T) {
-	m := newMutableFake()
-	c := NewCache(m, 64).WatchGeneration(m.generation)
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			qs := []db.Query{query(int64(g)), query(int64(g + 10)), query(int64(g + 20))}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				genBefore := m.generation()
-				if g%2 == 0 {
-					est, err := c.Estimate(ctx, qs[0])
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if gotGen := uint64(est.Cardinality / 1e6); gotGen < genBefore {
-						t.Errorf("answer from generation %d, but generation was already %d at request entry",
-							gotGen, genBefore)
-						return
-					}
-				} else {
-					ests, err := c.EstimateBatch(ctx, qs)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for _, est := range ests {
-						if gotGen := uint64(est.Cardinality / 1e6); gotGen < genBefore {
-							t.Errorf("batch answer from generation %d, generation was %d at entry",
-								gotGen, genBefore)
-							return
-						}
-					}
-				}
-			}
-		}(g)
-	}
-	for i := 0; i < 200; i++ {
-		m.bump()
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestCacheInsertReplacesExistingEntry(t *testing.T) {
