@@ -333,6 +333,10 @@ type server struct {
 	mu       sync.RWMutex
 	sketches map[int]*sketchEntry
 	nextID   int
+	// coalescers are the flush goroutines' owners in every serving stack
+	// this server assembled (one per dataset's auto stack, one per sketch
+	// entry), kept so Close can stop them; guarded by mu.
+	coalescers []*deepsketch.Coalescer
 
 	// bg tracks every background build goroutine the server launches (the
 	// controllers track their own refresh cycles). Close joins both before
@@ -343,13 +347,22 @@ type server struct {
 }
 
 // Close joins the in-flight builds and refresh cycles — whoever started
-// them — and then closes the observation WALs. After it returns no
-// goroutine owned by this server is touching the store directory or the
-// WAL files.
+// them — then stops the serving stacks' coalescers (nothing can add one
+// once the builds are joined) and closes the observation WALs. After it
+// returns no goroutine owned by this server is running, and nothing is
+// touching the store directory or the WAL files; estimates through a
+// closed stack fail.
 func (s *server) Close() error {
 	s.bg.Wait()
 	for _, ctrl := range s.controllers {
 		ctrl.Close()
+	}
+	s.mu.Lock()
+	coalescers := s.coalescers
+	s.coalescers = nil
+	s.mu.Unlock()
+	for _, c := range coalescers {
+		c.Close()
 	}
 	var firstErr error
 	for name, l := range s.wals {
@@ -495,14 +508,14 @@ func newServerOpts(opts serverOptions) *server {
 		// exactly the queries whose answering version changed, so their old
 		// entries are simply never looked up again while the rest of the
 		// cache stays warm.
-		s.auto[name] = deepsketch.WithCache(
-			deepsketch.NewCoalescer(
-				deepsketch.Fallback(
-					deepsketch.ObserveEstimates(
-						deepsketch.Clamp(reg.Router(), deepsketch.MaxCardinality(d)), mon),
-					pg),
-				deepsketch.CoalesceOptions{}),
-			1024).KeyFunc(reg.Router().CacheKey)
+		co := deepsketch.NewCoalescer(
+			deepsketch.Fallback(
+				deepsketch.ObserveEstimates(
+					deepsketch.Clamp(reg.Router(), deepsketch.MaxCardinality(d)), mon),
+				pg),
+			deepsketch.CoalesceOptions{})
+		s.coalescers = append(s.coalescers, co)
+		s.auto[name] = deepsketch.WithCache(co, 1024).KeyFunc(reg.Router().CacheKey)
 	}
 	return s
 }
@@ -643,11 +656,11 @@ func (s *server) installVersion(e *sketchEntry, sk *deepsketch.Sketch) {
 	}
 	d := s.datasets[e.Dataset]
 	reg := s.registries[e.Dataset]
+	co := deepsketch.NewCoalescer(reg.Serving(e.Name), deepsketch.CoalesceOptions{})
+	s.coalescers = append(s.coalescers, co)
 	e.serving = deepsketch.WithCache(
 		deepsketch.ObserveEstimates(
-			deepsketch.Clamp(
-				deepsketch.NewCoalescer(reg.Serving(e.Name), deepsketch.CoalesceOptions{}),
-				deepsketch.MaxCardinality(d)),
+			deepsketch.Clamp(co, deepsketch.MaxCardinality(d)),
 			s.monitors[e.Dataset]),
 		1024).KeyFunc(reg.CacheKey(e.Name))
 }

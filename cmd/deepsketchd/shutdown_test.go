@@ -4,11 +4,27 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"deepsketch"
 )
+
+// coalescerLoops counts the coalescer flush goroutines alive in the process
+// — this server's and those of servers earlier tests never closed. It
+// matches on the creator, not on the loop's own frame: a goroutine that has
+// not been scheduled yet has no loop frame to show.
+func coalescerLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by deepsketch/internal/serve.NewCoalescer")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
 
 // TestCloseJoinsInFlightRefresh is the regression test for the shutdown
 // race: the daemon used to fire build/refresh goroutines with no join, so
@@ -16,7 +32,9 @@ import (
 // refresh was still writing sketch files. Close must block until the
 // in-flight refresh has fully landed or failed, whoever started it — an
 // operator's POST or a drift trigger — and the store it leaves behind must
-// restore cleanly on a fresh server.
+// restore cleanly on a fresh server. Close must also stop every coalescer
+// the server's serving stacks started: the daemon used to drop their
+// handles, leaving three flush goroutines behind a one-sketch server.
 func TestCloseJoinsInFlightRefresh(t *testing.T) {
 	cases := []struct {
 		name string
@@ -58,6 +76,7 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			loopsBefore := coalescerLoops()
 			srv := newServerOpts(serverOptions{
 				titles: 600, orders: 300, seed: 2, driftTruth: true,
 				driftCfg: deepsketch.DriftConfig{
@@ -69,6 +88,10 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 			srv.store = dir
 			h := srv.routes()
 			id := buildReadySketch(t, h, "joined")
+			// One auto stack per dataset plus the sketch's own.
+			if got, want := coalescerLoops()-loopsBefore, len(srv.datasets)+1; got != want {
+				t.Fatalf("the server started %d coalescers, want %d", got, want)
+			}
 			tc.start(t, srv, h, id)
 
 			// Close while the refresh goroutine is in flight. It must not
@@ -82,6 +105,13 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 				}
 			case <-time.After(90 * time.Second):
 				t.Fatal("Close did not return while a refresh was in flight")
+			}
+			// Coalescer.Close returns when the flush loop signals its exit,
+			// an instant before the goroutine is gone: allow it that instant.
+			for deadline := time.Now().Add(5 * time.Second); coalescerLoops() != loopsBefore; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d coalescer goroutines outlived Close", coalescerLoops()-loopsBefore)
+				}
 			}
 
 			// The join guarantees the refresh reached a terminal state

@@ -196,15 +196,14 @@ type (
 	ReportRow = metrics.Row
 )
 
-// Router dispatches estimates across multiple registered sketches,
+// Router dispatches estimates across the sketches a SketchRegistry serves,
 // preferring the most specific covering sketch (the system answer to the
-// paper's open question of which schema parts to sketch). Sketches can be
-// swapped and unregistered under live traffic (Swap, Unregister); key a
-// serving cache with CacheKey so it stays coherent across those mutations.
+// paper's open question of which schema parts to sketch). It is the
+// registry's read path, reached as SketchRegistry.Router: versions are
+// published, swapped, canaried and unregistered through the registry under
+// live traffic, and a serving cache keyed with the router's CacheKey stays
+// coherent across all of it.
 type Router = router.Router
-
-// NewRouter returns an empty sketch router.
-func NewRouter() *Router { return router.New() }
 
 // Sketch lifecycle: versioned serving with warm-start refresh.
 type (

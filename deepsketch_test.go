@@ -209,8 +209,11 @@ func TestPublicAPIFallbackToPostgres(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := deepsketch.NewRouter()
-	r.Register(sub)
+	reg := deepsketch.NewSketchRegistry()
+	if _, err := reg.Publish("titles-only", sub); err != nil {
+		t.Fatal(err)
+	}
+	r := reg.Router()
 	chain := deepsketch.Fallback(r, deepsketch.PostgresEstimator(d))
 	ctx := context.Background()
 

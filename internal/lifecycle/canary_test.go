@@ -113,9 +113,6 @@ func TestCanaryStateMachine(t *testing.T) {
 	if _, ok := reg.Canary("imdb"); ok {
 		t.Error("direct swap should abort the active canary")
 	}
-	if _, _, ok := reg.Router().Canary("imdb"); ok {
-		t.Error("router kept a canary arm after the swap")
-	}
 }
 
 // TestRestoreAndResumeCanary rebuilds registry state the way the daemon's
@@ -178,7 +175,7 @@ func TestCacheVersionAwareKeysUnderCanary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two caches over the same router: one keyed on the bare signature (the
-	// old behaviour), one version-aware. Neither watches the generation —
+	// old behaviour), one version-aware. Nothing ever invalidates either —
 	// the point is that keys alone must keep canary traffic correct.
 	buggy := serve.NewCache(reg.Router(), 256)
 	fixed := serve.NewCache(reg.Router(), 256).KeyFunc(reg.Router().CacheKey)

@@ -5,14 +5,16 @@
 // same point): a serving sketch is a versioned, replaceable artifact, not
 // an immutable one.
 //
-// The Registry keeps named sketches with full version history on top of a
-// router.Router:
+// The Registry keeps named sketches with full version history and owns all
+// of that state; the router.Router beneath it serves a projection of it
+// (router.Serving) that each mutation installs exactly once:
 //
 //   - Publish installs a sketch (first version, or a new version of an
 //     existing name) atomically — traffic in flight keeps the snapshot it
 //     routed against, every later request sees the new version.
 //   - Swap replaces a live sketch under traffic; Rollback reverts to the
-//     previous version. Both are one router copy-on-write mutation.
+//     previous version. Like every mutation here, each edits the history
+//     and ends in one router.Install of what the edited history serves.
 //   - Refresh warm-start retrains the live version on a drift-delta
 //     workload (resuming its Adam state via core.Refresh) and swaps the
 //     result in; RefreshCandidate stops before the install, so a caller
@@ -62,24 +64,35 @@ import (
 
 // Registry is a concurrency-safe versioned sketch registry. The zero value
 // is not usable; construct with New.
+//
+// The registry's per-name history is the only record of which versions
+// exist, which is live, whether a canary splits traffic and which
+// incarnation of the name this is. What the router serves is a projection
+// of it: every mutation is "check, change a copy of the history, install
+// the copy's projection in the router, commit the copy" — so a refused
+// install leaves the history untouched, and the two can never disagree.
+// Serving reads (Serving, CacheKey, ServingVersion, the Router's own
+// dispatch) go to the router's snapshot and never take the registry's lock.
 type Registry struct {
 	r *router.Router
 
 	mu      sync.Mutex
-	entries map[string]*history
-	serial  uint64 // hands out history incarnations; guarded by mu
+	entries map[string]history // guarded by mu
+	serial  uint64             // hands out history incarnations; guarded by mu
 }
 
 // history is one name's version chain. versions[i] is version i+1; live
 // indexes the currently serving version. Rollback moves live backwards;
 // Publish always appends, so history is monotone and a rollback is never
 // lost from the record. canary, when non-nil, indexes the version serving
-// the canary split and records its traffic fraction.
+// the canary split and records its traffic fraction. Histories are copied
+// by value and a canaryState is replaced, never edited, so a mutation's
+// working copy shares nothing it writes with the committed one.
 type history struct {
 	versions []*core.Sketch
 	live     int
 	canary   *canaryState
-	// inc is the name's registration incarnation (see router.entry.inc):
+	// inc is the name's registration incarnation (see router.Serving.Inc):
 	// fresh per Unregister+re-Publish, embedded in version-aware cache keys
 	// so the restarted version numbering cannot collide with the previous
 	// sketch's cached answers.
@@ -115,74 +128,88 @@ type CanaryInfo struct {
 
 // New returns an empty registry over its own router.
 func New() *Registry {
-	return &Registry{r: router.New(), entries: make(map[string]*history)}
+	return &Registry{r: router.New(), entries: make(map[string]history)}
 }
 
 // Router exposes the underlying router for building serving stacks
-// (coalescers, clamps, fallbacks). All sketch mutations must go through
-// the Registry, not the router directly, or version history will diverge
-// from what routes.
+// (coalescers, clamps, fallbacks) over its coverage dispatch. It is a read
+// path: all mutations must go through the Registry, whose history the
+// router's table is derived from.
 func (g *Registry) Router() *router.Router { return g.r }
 
-// Generation returns the underlying router's mutation counter: it moves on
-// every publish, swap, canary change, rollback or unregister.
-func (g *Registry) Generation() uint64 { return g.r.Generation() }
+// lookup returns a copy of name's history for a mutation to change and
+// commit, or for a read; g.mu must be held.
+//
+//deepsketch:locked mu
+func (g *Registry) lookup(name string) (history, error) {
+	h, ok := g.entries[name]
+	if !ok {
+		return history{}, fmt.Errorf("lifecycle: no sketch named %q", name)
+	}
+	return h, nil
+}
+
+// commit is the one router write of every mutation: it installs h's
+// projection as what serves name and, only if the router accepted it
+// (names match, canary coverage and fraction are legal), records h as the
+// name's history; g.mu must be held.
+//
+//deepsketch:locked mu
+func (g *Registry) commit(name string, h history) error {
+	sv := router.Serving{Primary: h.versions[h.live], Version: h.live + 1, Inc: h.inc}
+	if c := h.canary; c != nil {
+		sv.Canary, sv.CanaryVersion, sv.Fraction = h.versions[c.idx], c.idx+1, c.fraction
+	}
+	if err := g.r.Install(name, sv); err != nil {
+		return err
+	}
+	g.entries[name] = h
+	return nil
+}
 
 // Publish installs s as the newest version of name and makes it live
 // atomically: version 1 for a new name, the next version (a swap under
 // traffic) for an existing one. The sketch's own name must equal the
 // registry name — the router dispatches and reports sources by it.
 func (g *Registry) Publish(name string, s *core.Sketch) (int, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.publishLocked(name, s, true)
+	return g.publish(name, s, true)
 }
 
 // Swap replaces the live version of an existing name with s. It is Publish
 // restricted to already-registered names — the verb for "replace under
 // traffic", where Publish also covers first installs.
 func (g *Registry) Swap(name string, s *core.Sketch) (int, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.publishLocked(name, s, false)
+	return g.publish(name, s, false)
 }
 
-func (g *Registry) publishLocked(name string, s *core.Sketch, install bool) (int, error) {
-	if name == "" {
-		return 0, fmt.Errorf("lifecycle: empty sketch name")
-	}
-	if s.Name() != name {
-		return 0, fmt.Errorf("lifecycle: sketch is named %q, registry name is %q — set Cfg.Name before publishing", s.Name(), name)
-	}
-	h, ok := g.entries[name]
-	if !ok {
-		if !install {
-			return 0, fmt.Errorf("lifecycle: no sketch named %q to swap", name)
+func (g *Registry) publish(name string, s *core.Sketch, create bool) (int, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	h, err := g.lookup(name)
+	if err != nil {
+		if !create {
+			return 0, err
 		}
 		g.serial++
-		g.entries[name] = &history{versions: []*core.Sketch{s}, inc: g.serial}
-		g.r.RegisterVersion(s, 1)
-		return 1, nil
+		h = history{inc: g.serial}
 	}
-	ver := len(h.versions) + 1
-	if err := g.r.SwapVersion(name, s, ver); err != nil {
+	// A direct publish ends an active canary: it replaces whatever the
+	// canary was being compared against.
+	h.versions = append(h.versions, s)
+	h.live, h.canary = len(h.versions)-1, nil
+	if err := g.commit(name, h); err != nil {
 		return 0, err
 	}
-	// The router's SwapVersion dropped any canary arm; mirror that here — a
-	// direct publish replaces whatever the canary was being compared against.
-	h.canary = nil
-	h.versions = append(h.versions, s)
-	h.live = len(h.versions) - 1
-	return len(h.versions), nil
+	return h.live + 1, nil
 }
 
 // Live returns the serving sketch and its version number.
 func (g *Registry) Live(name string) (*core.Sketch, int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("lifecycle: no sketch named %q", name)
+	h, err := g.lookup(name)
+	if err != nil {
+		return nil, 0, err
 	}
 	return h.versions[h.live], h.live + 1, nil
 }
@@ -191,13 +218,8 @@ func (g *Registry) Live(name string) (*core.Sketch, int, error) {
 // the name is not registered — the cheap lookup estimate handlers use to
 // tag responses.
 func (g *Registry) LiveVersion(name string) (int, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return 0, false
-	}
-	return h.live + 1, true
+	_, ver, err := g.Live(name)
+	return ver, err == nil
 }
 
 // Versions lists every version of name in version order, flagging the live
@@ -205,9 +227,9 @@ func (g *Registry) LiveVersion(name string) (int, bool) {
 func (g *Registry) Versions(name string) ([]VersionInfo, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("lifecycle: no sketch named %q", name)
+	h, err := g.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]VersionInfo, len(h.versions))
 	for i, s := range h.versions {
@@ -246,9 +268,9 @@ func (g *Registry) Names() []string {
 func (g *Registry) Rollback(name string) (int, *core.Sketch, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return 0, nil, fmt.Errorf("lifecycle: no sketch named %q", name)
+	h, err := g.lookup(name)
+	if err != nil {
+		return 0, nil, err
 	}
 	if h.live == 0 {
 		return 0, nil, fmt.Errorf("lifecycle: %q is at version 1, nothing to roll back to", name)
@@ -257,11 +279,10 @@ func (g *Registry) Rollback(name string) (int, *core.Sketch, error) {
 	if target == nil {
 		return 0, nil, fmt.Errorf("lifecycle: version %d of %q was pruned by retention, cannot roll back to it", h.live, name)
 	}
-	if err := g.r.SwapVersion(name, target, h.live); err != nil {
+	h.live, h.canary = h.live-1, nil
+	if err := g.commit(name, h); err != nil {
 		return 0, nil, err
 	}
-	h.canary = nil
-	h.live--
 	return h.live + 1, target, nil
 }
 
@@ -269,27 +290,25 @@ func (g *Registry) Rollback(name string) (int, *core.Sketch, error) {
 // live: the version is appended to the history, and fraction of the name's
 // traffic is hash-routed to it while the live version keeps the rest.
 // Returns the canary's version number. At most one canary per name may be
-// active; promote or abort the current one first.
+// active; promote or abort the current one first. A candidate the router
+// refuses — misnamed, or covering other tables than the live version —
+// leaves the history as it was.
 func (g *Registry) StartCanary(name string, s *core.Sketch, fraction float64) (int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return 0, fmt.Errorf("lifecycle: no sketch named %q to canary", name)
+	h, err := g.lookup(name)
+	if err != nil {
+		return 0, err
 	}
 	if h.canary != nil {
 		return 0, fmt.Errorf("lifecycle: %q already has a canary at version %d — promote or abort it first", name, h.canary.idx+1)
 	}
-	if s.Name() != name {
-		return 0, fmt.Errorf("lifecycle: sketch is named %q, registry name is %q — set Cfg.Name before canarying", s.Name(), name)
-	}
-	ver := len(h.versions) + 1
-	if err := g.r.SetCanary(name, s, ver, fraction); err != nil {
+	h.versions = append(h.versions, s)
+	h.canary = &canaryState{idx: len(h.versions) - 1, fraction: fraction}
+	if err := g.commit(name, h); err != nil {
 		return 0, err
 	}
-	h.versions = append(h.versions, s)
-	h.canary = &canaryState{idx: ver - 1, fraction: fraction}
-	return ver, nil
+	return len(h.versions), nil
 }
 
 // SetCanaryFraction widens or narrows the active canary's traffic split.
@@ -298,18 +317,12 @@ func (g *Registry) StartCanary(name string, s *core.Sketch, fraction float64) (i
 func (g *Registry) SetCanaryFraction(name string, fraction float64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return fmt.Errorf("lifecycle: no sketch named %q", name)
-	}
-	if h.canary == nil {
-		return fmt.Errorf("lifecycle: %q has no active canary", name)
-	}
-	if err := g.r.SetCanary(name, h.versions[h.canary.idx], h.canary.idx+1, fraction); err != nil {
+	h, err := g.activeCanary(name)
+	if err != nil {
 		return err
 	}
-	h.canary.fraction = fraction
-	return nil
+	h.canary = &canaryState{idx: h.canary.idx, fraction: fraction}
+	return g.commit(name, h)
 }
 
 // PromoteCanary makes the active canary the live version for 100% of
@@ -318,18 +331,14 @@ func (g *Registry) SetCanaryFraction(name string, fraction float64) error {
 func (g *Registry) PromoteCanary(name string) (int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return 0, fmt.Errorf("lifecycle: no sketch named %q", name)
-	}
-	if h.canary == nil {
-		return 0, fmt.Errorf("lifecycle: %q has no active canary to promote", name)
-	}
-	if err := g.r.PromoteCanary(name); err != nil {
+	h, err := g.activeCanary(name)
+	if err != nil {
 		return 0, err
 	}
-	h.live = h.canary.idx
-	h.canary = nil
+	h.live, h.canary = h.canary.idx, nil
+	if err := g.commit(name, h); err != nil {
+		return 0, err
+	}
 	return h.live + 1, nil
 }
 
@@ -339,26 +348,32 @@ func (g *Registry) PromoteCanary(name string) (int, error) {
 func (g *Registry) AbortCanary(name string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return fmt.Errorf("lifecycle: no sketch named %q", name)
-	}
-	if h.canary == nil {
-		return fmt.Errorf("lifecycle: %q has no active canary to abort", name)
-	}
-	if err := g.r.ClearCanary(name); err != nil {
+	h, err := g.activeCanary(name)
+	if err != nil {
 		return err
 	}
 	h.canary = nil
-	return nil
+	return g.commit(name, h)
+}
+
+// activeCanary is lookup for the mutations that need a canary to act on;
+// g.mu must be held.
+//
+//deepsketch:locked mu
+func (g *Registry) activeCanary(name string) (history, error) {
+	h, err := g.lookup(name)
+	if err == nil && h.canary == nil {
+		err = fmt.Errorf("lifecycle: %q has no active canary", name)
+	}
+	return h, err
 }
 
 // Canary reports the name's active canary, with ok=false when none is.
 func (g *Registry) Canary(name string) (CanaryInfo, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok || h.canary == nil {
+	h := g.entries[name] // the zero history, canary-less, when name is unknown
+	if h.canary == nil {
 		return CanaryInfo{}, false
 	}
 	return CanaryInfo{
@@ -368,30 +383,13 @@ func (g *Registry) Canary(name string) (CanaryInfo, bool) {
 	}, true
 }
 
-// ServingVersion reports which version of name answers a query with the
-// given canonical signature right now: the canary version when a canary is
-// active and the signature hashes into its split, the live version
-// otherwise. ok=false when the name is unknown.
-func (g *Registry) ServingVersion(name, sig string) (int, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return 0, false
-	}
-	if h.canary != nil && router.CanarySplit(sig, h.canary.fraction) {
-		return h.canary.idx + 1, true
-	}
-	return h.live + 1, true
-}
-
 // Sketch returns one version of name from the history (1-based).
 func (g *Registry) Sketch(name string, version int) (*core.Sketch, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("lifecycle: no sketch named %q", name)
+	h, err := g.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	if version < 1 || version > len(h.versions) {
 		return nil, fmt.Errorf("lifecycle: %q has no version %d (history 1..%d)", name, version, len(h.versions))
@@ -402,82 +400,25 @@ func (g *Registry) Sketch(name string, version int) (*core.Sketch, error) {
 	return h.versions[version-1], nil
 }
 
-// servingSketch picks the sketch and version that answer a query with the
-// given signature for name: the canary when active and the signature is in
-// its split, the live version otherwise.
-func (g *Registry) servingSketch(name, sig string) (*core.Sketch, int, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("lifecycle: no sketch named %q", name)
-	}
-	if c := h.canary; c != nil && router.CanarySplit(sig, c.fraction) {
-		return h.versions[c.idx], c.idx + 1, nil
-	}
-	return h.versions[h.live], h.live + 1, nil
-}
-
 // Serving returns an estimator view pinned to one registered name that
 // honours the canary split: each query is answered by whichever version
 // its signature selects right now, and estimates carry that version. It is
 // how a serving stack dedicated to one sketch (rather than the coverage-
 // routing Router) takes part in canary rollouts. Pair the stack's cache
 // with CacheKey(name) so entries are version-coherent.
-func (g *Registry) Serving(name string) estimator.Estimator {
-	return &namedView{g: g, name: name}
-}
+func (g *Registry) Serving(name string) estimator.Estimator { return g.r.Named(name) }
 
 // CacheKey returns a cache-key function for a Serving(name) stack: the
 // query signature qualified by the version that would answer it (the same
 // router.VersionedCacheKey shape the Router's CacheKey produces).
-func (g *Registry) CacheKey(name string) func(db.Query) string {
-	return func(q db.Query) string {
-		sig := q.Signature()
-		g.mu.Lock()
-		h, ok := g.entries[name]
-		if !ok {
-			g.mu.Unlock()
-			return sig
-		}
-		inc := h.inc
-		ver := h.live + 1
-		if c := h.canary; c != nil && router.CanarySplit(sig, c.fraction) {
-			ver = c.idx + 1
-		}
-		g.mu.Unlock()
-		return router.VersionedCacheKey(sig, name, inc, ver)
-	}
-}
+func (g *Registry) CacheKey(name string) func(db.Query) string { return g.r.Named(name).CacheKey }
 
-// namedView serves one registered name through the registry's canary
-// split.
-type namedView struct {
-	g    *Registry
-	name string
-}
-
-func (v *namedView) Name() string { return v.name }
-
-func (v *namedView) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, error) {
-	s, ver, err := v.g.servingSketch(v.name, q.Signature())
-	if err != nil {
-		return estimator.Estimate{}, err
-	}
-	est, err := s.Estimate(ctx, q)
-	if err != nil {
-		return estimator.Estimate{}, err
-	}
-	est.Version = ver
-	return est, nil
-}
-
-// EstimateBatch groups the batch by answering version (at most two groups:
-// primary and canary) so each side keeps its packed batched forward pass.
-func (v *namedView) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.Estimate, error) {
-	return router.EstimateGrouped(ctx, qs, func(q db.Query) (*core.Sketch, int, error) {
-		return v.g.servingSketch(v.name, q.Signature())
-	})
+// ServingVersion reports which version of name answers a query with the
+// given canonical signature right now: the canary version when a canary is
+// active and the signature hashes into its split, the live version
+// otherwise. ok=false when the name is unknown.
+func (g *Registry) ServingVersion(name, sig string) (int, bool) {
+	return g.r.ServingVersion(name, sig)
 }
 
 // Restore installs a full version history for name in one step — the
@@ -491,9 +432,6 @@ func (v *namedView) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimat
 func (g *Registry) Restore(name string, versions []*core.Sketch, liveVersion int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if name == "" {
-		return fmt.Errorf("lifecycle: empty sketch name")
-	}
 	if _, ok := g.entries[name]; ok {
 		return fmt.Errorf("lifecycle: %q is already registered", name)
 	}
@@ -507,17 +445,15 @@ func (g *Registry) Restore(name string, versions []*core.Sketch, liveVersion int
 		return fmt.Errorf("lifecycle: live version %d of %q is missing", liveVersion, name)
 	}
 	for i, s := range versions {
-		// nil entries are versions pruned by retention — the number stays in
-		// the history (so new versions never collide with old cache keys or
-		// WAL records), the artifact is gone.
+		// The router checks the names it is handed (live now, a canary
+		// later); the rest of the history must carry the name too, or a
+		// later Rollback would find out under traffic.
 		if s != nil && s.Name() != name {
 			return fmt.Errorf("lifecycle: restored version %d of %q is misnamed %q", i+1, name, s.Name())
 		}
 	}
 	g.serial++
-	g.entries[name] = &history{versions: versions, live: liveVersion - 1, inc: g.serial}
-	g.r.RegisterVersion(versions[liveVersion-1], liveVersion)
-	return nil
+	return g.commit(name, history{versions: versions, live: liveVersion - 1, inc: g.serial})
 }
 
 // ResumeCanary re-arms a canary from the restored history — the restart
@@ -526,9 +462,9 @@ func (g *Registry) Restore(name string, versions []*core.Sketch, liveVersion int
 func (g *Registry) ResumeCanary(name string, version int, fraction float64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	h, ok := g.entries[name]
-	if !ok {
-		return fmt.Errorf("lifecycle: no sketch named %q", name)
+	h, err := g.lookup(name)
+	if err != nil {
+		return err
 	}
 	if h.canary != nil {
 		return fmt.Errorf("lifecycle: %q already has a canary", name)
@@ -542,11 +478,8 @@ func (g *Registry) ResumeCanary(name string, version int, fraction float64) erro
 	if h.versions[version-1] == nil {
 		return fmt.Errorf("lifecycle: canary version %d of %q was pruned by retention", version, name)
 	}
-	if err := g.r.SetCanary(name, h.versions[version-1], version, fraction); err != nil {
-		return err
-	}
 	h.canary = &canaryState{idx: version - 1, fraction: fraction}
-	return nil
+	return g.commit(name, h)
 }
 
 // Unregister removes name and its whole version history; in-flight batches
@@ -554,8 +487,8 @@ func (g *Registry) ResumeCanary(name string, version int, fraction float64) erro
 func (g *Registry) Unregister(name string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.entries[name]; !ok {
-		return fmt.Errorf("lifecycle: no sketch named %q", name)
+	if _, err := g.lookup(name); err != nil {
+		return err
 	}
 	delete(g.entries, name)
 	g.r.Unregister(name)

@@ -9,7 +9,6 @@ import (
 	"deepsketch/internal/attack"
 	"deepsketch/internal/datagen"
 	"deepsketch/internal/db"
-	"deepsketch/internal/estimator"
 )
 
 // TestCanarySplitStability: the split is a pure function of (signature,
@@ -35,7 +34,8 @@ func TestCanarySplitStability(t *testing.T) {
 }
 
 // TestCanarySplitStabilityUnderAdaptiveProber drives the real attack-side
-// canary prober against the split across a rising fraction ladder. The
+// canary prober against a router serving a canary arm, re-installed across
+// a rising fraction ladder the way the registry re-fractions one. The
 // stability contract under an adaptive adversary: within a fraction no
 // signature ever flaps between arms (re-probing buys the prober nothing),
 // and across fractions membership moves strictly monotonically — a
@@ -44,6 +44,10 @@ func TestCanarySplitStability(t *testing.T) {
 // from under the traffic an adversary (or a legit client) has concentrated.
 func TestCanarySplitStabilityUnderAdaptiveProber(t *testing.T) {
 	ctx := context.Background()
+	d := datagen.IMDb(datagen.IMDbConfig{Seed: 59, Titles: 300, Keywords: 20, Companies: 10, Persons: 50})
+	v1 := buildSub(t, d, "imdb", nil)
+	v2 := buildSub(t, d, "imdb", nil)
+	r := New()
 	// Prime-strided predicate values: FNV-1a on near-identical signatures
 	// produces long same-arm runs, so sequential values would leave one arm
 	// empty at small fractions (see the attack package's pool helper).
@@ -55,18 +59,12 @@ func TestCanarySplitStabilityUnderAdaptiveProber(t *testing.T) {
 		}
 	}
 	probe := func(f float64) *attack.Transcript {
-		tgt := attack.Target{
-			Estimate: func(ctx context.Context, q db.Query) (estimator.Estimate, error) {
-				ver := 1
-				if CanarySplit(q.Signature(), f) {
-					ver = 2
-				}
-				return estimator.Estimate{Cardinality: 100, Version: ver}, nil
-			},
+		if err := r.Install("imdb", Serving{Primary: v1, Version: 1, Canary: v2, CanaryVersion: 2, Fraction: f, Inc: 1}); err != nil {
+			t.Fatal(err)
 		}
 		tr, err := attack.NewCanaryProber(attack.CanaryProberConfig{
 			Seed: 5, Queries: pool, Budget: 3 * len(pool),
-		}).Run(ctx, tgt)
+		}).Run(ctx, attack.Target{Estimate: r.Estimate})
 		if err != nil {
 			t.Fatalf("prober at fraction %v: %v", f, err)
 		}
@@ -159,22 +157,36 @@ func TestCanarySplitFractionMoves(t *testing.T) {
 
 // TestRouterCanaryRouting: with a canary arm installed, the hash split
 // decides which version answers, estimates carry the answering version,
-// cache keys differ per split, and promote/clear transition atomically.
+// cache keys differ per split, the pinned view agrees with coverage
+// dispatch, and installing a Serving without the arm (a promote, an abort)
+// moves all traffic at once.
 func TestRouterCanaryRouting(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 53, Titles: 400, Keywords: 30, Companies: 15, Persons: 60})
 	v1 := buildSub(t, d, "imdb", nil)
 	v2 := buildSub(t, d, "imdb", nil)
 
 	r := New()
-	r.RegisterVersion(v1, 1)
-	if err := r.SetCanary("imdb", v2, 2, 0.5); err != nil {
+	if err := r.Install("imdb", Serving{Primary: v1, Version: 1, Inc: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SetCanary("imdb", v2, 2, 0); err == nil {
-		t.Error("fraction 0 should be rejected")
+	canarying := Serving{Primary: v1, Version: 1, Canary: v2, CanaryVersion: 2, Fraction: 0.5, Inc: 1}
+	if err := r.Install("imdb", canarying); err != nil {
+		t.Fatal(err)
 	}
-	if ver, f, ok := r.Canary("imdb"); !ok || ver != 2 || f != 0.5 {
-		t.Fatalf("Canary = v%d f=%v ok=%v", ver, f, ok)
+	// A refused install (fraction outside (0, 1]) leaves the split as it was.
+	for _, f := range []float64{0, -0.1, 1.5} {
+		bad := canarying
+		bad.Fraction = f
+		if err := r.Install("imdb", bad); err == nil {
+			t.Errorf("fraction %v should be rejected", f)
+		}
+	}
+	pinned := r.Named("imdb")
+	if _, _, err := r.Named("other").RouteVersion(db.Query{}); err == nil {
+		t.Error("a view pinned to a name that is not installed should fail to route")
+	}
+	if _, ok := r.ServingVersion("other", "sig"); ok {
+		t.Error("ServingVersion of a name that is not installed reported ok")
 	}
 
 	// Queries with varied signatures: each must route to the sketch its
@@ -205,6 +217,12 @@ func TestRouterCanaryRouting(t *testing.T) {
 				t.Errorf("year %d: primary-split query routed to v%d", y, ver)
 			}
 		}
+		if ps, pver, err := pinned.RouteVersion(q); err != nil || ps != s || pver != ver {
+			t.Errorf("year %d: pinned view routed to v%d (%v), coverage dispatch to v%d", y, pver, err, ver)
+		}
+		if sv, ok := r.ServingVersion("imdb", q.Signature()); !ok || sv != ver {
+			t.Errorf("year %d: ServingVersion = v%d ok=%v, routed to v%d", y, sv, ok, ver)
+		}
 		est, err := r.Estimate(ctx, q)
 		if err != nil {
 			t.Fatal(err)
@@ -219,19 +237,27 @@ func TestRouterCanaryRouting(t *testing.T) {
 		if est.Cardinality != want {
 			t.Errorf("estimate %v, split sketch answers %v", est.Cardinality, want)
 		}
-		// The cache key embeds the answering version (incarnation 1: the
-		// fresh router's first registration).
+		// The cache key embeds the installed incarnation and the answering
+		// version, identically through both views.
 		key := r.CacheKey(q)
 		if wantKey := VersionedCacheKey(q.Signature(), "imdb", 1, ver); key != wantKey {
 			t.Errorf("cache key %q, want %q", key, wantKey)
+		}
+		if pkey := pinned.CacheKey(q); pkey != key {
+			t.Errorf("pinned view keys %q, coverage dispatch %q", pkey, key)
 		}
 	}
 	if !sawPrimary || !sawCanary {
 		t.Fatalf("probe years did not exercise both splits (primary=%v canary=%v) — pick different predicates", sawPrimary, sawCanary)
 	}
 
-	// Batched path agrees with the single path, version included.
+	// Batched path agrees with the single path, version included, through
+	// either view.
 	ests, err := r.EstimateBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pests, err := pinned.EstimateBatch(ctx, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,18 +270,17 @@ func TestRouterCanaryRouting(t *testing.T) {
 			t.Errorf("batch[%d] = (%v, v%d), single = (%v, v%d)",
 				i, ests[i].Cardinality, ests[i].Version, one.Cardinality, one.Version)
 		}
+		if pests[i].Cardinality != one.Cardinality || pests[i].Version != one.Version || pests[i].Source != one.Source {
+			t.Errorf("pinned batch[%d] = (%v, v%d, %q), single = (%v, v%d, %q)",
+				i, pests[i].Cardinality, pests[i].Version, pests[i].Source, one.Cardinality, one.Version, one.Source)
+		}
 	}
 
-	// Promote: canary becomes primary at 100%, arm removed, generation bumps.
-	gen := r.Generation()
-	if err := r.PromoteCanary("imdb"); err != nil {
+	// Promote: the canary installed as the primary, no arm — all traffic
+	// moves to it in one step.
+	promoted := Serving{Primary: v2, Version: 2, Inc: 1}
+	if err := r.Install("imdb", promoted); err != nil {
 		t.Fatal(err)
-	}
-	if r.Generation() <= gen {
-		t.Error("promote did not bump the generation")
-	}
-	if _, _, ok := r.Canary("imdb"); ok {
-		t.Error("canary arm survived promotion")
 	}
 	for _, q := range qs {
 		s, ver, err := r.RouteVersion(q)
@@ -266,23 +291,18 @@ func TestRouterCanaryRouting(t *testing.T) {
 			t.Errorf("post-promote route = v%d, want promoted v2 for all traffic", ver)
 		}
 	}
-	if err := r.PromoteCanary("imdb"); err == nil {
-		t.Error("promote without a canary should fail")
-	}
 
-	// Clear: installing and aborting restores the primary for all traffic.
-	if err := r.SetCanary("imdb", v1, 3, 0.5); err != nil {
+	// Abort: a new arm installed and then withdrawn restores the primary
+	// for all traffic.
+	if err := r.Install("imdb", Serving{Primary: v2, Version: 2, Canary: v1, CanaryVersion: 3, Fraction: 0.5, Inc: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ClearCanary("imdb"); err != nil {
+	if err := r.Install("imdb", promoted); err != nil {
 		t.Fatal(err)
-	}
-	if err := r.ClearCanary("imdb"); err == nil {
-		t.Error("double clear should fail")
 	}
 	for _, q := range qs {
 		if _, ver, _ := r.RouteVersion(q); ver != 2 {
-			t.Errorf("post-clear route = v%d, want primary v2", ver)
+			t.Errorf("post-abort route = v%d, want primary v2", ver)
 		}
 	}
 }
@@ -294,11 +314,21 @@ func TestRouterCanaryCoverageMismatch(t *testing.T) {
 	full := buildSub(t, d, "imdb", nil)
 	sub := buildSub(t, d, "imdb", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	r.RegisterVersion(full, 1)
-	if err := r.SetCanary("imdb", sub, 2, 0.5); err == nil {
+	if err := r.Install("imdb", Serving{Primary: full, Version: 1, Inc: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Install("imdb", Serving{Primary: full, Version: 1, Canary: sub, CanaryVersion: 2, Fraction: 0.5, Inc: 1}); err == nil {
 		t.Error("coverage-shrinking canary should be rejected")
 	}
-	if err := r.SetCanary("missing", full, 2, 0.5); err == nil {
-		t.Error("canary on unknown name should be rejected")
+	if err := r.Install("imdb", Serving{Primary: sub, Version: 1, Canary: full, CanaryVersion: 2, Fraction: 0.5, Inc: 1}); err == nil {
+		t.Error("coverage-widening canary should be rejected")
+	}
+	if err := r.Install("imdb", Serving{Primary: full, Version: 1, Canary: renamed(full, "other"), CanaryVersion: 2, Fraction: 0.5, Inc: 1}); err == nil {
+		t.Error("canary carrying another name should be rejected")
+	}
+	// Every refusal left the installed entry alone: no arm, full coverage.
+	q := db.Query{Tables: []db.TableRef{{Table: "cast_info", Alias: "ci"}}}
+	if s, ver, err := r.RouteVersion(q); err != nil || s != full || ver != 1 {
+		t.Errorf("after refused installs: routed to v%d (%v), want the untouched v1", ver, err)
 	}
 }

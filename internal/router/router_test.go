@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -24,13 +25,29 @@ func buildSub(t *testing.T, d *db.DB, name string, tables []string) *core.Sketch
 	return s
 }
 
+// install makes s the whole of what serves its own name: version 1 of
+// incarnation 1, no canary arm.
+func install(t *testing.T, r *Router, s *core.Sketch) {
+	t.Helper()
+	if err := r.Install(s.Name(), Serving{Primary: s, Version: 1, Inc: 1}); err != nil {
+		t.Error(err)
+	}
+}
+
+// renamed is s under another name, sharing its model and samples.
+func renamed(s *core.Sketch, name string) *core.Sketch {
+	cfg := s.Cfg
+	cfg.Name = name
+	return &core.Sketch{Cfg: cfg, Encoder: s.Encoder, Model: s.Model, Samples: s.Samples, DBName: s.DBName}
+}
+
 func TestRouterPrefersSmallestCover(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 51, Titles: 400, Keywords: 30, Companies: 15, Persons: 60})
 	full := buildSub(t, d, "full", nil)
 	kw := buildSub(t, d, "keywords", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	r.Register(full)
-	r.Register(kw)
+	install(t, r, full)
+	install(t, r, kw)
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
@@ -43,7 +60,7 @@ func TestRouterPrefersSmallestCover(t *testing.T) {
 		Tables: []db.TableRef{{Table: "title", Alias: "t"}, {Table: "movie_keyword", Alias: "mk"}},
 		Joins:  []db.JoinPred{{LeftAlias: "mk", LeftCol: "movie_id", RightAlias: "t", RightCol: "id"}},
 	}
-	s, err := r.Route(q)
+	s, _, err := r.RouteVersion(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +70,7 @@ func TestRouterPrefersSmallestCover(t *testing.T) {
 
 	// A cast_info query only fits the full sketch.
 	q2 := db.Query{Tables: []db.TableRef{{Table: "cast_info", Alias: "ci"}}}
-	s2, err := r.Route(q2)
+	s2, _, err := r.RouteVersion(q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +91,9 @@ func TestRouterNoCover(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 52, Titles: 300, Keywords: 20, Companies: 10, Persons: 50})
 	kw := buildSub(t, d, "kw", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	r.Register(kw)
+	install(t, r, kw)
 	q := db.Query{Tables: []db.TableRef{{Table: "cast_info", Alias: "ci"}}}
-	if _, err := r.Route(q); err == nil {
+	if _, _, err := r.RouteVersion(q); err == nil {
 		t.Error("uncovered query should error")
 	}
 	if _, err := r.Estimate(context.Background(), q); err == nil {
@@ -86,10 +103,10 @@ func TestRouterNoCover(t *testing.T) {
 
 func TestRouterEmptyAndConcurrent(t *testing.T) {
 	r := New()
-	if _, err := r.Route(db.Query{Tables: []db.TableRef{{Table: "x", Alias: "x"}}}); err == nil {
+	if _, _, err := r.RouteVersion(db.Query{Tables: []db.TableRef{{Table: "x", Alias: "x"}}}); err == nil {
 		t.Error("empty router should error")
 	}
-	// Concurrent register + route must be race-free (run with -race).
+	// Concurrent install + route must be race-free (run with -race).
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 53, Titles: 300, Keywords: 20, Companies: 10, Persons: 50})
 	s := buildSub(t, d, "s", nil)
 	q := db.Query{Tables: []db.TableRef{{Table: "title", Alias: "t"}}}
@@ -98,7 +115,7 @@ func TestRouterEmptyAndConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.Register(s)
+			install(t, r, renamed(s, fmt.Sprintf("s%d", i)))
 			if _, err := r.Estimate(context.Background(), q); err != nil {
 				t.Error(err)
 			}
@@ -115,15 +132,25 @@ func TestRouterTieBreakByRegistrationOrder(t *testing.T) {
 	a := buildSub(t, d, "first", []string{"title", "movie_keyword", "keyword"})
 	b := buildSub(t, d, "second", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	r.Register(a)
-	r.Register(b)
+	install(t, r, a)
+	install(t, r, b)
 	q := db.Query{Tables: []db.TableRef{{Table: "title", Alias: "t"}}}
-	s, err := r.Route(q)
+	s, _, err := r.RouteVersion(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Name() != "first" {
 		t.Errorf("tie should go to first registered, got %s", s.Name())
+	}
+	// Re-installing a name replaces it in place: the later install of
+	// "first" still outranks "second".
+	a2 := renamed(b, "first")
+	install(t, r, a2)
+	if s, _, err := r.RouteVersion(q); err != nil || s != a2 {
+		t.Errorf("after re-install the tie went to %v (%v), want the new \"first\"", s, err)
+	}
+	if names := r.Names(); len(names) != 2 || names[0] != "first" || names[1] != "second" {
+		t.Errorf("Names after re-install = %v", names)
 	}
 }
 
@@ -132,8 +159,8 @@ func TestRouterEstimateBatchMatchesEstimate(t *testing.T) {
 	kw := buildSub(t, d, "keywords", []string{"title", "movie_keyword", "keyword"})
 	full := buildSub(t, d, "full", nil)
 	r := New()
-	r.Register(kw)
-	r.Register(full)
+	install(t, r, kw)
+	install(t, r, full)
 	ctx := context.Background()
 
 	// A mixed batch: some queries covered by the specialist, some only by
@@ -168,7 +195,7 @@ func TestRouterEstimateBatchMatchesEstimate(t *testing.T) {
 
 	// One uncovered query fails the batch, like Estimate would.
 	r2 := New()
-	r2.Register(kw)
+	install(t, r2, kw)
 	if _, err := r2.EstimateBatch(ctx, qs); err == nil {
 		t.Error("batch with uncovered query should error")
 	}
@@ -179,42 +206,43 @@ func TestRouterSwapAndUnregister(t *testing.T) {
 	full := buildSub(t, d, "full", nil)
 	kw := buildSub(t, d, "spec", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	if r.Generation() != 0 {
-		t.Errorf("fresh router generation = %d", r.Generation())
+	install(t, r, full)
+	if err := r.Install("nope", Serving{Primary: kw, Version: 1}); err == nil {
+		t.Error("installing a sketch under a name it does not carry should error")
 	}
-	r.Register(full)
-	if r.Generation() != 1 {
-		t.Errorf("generation after register = %d, want 1", r.Generation())
+	if err := r.Install("", Serving{Primary: renamed(kw, ""), Version: 1}); err == nil {
+		t.Error("installing under the empty name should error")
 	}
-	if err := r.Swap("nope", kw); err == nil {
-		t.Error("swapping an unknown name should error")
-	}
-	// Replace the generalist with the specialist under the same slot.
-	if err := r.Swap("full", kw); err != nil {
-		t.Fatal(err)
-	}
-	if r.Generation() != 2 {
-		t.Errorf("generation after swap = %d, want 2", r.Generation())
-	}
-	if names := r.Names(); len(names) != 1 || names[0] != "spec" {
-		t.Fatalf("Names after swap = %v", names)
+	if err := r.Install("full", Serving{Version: 1}); err == nil {
+		t.Error("installing no primary should error")
 	}
 	q := db.Query{Tables: []db.TableRef{{Table: "cast_info", Alias: "ci"}}}
-	if _, err := r.Route(q); err == nil {
+	if s, _, err := r.RouteVersion(q); err != nil || s != full {
+		t.Fatalf("refused installs changed routing: %v, %v", s, err)
+	}
+	// Replace the generalist with a specialist under the same name: the new
+	// sketch's coverage may differ from the old one's.
+	if err := r.Install("full", Serving{Primary: renamed(kw, "full"), Version: 2, Inc: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if names := r.Names(); len(names) != 1 || names[0] != "full" {
+		t.Fatalf("Names after swap = %v", names)
+	}
+	if _, _, err := r.RouteVersion(q); err == nil {
 		t.Error("swapped-in specialist should not cover cast_info")
 	}
-	if !r.Unregister("spec") {
+	if !r.Unregister("full") {
 		t.Error("unregister existing sketch = false")
 	}
-	if r.Unregister("spec") {
+	if r.Unregister("full") {
 		t.Error("double unregister = true")
 	}
-	if r.Len() != 0 || r.Generation() != 3 {
-		t.Errorf("after unregister: len=%d gen=%d", r.Len(), r.Generation())
+	if r.Len() != 0 {
+		t.Errorf("after unregister: len=%d", r.Len())
 	}
 }
 
-// TestRouterSwapUnregisterRace: concurrent Swap and Unregister/Register
+// TestRouterSwapUnregisterRace: concurrent Install and Unregister
 // during in-flight EstimateBatch traffic (run with -race). Every batch must
 // either succeed with internally consistent routing or fail only because
 // the registry was momentarily empty of covering sketches — never observe a
@@ -226,7 +254,7 @@ func TestRouterSwapUnregisterRace(t *testing.T) {
 	spec := buildSub(t, d, "spec", []string{"title", "movie_keyword", "keyword"})
 
 	r := New()
-	r.Register(a)
+	install(t, r, a)
 	qs := []db.Query{
 		{Tables: []db.TableRef{{Table: "title", Alias: "t"}}},
 		{Tables: []db.TableRef{{Table: "cast_info", Alias: "ci"}}},
@@ -265,16 +293,16 @@ func TestRouterSwapUnregisterRace(t *testing.T) {
 		} else {
 			swapIn = a
 		}
-		if err := r.Swap("live", swapIn); err != nil {
-			t.Error(err)
+		install(t, r, swapIn)
+		install(t, r, spec)
+		if !r.Unregister("spec") {
+			t.Error("spec was installed and could not be unregistered")
 		}
-		r.Register(spec)
-		r.Unregister("spec")
 	}
 	close(stop)
 	wg.Wait()
-	if gen := r.Generation(); gen != 1+50*3 {
-		t.Errorf("generation = %d, want %d", gen, 1+50*3)
+	if names := r.Names(); len(names) != 1 || names[0] != "live" {
+		t.Errorf("Names after the race = %v, want [live]", names)
 	}
 }
 
@@ -289,7 +317,7 @@ func TestRouterBatchDeterministicUnderConcurrentRegister(t *testing.T) {
 	kw := buildSub(t, d, "kw", []string{"title", "movie_keyword", "keyword"})
 
 	r := New()
-	r.Register(full)
+	install(t, r, full)
 
 	qs := []db.Query{
 		{Tables: []db.TableRef{{Table: "title", Alias: "t"}}},
@@ -335,7 +363,7 @@ func TestRouterBatchDeterministicUnderConcurrentRegister(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 8; i++ {
-		r.Register(kw)
+		install(t, r, kw)
 	}
 	close(stop)
 	wg.Wait()

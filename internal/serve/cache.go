@@ -31,10 +31,6 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
-	// gen is bumped by Invalidate; an insert whose result was computed
-	// under an older generation is dropped, so an invalidation cannot be
-	// undone by an in-flight computation racing it.
-	gen uint64
 
 	hits, misses uint64
 }
@@ -78,25 +74,6 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-// Invalidate drops every cached entry. Needed when the backend's answers
-// can change — e.g. a router cache after a sketch registers, swaps or
-// unregisters and alters which backend covers which queries. Computations
-// already in flight when Invalidate is called will not be inserted.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidateLocked()
-}
-
-func (c *Cache) invalidateLocked() {
-	c.entries = make(map[string]*list.Element, c.cap)
-	c.lru.Init()
-	c.gen++
-}
-
-// Reset is the historical name of Invalidate.
-func (c *Cache) Reset() { c.Invalidate() }
-
 // KeyFunc sets the function that derives a query's cache key, replacing
 // the default Query.Signature. Wire it to the backing router's CacheKey
 // when the backend serves multiple versions of a sketch (swaps, canary
@@ -115,14 +92,6 @@ func (c *Cache) key(q db.Query) string {
 		return c.keyFn(q)
 	}
 	return q.Signature()
-}
-
-// generation snapshots the invalidation generation before a computation
-// starts.
-func (c *Cache) generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
 }
 
 // lookup returns the cached estimate for key, marking it recently used.
@@ -147,19 +116,15 @@ func (c *Cache) lookup(key string, start time.Time) (estimator.Estimate, bool) {
 	}, true
 }
 
-// insert stores an estimate under key, evicting the LRU entry when full.
-// Results computed before a Reset (gen mismatch) are dropped as stale. An
+// insert stores an estimate under key, evicting the LRU entry when full. An
 // existing entry is overwritten, not merely refreshed: when concurrent
 // misses race — e.g. one answered by a Fallback chain's secondary during a
 // transient primary failure, the other by the recovered primary — the
 // later, fresher computation must win, or the fallback's answer would be
 // pinned until eviction.
-func (c *Cache) insert(key string, e estimator.Estimate, gen uint64) {
+func (c *Cache) insert(key string, e estimator.Estimate) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.card, ent.src, ent.ver, ent.engine = e.Cardinality, e.Source, e.Version, e.Engine
@@ -185,13 +150,12 @@ func (c *Cache) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, e
 	if est, ok := c.lookup(key, start); ok {
 		return est, nil
 	}
-	gen := c.generation()
 	est, err := c.inner.Estimate(ctx, q)
 	if err != nil {
 		return estimator.Estimate{}, err
 	}
 	if c.keyStable(q, key) {
-		c.insert(key, est, gen)
+		c.insert(key, est)
 	}
 	return est, nil
 }
@@ -233,7 +197,6 @@ func (c *Cache) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.E
 	for j, i := range missIdx {
 		missQs[j] = qs[i]
 	}
-	gen := c.generation()
 	ests, err := c.inner.EstimateBatch(ctx, missQs)
 	if err != nil {
 		return nil, err
@@ -241,7 +204,7 @@ func (c *Cache) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.E
 	for j, i := range missIdx {
 		out[i] = ests[j]
 		if c.keyStable(qs[i], keys[i]) {
-			c.insert(keys[i], ests[j], gen)
+			c.insert(keys[i], ests[j])
 		}
 	}
 	return out, nil

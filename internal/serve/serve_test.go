@@ -482,39 +482,17 @@ func TestMaxCardinality(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	f := newFake("fake")
-	c := NewCache(f, 8)
-	ctx := context.Background()
-	if _, err := c.Estimate(ctx, query(1)); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("Len after Reset = %d", c.Len())
-	}
-	got, err := c.Estimate(ctx, query(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CacheHit {
-		t.Error("entry must be recomputed after Reset")
-	}
-}
-
 func TestCacheInsertReplacesExistingEntry(t *testing.T) {
-	// Two concurrent misses for the same query race through Estimate: both
-	// snapshot the generation before computing, the fallback chain's
-	// secondary answers the first (transient primary failure), the
+	// Two concurrent misses for the same query race through Estimate: the
+	// fallback chain's secondary answers the first (transient primary failure), the
 	// recovered primary answers the second. The second insert must replace
 	// the cached entry — before the fix it only MoveToFront'd, pinning the
 	// fallback's answer until eviction.
 	c := NewCache(newFake("primary"), 8)
 	q := query(42)
 	key := q.Signature()
-	gen := c.generation()
-	c.insert(key, estimator.Estimate{Cardinality: 7, Source: "fallback"}, gen)
-	c.insert(key, estimator.Estimate{Cardinality: 42, Source: "primary"}, gen)
+	c.insert(key, estimator.Estimate{Cardinality: 7, Source: "fallback"})
+	c.insert(key, estimator.Estimate{Cardinality: 42, Source: "primary"})
 
 	got, err := c.Estimate(context.Background(), q)
 	if err != nil {
@@ -566,12 +544,11 @@ func TestCacheStaleFallbackAnswerReplacedEndToEnd(t *testing.T) {
 	mu.Lock()
 	primaryUp = true
 	mu.Unlock()
-	gen := c.generation()
 	b, err := Fallback(primary, secondary).Estimate(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.insert(q.Signature(), b, gen)
+	c.insert(q.Signature(), b)
 
 	got, err := c.Estimate(ctx, q)
 	if err != nil {
