@@ -16,94 +16,93 @@ import (
 // runSampleSize sweeps the number of materialized sample tuples per table —
 // the "e.g., 1000 tuples per base table" knob of §2 and a creation-time
 // parameter of step 1. The bitmap width is the model's main input, so this
-// extends the bitmap ablation (E8) into a full curve: 0 (static features
-// only) up to the paper's 1000.
-func runSampleSize(c *ctx) error {
+// extends the bitmap ablation into a full curve: 0 (static features only)
+// up to the paper's 1000.
+func runSampleSize(c *ctx) ([]claim, error) {
+	epochs := max(c.sc.epochs*3/5, 2)
+	sizes := []int{0, c.sc.samples / 16, c.sc.samples / 4, c.sc.samples}
+	fmt.Fprintf(c.out, "\nJOB-light q-error vs sample size (bitmap width; %d epochs each):\n", epochs)
+	fmt.Fprintf(c.out, "  %8s %10s %10s %10s %10s\n", "samples", "median", "mean", "95th", "max")
+	medians := make([]float64, len(sizes))
+	for i, size := range sizes {
+		sum, err := c.jobLightAtSampleSize(size, epochs)
+		if err != nil {
+			return nil, err
+		}
+		medians[i] = sum.Median
+		fmt.Fprintf(c.out, "  %8d %10s %10s %10s %10s\n", size,
+			metrics.Sig3(sum.Median), metrics.Sig3(sum.Mean), metrics.Sig3(sum.P95), metrics.Sig3(sum.Max))
+	}
+	return []claim{atMost(gatePaper,
+		"errors fall as samples grow: the largest sample's JOB-light median is below the bitmap-free model's",
+		medians[len(medians)-1], 1, medians[0])}, nil
+}
+
+// jobLightAtSampleSize re-samples size tuples per table (0: no bitmaps,
+// static query features only), re-encodes the shared training queries and
+// labels, trains a fresh MSCN for epochs and summarizes its JOB-light
+// q-errors.
+func (c *ctx) jobLightAtSampleSize(size, epochs int) (metrics.Summary, error) {
+	var none metrics.Summary
 	td, err := c.trainingData()
 	if err != nil {
-		return err
+		return none, err
 	}
 	labeled, err := c.jobLightLabeled()
 	if err != nil {
-		return err
+		return none, err
 	}
-	epochs := c.sc.epochs * 3 / 5
-	if epochs < 2 {
-		epochs = 2
+	var samples *sample.Set
+	if size > 0 {
+		if samples, err = sample.New(c.db(), td.Cfg.Tables, size, c.seed); err != nil {
+			return none, err
+		}
 	}
-	sizes := []int{0, c.sc.samples / 16, c.sc.samples / 4, c.sc.samples}
-	fmt.Printf("\nJOB-light q-error vs sample size (bitmap width; %d epochs each):\n", epochs)
-	fmt.Printf("  %8s %10s %10s %10s %10s\n", "samples", "median", "mean", "95th", "max")
-	for _, size := range sizes {
-		if size < 0 {
-			size = 0
+	enc, err := featurize.NewEncoder(c.db(), td.Cfg.Tables, size)
+	if err != nil {
+		return none, err
+	}
+	encode := func(q db.Query) (featurize.Encoded, error) {
+		if samples == nil {
+			return enc.EncodeQuery(q, nil)
 		}
-		// Re-sample, re-encode, re-train; queries and labels are reused.
-		var samples *sample.Set
-		if size > 0 {
-			samples, err = sample.New(c.db(), td.Cfg.Tables, size, c.seed)
-			if err != nil {
-				return err
-			}
-		}
-		enc, err := featurize.NewEncoder(c.db(), td.Cfg.Tables, size)
+		bms, err := samples.Bitmaps(q)
 		if err != nil {
-			return err
+			return featurize.Encoded{}, err
 		}
-		cards := make([]int64, len(td.Labeled))
-		for i, lq := range td.Labeled {
-			cards[i] = lq.Card
-		}
-		enc.FitLabels(cards)
-		examples := make([]mscn.Example, len(td.Labeled))
-		for i, lq := range td.Labeled {
-			var bms map[string]sample.Bitmap
-			if samples != nil {
-				bms, err = samples.Bitmaps(lq.Query)
-				if err != nil {
-					return err
-				}
-			}
-			e, err := enc.EncodeQuery(lq.Query, bms)
-			if err != nil {
-				return err
-			}
-			examples[i] = mscn.Example{Enc: e, Card: lq.Card}
-		}
-		mcfg := td.Cfg.Model
-		mcfg.Epochs = epochs
-		if mcfg.Seed == 0 {
-			mcfg.Seed = c.seed
-		}
-		model := mscn.New(mcfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-		if _, err := model.Train(examples, enc.Norm, nil); err != nil {
-			return err
-		}
-		qs := make([]float64, 0, len(labeled))
-		for _, lq := range labeled {
-			var bms map[string]sample.Bitmap
-			if samples != nil {
-				bms, err = samples.Bitmaps(lq.Query)
-				if err != nil {
-					return err
-				}
-			}
-			e, err := enc.EncodeQuery(lq.Query, bms)
-			if err != nil {
-				return err
-			}
-			y, err := model.Predict(e)
-			if err != nil {
-				return err
-			}
-			qs = append(qs, metrics.QError(enc.Norm.Denormalize(y), float64(lq.Card)))
-		}
-		sum := metrics.Summarize(qs)
-		fmt.Printf("  %8d %10s %10s %10s %10s\n", size,
-			metrics.Sig3(sum.Median), metrics.Sig3(sum.Mean), metrics.Sig3(sum.P95), metrics.Sig3(sum.Max))
+		return enc.EncodeQuery(q, bms)
 	}
-	fmt.Println("\nshape check: errors fall monotonically-ish as samples grow, with diminishing returns.")
-	return nil
+	cards := make([]int64, len(td.Labeled))
+	for i, lq := range td.Labeled {
+		cards[i] = lq.Card
+	}
+	enc.FitLabels(cards)
+	examples := make([]mscn.Example, len(td.Labeled))
+	for i, lq := range td.Labeled {
+		e, err := encode(lq.Query)
+		if err != nil {
+			return none, err
+		}
+		examples[i] = mscn.Example{Enc: e, Card: lq.Card}
+	}
+	mcfg := td.Cfg.Model
+	mcfg.Epochs = epochs
+	if mcfg.Seed == 0 {
+		mcfg.Seed = c.seed
+	}
+	model := mscn.New(mcfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
+	if _, err := model.Train(examples, enc.Norm, nil); err != nil {
+		return none, err
+	}
+	qs, err := qerrsOf(labeled, func(q db.Query) (float64, error) {
+		e, err := encode(q)
+		if err != nil {
+			return 0, err
+		}
+		y, err := model.Predict(e)
+		return enc.Norm.Denormalize(y), err
+	})
+	return metrics.Summarize(qs), err
 }
 
 // runOptimizer demonstrates the paper's motivating use case end to end:
@@ -112,31 +111,24 @@ func runSampleSize(c *ctx) error {
 // the optimal plan — the methodology of the JOB papers the demo cites.
 // This goes beyond the demo's own evaluation (which shows estimates only):
 // it is an extension, not a reproduction.
-func runOptimizer(c *ctx) error {
+func runOptimizer(c *ctx) ([]claim, error) {
 	s, err := c.mainSketch()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	labeled, err := c.jobLightLabeled()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hyper, pg, err := c.baselines()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	truth := func(q db.Query) (float64, error) {
 		card, err := c.db().Count(q)
 		return float64(card), err
 	}
-	systems := []struct {
-		name string
-		est  optimizer.CardinalityEstimator
-	}{
-		{"Deep Sketch", s.Cardinality},
-		{"HyPer", hyper.Cardinality},
-		{"PostgreSQL", pg.Cardinality},
-	}
+	systems := []system{{"Deep Sketch", s.Cardinality}, {"HyPer", hyper.Cardinality}, {"PostgreSQL", pg.Cardinality}}
 	names := make([]string, len(systems))
 	ratios := make([][]float64, len(systems))
 	var optimalAll int
@@ -148,7 +140,7 @@ func runOptimizer(c *ctx) error {
 			}
 			ratio, _, _, err := optimizer.PlanQuality(lq.Query, sys.est, truth)
 			if err != nil {
-				return fmt.Errorf("%s on %s: %w", sys.name, lq.Query.SQL(nil), err)
+				return nil, fmt.Errorf("%s on %s: %w", sys.name, lq.Query.SQL(nil), err)
 			}
 			ratios[i] = append(ratios[i], ratio)
 			if i == 0 && ratio <= 1+1e-9 {
@@ -156,26 +148,32 @@ func runOptimizer(c *ctx) error {
 			}
 		}
 	}
-	fmt.Printf("\nplan quality on JOB-light (true C_out cost of chosen plan / optimal plan):\n\n")
-	fmt.Print(optimizer.FormatComparison(names, ratios))
-	fmt.Printf("\nDeep Sketch found the optimal join order for %d/%d queries\n", optimalAll, len(ratios[0]))
-	fmt.Println("shape check: better estimates -> plans closer to optimal; the sketch should lead mean and tail.")
-	return nil
+	fmt.Fprintf(c.out, "\nplan quality on JOB-light (true C_out cost of chosen plan / optimal plan):\n\n")
+	fmt.Fprint(c.out, optimizer.FormatComparison(names, ratios))
+	fmt.Fprintf(c.out, "\nDeep Sketch found the optimal join order for %d/%d queries\n", optimalAll, len(ratios[0]))
+	// Better estimates should mean plans closer to optimal; on JOB-light's
+	// small join graphs every estimator is within a few percent of optimal,
+	// so the lead is reported and never a gate.
+	sk, hy, po := metrics.Summarize(ratios[0]), metrics.Summarize(ratios[1]), metrics.Summarize(ratios[2])
+	return []claim{
+		atMost(gateNever, "plans chosen from the sketch's estimates cost no more on average than those from HyPer's and PostgreSQL's", sk.Mean, 1, hy.Mean, po.Mean),
+		atMost(gateNever, "the sketch's worst plan is no worse than HyPer's and PostgreSQL's worst", sk.Max, 1, hy.Max, po.Max),
+	}, nil
 }
 
 // runLossAblation compares the paper's mean q-error objective against L1 in
 // log space on identical data — a design-choice ablation for the loss
 // function.
-func runLossAblation(c *ctx) error {
+func runLossAblation(c *ctx) ([]claim, error) {
 	td, err := c.trainingData()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	labeled, err := c.jobLightLabeled()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Println("\nJOB-light q-errors by training objective (identical data and budget):")
+	fmt.Fprintln(c.out, "\nJOB-light q-errors by training objective (identical data and budget):")
 	rows := []metrics.Row{}
 	for _, loss := range []struct {
 		name string
@@ -184,22 +182,21 @@ func runLossAblation(c *ctx) error {
 		{"mean q-error (paper)", nn.LossQError},
 		{"L1 in log space", nn.LossL1Log},
 	} {
-		cfg := td.Cfg
-		cfg.Model.Epochs = c.sc.epochs
-		cfg.Model.Loss = loss.kind
 		td2 := *td
-		td2.Cfg = cfg
+		td2.Cfg.Model.Epochs = c.sc.epochs
+		td2.Cfg.Model.Loss = loss.kind
 		sk, err := core.BuildFromData(&td2, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		qs, err := qerrsOf(labeled, sk.Cardinality)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rows = append(rows, metrics.Row{Name: loss.name, Summary: metrics.Summarize(qs)})
 	}
-	fmt.Print(metrics.FormatTable(rows))
-	fmt.Println("\nshape check: both objectives train; the q-error loss targets the evaluation metric directly.")
-	return nil
+	fmt.Fprint(c.out, metrics.FormatTable(rows))
+	return []claim{atMost(gateNever,
+		"the paper's q-error objective, which targets the evaluation metric directly, gives a JOB-light median no worse than L1-log's",
+		rows[0].Summary.Median, 1, rows[1].Summary.Median)}, nil
 }

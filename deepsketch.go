@@ -319,9 +319,6 @@ type (
 	// DriftJournal receives pending/resolved monitor transitions for
 	// durable logging (DriftConfig.Journal).
 	DriftJournal = drift.Journal
-	// ActualsSource is the drift monitor's ground-truth seam; nil means
-	// logged actuals only.
-	ActualsSource = drift.ActualsSource
 )
 
 // WAL record kinds and admission decisions.
@@ -343,16 +340,6 @@ func OpenObservationLog(dir string, opts WALOptions) (*ObservationLog, error) {
 // NewActualsAdmitter returns an admission controller for the actuals
 // ingest path.
 func NewActualsAdmitter(cfg AdmitConfig) *ActualsAdmitter { return wal.NewAdmitter(cfg) }
-
-// NewDriftMonitorSource is NewDriftMonitor with an explicit ActualsSource
-// (EstimatorActualsSource adapts an Estimator; nil parks everything).
-func NewDriftMonitorSource(cfg DriftConfig, src ActualsSource) *DriftMonitor {
-	return drift.NewMonitorSource(cfg, src)
-}
-
-// EstimatorActualsSource adapts an Estimator into an ActualsSource that
-// always answers.
-func EstimatorActualsSource(est Estimator) ActualsSource { return drift.EstimatorSource(est) }
 
 // NewDriftController wires a controller to the registry and monitor and
 // installs itself as the monitor's trigger handler.

@@ -179,10 +179,6 @@ func (p *Program) funcDecl(key string) *declSite {
 	return p.decls[key]
 }
 
-// SourcePackage reports whether path was loaded from source (i.e. is part
-// of the module under analysis rather than a dependency).
-func (p *Program) SourcePackage(path string) bool { return p.sourcePkgs[path] }
-
 // A Pass carries one analyzer's run over one package.
 type Pass struct {
 	Analyzer *Analyzer
@@ -308,16 +304,6 @@ func calleeBuiltin(info *types.Info, call *ast.CallExpr) string {
 func isConversion(info *types.Info, call *ast.CallExpr) bool {
 	tv, ok := info.Types[ast.Unparen(call.Fun)]
 	return ok && tv.IsType()
-}
-
-// enclosingFuncDecl maps positions to their enclosing top-level FuncDecl.
-func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
 }
 
 // declKey returns the funcKey of a FuncDecl via the package's Defs map,

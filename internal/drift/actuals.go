@@ -1,44 +1,11 @@
 package drift
 
 import (
-	"context"
 	"math"
 
 	"deepsketch/internal/db"
-	"deepsketch/internal/estimator"
 	"deepsketch/internal/metrics"
 )
-
-// ActualsSource is where a Monitor obtains ground truth for a sampled
-// estimate. The classic source is the exact Truth executor (wrapped via
-// EstimatorSource) — but ground truth can also arrive later, out of band,
-// as logged actuals POSTed by clients that ran the query for real. A
-// source returns ok=false when it has no answer for the query *right
-// now*; the monitor then parks the observation as pending, to be matched
-// against a future ResolveActual call. A nil source parks everything —
-// that is the serving mode with no exact executor at all.
-type ActualsSource interface {
-	Actual(ctx context.Context, q db.Query) (actual float64, ok bool, err error)
-}
-
-// EstimatorSource adapts an estimator (typically estimator.Truth) into an
-// ActualsSource that always answers.
-func EstimatorSource(est estimator.Estimator) ActualsSource {
-	if est == nil {
-		return nil
-	}
-	return estimatorSource{est}
-}
-
-type estimatorSource struct{ est estimator.Estimator }
-
-func (s estimatorSource) Actual(ctx context.Context, q db.Query) (float64, bool, error) {
-	e, err := s.est.Estimate(ctx, q)
-	if err != nil {
-		return 0, false, err
-	}
-	return e.Cardinality, true, nil
-}
 
 // Journal receives every monitoring transition worth persisting: an
 // observation parked pending (estimate served, actual unknown) and an
@@ -106,7 +73,7 @@ func (m *Monitor) takePending(name, signature string) (observation, bool) {
 // ResolveActual reports an out-of-band observed actual for (name,
 // signature) — the logged-actuals ingest path. If a parked observation
 // matches, its q-error is recorded in the answering version's window
-// (evaluating drift triggers exactly as the in-process source would) and
+// (evaluating drift triggers exactly as in-process ground truth would) and
 // the observation's version, estimate and q-error are returned. An
 // unmatched actual is counted and ignored here — it carries no estimate
 // to grade, though it is still training signal for the WAL.

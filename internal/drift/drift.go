@@ -14,12 +14,11 @@
 //
 // A Monitor taps the serving path (Observe, or wrap a backend with the
 // Observe middleware), samples every Nth estimate per sketch, and obtains
-// the true cardinality asynchronously from an ActualsSource — classically
-// the exact Truth executor (EstimatorSource), but the source is a seam:
-// with a nil source the monitor runs without any exact executor at all,
-// parking each sampled estimate as *pending* until a logged actual
-// arrives out of band (ResolveActual) from a client that ran the query
-// for real. Each resolved query's q-error lands in a rolling window per
+// the true cardinality asynchronously from a ground-truth estimator —
+// classically the exact Truth executor. With a nil estimator the monitor
+// runs without any exact executor at all, parking each sampled estimate
+// as *pending* until a logged actual arrives out of band (ResolveActual)
+// from a client that ran the query for real. Each resolved query's q-error lands in a rolling window per
 // (sketch, version); when the windowed median or p95 exceeds its
 // threshold, or a staleness clock expires, the monitor fires a trigger
 // (subject to a cooldown). Every pending/resolved transition is reported
@@ -169,7 +168,7 @@ type nameState struct {
 // never the monitor mutex.
 type Monitor struct {
 	cfg     Config
-	source  ActualsSource
+	truth   estimator.Estimator // nil parks every sampled estimate
 	journal Journal
 
 	names sync.Map // string → *nameState
@@ -195,15 +194,10 @@ type Monitor struct {
 // tests) to process sampled queries; set the trigger handler with
 // OnTrigger.
 func NewMonitor(cfg Config, truth estimator.Estimator) *Monitor {
-	return NewMonitorSource(cfg, EstimatorSource(truth))
-}
-
-// NewMonitorSource is NewMonitor with an explicit ActualsSource.
-func NewMonitorSource(cfg Config, src ActualsSource) *Monitor {
 	cfg = cfg.withDefaults()
 	return &Monitor{
 		cfg:          cfg,
-		source:       src,
+		truth:        truth,
 		journal:      cfg.Journal,
 		pending:      make(map[pendingKey]*list.Element),
 		pendingOrder: list.New(),
@@ -308,24 +302,22 @@ func (m *Monitor) Drain(ctx context.Context) int {
 	}
 }
 
-// process resolves one observation against the actuals source: an answer
-// records its q-error, no answer (or no source) parks it pending.
+// process resolves one observation: with a ground-truth estimator its
+// answer records the q-error, without one the observation parks pending.
 func (m *Monitor) process(ctx context.Context, obs observation) {
-	if m.source != nil {
-		actual, ok, err := m.source.Actual(ctx, obs.q)
-		if err != nil {
-			m.truthErrs.Add(1)
-			return
-		}
-		if ok {
-			m.record(obs.name, obs.version, obs.estimate, actual, true)
-			if j := m.journal; j != nil {
-				j.Resolved(obs.name, obs.version, obs.q, obs.estimate, actual)
-			}
-			return
-		}
+	if m.truth == nil {
+		m.park(obs, true)
+		return
 	}
-	m.park(obs, true)
+	e, err := m.truth.Estimate(ctx, obs.q)
+	if err != nil {
+		m.truthErrs.Add(1)
+		return
+	}
+	m.record(obs.name, obs.version, obs.estimate, e.Cardinality, true)
+	if j := m.journal; j != nil {
+		j.Resolved(obs.name, obs.version, obs.q, obs.estimate, e.Cardinality)
+	}
 }
 
 // windowLocked returns (creating if needed) the version's q-error window;

@@ -42,25 +42,6 @@ func benchExamples(b testing.TB, n int) ([]Example, int, int, int, nn.LabelNorm)
 	return examples, tdim, jdim, pdim, nn.NewLabelNorm(cards)
 }
 
-func BenchmarkForwardBatch(b *testing.B) {
-	examples, tdim, jdim, pdim, _ := benchExamples(b, 128)
-	m := New(Config{HiddenUnits: 64, Seed: 1}, tdim, jdim, pdim)
-	encs := make([]featurize.Encoded, len(examples))
-	ys := make([]float64, len(examples))
-	for i, ex := range examples {
-		encs[i] = ex.Enc
-	}
-	batch, err := BuildBatch(encs, ys, tdim, jdim, pdim)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(batch)
-	}
-}
-
 func BenchmarkPredictSingle(b *testing.B) {
 	examples, tdim, jdim, pdim, _ := benchExamples(b, 8)
 	m := New(Config{HiddenUnits: 64, Seed: 1}, tdim, jdim, pdim)
@@ -148,20 +129,5 @@ func BenchmarkTrainEpoch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkBuildBatch(b *testing.B) {
-	examples, tdim, jdim, pdim, _ := benchExamples(b, 128)
-	encs := make([]featurize.Encoded, len(examples))
-	ys := make([]float64, len(examples))
-	for i, ex := range examples {
-		encs[i] = ex.Enc
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildBatch(encs, ys, tdim, jdim, pdim); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

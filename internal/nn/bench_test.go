@@ -26,19 +26,8 @@ func benchLinear(b *testing.B) (*Linear, Matrix) {
 	return l, x
 }
 
-func BenchmarkLinearForward(b *testing.B) {
-	l, x := benchLinear(b)
-	b.SetBytes(int64(benchBatch * benchIn * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Forward(x)
-	}
-}
-
 // BenchmarkLinearForwardFused measures the serial register-tiled inference
-// kernel against BenchmarkLinearForward (parallel per-row dot loop) on the
-// same shape, at both element types. Zero allocs/op expected.
+// kernel at both element types. Zero allocs/op expected.
 func BenchmarkLinearForwardFused(b *testing.B) {
 	b.Run("f64", benchForwardFused[float64])
 	b.Run("f32", benchForwardFused[float32])
@@ -56,8 +45,8 @@ func benchForwardFused[T Float](b *testing.B) {
 	}
 }
 
-// BenchmarkSegmentAvgPool mirrors BenchmarkMaskedAvgPool on the packed
-// representation: same 64 sets of 2 valid elements, no padding rows.
+// BenchmarkSegmentAvgPool pools 64 sets of 2 valid elements on the packed
+// representation (no padding rows).
 func BenchmarkSegmentAvgPool(b *testing.B) {
 	b.Run("f64", benchSegmentAvgPool[float64])
 	b.Run("f32", benchSegmentAvgPool[float32])
@@ -82,45 +71,27 @@ func benchSegmentAvgPool[T Float](b *testing.B) {
 	}
 }
 
+// BenchmarkLinearBackward measures the packed trainer's backward kernel as
+// its two call shapes: a set module's first layer skips the input gradient
+// (dx nil), every other layer computes it.
 func BenchmarkLinearBackward(b *testing.B) {
 	l, x := benchLinear(b)
-	y := l.Forward(x)
-	dy := NewMatrix(y.Rows, y.Cols)
+	dy := NewMatrix(benchBatch, benchOut)
 	for i := range dy.Data {
 		dy.Data[i] = 0.01
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Backward(x, dy)
-		l.W.ZeroGrad()
-		l.B.ZeroGrad()
-	}
-}
-
-func BenchmarkReLU(b *testing.B) {
-	_, x := benchLinear(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReLU(x)
-	}
-}
-
-func BenchmarkMaskedAvgPool(b *testing.B) {
-	rng := datagen.NewRand(2)
-	const sets, elems, width = 64, 4, 64
-	x := NewMatrix(sets*elems, width)
-	for i := range x.Data {
-		x.Data[i] = rng.Float64()
-	}
-	mask := make([]float64, sets*elems)
-	for i := range mask {
-		if i%elems < 2 {
-			mask[i] = 1
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaskedAvgPool(x, mask, sets, elems)
+	dx := NewMatrix(benchBatch, benchIn)
+	dW, dB := make([]float64, benchIn*benchOut), make([]float64, benchOut)
+	for _, c := range []struct {
+		name string
+		dx   *Matrix
+	}{{"dW", nil}, {"dW+dx", &dx}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.BackwardFused(x, dy, c.dx, dW, dB)
+			}
+		})
 	}
 }
 

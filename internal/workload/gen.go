@@ -104,9 +104,6 @@ func AliasFor(table string) string {
 	return b.String()
 }
 
-// Alias returns the generator's alias for a table.
-func (g *Generator) Alias(table string) string { return g.aliasOf[table] }
-
 // Generate produces cfg.Count uniformly distributed queries.
 func (g *Generator) Generate() []db.Query {
 	out := make([]db.Query, 0, g.cfg.Count)
