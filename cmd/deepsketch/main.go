@@ -434,15 +434,9 @@ func cmdRefresh(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Write-temp-then-rename: the default -out overwrites the input sketch,
-	// and a crash mid-save must not destroy the only copy.
-	tmp := *out + ".tmp"
-	if err := deepsketch.SaveFile(ns, tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, *out); err != nil {
-		os.Remove(tmp)
+	// The default -out overwrites the input sketch; SaveFile replaces it
+	// atomically, so a crash mid-save cannot destroy the only copy.
+	if err := deepsketch.SaveFile(ns, *out); err != nil {
 		return err
 	}
 	tuned := len(ns.Epochs) - baseEpochs

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -50,6 +52,28 @@ func awaitStatus(t *testing.T, h http.Handler, id int, want string) []byte {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+}
+
+// forgeSampleRows returns a copy of a serialized sketch with the first table
+// sample's row count overwritten by 0xffffffff — the four-byte edit that
+// used to make Load allocate 32 GiB.
+func forgeSampleRows(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
+	off := 12 + u32(8) // magic, version, header
+	nParams := u32(off)
+	off += 4
+	for i := 0; i < nParams; i++ {
+		off += 4 + 8*u32(off)
+	}
+	off += 4                // table count
+	off += 4 + u32(off) + 8 // table name, source rows
+	if rows := u32(off); rows < 1 || rows > 1<<20 {
+		t.Fatalf("offset %d holds %d, not a sample row count: the walker no longer matches the format", off, rows)
+	}
+	forged := bytes.Clone(blob)
+	binary.LittleEndian.PutUint32(forged[off:], 0xffffffff)
+	return forged
 }
 
 func buildReadySketch(t *testing.T, h http.Handler, name string) int {
@@ -175,9 +199,24 @@ func TestUploadSwapRollbackVersions(t *testing.T) {
 		t.Errorf("rollback past v1 status = %d, want 409", rec.Code)
 	}
 
-	// Bad uploads: garbage body, wrong dataset.
+	// Bad uploads: garbage body, a forged length field, wrong dataset.
 	if rec := put(t, h, fmt.Sprintf("/api/sketches/%d", id), []byte("junk")); rec.Code != http.StatusBadRequest {
 		t.Errorf("garbage upload status = %d, want 400", rec.Code)
+	}
+	// A real file whose first sample claims 2^32-1 rows asks Load for
+	// 32 GiB; the daemon must answer 400 without allocating for the claim,
+	// and keep serving.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if rec := put(t, h, fmt.Sprintf("/api/sketches/%d", id), forgeSampleRows(t, recDl.Body.Bytes())); rec.Code != http.StatusBadRequest {
+		t.Errorf("forged upload status = %d, want 400: %s", rec.Code, rec.Body)
+	}
+	runtime.ReadMemStats(&after)
+	if after.Sys > before.Sys+64<<20 {
+		t.Errorf("forged upload grew the daemon by %d MiB", (after.Sys-before.Sys)>>20)
+	}
+	if again, ver, _ := estimate(); ver != 1 || again != v1Answer {
+		t.Errorf("after the forged upload: answer %v from version %d, want %v from version 1", again, ver, v1Answer)
 	}
 	tpchID := buildReadySketch(t, h, "wrong-ds")
 	_ = tpchID

@@ -951,8 +951,9 @@ func (s *server) handleSketchUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Cap the upload: sketches are a few MiB; a stream claiming more is
-	// not a sketch file.
-	sk, err := deepsketch.Load(http.MaxBytesReader(w, r.Body, 1<<28))
+	// not a sketch file. Load holds every length field in the body to the
+	// same figure, so the cap bounds memory as well as bytes read.
+	sk, err := deepsketch.Load(http.MaxBytesReader(w, r.Body, deepsketch.MaxSketchBytes))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("not a sketch file: %w", err))
 		return

@@ -52,6 +52,13 @@ func TestStorePersistAndRestore(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
+	// The entry reports ready as soon as the registry serves it; its version
+	// file appears (whole, by rename) when the build goroutine finishes
+	// persisting, which a shutdown waits for.
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	// Stray files beside the sketch directories — a <name>.dsk from the
 	// pre-versioned flat layout, anything else — are skipped, never fatal
 	// and never restored as a sketch.
@@ -220,12 +227,36 @@ func TestPersistStateCrashConsistent(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte(`{"name":"crashy","data`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The same crash mid-refresh leaves v2 torn at its temp path (SaveFile
+	// streams to vN.dsk.tmp and renames): it is not a version file.
+	v1, err := os.ReadFile(filepath.Join(skDir, "v1.dsk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(skDir, "v2.dsk.tmp"), v1[:len(v1)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// And a neighbour whose only version file declares a 32 GiB sample:
+	// that directory is skipped, not fatal to the boot.
+	forgedDir := filepath.Join(dir, "forged")
+	if err := os.MkdirAll(forgedDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(forgedDir, "v1.dsk"), forgeSampleRows(t, v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(forgedDir, "state.json"), []byte(`{"name":"forged","dataset":"imdb","live":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	srv := newServer(400, 200, 1)
 	srv.store = dir
 	n, err := srv.loadStore()
 	if err != nil || n != 1 {
-		t.Fatalf("loadStore: n=%d err=%v, want 1 restored despite torn tmp", n, err)
+		t.Fatalf("loadStore: n=%d err=%v, want crashy restored despite its torn temp files and forged skipped", n, err)
+	}
+	if live, ok := srv.registries["imdb"].LiveVersion("crashy"); !ok || live != 1 {
+		t.Fatalf("restored live version %d (ok=%v), want v1 serving", live, ok)
 	}
 	var entry *sketchEntry
 	for _, e := range srv.sketches {

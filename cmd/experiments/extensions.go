@@ -99,7 +99,7 @@ func (c *ctx) jobLightAtSampleSize(size, epochs int) (metrics.Summary, error) {
 		if err != nil {
 			return 0, err
 		}
-		y, err := model.Predict(e)
+		y, err := model.Engine().Predict(e)
 		return enc.Norm.Denormalize(y), err
 	})
 	return metrics.Summarize(qs), err

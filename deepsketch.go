@@ -64,6 +64,7 @@ import (
 	"deepsketch/internal/db"
 	"deepsketch/internal/drift"
 	"deepsketch/internal/estimator"
+	"deepsketch/internal/fsx"
 	"deepsketch/internal/lifecycle"
 	"deepsketch/internal/metrics"
 	"deepsketch/internal/mscn"
@@ -432,7 +433,13 @@ func ReadWorkloadFile(d *DB, path string) ([]LabeledQuery, error) {
 	return workload.ReadCSV(d, f)
 }
 
-// Load reads a serialized sketch.
+// MaxSketchBytes is how much Load accepts from an input that cannot report
+// its length (a network stream, a pipe) — the cap to put on an upload body.
+const MaxSketchBytes = core.MaxSketchBytes
+
+// Load reads a serialized sketch. No length field in the input is believed
+// beyond the input's own size (MaxSketchBytes when that is unknown), so a
+// forged file is an error, never a large allocation.
 func Load(r io.Reader) (*Sketch, error) { return core.Load(r) }
 
 // LoadFile reads a serialized sketch from a file.
@@ -445,24 +452,14 @@ func LoadFile(path string) (*Sketch, error) {
 	return core.Load(f)
 }
 
-// SaveFile writes a sketch to a file and fsyncs it before returning, so a
-// caller's write-temp-then-rename sequence survives a crash.
+// SaveFile writes a sketch to a file atomically and durably (streamed to
+// path+".tmp", fsynced, renamed over path): after a crash or a failed write
+// path holds either its previous content or the whole new sketch, never a
+// torn one.
 //
 //deepsketch:durable
 func SaveFile(s *Sketch, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return fsx.AtomicWrite(path, 0o666, s.Save)
 }
 
 // ParseSQL parses a SQL string of the supported dialect against a database

@@ -18,7 +18,7 @@ import (
 //     fork/join shard.
 //   - Result channel: the launched func literal sends on (or closes) a
 //     channel the enclosing function receives from, so the launcher
-//     observes completion (the pipelined-validation shape).
+//     observes completion.
 //   - Done-channel wait: the launched func literal receives from a
 //     channel owned outside it (<-c.stop, <-ctx.Done()), i.e. it blocks
 //     on an owner-controlled shutdown signal.

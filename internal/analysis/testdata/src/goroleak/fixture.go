@@ -46,7 +46,7 @@ func missingAdd() {
 	wg.Wait()
 }
 
-// resultChannel is the pipelined-validation shape: the launcher receives
+// resultChannel is the result-channel shape: the launcher receives
 // the goroutine's result, so completion is observed.
 func resultChannel() int {
 	ch := make(chan int, 1)

@@ -169,8 +169,7 @@ func BuildFromData(td *TrainingData, mon *trainmon.Monitor) (*Sketch, error) {
 	model := mscn.New(modelCfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
 	// Cfg.Workers bounds every parallel stage of sketch creation: query
 	// labeling earlier, data-parallel training here (0 = GOMAXPROCS).
-	stats, err := model.TrainWithOptions(td.Examples, enc.Norm, mon,
-		mscn.TrainOptions{Parallelism: cfg.Workers, PipelineVal: true})
+	stats, err := model.TrainWithOptions(td.Examples, enc.Norm, mon, mscn.TrainOptions{Parallelism: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

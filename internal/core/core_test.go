@@ -261,21 +261,6 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
-func TestSketchLatency(t *testing.T) {
-	d, s := getSketch(t)
-	g, _ := workload.NewGenerator(d, workload.GenConfig{Seed: 3, Count: 10, MaxJoins: 2, MaxPreds: 2})
-	lat, err := s.Latency(g.Generate())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Errorf("latency = %v", lat)
-	}
-	if _, err := s.Latency(nil); err == nil {
-		t.Error("empty query list should error")
-	}
-}
-
 func TestSketchDeterministicBuild(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 84, Titles: 400, Keywords: 40, Companies: 20, Persons: 100})
 	cfg := Config{

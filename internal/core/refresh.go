@@ -100,10 +100,6 @@ func Refresh(ctx context.Context, s *Sketch, labeled []workload.LabeledQuery, op
 		Resume:      ns.Model.OptState(),
 		Epochs:      opts.Epochs,
 		StopAtValQ:  opts.StopAtValQ,
-		// Overlap each epoch's validation with the next epoch's training —
-		// StopAtValQ refreshes validate every epoch, and the pipelined
-		// schedule is bitwise-identical to the serial one.
-		PipelineVal: true,
 	})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"deepsketch/internal/db"
 	"deepsketch/internal/featurize"
@@ -29,10 +30,22 @@ import (
 // with warm weights but a cold optimizer. The footprint of the whole file
 // is the paper's "small footprint size (a few MiBs)" figure, dominated by
 // the model weights and the samples.
+//
+// Load believes no length or count beyond what the input can still supply:
+// the header length, the parameter total the header's dimensions imply, and
+// every table, column, dictionary and row count are checked against the
+// bytes left before anything is allocated for them, so a forged field is an
+// error, not an allocation.
 const (
 	sketchMagic   = "DSKB"
 	sketchVersion = 2
 )
+
+// MaxSketchBytes is how much Load accepts from an input whose length it
+// cannot see (a network stream, a pipe); the daemon caps upload bodies at
+// the same figure. Inputs that know their length — files, byte readers —
+// are bounded by that length instead.
+const MaxSketchBytes = 1 << 28
 
 type header struct {
 	Name        string                 `json:"name"`
@@ -94,9 +107,53 @@ func writeOptTrailer(w io.Writer, m *mscn.Model) error {
 	return nn.WriteOptState(w, st)
 }
 
+// input is what Load parses from: a buffered reader that also knows how
+// many bytes its source can still supply.
+type input struct {
+	*bufio.Reader
+	src meter
+}
+
+// meter counts down the bytes its reader may still deliver.
+type meter struct {
+	r    io.Reader
+	left int64
+}
+
+func (m *meter) Read(p []byte) (int, error) {
+	n, err := m.r.Read(p)
+	m.left -= int64(n)
+	return n, err
+}
+
+func newInput(r io.Reader) *input {
+	in := &input{src: meter{r: r, left: MaxSketchBytes}}
+	switch v := r.(type) {
+	case interface{ Len() int }: // bytes.Reader, bytes.Buffer, strings.Reader
+		in.src.left = int64(v.Len())
+	case interface{ Stat() (fs.FileInfo, error) }: // *os.File
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			in.src.left = fi.Size()
+		}
+	}
+	in.Reader = bufio.NewReader(&in.src)
+	return in
+}
+
+// fits reports an error unless n items of at least size bytes each can
+// still come out of the input. Every count read from the file passes
+// through it before it sizes an allocation.
+func (in *input) fits(what string, n float64, size int64) error {
+	left := in.src.left + int64(in.Buffered())
+	if !(n >= 0 && n*float64(size) <= float64(left)) {
+		return fmt.Errorf("core: %s: file declares %.0f, input has room for %d", what, n, max(left, 0)/size)
+	}
+	return nil
+}
+
 // Load reads a sketch written by Save and reconstructs the model.
 func Load(r io.Reader) (*Sketch, error) {
-	br := bufio.NewReader(r)
+	br := newInput(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("core: read magic: %w", err)
@@ -115,6 +172,9 @@ func Load(r io.Reader) (*Sketch, error) {
 	if err := binary.Read(br, binary.LittleEndian, &hdrLen); err != nil {
 		return nil, err
 	}
+	if err := br.fits("header bytes", float64(hdrLen), 1); err != nil {
+		return nil, err
+	}
 	blob := make([]byte, hdrLen)
 	if _, err := io.ReadFull(br, blob); err != nil {
 		return nil, err
@@ -130,11 +190,20 @@ func Load(r io.Reader) (*Sketch, error) {
 	if modelCfg.Seed == 0 {
 		modelCfg.Seed = hdr.Cfg.Seed
 	}
-	model := mscn.New(modelCfg, hdr.Encoder.TableDim(), hdr.Encoder.JoinDim(), hdr.Encoder.PredDim())
+	if hdr.Encoder.SampleSize < 0 {
+		return nil, fmt.Errorf("core: header sample size %d is negative", hdr.Encoder.SampleSize)
+	}
+	tdim, jdim, pdim := hdr.Encoder.TableDim(), hdr.Encoder.JoinDim(), hdr.Encoder.PredDim()
+	// The header's hidden width and sample size decide how much mscn.New
+	// allocates; the weights section must hold 8 bytes for each of them.
+	if err := br.fits("model parameters", mscn.NumParamsFor(modelCfg, tdim, jdim, pdim), 8); err != nil {
+		return nil, err
+	}
+	model := mscn.New(modelCfg, tdim, jdim, pdim)
 	if err := model.ReadWeights(br); err != nil {
 		return nil, err
 	}
-	samples, err := readSamples(br, hdr.SampleSize)
+	samples, err := readSamples(br, hdr.SampleSize, len(hdr.Cfg.Tables))
 	if err != nil {
 		return nil, err
 	}
@@ -170,13 +239,16 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
+func readString(r *input) (string, error) {
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return "", err
 	}
 	if n > 1<<24 {
 		return "", fmt.Errorf("core: string length %d too large", n)
+	}
+	if err := r.fits("string bytes", float64(n), 1); err != nil {
+		return "", err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -229,10 +301,15 @@ func writeSamples(w io.Writer, set *sample.Set, order []string) error {
 	return nil
 }
 
-func readSamples(r io.Reader, size int) (*sample.Set, error) {
+// readSamples reads the samples section. size and tables are the header's
+// sample size and table count, which the section must agree with.
+func readSamples(r *input, size, tables int) (*sample.Set, error) {
 	var nTables uint32
 	if err := binary.Read(r, binary.LittleEndian, &nTables); err != nil {
 		return nil, err
+	}
+	if int64(nTables) != int64(tables) {
+		return nil, fmt.Errorf("core: samples section has %d tables, header lists %d", nTables, tables)
 	}
 	set := &sample.Set{Size: size, Samples: make(map[string]*sample.TableSample, nTables)}
 	for ti := uint32(0); ti < nTables; ti++ {
@@ -251,6 +328,13 @@ func readSamples(r io.Reader, size int) (*sample.Set, error) {
 		if err := binary.Read(r, binary.LittleEndian, &nCols); err != nil {
 			return nil, err
 		}
+		if int64(rows) > int64(size) {
+			return nil, fmt.Errorf("core: sample of %s has %d rows, header sample size is %d", name, rows, size)
+		}
+		// A column is at least its name length, type and dictionary length.
+		if err := r.fits("sample columns", float64(nCols), 9); err != nil {
+			return nil, err
+		}
 		cols := make([]*db.Column, nCols)
 		for ci := uint32(0); ci < nCols; ci++ {
 			colName, err := readString(r)
@@ -265,11 +349,17 @@ func readSamples(r io.Reader, size int) (*sample.Set, error) {
 			if err := binary.Read(r, binary.LittleEndian, &dictLen); err != nil {
 				return nil, err
 			}
+			if err := r.fits("dictionary entries", float64(dictLen), 4); err != nil {
+				return nil, err
+			}
 			dict := make([]string, dictLen)
 			for di := range dict {
 				if dict[di], err = readString(r); err != nil {
 					return nil, err
 				}
+			}
+			if err := r.fits("sample values", float64(rows), 8); err != nil {
+				return nil, err
 			}
 			vals := make([]int64, rows)
 			if err := binary.Read(r, binary.LittleEndian, vals); err != nil {

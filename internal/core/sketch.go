@@ -306,18 +306,3 @@ func (s *Sketch) SchemaDB() *db.DB {
 	})
 	return s.schema
 }
-
-// Latency measures the average single-query estimation latency over the
-// given queries (Figure 1b's "fast to query (within milliseconds)" claim).
-func (s *Sketch) Latency(qs []db.Query) (time.Duration, error) {
-	if len(qs) == 0 {
-		return 0, fmt.Errorf("core: no queries")
-	}
-	start := time.Now()
-	for _, q := range qs {
-		if _, err := s.Cardinality(q); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(len(qs)), nil
-}

@@ -11,22 +11,28 @@
 // its data before the rename can become visible. The static durability
 // analyzer (internal/analysis, cmd/deepsketch-lint) enforces this
 // ordering on every os.Rename in the repository; call sites that write
-// whole small files should route through AtomicWriteFile instead of
-// hand-rolling the sequence.
+// files should route through AtomicWrite (streamed) or AtomicWriteFile
+// (bytes in hand) instead of hand-rolling the sequence.
 package fsx
 
-import "os"
+import (
+	"io"
+	"os"
+)
 
-// AtomicWriteFile durably replaces path with data: the bytes are written
-// to path+".tmp", fsynced, renamed onto path, and the parent directory is
-// fsynced (best effort) so the rename itself survives a crash. Readers of
-// path see either the previous content or the new content, never a
-// mixture — even across power loss. The temp file is removed on failure.
+// AtomicWrite durably replaces path with what write streams: the bytes go
+// to path+".tmp", are fsynced, renamed onto path, and the parent directory
+// is fsynced (best effort) so the rename itself survives a crash. Readers of
+// path see either the previous content or the new content, never a mixture
+// and never a prefix — even across power loss, and even when write fails
+// half-way. The temp file is removed on failure. This is the one
+// implementation of the sequence; everything that persists a file goes
+// through it.
 //
 //deepsketch:durable
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
+func AtomicWrite(path string, perm os.FileMode, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	if err := WriteFileSync(tmp, data, perm); err != nil {
+	if err := WriteFileSync(tmp, perm, write); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -38,17 +44,27 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	return nil
 }
 
-// WriteFileSync is os.WriteFile plus an fsync before close: when it
-// returns nil, the bytes are on stable storage, not just in the page
-// cache. Use it for temp files that a subsequent os.Rename publishes.
+// AtomicWriteFile is AtomicWrite for bytes already in memory.
 //
 //deepsketch:durable
-func WriteFileSync(path string, data []byte, perm os.FileMode) error {
+func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
+	return AtomicWrite(path, perm, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteFileSync creates (or truncates) path, lets write fill it, and fsyncs
+// before closing: when it returns nil, the bytes are on stable storage, not
+// just in the page cache. It is the temp-file half of AtomicWrite.
+//
+//deepsketch:durable
+func WriteFileSync(path string, perm os.FileMode, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

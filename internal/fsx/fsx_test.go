@@ -1,6 +1,8 @@
 package fsx
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,7 +70,10 @@ func TestAtomicWriteFileErrorCleansUp(t *testing.T) {
 func TestWriteFileSync(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f")
-	if err := WriteFileSync(path, []byte("abc"), 0o600); err != nil {
+	if err := WriteFileSync(path, 0o600, func(w io.Writer) error {
+		_, err := io.WriteString(w, "abc")
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -77,5 +82,37 @@ func TestWriteFileSync(t *testing.T) {
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o600 {
 		t.Fatalf("mode %v, %v", fi.Mode(), err)
+	}
+}
+
+// TestAtomicWriteTornWriter: a writer that fails half-way must leave the
+// final path as it was — absent if it was absent, the old content if not —
+// and no temp file.
+func TestAtomicWriteTornWriter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.dsk")
+	boom := errors.New("disk full")
+	torn := func(w io.Writer) error {
+		if _, err := io.WriteString(w, "first half"); err != nil {
+			return err
+		}
+		return boom
+	}
+	if err := AtomicWrite(path, 0o644, torn); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's error", err)
+	}
+	for _, p := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a torn write: %v", filepath.Base(p), err)
+		}
+	}
+
+	if err := AtomicWriteFile(path, []byte("intact"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := AtomicWrite(path, 0o644, torn); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's error", err)
+	}
+	if blob, _ := os.ReadFile(path); string(blob) != "intact" {
+		t.Errorf("torn overwrite left %q at the final path", blob)
 	}
 }

@@ -48,7 +48,7 @@ func BenchmarkPredictSingle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(examples[i%len(examples)].Enc); err != nil {
+		if _, err := m.Engine().Predict(examples[i%len(examples)].Enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,9 +94,9 @@ func BenchmarkForwardPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictAllPacked is the end-to-end batched inference path as the
-// serve coalescer drives it: pack (pooled buffers) + forward per call.
-func BenchmarkPredictAllPacked(b *testing.B) {
+// BenchmarkPredictSourcePacked is the end-to-end batched inference path as
+// the serve coalescer drives it: pack (pooled buffers) + forward per call.
+func BenchmarkPredictSourcePacked(b *testing.B) {
 	examples, tdim, jdim, pdim, _ := benchExamples(b, 64)
 	m := New(Config{HiddenUnits: 64, BatchSize: 64, Seed: 1}, tdim, jdim, pdim)
 	e := m.Engine()
@@ -108,7 +108,7 @@ func BenchmarkPredictAllPacked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.PredictAllInto(context.Background(), encs, out); err != nil {
+		if err := e.PredictSourceInto(context.Background(), encodedSource(encs), len(encs), out); err != nil {
 			b.Fatal(err)
 		}
 	}

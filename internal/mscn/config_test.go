@@ -55,61 +55,3 @@ func TestDifferentSeedsDifferentWeights(t *testing.T) {
 		t.Error("different seeds produced identical initial weights")
 	}
 }
-
-// TestKeepBestRestoresBestEpoch: with KeepBest the final weights must give
-// validation error no worse than the best epoch observed (equal by
-// construction), and differ from a run without KeepBest when the last epoch
-// was not the best.
-func TestKeepBestRestoresBestEpoch(t *testing.T) {
-	_, enc, examples, norm := testSetup(t, 200)
-	cfg := Config{HiddenUnits: 16, Epochs: 10, BatchSize: 32, Seed: 11, ValFrac: 0.2, KeepBest: true}
-	m := New(cfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	stats, err := m.Train(examples, norm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := stats[0].ValMeanQ
-	for _, st := range stats {
-		if st.ValMeanQ < best {
-			best = st.ValMeanQ
-		}
-	}
-	// Recompute validation error with the restored weights: it must match
-	// the best epoch (same deterministic split).
-	val := validationSlice(examples, cfg, m)
-	qs, err := m.evalQErrors(val, norm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mean(qs)
-	if got > best*1.0000001 {
-		t.Errorf("restored weights give val mean-q %v, best epoch was %v", got, best)
-	}
-}
-
-// validationSlice reproduces Train's deterministic shuffle/split so tests
-// can evaluate the exact validation set.
-func validationSlice(examples []Example, cfg Config, m *Model) []Example {
-	rng := trainRand(m.Cfg.Seed)
-	perm := shuffle(rng, len(examples))
-	shuffled := make([]Example, len(examples))
-	for i, p := range perm {
-		shuffled[i] = examples[p]
-	}
-	nVal := int(float64(len(shuffled)) * m.Cfg.ValFrac)
-	if nVal >= len(shuffled) {
-		nVal = len(shuffled) - 1
-	}
-	return shuffled[len(shuffled)-nVal:]
-}
-
-func TestPredictAllEmpty(t *testing.T) {
-	m := New(Config{HiddenUnits: 8, Seed: 1}, 5, 2, 3)
-	out, err := m.PredictAll(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Errorf("PredictAll(nil) = %v", out)
-	}
-}

@@ -220,60 +220,6 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 	return s.out[0], nil
 }
 
-// packedForward runs one packed forward pass on a pooled scratch: forward
-// (the serving precision) or its f64 arm alone.
-type packedForward func(pb *PackedBatch, s *engineScratch, out []float64)
-
-// predictChunks writes normalized predictions for n queries into out (len
-// n): in model-batch-size chunks (forEachChunk), each on its own pooled
-// scratch, build packs queries [lo,hi) into the scratch's batch and fwd
-// predicts them.
-func (e *Engine) predictChunks(ctx context.Context, n int, out []float64, fwd packedForward, build func(pb *PackedBatch, lo, hi int) error) error {
-	if len(out) != n {
-		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), n)
-	}
-	if n == 0 {
-		return nil
-	}
-	return e.forEachChunk(ctx, n, func(lo, hi int) error {
-		s := e.scratch()
-		defer e.pool.Put(s)
-		if err := build(&s.pb, lo, hi); err != nil {
-			return err
-		}
-		fwd(&s.pb, s, out[lo:hi])
-		return nil
-	})
-}
-
-// predictAll is predictChunks over already-featurized queries.
-func (e *Engine) predictAll(ctx context.Context, encs []featurize.Encoded, out []float64, fwd packedForward) error {
-	return e.predictChunks(ctx, len(encs), out, fwd, func(pb *PackedBatch, lo, hi int) error {
-		return pb.Build(encs[lo:hi], e.m.TDim, e.m.JDim, e.m.PDim)
-	})
-}
-
-// PredictAllInto writes normalized predictions for encs into out (equal
-// lengths required). Shapes may be arbitrarily mixed — packing makes a
-// ragged batch cost exactly its valid rows, so no shape grouping happens.
-// Work proceeds in model-batch-size chunks; with GOMAXPROCS > 1 and several
-// chunks, chunks fan out across cores, each on its own pooled scratch. ctx
-// is checked between chunks.
-func (e *Engine) PredictAllInto(ctx context.Context, encs []featurize.Encoded, out []float64) error {
-	return e.predictAll(ctx, encs, out, e.forward)
-}
-
-// predictAllF64 is PredictAllInto pinned to the f64 reference path,
-// regardless of the model's serving precision. Training-time validation
-// uses it so epoch decisions are precision-independent and never read a
-// reduced-precision snapshot that mid-training weight mutation has made
-// stale.
-func (e *Engine) predictAllF64(ctx context.Context, encs []featurize.Encoded, out []float64) error {
-	return e.predictAll(ctx, encs, out, func(pb *PackedBatch, s *engineScratch, out []float64) {
-		e.Forward(pb, &s.ws, out)
-	})
-}
-
 // forEachChunk runs fn over [0,n) in chunks that fan out across cores. The
 // chunk size is the model batch size, shrunk on multicore machines so even
 // a single coalesced flush splits across every core instead of serializing
@@ -344,17 +290,6 @@ func (e *Engine) forEachChunk(ctx context.Context, n int, fn func(lo, hi int) er
 	return runErr
 }
 
-// PredictAll returns normalized predictions for many featurized queries.
-//
-//deepsketch:ctxorigin compatibility wrapper for ctx-less callers; cancellable path is PredictAllInto
-func (e *Engine) PredictAll(encs []featurize.Encoded) ([]float64, error) {
-	out := make([]float64, len(encs))
-	if err := e.PredictAllInto(context.Background(), encs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // QuerySource feeds queries straight into packed feature rows, bypassing
 // any intermediate per-query materialization — the serving batch path.
 // RowCounts must report exactly the rows EncodeTo will consume.
@@ -371,12 +306,27 @@ type QuerySource interface {
 }
 
 // PredictSourceInto writes normalized predictions for the source's n
-// queries into out (len n). Feature rows are encoded directly into the
-// pooled PackedBatch (PackedBatch.BuildFrom) — no per-query vectors, no
-// copies — then predicted exactly like PredictAllInto (same chunking, same
-// cross-core fan-out, same ctx checks between chunks).
+// queries into out (len n). Shapes may be arbitrarily mixed — packing makes a
+// ragged batch cost exactly its valid rows, so no shape grouping happens.
+// Work proceeds in model-batch-size chunks (forEachChunk: several chunks fan
+// out across cores, ctx is checked between them), each on its own pooled
+// scratch: feature rows are encoded directly into the scratch's PackedBatch
+// (PackedBatch.BuildFrom) — no per-query vectors, no copies — and predicted
+// at the serving precision.
 func (e *Engine) PredictSourceInto(ctx context.Context, src QuerySource, n int, out []float64) error {
-	return e.predictChunks(ctx, n, out, e.forward, func(pb *PackedBatch, lo, hi int) error {
-		return pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim)
+	if len(out) != n {
+		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), n)
+	}
+	if n == 0 {
+		return nil
+	}
+	return e.forEachChunk(ctx, n, func(lo, hi int) error {
+		s := e.scratch()
+		defer e.pool.Put(s)
+		if err := s.pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
+			return err
+		}
+		e.forward(&s.pb, s, out[lo:hi])
+		return nil
 	})
 }

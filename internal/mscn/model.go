@@ -18,7 +18,9 @@
 // workspace arena and private gradient buffers (nn.BackwardFused,
 // nn.SegmentAvgPoolBackward), per-step gradients reduce in fixed worker
 // order, and one Adam step applies per minibatch — a fixed (seed,
-// parallelism) pair therefore reproduces bitwise-identical weights. The
+// parallelism) pair therefore reproduces bitwise-identical weights. Each
+// epoch validates with the forward half of a step on the same workers, so
+// training never goes through the Engine. The
 // padded, masked Batch with its tape-based forward/backward is the dense
 // reference the packed-equivalence tests compare against; it lives in
 // padded_test.go and is compiled into no binary.
@@ -58,11 +60,6 @@ type Config struct {
 	GradCap float64 `json:"grad_cap"`
 	// ValFrac is the fraction of training data held out for validation.
 	ValFrac float64 `json:"val_frac"`
-	// KeepBest, when set, restores the weights of the epoch with the best
-	// validation mean q-error after training instead of keeping the final
-	// epoch's weights. The paper trains for a fixed number of epochs; this
-	// is an opt-in refinement.
-	KeepBest bool `json:"keep_best,omitempty"`
 	// Seed drives weight init and epoch shuffling.
 	Seed int64 `json:"seed"`
 }
@@ -197,6 +194,16 @@ func New(cfg Config, tdim, jdim, pdim int) *Model {
 		out1:   nn.NewLinear("out1", 3*h, h, rng),
 		out2:   nn.NewLinear("out2", h, 1, rng),
 	}
+}
+
+// NumParamsFor is the number of learnable scalars New(cfg, tdim, jdim, pdim)
+// allocates, computed without allocating them and in float64 so dimensions
+// read from an untrusted sketch header cannot overflow it: three set modules
+// (in·h + h, h·h + h), the output network (3h·h + h, h + 1).
+func NumParamsFor(cfg Config, tdim, jdim, pdim int) float64 {
+	h := float64(cfg.withDefaults().HiddenUnits)
+	in := float64(tdim) + float64(jdim) + float64(pdim)
+	return h*in + 6*h*h + 8*h + 1
 }
 
 // Clone returns a deep copy of the model: same architecture and config,

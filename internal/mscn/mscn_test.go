@@ -74,6 +74,13 @@ func TestModelShapes(t *testing.T) {
 	if m.NumParams() != want {
 		t.Errorf("NumParams = %d, want %d", m.NumParams(), want)
 	}
+	// The allocation-free count Load checks a header against must agree,
+	// also when the hidden width is left to its default.
+	for _, cfg := range []Config{m.Cfg, {}} {
+		if got, want := NumParamsFor(cfg, 10, 3, 7), New(cfg, 10, 3, 7).NumParams(); got != float64(want) {
+			t.Errorf("NumParamsFor(%+v) = %v, New allocates %d", cfg, got, want)
+		}
+	}
 }
 
 func TestBuildBatchPaddingAndMasks(t *testing.T) {
@@ -130,10 +137,7 @@ func TestForwardOutputsInUnitInterval(t *testing.T) {
 	for i, ex := range examples {
 		encs[i] = ex.Enc
 	}
-	preds, err := m.PredictAll(encs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	preds := predictBatch(t, m.Engine(), encs)
 	for i, p := range preds {
 		if p <= 0 || p >= 1 || math.IsNaN(p) {
 			t.Fatalf("pred %d = %v not in (0,1)", i, p)
@@ -152,7 +156,7 @@ func TestForwardPermutationInvariance(t *testing.T) {
 			continue
 		}
 		tested++
-		p1, err := m.Predict(ex.Enc)
+		p1, err := m.Engine().Predict(ex.Enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +165,7 @@ func TestForwardPermutationInvariance(t *testing.T) {
 			JoinVecs:  reverse(ex.Enc.JoinVecs),
 			PredVecs:  reverse(ex.Enc.PredVecs),
 		}
-		p2, err := m.Predict(rev)
+		p2, err := m.Engine().Predict(rev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,12 +194,9 @@ func TestBatchSizeIndependence(t *testing.T) {
 	for i, ex := range examples {
 		encs[i] = ex.Enc
 	}
-	batched, err := m.PredictAll(encs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batched := predictBatch(t, m.Engine(), encs)
 	for i, e := range encs {
-		single, err := m.Predict(e)
+		single, err := m.Engine().Predict(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,11 +282,11 @@ func TestWeightsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ex := range examples[:10] {
-		a, err := m.Predict(ex.Enc)
+		a, err := m.Engine().Predict(ex.Enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := m2.Predict(ex.Enc)
+		b, err := m2.Engine().Predict(ex.Enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,7 +189,7 @@ func TestEngineConcurrent(t *testing.T) {
 					}
 				} else {
 					out := make([]float64, len(encs))
-					if err := e.PredictAllInto(context.Background(), encs, out); err != nil {
+					if err := e.PredictSourceInto(context.Background(), encodedSource(encs), len(encs), out); err != nil {
 						errs <- err
 						return
 					}
@@ -223,9 +223,19 @@ func errMismatch(i int, got, want float64) error {
 	return mismatchError{i: i, got: got, want: want}
 }
 
-// encodedSource adapts pre-featurized queries to the QuerySource interface,
-// for testing the direct-pack path against the Encoded path.
+// encodedSource adapts pre-featurized queries to the QuerySource interface:
+// it is how tests hand []Encoded to the engine's one batch entry.
 type encodedSource []featurize.Encoded
+
+// predictBatch returns the engine's batched predictions for encs.
+func predictBatch(t testing.TB, e *Engine, encs []featurize.Encoded) []float64 {
+	t.Helper()
+	out := make([]float64, len(encs))
+	if err := e.PredictSourceInto(context.Background(), encodedSource(encs), len(encs), out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func (s encodedSource) RowCounts(i int) (t, j, p int) {
 	return len(s[i].TableVecs), len(s[i].JoinVecs), len(s[i].PredVecs)
@@ -245,9 +255,9 @@ func (s encodedSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) err
 }
 
 // TestPredictSourceMatchesEncoded: the direct-featurization batch path must
-// agree with the Encoded batch path, both on this machine's GOMAXPROCS and
-// with the multicore chunk fan-out forced on (this exercises the parallel
-// worker pool even on a 1-core box).
+// agree with the Encoded single-query path, both on this machine's
+// GOMAXPROCS and with the multicore chunk fan-out forced on (this exercises
+// the parallel worker pool even on a 1-core box).
 func TestPredictSourceMatchesEncoded(t *testing.T) {
 	const tdim, jdim, pdim = 19, 3, 7
 	rng := rand.New(rand.NewSource(21))
@@ -258,16 +268,17 @@ func TestPredictSourceMatchesEncoded(t *testing.T) {
 	for i := range encs {
 		encs[i] = randEnc(rng, 1+rng.Intn(4), rng.Intn(4), rng.Intn(4), tdim, jdim, pdim)
 	}
-	want, err := e.PredictAll(encs)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]float64, len(encs))
+	for i, enc := range encs {
+		y, err := e.Predict(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = y
 	}
 	check := func() {
 		t.Helper()
-		got := make([]float64, len(encs))
-		if err := e.PredictSourceInto(context.Background(), encodedSource(encs), len(encs), got); err != nil {
-			t.Fatal(err)
-		}
+		got := predictBatch(t, e, encs)
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-12 {
 				t.Fatalf("query %d: source path %v vs encoded path %v", i, got[i], want[i])

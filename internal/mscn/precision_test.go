@@ -50,15 +50,9 @@ func TestEngineF32Equivalence(t *testing.T) {
 			encs[i] = randEnc(rng, sh[0], sh[1], sh[2], tdim, jdim, pdim)
 		}
 		m.SetPrecision(F64)
-		want, err := e.PredictAll(encs)
-		if err != nil {
-			t.Fatalf("case %d: f64 PredictAll: %v", ci, err)
-		}
+		want := predictBatch(t, e, encs)
 		m.SetPrecision(F32)
-		got, err := e.PredictAll(encs)
-		if err != nil {
-			t.Fatalf("case %d: f32 PredictAll: %v", ci, err)
-		}
+		got := predictBatch(t, e, encs)
 		for i := range got {
 			if d := math.Abs(got[i]-want[i]) / math.Max(want[i], 1e-9); d > f32EngineTol || math.IsNaN(got[i]) {
 				t.Errorf("case %d query %d (shape %v): f32 %v vs f64 %v (relΔ=%g)",

@@ -1,7 +1,6 @@
 package mscn
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -53,9 +52,11 @@ func (m *Model) Train(examples []Example, norm nn.LabelNorm, mon *trainmon.Monit
 // overrides the configured epoch budget; opts.StopAtValQ stops early once
 // the validation mean q-error is good enough. After training the final
 // optimizer state is captured on the model (OptState) for the next resume.
-// With KeepBest, the restored weights are the best epoch's but the captured
-// optimizer state is the final epoch's — a warm start continues from the
-// end of the run, which is the standard fine-tuning compromise.
+//
+// Each epoch validates on the trainer's own workers (packedTrainer.predict):
+// the float64 forward over the live weights that training itself runs, so
+// StopAtValQ never depends on the inference engine, its serving precision or
+// its weight-generation tag.
 //
 //deepsketch:deterministic
 func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *trainmon.Monitor, opts TrainOptions) ([]EpochStats, error) {
@@ -94,77 +95,11 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 	mon.TrainStart(tr.parallelism(), len(train), len(val))
 	stats := make([]EpochStats, 0, epochs)
 
-	bestVal := math.NaN()
-	var bestWeights [][]float64
-	snapshotFrom := func(src []*nn.Param) {
-		if bestWeights == nil {
-			bestWeights = make([][]float64, len(params))
-			for i, p := range params {
-				bestWeights[i] = make([]float64, len(p.Data))
-			}
-		}
-		for i, p := range src {
-			copy(bestWeights[i], p.Data)
-		}
+	valEncs := make([]featurize.Encoded, len(val))
+	for i, ex := range val {
+		valEncs[i] = ex.Enc
 	}
-
-	// Pipelined validation: val(e) runs in a goroutine against a boundary
-	// weight snapshot (valModel) while epoch e+1 trains, and is joined
-	// before the next boundary is staged. KeepBest and StopAtValQ consume
-	// exactly the boundary values the serial schedule would, and an early
-	// stop rolls back the one speculative epoch — weights AND optimizer
-	// state — so outcomes are bitwise-identical to PipelineVal=false.
-	pipeline := opts.PipelineVal && len(val) > 0
-	type valResult struct {
-		qs  []float64
-		err error
-	}
-	var (
-		valCh        chan valResult
-		valModel     *Model       // reused boundary-snapshot model (always f64)
-		valIdx       int          // stats index of the epoch being validated
-		valOptState  *nn.OptState // Adam state at the validated boundary (StopAtValQ only)
-		stoppedEarly bool
-	)
-	launchVal := func() {
-		if valModel == nil {
-			valModel = New(m.Cfg, m.TDim, m.JDim, m.PDim)
-		}
-		for i, p := range valModel.Params() {
-			copy(p.Data, params[i].Data)
-		}
-		if opts.StopAtValQ > 0 {
-			valOptState = opt.ExportState(params)
-		}
-		valIdx = len(stats) - 1
-		valCh = make(chan valResult, 1)
-		go func() {
-			qs, err := valModel.evalQErrors(val, norm)
-			valCh <- valResult{qs, err}
-		}()
-	}
-	// joinVal waits for the in-flight validation (if any), fills its
-	// epoch's stats, reports to the monitor, applies KeepBest, and reports
-	// whether StopAtValQ fired for that epoch.
-	joinVal := func() (bool, error) {
-		if valCh == nil {
-			return false, nil
-		}
-		r := <-valCh
-		valCh = nil
-		if r.err != nil {
-			return false, r.err
-		}
-		st := &stats[valIdx]
-		st.ValMeanQ = mean(r.qs)
-		st.ValMedQ = median(r.qs)
-		mon.Epoch(st.Epoch, st.TrainLoss, st.ValMeanQ, st.ValMedQ)
-		if m.Cfg.KeepBest && qBetter(st.ValMeanQ, bestVal) {
-			bestVal = st.ValMeanQ
-			snapshotFrom(valModel.Params())
-		}
-		return opts.StopAtValQ > 0 && !math.IsNaN(st.ValMeanQ) && st.ValMeanQ <= opts.StopAtValQ, nil
-	}
+	qs := make([]float64, len(val)) // validation predictions, then their q-errors
 
 	// The trainer state (packed batches, workspaces, gradient buffers) and
 	// the staging slices live across every step of every epoch: steady-state
@@ -201,115 +136,25 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 		}
 		//deepsketch:ignore determinism epoch wall-clock telemetry; never feeds weights
 		st := EpochStats{Epoch: epoch, TrainLoss: lossSum / float64(batches), Duration: time.Since(start)}
-		if pipeline {
-			// Duration covers the training loop only; validation overlaps
-			// the next epoch. Val metrics land when val(epoch) is joined.
-			stats = append(stats, st)
-			stop, err := joinVal() // val(epoch-1), overlapped with this epoch
-			if err != nil {
-				return stats, err
-			}
-			if stop {
-				// The serial schedule ends at the validated epoch: drop the
-				// speculative epoch just trained and roll back to the
-				// boundary weights validation saw.
-				stats = stats[:valIdx+1]
-				vp := valModel.Params()
-				for i, p := range params {
-					copy(p.Data, vp[i].Data)
-				}
-				stoppedEarly = true
-				break
-			}
-			launchVal()
-			continue
-		}
 		if len(val) > 0 {
-			qs, err := m.evalQErrors(val, norm)
-			if err != nil {
+			if err := tr.predict(valEncs, qs); err != nil {
 				return stats, err
+			}
+			for i, ex := range val {
+				qs[i] = norm.QErrorOf(qs[i], norm.Normalize(ex.Card))
 			}
 			st.ValMeanQ = mean(qs)
 			st.ValMedQ = median(qs)
 		}
 		stats = append(stats, st)
 		mon.Epoch(epoch, st.TrainLoss, st.ValMeanQ, st.ValMedQ)
-		if m.Cfg.KeepBest && len(val) > 0 && qBetter(st.ValMeanQ, bestVal) {
-			bestVal = st.ValMeanQ
-			snapshotFrom(params)
-		}
 		if opts.StopAtValQ > 0 && len(val) > 0 && !math.IsNaN(st.ValMeanQ) && st.ValMeanQ <= opts.StopAtValQ {
 			break
 		}
 	}
-	if pipeline && !stoppedEarly {
-		// Join the final epoch's validation. A StopAtValQ hit here needs no
-		// rollback — the serial schedule would end after this epoch too.
-		if _, err := joinVal(); err != nil {
-			return stats, err
-		}
-	}
-	if m.Cfg.KeepBest && bestWeights != nil {
-		for i, p := range params {
-			copy(p.Data, bestWeights[i])
-		}
-	}
-	if stoppedEarly && valOptState != nil {
-		// The optimizer ran one epoch past the stop point; the exported
-		// state must be the boundary's, as the serial schedule would leave.
-		m.optState = valOptState
-	} else {
-		m.optState = opt.ExportState(params)
-	}
+	m.optState = opt.ExportState(params)
 	m.noteWeightsChanged()
 	return stats, nil
-}
-
-// qBetter reports whether cur is a strictly better validation mean q-error
-// than best. NaN is strictly worse than any real value: a NaN cur never
-// wins (so KeepBest cannot snapshot diverged weights), and a NaN best —
-// the before-first-snapshot sentinel — loses to any real cur.
-func qBetter(cur, best float64) bool {
-	if math.IsNaN(cur) {
-		return false
-	}
-	return math.IsNaN(best) || cur < best
-}
-
-// evalQErrors predicts the validation examples and returns their q-errors.
-// It always runs the f64 reference path: training mutates weights without
-// bumping the weight generation, so reduced-precision snapshots would be
-// stale mid-run — and KeepBest/StopAtValQ decisions must not depend on the
-// serving precision anyway.
-//
-//deepsketch:ctxorigin synchronous validation pass inside the training loop; cancellation arrives via the trainer
-func (m *Model) evalQErrors(val []Example, norm nn.LabelNorm) ([]float64, error) {
-	encs := make([]featurize.Encoded, len(val))
-	for i, ex := range val {
-		encs[i] = ex.Enc
-	}
-	preds := make([]float64, len(encs))
-	if err := m.Engine().predictAllF64(context.Background(), encs, preds); err != nil {
-		return nil, err
-	}
-	qs := make([]float64, len(val))
-	for i, ex := range val {
-		qs[i] = norm.QErrorOf(preds[i], norm.Normalize(ex.Card))
-	}
-	return qs, nil
-}
-
-// Predict returns the normalized prediction for one featurized query via
-// the packed inference engine.
-func (m *Model) Predict(enc featurize.Encoded) (float64, error) {
-	return m.Engine().Predict(enc)
-}
-
-// PredictAll returns normalized predictions for many featurized queries via
-// the packed inference engine (chunked into inference batches; mixed shapes
-// carry no padding).
-func (m *Model) PredictAll(encs []featurize.Encoded) ([]float64, error) {
-	return m.Engine().PredictAll(encs)
 }
 
 // trainRand derives the training RNG (shuffles, validation split) from the

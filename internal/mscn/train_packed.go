@@ -8,9 +8,10 @@ import (
 	"deepsketch/internal/nn"
 )
 
-// TrainOptions tunes how Model.Train executes; Config decides *what* is
-// computed, TrainOptions only how it is scheduled, so any option combination
-// converges to the same model family.
+// TrainOptions says how one training run executes — how many workers, where
+// the optimizer starts, when it stops; Config says what model is trained.
+// There is one schedule: train an epoch, validate it on the same workers,
+// report, maybe stop.
 type TrainOptions struct {
 	// Parallelism is the number of data-parallel workers each minibatch is
 	// sharded across. Every worker packs and backpropagates its own
@@ -36,16 +37,6 @@ type TrainOptions struct {
 	// 0 disables). Refreshes use it to train "until as good as the old
 	// sketch" instead of a fixed epoch count.
 	StopAtValQ float64
-	// PipelineVal overlaps each epoch's validation pass with the next
-	// epoch's training instead of stalling between epochs. Validation reads
-	// a weight snapshot taken at the epoch boundary, so it sees exactly the
-	// values the serial schedule would; KeepBest snapshots come from that
-	// boundary copy, and a StopAtValQ trigger rolls the speculative extra
-	// epoch back to the boundary weights and optimizer state — final
-	// weights are bitwise-identical to the serial schedule for any fixed
-	// (seed, parallelism). Per-epoch validation metrics surface one epoch
-	// late. No effect without a validation split.
-	PipelineVal bool
 }
 
 func (o TrainOptions) workers() int {
@@ -262,15 +253,52 @@ func (t *packedTrainer) reduce(p int) {
 // parallelism reports the configured worker count.
 func (t *packedTrainer) parallelism() int { return len(t.workers) }
 
+// shards is how many workers n queries are split across: every worker, or
+// one per query when there are fewer queries than workers.
+func (t *packedTrainer) shards(n int) int { return min(len(t.workers), n) }
+
+// forEachShard splits [0, n) into shards(n) contiguous shards — worker w
+// takes [lo(w), lo(w+1)), the first n%p shards one element longer — and runs
+// fn on each: inline with one shard, otherwise one fork/join. It returns the
+// first error in worker order. Shard w may use t.workers[w] and nothing
+// another shard touches.
+func (t *packedTrainer) forEachShard(n int, fn func(w, lo, hi int) error) error {
+	p := t.shards(n)
+	if p <= 1 {
+		if n == 0 {
+			return nil
+		}
+		return fn(0, 0, n)
+	}
+	errs := t.errs[:p]
+	var wg sync.WaitGroup
+	lo := 0
+	for w := 0; w < p; w++ {
+		hi := lo + n/p
+		if w < n%p {
+			hi++
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			errs[w] = fn(w, lo, hi)
+		}(w, lo, hi)
+		lo = hi
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // step runs one minibatch: returns the mean loss with parameter gradients
 // accumulated (the caller applies the optimizer step). encs and targets are
 // staged by the caller in shuffled order.
 func (t *packedTrainer) step(encs []featurize.Encoded, targets []float64, norm nn.LabelNorm) (float64, error) {
 	n := len(encs)
-	p := len(t.workers)
-	if p > n {
-		p = n
-	}
 	if cap(t.preds) < n {
 		t.preds = make([]float64, n)
 		t.grad = make([]float64, n)
@@ -279,19 +307,8 @@ func (t *packedTrainer) step(encs []featurize.Encoded, targets []float64, norm n
 	grad := t.grad[:n]
 	invN := 1.0 / float64(n)
 
-	// Contiguous shard bounds: worker w takes [lo(w), lo(w+1)).
-	base, rem := n/p, n%p
-	bounds := func(w int) (int, int) {
-		lo := w*base + min(w, rem)
-		size := base
-		if w < rem {
-			size++
-		}
-		return lo, lo + size
-	}
-	run := func(w int) error {
+	err := t.forEachShard(n, func(w, lo, hi int) error {
 		wk := t.workers[w]
-		lo, hi := bounds(w)
 		if err := wk.forward(t.m, encs[lo:hi], preds[lo:hi]); err != nil {
 			return err
 		}
@@ -299,40 +316,38 @@ func (t *packedTrainer) step(encs []featurize.Encoded, targets []float64, norm n
 			grad[lo:hi], t.m.Cfg.GradCap, invN)
 		wk.backward(t.m, grad[lo:hi])
 		return nil
-	}
-
-	var stepErr error
-	if p == 1 {
-		stepErr = run(0)
-	} else {
-		errs := t.errs[:p]
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = run(w)
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				stepErr = err
-				break
-			}
-		}
-	}
-	if stepErr != nil {
-		return 0, stepErr
+	})
+	if err != nil {
+		return 0, err
 	}
 
 	// Deterministic reduction: loss sums and every gradient element combine
 	// in worker order, so a fixed parallelism fixes the summation tree.
 	// The gradient reduction itself is sharded by parameter range.
+	p := t.shards(n)
 	var lossSum float64
 	for w := 0; w < p; w++ {
 		lossSum += t.workers[w].lossSum
 	}
 	t.reduce(p)
 	return lossSum * invN, nil
+}
+
+// predict writes the live weights' normalized predictions for encs into
+// preds (equal lengths): the forward half of a step, sharded across the same
+// workers and walked in Cfg.BatchSize chunks so each worker's arena stays
+// minibatch-sized. A prediction does not depend on its batch or its worker
+// (GEMM rows and segment pools are per query), so any parallelism returns
+// the same bits.
+func (t *packedTrainer) predict(encs []featurize.Encoded, preds []float64) error {
+	bs := t.m.Cfg.BatchSize
+	return t.forEachShard(len(encs), func(w, lo, hi int) error {
+		for ; lo < hi; lo += bs {
+			end := min(lo+bs, hi)
+			if err := t.workers[w].forward(t.m, encs[lo:end], preds[lo:end]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

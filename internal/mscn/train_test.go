@@ -173,25 +173,37 @@ func TestTrainParallelismExceedsBatch(t *testing.T) {
 	}
 }
 
-// TestQBetterNaN: a NaN validation mean q-error is strictly worse than any
-// real value — KeepBest must never snapshot a NaN epoch (the epoch-1
-// silent-NaN-snapshot regression) and a real epoch must beat a NaN best.
-func TestQBetterNaN(t *testing.T) {
-	nan := math.NaN()
-	cases := []struct {
-		cur, best float64
-		want      bool
-	}{
-		{1.5, nan, true},  // first real epoch beats the no-best sentinel
-		{nan, nan, false}, // NaN epoch 1 must not become the snapshot
-		{nan, 2.0, false}, // NaN never beats a real best
-		{1.0, 2.0, true},
-		{2.0, 1.0, false},
-		{1.0, 1.0, false}, // strictly better only
+// TestTrainerPredictMatchesEnginePredict: validation's forward (the
+// trainer's workers, sharded and chunked) must return, bit for bit and per
+// query, what the engine's single-query entry returns on the same weights —
+// for fewer queries than workers, counts that do not divide by the worker
+// count, and shards that do not divide by the batch size.
+func TestTrainerPredictMatchesEnginePredict(t *testing.T) {
+	const tdim, jdim, pdim = 19, 4, 7
+	rng := rand.New(rand.NewSource(84))
+	m := New(Config{HiddenUnits: 12, BatchSize: 8, Seed: 6}, tdim, jdim, pdim)
+	encs := make([]featurize.Encoded, 53)
+	want := make([]float64, len(encs))
+	for i := range encs {
+		encs[i] = randEnc(rng, 1+rng.Intn(4), rng.Intn(4), rng.Intn(4), tdim, jdim, pdim)
+		y, err := m.Engine().Predict(encs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = y
 	}
-	for _, c := range cases {
-		if got := qBetter(c.cur, c.best); got != c.want {
-			t.Errorf("qBetter(%v, %v) = %v, want %v", c.cur, c.best, got, c.want)
+	for p := 1; p <= 3; p++ {
+		tr := newPackedTrainer(m, m.Params(), p)
+		for _, n := range []int{0, 1, 2, 8, 17, 53} {
+			got := make([]float64, n)
+			if err := tr.predict(encs[:n], got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("P=%d n=%d query %d: trainer %v vs engine %v", p, n, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
