@@ -110,6 +110,7 @@ type Sketch struct {
 
 	schemaOnce sync.Once
 	schema     *db.DB // lazily built from samples, for SQL parsing
+	engineOnce sync.Once
 }
 
 var _ estimator.Estimator = (*Sketch)(nil)
@@ -140,6 +141,40 @@ func (s *Sketch) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, 
 	return est, nil
 }
 
+// engine returns the model's inference engine, having handed it — once per
+// Sketch value, so a clone, a loaded and a refreshed sketch each do it for
+// their own model — the table rows that recur (referenceRows). On
+// JOB-light-style traffic about half of all table rows are these, and the
+// engine computes each one's first layer once per weight generation instead
+// of once per occurrence.
+func (s *Sketch) engine() *mscn.Engine {
+	s.engineOnce.Do(func() { s.Model.Engine().SetReferenceRows(s.referenceRows()) })
+	return s.Model.Engine()
+}
+
+// referenceRows returns, per table of the sketch, the row an unfiltered
+// reference to it encodes to: its one-hot plus an all-ones bitmap of the
+// table's actual sample size (shorter than SampleSize for small tables).
+// The rows come from the same Bitmaps → EncodeQuery path every estimate
+// takes, so they are what serving produces by construction; a table that
+// path cannot encode has no row.
+func (s *Sketch) referenceRows() [][]float64 {
+	var rows [][]float64
+	for _, t := range s.Encoder.Tables {
+		q := db.Query{Tables: []db.TableRef{{Table: t, Alias: t}}}
+		bms, err := s.Samples.Bitmaps(q)
+		if err != nil {
+			continue
+		}
+		enc, err := s.Encoder.EncodeQuery(q, bms)
+		if err != nil {
+			continue
+		}
+		rows = append(rows, enc.TableVecs[0])
+	}
+	return rows
+}
+
 // Cardinality is the bare estimation path of Figure 1b, without the result
 // envelope: bitmaps, featurize, one packed MSCN forward pass on the
 // inference engine (pooled workspace, no padding, no steady-state
@@ -153,7 +188,7 @@ func (s *Sketch) Cardinality(q db.Query) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	y, err := s.Model.Engine().Predict(enc)
+	y, err := s.engine().Predict(enc)
 	if err != nil {
 		return 0, err
 	}
@@ -196,7 +231,7 @@ func (s *Sketch) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.
 func (s *Sketch) BatchCardinalities(ctx context.Context, qs []db.Query) ([]float64, error) {
 	out := make([]float64, len(qs))
 	src := &querySource{s: s, qs: qs}
-	if err := s.Model.Engine().PredictSourceInto(ctx, src, len(qs), out); err != nil {
+	if err := s.engine().PredictSourceInto(ctx, src, len(qs), out); err != nil {
 		return nil, err
 	}
 	for i, y := range out {

@@ -10,6 +10,7 @@ package featurize
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"deepsketch/internal/db"
@@ -239,15 +240,7 @@ func (e *Encoder) EncodeQueryTo(q db.Query, bitmaps map[string]sample.Bitmap, ne
 			if !ok {
 				return fmt.Errorf("featurize: missing bitmap for alias %s", tr.Alias)
 			}
-			n := bm.N
-			if n > e.SampleSize {
-				n = e.SampleSize
-			}
-			for i := 0; i < n; i++ {
-				if bm.Get(i) {
-					vec[len(e.Tables)+i] = 1
-				}
-			}
+			setBits(vec[len(e.Tables):], bm, min(bm.N, e.SampleSize))
 		}
 	}
 
@@ -290,6 +283,23 @@ func (e *Encoder) EncodeQueryTo(q db.Query, bitmaps map[string]sample.Bitmap, ne
 		nextP() // empty set: one zero row
 	}
 	return nil
+}
+
+// setBits writes 1 at dst[i] for every set bit i < n of bm, visiting only
+// the set bits of each word.
+func setBits(dst []float64, bm sample.Bitmap, n int) {
+	for wi, w := range bm.Bits {
+		base := wi * 64
+		if base >= n {
+			return
+		}
+		if n-base < 64 {
+			w &= 1<<uint(n-base) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			dst[base+bits.TrailingZeros64(w)] = 1
+		}
+	}
 }
 
 func (e *Encoder) normalizeLiteral(colKey string, val int64) float64 {

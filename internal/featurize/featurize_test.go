@@ -145,6 +145,53 @@ func TestEncodeQueryBitmapMatchesSample(t *testing.T) {
 	}
 }
 
+// TestEncodeBitmapWordWalkMatchesBitLoop: EncodeQueryTo walks the bitmap's
+// words; the row it writes must be the one the bit-by-bit loop writes, for
+// widths that are and are not multiples of 64, bitmaps shorter and longer
+// than SampleSize, and stray bits past N in the last word.
+func TestEncodeBitmapWordWalkMatchesBitLoop(t *testing.T) {
+	d, _ := featDB(t)
+	q := db.Query{Tables: []db.TableRef{{Table: "title", Alias: "t"}}}
+	rng := datagen.NewRand(5)
+	for _, sampleSize := range []int{1, 63, 64, 65, 100, 128, 130} {
+		e, err := NewEncoder(d, nil, sampleSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, 5, 63, 64, 65, 127, 128, 129, 200} {
+			for trial := 0; trial < 8; trial++ {
+				bm := sample.NewBitmap(n)
+				for i := range bm.Bits {
+					switch trial {
+					case 0: // empty
+					case 1:
+						bm.Bits[i] = ^uint64(0) // all ones, stray bits past N included
+					default:
+						bm.Bits[i] = rng.Uint64() & rng.Uint64()
+					}
+				}
+				enc, err := e.EncodeQuery(q, map[string]sample.Bitmap{"t": bm})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := enc.TableVecs[0][len(e.Tables):]
+				if len(got) != sampleSize {
+					t.Fatalf("bitmap block is %d wide, want %d", len(got), sampleSize)
+				}
+				for i := range got {
+					want := 0.0
+					if i < n && bm.Get(i) {
+						want = 1
+					}
+					if got[i] != want {
+						t.Fatalf("SampleSize %d, N %d, trial %d: column %d = %v, bit loop says %v", sampleSize, n, trial, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEncodeEmptySetsPadded(t *testing.T) {
 	d, s := featDB(t)
 	e, _ := NewEncoder(d, nil, 64)

@@ -23,14 +23,23 @@ import (
 // f64 reads the live weights in place, f32 reads a copy converted once per
 // weight generation, so reduced precision never pays conversion per forward
 // and never serves stale weights after a Refresh/Swap.
+//
+// The same generation tag keys the reference-row memo (SetReferenceRows):
+// table rows the owner expects over and over — an unfiltered table's
+// all-ones bitmap — get their first-layer output computed once per weight
+// generation and precision and copied thereafter.
 type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
 
-	// reduced is the f32 weight snapshot, built lazily under convMu and
-	// tagged with the Model.WeightGen it was converted from.
+	// reduced is the f32 weight snapshot and memo64/memo32 the reference
+	// rows' first-layer outputs at each precision, all built lazily under
+	// convMu and tagged with the Model.WeightGen they were computed from.
 	convMu  sync.Mutex
 	reduced atomic.Pointer[snapshot]
+	refs    atomic.Pointer[refRows]
+	memo64  atomic.Pointer[rowMemo[float64]]
+	memo32  atomic.Pointer[rowMemo[float32]]
 }
 
 // snapshot is a float32 copy of all eight layers, tagged with the weight
@@ -38,6 +47,98 @@ type Engine struct {
 type snapshot struct {
 	gen uint64
 	w   weights[float32]
+}
+
+// refRows are the table rows whose first-layer output the engine memoises,
+// with their run index. Immutable once installed.
+type refRows struct {
+	x   nn.Matrix
+	idx nn.RunIndex
+}
+
+// rowMemo is the table module's first layer applied to refs at element
+// type T — by the kernel forwardPacked runs, on the weights of generation
+// gen — so copying a row of h1 is bit for bit computing it.
+type rowMemo[T nn.Float] struct {
+	gen  uint64
+	refs *refRows
+	x    nn.Mat[T] // refs.x at T
+	h1   nn.Mat[T] // post-ReLU, one row per reference
+}
+
+// SetReferenceRows installs the table rows (width TDim) whose first-layer
+// output the engine computes once per weight generation instead of once per
+// occurrence. It changes no prediction in any bit, only what recurring rows
+// cost; the rows replace any installed before. Safe for concurrent use with
+// predictions.
+func (e *Engine) SetReferenceRows(rows [][]float64) {
+	r := &refRows{x: nn.NewMatrix(len(rows), e.m.TDim)}
+	for i, row := range rows {
+		if len(row) != e.m.TDim {
+			panic(fmt.Sprintf("mscn: reference row width %d, model expects %d", len(row), e.m.TDim))
+		}
+		copy(r.x.Row(i), row)
+	}
+	nn.Index(&r.idx, r.x)
+	e.refs.Store(r)
+}
+
+// memoFor returns the reference rows' memo at element type T for weight
+// generation gen, of which l must be the table module's first layer:
+// the cached one when slot holds it, else computed once under convMu (the
+// snapshot's double-checked pattern). Nil when no reference rows are
+// installed.
+func memoFor[T nn.Float](e *Engine, slot *atomic.Pointer[rowMemo[T]], gen uint64, l nn.Layer[T]) *rowMemo[T] {
+	refs := e.refs.Load()
+	if refs == nil {
+		return nil
+	}
+	if mm := slot.Load(); mm != nil && mm.gen == gen && mm.refs == refs {
+		return mm
+	}
+	e.convMu.Lock()
+	defer e.convMu.Unlock()
+	if mm := slot.Load(); mm != nil && mm.gen == gen && mm.refs == refs {
+		return mm
+	}
+	mm := &rowMemo[T]{gen: gen, refs: refs,
+		x: nn.NewMat[T](refs.x.Rows, refs.x.Cols), h1: nn.NewMat[T](refs.x.Rows, l.Out)}
+	nn.ConvertRows(mm.x, refs.x)
+	l.ForwardIndexed(mm.x, &refs.idx, mm.h1, 0, mm.x.Rows, true)
+	slot.Store(mm)
+	return mm
+}
+
+// lookup returns the memoised first-layer output of the reference row that
+// x — a packed table row whose run index is runs — equals, or nil. A
+// reference drops out at its first differing run, which for table rows is
+// the one-hot column, so all but one candidate cost one comparison; a hit
+// needs the same runs and the same values in them, so a row that merely
+// shares a prefix with a reference (a smaller table's all-ones bitmap, one
+// cleared bit) misses.
+//
+//deepsketch:zeroalloc
+func (mm *rowMemo[T]) lookup(x []T, runs []nn.Run) []T {
+next:
+	for i := 0; i < mm.x.Rows; i++ {
+		ref := mm.refs.idx.Row(i)
+		if len(ref) != len(runs) {
+			continue
+		}
+		rx := mm.x.Row(i)
+		for j, run := range runs {
+			if ref[j] != run {
+				continue next
+			}
+			for k := run.Lo; k < run.Hi; k++ {
+				if x[k] != rx[k] {
+					continue next
+				}
+			}
+		}
+		return mm.h1.Row(i)
+	}
+	return nil
 }
 
 // engineScratch bundles the per-goroutine reusable state: a packed batch,
@@ -100,20 +201,28 @@ func forwardFloats(pb *PackedBatch, h int) int {
 
 // forwardPacked is the MSCN forward pass on packed rows — the only one:
 // per set module Linear+ReLU twice then a segment average pool, the three
-// pools concatenated, the two-layer output network, a sigmoid. xs and offs
-// are the packed feature rows and CSR offsets of the three sets (see
-// PackedBatch.sets); every intermediate is carved from ws — which the
-// caller has Reserved — and recorded in act; the normalized predictions
-// (act.out) are also written to out (len B), widened when T is float32.
+// pools concatenated, the two-layer output network, a sigmoid. xs are pb's
+// packed feature rows at element type T (see PackedBatch.sets); the table
+// module's first layer reads them through pb's run index (tableLayer1), the
+// other seven layers are dense. memo, when non-nil, holds that first
+// layer's output for recurring table rows on these same weights. Every
+// intermediate is carved from ws — which the caller has Reserved — and
+// recorded in act; the normalized predictions (act.out) are also written to
+// out (len B), widened when T is float32.
 //
 //deepsketch:zeroalloc
-func forwardPacked[T nn.Float](w *weights[T], xs [3]nn.Mat[T], offs [3][]int, ws *nn.Arena[T], act *activations[T], out []float64) {
+func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], memo *rowMemo[T], ws *nn.Arena[T], act *activations[T], out []float64) {
 	b := len(out)
 	h := w[7].In
+	_, offs := pb.sets()
 	for k := 0; k < 3; k++ {
 		rows := xs[k].Rows
 		act.h1[k] = ws.Alloc(rows, h)
-		w[2*k].ForwardFused(xs[k], act.h1[k], true)
+		if k == 0 {
+			tableLayer1(w[0], xs[0], &pb.tidx, memo, act.h1[0])
+		} else {
+			w[2*k].ForwardFused(xs[k], act.h1[k], true)
+		}
 		act.h2[k] = ws.Alloc(rows, h)
 		w[2*k+1].ForwardFused(act.h1[k], act.h2[k], true)
 		act.pool[k] = ws.Alloc(b, h)
@@ -134,6 +243,26 @@ func forwardPacked[T nn.Float](w *weights[T], xs [3]nn.Mat[T], offs [3][]int, ws
 	nn.ConvertRows(nn.Matrix{Rows: b, Cols: 1, Data: out}, act.out)
 }
 
+// tableLayer1 is the table module's first layer (Linear+ReLU) computed from
+// the set form of its input: rows that equal a memoised reference row are
+// copied, the stretches between them go through the indexed kernel — which
+// works row by row, so where the stretches fall changes no bit.
+//
+//deepsketch:zeroalloc
+func tableLayer1[T nn.Float](l nn.Layer[T], x nn.Mat[T], ix *nn.RunIndex, memo *rowMemo[T], y nn.Mat[T]) {
+	lo := 0
+	if memo != nil {
+		for r := 0; r < x.Rows; r++ {
+			if h := memo.lookup(x.Row(r), ix.Row(r)); h != nil {
+				l.ForwardIndexed(x, ix, y, lo, r, true)
+				copy(y.Row(r), h)
+				lo = r + 1
+			}
+		}
+	}
+	l.ForwardIndexed(x, ix, y, lo, x.Rows, true)
+}
+
 // Forward runs one packed forward pass in float64 on the live weights,
 // writing the normalized prediction for query i into out[i]. out must have
 // length ≥ pb.B; ws provides the scratch and must not be shared with a
@@ -143,10 +272,13 @@ func forwardPacked[T nn.Float](w *weights[T], xs [3]nn.Mat[T], offs [3][]int, ws
 //deepsketch:zeroalloc
 func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
 	ws.Reserve(forwardFloats(pb, e.m.Cfg.HiddenUnits))
+	gen := e.m.WeightGen()
 	w := e.m.weights()
-	xs, offs := pb.sets()
+	//deepsketch:ignore zeroalloc the memo computes once per weight generation, then caches
+	memo := memoFor(e, &e.memo64, gen, w[0])
+	xs, _ := pb.sets()
 	var act activations[float64]
-	forwardPacked(&w, xs, offs, ws, &act, out[:pb.B])
+	forwardPacked(&w, pb, xs, memo, ws, &act, out[:pb.B])
 }
 
 // forwardReduced runs one packed forward pass in float32 on the converted
@@ -158,8 +290,10 @@ func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
 //deepsketch:zeroalloc
 func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []float64) {
 	//deepsketch:ignore zeroalloc snapshot converts once per weight generation, then caches
-	w := e.snapshot()
-	src, offs := pb.sets()
+	snap := e.snapshot()
+	//deepsketch:ignore zeroalloc the memo computes once per weight generation, then caches
+	memo := memoFor(e, &e.memo32, snap.gen, snap.w[0])
+	src, _ := pb.sets()
 	ws.Reserve(len(src[0].Data) + len(src[1].Data) + len(src[2].Data) + forwardFloats(pb, e.m.Cfg.HiddenUnits))
 	var xs [3]nn.Mat[float32]
 	for k, x := range src {
@@ -167,28 +301,28 @@ func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []fl
 		nn.ConvertRows(xs[k], x)
 	}
 	var act activations[float32]
-	forwardPacked(w, xs, offs, ws, &act, out[:pb.B])
+	forwardPacked(&snap.w, pb, xs, memo, ws, &act, out[:pb.B])
 }
 
 // snapshot returns the cached f32 weights for the current weight
 // generation, converting them once under convMu on a miss. The
 // double-checked load keeps the hot path to one atomic read.
-func (e *Engine) snapshot() *weights[float32] {
+func (e *Engine) snapshot() *snapshot {
 	gen := e.m.WeightGen()
 	if s := e.reduced.Load(); s != nil && s.gen == gen {
-		return &s.w
+		return s
 	}
 	e.convMu.Lock()
 	defer e.convMu.Unlock()
 	if s := e.reduced.Load(); s != nil && s.gen == gen {
-		return &s.w
+		return s
 	}
 	s := &snapshot{gen: gen}
 	for i, l := range e.m.layers() {
 		s.w[i] = nn.ConvertLayer[float32](l)
 	}
 	e.reduced.Store(s)
-	return &s.w
+	return s
 }
 
 // forward dispatches one packed forward pass to the model's current

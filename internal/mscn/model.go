@@ -9,7 +9,14 @@
 //
 // Both training and serving run on the packed ragged-batch representation:
 // PackedBatch stores only valid set elements with CSR-style offsets, so a
-// mixed-shape batch costs exactly its valid rows. Serving uses the Engine
+// mixed-shape batch costs exactly its valid rows. A table element is a
+// one-hot plus the bitmap of qualifying sample tuples — a set — so packing
+// also indexes its non-zero columns, and the table module's first layer
+// (the widest of the eight) visits only those, in training and in serving,
+// with the dense kernel's result in every bit (nn.ForwardIndexed,
+// nn.BackwardIndexed). Serving additionally memoises that layer for the
+// rows an unfiltered table encodes to (Engine.SetReferenceRows), once per
+// weight generation. Serving uses the Engine
 // (fused Linear+ReLU kernels, segment pooling, pooled workspace arenas,
 // zero steady-state allocations; concurrency-safe — workspaces are per-pass
 // and never shared). Training is data-parallel over the same kernels: each
@@ -130,10 +137,11 @@ type Model struct {
 	// (Precision). The f64 weights remain the source of truth; reduced
 	// precision reads a converted snapshot keyed to weightGen.
 	precision atomic.Uint32
-	// weightGen counts wholesale weight replacements (ReadWeights, end of a
-	// training run). The engine tags its reduced-precision snapshot with
-	// the generation it was built at and rebuilds on mismatch, so a
-	// Refresh/Swap can never serve a stale f32 snapshot.
+	// weightGen counts wholesale weight replacements (ReadWeights, every
+	// return of a training run that has started stepping). The engine tags
+	// what it derives from the weights — the reduced-precision snapshot,
+	// the reference-row memo — with the generation it was built at and
+	// rebuilds on mismatch, so a Refresh/Swap can never serve stale ones.
 	weightGen atomic.Uint64
 
 	engOnce sync.Once
@@ -151,12 +159,15 @@ func (m *Model) Precision() Precision { return Precision(m.precision.Load()) }
 func (m *Model) SetPrecision(p Precision) { m.precision.Store(uint32(p)) }
 
 // WeightGen returns the current weight generation. It increments on every
-// wholesale weight replacement; reduced-precision snapshots are valid only
-// for the generation they were converted from.
+// wholesale weight replacement; reduced-precision snapshots and the
+// engine's reference-row memo are valid only for the generation they were
+// computed from.
+//
+//deepsketch:zeroalloc
 func (m *Model) WeightGen() uint64 { return m.weightGen.Load() }
 
-// noteWeightsChanged invalidates reduced-precision weight snapshots. Every
-// path that replaces the f64 weights wholesale must call it.
+// noteWeightsChanged invalidates everything the engine derived from the
+// weights. Every path that replaces the f64 weights wholesale must call it.
 func (m *Model) noteWeightsChanged() { m.weightGen.Add(1) }
 
 // OptState returns the optimizer state captured at the end of the last

@@ -15,6 +15,11 @@ import (
 // mixed-shape batch therefore costs exactly its valid rows — queries of any
 // shapes can share one forward pass with no padding waste.
 //
+// The table rows are a one-hot plus a sample bitmap — a set, written out as
+// zeros and ones. Packing also records where their non-zero columns are
+// (tidx), and that index is what the table module's first layer reads; TX
+// keeps the dense rows it indexes.
+//
 // A PackedBatch is reusable: Build grows the backing buffers once and then
 // rebuilds in place without allocating. It may be read concurrently after
 // building but must not be rebuilt while a forward pass reads it.
@@ -22,6 +27,7 @@ type PackedBatch struct {
 	B                int
 	TX, JX, PX       nn.Matrix
 	TOff, JOff, POff []int
+	tidx             nn.RunIndex // of TX, rebuilt by Build and BuildFrom
 }
 
 // sets returns the packed feature rows and CSR offsets of the three sets in
@@ -78,6 +84,7 @@ func (pb *PackedBatch) Build(encs []featurize.Encoded, tdim, jdim, pdim int) err
 		}
 	}
 	pb.TOff[b], pb.JOff[b], pb.POff[b] = tr, jr, pr
+	nn.Index(&pb.tidx, pb.TX)
 	return nil
 }
 
@@ -164,6 +171,7 @@ func (pb *PackedBatch) BuildFrom(src QuerySource, lo, hi, tdim, jdim, pdim int) 
 	if tr != nt || jr != nj || pr != np {
 		return fmt.Errorf("mscn: source consumed %d/%d/%d rows, RowCounts promised %d/%d/%d", tr, jr, pr, nt, nj, np)
 	}
+	nn.Index(&pb.tidx, pb.TX)
 	return nil
 }
 

@@ -255,7 +255,8 @@ func (s encodedSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) err
 }
 
 // TestPredictSourceMatchesEncoded: the direct-featurization batch path must
-// agree with the Encoded single-query path, both on this machine's
+// agree with the Encoded single-query path bit for bit (every kernel sums
+// each output in ascending k whatever the batch around it), both on this machine's
 // GOMAXPROCS and with the multicore chunk fan-out forced on (this exercises
 // the parallel worker pool even on a 1-core box).
 func TestPredictSourceMatchesEncoded(t *testing.T) {
@@ -280,7 +281,7 @@ func TestPredictSourceMatchesEncoded(t *testing.T) {
 		t.Helper()
 		got := predictBatch(t, e, encs)
 		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
+			if got[i] != want[i] {
 				t.Fatalf("query %d: source path %v vs encoded path %v", i, got[i], want[i])
 			}
 		}

@@ -109,6 +109,10 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 		encs    []featurize.Encoded
 		targets []float64
 	)
+	// From here Adam steps the live weights, so every return — a step or
+	// validation error mid-run included — leaves weights no engine snapshot
+	// or memo of the old generation may be served beside.
+	defer m.noteWeightsChanged()
 	for epoch := 1; epoch <= epochs; epoch++ {
 		//deepsketch:ignore determinism epoch wall-clock telemetry; never feeds weights
 		start := time.Now()
@@ -153,7 +157,6 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 		}
 	}
 	m.optState = opt.ExportState(params)
-	m.noteWeightsChanged()
 	return stats, nil
 }
 

@@ -110,8 +110,8 @@ func (wk *trainWorker) forward(m *Model, encs []featurize.Encoded, preds []float
 	wk.ws.Reserve(forwardFloats(&wk.pb, h) + 2*(nt+nj+np)*h + 5*b*h + b)
 
 	w := m.weights()
-	xs, offs := wk.pb.sets()
-	forwardPacked(&w, xs, offs, &wk.ws, &wk.tp, preds)
+	xs, _ := wk.pb.sets()
+	forwardPacked(&w, &wk.pb, xs, nil, &wk.ws, &wk.tp, preds)
 	return nil
 }
 
@@ -153,7 +153,11 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 		dH1 := wk.ws.Alloc(rows, h)
 		layers[2*k+1].BackwardFused(tp.h1[k], dH2, &dH1, wk.grads[4*k+2], wk.grads[4*k+3])
 		nn.ReLUBackwardInPlace(tp.h1[k], dH1)
-		layers[2*k].BackwardFused(xs[k], dH1, nil, wk.grads[4*k], wk.grads[4*k+1])
+		if k == 0 {
+			layers[0].BackwardIndexed(xs[0], &wk.pb.tidx, dH1, wk.grads[0], wk.grads[1])
+		} else {
+			layers[2*k].BackwardFused(xs[k], dH1, nil, wk.grads[4*k], wk.grads[4*k+1])
+		}
 	}
 }
 

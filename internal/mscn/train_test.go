@@ -207,3 +207,56 @@ func TestTrainerPredictMatchesEnginePredict(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainErrorBumpsWeightGen: a run that fails after Adam has stepped
+// leaves new weights, so it must leave a new weight generation too —
+// otherwise the engine's f32 snapshot and reference-row memo, both tagged
+// with the old generation, are served beside rows computed from the new
+// weights. The training set's shuffled order reaches a wrong-width example
+// in its second minibatch.
+func TestTrainErrorBumpsWeightGen(t *testing.T) {
+	const tdim, jdim, pdim = memoT + memoBits, 4, 6
+	const n, batch = 60, 8
+	cfg := Config{HiddenUnits: 12, Epochs: 2, BatchSize: batch, Seed: 9}
+	rng := rand.New(rand.NewSource(71))
+	examples, norm := trainExamples(rng, n, tdim, jdim, pdim)
+	probe := memoEncs(rng, 30, jdim, pdim)
+
+	// Reproduce the run's shuffles to learn which example the second
+	// minibatch of epoch 1 starts with.
+	m := New(cfg, tdim, jdim, pdim)
+	srng := trainRand(m.Cfg.Seed)
+	perm := shuffle(srng, n)
+	nTrain := n - int(float64(n)*m.Cfg.ValFrac)
+	order := shuffle(srng, nTrain)
+	bad := &examples[perm[order[batch]]]
+	bad.Enc.TableVecs = append([][]float64(nil), bad.Enc.TableVecs...)
+	bad.Enc.TableVecs[0] = make([]float64, tdim+1)
+
+	e := m.Engine()
+	e.SetReferenceRows(memoReferences())
+	for _, p := range []Precision{F32, F64} { // cache the snapshot and both memos
+		m.SetPrecision(p)
+		predictBatch(t, e, probe)
+	}
+	gen := m.WeightGen()
+	before := weightsOf(m)
+	if _, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: 1}); err == nil {
+		t.Fatal("training over a wrong-width example succeeded")
+	}
+	if maxWeightDiff(before, weightsOf(m)) == 0 {
+		t.Fatal("the run failed before its first step — the test is vacuous")
+	}
+	if m.WeightGen() == gen {
+		t.Fatalf("WeightGen is still %d after a run that stepped the weights and then failed", gen)
+	}
+	for _, p := range []Precision{F32, F64} {
+		m.SetPrecision(p)
+		got, want := predictBatch(t, e, probe), predictBatch(t, NewEngine(m), probe)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v query %d: the model's engine predicts %v, a fresh engine %v", p, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -45,6 +45,59 @@ func benchForwardFused[T Float](b *testing.B) {
 	}
 }
 
+// benchBitmapRows fills a batch with table rows of the MSCN shape — a
+// one-hot in the first 8 columns, then a bitmap whose bits are set
+// independently with probability fill (1 gives the all-ones row of an
+// unfiltered table, two runs; 0.3 a range predicate's few hundred short
+// runs; 0.005 a template instance's handful of bits).
+func benchBitmapRows(fill float64) Matrix {
+	rng := datagen.NewRand(2)
+	x := NewMatrix(benchBatch, benchIn)
+	for r := 0; r < benchBatch; r++ {
+		row := x.Row(r)
+		row[r%8] = 1
+		for k := 8; k < benchIn; k++ {
+			if rng.Float64() < fill {
+				row[k] = 1
+			}
+		}
+	}
+	return x
+}
+
+// BenchmarkLinearForwardIndexed measures the run-indexed first-layer kernel
+// beside the dense one on the same rows, and the cost of building the index.
+func BenchmarkLinearForwardIndexed(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		fill float64
+	}{{"fill=1", 1}, {"fill=0.3", 0.3}, {"fill=0.005", 0.005}} {
+		l, _ := benchLinear(b)
+		x := benchBitmapRows(c.fill)
+		y := NewMatrix(benchBatch, benchOut)
+		var ix RunIndex
+		Index(&ix, x)
+		b.Run(c.name+"/dense", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.ForwardFused(x, y, true)
+			}
+		})
+		b.Run(c.name+"/indexed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.View().ForwardIndexed(x, &ix, y, 0, benchBatch, true)
+			}
+		})
+		b.Run(c.name+"/index", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Index(&ix, x)
+			}
+		})
+	}
+}
+
 // BenchmarkSegmentAvgPool pools 64 sets of 2 valid elements on the packed
 // representation (no padding rows).
 func BenchmarkSegmentAvgPool(b *testing.B) {
@@ -90,6 +143,37 @@ func BenchmarkLinearBackward(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				l.BackwardFused(x, dy, c.dx, dW, dB)
+			}
+		})
+	}
+}
+
+// BenchmarkLinearBackwardIndexed is the first layer's dW over the run index
+// beside the dense dW on the same rows.
+func BenchmarkLinearBackwardIndexed(b *testing.B) {
+	dy := NewMatrix(benchBatch, benchOut)
+	for i := range dy.Data {
+		if i%2 == 0 { // ReLU zeroes about half of a real upstream gradient
+			dy.Data[i] = 0.01
+		}
+	}
+	dW, dB := make([]float64, benchIn*benchOut), make([]float64, benchOut)
+	for _, c := range []struct {
+		name string
+		fill float64
+	}{{"fill=1", 1}, {"fill=0.3", 0.3}, {"fill=0.005", 0.005}} {
+		l, _ := benchLinear(b)
+		x := benchBitmapRows(c.fill)
+		var ix RunIndex
+		Index(&ix, x)
+		b.Run(c.name+"/dense", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l.BackwardFused(x, dy, nil, dW, dB)
+			}
+		})
+		b.Run(c.name+"/indexed", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l.BackwardIndexed(x, &ix, dy, dW, dB)
 			}
 		})
 	}

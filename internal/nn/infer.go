@@ -10,6 +10,11 @@ import "math"
 // from fanning a single pass across cores. The training path keeps the
 // tape-friendly allocating functions in layers.go.
 //
+// gemmBias below is the kernel of every layer whose input is dense — seven
+// of the MSCN's eight. The table module's first layer reads a set (one-hot
+// plus sample bitmap) and goes through ForwardIndexed in indexed.go, which
+// visits only the non-zero columns and is gemmBias's result in every bit.
+//
 // Every kernel is generic over Float and used at float64 (the reference
 // engine and the packed trainer's forward) and float32 (the reduced-
 // precision engine). Under Go's scalar codegen the fused GEMM is

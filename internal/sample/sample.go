@@ -159,8 +159,11 @@ func (ts *TableSample) QualifyingBitmap(preds []db.Predicate) (Bitmap, error) {
 		return Bitmap{}, err
 	}
 	if all {
-		for i := 0; i < ts.Rows; i++ {
-			b.Set(i)
+		for i := range b.Bits {
+			b.Bits[i] = ^uint64(0)
+		}
+		if tail := ts.Rows % 64; tail != 0 {
+			b.Bits[len(b.Bits)-1] = 1<<uint(tail) - 1
 		}
 		return b, nil
 	}

@@ -154,6 +154,36 @@ func TestQualifyingBitmap(t *testing.T) {
 	}
 }
 
+// TestQualifyingBitmapAllOnesIsExact: the no-predicate bitmap is filled a
+// word at a time; it must set exactly bits 0..Rows-1 — no stray bit past N
+// in the last word — at sample sizes around the word boundaries.
+func TestQualifyingBitmapAllOnesIsExact(t *testing.T) {
+	d := sampleDB(t)
+	for _, size := range []int{1, 63, 64, 65, 127, 128, 200} {
+		s, err := New(d, []string{"title"}, size, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := s.For("title")
+		got, err := ts.QualifyingBitmap(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewBitmap(ts.Rows)
+		for i := 0; i < ts.Rows; i++ {
+			want.Set(i)
+		}
+		if got.N != want.N || len(got.Bits) != len(want.Bits) {
+			t.Fatalf("size %d: bitmap N=%d words=%d, want N=%d words=%d", size, got.N, len(got.Bits), want.N, len(want.Bits))
+		}
+		for i := range want.Bits {
+			if got.Bits[i] != want.Bits[i] {
+				t.Fatalf("size %d: word %d = %#x, Set loop gives %#x", size, i, got.Bits[i], want.Bits[i])
+			}
+		}
+	}
+}
+
 func TestBitmapFractionApproximatesSelectivity(t *testing.T) {
 	// Sample selectivity should approximate true selectivity for a common
 	// predicate — the statistical foundation the paper's approach builds on.
