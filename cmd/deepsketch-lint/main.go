@@ -1,20 +1,15 @@
 // Command deepsketch-lint runs the project's static-analysis suite
 // (internal/analysis) over the requested packages and reports every
 // violated invariant: zero-allocation packed kernels, fsync-before-rename
-// persistence, bitwise-deterministic training, caller-owned contexts,
-// mutex-guarded field access, joined goroutines, an acyclic module-wide
-// lock order, handled durability errors, and compiler escape/inline facts
-// pinned to a golden. It exits non-zero if any diagnostic fires, so CI
-// can gate on it. Run it locally with:
+// persistence, caller-owned contexts, mutex-guarded fields and methods,
+// joined goroutines, an acyclic module-wide lock order, and handled
+// durability errors. It exits non-zero if any diagnostic fires, so CI can
+// gate on it. Run it locally with:
 //
 //	go run ./cmd/deepsketch-lint ./...
 //
-// The escape budget has its own mode: `-escape` diffs the compiler's
-// current decisions against the checked-in golden, and `-escape -update`
-// re-records the golden after an intentional kernel change.
-//
-// See docs/static-analysis.md for each analyzer's invariant and the
-// annotation grammar.
+// See docs/static-analysis.md for each analyzer's invariant, the bug it
+// is the only catcher of, and the annotation grammar.
 package main
 
 import (
@@ -29,8 +24,6 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	escape := flag.Bool("escape", false, "escape-budget mode: run only the escapebudget analyzer")
-	update := flag.Bool("update", false, "with -escape: re-record the escape-budget golden instead of diffing")
 	flag.Parse()
 
 	all := analysis.All()
@@ -40,15 +33,8 @@ func main() {
 		}
 		return
 	}
-	if *update && !*escape {
-		fmt.Fprintln(os.Stderr, "deepsketch-lint: -update requires -escape")
-		os.Exit(2)
-	}
 
 	analyzers := all
-	if *escape {
-		analyzers = []*analysis.Analyzer{analysis.EscapeBudget}
-	}
 	if *only != "" {
 		byName := map[string]*analysis.Analyzer{}
 		for _, a := range all {
@@ -69,20 +55,10 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
 	prog, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "deepsketch-lint: %v\n", err)
 		os.Exit(2)
-	}
-	if *update {
-		path, err := analysis.WriteEscapeGolden(prog)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepsketch-lint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("deepsketch-lint: escape-budget golden updated: %s\n", path)
-		return
 	}
 	diags, err := analysis.Run(prog, analyzers)
 	if err != nil {

@@ -1,16 +1,16 @@
-// Package analysis is the project's static-analysis suite: nine analyzers
-// that machine-check the invariants the codebase is built on but no
-// compiler enforces. Phase 1 (intraprocedural): allocation-free packed
-// forward kernels (zeroalloc), fsync-before-rename persistence
-// (durability), bitwise-reproducible training (determinism), caller-owned
-// context plumbing (ctxpolicy), and mutex-guarded field access
-// (lockguard). Phase 2 (whole-program): every goroutine launch needs a
-// provable join or shutdown path (goroleak), the module-wide
-// lock-acquisition graph must be acyclic (lockorder), errors on
-// durability/WAL/lifecycle call paths may not be discarded (errsink), and
-// the compiler's escape/inline decisions for the zeroalloc kernels must
-// match a checked-in golden (escapebudget). cmd/deepsketch-lint drives
-// the whole module through them; CI fails on any finding.
+// Package analysis is the project's static-analysis suite: seven analyzers
+// that machine-check the invariants the codebase is built on but neither
+// the compiler nor the tests enforce. Each one is kept because a planted
+// instance of its bug class is caught by it and by nothing else in tier-1
+// or -race (the table is in CHANGES.md, PR 25). Phase 1
+// (intraprocedural): allocation-free packed forward kernels (zeroalloc),
+// fsync-before-rename persistence (durability), caller-owned context
+// plumbing (ctxpolicy), and mutex-guarded field access (lockguard). Phase
+// 2 (whole-program): every goroutine launch needs a provable join or
+// shutdown path (goroleak), the module-wide lock-acquisition graph must be
+// acyclic (lockorder), and errors on durability/WAL/lifecycle call paths
+// may not be discarded (errsink). cmd/deepsketch-lint drives the whole
+// module through them; CI fails on any finding.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Report) but is self-contained on the
@@ -25,14 +25,10 @@
 //
 //	//deepsketch:zeroalloc            function may not allocate; callees
 //	                                  must be annotated or allowlisted
-//	//deepsketch:deterministic        root of the determinism call graph
 //	//deepsketch:durable              function fsyncs the file named by its
 //	                                  path argument before returning
 //	//deepsketch:ctxorigin <reason>   function may call context.Background
 //	//deepsketch:locked <mu>          method is called with <mu> held
-//	//deepsketch:bg <owner> <reason>  the go statement on this line is a
-//	                                  deliberate fire-and-forget launch
-//	//deepsketch:lockorder a<b        declared lock-acquisition order
 //	//deepsketch:errok <reason>       the error discard on this line is
 //	                                  deliberate (errsink suppression)
 //	//deepsketch:ignore <analyzer> <reason>
@@ -59,21 +55,18 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// All returns the full suite in a stable order. The first five are the
+// All returns the full suite in a stable order. The first four are the
 // intraprocedural phase-1 analyzers; goroleak, lockorder and errsink are
-// the whole-program phase-2 analyzers, and escapebudget is the
-// compiler-fact probe (it shells out to go build -gcflags=-m=2).
+// the whole-program phase-2 analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{
 		ZeroAlloc,
 		Durability,
-		Determinism,
 		CtxPolicy,
 		LockGuard,
 		GoroLeak,
 		LockOrder,
 		ErrSink,
-		EscapeBudget,
 	}
 }
 
@@ -115,9 +108,9 @@ func (p *Package) ContainsFile(fset *token.FileSet, filename string) bool {
 }
 
 // A Program is the full set of packages under analysis plus the shared
-// directive index. Analyzers that need cross-package context (determinism
-// reachability, annotations on callees in sibling packages) read it
-// through Pass.Prog.
+// directive index. Analyzers that need cross-package context (the
+// module-wide lock graph, annotations on callees in sibling packages) read
+// it through Pass.Prog.
 type Program struct {
 	Fset *token.FileSet
 	// Packages are the module's source-loaded packages, in load order.
@@ -125,30 +118,15 @@ type Program struct {
 	// Directives indexes every //deepsketch: annotation in the program.
 	Directives *Index
 
-	// ModuleDir is the root directory of the module under analysis ("" for
-	// fixture loads); escapebudget resolves the checked-in golden under it.
-	ModuleDir string
-
-	// EscapeGolden overrides the escape-budget golden path (used by the
-	// fixture tests); "" means the default under ModuleDir.
-	EscapeGolden string
-
 	// sourcePkgs is the set of import paths loaded from source — the
-	// boundary of cross-package analyses like determinism reachability.
+	// boundary of cross-package analyses like the lock-acquisition graph.
 	sourcePkgs map[string]bool
-
-	detOnce  sync.Once
-	detReach map[string]bool
 
 	declOnce sync.Once
 	decls    map[string]*declSite
 
 	lockOnce  sync.Once
 	lockDiags []Diagnostic
-
-	escOnce  sync.Once
-	escDiags []Diagnostic
-	escErr   error
 }
 
 // declSite locates one top-level function declaration in the program.

@@ -12,8 +12,6 @@ import (
 type FuncDirectives struct {
 	// ZeroAlloc marks an allocation-free kernel (zeroalloc analyzer).
 	ZeroAlloc bool
-	// Deterministic marks a root of the determinism call graph.
-	Deterministic bool
 	// Durable declares that the function fsyncs the file named by its
 	// path argument before returning (durability analyzer).
 	Durable bool
@@ -29,14 +27,6 @@ type ignoreKey struct {
 	line int
 }
 
-// A LockOrderDecl is one //deepsketch:lockorder a<b declaration: the
-// intended acquisition order between two mutexes, named as
-// <pkgname>.<Type>.<field> (the lockorder analyzer's node names).
-type LockOrderDecl struct {
-	Before, After string
-	Pos           token.Position
-}
-
 // Index is the program-wide registry of //deepsketch: directives, keyed
 // by funcKey so annotations resolve across packages (an annotation on
 // nn.ForwardFused is visible while analyzing mscn, where the callee
@@ -44,13 +34,6 @@ type LockOrderDecl struct {
 type Index struct {
 	funcs   map[string]FuncDirectives
 	ignores map[ignoreKey]map[string]bool // analyzer names ignored on a line
-	// bg marks lines carrying a //deepsketch:bg <owner> <reason>
-	// annotation: the go statement on (or just below) that line is a
-	// deliberate fire-and-forget launch with a named owner.
-	bg map[ignoreKey]bool
-	// LockOrders are the declared //deepsketch:lockorder a<b partial-order
-	// edges, program-wide.
-	LockOrders []LockOrderDecl
 	// Problems are malformed directives, reported by Run.
 	Problems []Diagnostic
 }
@@ -59,7 +42,6 @@ func newIndex() *Index {
 	return &Index{
 		funcs:   map[string]FuncDirectives{},
 		ignores: map[ignoreKey]map[string]bool{},
-		bg:      map[ignoreKey]bool{},
 	}
 }
 
@@ -72,27 +54,18 @@ func (x *Index) ignored(analyzer, file string, line int) bool {
 	return x.ignores[ignoreKey{file, line}][analyzer]
 }
 
-// Background reports whether file:line carries a //deepsketch:bg
-// annotation (trailing on the go statement's line or standalone above it).
-func (x *Index) Background(file string, line int) bool {
-	return x.bg[ignoreKey{file, line}]
-}
-
 const directivePrefix = "//deepsketch:"
 
 // knownVerbs validates directive spelling; anything else under the
-// deepsketch: prefix is reported as a problem so a typo cannot silently
-// disable a check.
+// deepsketch: prefix is reported as a problem so a typo — or a verb whose
+// analyzer was deleted — cannot silently disable a check.
 var knownVerbs = map[string]bool{
-	"zeroalloc":     true,
-	"deterministic": true,
-	"durable":       true,
-	"ctxorigin":     true,
-	"locked":        true,
-	"ignore":        true,
-	"bg":            true,
-	"lockorder":     true,
-	"errok":         true,
+	"zeroalloc": true,
+	"durable":   true,
+	"ctxorigin": true,
+	"locked":    true,
+	"ignore":    true,
+	"errok":     true,
 }
 
 // indexPackage scans one package's comments for directives.
@@ -123,8 +96,6 @@ func (x *Index) indexPackage(fset *token.FileSet, pkg *Package) {
 				switch verb {
 				case "zeroalloc":
 					d.ZeroAlloc = true
-				case "deterministic":
-					d.Deterministic = true
 				case "durable":
 					d.Durable = true
 				case "ctxorigin":
@@ -146,10 +117,10 @@ func (x *Index) indexPackage(fset *token.FileSet, pkg *Package) {
 	}
 }
 
-// indexComment handles one comment: line-scoped directives (ignore, bg,
+// indexComment handles one comment: line-scoped directives (ignore,
 // errok) register their line and the next (so both trailing and
-// standalone placements work), lockorder declarations join the
-// program-wide list, and unknown deepsketch: verbs become problems.
+// standalone placements work), and unknown deepsketch: verbs become
+// problems.
 func (x *Index) indexComment(fset *token.FileSet, c *ast.Comment) {
 	verb, rest, ok := splitDirective(c.Text)
 	if !ok {
@@ -173,12 +144,6 @@ func (x *Index) indexComment(fset *token.FileSet, c *ast.Comment) {
 			}
 			x.ignores[key][fields[0]] = true
 		})
-	case "bg":
-		if len(fields) < 2 {
-			x.problem(fset, c.Pos(), "bg directive needs an owner and a reason: //deepsketch:bg <owner> <reason>")
-			return
-		}
-		x.markLines(pos, func(key ignoreKey) { x.bg[key] = true })
 	case "errok":
 		if len(fields) < 1 {
 			x.problem(fset, c.Pos(), "errok directive needs a reason: //deepsketch:errok <reason>")
@@ -192,14 +157,6 @@ func (x *Index) indexComment(fset *token.FileSet, c *ast.Comment) {
 			}
 			x.ignores[key]["errsink"] = true
 		})
-	case "lockorder":
-		before, after, ok := strings.Cut(rest, "<")
-		before, after = strings.TrimSpace(before), strings.TrimSpace(after)
-		if !ok || before == "" || after == "" || strings.ContainsAny(after, "< \t") {
-			x.problem(fset, c.Pos(), "lockorder directive declares one ordered pair: //deepsketch:lockorder <mu-a><<mu-b>")
-			return
-		}
-		x.LockOrders = append(x.LockOrders, LockOrderDecl{Before: before, After: after, Pos: pos})
 	}
 }
 

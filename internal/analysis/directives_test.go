@@ -32,59 +32,19 @@ func problemCount(x *Index, substr string) int {
 	return n
 }
 
-// TestDirectiveGrammar drives the phase-2 directive verbs (bg, errok,
-// lockorder) through well-formed and malformed spellings: each malformed
-// form must surface a problem diagnostic AND not register its effect, so
-// a typo can never silently disable a check.
+// TestDirectiveGrammar drives the line-scoped errok verb through
+// well-formed and malformed spellings — a malformed form must surface a
+// problem diagnostic AND not register its effect — and checks that every
+// spelling of the verbs whose analyzers or declarations were deleted (bg,
+// lockorder, deterministic) is an unknown directive: a stale annotation
+// is reported, never silently taken to mean something.
 func TestDirectiveGrammar(t *testing.T) {
-	cases := []struct {
+	type grammarCase struct {
 		name string
 		src  string
 		want func(t *testing.T, x *Index, file string)
-	}{
-		{
-			name: "bg trailing",
-			src: "package snippet\n\nfunc f() {\n" +
-				"\tgo func() {}() //deepsketch:bg main metrics flusher dies with the process\n" +
-				"}\n",
-			want: func(t *testing.T, x *Index, file string) {
-				if !x.Background(file, 4) {
-					t.Error("bg not registered on its own line")
-				}
-				if !x.Background(file, 5) {
-					t.Error("bg not registered on the following line (standalone placement)")
-				}
-				if len(x.Problems) != 0 {
-					t.Errorf("unexpected problems: %v", x.Problems)
-				}
-			},
-		},
-		{
-			name: "bg standalone above",
-			src: "package snippet\n\nfunc f() {\n" +
-				"\t//deepsketch:bg main metrics flusher dies with the process\n" +
-				"\tgo func() {}()\n" +
-				"}\n",
-			want: func(t *testing.T, x *Index, file string) {
-				if !x.Background(file, 5) {
-					t.Error("standalone bg does not cover the go statement below it")
-				}
-			},
-		},
-		{
-			name: "bg missing reason",
-			src: "package snippet\n\nfunc f() {\n" +
-				"\tgo func() {}() //deepsketch:bg main\n" +
-				"}\n",
-			want: func(t *testing.T, x *Index, file string) {
-				if x.Background(file, 4) {
-					t.Error("malformed bg (owner only) must not register")
-				}
-				if problemCount(x, "bg directive needs an owner and a reason") != 1 {
-					t.Errorf("want one bg problem, got %v", x.Problems)
-				}
-			},
-		},
+	}
+	cases := []grammarCase{
 		{
 			name: "errok trailing",
 			src: "package snippet\n\nfunc f() error { return nil }\n\nfunc g() {\n" +
@@ -114,61 +74,6 @@ func TestDirectiveGrammar(t *testing.T) {
 			},
 		},
 		{
-			name: "lockorder well-formed",
-			src:  "package snippet\n\n//deepsketch:lockorder wal.Log.mu<wal.Log.idxMu\n\nfunc f() {}\n",
-			want: func(t *testing.T, x *Index, _ string) {
-				if len(x.LockOrders) != 1 {
-					t.Fatalf("want one lockorder declaration, got %v", x.LockOrders)
-				}
-				d := x.LockOrders[0]
-				if d.Before != "wal.Log.mu" || d.After != "wal.Log.idxMu" {
-					t.Errorf("parsed pair = %q<%q", d.Before, d.After)
-				}
-				if d.Pos.Line != 3 {
-					t.Errorf("declaration position line = %d, want 3", d.Pos.Line)
-				}
-			},
-		},
-		{
-			name: "lockorder spaces around angle",
-			src:  "package snippet\n\n//deepsketch:lockorder wal.Log.mu < wal.Log.idxMu\n\nfunc f() {}\n",
-			want: func(t *testing.T, x *Index, _ string) {
-				if len(x.LockOrders) != 1 || x.LockOrders[0].Before != "wal.Log.mu" || x.LockOrders[0].After != "wal.Log.idxMu" {
-					t.Errorf("spaced pair not parsed: %+v (problems %v)", x.LockOrders, x.Problems)
-				}
-			},
-		},
-		{
-			name: "lockorder missing separator",
-			src:  "package snippet\n\n//deepsketch:lockorder wal.Log.mu\n\nfunc f() {}\n",
-			want: func(t *testing.T, x *Index, _ string) {
-				if len(x.LockOrders) != 0 {
-					t.Errorf("malformed lockorder registered: %v", x.LockOrders)
-				}
-				if problemCount(x, "lockorder directive declares one ordered pair") != 1 {
-					t.Errorf("want one lockorder problem, got %v", x.Problems)
-				}
-			},
-		},
-		{
-			name: "lockorder empty side",
-			src:  "package snippet\n\n//deepsketch:lockorder <wal.Log.mu\n\nfunc f() {}\n",
-			want: func(t *testing.T, x *Index, _ string) {
-				if len(x.LockOrders) != 0 || problemCount(x, "lockorder directive declares one ordered pair") != 1 {
-					t.Errorf("empty-side lockorder: decls %v problems %v", x.LockOrders, x.Problems)
-				}
-			},
-		},
-		{
-			name: "lockorder chained pairs",
-			src:  "package snippet\n\n//deepsketch:lockorder a.T.x<a.T.y<a.T.z\n\nfunc f() {}\n",
-			want: func(t *testing.T, x *Index, _ string) {
-				if len(x.LockOrders) != 0 || problemCount(x, "lockorder directive declares one ordered pair") != 1 {
-					t.Errorf("chained lockorder: decls %v problems %v", x.LockOrders, x.Problems)
-				}
-			},
-		},
-		{
 			name: "unknown verb",
 			src:  "package snippet\n\n//deepsketch:nonsense whatever\n\nfunc f() {}\n",
 			want: func(t *testing.T, x *Index, _ string) {
@@ -177,6 +82,28 @@ func TestDirectiveGrammar(t *testing.T) {
 				}
 			},
 		},
+	}
+	for _, stale := range []struct{ name, verb, src string }{
+		{"bg trailing", "bg", "func f() {\n\tgo func() {}() //deepsketch:bg main metrics flusher dies with the process\n}\n"},
+		{"bg standalone above", "bg", "func f() {\n\t//deepsketch:bg main metrics flusher dies with the process\n\tgo func() {}()\n}\n"},
+		{"bg missing reason", "bg", "func f() {\n\tgo func() {}() //deepsketch:bg main\n}\n"},
+		{"lockorder well-formed", "lockorder", "//deepsketch:lockorder wal.Log.mu<wal.Log.idxMu\n\nfunc f() {}\n"},
+		{"lockorder spaces around angle", "lockorder", "//deepsketch:lockorder wal.Log.mu < wal.Log.idxMu\n\nfunc f() {}\n"},
+		{"lockorder missing separator", "lockorder", "//deepsketch:lockorder wal.Log.mu\n\nfunc f() {}\n"},
+		{"lockorder empty side", "lockorder", "//deepsketch:lockorder <wal.Log.mu\n\nfunc f() {}\n"},
+		{"lockorder chained pairs", "lockorder", "//deepsketch:lockorder a.T.x<a.T.y<a.T.z\n\nfunc f() {}\n"},
+		{"deterministic root", "deterministic", "// f is a training root.\n//\n//deepsketch:deterministic\nfunc f() {}\n"},
+	} {
+		verb := stale.verb
+		cases = append(cases, grammarCase{
+			name: stale.name,
+			src:  "package snippet\n\n" + stale.src,
+			want: func(t *testing.T, x *Index, _ string) {
+				if len(x.Problems) != 1 || problemCount(x, "unknown directive //deepsketch:"+verb) != 1 {
+					t.Errorf("stale //deepsketch:%s not reported as unknown: %v", verb, x.Problems)
+				}
+			},
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

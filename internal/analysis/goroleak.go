@@ -30,12 +30,12 @@ import (
 //     channel rooted at its receiver (the coalescer's loop selecting on
 //     c.stop).
 //
-// A deliberate fire-and-forget launch carries //deepsketch:bg <owner>
-// <reason> on (or directly above) the go statement, which names who owns
-// the goroutine's lifetime and keeps the decision auditable.
+// The shapes are syntactic: an Add/Done pair whose Wait was deleted still
+// passes (tier-1 and -race catch that one). A deliberate fire-and-forget
+// launch is suppressed with //deepsketch:ignore goroleak <reason>.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
-	Doc:  "every goroutine launch needs a provable join/shutdown path or a //deepsketch:bg owner",
+	Doc:  "every goroutine launch needs a provable join/shutdown path",
 	Run:  runGoroLeak,
 }
 
@@ -58,17 +58,13 @@ func runGoroLeak(pass *Pass) error {
 }
 
 func checkGoStmt(pass *Pass, enclosing *ast.FuncDecl, g *ast.GoStmt) {
-	pos := pass.Fset().Position(g.Pos())
-	if pass.Prog.Directives.Background(pos.Filename, pos.Line) {
-		return
-	}
 	info := pass.Pkg.Info
 
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		if litHasJoinPath(pass, enclosing, g, lit) {
 			return
 		}
-		pass.Reportf(g.Pos(), "goroutine has no provable join/shutdown path (no paired WaitGroup.Add/Done, no result channel received by the launcher, no done-channel wait); join it or annotate //deepsketch:bg <owner> <reason>")
+		pass.Reportf(g.Pos(), "goroutine has no provable join/shutdown path (no paired WaitGroup.Add/Done, no result channel received by the launcher, no done-channel wait); join it")
 		return
 	}
 
@@ -76,7 +72,7 @@ func checkGoStmt(pass *Pass, enclosing *ast.FuncDecl, g *ast.GoStmt) {
 	if len(g.Call.Args) > 0 {
 		if t := info.Types[g.Call.Args[0]].Type; t != nil && isContextType(t) {
 			if bg := uncancellableCtx(info, enclosing, g.Call.Args[0]); bg != "" {
-				pass.Reportf(g.Pos(), "goroutine is launched with %s, which nothing can ever cancel; derive a cancellable context (context.WithCancel, signal.NotifyContext) or annotate //deepsketch:bg <owner> <reason>", bg)
+				pass.Reportf(g.Pos(), "goroutine is launched with %s, which nothing can ever cancel; derive a cancellable context (context.WithCancel, signal.NotifyContext)", bg)
 			}
 			return
 		}
@@ -86,7 +82,7 @@ func checkGoStmt(pass *Pass, enclosing *ast.FuncDecl, g *ast.GoStmt) {
 			return
 		}
 	}
-	pass.Reportf(g.Pos(), "goroutine has no provable join/shutdown path (callee takes no context and does not wait on an owner-controlled channel); join it with a WaitGroup or annotate //deepsketch:bg <owner> <reason>")
+	pass.Reportf(g.Pos(), "goroutine has no provable join/shutdown path (callee takes no context and does not wait on an owner-controlled channel); join it with a WaitGroup")
 }
 
 // litHasJoinPath checks the three func-literal patterns: WaitGroup pair,

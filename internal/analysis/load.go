@@ -30,7 +30,7 @@ type listPkg struct {
 	GoFiles    []string
 	Dir        string
 	Standard   bool
-	Module     *struct{ Path, Dir string }
+	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -88,9 +88,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	}
 	for _, p := range mods {
 		prog.sourcePkgs[p.ImportPath] = true
-		if prog.ModuleDir == "" && p.Module != nil && p.Module.Dir != "" {
-			prog.ModuleDir = p.Module.Dir
-		}
 	}
 	for _, p := range mods {
 		var files []*ast.File

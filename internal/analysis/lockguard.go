@@ -16,15 +16,18 @@ import (
 // tracked by a linear source-order scan of each method body — Lock/RLock
 // acquires, a non-deferred Unlock/RUnlock releases, a deferred unlock
 // holds to function end — which matches the lock-at-top/defer-unlock
-// shape this codebase uses everywhere. Methods named *Locked, or
-// annotated //deepsketch:locked <mu>, are assumed to be called with the
-// lock held (their callers are checked instead). Plain functions (e.g.
-// constructors touching a not-yet-shared value) are out of scope, as are
-// guards living in a different struct ("guarded by Monitor.mu" is prose,
-// not a checkable annotation).
+// shape this codebase uses everywhere. Methods annotated
+// //deepsketch:locked <mu>, or named *Locked, are assumed to be called
+// with the lock held, and their callers are checked instead: a call on the
+// receiver to such a method needs <mu> held like a guarded field access
+// does (for *Locked, <mu> is the struct's guard when its guarded fields
+// name exactly one). Plain functions (e.g. constructors touching a
+// not-yet-shared value) are out of scope, as are guards living in a
+// different struct ("guarded by Monitor.mu" is prose, not a checkable
+// annotation).
 var LockGuard = &Analyzer{
 	Name: "lockguard",
-	Doc:  "fields annotated 'guarded by <mu>' are only accessed with <mu> held",
+	Doc:  "fields annotated 'guarded by <mu>' and //deepsketch:locked methods are only used with <mu> held",
 	Run:  runLockGuard,
 }
 
@@ -34,9 +37,6 @@ var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][\w.]*)\.?\s*$`)
 
 func runLockGuard(pass *Pass) error {
 	guards := collectGuards(pass)
-	if len(guards) == 0 {
-		return nil
-	}
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -120,12 +120,13 @@ func isMutexType(t types.Type) bool {
 }
 
 // lockEvent is one step of the linear replay: an acquire/release of a
-// guard or an access to a guarded field.
+// guard, or a use that needs it — a guarded field access or a call to a
+// method that assumes the guard held.
 type lockEvent struct {
 	pos      token.Pos
 	guard    string // mutex field name
-	kind     int    // 0 access, 1 acquire, 2 release
-	field    string
+	kind     int    // 0 use, 1 acquire, 2 release
+	use      string // "n is accessed", "lookup is called"
 	deferred bool
 }
 
@@ -160,6 +161,11 @@ func checkLockGuardMethod(pass *Pass, fd *ast.FuncDecl, guards guardInfo) {
 		case *ast.CallExpr:
 			if guard, kind := lockCall(info, n, recvObj); kind != 0 {
 				events = append(events, lockEvent{pos: n.Pos(), guard: guard, kind: kind})
+				return true
+			}
+			name, needs := lockedCallee(pass, n, recvObj, guards)
+			for _, guard := range needs {
+				events = append(events, lockEvent{pos: n.Pos(), guard: guard, use: name + " is called"})
 			}
 		case *ast.SelectorExpr:
 			id, ok := ast.Unparen(n.X).(*ast.Ident)
@@ -171,7 +177,7 @@ func checkLockGuardMethod(pass *Pass, fd *ast.FuncDecl, guards guardInfo) {
 				sel = info.Defs[n.Sel]
 			}
 			if guard, ok := guards[sel]; ok {
-				events = append(events, lockEvent{pos: n.Pos(), guard: guard, field: n.Sel.Name})
+				events = append(events, lockEvent{pos: n.Pos(), guard: guard, use: n.Sel.Name + " is accessed"})
 			}
 		}
 		return true
@@ -189,10 +195,56 @@ func checkLockGuardMethod(pass *Pass, fd *ast.FuncDecl, guards guardInfo) {
 			}
 		default:
 			if !held[e.guard] && !assumed[e.guard] && !allHeld {
-				pass.Reportf(e.pos, "%s is accessed without holding %s (annotate //deepsketch:locked %s if the caller holds it)", e.field, e.guard, e.guard)
+				pass.Reportf(e.pos, "%s without holding %s (annotate //deepsketch:locked %s if the caller holds it)", e.use, e.guard, e.guard)
 			}
 		}
 	}
+}
+
+// lockedCallee resolves recv.m(...) to the mutexes method m assumes held:
+// those its //deepsketch:locked directive names, or — for a *Locked name —
+// the receiver struct's guard when its guarded fields name exactly one.
+func lockedCallee(pass *Pass, call *ast.CallExpr, recvObj types.Object, guards guardInfo) (string, []string) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", nil
+	}
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); !ok || pass.Pkg.Info.Uses[id] != recvObj {
+		return "", nil
+	}
+	fn := calleeFunc(pass.Pkg.Info, call)
+	if fn == nil {
+		return "", nil
+	}
+	if locked := pass.Prog.Directives.Func(funcKey(fn)).Locked; len(locked) > 0 {
+		return fn.Name(), locked
+	}
+	if !strings.HasSuffix(fn.Name(), "Locked") {
+		return "", nil
+	}
+	t := recvObj.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return "", nil
+	}
+	mu := ""
+	for i := 0; i < st.NumFields(); i++ {
+		guard, ok := guards[st.Field(i).Origin()]
+		if !ok || guard == mu {
+			continue
+		}
+		if mu != "" {
+			return "", nil // two guards: which one *Locked means is ambiguous
+		}
+		mu = guard
+	}
+	if mu == "" {
+		return "", nil
+	}
+	return fn.Name(), []string{mu}
 }
 
 // lockCall classifies recv.<guard>.Lock()/RLock() (acquire, kind 1) and

@@ -18,32 +18,26 @@ import (
 // static call chain (f holds a and calls g, which — transitively —
 // acquires b). Held-ness uses the same linear source-order replay as
 // lockguard: Lock/RLock acquires, a non-deferred Unlock releases, a
-// deferred unlock holds to function end.
+// deferred unlock holds to function end. A mutex re-acquired while already
+// held (possibly through calls) is reported as a self-deadlock candidate.
 //
-// The intended partial order is declared with //deepsketch:lockorder a<b
-// (names may drop the package path down to <pkgname>.<Type>.<field>).
-// Declared edges join the graph, so a pair of contradictory declarations
-// is itself a cycle, and an observed acquisition b→a that contradicts a
-// declared a<b is reported directly at its witness site. A mutex
-// re-acquired while already held (possibly through calls) is reported as
-// a self-deadlock candidate.
-//
-// The graph is instance-insensitive: two locks of the same field on
-// different instances collapse into one node, which over-approximates.
+// Calls through func values are invisible: a callback invoked under a
+// lock that re-enters its owner is not an edge (tier-1 catches that one by
+// hanging). The graph is instance-insensitive: two locks of the same field
+// on different instances collapse into one node, which over-approximates.
 // A false cycle from that collapse is suppressed at its witness line with
 // //deepsketch:ignore lockorder <reason>.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "the module-wide lock-acquisition graph must match the declared partial order and stay acyclic",
+	Doc:  "the module-wide lock-acquisition graph must stay acyclic",
 	Run:  runLockOrder,
 }
 
-// lockEdge is one observed (or declared) acquisition ordering.
+// lockEdge is one observed acquisition ordering.
 type lockEdge struct {
 	from, to string
 	pos      token.Pos // witness: the inner acquisition or call site
 	via      string    // callee funcKey for call-propagated edges, "" for direct
-	declared bool
 }
 
 func runLockOrder(pass *Pass) error {
@@ -73,7 +67,6 @@ func computeLockOrder(prog *Program) []Diagnostic {
 			callee string
 			pos    token.Pos
 		}
-		nodes = map[string]bool{}
 	)
 
 	for _, pkg := range prog.Packages {
@@ -121,7 +114,6 @@ func computeLockOrder(prog *Program) []Diagnostic {
 						if node, m := mutexMethodCall(pkg.Info, n); node != "" {
 							switch m {
 							case "Lock", "RLock":
-								nodes[node] = true
 								events = append(events, event{pos: n.Pos(), node: node, kind: 1})
 							case "Unlock", "RUnlock":
 								events = append(events, event{pos: n.Pos(), node: node, kind: 2})
@@ -184,21 +176,6 @@ func computeLockOrder(prog *Program) []Diagnostic {
 		}
 	}
 
-	// Declared order joins the graph; contradictions are checked below.
-	decls := prog.Directives.LockOrders
-	declEdge := map[[2]string]LockOrderDecl{}
-	for _, d := range decls {
-		from, okF := resolveLockName(nodes, d.Before)
-		to, okT := resolveLockName(nodes, d.After)
-		if !okF || !okT {
-			// The named mutex is not in the loaded packages (partial lint
-			// run) — nothing to check against.
-			continue
-		}
-		declEdge[[2]string{from, to}] = d
-		edges = append(edges, lockEdge{from: from, to: to, pos: token.NoPos, declared: true})
-	}
-
 	var diags []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
 		diags = append(diags, Diagnostic{
@@ -211,7 +188,7 @@ func computeLockOrder(prog *Program) []Diagnostic {
 	// Self-edges: a mutex (re-)acquired while already held.
 	seenSelf := map[string]bool{}
 	for _, e := range edges {
-		if e.from != e.to || e.declared || seenSelf[e.from+e.via] {
+		if e.from != e.to || seenSelf[e.from+e.via] {
 			continue
 		}
 		seenSelf[e.from+e.via] = true
@@ -219,23 +196,6 @@ func computeLockOrder(prog *Program) []Diagnostic {
 			report(e.pos, "%s is already held at this call to %s, which acquires it again (self-deadlock for Mutex, writer-starvation deadlock for RWMutex)", displayLock(e.from), e.via)
 		} else {
 			report(e.pos, "%s is acquired while already held (self-deadlock)", displayLock(e.from))
-		}
-	}
-
-	// Observed edges contradicting a declaration.
-	seenContra := map[[2]string]bool{}
-	for _, e := range edges {
-		if e.declared || e.from == e.to {
-			continue
-		}
-		if d, ok := declEdge[[2]string{e.to, e.from}]; ok && !seenContra[[2]string{e.from, e.to}] {
-			seenContra[[2]string{e.from, e.to}] = true
-			suffix := ""
-			if e.via != "" {
-				suffix = " (via call to " + e.via + ")"
-			}
-			report(e.pos, "%s is acquired while holding %s%s, contradicting the declared order %s<%s at %s",
-				displayLock(e.to), displayLock(e.from), suffix, d.Before, d.After, d.Pos)
 		}
 	}
 
@@ -362,11 +322,11 @@ func lockCycles(prog *Program, edges []lockEdge) []Diagnostic {
 		for _, n := range scc {
 			inSCC[n] = true
 		}
-		// Witness: the first positioned edge inside the component.
+		// Witness: the first edge inside the component.
 		var witness *lockEdge
 		for i := range edges {
 			e := &edges[i]
-			if e.from == e.to || !inSCC[e.from] || !inSCC[e.to] || e.pos == token.NoPos {
+			if e.from == e.to || !inSCC[e.from] || !inSCC[e.to] {
 				continue
 			}
 			if witness == nil || e.pos < witness.pos {
@@ -377,20 +337,15 @@ func lockCycles(prog *Program, edges []lockEdge) []Diagnostic {
 		for i, n := range scc {
 			names[i] = displayLock(n)
 		}
-		msg := fmt.Sprintf("potential deadlock: lock-acquisition cycle between %s", strings.Join(names, ", "))
-		pos := token.NoPos
-		if witness != nil {
-			pos = witness.pos
-			suffix := ""
-			if witness.via != "" {
-				suffix = " via call to " + witness.via
-			}
-			msg += fmt.Sprintf(" (witness: %s acquired while holding %s%s)", displayLock(witness.to), displayLock(witness.from), suffix)
+		suffix := ""
+		if witness.via != "" {
+			suffix = " via call to " + witness.via
 		}
 		diags = append(diags, Diagnostic{
 			Analyzer: "lockorder",
-			Pos:      prog.Fset.Position(pos),
-			Message:  msg,
+			Pos:      prog.Fset.Position(witness.pos),
+			Message: fmt.Sprintf("potential deadlock: lock-acquisition cycle between %s (witness: %s acquired while holding %s%s)",
+				strings.Join(names, ", "), displayLock(witness.to), displayLock(witness.from), suffix),
 		})
 	}
 	return diags
@@ -448,21 +403,6 @@ func lockNodeID(info *types.Info, e ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-// resolveLockName matches a declared name against the known mutex nodes:
-// exact id, or a suffix starting at a path boundary (so
-// "wal.Log.mu" matches "deepsketch/internal/wal.Log.mu").
-func resolveLockName(nodes map[string]bool, name string) (string, bool) {
-	if nodes[name] {
-		return name, true
-	}
-	for id := range nodes {
-		if strings.HasSuffix(id, "/"+name) {
-			return id, true
-		}
-	}
-	return "", false
 }
 
 // displayLock shortens a node id to its last path segment:

@@ -21,10 +21,6 @@ func TestDurabilityFixture(t *testing.T) {
 	RunFixture(t, Durability, fixturePkg, fixtureDir("durability"), "fixture.go")
 }
 
-func TestDeterminismFixture(t *testing.T) {
-	RunFixture(t, Determinism, fixturePkg, fixtureDir("determinism"), "fixture.go")
-}
-
 func TestCtxPolicyFixture(t *testing.T) {
 	RunFixture(t, CtxPolicy, fixturePkg, fixtureDir("ctxpolicy"), "fixture.go")
 }
@@ -79,14 +75,14 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"zeroalloc", "durability", "determinism", "ctxpolicy", "lockguard",
-		"goroleak", "lockorder", "errsink", "escapebudget",
+		"zeroalloc", "durability", "ctxpolicy", "lockguard",
+		"goroleak", "lockorder", "errsink",
 	} {
 		if !names[want] {
 			t.Errorf("All() is missing analyzer %q", want)
 		}
 	}
-	if got := len(All()); got != 9 {
-		t.Errorf("All() returns %d analyzers, want 9", got)
+	if got := len(All()); got != 7 {
+		t.Errorf("All() returns %d analyzers, want 7", got)
 	}
 }

@@ -73,9 +73,9 @@ func (w *worker) doneWait() {
 	}()
 }
 
-// annotated is a deliberate fire-and-forget launch with a named owner.
+// annotated is a deliberate fire-and-forget launch, suppressed with a reason.
 func annotated() {
-	//deepsketch:bg process-lifetime metrics flusher dies with the process
+	//deepsketch:ignore goroleak process-lifetime metrics flusher dies with the process
 	go func() {
 		select {}
 	}()

@@ -1,7 +1,8 @@
 // Package fixture seeds lockguard violations: guarded fields accessed
-// without their mutex, access after an early unlock, and a guard naming a
-// non-existent sibling — next to the compliant lock/defer-unlock,
-// *Locked-suffix, and //deepsketch:locked shapes.
+// without their mutex, access after an early unlock, calls to methods that
+// assume the mutex held made without it, and a guard naming a non-existent
+// sibling — next to the compliant lock/defer-unlock, *Locked-suffix, and
+// //deepsketch:locked shapes.
 package fixture
 
 import "sync"
@@ -38,8 +39,43 @@ func (c *counter) bumpLocked() { c.n++ }
 //deepsketch:locked mu
 func (c *counter) bumpCallerHolds() { c.n++ }
 
+// bumpTwice holds mu across both calls that assume it.
+func (c *counter) bumpTwice() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bumpLocked()
+	c.bumpCallerHolds()
+}
+
+// bumpUnlocked calls both without mu: the callers are what is checked.
+func (c *counter) bumpUnlocked() {
+	c.bumpCallerHolds() // want "bumpCallerHolds is called without holding mu"
+	c.bumpLocked()      // want "bumpLocked is called without holding mu"
+}
+
+// bumpAll assumes mu held itself, so its calls need no lock of their own.
+//
+//deepsketch:locked mu
+func (c *counter) bumpAll() {
+	c.bumpLocked()
+	c.bumpCallerHolds()
+}
+
 // label is unguarded: free access is fine.
 func (c *counter) rename(s string) { c.name = s }
+
+// twoGuards has fields under two mutexes, so a *Locked name does not say
+// which one its callers must hold; only the directive does.
+type twoGuards struct {
+	a, b sync.Mutex
+	x    int // guarded by a
+	y    int // guarded by b
+}
+
+func (t *twoGuards) resetLocked() { t.x, t.y = 0, 0 }
+
+// reset is not reported: resetLocked's guard is ambiguous.
+func (t *twoGuards) reset() { t.resetLocked() }
 
 type badGuard struct {
 	lock sync.Mutex

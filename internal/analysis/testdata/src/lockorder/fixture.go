@@ -1,12 +1,9 @@
 // Package fixture seeds lockorder violations — a re-acquire, an
-// inconsistent two-mutex ordering, a call-propagated cycle, and a
-// declaration contradiction — next to the consistent nesting the
-// analyzer must stay quiet on.
+// inconsistent two-mutex ordering, and a call-propagated cycle — next to
+// the consistent nesting the analyzer must stay quiet on.
 package fixture
 
 import "sync"
-
-//deepsketch:lockorder fixture.declpair.x<fixture.declpair.y
 
 // consistent always nests inner under outer: one order, no cycle.
 type consistent struct {
@@ -110,19 +107,4 @@ func (p *cd) dThenC() {
 	p.c.Lock()
 	p.c.Unlock()
 	p.d.Unlock()
-}
-
-// declpair's declared order is x<y; wrongWay acquires x while holding y,
-// which both contradicts the declaration and closes a cycle with the
-// declared edge.
-type declpair struct {
-	x sync.Mutex
-	y sync.Mutex
-}
-
-func (p *declpair) wrongWay() {
-	p.y.Lock()
-	p.x.Lock() // want "contradicting the declared order" "lock-acquisition cycle"
-	p.x.Unlock()
-	p.y.Unlock()
 }

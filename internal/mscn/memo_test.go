@@ -180,7 +180,9 @@ func TestReferenceRowLookup(t *testing.T) {
 }
 
 // TestReferenceRowMemoZeroAlloc: with reference rows installed and hit, the
-// steady-state forward still does not touch the heap, at either precision.
+// steady-state forward still does not touch the heap, at either precision —
+// both kernels directly and Engine.forward, the dispatch every estimate
+// goes through, so a local of the dispatch moved to the heap fails here.
 func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	const jdim, pdim = 5, 9
 	m := New(Config{HiddenUnits: 16, Seed: 1}, memoT+memoBits, jdim, pdim)
@@ -201,6 +203,14 @@ func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(50, func() { e.forwardReduced(pb, &ws32, out) }); a != 0 {
 		t.Fatalf("memoised f32 forward allocates %.1f times per op, want 0", a)
+	}
+	var s engineScratch
+	for _, p := range []Precision{F64, F32} {
+		m.SetPrecision(p)
+		e.forward(pb, &s, out)
+		if a := testing.AllocsPerRun(50, func() { e.forward(pb, &s, out) }); a != 0 {
+			t.Fatalf("memoised %v forward dispatch allocates %.1f times per op, want 0", p, a)
+		}
 	}
 }
 

@@ -58,7 +58,12 @@ func (m *Model) Train(examples []Example, norm nn.LabelNorm, mon *trainmon.Monit
 // StopAtValQ never depends on the inference engine, its serving precision or
 // its weight-generation tag.
 //
-//deepsketch:deterministic
+// Bitwise reproducibility is pinned by tests, not by annotation:
+// TestTrainFingerprint hashes the trained weights and Adam state,
+// TestTrainDeterminism and TestTrainParallelReproducible retrain and compare
+// bit for bit, and TestShardedReductionMatchesSerial holds the sharded
+// gradient reduction to the serial one. A global-source draw, a wall-clock
+// seed or a map-ordered reduction on this path fails them.
 func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *trainmon.Monitor, opts TrainOptions) ([]EpochStats, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("mscn: no training examples")
@@ -114,7 +119,6 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 	// or memo of the old generation may be served beside.
 	defer m.noteWeightsChanged()
 	for epoch := 1; epoch <= epochs; epoch++ {
-		//deepsketch:ignore determinism epoch wall-clock telemetry; never feeds weights
 		start := time.Now()
 		order := shuffle(rng, len(train))
 		var lossSum float64
@@ -138,7 +142,6 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 			lossSum += loss
 			batches++
 		}
-		//deepsketch:ignore determinism epoch wall-clock telemetry; never feeds weights
 		st := EpochStats{Epoch: epoch, TrainLoss: lossSum / float64(batches), Duration: time.Since(start)}
 		if len(val) > 0 {
 			if err := tr.predict(valEncs, qs); err != nil {

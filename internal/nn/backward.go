@@ -18,8 +18,6 @@ package nn
 // nil skips that GEMM entirely (the first layer of each set module never
 // needs gradients with respect to its features). Runs on the calling
 // goroutine only and performs no allocations.
-//
-//deepsketch:deterministic
 func (l *Linear) BackwardFused(x, dy Matrix, dx *Matrix, dW, dB []float64) {
 	if dy.Cols != l.Out || x.Rows != dy.Rows || x.Cols != l.In {
 		panic("nn: BackwardFused dimension mismatch")
@@ -71,8 +69,6 @@ func (l *Linear) BackwardFused(x, dy Matrix, dx *Matrix, dW, dB []float64) {
 // offsets is the same CSR offset slice the forward used (len dOut.Rows+1);
 // dx must be offsets[B]×dOut.Cols and is fully overwritten (empty segments
 // own no rows, so there is nothing to clear for them). No allocations.
-//
-//deepsketch:deterministic
 func SegmentAvgPoolBackward(dOut Matrix, offsets []int, dx Matrix) {
 	b := dOut.Rows
 	if len(offsets) != b+1 || offsets[b] != dx.Rows || dx.Cols != dOut.Cols {

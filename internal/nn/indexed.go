@@ -140,8 +140,6 @@ func (l Layer[T]) ForwardIndexed(x Mat[T], ix *RunIndex, y Mat[T], lo, hi int, r
 // element receives its contributions in the dense kernel's row order; the
 // ones left out are dy·0, which change no bit of an accumulator that
 // started at +0 (for finite dy).
-//
-//deepsketch:deterministic
 func (l *Linear) BackwardIndexed(x Matrix, ix *RunIndex, dy Matrix, dW, dB []float64) {
 	if dy.Cols != l.Out || x.Rows != dy.Rows || x.Cols != l.In || ix.Rows() != x.Rows {
 		panic("nn: BackwardIndexed dimension mismatch")

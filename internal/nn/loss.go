@@ -111,8 +111,6 @@ func Loss(kind LossKind, norm LabelNorm, preds, targets []float64, gradCap float
 // each run LossSumInto on their contiguous shard with the full-batch invN
 // and the caller combines the returned sums in worker order — reproducing
 // Loss over the whole batch exactly. No allocations.
-//
-//deepsketch:deterministic
 func LossSumInto(kind LossKind, norm LabelNorm, preds, targets, grad []float64, gradCap, invN float64) float64 {
 	if len(preds) != len(targets) || len(grad) != len(preds) {
 		panic("nn: Loss length mismatch")

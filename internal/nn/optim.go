@@ -113,8 +113,6 @@ func (a *Adam) RestoreState(params []*Param, st *OptState) error {
 
 // Step applies one update to all parameters from their accumulated
 // gradients, then zeroes the gradients.
-//
-//deepsketch:deterministic
 func (a *Adam) Step(params []*Param) {
 	if a.ClipNorm > 0 {
 		norm := GlobalGradNorm(params)
