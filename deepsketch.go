@@ -280,10 +280,10 @@ const DefaultPinnedMaxRegress = drift.DefaultPinnedMaxRegress
 
 // NewDriftMonitor returns a drift monitor that obtains ground truth from
 // truth — TruthEstimator(d) for exact counts, PostgresEstimator(d) for a
-// cheap approximation, or EstimatorFunc over logged actuals. A nil truth
-// runs the monitor without any in-process ground truth: every sampled
-// estimate parks as pending until DriftMonitor.ResolveActual reports the
-// observed actual (the logged-actuals serving mode).
+// cheap approximation. A nil truth runs the monitor without any in-process
+// ground truth: every sampled estimate parks as pending until
+// DriftMonitor.ResolveActual reports the observed actual (the logged-actuals
+// serving mode).
 func NewDriftMonitor(cfg DriftConfig, truth Estimator) *DriftMonitor {
 	return drift.NewMonitor(cfg, truth)
 }
@@ -403,27 +403,14 @@ func Build(d *DB, cfg Config, mon *Monitor) (*Sketch, error) {
 }
 
 // BuildWithWorkload creates a sketch from a pre-labeled workload (e.g. one
-// written by WriteWorkloadFile), skipping query generation and execution.
+// read by ReadWorkloadFile), skipping query generation and execution.
 func BuildWithWorkload(d *DB, cfg Config, labeled []LabeledQuery, mon *Monitor) (*Sketch, error) {
 	return core.BuildWithWorkload(d, cfg, labeled, mon)
 }
 
-// WriteWorkloadFile writes a labeled workload in the original artifact's
-// CSV format (tables#joins#predicates#cardinality).
-func WriteWorkloadFile(path string, labeled []LabeledQuery) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := workload.WriteCSV(f, labeled); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadWorkloadFile reads a labeled workload in the artifact CSV format,
-// validating it against the schema.
+// ReadWorkloadFile reads a labeled workload in the original artifact's CSV
+// format (tables#joins#predicates#cardinality), validating it against the
+// schema.
 func ReadWorkloadFile(d *DB, path string) ([]LabeledQuery, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -509,12 +496,6 @@ func LabelWorkload(d *DB, qs []Query, workers int) ([]LabeledQuery, error) {
 	return workload.Label(d, qs, workers, nil)
 }
 
-// YearTemplate builds the paper's flagship template: a keyword's popularity
-// over production years.
-func YearTemplate(d *DB, keyword string) (Template, error) {
-	return workload.YearTemplate(d, keyword)
-}
-
 // Estimation interface: the one entry point every backend implements.
 type (
 	// Estimator is the unified estimation interface (see the package doc).
@@ -523,12 +504,6 @@ type (
 	// latency, and whether it was served from a cache.
 	Estimate = estimator.Estimate
 )
-
-// EstimatorFunc adapts a plain estimation function to the Estimator
-// interface, for ad-hoc backends in comparison harnesses.
-func EstimatorFunc(name string, fn func(Query) (float64, error)) Estimator {
-	return estimator.Func{EstimatorName: name, Fn: fn}
-}
 
 // PostgresEstimator builds the PostgreSQL-style estimator (per-column MCVs,
 // histograms, independence assumption).

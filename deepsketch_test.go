@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"deepsketch"
+	"deepsketch/internal/workload"
 )
 
 // Shared tiny fixture: building a sketch is the expensive part, do it once.
@@ -255,7 +256,7 @@ func TestPublicAPIJOBLight(t *testing.T) {
 
 func TestPublicAPITemplate(t *testing.T) {
 	d, s := fixture(t)
-	tpl, err := deepsketch.YearTemplate(d, "love")
+	tpl, err := workload.YearTemplate(d, "love")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,21 +15,83 @@ import (
 )
 
 // A sketch hands its engine the all-ones row of every table once
-// (Sketch.engine) and the engine memoises their first layer. That changes
-// what an estimate costs and must change nothing else: every test here
-// compares a sketch's estimates, with ==, to those of an engine over the
-// same model that was never given a reference row.
+// (Sketch.engine); the engine keeps their h2, with the join and zero rows',
+// in its element table and forwards each distinct element of a batch once.
+// That changes what an estimate costs and must change nothing else: every
+// test here compares a sketch's estimates, with ==, to a plain forward
+// written out row by row (plainForward).
 
-// plainCardinalities estimates qs on a fresh engine over s.Model with no
-// reference rows, at the model's current precision.
+// plainForward is the MSCN forward of one featurized query at element type
+// T, one set element at a time through both layers of its module, with no
+// batch, no element table and no dedupe. Each output is summed in ascending
+// input order from zero with the bias added last, and the pool adds rows in
+// order and scales by 1/n, as the engine's kernels do, so these are the bits
+// the engine must return.
+func plainForward[T float32 | float64](m *mscn.Model, enc featurize.Encoded) float64 {
+	ps := m.Params() // layer i's weights at 2i, its bias at 2i+1
+	layer := func(i int, x []T, relu bool) []T {
+		w, b := ps[2*i].Data, ps[2*i+1].Data
+		y := make([]T, len(b))
+		for o := range y {
+			var a T
+			for k, v := range x {
+				a += v * T(w[o*len(x)+k])
+			}
+			a += T(b[o])
+			if relu && !(a > 0) {
+				a = 0
+			}
+			y[o] = a
+		}
+		return y
+	}
+	var concat []T
+	for k, vecs := range [][][]float64{enc.TableVecs, enc.JoinVecs, enc.PredVecs} {
+		pool := make([]T, m.Cfg.HiddenUnits)
+		for i, v := range vecs {
+			x := make([]T, len(v))
+			for c, f := range v {
+				x[c] = T(f)
+			}
+			h2 := layer(2*k+1, layer(2*k, x, true), true)
+			for c := range pool {
+				if i == 0 {
+					pool[c] = h2[c]
+				} else {
+					pool[c] += h2[c]
+				}
+			}
+		}
+		if n := len(vecs); n > 1 {
+			inv := 1 / T(n)
+			for c := range pool {
+				pool[c] *= inv
+			}
+		}
+		concat = append(concat, pool...)
+	}
+	y := layer(7, layer(6, concat, true), false)[0]
+	return float64(T(1.0 / (1.0 + math.Exp(-float64(y)))))
+}
+
+// plainCardinalities estimates qs through plainForward at the model's
+// current precision.
 func plainCardinalities(t *testing.T, s *Sketch, qs []db.Query) []float64 {
 	t.Helper()
 	out := make([]float64, len(qs))
-	src := &querySource{s: s, qs: qs}
-	if err := mscn.NewEngine(s.Model).PredictSourceInto(context.Background(), src, len(qs), out); err != nil {
-		t.Fatal(err)
-	}
-	for i, y := range out {
+	for i, q := range qs {
+		bms, err := s.Samples.Bitmaps(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := s.Encoder.EncodeQuery(q, bms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y := plainForward[float64](s.Model, enc)
+		if s.EnginePrecision() == mscn.F32 {
+			y = plainForward[float32](s.Model, enc)
+		}
 		out[i] = s.Encoder.Norm.Denormalize(y)
 	}
 	return out
@@ -55,13 +117,13 @@ func checkMemoChangesNothing(t *testing.T, what string, s *Sketch, qs []db.Query
 			t.Fatal(err)
 		}
 		if math.Float64bits(one) != math.Float64bits(want[i]) {
-			t.Fatalf("%s (%v): single query %d (%s) = %v, plain engine %v", what, s.EnginePrecision(), i, q.SQL(nil), one, want[i])
+			t.Fatalf("%s (%v): single query %d (%s) = %v, plain forward %v", what, s.EnginePrecision(), i, q.SQL(nil), one, want[i])
 		}
 	}
 }
 
 // atBothPrecisions runs the check at f64, f32 and f64 again (the second f64
-// pass reads a memo that an f32 pass ran beside).
+// pass reads a table that an f32 pass ran beside).
 func atBothPrecisions(t *testing.T, what string, s *Sketch, qs []db.Query) {
 	t.Helper()
 	was := s.EnginePrecision()
@@ -73,9 +135,10 @@ func atBothPrecisions(t *testing.T, what string, s *Sketch, qs []db.Query) {
 }
 
 // memoQueries is the bench's cold set in small (signature-distinct queries
-// from the training distribution, up to 4 joins and 3 predicates) plus the
-// JOB-light draw the benchmark grades.
-func memoQueries(t *testing.T, d *db.DB, n int) []db.Query {
+// from the training distribution, up to 4 joins and 3 predicates), the
+// JOB-light draw the benchmark grades, and a year-template expansion (one
+// statement, one literal varying — the rows that repeat within a batch).
+func memoQueries(t *testing.T, d *db.DB, s *Sketch, n int) []db.Query {
 	t.Helper()
 	g, err := workload.NewGenerator(d, workload.GenConfig{Seed: 7, Count: n, MaxJoins: 4, MaxPreds: 3, Dedup: true})
 	if err != nil {
@@ -89,11 +152,32 @@ func memoQueries(t *testing.T, d *db.DB, n int) []db.Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(qs, jl...)
+	return append(append(qs, jl...), templateQueries(t, d, s)...)
+}
+
+// templateQueries expands the paper's year template over s's samples.
+func templateQueries(t *testing.T, d *db.DB, s *Sketch) []db.Query {
+	t.Helper()
+	tpl, err := workload.YearTemplate(d, "love")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts, err := tpl.Instantiate(s.Samples, workload.GroupDistinct, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(insts) < 10 {
+		t.Fatalf("the template expands to %d instances", len(insts))
+	}
+	qs := make([]db.Query, len(insts))
+	for i, inst := range insts {
+		qs[i] = inst.Query
+	}
+	return qs
 }
 
 // referenceShare counts the table rows of qs that equal one of s's
-// reference rows — the rows the memo answers.
+// reference rows — the table rows the element table answers.
 func referenceShare(t *testing.T, s *Sketch, qs []db.Query) (hits, rows int) {
 	t.Helper()
 	refs := s.referenceRows()
@@ -121,10 +205,10 @@ func referenceShare(t *testing.T, s *Sketch, qs []db.Query) (hits, rows int) {
 
 func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	d, shared := getSketch(t)
-	qs := memoQueries(t, d, 2000)
 	s := shared.Clone() // precision flips and ReadWeights below must not reach the shared sketch
+	qs := memoQueries(t, d, s, 2000)
 
-	// The property that makes the memo worth having, measured rather than
+	// The property that makes the table worth having, measured rather than
 	// assumed: a large share of this traffic's table rows are reference
 	// rows. (If this reads 0 the comparisons below compare nothing.)
 	hits, rows := referenceShare(t, s, qs)
@@ -144,7 +228,7 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	atBothPrecisions(t, "refreshed sketch", refreshed, qs)
 	atBothPrecisions(t, "the sketch a refresh was taken from", s, qs)
 
-	// ReadWeights under a serving engine whose memos are warm: the old
+	// ReadWeights under a serving engine whose tables are warm: the old
 	// generation's rows must not survive.
 	before, err := s.BatchCardinalities(context.Background(), qs[:50])
 	if err != nil {
@@ -178,7 +262,7 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	}
 	atBothPrecisions(t, "loaded sketch", loaded, qs)
 
-	// A precision flip mid-stream: each half is served by its own memo.
+	// A precision flip mid-stream: each half is served by its own table.
 	half := len(qs) / 2
 	s.SetEnginePrecision(mscn.F64)
 	checkMemoChangesNothing(t, "first half", s, qs[:half])
@@ -186,12 +270,16 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	checkMemoChangesNothing(t, "second half after the flip", s, qs[half:])
 	s.SetEnginePrecision(mscn.F64)
 	checkMemoChangesNothing(t, "second half flipped back", s, qs[half:])
+
+	// Another reference set under the same weights: the table must follow.
+	s.engine().SetReferenceRows(s.referenceRows()[1:])
+	atBothPrecisions(t, "replaced reference rows", s, qs)
 }
 
 // TestReferenceRowsOfSmallTables: a table smaller than the sample size has a
 // short all-ones bitmap (TPC-H's nation: 25 rows), and its reference row is
 // that short row — built from the table's actual sample, not from
-// SampleSize — so unfiltered references to it are memo hits.
+// SampleSize — so unfiltered references to it are element-table hits.
 func TestReferenceRowsOfSmallTables(t *testing.T) {
 	d := datagen.TPCH(datagen.TPCHConfig{Seed: 3, Orders: 600})
 	s, err := Build(d, Config{
@@ -279,7 +367,7 @@ func TestReferenceRowsWithoutBitmaps(t *testing.T) {
 		Cfg: shared.Cfg, Encoder: enc, Samples: shared.Samples, DBName: shared.DBName,
 		Model: mscn.New(shared.Cfg.Model, enc.TableDim(), enc.JoinDim(), enc.PredDim()),
 	}
-	qs := memoQueries(t, d, 200)
+	qs := memoQueries(t, d, s, 200)
 	if hits, rows := referenceShare(t, s, qs); hits != rows {
 		t.Fatalf("%d of %d one-hot table rows equal a reference row, want all", hits, rows)
 	}

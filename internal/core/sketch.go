@@ -144,9 +144,10 @@ func (s *Sketch) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, 
 // engine returns the model's inference engine, having handed it — once per
 // Sketch value, so a clone, a loaded and a refreshed sketch each do it for
 // their own model — the table rows that recur (referenceRows). On
-// JOB-light-style traffic about half of all table rows are these, and the
-// engine computes each one's first layer once per weight generation instead
-// of once per occurrence.
+// JOB-light-style traffic about half of all table rows are these; the
+// engine keeps their h2 in its element table, beside the join and zero
+// rows', computed once per weight generation instead of once per
+// occurrence.
 func (s *Sketch) engine() *mscn.Engine {
 	s.engineOnce.Do(func() { s.Model.Engine().SetReferenceRows(s.referenceRows()) })
 	return s.Model.Engine()

@@ -24,22 +24,28 @@ import (
 // weight generation, so reduced precision never pays conversion per forward
 // and never serves stale weights after a Refresh/Swap.
 //
-// The same generation tag keys the reference-row memo (SetReferenceRows):
-// table rows the owner expects over and over — an unfiltered table's
-// all-ones bitmap — get their first-layer output computed once per weight
-// generation and precision and copied thereafter.
+// The engine forwards each distinct set element once. A set element's h2 —
+// its output after both layers of its set module, what the pool averages —
+// depends only on the element and the weights. So a row's h2 is copied from
+// the element table when the row is one of its finite-domain elements
+// (every join one-hot, the zero join and predicate rows, each reference row
+// of SetReferenceRows; computed once per weight generation and precision),
+// else from an earlier equal row of the same batch (PackedBatch's keys), and
+// only the rows left are forwarded, as one contiguous block.
 type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
 
-	// reduced is the f32 weight snapshot and memo64/memo32 the reference
-	// rows' first-layer outputs at each precision, all built lazily under
-	// convMu and tagged with the Model.WeightGen they were computed from.
+	// elems holds the element table's rows, replaced whole by
+	// SetReferenceRows. reduced is the f32 weight snapshot and
+	// table64/table32 the element table at each precision, all built lazily
+	// under convMu and tagged with the Model.WeightGen they were computed
+	// from.
 	convMu  sync.Mutex
 	reduced atomic.Pointer[snapshot]
-	refs    atomic.Pointer[refRows]
-	memo64  atomic.Pointer[rowMemo[float64]]
-	memo32  atomic.Pointer[rowMemo[float32]]
+	elems   atomic.Pointer[PackedBatch]
+	table64 atomic.Pointer[elementTable[float64]]
+	table32 atomic.Pointer[elementTable[float32]]
 }
 
 // snapshot is a float32 copy of all eight layers, tagged with the weight
@@ -49,96 +55,85 @@ type snapshot struct {
 	w   weights[float32]
 }
 
-// refRows are the table rows whose first-layer output the engine memoises,
-// with their run index. Immutable once installed.
-type refRows struct {
-	x   nn.Matrix
-	idx nn.RunIndex
+// elementTable is the h2 of every row of the element batch elems at
+// element type T — by the kernels forwardPacked runs, on the weights of
+// generation gen — so copying a row of h2 is bit for bit computing it.
+type elementTable[T nn.Float] struct {
+	gen   uint64
+	elems *PackedBatch
+	h2    [3]nn.Mat[T]
 }
 
-// rowMemo is the table module's first layer applied to refs at element
-// type T — by the kernel forwardPacked runs, on the weights of generation
-// gen — so copying a row of h1 is bit for bit computing it.
-type rowMemo[T nn.Float] struct {
-	gen  uint64
-	refs *refRows
-	x    nn.Mat[T] // refs.x at T
-	h1   nn.Mat[T] // post-ReLU, one row per reference
+// NewEngine builds an inference engine over the model's weights.
+func NewEngine(m *Model) *Engine {
+	e := &Engine{m: m}
+	e.SetReferenceRows(nil)
+	return e
 }
 
-// SetReferenceRows installs the table rows (width TDim) whose first-layer
-// output the engine computes once per weight generation instead of once per
-// occurrence. It changes no prediction in any bit, only what recurring rows
-// cost; the rows replace any installed before. Safe for concurrent use with
-// predictions.
+// SetReferenceRows installs the table rows (width TDim) the engine puts in
+// its element table beside the join and zero rows: the rows the owner
+// expects over and over, such as an unfiltered table's all-ones bitmap. It
+// changes no prediction in any bit, only what recurring rows cost; the rows
+// replace any installed before. Safe for concurrent use with predictions.
 func (e *Engine) SetReferenceRows(rows [][]float64) {
-	r := &refRows{x: nn.NewMatrix(len(rows), e.m.TDim)}
+	m := e.m
+	el := &PackedBatch{}
+	el.TX.Reshape(len(rows), m.TDim)
 	for i, row := range rows {
-		if len(row) != e.m.TDim {
-			panic(fmt.Sprintf("mscn: reference row width %d, model expects %d", len(row), e.m.TDim))
+		if len(row) != m.TDim {
+			panic(fmt.Sprintf("mscn: reference row width %d, model expects %d", len(row), m.TDim))
 		}
-		copy(r.x.Row(i), row)
+		copy(el.TX.Row(i), row)
 	}
-	nn.Index(&r.idx, r.x)
-	e.refs.Store(r)
+	el.JX = nn.NewMatrix(m.JDim+1, m.JDim) // each one-hot, then the zero row
+	for j := 0; j < m.JDim; j++ {
+		el.JX.Set(j, j, 1)
+	}
+	el.PX = nn.NewMatrix(1, m.PDim) // the zero row
+	el.indexRuns()
+	el.dedupe()
+	e.elems.Store(el)
 }
 
-// memoFor returns the reference rows' memo at element type T for weight
-// generation gen, of which l must be the table module's first layer:
-// the cached one when slot holds it, else computed once under convMu (the
-// snapshot's double-checked pattern). Nil when no reference rows are
-// installed.
-func memoFor[T nn.Float](e *Engine, slot *atomic.Pointer[rowMemo[T]], gen uint64, l nn.Layer[T]) *rowMemo[T] {
-	refs := e.refs.Load()
-	if refs == nil {
-		return nil
-	}
-	if mm := slot.Load(); mm != nil && mm.gen == gen && mm.refs == refs {
-		return mm
+// tableFor returns the element table at element type T for weight
+// generation gen, on weights w of that generation: the cached one when slot
+// holds it, else computed once under convMu (the snapshot's double-checked
+// pattern).
+func tableFor[T nn.Float](e *Engine, slot *atomic.Pointer[elementTable[T]], gen uint64, w *weights[T]) *elementTable[T] {
+	elems := e.elems.Load()
+	if t := slot.Load(); t != nil && t.gen == gen && t.elems == elems {
+		return t
 	}
 	e.convMu.Lock()
 	defer e.convMu.Unlock()
-	if mm := slot.Load(); mm != nil && mm.gen == gen && mm.refs == refs {
-		return mm
+	if t := slot.Load(); t != nil && t.gen == gen && t.elems == elems {
+		return t
 	}
-	mm := &rowMemo[T]{gen: gen, refs: refs,
-		x: nn.NewMat[T](refs.x.Rows, refs.x.Cols), h1: nn.NewMat[T](refs.x.Rows, l.Out)}
-	nn.ConvertRows(mm.x, refs.x)
-	l.ForwardIndexed(mm.x, &refs.idx, mm.h1, 0, mm.x.Rows, true)
-	slot.Store(mm)
-	return mm
+	t := &elementTable[T]{gen: gen, elems: elems}
+	src, _ := elems.sets()
+	for k, x := range src {
+		xt := nn.NewMat[T](x.Rows, x.Cols)
+		nn.ConvertRows(xt, x)
+		h1 := nn.NewMat[T](x.Rows, w[2*k].Out)
+		t.h2[k] = nn.NewMat[T](x.Rows, w[2*k+1].Out)
+		setModule(w, k, xt, &elems.keys[k].runs, h1, t.h2[k])
+	}
+	slot.Store(t)
+	return t
 }
 
-// lookup returns the memoised first-layer output of the reference row that
-// x — a packed table row whose run index is runs — equals, or nil. A
-// reference drops out at its first differing run, which for table rows is
-// the one-hot column, so all but one candidate cost one comparison; a hit
-// needs the same runs and the same values in them, so a row that merely
-// shares a prefix with a reference (a smaller table's all-ones bitmap, one
-// cleared bit) misses.
+// find returns the row of the element batch's set k that row r of pb's set
+// k equals, or -1.
 //
 //deepsketch:zeroalloc
-func (mm *rowMemo[T]) lookup(x []T, runs []nn.Run) []T {
-next:
-	for i := 0; i < mm.x.Rows; i++ {
-		ref := mm.refs.idx.Row(i)
-		if len(ref) != len(runs) {
-			continue
+func (t *elementTable[T]) find(pb *PackedBatch, k, r int) int {
+	for q := 0; q < t.h2[k].Rows; q++ {
+		if pb.sameRow(k, r, t.elems, q) {
+			return q
 		}
-		rx := mm.x.Row(i)
-		for j, run := range runs {
-			if ref[j] != run {
-				continue next
-			}
-			for k := run.Lo; k < run.Hi; k++ {
-				if x[k] != rx[k] {
-					continue next
-				}
-			}
-		}
-		return mm.h1.Row(i)
 	}
-	return nil
+	return -1
 }
 
 // engineScratch bundles the per-goroutine reusable state: a packed batch,
@@ -151,9 +146,6 @@ type engineScratch struct {
 	one     [1]featurize.Encoded
 	out     [1]float64
 }
-
-// NewEngine builds an inference engine over the model's weights.
-func NewEngine(m *Model) *Engine { return &Engine{m: m} }
 
 func (e *Engine) scratch() *engineScratch {
 	if s, ok := e.pool.Get().(*engineScratch); ok {
@@ -190,41 +182,41 @@ type activations[T nn.Float] struct {
 }
 
 // forwardFloats is the arena forwardPacked consumes on pb at hidden width
-// h: two hidden activations per set row, three pools + concat (3·B·h) +
+// h: three hidden activations per set row (h1, h2 and, with an element
+// table, the block of rows forwarded fresh), three pools + concat (3·B·h) +
 // oA1, and the B outputs.
 //
 //deepsketch:zeroalloc
 func forwardFloats(pb *PackedBatch, h int) int {
 	nt, nj, np := pb.Rows()
-	return (2*(nt+nj+np)+7*pb.B)*h + pb.B
+	return (3*(nt+nj+np)+7*pb.B)*h + pb.B
 }
 
 // forwardPacked is the MSCN forward pass on packed rows — the only one:
 // per set module Linear+ReLU twice then a segment average pool, the three
 // pools concatenated, the two-layer output network, a sigmoid. xs are pb's
-// packed feature rows at element type T (see PackedBatch.sets); the table
-// module's first layer reads them through pb's run index (tableLayer1), the
-// other seven layers are dense. memo, when non-nil, holds that first
-// layer's output for recurring table rows on these same weights. Every
-// intermediate is carved from ws — which the caller has Reserved — and
-// recorded in act; the normalized predictions (act.out) are also written to
-// out (len B), widened when T is float32.
+// packed feature rows at element type T (see PackedBatch.sets); each set
+// module's first layer reads them through pb's run index, the other layers
+// are dense. With an element table (on these same weights) each distinct
+// element is forwarded once (elementTable.module); without one — the
+// trainer — every row is. Every intermediate is carved from ws — which the
+// caller has Reserved — and recorded in act; the normalized predictions
+// (act.out) are also written to out (len B), widened when T is float32.
 //
 //deepsketch:zeroalloc
-func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], memo *rowMemo[T], ws *nn.Arena[T], act *activations[T], out []float64) {
+func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], table *elementTable[T], ws *nn.Arena[T], act *activations[T], out []float64) {
 	b := len(out)
 	h := w[7].In
 	_, offs := pb.sets()
 	for k := 0; k < 3; k++ {
 		rows := xs[k].Rows
 		act.h1[k] = ws.Alloc(rows, h)
-		if k == 0 {
-			tableLayer1(w[0], xs[0], &pb.tidx, memo, act.h1[0])
-		} else {
-			w[2*k].ForwardFused(xs[k], act.h1[k], true)
-		}
 		act.h2[k] = ws.Alloc(rows, h)
-		w[2*k+1].ForwardFused(act.h1[k], act.h2[k], true)
+		if table == nil {
+			setModule(w, k, xs[k], &pb.keys[k].runs, act.h1[k], act.h2[k])
+		} else {
+			table.module(w, k, pb, xs[k], ws, act.h1[k], act.h2[k])
+		}
 		act.pool[k] = ws.Alloc(b, h)
 		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
 	}
@@ -243,24 +235,48 @@ func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], 
 	nn.ConvertRows(nn.Matrix{Rows: b, Cols: 1, Data: out}, act.out)
 }
 
-// tableLayer1 is the table module's first layer (Linear+ReLU) computed from
-// the set form of its input: rows that equal a memoised reference row are
-// copied, the stretches between them go through the indexed kernel — which
-// works row by row, so where the stretches fall changes no bit.
+// setModule runs set module k on every row of x, whose run index is runs:
+// the indexed first layer into h1, the dense second into h2.
 //
 //deepsketch:zeroalloc
-func tableLayer1[T nn.Float](l nn.Layer[T], x nn.Mat[T], ix *nn.RunIndex, memo *rowMemo[T], y nn.Mat[T]) {
-	lo := 0
-	if memo != nil {
-		for r := 0; r < x.Rows; r++ {
-			if h := memo.lookup(x.Row(r), ix.Row(r)); h != nil {
-				l.ForwardIndexed(x, ix, y, lo, r, true)
-				copy(y.Row(r), h)
-				lo = r + 1
-			}
+func setModule[T nn.Float](w *weights[T], k int, x nn.Mat[T], runs *nn.RunIndex, h1, h2 nn.Mat[T]) {
+	w[2*k].ForwardIndexed(x, runs, h1, 0, x.Rows, true)
+	w[2*k+1].ForwardFused(h1, h2, true)
+}
+
+// module is setModule with each distinct element forwarded once: a row
+// equal to an earlier row of the batch (pb's keys) or to an element of the
+// table is copied, and the rest — the first occurrences the table lacks —
+// go through the first layer one row at a time (it works row by row),
+// gather at the top of h1, and go through the second layer as one
+// contiguous block, so its 2-row tile stays fed. Every kernel sums each
+// output in ascending k whatever rows surround it, so a copied row is the
+// bits the row would have been computed to.
+//
+//deepsketch:zeroalloc
+func (t *elementTable[T]) module(w *weights[T], k int, pb *PackedBatch, x nn.Mat[T], ws *nn.Arena[T], h1, h2 nn.Mat[T]) {
+	keys := &pb.keys[k]
+	n := 0
+	for r := 0; r < x.Rows; r++ {
+		if keys.rep[r] == r && t.find(pb, k, r) < 0 {
+			w[2*k].ForwardIndexed(x, &keys.runs, h1, r, r+1, true)
+			copy(h1.Row(n), h1.Row(r))
+			n++
 		}
 	}
-	l.ForwardIndexed(x, ix, y, lo, x.Rows, true)
+	fresh := ws.Alloc(n, h2.Cols)
+	w[2*k+1].ForwardFused(nn.Mat[T]{Rows: n, Cols: h1.Cols, Data: h1.Data[:n*h1.Cols]}, fresh, true)
+	n = 0
+	for r := 0; r < x.Rows; r++ {
+		if q := keys.rep[r]; q != r {
+			copy(h2.Row(r), h2.Row(q))
+		} else if e := t.find(pb, k, r); e >= 0 {
+			copy(h2.Row(r), t.h2[k].Row(e))
+		} else {
+			copy(h2.Row(r), fresh.Row(n))
+			n++
+		}
+	}
 }
 
 // Forward runs one packed forward pass in float64 on the live weights,
@@ -274,11 +290,11 @@ func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
 	ws.Reserve(forwardFloats(pb, e.m.Cfg.HiddenUnits))
 	gen := e.m.WeightGen()
 	w := e.m.weights()
-	//deepsketch:ignore zeroalloc the memo computes once per weight generation, then caches
-	memo := memoFor(e, &e.memo64, gen, w[0])
+	//deepsketch:ignore zeroalloc the table computes once per weight generation, then caches
+	table := tableFor(e, &e.table64, gen, &w)
 	xs, _ := pb.sets()
 	var act activations[float64]
-	forwardPacked(&w, pb, xs, memo, ws, &act, out[:pb.B])
+	forwardPacked(&w, pb, xs, table, ws, &act, out[:pb.B])
 }
 
 // forwardReduced runs one packed forward pass in float32 on the converted
@@ -291,8 +307,8 @@ func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
 func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []float64) {
 	//deepsketch:ignore zeroalloc snapshot converts once per weight generation, then caches
 	snap := e.snapshot()
-	//deepsketch:ignore zeroalloc the memo computes once per weight generation, then caches
-	memo := memoFor(e, &e.memo32, snap.gen, snap.w[0])
+	//deepsketch:ignore zeroalloc the table computes once per weight generation, then caches
+	table := tableFor(e, &e.table32, snap.gen, &snap.w)
 	src, _ := pb.sets()
 	ws.Reserve(len(src[0].Data) + len(src[1].Data) + len(src[2].Data) + forwardFloats(pb, e.m.Cfg.HiddenUnits))
 	var xs [3]nn.Mat[float32]
@@ -301,7 +317,7 @@ func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []fl
 		nn.ConvertRows(xs[k], x)
 	}
 	var act activations[float32]
-	forwardPacked(&snap.w, pb, xs, memo, ws, &act, out[:pb.B])
+	forwardPacked(&snap.w, pb, xs, table, ws, &act, out[:pb.B])
 }
 
 // snapshot returns the cached f32 weights for the current weight
@@ -354,76 +370,6 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 	return s.out[0], nil
 }
 
-// forEachChunk runs fn over [0,n) in chunks that fan out across cores. The
-// chunk size is the model batch size, shrunk on multicore machines so even
-// a single coalesced flush splits across every core instead of serializing
-// on one (on GOMAXPROCS=1 the single full-size chunk keeps the zero-
-// goroutine fast path). ctx is checked before each chunk; the first error
-// wins and aborts the rest.
-func (e *Engine) forEachChunk(ctx context.Context, n int, fn func(lo, hi int) error) error {
-	bs := e.m.Cfg.BatchSize
-	if bs <= 0 {
-		bs = 64
-	}
-	if procs := runtime.GOMAXPROCS(0); procs > 1 {
-		if per := (n + procs - 1) / procs; per < bs {
-			bs = per
-		}
-	}
-	chunks := (n + bs - 1) / bs
-	runChunk := func(ci int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lo := ci * bs
-		hi := lo + bs
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for ci := 0; ci < chunks; ci++ {
-			if err := runChunk(ci); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		runErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= chunks {
-					return
-				}
-				if err := runChunk(ci); err != nil {
-					mu.Lock()
-					if runErr == nil {
-						runErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return runErr
-}
-
 // QuerySource feeds queries straight into packed feature rows, bypassing
 // any intermediate per-query materialization — the serving batch path.
 // RowCounts must report exactly the rows EncodeTo will consume.
@@ -442,11 +388,11 @@ type QuerySource interface {
 // PredictSourceInto writes normalized predictions for the source's n
 // queries into out (len n). Shapes may be arbitrarily mixed — packing makes a
 // ragged batch cost exactly its valid rows, so no shape grouping happens.
-// Work proceeds in model-batch-size chunks (forEachChunk: several chunks fan
-// out across cores, ctx is checked between them), each on its own pooled
-// scratch: feature rows are encoded directly into the scratch's PackedBatch
-// (PackedBatch.BuildFrom) — no per-query vectors, no copies — and predicted
-// at the serving precision.
+// Work proceeds in chunks of the model batch size, shrunk on multicore
+// machines so even a single coalesced flush splits across every core
+// (GOMAXPROCS=1 keeps one full-size chunk and no goroutines). Each chunk
+// runs on its own pooled scratch (predictChunk); ctx is checked before each
+// one, and the first error wins: no chunk starts after it.
 func (e *Engine) PredictSourceInto(ctx context.Context, src QuerySource, n int, out []float64) error {
 	if len(out) != n {
 		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), n)
@@ -454,13 +400,76 @@ func (e *Engine) PredictSourceInto(ctx context.Context, src QuerySource, n int, 
 	if n == 0 {
 		return nil
 	}
-	return e.forEachChunk(ctx, n, func(lo, hi int) error {
-		s := e.scratch()
-		defer e.pool.Put(s)
-		if err := s.pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
-			return err
+	bs := e.m.Cfg.BatchSize
+	if bs <= 0 {
+		bs = 64
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if procs > 1 {
+		bs = min(bs, (n+procs-1)/procs)
+	}
+	workers := min(procs, (n+bs-1)/bs)
+	if workers <= 1 {
+		for lo := 0; lo < n; lo += bs {
+			if err := e.predictChunk(ctx, src, lo, min(lo+bs, n), out); err != nil {
+				return err
+			}
 		}
-		e.forward(&s.pb, s, out[lo:hi])
 		return nil
-	})
+	}
+	return e.predictParallel(ctx, src, n, bs, workers, out)
+}
+
+// predictParallel is PredictSourceInto's fan-out: workers goroutines pull
+// chunks of bs queries until none are left or one has failed.
+func (e *Engine) predictParallel(ctx context.Context, src QuerySource, n, bs, workers int, out []float64) error {
+	chunks := (n + bs - 1) / bs
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		runErr error
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				ci := int(next.Add(1)) - 1
+				if ci >= chunks {
+					return
+				}
+				lo := ci * bs
+				if err := e.predictChunk(ctx, src, lo, min(lo+bs, n), out); err != nil {
+					mu.Lock()
+					if runErr == nil {
+						runErr = err
+					}
+					mu.Unlock()
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return runErr
+}
+
+// predictChunk predicts queries lo..hi of src into out[lo:hi]: feature rows
+// are encoded directly into a pooled scratch's PackedBatch
+// (PackedBatch.BuildFrom) — no per-query vectors, no copies — and predicted
+// at the serving precision.
+func (e *Engine) predictChunk(ctx context.Context, src QuerySource, lo, hi int, out []float64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s := e.scratch()
+	defer e.pool.Put(s)
+	if err := s.pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
+		return err
+	}
+	e.forward(&s.pb, s, out[lo:hi])
+	return nil
 }

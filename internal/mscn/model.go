@@ -9,17 +9,20 @@
 //
 // Both training and serving run on the packed ragged-batch representation:
 // PackedBatch stores only valid set elements with CSR-style offsets, so a
-// mixed-shape batch costs exactly its valid rows. A table element is a
-// one-hot plus the bitmap of qualifying sample tuples — a set — so packing
-// also indexes its non-zero columns, and the table module's first layer
-// (the widest of the eight) visits only those, in training and in serving,
-// with the dense kernel's result in every bit (nn.ForwardIndexed,
-// nn.BackwardIndexed). Serving additionally memoises that layer for the
-// rows an unfiltered table encodes to (Engine.SetReferenceRows), once per
-// weight generation. Serving uses the Engine
-// (fused Linear+ReLU kernels, segment pooling, pooled workspace arenas,
-// zero steady-state allocations; concurrency-safe — workspaces are per-pass
-// and never shared). Training is data-parallel over the same kernels: each
+// mixed-shape batch costs exactly its valid rows. Every set element is
+// sparse — a table element is a one-hot plus the bitmap of qualifying
+// sample tuples, a join a one-hot, a predicate three non-zeros — so packing
+// also indexes their non-zero columns, and each set module's first layer
+// visits only those, in training and in serving, with the dense kernel's
+// result in every bit (nn.ForwardIndexed, nn.BackwardIndexed). Serving uses
+// the Engine (fused Linear+ReLU kernels, segment pooling, pooled workspace
+// arenas, zero steady-state allocations; concurrency-safe — workspaces are
+// per-pass and never shared), which forwards each distinct set element
+// once: the finite-domain elements (join one-hots, zero rows, the rows an
+// unfiltered table encodes to — Engine.SetReferenceRows) come from an
+// element table built once per weight generation, and a row equal to an
+// earlier row of its batch is copied from it. Training forwards every row,
+// and it is data-parallel over the same kernels: each
 // minibatch is sharded contiguously across TrainOptions.Parallelism
 // workers, every worker packs and backpropagates its shard with a private
 // workspace arena and private gradient buffers (nn.BackwardFused,
@@ -140,7 +143,7 @@ type Model struct {
 	// weightGen counts wholesale weight replacements (ReadWeights, every
 	// return of a training run that has started stepping). The engine tags
 	// what it derives from the weights — the reduced-precision snapshot,
-	// the reference-row memo — with the generation it was built at and
+	// the element table — with the generation it was built at and
 	// rebuilds on mismatch, so a Refresh/Swap can never serve stale ones.
 	weightGen atomic.Uint64
 
@@ -160,7 +163,7 @@ func (m *Model) SetPrecision(p Precision) { m.precision.Store(uint32(p)) }
 
 // WeightGen returns the current weight generation. It increments on every
 // wholesale weight replacement; reduced-precision snapshots and the
-// engine's reference-row memo are valid only for the generation they were
+// engine's element table are valid only for the generation they were
 // computed from.
 //
 //deepsketch:zeroalloc

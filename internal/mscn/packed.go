@@ -2,6 +2,7 @@ package mscn
 
 import (
 	"fmt"
+	"math"
 
 	"deepsketch/internal/featurize"
 	"deepsketch/internal/nn"
@@ -15,10 +16,13 @@ import (
 // mixed-shape batch therefore costs exactly its valid rows — queries of any
 // shapes can share one forward pass with no padding waste.
 //
-// The table rows are a one-hot plus a sample bitmap — a set, written out as
-// zeros and ones. Packing also records where their non-zero columns are
-// (tidx), and that index is what the table module's first layer reads; TX
-// keeps the dense rows it indexes.
+// Every set element is sparse: a table row is a one-hot plus a sample bitmap
+// (a set, written out as zeros and ones), a join row a one-hot, a predicate
+// row three non-zeros. Packing records, per set, where each row's non-zero
+// columns are — the run index every set module's first layer reads — and
+// which earlier row of the batch, if any, the row equals (setKeys), so the
+// engine can forward each distinct element once. TX, JX and PX keep the
+// dense rows they index.
 //
 // A PackedBatch is reusable: Build grows the backing buffers once and then
 // rebuilds in place without allocating. It may be read concurrently after
@@ -27,7 +31,28 @@ type PackedBatch struct {
 	B                int
 	TX, JX, PX       nn.Matrix
 	TOff, JOff, POff []int
-	tidx             nn.RunIndex // of TX, rebuilt by Build and BuildFrom
+	keys             [3]setKeys // of TX, JX, PX; rebuilt by Build and BuildFrom
+	slots            []int      // index's hash table, reused across builds
+
+	// BuildFrom's row cursor: the next row of each set, and the functions
+	// handed to QuerySource.EncodeTo, bound to pb once (bound) so a rebuild
+	// allocates nothing.
+	at    [3]int
+	spill []float64
+	next  [3]func() []float64
+	bound *PackedBatch
+}
+
+// setKeys is what packing records about one set's rows besides their values:
+// the run index of their non-zero columns, a hash of each row's runs and the
+// values in them, and rep[r], the first row of the set equal to row r (r
+// itself when there is none). Two rows are equal when they have the same
+// runs and the same values in them (sameRow) — all the indexed kernel reads
+// of a row, so equal rows have equal outputs in every bit.
+type setKeys struct {
+	runs nn.RunIndex
+	hash []uint64
+	rep  []int
 }
 
 // sets returns the packed feature rows and CSR offsets of the three sets in
@@ -52,6 +77,16 @@ func BuildPackedBatch(encs []featurize.Encoded, tdim, jdim, pdim int) (*PackedBa
 // Build (re)packs encs into pb, reusing the backing buffers from previous
 // builds when their capacity suffices.
 func (pb *PackedBatch) Build(encs []featurize.Encoded, tdim, jdim, pdim int) error {
+	if err := pb.pack(encs, tdim, jdim, pdim); err != nil {
+		return err
+	}
+	pb.dedupe()
+	return nil
+}
+
+// pack is Build without the dedupe keys: the rows, their offsets and their
+// run indexes — all the trainer reads.
+func (pb *PackedBatch) pack(encs []featurize.Encoded, tdim, jdim, pdim int) error {
 	if len(encs) == 0 {
 		return fmt.Errorf("mscn: empty batch")
 	}
@@ -66,9 +101,9 @@ func (pb *PackedBatch) Build(encs []featurize.Encoded, tdim, jdim, pdim int) err
 	pb.TX.Reshape(nt, tdim)
 	pb.JX.Reshape(nj, jdim)
 	pb.PX.Reshape(np, pdim)
-	pb.TOff = ensureInts(pb.TOff, b+1)
-	pb.JOff = ensureInts(pb.JOff, b+1)
-	pb.POff = ensureInts(pb.POff, b+1)
+	pb.TOff = ensureLen(pb.TOff, b+1)
+	pb.JOff = ensureLen(pb.JOff, b+1)
+	pb.POff = ensureLen(pb.POff, b+1)
 	var tr, jr, pr int
 	for i, e := range encs {
 		pb.TOff[i], pb.JOff[i], pb.POff[i] = tr, jr, pr
@@ -84,8 +119,115 @@ func (pb *PackedBatch) Build(encs []featurize.Encoded, tdim, jdim, pdim int) err
 		}
 	}
 	pb.TOff[b], pb.JOff[b], pb.POff[b] = tr, jr, pr
-	nn.Index(&pb.tidx, pb.TX)
+	pb.indexRuns()
 	return nil
+}
+
+// indexRuns rebuilds each set's run index and clears the keys dedupe fills,
+// so a batch packed without them cannot be read as deduped.
+func (pb *PackedBatch) indexRuns() {
+	xs, _ := pb.sets()
+	for k, x := range xs {
+		s := &pb.keys[k]
+		nn.Index(&s.runs, x)
+		s.hash, s.rep = s.hash[:0], s.rep[:0]
+	}
+}
+
+// dedupe fills the rest of the keys after indexRuns: each row's hash,
+// looked up in an open-addressing table of the set's rows seen so far to
+// find its first equal row. Buffers are reused across builds.
+func (pb *PackedBatch) dedupe() {
+	xs, _ := pb.sets()
+	for k, x := range xs {
+		s := &pb.keys[k]
+		s.hash = ensureLen(s.hash, x.Rows)
+		s.rep = ensureLen(s.rep, x.Rows)
+		size := 1
+		for size < 2*x.Rows {
+			size <<= 1
+		}
+		slots := ensureLen(pb.slots, size)
+		pb.slots = slots
+		for i := range slots {
+			slots[i] = -1
+		}
+		mask := uint64(size - 1)
+		for r := 0; r < x.Rows; r++ {
+			s.hash[r] = rowHash(x.Row(r), s.runs.Row(r))
+			for i := s.hash[r] & mask; ; i = (i + 1) & mask {
+				q := slots[i]
+				if q < 0 {
+					slots[i], s.rep[r] = r, r
+					break
+				}
+				if pb.sameRow(k, q, pb, r) {
+					s.rep[r] = q
+					break
+				}
+			}
+		}
+	}
+}
+
+// rowHash hashes a row by what sameRow compares: its runs and the values in
+// them, each run's values summed as bit patterns and mixed in once.
+func rowHash(x []float64, runs []nn.Run) uint64 {
+	h := uint64(len(runs))
+	for _, run := range runs {
+		var sum uint64
+		for _, v := range x[run.Lo:run.Hi] {
+			sum += math.Float64bits(v)
+		}
+		h = mix(mix(h, uint64(run.Lo)<<32|uint64(run.Hi)), sum)
+	}
+	return h
+}
+
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// sameRow reports whether row r of pb's set k equals row q of o's set k:
+// the same runs and the same values in them (compared with ==, so a row
+// holding a NaN equals no row).
+//
+//deepsketch:zeroalloc
+func (pb *PackedBatch) sameRow(k, r int, o *PackedBatch, q int) bool {
+	a, b := &pb.keys[k], &o.keys[k]
+	if a.hash[r] != b.hash[q] {
+		return false
+	}
+	ra, rb := a.runs.Row(r), b.runs.Row(q)
+	if len(ra) != len(rb) {
+		return false
+	}
+	xa, xb := pb.set(k).Row(r), o.set(k).Row(q)
+	for j, run := range ra {
+		if rb[j] != run {
+			return false
+		}
+		for c := run.Lo; c < run.Hi; c++ {
+			if xa[c] != xb[c] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// set returns set k's packed rows (tables, joins, predicates).
+//
+//deepsketch:zeroalloc
+func (pb *PackedBatch) set(k int) nn.Matrix {
+	switch k {
+	case 0:
+		return pb.TX
+	case 1:
+		return pb.JX
+	}
+	return pb.PX
 }
 
 // Rows returns the packed row counts (tables, joins, predicates) — the
@@ -120,59 +262,47 @@ func (pb *PackedBatch) BuildFrom(src QuerySource, lo, hi, tdim, jdim, pdim int) 
 	pb.JX.Zero()
 	pb.PX.Reshape(np, pdim)
 	pb.PX.Zero()
-	pb.TOff = ensureInts(pb.TOff, b+1)
-	pb.JOff = ensureInts(pb.JOff, b+1)
-	pb.POff = ensureInts(pb.POff, b+1)
-	// A source that consumes more rows than RowCounts promised gets a
-	// throwaway spill row rather than a slice-bounds panic; the cursor
-	// still advances so the mismatch check below reports it as an error.
-	var tr, jr, pr int
-	var spill []float64
-	overdraw := func(dim int) []float64 {
-		if cap(spill) < dim {
-			spill = make([]float64, dim)
+	pb.TOff = ensureLen(pb.TOff, b+1)
+	pb.JOff = ensureLen(pb.JOff, b+1)
+	pb.POff = ensureLen(pb.POff, b+1)
+	if pb.bound != pb {
+		pb.bound = pb
+		for k := range pb.next {
+			pb.next[k] = func() []float64 { return pb.nextRow(k) }
 		}
-		return spill[:dim]
 	}
-	nextT := func() []float64 {
-		if tr >= nt {
-			tr++
-			return overdraw(tdim)
-		}
-		r := pb.TX.Row(tr)
-		tr++
-		return r
-	}
-	nextJ := func() []float64 {
-		if jr >= nj {
-			jr++
-			return overdraw(jdim)
-		}
-		r := pb.JX.Row(jr)
-		jr++
-		return r
-	}
-	nextP := func() []float64 {
-		if pr >= np {
-			pr++
-			return overdraw(pdim)
-		}
-		r := pb.PX.Row(pr)
-		pr++
-		return r
-	}
+	pb.at = [3]int{}
 	for i := lo; i < hi; i++ {
-		pb.TOff[i-lo], pb.JOff[i-lo], pb.POff[i-lo] = tr, jr, pr
-		if err := src.EncodeTo(i, nextT, nextJ, nextP); err != nil {
+		pb.TOff[i-lo], pb.JOff[i-lo], pb.POff[i-lo] = pb.at[0], pb.at[1], pb.at[2]
+		if err := src.EncodeTo(i, pb.next[0], pb.next[1], pb.next[2]); err != nil {
 			return err
 		}
 	}
+	tr, jr, pr := pb.at[0], pb.at[1], pb.at[2]
 	pb.TOff[b], pb.JOff[b], pb.POff[b] = tr, jr, pr
 	if tr != nt || jr != nj || pr != np {
 		return fmt.Errorf("mscn: source consumed %d/%d/%d rows, RowCounts promised %d/%d/%d", tr, jr, pr, nt, nj, np)
 	}
-	nn.Index(&pb.tidx, pb.TX)
+	pb.indexRuns()
+	pb.dedupe()
 	return nil
+}
+
+// nextRow returns the next destination row of set k for BuildFrom. A
+// source that consumes more rows than RowCounts promised gets a throwaway
+// spill row rather than a slice-bounds panic; the cursor still advances so
+// BuildFrom's mismatch check reports it as an error.
+func (pb *PackedBatch) nextRow(k int) []float64 {
+	x := pb.set(k)
+	r := pb.at[k]
+	pb.at[k]++
+	if r >= x.Rows {
+		if cap(pb.spill) < x.Cols {
+			pb.spill = make([]float64, x.Cols)
+		}
+		return pb.spill[:x.Cols]
+	}
+	return x.Row(r)
 }
 
 func packVecs(x nn.Matrix, row int, vecs [][]float64, dim int) (int, error) {
@@ -186,9 +316,9 @@ func packVecs(x nn.Matrix, row int, vecs [][]float64, dim int) (int, error) {
 	return row, nil
 }
 
-func ensureInts(s []int, n int) []int {
+func ensureLen[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }

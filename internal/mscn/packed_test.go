@@ -2,11 +2,14 @@ package mscn
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"deepsketch/internal/featurize"
 	"deepsketch/internal/nn"
@@ -290,6 +293,41 @@ func TestPredictSourceMatchesEncoded(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	check()
+}
+
+// failingSource fails EncodeTo on query 0 and counts EncodeTo calls; every
+// other query takes a while, so a worker that kept pulling chunks after the
+// failure would be seen encoding them.
+type failingSource struct{ encoded atomic.Int64 }
+
+func (s *failingSource) RowCounts(int) (t, j, p int) { return 1, 1, 1 }
+
+func (s *failingSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
+	s.encoded.Add(1)
+	if i == 0 {
+		return errors.New("query 0 does not encode")
+	}
+	time.Sleep(100 * time.Microsecond)
+	nextT()[0] = 1
+	nextJ()
+	nextP()
+	return nil
+}
+
+// TestPredictSourceStopsAfterFirstError: on multicore, once a chunk fails no
+// worker starts another, so at most one chunk per worker is encoded.
+func TestPredictSourceStopsAfterFirstError(t *testing.T) {
+	procs := max(runtime.GOMAXPROCS(0), 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	const bs, n = 8, 4000
+	m := New(Config{HiddenUnits: 4, BatchSize: bs, Seed: 1}, 3, 2, 2)
+	src := &failingSource{}
+	if err := m.Engine().PredictSourceInto(context.Background(), src, n, make([]float64, n)); err == nil {
+		t.Fatal("a failing query returned no error")
+	}
+	if got, limit := src.encoded.Load(), int64(procs*bs); got > limit {
+		t.Fatalf("EncodeTo ran for %d of %d queries after query 0 failed; %d workers × %d-query chunks allow %d", got, n, procs, bs, limit)
+	}
 }
 
 // TestForwardPackedZeroAlloc: the steady-state packed forward pass must not

@@ -116,7 +116,7 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 	)
 	// From here Adam steps the live weights, so every return — a step or
 	// validation error mid-run included — leaves weights no engine snapshot
-	// or memo of the old generation may be served beside.
+	// or element table of the old generation may be served beside.
 	defer m.noteWeightsChanged()
 	for epoch := 1; epoch <= epochs; epoch++ {
 		start := time.Now()

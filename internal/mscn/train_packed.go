@@ -94,12 +94,13 @@ func (wk *trainWorker) zeroGrads() {
 	}
 }
 
-// forward packs encs and runs forwardPacked on the live weights, keeping
+// forward packs encs (without dedupe keys: the trainer forwards every row)
+// and runs forwardPacked on the live weights with no element table, keeping
 // the activations as the tape and writing normalized predictions into preds
 // (len(encs)). The workspace is reserved for the whole step — forward and
 // backward — so the backward Allocs continue the same arena.
 func (wk *trainWorker) forward(m *Model, encs []featurize.Encoded, preds []float64) error {
-	if err := wk.pb.Build(encs, m.TDim, m.JDim, m.PDim); err != nil {
+	if err := wk.pb.pack(encs, m.TDim, m.JDim, m.PDim); err != nil {
 		return err
 	}
 	b := wk.pb.B
@@ -153,11 +154,7 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 		dH1 := wk.ws.Alloc(rows, h)
 		layers[2*k+1].BackwardFused(tp.h1[k], dH2, &dH1, wk.grads[4*k+2], wk.grads[4*k+3])
 		nn.ReLUBackwardInPlace(tp.h1[k], dH1)
-		if k == 0 {
-			layers[0].BackwardIndexed(xs[0], &wk.pb.tidx, dH1, wk.grads[0], wk.grads[1])
-		} else {
-			layers[2*k].BackwardFused(xs[k], dH1, nil, wk.grads[4*k], wk.grads[4*k+1])
-		}
+		layers[2*k].BackwardIndexed(xs[k], &wk.pb.keys[k].runs, dH1, wk.grads[4*k], wk.grads[4*k+1])
 	}
 }
 

@@ -210,7 +210,7 @@ func TestTrainerPredictMatchesEnginePredict(t *testing.T) {
 
 // TestTrainErrorBumpsWeightGen: a run that fails after Adam has stepped
 // leaves new weights, so it must leave a new weight generation too —
-// otherwise the engine's f32 snapshot and reference-row memo, both tagged
+// otherwise the engine's f32 snapshot and element table, both tagged
 // with the old generation, are served beside rows computed from the new
 // weights. The training set's shuffled order reaches a wrong-width example
 // in its second minibatch.
@@ -235,7 +235,7 @@ func TestTrainErrorBumpsWeightGen(t *testing.T) {
 
 	e := m.Engine()
 	e.SetReferenceRows(memoReferences())
-	for _, p := range []Precision{F32, F64} { // cache the snapshot and both memos
+	for _, p := range []Precision{F32, F64} { // cache the snapshot and both tables
 		m.SetPrecision(p)
 		predictBatch(t, e, probe)
 	}

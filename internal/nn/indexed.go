@@ -1,12 +1,15 @@
 package nn
 
 // The set form of a sparse input and the one Linear kernel pair that reads
-// it. The MSCN table module's first layer sees a one-hot plus a sample
-// bitmap: mostly zeros on selective queries, two long runs of ones on
-// unfiltered tables. A RunIndex records where a matrix's non-zero columns
-// are; ForwardIndexed and BackwardIndexed visit only those, and are bit for
-// bit the dense ForwardFused / BackwardFused(…, nil, …) — see the contract on
-// ForwardIndexed. Every other layer has dense input and stays on gemmBias.
+// it. Every MSCN set element is sparse: a table element is a one-hot plus a
+// sample bitmap (mostly zeros on selective queries, two long runs of ones on
+// unfiltered tables), a join element a one-hot, a predicate element three
+// non-zeros. A RunIndex records where a matrix's non-zero columns are;
+// ForwardIndexed and BackwardIndexed visit only those, and are bit for bit
+// the dense ForwardFused / BackwardFused(…, nil, …) — see the contract on
+// ForwardIndexed. The first layer of each of the three set modules reads its
+// input through them; the other five layers have dense input and stay on
+// gemmBias.
 
 // Run is a maximal run of non-zero columns of one matrix row, half-open.
 type Run struct{ Lo, Hi uint32 }

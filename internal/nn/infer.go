@@ -10,10 +10,11 @@ import "math"
 // from fanning a single pass across cores. The training path keeps the
 // tape-friendly allocating functions in layers.go.
 //
-// gemmBias below is the kernel of every layer whose input is dense — seven
-// of the MSCN's eight. The table module's first layer reads a set (one-hot
-// plus sample bitmap) and goes through ForwardIndexed in indexed.go, which
-// visits only the non-zero columns and is gemmBias's result in every bit.
+// gemmBias below is the kernel of every layer whose input is dense — five
+// of the MSCN's eight. The first layer of each set module reads a sparse
+// element (a one-hot plus sample bitmap, a one-hot, a predicate's three
+// non-zeros) and goes through ForwardIndexed in indexed.go, which visits
+// only the non-zero columns and is gemmBias's result in every bit.
 //
 // Every kernel is generic over Float and used at float64 (the reference
 // engine and the packed trainer's forward) and float32 (the reduced-
