@@ -75,28 +75,30 @@ func cmdCanary(args []string) error {
 	}
 
 	// The same deterministic signature split the router uses: each query is
-	// answered by exactly one side, like live traffic under the canary.
-	var liveQ, candQ []float64
+	// answered by exactly one side, like live traffic under the canary. Each
+	// side estimates its split in one batch.
+	var liveSplit, candSplit []deepsketch.LabeledQuery
 	for _, lq := range labeled {
 		if deepsketch.CanarySplit(lq.Query.Signature(), *fraction) {
-			est, err := cand.Cardinality(lq.Query)
-			if err != nil {
-				return err
-			}
-			candQ = append(candQ, deepsketch.QError(est, float64(lq.Card)))
+			candSplit = append(candSplit, lq)
 		} else {
-			est, err := live.Cardinality(lq.Query)
-			if err != nil {
-				return err
-			}
-			liveQ = append(liveQ, deepsketch.QError(est, float64(lq.Card)))
+			liveSplit = append(liveSplit, lq)
 		}
 	}
-	if len(candQ) == 0 {
+	if len(candSplit) == 0 {
 		return fmt.Errorf("no queries landed in the %.0f%% canary split of %d — raise -fraction or -queries", *fraction*100, len(labeled))
 	}
-	if len(liveQ) == 0 {
+	if len(liveSplit) == 0 {
 		return fmt.Errorf("every query landed in the canary split — lower -fraction to leave a comparison base")
+	}
+	ctx := context.Background()
+	liveQ, err := qErrors(ctx, live, liveSplit)
+	if err != nil {
+		return err
+	}
+	candQ, err := qErrors(ctx, cand, candSplit)
+	if err != nil {
+		return err
 	}
 	liveSum := metrics.Summarize(liveQ)
 	candSum := metrics.Summarize(candQ)
@@ -121,7 +123,7 @@ func cmdCanary(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := pb.Judge(context.Background(), live, cand, *pinnedRegress)
+		res, err := pb.Judge(ctx, live, cand, *pinnedRegress)
 		if err != nil {
 			return err
 		}

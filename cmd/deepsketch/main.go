@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"deepsketch"
+	"deepsketch/internal/metrics"
 	"deepsketch/internal/trainmon"
 )
 
@@ -487,31 +488,49 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	rows, err := deepsketch.Compare(context.Background(), labeled, []deepsketch.Estimator{
-		s, hyper, deepsketch.PostgresEstimator(d),
+	// The sketch is estimated once: its q-errors give both its report row
+	// and the worst queries.
+	ctx := context.Background()
+	qerrs, err := qErrors(ctx, s, labeled)
+	if err != nil {
+		return fmt.Errorf("deepsketch: %s failed: %w", s.Name(), err)
+	}
+	baselines, err := deepsketch.Compare(ctx, labeled, []deepsketch.Estimator{
+		hyper, deepsketch.PostgresEstimator(d),
 	})
 	if err != nil {
 		return err
 	}
+	rows := append([]deepsketch.ReportRow{{Name: s.Name(), Summary: metrics.Summarize(qerrs)}}, baselines...)
 	fmt.Printf("Estimation errors (q-errors) on %s (%d queries):\n\n", *wl, len(labeled))
 	fmt.Print(deepsketch.FormatReport(rows))
 	// Also list the worst sketch queries to aid debugging.
-	type bad struct {
-		q  deepsketch.Query
-		qe float64
+	worst := make([]int, len(labeled))
+	for i := range worst {
+		worst[i] = i
 	}
-	var worst []bad
-	for _, lq := range labeled {
-		est, err := s.Cardinality(lq.Query)
-		if err != nil {
-			return err
-		}
-		worst = append(worst, bad{lq.Query, deepsketch.QError(est, float64(lq.Card))})
-	}
-	sort.Slice(worst, func(i, j int) bool { return worst[i].qe > worst[j].qe })
+	sort.Slice(worst, func(i, j int) bool { return qerrs[worst[i]] > qerrs[worst[j]] })
 	fmt.Println("\nworst Deep Sketch queries:")
-	for i := 0; i < 3 && i < len(worst); i++ {
-		fmt.Printf("  q-err %8.1f  %s\n", worst[i].qe, worst[i].q.SQL(d))
+	for _, i := range worst[:min(3, len(worst))] {
+		fmt.Printf("  q-err %8.1f  %s\n", qerrs[i], labeled[i].Query.SQL(d))
 	}
 	return nil
+}
+
+// qErrors estimates every labeled query with s in one batch and returns
+// each query's q-error.
+func qErrors(ctx context.Context, s *deepsketch.Sketch, labeled []deepsketch.LabeledQuery) ([]float64, error) {
+	qs := make([]deepsketch.Query, len(labeled))
+	for i, lq := range labeled {
+		qs[i] = lq.Query
+	}
+	cards, err := s.BatchCardinalities(ctx, qs)
+	if err != nil {
+		return nil, err
+	}
+	qerrs := make([]float64, len(cards))
+	for i, c := range cards {
+		qerrs[i] = deepsketch.QError(c, float64(labeled[i].Card))
+	}
+	return qerrs, nil
 }

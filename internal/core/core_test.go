@@ -126,7 +126,7 @@ func TestSketchEstimateBatchMatchesEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(single-batch[i])/single > 1e-9 {
+		if single != batch[i] {
 			t.Fatalf("query %d: batch %v vs single %v", i, batch[i], single)
 		}
 	}

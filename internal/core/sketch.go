@@ -130,15 +130,16 @@ func (s *Sketch) EnginePrecision() mscn.Precision { return s.Model.Precision() }
 
 // Estimate implements the sketch interface of Figure 1b for an already-
 // parsed query: evaluate base-table selections on the embedded samples,
-// featurize, one MSCN forward pass, denormalize. It implements
-// estimator.Estimator.
+// featurize straight into packed rows, one MSCN forward pass, denormalize.
+// It is EstimateBatch on a batch of one, on the caller's ctx, so a single
+// estimate and a batched one take the same path and return the same bits.
+// It implements estimator.Estimator.
 func (s *Sketch) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, error) {
-	est, err := estimator.Run(ctx, s.Name(), q, s.Cardinality)
+	ests, err := s.EstimateBatch(ctx, []db.Query{q})
 	if err != nil {
-		return est, err
+		return estimator.Estimate{}, err
 	}
-	est.Engine = s.Model.Precision().String()
-	return est, nil
+	return ests[0], nil
 }
 
 // engine returns the model's inference engine, having handed it — once per
@@ -156,49 +157,46 @@ func (s *Sketch) engine() *mscn.Engine {
 // referenceRows returns, per table of the sketch, the row an unfiltered
 // reference to it encodes to: its one-hot plus an all-ones bitmap of the
 // table's actual sample size (shorter than SampleSize for small tables).
-// The rows come from the same Bitmaps → EncodeQuery path every estimate
+// The rows come from the same Bitmaps → EncodeQueryTo path every estimate
 // takes, so they are what serving produces by construction; a table that
 // path cannot encode has no row.
 func (s *Sketch) referenceRows() [][]float64 {
+	enc := s.Encoder
+	// An unfiltered one-table query has no join and no predicate: its join
+	// and predicate rows stay zero.
+	join, pred := make([]float64, enc.JoinDim()), make([]float64, enc.PredDim())
 	var rows [][]float64
-	for _, t := range s.Encoder.Tables {
+	for _, t := range enc.Tables {
 		q := db.Query{Tables: []db.TableRef{{Table: t, Alias: t}}}
 		bms, err := s.Samples.Bitmaps(q)
 		if err != nil {
 			continue
 		}
-		enc, err := s.Encoder.EncodeQuery(q, bms)
-		if err != nil {
-			continue
+		row := make([]float64, enc.TableDim())
+		if enc.EncodeQueryTo(q, bms, func() []float64 { return row }, func() []float64 { return join }, func() []float64 { return pred }) == nil {
+			rows = append(rows, row)
 		}
-		rows = append(rows, enc.TableVecs[0])
 	}
 	return rows
 }
 
 // Cardinality is the bare estimation path of Figure 1b, without the result
-// envelope: bitmaps, featurize, one packed MSCN forward pass on the
-// inference engine (pooled workspace, no padding, no steady-state
-// allocations in the forward), denormalize.
+// envelope and without a caller context: BatchCardinalities on a batch of
+// one — bitmaps, featurized straight into the engine's pooled packed batch,
+// one MSCN forward pass, denormalize — so it returns the bits Estimate does.
+//
+//deepsketch:ctxorigin an offline single estimate has no caller context and runs one chunk
 func (s *Sketch) Cardinality(q db.Query) (float64, error) {
-	bms, err := s.Samples.Bitmaps(q)
+	cards, err := s.BatchCardinalities(context.Background(), []db.Query{q})
 	if err != nil {
 		return 0, err
 	}
-	enc, err := s.Encoder.EncodeQuery(q, bms)
-	if err != nil {
-		return 0, err
-	}
-	y, err := s.engine().Predict(enc)
-	if err != nil {
-		return 0, err
-	}
-	return s.Encoder.Norm.Denormalize(y), nil
+	return cards[0], nil
 }
 
 // EstimateBatch implements estimator.Estimator with batched MSCN inference:
 // queries featurize directly into packed inference batches and predict in
-// chunked forward passes. Results match Estimate query-by-query; ctx is
+// chunked forward passes. Estimate is this on a batch of one; ctx is
 // checked before each chunk, so a cancellation mid-batch aborts within one
 // chunk's featurize+forward work. Per-query Latency is the amortized batch
 // time.
@@ -227,8 +225,8 @@ func (s *Sketch) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.
 // feature vectors — and any mix of shapes shares one ragged forward pass
 // that costs exactly its valid set elements: no shape grouping, no padding
 // waste. Work proceeds in inference-batch chunks that fan out across cores
-// (featurization included), with ctx checked between chunks. Results match
-// Cardinality query-by-query (the same engine answers both).
+// (featurization included), with ctx checked between chunks. Cardinality is
+// this on a batch of one.
 func (s *Sketch) BatchCardinalities(ctx context.Context, qs []db.Query) ([]float64, error) {
 	out := make([]float64, len(qs))
 	src := &querySource{s: s, qs: qs}

@@ -35,9 +35,9 @@ import (
 const DefaultPinnedMaxRegress = 1.5
 
 // CardinalityEstimator is the offline estimate surface the rail judges
-// candidates through; *core.Sketch satisfies it.
+// candidates through, one batch per side; *core.Sketch satisfies it.
 type CardinalityEstimator interface {
-	Cardinality(q db.Query) (float64, error)
+	BatchCardinalities(ctx context.Context, qs []db.Query) ([]float64, error)
 }
 
 // PinnedBenchmark is a frozen labeled workload held out from every
@@ -67,25 +67,30 @@ func (p *PinnedBenchmark) Queries() []workload.LabeledQuery {
 	return qs
 }
 
-// Evaluate computes est's q-error distribution over the pinned set.
-// Non-finite q-errors (a degenerate model emitting NaN/Inf) are clamped to
-// math.MaxFloat64 rather than dropped: on a held-out judgment set a broken
-// estimate must count against the candidate, not vanish.
+// Evaluate computes est's q-error distribution over the pinned set, asking
+// for every estimate in one batch. Non-finite q-errors (a degenerate model
+// emitting NaN/Inf) are clamped to math.MaxFloat64 rather than dropped: on
+// a held-out judgment set a broken estimate must count against the
+// candidate, not vanish.
 func (p *PinnedBenchmark) Evaluate(ctx context.Context, est CardinalityEstimator) (metrics.Summary, error) {
-	qerrs := make([]float64, 0, len(p.queries))
-	for _, lq := range p.queries {
-		if err := ctx.Err(); err != nil {
-			return metrics.Summary{}, err
-		}
-		c, err := est.Cardinality(lq.Query)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		q := metrics.QError(c, float64(lq.Card))
+	qs := make([]db.Query, len(p.queries))
+	for i, lq := range p.queries {
+		qs[i] = lq.Query
+	}
+	cards, err := est.BatchCardinalities(ctx, qs)
+	if err != nil {
+		return metrics.Summary{}, err
+	}
+	if len(cards) != len(qs) {
+		return metrics.Summary{}, fmt.Errorf("drift: %d estimates for %d pinned queries", len(cards), len(qs))
+	}
+	qerrs := make([]float64, len(cards))
+	for i, c := range cards {
+		q := metrics.QError(c, float64(p.queries[i].Card))
 		if math.IsNaN(q) || math.IsInf(q, 0) {
 			q = math.MaxFloat64
 		}
-		qerrs = append(qerrs, q)
+		qerrs[i] = q
 	}
 	return metrics.Summarize(qerrs), nil
 }

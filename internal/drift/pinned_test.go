@@ -12,10 +12,20 @@ import (
 	"deepsketch/internal/workload"
 )
 
-// cardFunc adapts a function into a CardinalityEstimator.
+// cardFunc adapts a per-query function into a CardinalityEstimator.
 type cardFunc func(db.Query) (float64, error)
 
-func (f cardFunc) Cardinality(q db.Query) (float64, error) { return f(q) }
+func (f cardFunc) BatchCardinalities(_ context.Context, qs []db.Query) ([]float64, error) {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		c, err := f(q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
 
 // pinnedFixture is a small labeled set with known cardinalities.
 func pinnedFixture(n int) []workload.LabeledQuery {

@@ -19,6 +19,11 @@ import (
 // concurrent caller gets its own scratch from the pool. Obtain one with
 // Model.Engine (shared, cached) or NewEngine.
 //
+// Every estimate enters through PredictSourceInto, a single estimate as a
+// batch of one. Predict, and Forward over a BuildPackedBatch, are adapters
+// over featurize.Encoded kept for bench/layers.go and tests until ROADMAP
+// item 1.
+//
 // The forward pass is forwardPacked instantiated at the model's Precision:
 // f64 reads the live weights in place, f32 reads a copy converted once per
 // weight generation, so reduced precision never pays conversion per forward
@@ -78,21 +83,18 @@ func NewEngine(m *Model) *Engine {
 // replace any installed before. Safe for concurrent use with predictions.
 func (e *Engine) SetReferenceRows(rows [][]float64) {
 	m := e.m
-	el := &PackedBatch{}
-	el.TX.Reshape(len(rows), m.TDim)
-	for i, row := range rows {
-		if len(row) != m.TDim {
-			panic(fmt.Sprintf("mscn: reference row width %d, model expects %d", len(row), m.TDim))
+	joins := make([][]float64, m.JDim+1) // each one-hot, then the zero row
+	for j := range joins {
+		joins[j] = make([]float64, m.JDim)
+		if j < m.JDim {
+			joins[j][j] = 1
 		}
-		copy(el.TX.Row(i), row)
 	}
-	el.JX = nn.NewMatrix(m.JDim+1, m.JDim) // each one-hot, then the zero row
-	for j := 0; j < m.JDim; j++ {
-		el.JX.Set(j, j, 1)
+	elems := encodedSource{{TableVecs: rows, JoinVecs: joins, PredVecs: [][]float64{make([]float64, m.PDim)}}}
+	el := &PackedBatch{}
+	if err := el.BuildFrom(elems, 0, 1, m.TDim, m.JDim, m.PDim); err != nil {
+		panic(fmt.Sprintf("mscn: reference rows: %v", err))
 	}
-	el.PX = nn.NewMatrix(1, m.PDim) // the zero row
-	el.indexRuns()
-	el.dedupe()
 	e.elems.Store(el)
 }
 
@@ -136,15 +138,12 @@ func (t *elementTable[T]) find(pb *PackedBatch, k, r int) int {
 	return -1
 }
 
-// engineScratch bundles the per-goroutine reusable state: a packed batch,
-// the forward arenas (only the active precision's grows), and the staging
-// for single-query Predict.
+// engineScratch bundles the per-goroutine reusable state: a packed batch and
+// the forward arenas (only the active precision's grows).
 type engineScratch struct {
 	pb      PackedBatch
 	ws      nn.Workspace
 	reduced nn.Arena[float32]
-	one     [1]featurize.Encoded
-	out     [1]float64
 }
 
 func (e *Engine) scratch() *engineScratch {
@@ -354,20 +353,15 @@ func (e *Engine) forward(pb *PackedBatch, s *engineScratch, out []float64) {
 	e.Forward(pb, &s.ws, out)
 }
 
-// Predict returns the normalized prediction for one featurized query using
-// pooled scratch — the serving hot path for single ad-hoc estimates.
+// Predict returns the normalized prediction for one featurized query: a
+// batch of one through PredictSourceInto's chunk body, so it returns the
+// bits a batch would. It is an adapter kept for bench/layers.go,
+// cmd/experiments and tests until ROADMAP item 1; estimates never build a
+// featurize.Encoded.
 func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
-	s := e.scratch()
-	defer e.pool.Put(s)
-	s.one[0] = enc
-	err := s.pb.Build(s.one[:], e.m.TDim, e.m.JDim, e.m.PDim)
-	// Don't let the pooled scratch pin the caller's feature slices.
-	s.one[0] = featurize.Encoded{}
-	if err != nil {
-		return 0, err
-	}
-	e.forward(&s.pb, s, s.out[:])
-	return s.out[0], nil
+	var out [1]float64
+	err := e.chunk(encodedSource{enc}, 0, 1, out[:])
+	return out[0], err
 }
 
 // QuerySource feeds queries straight into packed feature rows, bypassing
@@ -457,14 +451,19 @@ func (e *Engine) predictParallel(ctx context.Context, src QuerySource, n, bs, wo
 	return runErr
 }
 
-// predictChunk predicts queries lo..hi of src into out[lo:hi]: feature rows
-// are encoded directly into a pooled scratch's PackedBatch
-// (PackedBatch.BuildFrom) — no per-query vectors, no copies — and predicted
-// at the serving precision.
+// predictChunk is chunk once ctx has been checked.
 func (e *Engine) predictChunk(ctx context.Context, src QuerySource, lo, hi int, out []float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	return e.chunk(src, lo, hi, out)
+}
+
+// chunk predicts queries lo..hi of src into out[lo:hi]: feature rows are
+// encoded directly into a pooled scratch's PackedBatch
+// (PackedBatch.BuildFrom) — no per-query vectors, no copies — and predicted
+// at the serving precision. It is the one way into the engine.
+func (e *Engine) chunk(src QuerySource, lo, hi int, out []float64) error {
 	s := e.scratch()
 	defer e.pool.Put(s)
 	if err := s.pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {

@@ -338,7 +338,7 @@ func TestPackedBatchKeys(t *testing.T) {
 	enc := featurize.Encoded{TableVecs: rows, JoinVecs: [][]float64{{0, 1}, {0, 1}}, PredVecs: [][]float64{{0}}}
 	var pb PackedBatch
 	for round := 0; round < 2; round++ { // the second build reuses the buffers
-		if err := pb.Build([]featurize.Encoded{enc}, memoT+memoBits, 2, 1); err != nil {
+		if err := pb.BuildFrom(encodedSource{enc}, 0, 1, memoT+memoBits, 2, 1); err != nil {
 			t.Fatal(err)
 		}
 		for r, w := range want {
@@ -433,7 +433,7 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 			var pb PackedBatch
 			out := make([]float64, len(encs))
 			for round := 0; round < 30; round++ {
-				if err := pb.Build(encs, memoT+memoBits, jdim, pdim); err != nil {
+				if err := pb.BuildFrom(encodedSource(encs), 0, len(encs), memoT+memoBits, jdim, pdim); err != nil {
 					t.Error(err)
 					return
 				}

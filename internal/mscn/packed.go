@@ -24,14 +24,15 @@ import (
 // engine can forward each distinct element once. TX, JX and PX keep the
 // dense rows they index.
 //
-// A PackedBatch is reusable: Build grows the backing buffers once and then
-// rebuilds in place without allocating. It may be read concurrently after
-// building but must not be rebuilt while a forward pass reads it.
+// BuildFrom is the only code that fills a PackedBatch. A PackedBatch is
+// reusable: BuildFrom grows the backing buffers once and then rebuilds in
+// place without allocating. It may be read concurrently after building but
+// must not be rebuilt while a forward pass reads it.
 type PackedBatch struct {
 	B                int
 	TX, JX, PX       nn.Matrix
 	TOff, JOff, POff []int
-	keys             [3]setKeys // of TX, JX, PX; rebuilt by Build and BuildFrom
+	keys             [3]setKeys // of TX, JX, PX; rebuilt by BuildFrom
 	slots            []int      // index's hash table, reused across builds
 
 	// BuildFrom's row cursor: the next row of each set, and the functions
@@ -64,62 +65,46 @@ func (pb *PackedBatch) sets() ([3]nn.Matrix, [3][]int) {
 	return [3]nn.Matrix{pb.TX, pb.JX, pb.PX}, [3][]int{pb.TOff, pb.JOff, pb.POff}
 }
 
-// BuildPackedBatch packs featurized queries for inference. All Encoded
-// values must come from the same encoder (equal widths).
+// BuildPackedBatch packs featurized queries through BuildFrom. All Encoded
+// values must come from the same encoder (equal widths). It is an adapter
+// kept for bench/layers.go and tests until ROADMAP item 1; nothing that
+// serves an estimate builds a featurize.Encoded.
 func BuildPackedBatch(encs []featurize.Encoded, tdim, jdim, pdim int) (*PackedBatch, error) {
 	pb := &PackedBatch{}
-	if err := pb.Build(encs, tdim, jdim, pdim); err != nil {
+	if err := pb.BuildFrom(encodedSource(encs), 0, len(encs), tdim, jdim, pdim); err != nil {
 		return nil, err
 	}
 	return pb, nil
 }
 
-// Build (re)packs encs into pb, reusing the backing buffers from previous
-// builds when their capacity suffices.
-func (pb *PackedBatch) Build(encs []featurize.Encoded, tdim, jdim, pdim int) error {
-	if err := pb.pack(encs, tdim, jdim, pdim); err != nil {
-		return err
-	}
-	pb.dedupe()
-	return nil
+// encodedSource hands already-featurized queries to BuildFrom: the trainer's
+// examples, and the adapters' (BuildPackedBatch, Engine.Predict).
+type encodedSource []featurize.Encoded
+
+func (s encodedSource) RowCounts(i int) (t, j, p int) {
+	return len(s[i].TableVecs), len(s[i].JoinVecs), len(s[i].PredVecs)
 }
 
-// pack is Build without the dedupe keys: the rows, their offsets and their
-// run indexes — all the trainer reads.
-func (pb *PackedBatch) pack(encs []featurize.Encoded, tdim, jdim, pdim int) error {
-	if len(encs) == 0 {
-		return fmt.Errorf("mscn: empty batch")
+func (s encodedSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
+	if err := copyRows(s[i].TableVecs, nextT); err != nil {
+		return err
 	}
-	b := len(encs)
-	var nt, nj, np int
-	for _, e := range encs {
-		nt += len(e.TableVecs)
-		nj += len(e.JoinVecs)
-		np += len(e.PredVecs)
+	if err := copyRows(s[i].JoinVecs, nextJ); err != nil {
+		return err
 	}
-	pb.B = b
-	pb.TX.Reshape(nt, tdim)
-	pb.JX.Reshape(nj, jdim)
-	pb.PX.Reshape(np, pdim)
-	pb.TOff = ensureLen(pb.TOff, b+1)
-	pb.JOff = ensureLen(pb.JOff, b+1)
-	pb.POff = ensureLen(pb.POff, b+1)
-	var tr, jr, pr int
-	for i, e := range encs {
-		pb.TOff[i], pb.JOff[i], pb.POff[i] = tr, jr, pr
-		var err error
-		if tr, err = packVecs(pb.TX, tr, e.TableVecs, tdim); err != nil {
-			return err
+	return copyRows(s[i].PredVecs, nextP)
+}
+
+// copyRows copies vecs into the rows next hands out, refusing a vector whose
+// width is not the model's.
+func copyRows(vecs [][]float64, next func() []float64) error {
+	for _, v := range vecs {
+		row := next()
+		if len(v) != len(row) {
+			return fmt.Errorf("mscn: element width %d, model expects %d", len(v), len(row))
 		}
-		if jr, err = packVecs(pb.JX, jr, e.JoinVecs, jdim); err != nil {
-			return err
-		}
-		if pr, err = packVecs(pb.PX, pr, e.PredVecs, pdim); err != nil {
-			return err
-		}
+		copy(row, v)
 	}
-	pb.TOff[b], pb.JOff[b], pb.POff[b] = tr, jr, pr
-	pb.indexRuns()
 	return nil
 }
 
@@ -240,10 +225,20 @@ func (pb *PackedBatch) Rows() (nt, nj, np int) {
 
 // BuildFrom (re)packs queries lo..hi of a QuerySource into pb, letting the
 // source featurize directly into the packed rows — no intermediate
-// per-query vectors. Buffers are reused as in Build. The source's RowCounts
-// contract is enforced: consuming a different number of rows than promised
-// is an error.
+// per-query vectors — reusing the backing buffers of previous builds when
+// their capacity suffices. The source's RowCounts contract is enforced:
+// consuming a different number of rows than promised is an error.
 func (pb *PackedBatch) BuildFrom(src QuerySource, lo, hi, tdim, jdim, pdim int) error {
+	if err := pb.fill(src, lo, hi, tdim, jdim, pdim); err != nil {
+		return err
+	}
+	pb.dedupe()
+	return nil
+}
+
+// fill is BuildFrom without the dedupe keys: the rows, their offsets and
+// their run indexes — all the trainer reads.
+func (pb *PackedBatch) fill(src QuerySource, lo, hi, tdim, jdim, pdim int) error {
 	b := hi - lo
 	if b <= 0 {
 		return fmt.Errorf("mscn: empty batch")
@@ -284,7 +279,6 @@ func (pb *PackedBatch) BuildFrom(src QuerySource, lo, hi, tdim, jdim, pdim int) 
 		return fmt.Errorf("mscn: source consumed %d/%d/%d rows, RowCounts promised %d/%d/%d", tr, jr, pr, nt, nj, np)
 	}
 	pb.indexRuns()
-	pb.dedupe()
 	return nil
 }
 
@@ -303,17 +297,6 @@ func (pb *PackedBatch) nextRow(k int) []float64 {
 		return pb.spill[:x.Cols]
 	}
 	return x.Row(r)
-}
-
-func packVecs(x nn.Matrix, row int, vecs [][]float64, dim int) (int, error) {
-	for _, v := range vecs {
-		if len(v) != dim {
-			return 0, fmt.Errorf("mscn: element width %d, model expects %d", len(v), dim)
-		}
-		copy(x.Row(row), v)
-		row++
-	}
-	return row, nil
 }
 
 func ensureLen[E any](s []E, n int) []E {

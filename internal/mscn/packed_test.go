@@ -122,7 +122,7 @@ func TestPackedBatchReuse(t *testing.T) {
 		for i := range encs {
 			encs[i] = randEnc(rng, 1+rng.Intn(3), rng.Intn(3), rng.Intn(3), tdim, jdim, pdim)
 		}
-		if err := pb.Build(encs, tdim, jdim, pdim); err != nil {
+		if err := pb.BuildFrom(encodedSource(encs), 0, b, tdim, jdim, pdim); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]float64, b)
@@ -226,10 +226,6 @@ func errMismatch(i int, got, want float64) error {
 	return mismatchError{i: i, got: got, want: want}
 }
 
-// encodedSource adapts pre-featurized queries to the QuerySource interface:
-// it is how tests hand []Encoded to the engine's one batch entry.
-type encodedSource []featurize.Encoded
-
 // predictBatch returns the engine's batched predictions for encs.
 func predictBatch(t testing.TB, e *Engine, encs []featurize.Encoded) []float64 {
 	t.Helper()
@@ -238,23 +234,6 @@ func predictBatch(t testing.TB, e *Engine, encs []featurize.Encoded) []float64 {
 		t.Fatal(err)
 	}
 	return out
-}
-
-func (s encodedSource) RowCounts(i int) (t, j, p int) {
-	return len(s[i].TableVecs), len(s[i].JoinVecs), len(s[i].PredVecs)
-}
-
-func (s encodedSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
-	for _, v := range s[i].TableVecs {
-		copy(nextT(), v)
-	}
-	for _, v := range s[i].JoinVecs {
-		copy(nextJ(), v)
-	}
-	for _, v := range s[i].PredVecs {
-		copy(nextP(), v)
-	}
-	return nil
 }
 
 // TestPredictSourceMatchesEncoded: the direct-featurization batch path must

@@ -94,13 +94,14 @@ func (wk *trainWorker) zeroGrads() {
 	}
 }
 
-// forward packs encs (without dedupe keys: the trainer forwards every row)
-// and runs forwardPacked on the live weights with no element table, keeping
-// the activations as the tape and writing normalized predictions into preds
-// (len(encs)). The workspace is reserved for the whole step — forward and
-// backward — so the backward Allocs continue the same arena.
+// forward packs encs with BuildFrom's fill half (no dedupe keys: the
+// trainer forwards every row) and runs forwardPacked on the live weights
+// with no element table, keeping the activations as the tape and writing
+// normalized predictions into preds (len(encs)). The workspace is reserved
+// for the whole step — forward and backward — so the backward Allocs
+// continue the same arena.
 func (wk *trainWorker) forward(m *Model, encs []featurize.Encoded, preds []float64) error {
-	if err := wk.pb.pack(encs, m.TDim, m.JDim, m.PDim); err != nil {
+	if err := wk.pb.fill(encodedSource(encs), 0, len(encs), m.TDim, m.JDim, m.PDim); err != nil {
 		return err
 	}
 	b := wk.pb.B
