@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Count computes the exact COUNT(*) of a select-project-join query. It is
@@ -12,11 +13,22 @@ import (
 // The algorithm is counting Yannakakis over the join tree: every base table
 // is reduced to its qualifying rows, the join graph (which must be a tree —
 // the demo auto-generates joins from single PK/FK relationships, so cyclic
-// graphs never arise) is rooted at the first table, and weights are
-// propagated bottom-up. A child contributes, per join key, the sum of its
-// row weights; each parent row multiplies in the sum matching its key. The
-// final count is the weight sum at the root. This is exact for acyclic
-// equi-join queries and runs in time linear in the qualifying rows.
+// graphs never arise) is rooted at the table with the most joins (the first
+// such in the FROM list), and weights are propagated bottom-up. A child
+// contributes, per join key, the sum of its row weights; each parent row
+// multiplies in the sum matching its key. The final count is the weight sum
+// at the root. This is exact for acyclic equi-join queries and runs in time
+// linear in the qualifying rows.
+//
+// Every column is read through its value index, built on the column's first
+// use (see Column): selections are FilterTable's index ranges; an
+// unfiltered leaf's per-key sums are its join column's group sizes, with no
+// pass over its rows; and a parent no predicate or child has narrowed yet is
+// entered from a smaller child's distinct keys through its own index rather
+// than scanned. A column too wide to index is scanned and aggregated in a
+// map. Scratch space is pooled, so a count allocates little. Every count is
+// the same as a plain scan-and-hash execution's: the weights are integers,
+// so no summation order changes one below 2^53.
 //
 // Counts are accumulated in float64, which is exact up to 2^53; the result
 // saturates at MaxInt64 beyond that (unreachable at supported scales).
@@ -28,157 +40,45 @@ func (d *DB) Count(q Query) (int64, error) {
 		return 0, fmt.Errorf("db: join graph must be a tree: %d tables need %d joins, got %d",
 			len(q.Tables), len(q.Tables)-1, len(q.Joins))
 	}
-
-	nodes := make([]*execNode, len(q.Tables))
-	byAlias := make(map[string]*execNode, len(q.Tables))
-	for i, tr := range q.Tables {
-		t := d.Table(tr.Table)
-		rows, all, err := FilterTable(t, q.PredsFor(tr.Alias))
-		if err != nil {
-			return 0, err
-		}
-		n := &execNode{ref: tr, table: t, rows: rows, all: all}
-		nodes[i] = n
-		byAlias[tr.Alias] = n
-	}
-	if len(nodes) == 1 {
-		n := nodes[0]
-		if n.all {
-			return int64(n.table.NumRows()), nil
-		}
-		return int64(len(n.rows)), nil
-	}
-
-	// Build the join tree rooted at the first table.
-	type edge struct {
-		to       *execNode
-		toCol    string // join column on the child (to) side
-		fromCol  string // join column on the parent (from) side
-		consumed bool
-	}
-	adj := make(map[string][]*edge)
-	for _, j := range q.Joins {
-		l, r := byAlias[j.LeftAlias], byAlias[j.RightAlias]
-		adj[l.ref.Alias] = append(adj[l.ref.Alias], &edge{to: r, toCol: j.RightCol, fromCol: j.LeftCol})
-		adj[r.ref.Alias] = append(adj[r.ref.Alias], &edge{to: l, toCol: j.LeftCol, fromCol: j.RightCol})
-	}
-
-	root := nodes[0]
-	visited := map[string]bool{root.ref.Alias: true}
-	// reduce folds the subtree under n into n's row weights; query trees
-	// are at most a handful of tables deep, so recursion is fine.
-	var reduce func(n *execNode) error
-	reduce = func(n *execNode) error {
-		for _, e := range adj[n.ref.Alias] {
-			if visited[e.to.ref.Alias] {
-				continue
-			}
-			visited[e.to.ref.Alias] = true
-			if err := reduce(e.to); err != nil {
-				return err
-			}
-			if err := n.absorb(e.to, e.fromCol, e.toCol); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := reduce(root); err != nil {
+	s := scratchPool.Get().(*execScratch)
+	total, err := s.count(d, q)
+	scratchPool.Put(s)
+	if err != nil {
 		return 0, err
 	}
-	total := root.totalWeight()
 	if total >= math.MaxInt64 {
 		return math.MaxInt64, nil
 	}
 	return int64(total), nil
 }
 
+// scratchPool recycles execScratch values between counts.
+var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
+
+// execScratch is one count's working memory. Its buffers keep their
+// capacity from count to count, and agg is all zeros between uses.
+type execScratch struct {
+	nodes []execNode
+	preds []Predicate
+	agg   []float64
+}
+
 // execNode is one table occurrence during execution: its qualifying rows and
-// their accumulated weights. weights == nil means every qualifying row has
-// weight 1 (the common leaf case), avoiding an allocation per node.
+// their accumulated weights.
 type execNode struct {
-	ref     TableRef
-	table   *Table
-	rows    []int32 // qualifying row ids; nil+all means every row
-	all     bool
-	weights []float64 // parallel to rows (or to all rows when all)
-}
-
-func (n *execNode) totalWeight() float64 {
-	if n.weights == nil {
-		if n.all {
-			return float64(n.table.NumRows())
-		}
-		return float64(len(n.rows))
-	}
-	var s float64
-	for _, w := range n.weights {
-		s += w
-	}
-	return s
-}
-
-// absorb folds a fully-reduced child into the parent: parent row weights are
-// multiplied by the child's per-key weight sums, and parent rows without a
-// matching child key are dropped.
-func (n *execNode) absorb(child *execNode, parentCol, childCol string) error {
-	ccol := child.table.Column(childCol)
-	if ccol == nil {
-		return fmt.Errorf("db: column %s.%s missing", child.ref.Table, childCol)
-	}
-	pcol := n.table.Column(parentCol)
-	if pcol == nil {
-		return fmt.Errorf("db: column %s.%s missing", n.ref.Table, parentCol)
-	}
-
-	agg := newWeightAgg(ccol.Min, ccol.Max, child.size())
-	if child.all {
-		if child.weights == nil {
-			for _, v := range ccol.Vals {
-				agg.add(v, 1)
-			}
-		} else {
-			for i, v := range ccol.Vals {
-				agg.add(v, child.weights[i])
-			}
-		}
-	} else {
-		if child.weights == nil {
-			for _, r := range child.rows {
-				agg.add(ccol.Vals[r], 1)
-			}
-		} else {
-			for i, r := range child.rows {
-				agg.add(ccol.Vals[r], child.weights[i])
-			}
-		}
-	}
-
-	// Multiply into parent, materializing its row list if still implicit.
-	if n.all {
-		n.rows = make([]int32, n.table.NumRows())
-		for i := range n.rows {
-			n.rows[i] = int32(i)
-		}
-		n.all = false
-	}
-	oldWeights := n.weights
-	newRows := n.rows[:0]
-	newWeights := make([]float64, 0, len(n.rows))
-	for i, r := range n.rows {
-		w := agg.get(pcol.Vals[r])
-		if w == 0 {
-			continue
-		}
-		if oldWeights != nil {
-			w *= oldWeights[i]
-		}
-		newRows = append(newRows, r)
-		newWeights = append(newWeights, w)
-	}
-	n.rows = newRows
-	n.weights = newWeights
-	return nil
+	table *Table
+	// all means the node is still its whole table at weight 1: no predicate
+	// excluded a row and no child has been absorbed. rows and weights are
+	// unused then.
+	all bool
+	// rows are the qualifying row ids: a value index's memory, read only,
+	// or buf's.
+	rows []int32
+	// weights is parallel to rows and lives in wbuf; nil means every
+	// qualifying row weighs 1.
+	weights []float64
+	buf     []int32
+	wbuf    []float64
 }
 
 func (n *execNode) size() int {
@@ -188,50 +88,272 @@ func (n *execNode) size() int {
 	return len(n.rows)
 }
 
-// weightAgg sums weights per join key. Join keys in the supported schemas
-// are dense integer ids, so a dense array is used whenever the key range is
-// reasonable relative to the input size; otherwise it falls back to a map.
+func (s *execScratch) count(d *DB, q Query) (float64, error) {
+	if len(s.nodes) < len(q.Tables) {
+		s.nodes = append(s.nodes, make([]execNode, len(q.Tables)-len(s.nodes))...)
+	}
+	for i, tr := range q.Tables {
+		n := &s.nodes[i]
+		n.table = d.Table(tr.Table)
+		s.preds = s.preds[:0]
+		for _, p := range q.Preds {
+			if p.Alias == tr.Alias {
+				s.preds = append(s.preds, p)
+			}
+		}
+		rows, all, owned, err := selectRows(n.table, s.preds, n.buf)
+		if err != nil {
+			return 0, err
+		}
+		n.rows, n.all, n.weights = rows, all, nil
+		if owned {
+			n.buf = rows
+		}
+		if !all && len(rows) == 0 {
+			return 0, nil
+		}
+	}
+	// Root the tree at the table with the most joins, so that a star's
+	// fact tables are leaves: an unfiltered one then costs no pass.
+	r, most := 0, 0
+	for i, tr := range q.Tables {
+		joins := 0
+		for _, j := range q.Joins {
+			if j.LeftAlias == tr.Alias || j.RightAlias == tr.Alias {
+				joins++
+			}
+		}
+		if joins > most {
+			r, most = i, joins
+		}
+	}
+	root := &s.nodes[r]
+	if len(q.Tables) > 1 && !s.reduce(q, r, -1) {
+		return 0, nil
+	}
+	if root.weights == nil {
+		return float64(root.size()), nil
+	}
+	var total float64
+	for _, w := range root.weights {
+		total += w
+	}
+	return total, nil
+}
+
+// reduce folds the subtree under node i (entered from parent, -1 at the
+// root) into node i's row weights, and reports whether any row is left.
+// Query trees are at most a handful of tables deep, so recursion is fine.
+func (s *execScratch) reduce(q Query, i, parent int) bool {
+	type child struct {
+		node       *execNode
+		pcol, ccol *Column
+	}
+	var kidsBuf [4]child
+	kids := kidsBuf[:0]
+	alias := q.Tables[i].Alias
+	for _, j := range q.Joins {
+		var other, pcol, ccol string
+		switch alias {
+		case j.LeftAlias:
+			other, pcol, ccol = j.RightAlias, j.LeftCol, j.RightCol
+		case j.RightAlias:
+			other, pcol, ccol = j.LeftAlias, j.RightCol, j.LeftCol
+		default:
+			continue
+		}
+		c := aliasIndex(q, other)
+		if c == parent {
+			continue
+		}
+		if !s.reduce(q, c, i) {
+			return false
+		}
+		n := &s.nodes[c]
+		kid := child{n, s.nodes[i].table.Column(pcol), n.table.Column(ccol)}
+		// Absorb narrowing children first, smallest first, and unfiltered
+		// leaves last: a narrow child shrinks the parent, and while the
+		// parent is whole it is entered through its index, not scanned.
+		at := len(kids)
+		kids = append(kids, kid)
+		for ; at > 0 && absorbBefore(kid.node, kids[at-1].node); at-- {
+			kids[at] = kids[at-1]
+		}
+		kids[at] = kid
+	}
+	n := &s.nodes[i]
+	for _, k := range kids {
+		s.absorb(n, k.node, k.pcol, k.ccol)
+		if n.size() == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func absorbBefore(a, b *execNode) bool {
+	if a.all != b.all {
+		return b.all
+	}
+	return a.size() < b.size()
+}
+
+func aliasIndex(q Query, alias string) int {
+	for i, tr := range q.Tables {
+		if tr.Alias == alias {
+			return i
+		}
+	}
+	return -1
+}
+
+// absorb folds a fully reduced child into the parent: parent row weights are
+// multiplied by the child's per-key weight sums, and parent rows without a
+// matching child key are dropped.
+func (s *execScratch) absorb(n, child *execNode, pcol, ccol *Column) {
+	a := s.aggregate(child, ccol)
+	if n.all && a.dense != nil && child.size() < n.size() {
+		if pix := pcol.index(); pix != nil {
+			n.enter(pix, &a, child, ccol)
+			return
+		}
+	}
+	n.multiply(pcol, &a)
+	if a.dense != nil {
+		if len(child.rows) > len(a.dense)/8 {
+			clear(a.dense)
+			return
+		}
+		for _, r := range child.rows {
+			a.dense[ccol.Vals[r]-a.offset] = 0
+		}
+	}
+}
+
+// weightAgg holds a reduced child's row-weight sums per join key: the group
+// sizes of the join column's index for an unfiltered leaf; otherwise a
+// dense array over the column's value span when it has an index, and a map
+// when it is too wide for one.
 type weightAgg struct {
-	dense  []float64
+	ix     *valueIndex
+	dense  []float64 // key-offset → sum; the scratch's pooled array
 	offset int64
 	m      map[int64]float64
 }
 
-const denseSlack = 4
-
-func newWeightAgg(min, max int64, n int) *weightAgg {
-	if min <= max {
-		span := max - min + 1
-		if span <= int64(denseSlack*n)+1024 || span <= 1<<16 {
-			return &weightAgg{dense: make([]float64, span), offset: min}
+// aggregate sums the child's row weights per value of col. A dense sum is
+// left in the scratch's pooled array, which the caller zeroes again.
+func (s *execScratch) aggregate(c *execNode, col *Column) weightAgg {
+	ix := col.index()
+	if ix != nil && c.all {
+		return weightAgg{ix: ix}
+	}
+	var a weightAgg
+	if ix != nil {
+		span := len(ix.offsets) - 1
+		if len(s.agg) < span {
+			s.agg = make([]float64, span)
+		}
+		a.dense, a.offset = s.agg[:span], ix.min
+	} else {
+		a.m = make(map[int64]float64, c.size())
+	}
+	vals := col.Vals
+	for i := range c.size() {
+		r, w := int32(i), 1.0
+		if !c.all {
+			r = c.rows[i]
+		}
+		if c.weights != nil {
+			w = c.weights[i]
+		}
+		if a.dense != nil {
+			a.dense[vals[r]-a.offset] += w
+		} else {
+			a.m[vals[r]] += w
 		}
 	}
-	return &weightAgg{m: make(map[int64]float64, n)}
-}
-
-func (a *weightAgg) add(key int64, w float64) {
-	if a.dense != nil {
-		a.dense[key-a.offset] += w
-		return
-	}
-	a.m[key] += w
+	return a
 }
 
 func (a *weightAgg) get(key int64) float64 {
-	if a.dense != nil {
-		idx := key - a.offset
-		if idx < 0 || idx >= int64(len(a.dense)) {
-			return 0
+	switch {
+	case a.ix != nil:
+		lo, hi := a.ix.valueRange(key)
+		return float64(hi - lo)
+	case a.dense != nil:
+		if k := uint64(key) - uint64(a.offset); k < uint64(len(a.dense)) {
+			return a.dense[k]
 		}
-		return a.dense[idx]
+		return 0
 	}
 	return a.m[key]
 }
 
-// CountBruteForce computes COUNT(*) by exhaustive nested-loop enumeration.
-// It is exponential in the number of tables and exists as a reference
-// implementation for validating Count in tests; do not use it on full-size
-// datasets.
+// enter sets a whole, unit-weight parent to the rows matching the child's
+// keys, found through the parent's join-column index, each weighted by its
+// key's sum. It visits each key once, at its first child row, and zeroes its
+// slot there; weights are positive, so a zero slot is a key already done.
+func (n *execNode) enter(pix *valueIndex, a *weightAgg, child *execNode, ccol *Column) {
+	rows, ws := n.buf[:0], n.wbuf[:0]
+	for _, cr := range child.rows {
+		k := ccol.Vals[cr]
+		slot := &a.dense[k-a.offset]
+		w := *slot
+		if w == 0 {
+			continue
+		}
+		*slot = 0
+		lo, hi := pix.valueRange(k)
+		for _, r := range pix.rows[lo:hi] {
+			rows = append(rows, r)
+			ws = append(ws, w)
+		}
+	}
+	n.set(rows, ws)
+}
+
+// multiply scans the parent's rows, multiplying each weight by its key's sum
+// and dropping the rows whose sum is zero. The survivors go to buf, in place
+// when the rows are already there.
+func (n *execNode) multiply(pcol *Column, a *weightAgg) {
+	size := n.size()
+	if cap(n.buf) < size {
+		n.buf = make([]int32, size)
+	}
+	if cap(n.wbuf) < size {
+		n.wbuf = make([]float64, size)
+	}
+	rows, ws := n.buf[:size], n.wbuf[:size]
+	vals := pcol.Vals
+	j := 0
+	for i := range size {
+		r := int32(i)
+		if !n.all {
+			r = n.rows[i]
+		}
+		w := a.get(vals[r])
+		if n.weights != nil {
+			w *= n.weights[i]
+		}
+		rows[j], ws[j] = r, w
+		if w != 0 {
+			j++
+		}
+	}
+	n.set(rows[:j], ws[:j])
+}
+
+func (n *execNode) set(rows []int32, ws []float64) {
+	n.rows, n.weights, n.buf, n.wbuf = rows, ws, rows, ws
+	n.all = false
+}
+
+// CountBruteForce computes COUNT(*) by exhaustive nested-loop enumeration,
+// evaluating every predicate row by row with Op.Eval. It is exponential in
+// the number of tables and shares no code with Count or FilterTable: it is
+// the reference implementation tests validate Count against. Do not use it
+// on full-size datasets.
 func (d *DB) CountBruteForce(q Query) (int64, error) {
 	if err := d.ValidateQuery(q); err != nil {
 		return 0, err
@@ -244,15 +366,15 @@ func (d *DB) CountBruteForce(q Query) (int64, error) {
 	tbls := make([]tbl, len(q.Tables))
 	for i, tr := range q.Tables {
 		t := d.Table(tr.Table)
-		rows, all, err := FilterTable(t, q.PredsFor(tr.Alias))
-		if err != nil {
-			return 0, err
-		}
-		if all {
-			rows = make([]int32, t.NumRows())
-			for r := range rows {
-				rows[r] = int32(r)
+		var rows []int32
+	row:
+		for r := 0; r < t.NumRows(); r++ {
+			for _, p := range q.Preds {
+				if p.Alias == tr.Alias && !p.Op.Eval(t.Column(p.Col).Vals[r], p.Val) {
+					continue row
+				}
 			}
+			rows = append(rows, int32(r))
 		}
 		tbls[i] = tbl{ref: tr, t: t, rows: rows}
 	}

@@ -217,40 +217,67 @@ func TestFilterTable(t *testing.T) {
 	if err != nil || all || len(rows) != 3 {
 		t.Errorf("eq filter: rows=%v all=%v err=%v", rows, all, err)
 	}
-	if _, err := CountRows(fact, []Predicate{{Col: "nope", Op: OpEq, Val: 1}}); err == nil {
+	// The rows are the caller's: writing them leaves the index intact.
+	for i := range rows {
+		rows[i] = -1
+	}
+	if again, _, _ := FilterTable(fact, []Predicate{{Col: "val", Op: OpEq, Val: 100}}); len(again) != 3 || again[0] < 0 {
+		t.Errorf("eq filter after writing the first result: %v", again)
+	}
+	if _, _, err := FilterTable(fact, []Predicate{{Col: "nope", Op: OpEq, Val: 1}}); err == nil {
 		t.Error("unknown column should error")
 	}
-	n, err := CountRows(fact, nil)
-	if err != nil || n != 6 {
-		t.Errorf("CountRows all = %d, %v", n, err)
+	// A predicate every row satisfies excludes nothing.
+	if rows, all, err := FilterTable(fact, []Predicate{{Col: "val", Op: OpGt, Val: 0}}); err != nil || !all || rows != nil {
+		t.Errorf("always-true filter: rows=%v all=%v err=%v", rows, all, err)
 	}
 }
 
+// TestWeightAggDenseAndSparse: a child's key sums go to the pooled dense
+// array when its join column has an index, and to a map when the column is
+// too wide for one; the pooled array is all zeros again after the absorb.
 func TestWeightAggDenseAndSparse(t *testing.T) {
+	s := new(execScratch)
 	// Dense path.
-	a := newWeightAgg(10, 20, 5)
+	narrow := NewIntColumn("k", []int64{10, 20, 10, 15})
+	child := &execNode{rows: []int32{0, 1, 2}, weights: []float64{1.5, 2, 0.5}}
+	a := s.aggregate(child, narrow)
 	if a.dense == nil {
-		t.Fatal("expected dense agg for small range")
+		t.Fatalf("expected dense agg for a small range, got %+v", a)
 	}
-	a.add(10, 1.5)
-	a.add(20, 2)
-	a.add(10, 0.5)
 	if got := a.get(10); got != 2 {
 		t.Errorf("dense get = %v", got)
+	}
+	if got := a.get(15); got != 0 {
+		t.Errorf("dense get of an absent key = %v", got)
 	}
 	if got := a.get(999); got != 0 {
 		t.Errorf("dense out-of-range get = %v", got)
 	}
+	clear(s.agg)
+	parent := &execNode{table: MustNewTable("p", NewIntColumn("k", []int64{10, 15, 20, 10})), all: true}
+	s.absorb(parent, child, parent.table.Column("k"), narrow)
+	if len(parent.rows) != 3 || parent.weights[0]+parent.weights[1]+parent.weights[2] != 6 {
+		t.Errorf("absorb: rows=%v weights=%v", parent.rows, parent.weights)
+	}
+	for k, v := range s.agg {
+		if v != 0 {
+			t.Fatalf("pooled agg slot %d = %v after absorb", k, v)
+		}
+	}
 	// Sparse path: enormous key range.
-	s := newWeightAgg(0, 1<<40, 3)
-	if s.m == nil {
+	wide := NewIntColumn("k", []int64{0, 1 << 39, 1 << 40})
+	if wide.index() != nil {
+		t.Fatal("a 2^40 span must not be indexed")
+	}
+	sp := s.aggregate(&execNode{rows: []int32{1, 1}, weights: []float64{1, 2}}, wide)
+	if sp.m == nil {
 		t.Fatal("expected map agg for huge range")
 	}
-	s.add(1<<39, 3)
-	if got := s.get(1 << 39); got != 3 {
+	if got := sp.get(1 << 39); got != 3 {
 		t.Errorf("sparse get = %v", got)
 	}
-	if got := s.get(5); got != 0 {
+	if got := sp.get(5); got != 0 {
 		t.Errorf("sparse missing get = %v", got)
 	}
 }

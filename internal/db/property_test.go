@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -196,4 +197,40 @@ func TestCountChainJoin(t *testing.T) {
 	if got := count(t, d, q); got != 3 {
 		t.Errorf("filtered chain count = %d, want 3", got)
 	}
+}
+
+// TestCountConcurrentFirstUse: goroutines that race to a freshly built
+// database's first counts — and so to building its value indexes — all get
+// the sequential answers.
+func TestCountConcurrentFirstUse(t *testing.T) {
+	const seed = 111
+	var qs []Query
+	rng := rand.New(rand.NewSource(seed))
+	seq := randomStarDB(rng, 40, 300)
+	for range 60 {
+		qs = append(qs, randomQuery(rng))
+	}
+	want := make([]int64, len(qs))
+	for i, q := range qs {
+		want[i] = count(t, seq, q)
+	}
+
+	fresh := randomStarDB(rand.New(rand.NewSource(seed)), 40, 300)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range qs {
+				i := (k + g*len(qs)/8) % len(qs)
+				got, err := fresh.Count(qs[i])
+				if err != nil || got != want[i] {
+					t.Errorf("goroutine %d, query %d: Count = %d, %v; sequentially %d (%s)",
+						g, i, got, err, want[i], qs[i].SQL(nil))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

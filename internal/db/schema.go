@@ -14,6 +14,7 @@ package db
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // ColType distinguishes plain integer columns from dictionary-encoded string
@@ -41,7 +42,10 @@ func (t ColType) String() string {
 	}
 }
 
-// Column is a single dense column of a table.
+// Column is a single dense column of a table. A column is immutable once
+// constructed: Min and Max describe Vals as it was then, and so does the
+// value index (row ids grouped by value) that Count and FilterTable build
+// on the column's first use in a selection or join.
 type Column struct {
 	Name string
 	Type ColType
@@ -51,11 +55,13 @@ type Column struct {
 	// Dict maps dictionary codes to strings for ColString columns; nil for
 	// ColInt columns.
 	Dict []string
-	// Min and Max are the value bounds, computed by Freeze. Min > Max means
-	// the column is empty.
+	// Min and Max are the value bounds, computed at construction. Min > Max
+	// means the column is empty.
 	Min, Max int64
 
 	dictIdx map[string]int64
+	ixOnce  sync.Once
+	ix      *valueIndex // nil until ixOnce has run, and for columns too wide
 }
 
 // NewIntColumn constructs an integer column over vals. The slice is adopted,

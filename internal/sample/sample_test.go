@@ -190,7 +190,10 @@ func TestBitmapFractionApproximatesSelectivity(t *testing.T) {
 	d := sampleDB(t)
 	s, _ := New(d, []string{"title"}, 800, 9)
 	preds := []db.Predicate{{Col: "production_year", Op: db.OpGt, Val: 1990}}
-	trueCount, err := db.CountRows(d.Table("title"), preds)
+	trueCount, err := d.Count(db.Query{
+		Tables: []db.TableRef{{Table: "title", Alias: "t"}},
+		Preds:  []db.Predicate{{Alias: "t", Col: "production_year", Op: db.OpGt, Val: 1990}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
