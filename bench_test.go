@@ -1,44 +1,73 @@
-// The one benchmark at the root: serving throughput at 64 concurrent
-// clients, which bench/ (two connections) cannot say and ROADMAP item 1
-// needs to settle the coalescer. The paper's evaluation — Table 1, Figures
-// 1a/1b/2, the §2 claims — lives once, in cmd/experiments, with its claims
-// gated by cmd/experiments' tests; per-layer timings live in bench/.
+// The one benchmark at the root: serving throughput with and without the
+// coalescer at 2, 8 and 64 concurrent clients, which bench/ (two
+// connections) cannot say and ROADMAP item 2 needs to keep or delete the
+// coalescer. The paper's evaluation — Table 1, Figures 1a/1b/2, the §2
+// claims — lives once, in cmd/experiments, with its claims gated by
+// cmd/experiments' tests; per-layer timings live in bench/.
 package deepsketch_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"deepsketch"
 )
 
-// BenchmarkServeConcurrent measures serving throughput at 64 concurrent
-// clients cycling the JOB-light workload. Three modes: naive per-request
-// Estimate (one MSCN forward pass per request), the bare coalescer
-// (concurrent requests of any shapes merged into one packed ragged-batch
-// forward pass on the inference engine — no shape grouping, no padding, so
-// batching wins even on a single core), and the serve stack as deepsketchd
-// deploys it (LRU cache over the coalescer), where the cache absorbs the
-// hot-query repeats that dominate serving traffic. One benchmark iteration
-// = one served request; compare ns/op (≈ inverse throughput).
+// callCounter counts the calls and the queries that reach the backend
+// beneath it: queries per call is the mean batch a coalescer above it forms.
+type callCounter struct {
+	deepsketch.Estimator
+	calls, queries atomic.Int64
+}
+
+func (c *callCounter) Estimate(ctx context.Context, q deepsketch.Query) (deepsketch.Estimate, error) {
+	c.calls.Add(1)
+	c.queries.Add(1)
+	return c.Estimator.Estimate(ctx, q)
+}
+
+func (c *callCounter) EstimateBatch(ctx context.Context, qs []deepsketch.Query) ([]deepsketch.Estimate, error) {
+	c.calls.Add(1)
+	c.queries.Add(int64(len(qs)))
+	return c.Estimator.EstimateBatch(ctx, qs)
+}
+
+// BenchmarkServeConcurrent measures serving cost per request with the
+// sketch bench/ serves (20k titles, 256 hidden units, 1000-row samples, 600
+// training queries, 3 epochs) on cold generated queries, in closed loops of
+// 2, 8 and 64 clients. Two modes: naive per-request Estimate (one MSCN
+// forward pass per request) and the coalescer (requests queued during a
+// flush merged into one packed forward pass). One iteration = one served
+// request, so ns/op is the inverse of throughput; "batch" is the mean
+// number of queries per call reaching the sketch.
 func BenchmarkServeConcurrent(b *testing.B) {
-	d := deepsketch.NewIMDb(deepsketch.IMDbConfig{Seed: 17, Titles: 4000})
+	d := deepsketch.NewIMDb(deepsketch.IMDbConfig{Seed: 1, Titles: 20000})
 	sketch, err := deepsketch.Build(d, deepsketch.Config{
-		Name: "bench", SampleSize: 256, TrainQueries: 2500, MaxJoins: 4, Seed: 17,
-		Model: deepsketch.ModelConfig{HiddenUnits: 32, Epochs: 10, BatchSize: 128, Seed: 17},
+		Name: "bench", SampleSize: 1000, TrainQueries: 600, Seed: 11,
+		Model: deepsketch.ModelConfig{HiddenUnits: 256, Epochs: 3, Seed: 11},
 	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries, err := deepsketch.JOBLight(d, 17)
+	queries, err := deepsketch.GenerateWorkload(d, deepsketch.GenConfig{
+		Seed: 17, Count: 2048, MaxJoins: 4, MaxPreds: 3, Dedup: true,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const clients = 64
-	bench := func(est deepsketch.Estimator) func(b *testing.B) {
+	bench := func(clients int, coalesce bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
+			counter := &callCounter{Estimator: sketch}
+			var est deepsketch.Estimator = counter
+			if coalesce {
+				co := deepsketch.NewCoalescer(counter, deepsketch.CoalesceOptions{})
+				defer co.Close()
+				est = co
+			}
 			var wg sync.WaitGroup
 			reqs := make(chan int)
 			failed := make(chan error, 1)
@@ -79,13 +108,13 @@ func BenchmarkServeConcurrent(b *testing.B) {
 				b.Fatal(err)
 			default:
 			}
+			if calls := counter.calls.Load(); calls > 0 {
+				b.ReportMetric(float64(counter.queries.Load())/float64(calls), "batch")
+			}
 		}
 	}
-	b.Run("naive-per-request", bench(sketch))
-	co := deepsketch.NewCoalescer(sketch, deepsketch.CoalesceOptions{})
-	defer co.Close()
-	b.Run("coalesced", bench(co))
-	co2 := deepsketch.NewCoalescer(sketch, deepsketch.CoalesceOptions{})
-	defer co2.Close()
-	b.Run("serve-stack", bench(deepsketch.WithCache(co2, 1024)))
+	for _, clients := range []int{2, 8, 64} {
+		b.Run(fmt.Sprintf("naive/clients=%d", clients), bench(clients, false))
+		b.Run(fmt.Sprintf("coalesced/clients=%d", clients), bench(clients, true))
+	}
 }

@@ -220,9 +220,6 @@ func cmdInfo(args []string) error {
 		s.Model.Cfg.HiddenUnits, s.Model.NumParams(), s.Model.Cfg.Loss)
 	fmt.Printf("footprint:     %.2f MiB (header %.2f, weights %.2f, samples %.2f)\n",
 		mib(fb.Total), mib(fb.Header), mib(fb.Weights), mib(fb.Samples))
-	if len(s.StageMillis) > 0 {
-		fmt.Printf("creation:      %s\n", trainmon.FormatStageTimes(s.StageMillis))
-	}
 	if len(s.Epochs) > 0 {
 		vals := make([]float64, len(s.Epochs))
 		for i, e := range s.Epochs {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -90,6 +91,40 @@ func buildReadySketch(t *testing.T, h http.Handler, name string) int {
 	}
 	awaitStatus(t, h, entry.ID, "ready")
 	return entry.ID
+}
+
+// TestIdenticalBuildsDownloadIdenticalBytes: a sketch file is a pure
+// function of what built it, so two fresh daemons sent the same create
+// request serve downloads with the same SHA-256, and that digest checks a
+// rebuild.
+func TestIdenticalBuildsDownloadIdenticalBytes(t *testing.T) {
+	req := createReq{Name: "twin", Dataset: "imdb", SampleSize: 24, TrainQueries: 100, Epochs: 2, HiddenUnits: 8, Seed: 1}
+	var hs [2]http.Handler
+	var ids [2]int
+	for i := range hs {
+		hs[i] = testServer(t).routes()
+		rec := post(t, hs[i], "/api/sketches", req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("create status %d: %s", rec.Code, rec.Body)
+		}
+		var entry sketchView
+		if err := json.Unmarshal(rec.Body.Bytes(), &entry); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = entry.ID
+	}
+	var sums [2][sha256.Size]byte
+	for i, h := range hs {
+		awaitStatus(t, h, ids[i], "ready")
+		rec := get(t, h, fmt.Sprintf("/api/sketches/%d/download", ids[i]))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("download status %d: %s", rec.Code, rec.Body)
+		}
+		sums[i] = sha256.Sum256(rec.Body.Bytes())
+	}
+	if sums[0] != sums[1] {
+		t.Fatalf("identical builds downloaded different files: sha256 %x vs %x", sums[0], sums[1])
+	}
 }
 
 func TestDuplicateSketchNameConflicts(t *testing.T) {

@@ -92,16 +92,20 @@ func runTable1(c *ctx) ([]claim, error) {
 // observations: stage timings, and the (linear) scaling of training time
 // with the number of epochs and training queries.
 func runFig1a(c *ctx) ([]claim, error) {
-	s, err := c.mainSketch()
-	if err != nil {
+	if _, err := c.mainSketch(); err != nil {
 		return nil, err
 	}
 	fmt.Fprintln(c.out, "\nsketch creation pipeline (Figure 1a stages):")
 	order := []trainmon.Stage{trainmon.StageDefine, trainmon.StageGenerate,
 		trainmon.StageExecute, trainmon.StageFeaturize, trainmon.StageTrain}
-	for _, st := range order {
-		if ms, ok := s.StageMillis[st]; ok {
-			fmt.Fprintf(c.out, "  %-10s %8d ms\n", st, ms)
+	// The data preparation's monitor holds stages 1–4a, the main sketch's
+	// training monitor stage 4b.
+	for _, mon := range []*trainmon.Monitor{c.tdMon, c.sketchMon} {
+		times := mon.Snapshot().StageTimes
+		for _, st := range order {
+			if ms, ok := times[st]; ok {
+				fmt.Fprintf(c.out, "  %-10s %8d ms\n", st, ms)
+			}
 		}
 	}
 

@@ -217,11 +217,12 @@ type ctx struct {
 	seed    int64
 	workers int
 
-	imdb     *db.DB
-	td       *core.TrainingData
-	tdStages map[trainmon.Stage]int
-	sketch   *core.Sketch
-	joblight []workload.LabeledQuery
+	imdb      *db.DB
+	td        *core.TrainingData
+	tdMon     *trainmon.Monitor // stages 1–4a, preparing td
+	sketch    *core.Sketch
+	sketchMon *trainmon.Monitor // stage 4b, training the main sketch
+	joblight  []workload.LabeledQuery
 }
 
 func newCtx(out io.Writer, fast bool, titles, queries, epochs, hidden, samples, workers int, seed int64) *ctx {
@@ -282,9 +283,8 @@ func (c *ctx) trainingData() (*core.TrainingData, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.tdStages = mon.Snapshot().StageTimes
-	fmt.Fprintf(c.out, "  %s\n", trainmon.FormatStageTimes(c.tdStages))
-	c.td = td
+	fmt.Fprintf(c.out, "  %s\n", trainmon.FormatStageTimes(mon.Snapshot().StageTimes))
+	c.td, c.tdMon = td, mon
 	return td, nil
 }
 
@@ -311,14 +311,7 @@ func (c *ctx) mainSketch() (*core.Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Merge the data-preparation stage times into the sketch record so
-	// fig1a can show the whole pipeline.
-	for st, ms := range c.tdStages {
-		if _, ok := s.StageMillis[st]; !ok {
-			s.StageMillis[st] = ms
-		}
-	}
-	c.sketch = s
+	c.sketch, c.sketchMon = s, mon
 	return s, nil
 }
 

@@ -74,9 +74,6 @@ func PrepareTrainingData(d *db.DB, cfg Config, mon *trainmon.Monitor) (*Training
 // generation and execution — the demo's separation between the expensive
 // label collection and (repeatable) training.
 func PrepareTrainingDataFromWorkload(d *db.DB, cfg Config, labeled []workload.LabeledQuery, mon *trainmon.Monitor) (*TrainingData, error) {
-	if mon == nil {
-		mon = trainmon.New()
-	}
 	mon.StartStage(trainmon.StageDefine, "validating configuration")
 	cfg = cfg.withDefaults(d)
 	cfg.TrainQueries = len(labeled)
@@ -156,9 +153,6 @@ func prepareFromLabeled(d *db.DB, cfg Config, labeled []workload.LabeledQuery, m
 // BuildFromData runs step 4b (training) on prepared data and assembles the
 // sketch.
 func BuildFromData(td *TrainingData, mon *trainmon.Monitor) (*Sketch, error) {
-	if mon == nil {
-		mon = trainmon.New()
-	}
 	mon.StartStage(trainmon.StageTrain, "training MSCN")
 	cfg := td.Cfg
 	modelCfg := cfg.Model
@@ -176,24 +170,21 @@ func BuildFromData(td *TrainingData, mon *trainmon.Monitor) (*Sketch, error) {
 	mon.EndStage(trainmon.StageTrain)
 
 	return &Sketch{
-		Cfg:         cfg,
-		Encoder:     enc,
-		Model:       model,
-		Samples:     td.Samples,
-		Epochs:      stats,
-		StageMillis: mon.Snapshot().StageTimes,
-		DBName:      td.DBName,
+		Cfg:     cfg,
+		Encoder: enc,
+		Model:   model,
+		Samples: td.Samples,
+		Epochs:  stats,
+		DBName:  td.DBName,
 	}, nil
 }
 
 // Build creates a Deep Sketch from a database, executing the four-step
 // pipeline of Figure 1a. mon (optional) receives stage, progress, and
 // per-epoch events, which is what the demo UI renders while users "monitor
-// the training progress".
+// the training progress". Stage times live only there; the sketch holds no
+// clock reading (see the file format in serialize.go).
 func Build(d *db.DB, cfg Config, mon *trainmon.Monitor) (*Sketch, error) {
-	if mon == nil {
-		mon = trainmon.New()
-	}
 	td, err := PrepareTrainingData(d, cfg, mon)
 	if err != nil {
 		return nil, err
@@ -204,9 +195,6 @@ func Build(d *db.DB, cfg Config, mon *trainmon.Monitor) (*Sketch, error) {
 // BuildWithWorkload creates a sketch from a pre-labeled workload instead of
 // generating and executing queries.
 func BuildWithWorkload(d *db.DB, cfg Config, labeled []workload.LabeledQuery, mon *trainmon.Monitor) (*Sketch, error) {
-	if mon == nil {
-		mon = trainmon.New()
-	}
 	td, err := PrepareTrainingDataFromWorkload(d, cfg, labeled, mon)
 	if err != nil {
 		return nil, err

@@ -58,7 +58,7 @@ func TestBuildPipelineStages(t *testing.T) {
 	}
 	for _, stage := range []trainmon.Stage{trainmon.StageDefine, trainmon.StageGenerate,
 		trainmon.StageExecute, trainmon.StageFeaturize, trainmon.StageTrain} {
-		if _, ok := s.StageMillis[stage]; !ok {
+		if _, ok := snap.StageTimes[stage]; !ok {
 			t.Errorf("missing stage time for %s", stage)
 		}
 	}
@@ -261,27 +261,55 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
+// TestSketchDeterministicBuild: a sketch file is a pure function of its
+// inputs. Two builds from the same database, config, seed and worker count
+// save the same bytes, and so do two refreshes of one parent on one delta
+// workload — with no field zeroed, so nothing clock-dependent may enter the
+// file.
 func TestSketchDeterministicBuild(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 84, Titles: 400, Keywords: 40, Companies: 20, Persons: 100})
 	cfg := Config{
-		SampleSize: 32, TrainQueries: 120, MaxJoins: 2, MaxPreds: 2, Seed: 9,
+		SampleSize: 32, TrainQueries: 120, MaxJoins: 2, MaxPreds: 2, Seed: 9, Workers: 2,
 		Model: mscn.Config{HiddenUnits: 8, Epochs: 3, BatchSize: 32, Seed: 9},
 	}
-	s1, err := Build(d, cfg, nil)
+	saved := func(s *Sketch) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	build := func() *Sketch {
+		t.Helper()
+		s, err := Build(d, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	parent := build()
+	if a, b := saved(parent), saved(build()); !bytes.Equal(a, b) {
+		t.Fatalf("two same-seed builds saved different files (%d and %d bytes)", len(a), len(b))
+	}
+
+	g, err := workload.NewGenerator(d, workload.GenConfig{Seed: 85, Count: 60, MaxJoins: 2, MaxPreds: 2, Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Build(d, cfg, nil)
+	labeled, err := workload.Label(d, g.Generate(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := db.Query{
-		Tables: []db.TableRef{{Table: "title", Alias: "t"}},
-		Preds:  []db.Predicate{{Alias: "t", Col: "production_year", Op: db.OpGt, Val: 1990}},
+	refresh := func() []byte {
+		t.Helper()
+		ns, err := Refresh(context.Background(), parent, labeled, RefreshOptions{Epochs: 2, Workers: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return saved(ns)
 	}
-	a, _ := s1.Cardinality(q)
-	b, _ := s2.Cardinality(q)
-	if a != b {
-		t.Errorf("same seed builds diverged: %v vs %v", a, b)
+	if a, b := refresh(), refresh(); !bytes.Equal(a, b) {
+		t.Fatalf("two refreshes of one parent on one workload saved different files (%d and %d bytes)", len(a), len(b))
 	}
 }

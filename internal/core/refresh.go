@@ -16,13 +16,12 @@ import (
 // own inference engine on first use.
 func (s *Sketch) Clone() *Sketch {
 	return &Sketch{
-		Cfg:         s.Cfg,
-		Encoder:     s.Encoder,
-		Model:       s.Model.Clone(),
-		Samples:     s.Samples,
-		Epochs:      append([]mscn.EpochStats(nil), s.Epochs...),
-		StageMillis: s.StageMillis,
-		DBName:      s.DBName,
+		Cfg:     s.Cfg,
+		Encoder: s.Encoder,
+		Model:   s.Model.Clone(),
+		Samples: s.Samples,
+		Epochs:  append([]mscn.EpochStats(nil), s.Epochs...),
+		DBName:  s.DBName,
 	}
 }
 
@@ -59,9 +58,6 @@ type RefreshOptions struct {
 func Refresh(ctx context.Context, s *Sketch, labeled []workload.LabeledQuery, opts RefreshOptions, mon *trainmon.Monitor) (*Sketch, error) {
 	if len(labeled) == 0 {
 		return nil, fmt.Errorf("core: refresh needs a non-empty delta workload")
-	}
-	if mon == nil {
-		mon = trainmon.New()
 	}
 	schema := s.SchemaDB()
 	for i, lq := range labeled {

@@ -7,14 +7,20 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
+	"deepsketch/internal/featurize"
 	"deepsketch/internal/workload"
 )
 
 // saveV1 serializes a sketch in the version-1 format (no optimizer
-// trailer), replicating the PR-1 writer byte for byte — the compatibility
-// corpus for TestLoadV1Sketch.
+// trailer), replicating the original writer byte for byte — the
+// compatibility corpus for TestLoadV1Sketch. Its header is spelled out
+// rather than taken from the current one: files of that era carry the
+// Figure 1a stage timings ("stage_ms") and each epoch's wall time
+// ("Duration"), which the current header no longer has.
 func saveV1(t *testing.T, s *Sketch) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -25,9 +31,29 @@ func saveV1(t *testing.T, s *Sketch) []byte {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(1)); err != nil {
 		t.Fatal(err)
 	}
-	hdr := header{
-		Name: s.Name(), DBName: s.DBName, Cfg: s.Cfg, Encoder: s.Encoder,
-		Epochs: s.Epochs, StageMillis: s.StageMillis, SampleSize: s.Samples.Size,
+	type epochV1 struct {
+		Epoch     int
+		TrainLoss float64
+		ValMeanQ  float64
+		ValMedQ   float64
+		Duration  time.Duration
+	}
+	epochs := make([]epochV1, len(s.Epochs))
+	for i, e := range s.Epochs {
+		epochs[i] = epochV1{e.Epoch, e.TrainLoss, e.ValMeanQ, e.ValMedQ, time.Duration(i+1) * 18_250_117}
+	}
+	hdr := struct {
+		Name        string             `json:"name"`
+		DBName      string             `json:"db_name"`
+		Cfg         Config             `json:"config"`
+		Encoder     *featurize.Encoder `json:"encoder"`
+		Epochs      []epochV1          `json:"epochs"`
+		StageMillis map[string]int     `json:"stage_ms"`
+		SampleSize  int                `json:"sample_set_size"`
+	}{
+		Name: s.Name(), DBName: s.DBName, Cfg: s.Cfg, Encoder: s.Encoder, Epochs: epochs,
+		StageMillis: map[string]int{"define": 0, "generate": 3, "execute": 41, "featurize": 7, "train": 912},
+		SampleSize:  s.Samples.Size,
 	}
 	blob, err := json.Marshal(hdr)
 	if err != nil {
@@ -79,8 +105,14 @@ func TestLoadV1Sketch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 sketch no longer loads: %v", err)
 	}
+	if !bytes.Contains(blob, []byte(`"stage_ms":`)) || !bytes.Contains(blob, []byte(`"Duration":`)) {
+		t.Fatal("the v1 fixture no longer carries the timing fields files of its era have")
+	}
 	if loaded.Model.OptState() != nil {
 		t.Error("v1 sketch should have no optimizer state")
+	}
+	if !slices.Equal(loaded.Epochs, s.Epochs) {
+		t.Errorf("v1 training record = %+v, want %+v", loaded.Epochs, s.Epochs)
 	}
 	g, _ := workload.NewGenerator(d, workload.GenConfig{Seed: 77, Count: 10, MaxJoins: 2, MaxPreds: 2})
 	for _, q := range g.Generate() {

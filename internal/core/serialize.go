@@ -13,7 +13,6 @@ import (
 	"deepsketch/internal/mscn"
 	"deepsketch/internal/nn"
 	"deepsketch/internal/sample"
-	"deepsketch/internal/trainmon"
 )
 
 // Serialized sketch format (all integers little-endian):
@@ -30,6 +29,13 @@ import (
 // with warm weights but a cold optimizer. The footprint of the whole file
 // is the paper's "small footprint size (a few MiBs)" figure, dominated by
 // the model weights and the samples.
+//
+// Nothing in the file depends on the clock: it is a pure function of the
+// database, config, seed and worker count it was built from, so two builds
+// (or two refreshes of one parent on one workload) save the same bytes and
+// an artifact's SHA-256 checks a rebuild. Files written when the header
+// still carried stage timings ("stage_ms", per-epoch "Duration") load; the
+// fields are ignored.
 //
 // Load believes no length or count beyond what the input can still supply:
 // the header length, the parameter total the header's dimensions imply, and
@@ -48,48 +54,87 @@ const (
 const MaxSketchBytes = 1 << 28
 
 type header struct {
-	Name        string                 `json:"name"`
-	DBName      string                 `json:"db_name"`
-	Cfg         Config                 `json:"config"`
-	Encoder     *featurize.Encoder     `json:"encoder"`
-	Epochs      []mscn.EpochStats      `json:"epochs"`
-	StageMillis map[trainmon.Stage]int `json:"stage_ms"`
-	SampleSize  int                    `json:"sample_set_size"`
+	Name       string             `json:"name"`
+	DBName     string             `json:"db_name"`
+	Cfg        Config             `json:"config"`
+	Encoder    *featurize.Encoder `json:"encoder"`
+	Epochs     []mscn.EpochStats  `json:"epochs"`
+	SampleSize int                `json:"sample_set_size"`
 }
 
 // Save writes the sketch in the serialized format.
 func (s *Sketch) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	_, err := s.save(w)
+	return err
+}
+
+// FootprintBreakdown reports the serialized size of each sketch component.
+type FootprintBreakdown struct {
+	Total   int64
+	Header  int64
+	Weights int64
+	Samples int64
+}
+
+// Footprint is the size of what Save writes, section by section — the "few
+// MiBs" figure from the paper's introduction. It is Save into a counter, so
+// it cannot disagree with the file.
+func (s *Sketch) Footprint() (FootprintBreakdown, error) { return s.save(io.Discard) }
+
+// save writes the sketch and reports each section's size, read off the
+// offsets the writer reaches. The optimizer trailer is model state and
+// counts with the weights.
+func (s *Sketch) save(w io.Writer) (FootprintBreakdown, error) {
+	var fb FootprintBreakdown
+	blob, err := json.Marshal(header{
+		Name: s.Name(), DBName: s.DBName, Cfg: s.Cfg, Encoder: s.Encoder,
+		Epochs: s.Epochs, SampleSize: s.Samples.Size,
+	})
+	if err != nil {
+		return fb, fmt.Errorf("core: marshal header: %w", err)
+	}
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	offset := func() int64 { return cw.n + int64(bw.Buffered()) }
 	if _, err := bw.WriteString(sketchMagic); err != nil {
-		return err
+		return fb, err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(sketchVersion)); err != nil {
-		return err
-	}
-	hdr := header{
-		Name: s.Name(), DBName: s.DBName, Cfg: s.Cfg, Encoder: s.Encoder,
-		Epochs: s.Epochs, StageMillis: s.StageMillis, SampleSize: s.Samples.Size,
-	}
-	blob, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("core: marshal header: %w", err)
+		return fb, err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(blob))); err != nil {
-		return err
+		return fb, err
 	}
 	if _, err := bw.Write(blob); err != nil {
-		return err
+		return fb, err
 	}
+	fb.Header = offset()
 	if err := s.Model.WriteWeights(bw); err != nil {
-		return err
+		return fb, err
 	}
+	weightsEnd := offset()
 	if err := writeSamples(bw, s.Samples, s.Cfg.Tables); err != nil {
-		return err
+		return fb, err
 	}
+	fb.Samples = offset() - weightsEnd
 	if err := writeOptTrailer(bw, s.Model); err != nil {
-		return err
+		return fb, err
 	}
-	return bw.Flush()
+	fb.Total = offset()
+	fb.Weights = fb.Total - fb.Header - fb.Samples
+	return fb, bw.Flush()
+}
+
+// countWriter counts the bytes it passes on.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // writeOptTrailer writes the v2 optimizer-state section: a presence flag,
@@ -226,8 +271,7 @@ func Load(r io.Reader) (*Sketch, error) {
 	}
 	return &Sketch{
 		Cfg: cfg, Encoder: hdr.Encoder, Model: model,
-		Samples: samples, Epochs: hdr.Epochs, StageMillis: hdr.StageMillis,
-		DBName: hdr.DBName,
+		Samples: samples, Epochs: hdr.Epochs, DBName: hdr.DBName,
 	}, nil
 }
 
@@ -380,54 +424,4 @@ func readSamples(r *input, size, tables int) (*sample.Set, error) {
 		}
 	}
 	return set, nil
-}
-
-// FootprintBreakdown reports the serialized size of each sketch component.
-type FootprintBreakdown struct {
-	Total   int64
-	Header  int64
-	Weights int64
-	Samples int64
-}
-
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// Footprint measures the serialized sketch size without materializing it —
-// the "few MiBs" figure from the paper's introduction.
-func (s *Sketch) Footprint() (FootprintBreakdown, error) {
-	var fb FootprintBreakdown
-
-	var hdrC countWriter
-	hdr := header{
-		Name: s.Name(), DBName: s.DBName, Cfg: s.Cfg, Encoder: s.Encoder,
-		Epochs: s.Epochs, StageMillis: s.StageMillis, SampleSize: s.Samples.Size,
-	}
-	blob, err := json.Marshal(hdr)
-	if err != nil {
-		return fb, err
-	}
-	hdrC.n = int64(len(blob)) + 12 // magic + version + length prefix
-
-	var wC countWriter
-	if err := s.Model.WriteWeights(&wC); err != nil {
-		return fb, err
-	}
-	// The optimizer trailer is model state; count it with the weights.
-	if err := writeOptTrailer(&wC, s.Model); err != nil {
-		return fb, err
-	}
-	var sC countWriter
-	if err := writeSamples(&sC, s.Samples, s.Cfg.Tables); err != nil {
-		return fb, err
-	}
-	fb.Header = hdrC.n
-	fb.Weights = wC.n
-	fb.Samples = sC.n
-	fb.Total = fb.Header + fb.Weights + fb.Samples
-	return fb, nil
 }

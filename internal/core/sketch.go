@@ -23,7 +23,6 @@ import (
 	"deepsketch/internal/mscn"
 	"deepsketch/internal/sample"
 	"deepsketch/internal/sqlparse"
-	"deepsketch/internal/trainmon"
 	"deepsketch/internal/workload"
 )
 
@@ -103,8 +102,6 @@ type Sketch struct {
 	Samples *sample.Set
 	// Epochs records per-epoch training metrics.
 	Epochs []mscn.EpochStats
-	// StageMillis records the Figure 1a stage durations.
-	StageMillis map[trainmon.Stage]int
 	// DBName is the source database name (imdb, tpch, ...).
 	DBName string
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"deepsketch/internal/datagen"
 	"deepsketch/internal/featurize"
@@ -21,13 +20,13 @@ type Example struct {
 }
 
 // EpochStats captures one epoch of training for monitoring and the epoch-
-// convergence experiment (E7).
+// convergence experiment (E7). It is part of the sketch file, so it holds
+// only what the training run computes, never a wall-clock reading.
 type EpochStats struct {
 	Epoch     int
 	TrainLoss float64
 	ValMeanQ  float64
 	ValMedQ   float64
-	Duration  time.Duration
 }
 
 // Train fits the model on examples using the encoder's label normalization
@@ -119,7 +118,6 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 	// or element table of the old generation may be served beside.
 	defer m.noteWeightsChanged()
 	for epoch := 1; epoch <= epochs; epoch++ {
-		start := time.Now()
 		order := shuffle(rng, len(train))
 		var lossSum float64
 		var batches int
@@ -142,7 +140,7 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 			lossSum += loss
 			batches++
 		}
-		st := EpochStats{Epoch: epoch, TrainLoss: lossSum / float64(batches), Duration: time.Since(start)}
+		st := EpochStats{Epoch: epoch, TrainLoss: lossSum / float64(batches)}
 		if len(val) > 0 {
 			if err := tr.predict(valEncs, qs); err != nil {
 				return stats, err

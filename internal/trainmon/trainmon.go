@@ -58,7 +58,8 @@ type Event struct {
 	Msg     string        `json:"msg,omitempty"`
 }
 
-// Monitor is a concurrency-safe event recorder with optional sinks.
+// Monitor is a concurrency-safe event recorder with optional sinks. A nil
+// *Monitor records nothing, so every pipeline step accepts one.
 type Monitor struct {
 	mu     sync.Mutex
 	events []Event
