@@ -261,9 +261,9 @@ type sketchEntry struct {
 	// version 1 enters the registry. Those three are guarded by server.mu.
 	sketchView
 	published bool
-	// serving is the entry's serving stack: an LRU estimate cache over a
-	// clamped, drift-observed, micro-batching coalescer over the registry's
-	// per-name view. All request traffic to this sketch goes through it.
+	// serving is the entry's serving stack (servingStack over the registry's
+	// per-name view, with no fallback). All request traffic to this sketch
+	// goes through it, on the request's own goroutine.
 	// The stack is built once (installVersion), before the entry is
 	// published, and survives every version change: the registry view routes
 	// each query to whichever version (live or canary split) should answer
@@ -333,10 +333,6 @@ type server struct {
 	mu       sync.RWMutex
 	sketches map[int]*sketchEntry
 	nextID   int
-	// coalescers are the flush goroutines' owners in every serving stack
-	// this server assembled (one per dataset's auto stack, one per sketch
-	// entry), kept so Close can stop them; guarded by mu.
-	coalescers []*deepsketch.Coalescer
 
 	// bg tracks every background build goroutine the server launches (the
 	// controllers track their own refresh cycles). Close joins both before
@@ -347,22 +343,13 @@ type server struct {
 }
 
 // Close joins the in-flight builds and refresh cycles — whoever started
-// them — then stops the serving stacks' coalescers (nothing can add one
-// once the builds are joined) and closes the observation WALs. After it
-// returns no goroutine owned by this server is running, and nothing is
-// touching the store directory or the WAL files; estimates through a
-// closed stack fail.
+// them — then closes the observation WALs. After it returns no goroutine
+// owned by this server is running, and nothing is touching the store
+// directory or the WAL files.
 func (s *server) Close() error {
 	s.bg.Wait()
 	for _, ctrl := range s.controllers {
 		ctrl.Close()
-	}
-	s.mu.Lock()
-	coalescers := s.coalescers
-	s.coalescers = nil
-	s.mu.Unlock()
-	for _, c := range coalescers {
-		c.Close()
 	}
 	var firstErr error
 	for name, l := range s.wals {
@@ -493,31 +480,31 @@ func newServerOpts(opts serverOptions) *server {
 		dcc.Synthetic = s.syntheticSource(dataset, refreshReq{})
 		dcc.OnEvent = func(ev deepsketch.DriftEvent) { s.onDriftEvent(dataset, ev) }
 		s.controllers[name] = deepsketch.NewDriftController(reg, mon, dcc)
-		// Auto-routed traffic gets the same serving treatment as explicit
-		// sketch requests: coalesced batched inference behind the router,
-		// clamped, PostgreSQL fallback for uncovered queries, all cached.
-		// The fallback sits inside the coalescer so a coalesced batch that
-		// contains uncovered queries bisects into batched router calls plus
-		// per-query PostgreSQL answers, instead of failing wholesale and
-		// serializing the whole flush. The drift monitor taps the router
-		// path below the cache (hits repeat known answers). The cache is
-		// keyed by the router's CacheKey — the query signature qualified by
-		// the answering sketch version — which keeps it coherent across
-		// every registry mutation with no wholesale invalidation: a swap,
-		// canary start, re-fraction, promote or rollback changes the key of
-		// exactly the queries whose answering version changed, so their old
-		// entries are simply never looked up again while the rest of the
-		// cache stays warm.
-		co := deepsketch.NewCoalescer(
-			deepsketch.Fallback(
-				deepsketch.ObserveEstimates(
-					deepsketch.Clamp(reg.Router(), deepsketch.MaxCardinality(d)), mon),
-				pg),
-			deepsketch.CoalesceOptions{})
-		s.coalescers = append(s.coalescers, co)
-		s.auto[name] = deepsketch.WithCache(co, 1024).KeyFunc(reg.Router().CacheKey)
+		// Auto-routed traffic gets the same stack as explicit sketch
+		// requests, over the router instead of one name's view, with
+		// PostgreSQL answering the queries no sketch covers. The router's
+		// CacheKey is the query signature qualified by the answering sketch
+		// version, so a swap, canary start, re-fraction, promote or rollback
+		// changes the key of exactly the queries whose answering version
+		// changed, and the rest of the cache stays warm.
+		s.auto[name] = servingStack(d, reg.Router(), mon, reg.Router().CacheKey, pg)
 	}
 	return s
+}
+
+// servingStack assembles every serving stack the daemon has: an LRU
+// estimate cache keyed by key, over backend clamped into
+// [1, MaxCardinality(d)] and tapped by the drift monitor, then the
+// fallbacks in order. The tap sits below the cache, because a hit repeats a
+// known answer, and wraps only backend, because a fallback's answer is not
+// a sketch's to judge. An estimate runs on its caller's goroutine; a caller
+// with several queries batches them itself through EstimateBatch.
+func servingStack(d *deepsketch.DB, backend deepsketch.Estimator, mon *deepsketch.DriftMonitor,
+	key func(deepsketch.Query) string, fallbacks ...deepsketch.Estimator) *deepsketch.EstimateCache {
+	chain := append([]deepsketch.Estimator{
+		deepsketch.ObserveEstimates(deepsketch.Clamp(backend, deepsketch.MaxCardinality(d)), mon),
+	}, fallbacks...)
+	return deepsketch.WithCache(deepsketch.Fallback(chain...), 1024).KeyFunc(key)
 }
 
 // syntheticSource returns a workload source that generates and labels a
@@ -654,15 +641,8 @@ func (s *server) installVersion(e *sketchEntry, sk *deepsketch.Sketch) {
 	if e.serving != nil {
 		return
 	}
-	d := s.datasets[e.Dataset]
 	reg := s.registries[e.Dataset]
-	co := deepsketch.NewCoalescer(reg.Serving(e.Name), deepsketch.CoalesceOptions{})
-	s.coalescers = append(s.coalescers, co)
-	e.serving = deepsketch.WithCache(
-		deepsketch.ObserveEstimates(
-			deepsketch.Clamp(co, deepsketch.MaxCardinality(d)),
-			s.monitors[e.Dataset]),
-		1024).KeyFunc(reg.CacheKey(e.Name))
+	e.serving = servingStack(s.datasets[e.Dataset], reg.Serving(e.Name), s.monitors[e.Dataset], reg.CacheKey(e.Name))
 }
 
 // view snapshots an entry for the API. An unpublished entry reports its
@@ -983,7 +963,8 @@ type refreshReq struct {
 	// Queries sizes the generated drift-delta workload (default 1000).
 	Queries int `json:"queries"`
 	// Seed drives delta workload generation; vary it across refreshes so
-	// each one sees fresh queries (default: current version number).
+	// each one sees fresh queries (default: the sketch's history length
+	// plus one, see syntheticSource).
 	Seed int64 `json:"seed"`
 	// Epochs caps the fine-tune budget (default: the sketch's build epochs).
 	Epochs int `json:"epochs"`

@@ -2,27 +2,124 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"deepsketch"
 )
 
-// coalescerLoops counts the coalescer flush goroutines alive in the process
-// — this server's and those of servers earlier tests never closed. It
-// matches on the creator, not on the loop's own frame: a goroutine that has
-// not been scheduled yet has no loop frame to show.
-func coalescerLoops() int {
+// deepsketchGoroutines returns the IDs of the live goroutines a deepsketch
+// package created. It matches on the creator, not on the goroutine's own
+// frames: a goroutine that has not been scheduled yet has none to show.
+func deepsketchGoroutines() map[string]string {
 	buf := make([]byte, 1<<20)
 	for {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), "created by deepsketch/internal/serve.NewCoalescer")
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
 		}
-		buf = make([]byte, 2*len(buf))
+		ids := map[string]string{}
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			header, _, _ := strings.Cut(g, " [")
+			if i := strings.Index(g, "\ncreated by deepsketch"); i >= 0 {
+				creator, _, _ := strings.Cut(g[i+len("\ncreated by "):], " in goroutine")
+				ids[header] = creator
+			}
+		}
+		return ids
+	}
+}
+
+// awaitNoNewGoroutines fails unless the deepsketch goroutines alive now are
+// a subset of before: every one created since has exited. Goroutines are
+// compared by ID, so one that an earlier test left behind may exit
+// meanwhile without counting. A goroutine that was joined still needs an
+// instant to be gone: allow it that instant.
+func awaitNoNewGoroutines(t *testing.T, before map[string]string, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		var started []string
+		for id, creator := range deepsketchGoroutines() {
+			if _, ok := before[id]; !ok {
+				started = append(started, creator)
+			}
+		}
+		if len(started) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			sort.Strings(started)
+			t.Fatalf("%s, %d goroutines the server started are still running: %v", when, len(started), started)
+		}
+	}
+}
+
+// checkConcurrentEstimates sends imdb queries concurrently through the
+// named sketch's stack (by id) and the dataset's auto-routed stack, and
+// checks each deep_sketch answer equals the live sketch's own estimate
+// clamped into [1, MaxCardinality] — not approximately: a stack adds no
+// arithmetic of its own.
+func checkConcurrentEstimates(t *testing.T, srv *server, h http.Handler, id int, name string) {
+	t.Helper()
+	var sqls []string
+	for kind := 1; kind <= 4; kind++ {
+		sqls = append(sqls,
+			fmt.Sprintf("SELECT COUNT(*) FROM title t WHERE t.kind_id=%d", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM title t, movie_keyword mk WHERE mk.movie_id=t.id AND t.kind_id=%d", kind))
+	}
+	routes := []int{id, 0} // 0 routes automatically
+	got := make([][]float64, len(routes))
+	var wg sync.WaitGroup
+	for r, sketchID := range routes {
+		got[r] = make([]float64, len(sqls))
+		for i, sql := range sqls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := post(t, h, "/api/estimate", estimateReq{SketchID: sketchID, SQL: sql})
+				var resp struct {
+					DeepSketch float64 `json:"deep_sketch"`
+				}
+				if rec.Code != http.StatusOK {
+					t.Errorf("sketch_id %d, %s: %d %s", sketchID, sql, rec.Code, rec.Body)
+				} else if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Error(err)
+				}
+				got[r][i] = resp.DeepSketch
+			}()
+		}
+	}
+	wg.Wait()
+
+	d := srv.datasets["imdb"]
+	live, _, err := srv.registries["imdb"].Live(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sql := range sqls {
+		q, err := deepsketch.ParseSQL(d, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := live.Estimate(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Min(math.Max(est.Cardinality, 1), deepsketch.MaxCardinality(d))
+		for r, sketchID := range routes {
+			if got[r][i] != want {
+				t.Errorf("sketch_id %d, %s: deep_sketch %v, in-process clamped estimate %v", sketchID, sql, got[r][i], want)
+			}
+		}
 	}
 }
 
@@ -32,9 +129,13 @@ func coalescerLoops() int {
 // refresh was still writing sketch files. Close must block until the
 // in-flight refresh has fully landed or failed, whoever started it — an
 // operator's POST or a drift trigger — and the store it leaves behind must
-// restore cleanly on a fresh server. Close must also stop every coalescer
-// the server's serving stacks started: the daemon used to drop their
-// handles, leaving three flush goroutines behind a one-sketch server.
+// restore cleanly on a fresh server.
+//
+// Serving starts no goroutine: an estimate runs on the request's own, so
+// once a sketch is ready and its estimates have returned, and again after
+// Close, no goroutine the server started is left. Each estimate is the live
+// sketch's own, clamped, bit for bit, through both the sketch's stack and
+// the dataset's auto-routed one.
 func TestCloseJoinsInFlightRefresh(t *testing.T) {
 	cases := []struct {
 		name string
@@ -76,7 +177,7 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			loopsBefore := coalescerLoops()
+			before := deepsketchGoroutines()
 			srv := newServerOpts(serverOptions{
 				titles: 600, orders: 300, seed: 2, driftTruth: true,
 				driftCfg: deepsketch.DriftConfig{
@@ -88,10 +189,8 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 			srv.store = dir
 			h := srv.routes()
 			id := buildReadySketch(t, h, "joined")
-			// One auto stack per dataset plus the sketch's own.
-			if got, want := coalescerLoops()-loopsBefore, len(srv.datasets)+1; got != want {
-				t.Fatalf("the server started %d coalescers, want %d", got, want)
-			}
+			checkConcurrentEstimates(t, srv, h, id, "joined")
+			awaitNoNewGoroutines(t, before, "after its estimates returned")
 			tc.start(t, srv, h, id)
 
 			// Close while the refresh goroutine is in flight. It must not
@@ -106,13 +205,7 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 			case <-time.After(90 * time.Second):
 				t.Fatal("Close did not return while a refresh was in flight")
 			}
-			// Coalescer.Close returns when the flush loop signals its exit,
-			// an instant before the goroutine is gone: allow it that instant.
-			for deadline := time.Now().Add(5 * time.Second); coalescerLoops() != loopsBefore; runtime.Gosched() {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d coalescer goroutines outlived Close", coalescerLoops()-loopsBefore)
-				}
-			}
+			awaitNoNewGoroutines(t, before, "after Close")
 
 			// The join guarantees the refresh reached a terminal state
 			// before Close returned: "refreshing" after Close would mean the

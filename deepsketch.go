@@ -36,14 +36,15 @@
 //
 // For production-shaped serving, stack the middleware from the serve layer
 // onto any Estimator: WithCache adds an LRU estimate cache keyed on the
-// canonical query fingerprint, NewCoalescer merges concurrent single-query
-// requests into one batched MSCN forward pass, Clamp bounds estimates into
-// [1, |DB|], and Fallback chains backends so an uncovered query falls
-// through (e.g. Router → PostgreSQL) instead of erroring:
+// canonical query fingerprint, Clamp bounds estimates into [1, |DB|], and
+// Fallback chains backends so an uncovered query falls through (e.g.
+// Router → PostgreSQL) instead of erroring. This is the shape deepsketchd
+// serves; an estimate runs on the caller's goroutine, and a caller with
+// many queries batches them through EstimateBatch:
 //
 //	serving := deepsketch.WithCache(
 //	    deepsketch.Fallback(
-//	        deepsketch.Clamp(deepsketch.NewCoalescer(sketch, deepsketch.CoalesceOptions{}), maxCard),
+//	        deepsketch.Clamp(sketch, deepsketch.MaxCardinality(d)),
 //	        deepsketch.PostgresEstimator(d)),
 //	    4096)
 //	est, err := serving.Estimate(ctx, q)
@@ -526,9 +527,11 @@ type (
 	// EstimateCache is an LRU estimate cache (see WithCache).
 	EstimateCache = serve.Cache
 	// Coalescer merges concurrent Estimate calls into batched forward
-	// passes (see NewCoalescer).
+	// passes (see NewCoalescer). It remains only because the benchmark's
+	// replay stack (bench/replay.go) names it.
 	Coalescer = serve.Coalescer
-	// CoalesceOptions tune the coalescer's batch size and wait bound.
+	// CoalesceOptions tune the coalescer's batch size. It remains only
+	// because the benchmark's replay stack (bench/replay.go) names it.
 	CoalesceOptions = serve.CoalesceOptions
 )
 
@@ -538,7 +541,9 @@ func WithCache(e Estimator, capacity int) *EstimateCache { return serve.NewCache
 
 // NewCoalescer starts a micro-batching coalescer over the backend: while
 // one batch is in flight, concurrently arriving single-query requests are
-// merged into the next batched forward pass. Call Close when done.
+// merged into the next batched forward pass. Call Close when done. It
+// remains only because the benchmark's replay stack (bench/replay.go)
+// names it; serve through EstimateBatch to batch instead.
 func NewCoalescer(e Estimator, opts CoalesceOptions) *Coalescer { return serve.NewCoalescer(e, opts) }
 
 // Clamp bounds every cardinality into [1, max]; max <= 0 only enforces ≥ 1.

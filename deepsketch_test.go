@@ -3,7 +3,6 @@ package deepsketch_test
 import (
 	"bytes"
 	"context"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,18 +123,17 @@ func TestPublicAPICompare(t *testing.T) {
 	}
 }
 
-// TestPublicAPIServeStack drives the full serving stack — fallback(clamp(
-// coalesce(sketch)), postgres) behind a cache — against a real sketch and
-// checks coalesced serving returns the sequential path's estimates.
+// TestPublicAPIServeStack drives the daemon's serving stack shape —
+// fallback(clamp(sketch), postgres) behind a cache — against a real sketch
+// from concurrent clients and checks it returns the bare sketch's estimates
+// bit for bit.
 func TestPublicAPIServeStack(t *testing.T) {
 	d, s := fixture(t)
 	ctx := context.Background()
 
-	co := deepsketch.NewCoalescer(s, deepsketch.CoalesceOptions{})
-	defer co.Close()
 	serving := deepsketch.WithCache(
 		deepsketch.Fallback(
-			deepsketch.Clamp(co, deepsketch.MaxCardinality(d)),
+			deepsketch.Clamp(s, deepsketch.MaxCardinality(d)),
 			deepsketch.PostgresEstimator(d)),
 		128)
 
@@ -168,7 +166,7 @@ func TestPublicAPIServeStack(t *testing.T) {
 		if want < 1 {
 			want = 1 // the stack clamps
 		}
-		if math.Abs(got[i].Cardinality-want)/want > 1e-9 {
+		if got[i].Cardinality != want {
 			t.Errorf("query %d: served %v, sequential %v", i, got[i].Cardinality, want)
 		}
 	}

@@ -1,6 +1,6 @@
 // Quickstart: build a Deep Sketch over the synthetic IMDb dataset, estimate
 // SQL queries through the unified Estimator interface, stand up a serving
-// stack (cache + coalescer + clamp + PostgreSQL fallback), round-trip the
+// stack (cache + clamp + PostgreSQL fallback), round-trip the
 // sketch through its serialized form, and refresh it in place — warm-start
 // fine-tune on a drift-delta workload, then atomically swap the new version
 // into the live registry.
@@ -77,15 +77,14 @@ func main() {
 			est.Cardinality, truth, deepsketch.QError(est.Cardinality, float64(truth)), est.Latency, sql)
 	}
 
-	// 4. Production-shaped serving: stack the middleware onto the sketch.
-	// The coalescer merges concurrent requests into batched forward passes,
-	// Clamp bounds estimates into [1, |DB|], the PostgreSQL fallback answers
-	// anything the sketch cannot, and the LRU cache shortcuts repeats.
-	co := deepsketch.NewCoalescer(sketch, deepsketch.CoalesceOptions{})
-	defer co.Close()
+	// 4. Production-shaped serving: stack the middleware onto the sketch,
+	// the shape deepsketchd serves. Clamp bounds estimates into [1, |DB|],
+	// the PostgreSQL fallback answers anything the sketch cannot, and the
+	// LRU cache shortcuts repeats. Each estimate runs on the caller's
+	// goroutine; a caller with many queries batches them via EstimateBatch.
 	serving := deepsketch.WithCache(
 		deepsketch.Fallback(
-			deepsketch.Clamp(co, deepsketch.MaxCardinality(d)),
+			deepsketch.Clamp(sketch, deepsketch.MaxCardinality(d)),
 			deepsketch.PostgresEstimator(d)),
 		1024)
 	q, err := deepsketch.ParseSQL(d, queries[0])

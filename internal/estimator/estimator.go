@@ -30,9 +30,9 @@ type Estimate struct {
 	// Source names the backend that produced the estimate ("Deep Sketch",
 	// "PostgreSQL", a sketch name behind a router, ...).
 	Source string `json:"source"`
-	// Latency is the wall time the estimation took. Serving middleware
-	// (cache, coalescer) reports the caller-observed latency, which for a
-	// cache hit is the lookup time, not the original computation time.
+	// Latency is the wall time the estimation took. An estimate cache
+	// reports the caller-observed latency, which for a hit is the lookup
+	// time, not the original computation time.
 	Latency time.Duration `json:"latency_ns"`
 	// CacheHit is true when the estimate was served from an estimate cache
 	// rather than computed.

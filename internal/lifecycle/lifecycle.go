@@ -132,7 +132,7 @@ func New() *Registry {
 }
 
 // Router exposes the underlying router for building serving stacks
-// (coalescers, clamps, fallbacks) over its coverage dispatch. It is a read
+// (caches, clamps, fallbacks) over its coverage dispatch. It is a read
 // path: all mutations must go through the Registry, whose history the
 // router's table is derived from.
 func (g *Registry) Router() *router.Router { return g.r }

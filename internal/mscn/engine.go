@@ -383,7 +383,7 @@ type QuerySource interface {
 // queries into out (len n). Shapes may be arbitrarily mixed — packing makes a
 // ragged batch cost exactly its valid rows, so no shape grouping happens.
 // Work proceeds in chunks of the model batch size, shrunk on multicore
-// machines so even a single coalesced flush splits across every core
+// machines so even a single modest batch splits across every core
 // (GOMAXPROCS=1 keeps one full-size chunk and no goroutines). Each chunk
 // runs on its own pooled scratch (predictChunk); ctx is checked before each
 // one, and the first error wins: no chunk starts after it.

@@ -11,7 +11,8 @@ import (
 	"deepsketch/internal/estimator"
 )
 
-// CoalesceOptions tune the micro-batching coalescer.
+// CoalesceOptions tune the micro-batching coalescer. It remains only
+// because the benchmark's replay stack (bench/replay.go) names it.
 type CoalesceOptions struct {
 	// MaxBatch is the largest coalesced batch (default 64, matching the
 	// MSCN inference batch size so one flush is one forward pass).
@@ -26,17 +27,17 @@ func (o CoalesceOptions) withDefaults() CoalesceOptions {
 }
 
 // Coalescer merges concurrent single-query Estimate calls into one batched
-// EstimateBatch call on the backend — the daemon's hot path under heavy
-// traffic, where per-query MSCN forward passes waste most of their time on
-// per-call overhead. Batches form naturally: requests enqueue on a buffered
-// channel while a flush is in flight, and the next flush absorbs everything
-// queued at once, so an idle server serves a lone request immediately (no
-// artificial wait) and a loaded server batches as deep as its arrival rate.
-// Any mix of query shapes coalesces into one packed ragged-batch forward
-// pass — the sketch's inference engine stores only valid set elements, so a
-// mixed batch costs exactly its rows and needs no shape grouping. Results
-// are the backend's batched results, which for sketches match the
-// sequential path query-by-query.
+// EstimateBatch call on the backend. No binary serves through it: it
+// remains only because the benchmark's replay stack (bench/replay.go)
+// names it, and goes once that stack is built the daemon's way. Callers
+// with several queries batch them through EstimateBatch instead.
+//
+// Batches form naturally: requests enqueue on a buffered channel while a
+// flush is in flight, and the next flush absorbs everything queued at once,
+// so an idle coalescer serves a lone request immediately (no artificial
+// wait) and a loaded one batches as deep as its arrival rate. Results are
+// the backend's batched results, which for sketches match the sequential
+// path bit for bit.
 //
 // A Coalescer owns a background flush goroutine; call Close when done.
 type Coalescer struct {
@@ -72,7 +73,8 @@ type coalesceResp struct {
 	err error
 }
 
-// NewCoalescer starts a coalescer over the backend.
+// NewCoalescer starts a coalescer over the backend. It remains only
+// because the benchmark's replay stack (bench/replay.go) names it.
 func NewCoalescer(inner estimator.Estimator, opts CoalesceOptions) *Coalescer {
 	opts = opts.withDefaults()
 	c := &Coalescer{

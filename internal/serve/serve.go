@@ -3,16 +3,16 @@
 // production-shaped service. It provides an LRU estimate cache keyed on the
 // canonical query fingerprint (optionally qualified by the answering sketch
 // version via Cache.KeyFunc, so swaps and canary splits never surface a
-// stale version's answer), a micro-batching coalescer that merges
-// concurrent single-query requests into one batched MSCN forward pass (the
-// daemon's hot path under heavy traffic), sanity clamping of estimates into
-// [1, |DB|], and fallback chains so an uncovered query falls through to the
-// next backend (Router → PostgreSQL) instead of erroring.
+// stale version's answer), sanity clamping of estimates into [1, |DB|], and
+// fallback chains so an uncovered query falls through to the next backend
+// (Router → PostgreSQL) instead of erroring. Every wrapper answers on its
+// caller's goroutine; a caller with many queries batches them through
+// EstimateBatch.
 //
 // Every wrapper implements estimator.Estimator itself, so stacks compose
 // freely:
 //
-//	est := serve.NewCache(serve.Clamp(serve.NewCoalescer(sketch, serve.CoalesceOptions{}), maxCard), 1024)
+//	est := serve.NewCache(serve.Fallback(serve.Clamp(sketch, maxCard), postgres), 1024)
 package serve
 
 import (
@@ -120,44 +120,14 @@ func (f *fallback) Estimate(ctx context.Context, q db.Query) (estimator.Estimate
 	return estimator.Estimate{}, fmt.Errorf("serve: every backend failed: %w", lastErr)
 }
 
-// EstimateBatch tries the whole batch on the first backend (preserving its
-// batched inference path); on failure it bisects, so the covered majority
-// of a batch keeps its batched forward passes and only the queries the
-// primary actually rejects fall through the chain individually. A batch
-// with k bad queries costs O(k·log n) extra batch attempts, not n single
-// ones.
+// EstimateBatch tries the whole batch on the first backend, keeping its
+// batched inference path; if that fails, each query walks the chain on its
+// own.
 func (f *fallback) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.Estimate, error) {
-	out := make([]estimator.Estimate, len(qs))
-	if err := f.batchInto(ctx, qs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (f *fallback) batchInto(ctx context.Context, qs []db.Query, out []estimator.Estimate) error {
-	if len(qs) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if len(f.backends) > 0 {
 		if ests, err := f.backends[0].EstimateBatch(ctx, qs); err == nil && len(ests) == len(qs) {
-			copy(out, ests)
-			return nil
+			return ests, nil
 		}
 	}
-	if len(qs) == 1 {
-		est, err := f.Estimate(ctx, qs[0])
-		if err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		out[0] = est
-		return nil
-	}
-	mid := len(qs) / 2
-	if err := f.batchInto(ctx, qs[:mid], out[:mid]); err != nil {
-		return err
-	}
-	return f.batchInto(ctx, qs[mid:], out[mid:])
+	return estimator.SequentialBatch(ctx, f, qs)
 }
