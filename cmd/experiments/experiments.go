@@ -95,7 +95,7 @@ func runFig1a(c *ctx) ([]claim, error) {
 	if _, err := c.mainSketch(); err != nil {
 		return nil, err
 	}
-	fmt.Fprintln(c.out, "\nsketch creation pipeline (Figure 1a stages):")
+	fmt.Fprintln(c.out, "\nsketch creation pipeline (Figure 1a stages; train includes per-minibatch bitmaps and featurization):")
 	order := []trainmon.Stage{trainmon.StageDefine, trainmon.StageGenerate,
 		trainmon.StageExecute, trainmon.StageFeaturize, trainmon.StageTrain}
 	// The data preparation's monitor holds stages 1–4a, the main sketch's
@@ -148,16 +148,13 @@ func runFig1a(c *ctx) ([]claim, error) {
 		perQuery = append(perQuery, float64(el.Microseconds())/float64(n*fixedEp))
 		fmt.Fprintf(c.out, "  %8d %12v %16.1f\n", n, el.Round(time.Millisecond), perQuery[len(perQuery)-1])
 	}
-	// Linear means a constant unit cost. Wall clock on a shared box:
-	// reported, never a gate.
-	linear := func(text string, unit []float64) claim {
-		lo, hi := slices.Min(unit), slices.Max(unit)
-		return claim{text: text, holds: hi <= 1.25*lo, got: fmt.Sprintf("max/min %.2f", hi/lo), gate: gateNever}
-	}
-	return []claim{
-		linear("training time is linear in epochs (per-epoch cost within 1.25x across the sweep)", perEpoch),
-		linear("training time is linear in training-set size (per-query cost within 1.25x across the sweep)", perQuery),
-	}, nil
+	// Linear means a constant unit cost. It is wall clock, which wanders
+	// from run to run on a shared machine, so the spread is printed and
+	// judged by no verdict.
+	spread := func(unit []float64) float64 { return slices.Max(unit) / slices.Min(unit) }
+	fmt.Fprintf(c.out, "\ntraining time is linear in epochs: per-epoch cost max/min %.2f across the sweep\n", spread(perEpoch))
+	fmt.Fprintf(c.out, "training time is linear in training-set size: per-query cost max/min %.2f across the sweep\n", spread(perQuery))
+	return nil, nil
 }
 
 // runFig1b reproduces Figure 1b's usage-side claims: estimation within

@@ -5,9 +5,7 @@ import (
 
 	"deepsketch/internal/core"
 	"deepsketch/internal/db"
-	"deepsketch/internal/featurize"
 	"deepsketch/internal/metrics"
-	"deepsketch/internal/mscn"
 	"deepsketch/internal/nn"
 	"deepsketch/internal/optimizer"
 	"deepsketch/internal/sample"
@@ -38,9 +36,10 @@ func runSampleSize(c *ctx) ([]claim, error) {
 		medians[len(medians)-1], 1, medians[0])}, nil
 }
 
-// jobLightAtSampleSize re-samples size tuples per table (0: no bitmaps,
-// static query features only), re-encodes the shared training queries and
-// labels, trains a fresh MSCN for epochs and summarizes its JOB-light
+// jobLightAtSampleSize builds a sketch from the shared training queries and
+// labels at size tuples per table — fresh samples, or for 0 (no bitmaps,
+// static query features only) the shared samples under an encoder that
+// ignores them — trains it for epochs and summarizes its JOB-light
 // q-errors.
 func (c *ctx) jobLightAtSampleSize(size, epochs int) (metrics.Summary, error) {
 	var none metrics.Summary
@@ -52,56 +51,25 @@ func (c *ctx) jobLightAtSampleSize(size, epochs int) (metrics.Summary, error) {
 	if err != nil {
 		return none, err
 	}
-	var samples *sample.Set
+	td2 := *td
+	td2.Cfg.SampleSize = size
+	td2.Cfg.Model.Epochs = epochs
 	if size > 0 {
-		if samples, err = sample.New(c.db(), td.Cfg.Tables, size, c.seed); err != nil {
+		if td2.Samples, err = sample.New(c.db(), td.Cfg.Tables, size, c.seed); err != nil {
 			return none, err
 		}
 	}
-	enc, err := featurize.NewEncoder(c.db(), td.Cfg.Tables, size)
+	// The shared encoder at another bitmap width: the same vocabulary,
+	// literal bounds and label normalization.
+	enc := *td.Encoder
+	enc.SampleSize = size
+	td2.Encoder = &enc
+	td2.Examples = core.Examples(td2.Encoder, td2.Samples, td.Labeled)
+	sk, err := core.BuildFromData(&td2, nil)
 	if err != nil {
 		return none, err
 	}
-	encode := func(q db.Query) (featurize.Encoded, error) {
-		if samples == nil {
-			return enc.EncodeQuery(q, nil)
-		}
-		bms, err := samples.Bitmaps(q)
-		if err != nil {
-			return featurize.Encoded{}, err
-		}
-		return enc.EncodeQuery(q, bms)
-	}
-	cards := make([]int64, len(td.Labeled))
-	for i, lq := range td.Labeled {
-		cards[i] = lq.Card
-	}
-	enc.FitLabels(cards)
-	examples := make([]mscn.Example, len(td.Labeled))
-	for i, lq := range td.Labeled {
-		e, err := encode(lq.Query)
-		if err != nil {
-			return none, err
-		}
-		examples[i] = mscn.Example{Enc: e, Card: lq.Card}
-	}
-	mcfg := td.Cfg.Model
-	mcfg.Epochs = epochs
-	if mcfg.Seed == 0 {
-		mcfg.Seed = c.seed
-	}
-	model := mscn.New(mcfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	if _, err := model.Train(examples, enc.Norm, nil); err != nil {
-		return none, err
-	}
-	qs, err := qerrsOf(labeled, func(q db.Query) (float64, error) {
-		e, err := encode(q)
-		if err != nil {
-			return 0, err
-		}
-		y, err := model.Engine().Predict(e)
-		return enc.Norm.Denormalize(y), err
-	})
+	qs, err := qerrsOf(labeled, sk.Cardinality)
 	return metrics.Summarize(qs), err
 }
 

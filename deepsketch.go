@@ -397,8 +397,9 @@ func NewMonitor() *Monitor { return trainmon.New() }
 func DefaultModelConfig() ModelConfig { return mscn.DefaultConfig() }
 
 // Build creates a Deep Sketch over the database: generates uniform training
-// queries, executes them (in parallel) for true cardinalities and sample
-// bitmaps, featurizes, and trains the MSCN. mon may be nil.
+// queries, executes them (in parallel) for true cardinalities, draws the
+// samples, and trains the MSCN, featurizing each minibatch — sample bitmaps
+// included — the way an estimate is featurized. mon may be nil.
 func Build(d *DB, cfg Config, mon *Monitor) (*Sketch, error) {
 	return core.Build(d, cfg, mon)
 }

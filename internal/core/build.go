@@ -13,9 +13,9 @@ import (
 
 // TrainingData is the output of the data half of the creation pipeline
 // (steps 1–4a of Figure 1a): materialized samples, the fitted encoder, and
-// featurized, labeled training examples. Sweep experiments (training-set
-// size, epoch counts, ablations) prepare data once and train many models on
-// it.
+// labeled training examples that the trainer featurizes through them as it
+// packs each minibatch (Examples). Sweep experiments (training-set size,
+// epoch counts, ablations) prepare data once and train many models on it.
 type TrainingData struct {
 	Cfg      Config
 	Encoder  *featurize.Encoder
@@ -27,8 +27,9 @@ type TrainingData struct {
 
 // PrepareTrainingData runs steps 1–4a: validate, generate uniform training
 // queries, execute them against the database (true cardinalities, in
-// parallel) and against fresh materialized samples (bitmaps), then
-// featurize.
+// parallel), materialize fresh samples, then fit the encoder and the label
+// normalization. The queries' bitmaps and feature rows are computed in
+// training, per minibatch.
 func PrepareTrainingData(d *db.DB, cfg Config, mon *trainmon.Monitor) (*TrainingData, error) {
 	// Step 1: define — validate the table set and parameters.
 	mon.StartStage(trainmon.StageDefine, "validating configuration")
@@ -56,7 +57,7 @@ func PrepareTrainingData(d *db.DB, cfg Config, mon *trainmon.Monitor) (*Training
 
 	// Step 3: execute — obtain true cardinalities in parallel (the demo's
 	// "multiple HyPer instances").
-	mon.StartStage(trainmon.StageExecute, "executing training queries")
+	mon.StartStage(trainmon.StageExecute, "executing training queries and materializing samples")
 	total := len(queries)
 	labeled, err := workload.Label(d, queries, cfg.Workers, func(done int) {
 		if done%256 == 0 || done == total {
@@ -86,7 +87,7 @@ func PrepareTrainingDataFromWorkload(d *db.DB, cfg Config, labeled []workload.La
 		}
 	}
 	mon.EndStage(trainmon.StageDefine)
-	mon.StartStage(trainmon.StageExecute, "evaluating workload against samples")
+	mon.StartStage(trainmon.StageExecute, "materializing samples")
 	return prepareFromLabeled(d, cfg, labeled, mon)
 }
 
@@ -105,26 +106,20 @@ func validateConfig(d *db.DB, cfg Config) error {
 	return nil
 }
 
-// prepareFromLabeled finishes step 3 (samples + bitmaps) and runs step 4a
-// (featurization) for an already-labeled workload. The execute stage must
-// already be started on mon.
+// prepareFromLabeled finishes step 3 (materialized samples) and runs step
+// 4a (encoder and label normalization) for an already-labeled workload. The
+// execute stage must already be started on mon.
 func prepareFromLabeled(d *db.DB, cfg Config, labeled []workload.LabeledQuery, mon *trainmon.Monitor) (*TrainingData, error) {
 	samples, err := sample.New(d, cfg.Tables, cfg.SampleSize, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	bitmaps := make([]map[string]sample.Bitmap, len(labeled))
-	for i, lq := range labeled {
-		bm, err := samples.Bitmaps(lq.Query)
-		if err != nil {
-			return nil, err
-		}
-		bitmaps[i] = bm
-	}
 	mon.EndStage(trainmon.StageExecute)
 
-	// Step 4a: featurize queries and bitmaps, fit label normalization.
-	mon.StartStage(trainmon.StageFeaturize, "featurizing queries and bitmaps")
+	// Step 4a: fit the featurization. Each query's bitmaps and feature rows
+	// are computed when training packs its minibatch, the way an estimate
+	// computes them.
+	mon.StartStage(trainmon.StageFeaturize, "fitting encoder and label normalization")
 	enc, err := featurize.NewEncoder(d, cfg.Tables, cfg.SampleSize)
 	if err != nil {
 		return nil, err
@@ -134,26 +129,19 @@ func prepareFromLabeled(d *db.DB, cfg Config, labeled []workload.LabeledQuery, m
 		cards[i] = lq.Card
 	}
 	enc.FitLabels(cards)
-	examples := make([]mscn.Example, len(labeled))
-	for i, lq := range labeled {
-		e, err := enc.EncodeQuery(lq.Query, bitmaps[i])
-		if err != nil {
-			return nil, err
-		}
-		examples[i] = mscn.Example{Enc: e, Card: lq.Card}
-	}
 	mon.EndStage(trainmon.StageFeaturize)
 
 	return &TrainingData{
 		Cfg: cfg, Encoder: enc, Samples: samples,
-		Examples: examples, Labeled: labeled, DBName: d.Name,
+		Examples: Examples(enc, samples, labeled), Labeled: labeled, DBName: d.Name,
 	}, nil
 }
 
 // BuildFromData runs step 4b (training) on prepared data and assembles the
-// sketch.
+// sketch. Training featurizes each minibatch as it packs it, so this stage
+// also computes every example's bitmaps and feature rows, once per epoch.
 func BuildFromData(td *TrainingData, mon *trainmon.Monitor) (*Sketch, error) {
-	mon.StartStage(trainmon.StageTrain, "training MSCN")
+	mon.StartStage(trainmon.StageTrain, "featurizing and training MSCN")
 	cfg := td.Cfg
 	modelCfg := cfg.Model
 	if modelCfg.Seed == 0 {

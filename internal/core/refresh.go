@@ -45,13 +45,14 @@ type RefreshOptions struct {
 // (typically a lifecycle.Registry) swaps the result in under traffic.
 //
 // The delta workload is featurized with the sketch's existing encoder and
-// embedded samples: vocabulary, feature widths and label normalization stay
-// fixed, so the fine-tuned model remains drop-in compatible with the
-// serving path. Training resumes from the sketch's captured Adam state
-// (moments + step count); a sketch loaded from a v1 file has none, and
-// fine-tunes from warm weights with a cold optimizer instead. Either way a
-// delta workload reaches the old validation quality in a fraction of a
-// full build's epochs.
+// embedded samples, through the path its estimates take (Examples):
+// vocabulary, feature widths and label normalization stay fixed, so the
+// fine-tuned model remains drop-in compatible with the serving path.
+// Training resumes from the sketch's captured Adam state (moments + step
+// count); a sketch loaded from a v1 file has none, and fine-tunes from warm
+// weights with a cold optimizer instead. Either way a delta workload
+// reaches the old validation quality in a fraction of a full build's
+// epochs.
 //
 // ctx is checked between the featurize and train stages; the fine-tune
 // itself runs to completion once started.
@@ -66,19 +67,11 @@ func Refresh(ctx context.Context, s *Sketch, labeled []workload.LabeledQuery, op
 		}
 	}
 
-	mon.StartStage(trainmon.StageFeaturize, fmt.Sprintf("featurizing %d delta queries", len(labeled)))
-	examples := make([]mscn.Example, len(labeled))
-	for i, lq := range labeled {
-		bms, err := s.Samples.Bitmaps(lq.Query)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := s.Encoder.EncodeQuery(lq.Query, bms)
-		if err != nil {
-			return nil, err
-		}
-		examples[i] = mscn.Example{Enc: enc, Card: lq.Card}
-	}
+	// The encoder is the sketch's, already fitted: the featurize stage only
+	// pairs each delta query with its label. Bitmaps and feature rows are
+	// computed per minibatch in the train stage.
+	mon.StartStage(trainmon.StageFeaturize, fmt.Sprintf("referencing %d delta queries", len(labeled)))
+	examples := Examples(s.Encoder, s.Samples, labeled)
 	mon.EndStage(trainmon.StageFeaturize)
 
 	if err := ctx.Err(); err != nil {
@@ -90,7 +83,7 @@ func Refresh(ctx context.Context, s *Sketch, labeled []workload.LabeledQuery, op
 		workers = s.Cfg.Workers
 	}
 	ns := s.Clone()
-	mon.StartStage(trainmon.StageTrain, "fine-tuning MSCN (warm start)")
+	mon.StartStage(trainmon.StageTrain, "featurizing and fine-tuning MSCN (warm start)")
 	stats, err := ns.Model.TrainWithOptions(examples, ns.Encoder.Norm, mon, mscn.TrainOptions{
 		Parallelism: workers,
 		Resume:      ns.Model.OptState(),

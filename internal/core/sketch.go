@@ -226,7 +226,7 @@ func (s *Sketch) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.
 // this on a batch of one.
 func (s *Sketch) BatchCardinalities(ctx context.Context, qs []db.Query) ([]float64, error) {
 	out := make([]float64, len(qs))
-	src := &querySource{s: s, qs: qs}
+	src := &querySource{enc: s.Encoder, samples: s.Samples, qs: qs}
 	if err := s.engine().PredictSourceInto(ctx, src, len(qs), out); err != nil {
 		return nil, err
 	}
@@ -236,28 +236,45 @@ func (s *Sketch) BatchCardinalities(ctx context.Context, qs []db.Query) ([]float
 	return out, nil
 }
 
-// querySource adapts a query slice to the engine's direct featurization
-// interface: bitmaps and feature rows are produced on demand, written
-// straight into the packed batch.
+// querySource is the one featurization path of the package: query i's
+// bitmaps over samples, encoded by enc straight into the packed rows
+// BuildFrom hands out, on demand. Estimates (BatchCardinalities), builds
+// and refreshes (Examples) all pack through it.
 type querySource struct {
-	s  *Sketch
-	qs []db.Query
+	enc     *featurize.Encoder
+	samples *sample.Set
+	qs      []db.Query
 }
 
 func (src *querySource) RowCounts(i int) (t, j, p int) {
-	return src.s.Encoder.RowCounts(src.qs[i])
+	return src.enc.RowCounts(src.qs[i])
 }
 
 func (src *querySource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
 	q := src.qs[i]
-	bms, err := src.s.Samples.Bitmaps(q)
+	bms, err := src.samples.Bitmaps(q)
 	if err != nil {
 		return fmt.Errorf("core: query %d (%s): %w", i, q.SQL(nil), err)
 	}
-	if err := src.s.Encoder.EncodeQueryTo(q, bms, nextT, nextJ, nextP); err != nil {
+	if err := src.enc.EncodeQueryTo(q, bms, nextT, nextJ, nextP); err != nil {
 		return fmt.Errorf("core: query %d (%s): %w", i, q.SQL(nil), err)
 	}
 	return nil
+}
+
+// Examples returns one training example per labeled query: a reference to
+// the query, featurized by enc over samples — the path an estimate takes —
+// whenever the trainer packs its minibatch, and its cardinality. The
+// examples hold no feature rows, so training data costs the queries, not
+// their dense featurization.
+func Examples(enc *featurize.Encoder, samples *sample.Set, labeled []workload.LabeledQuery) []mscn.Example {
+	src := &querySource{enc: enc, samples: samples, qs: make([]db.Query, len(labeled))}
+	examples := make([]mscn.Example, len(labeled))
+	for i, lq := range labeled {
+		src.qs[i] = lq.Query
+		examples[i] = mscn.Example{Src: src, I: i, Card: lq.Card}
+	}
+	return examples
 }
 
 // EstimateSQL parses a SQL string against the sketch's embedded schema (the

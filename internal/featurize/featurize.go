@@ -157,9 +157,12 @@ func (e *Encoder) JoinDim() int {
 // one-hot, normalized literal.
 func (e *Encoder) PredDim() int { return len(e.Columns) + db.NumOps + 1 }
 
-// Encoded is a featurized query: variable-length sets of element vectors.
-// Empty join/predicate sets are represented by a single zero vector so that
-// the set modules always see at least one element.
+// Encoded is a featurized query: variable-length sets of dense element
+// vectors. Empty join/predicate sets are represented by a single zero
+// vector so that the set modules always see at least one element. Neither
+// estimates nor training build one — both featurize through EncodeQueryTo
+// into packed rows; it remains for bench/layers.go, the element batch of
+// mscn.Engine.SetReferenceRows, and tests.
 type Encoded struct {
 	TableVecs [][]float64
 	JoinVecs  [][]float64
@@ -183,9 +186,10 @@ func (e *Encoder) RowCounts(q db.Query) (t, j, p int) {
 }
 
 // EncodeQuery featurizes a query given its per-alias sample bitmaps (as
-// produced by sample.Set.Bitmaps). A missing bitmap is an error unless the
-// encoder was built with SampleSize 0 (bitmap ablation), in which case
-// bitmaps are ignored entirely.
+// produced by sample.Set.Bitmaps) into dense Encoded vectors, through
+// EncodeQueryTo. A missing bitmap is an error unless the encoder was built
+// with SampleSize 0 (bitmap ablation), in which case bitmaps are ignored
+// entirely. Its only callers are bench/layers.go and tests.
 func (e *Encoder) EncodeQuery(q db.Query, bitmaps map[string]sample.Bitmap) (Encoded, error) {
 	nt, nj, np := e.RowCounts(q)
 	enc := Encoded{
@@ -217,9 +221,10 @@ func (e *Encoder) EncodeQuery(q db.Query, bitmaps map[string]sample.Bitmap) (Enc
 // EncodeQueryTo featurizes a query directly into caller-provided rows: each
 // next function must return the next *zeroed* destination row for its set
 // (width TableDim/JoinDim/PredDim); exactly the counts reported by RowCounts
-// are consumed, in order. This is the packed inference engine's path — it
-// featurizes straight into a PackedBatch with no intermediate per-query
-// vector allocations. On error some rows may already have been consumed.
+// are consumed, in order. This is the path of every estimate and every
+// training minibatch — it featurizes straight into a PackedBatch with no
+// intermediate per-query vector allocations. On error some rows may already
+// have been consumed.
 func (e *Encoder) EncodeQueryTo(q db.Query, bitmaps map[string]sample.Bitmap, nextT, nextJ, nextP func() []float64) error {
 	// Queries reference at most a handful of tables: RefByAlias's linear
 	// scan beats building a map and allocates nothing.

@@ -14,8 +14,9 @@ import (
 func benchExamples(b testing.TB, n int) ([]Example, int, int, int, nn.LabelNorm) {
 	b.Helper()
 	const tdim, jdim, pdim = 1008, 7, 17
-	examples := make([]Example, n)
-	for i := range examples {
+	encs := make([]featurize.Encoded, n)
+	cards := make([]int64, n)
+	for i := range encs {
 		tv := make([][]float64, 1+i%3)
 		for j := range tv {
 			v := make([]float64, tdim)
@@ -30,16 +31,10 @@ func benchExamples(b testing.TB, n int) ([]Example, int, int, int, nn.LabelNorm)
 		pv := [][]float64{make([]float64, pdim)}
 		pv[0][i%13] = 1
 		pv[0][pdim-1] = float64(i%100) / 100
-		examples[i] = Example{
-			Enc:  featurize.Encoded{TableVecs: tv, JoinVecs: jv, PredVecs: pv},
-			Card: int64(1 + i*37%100000),
-		}
+		encs[i] = featurize.Encoded{TableVecs: tv, JoinVecs: jv, PredVecs: pv}
+		cards[i] = int64(1 + i*37%100000)
 	}
-	cards := make([]int64, n)
-	for i, ex := range examples {
-		cards[i] = ex.Card
-	}
-	return examples, tdim, jdim, pdim, nn.NewLabelNorm(cards)
+	return encodedExamples(encs, cards), tdim, jdim, pdim, nn.NewLabelNorm(cards)
 }
 
 func BenchmarkPredictSingle(b *testing.B) {
@@ -48,7 +43,7 @@ func BenchmarkPredictSingle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Engine().Predict(examples[i%len(examples)].Enc); err != nil {
+		if _, err := m.Engine().Predict(encOf(examples[i%len(examples)])); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,10 +61,7 @@ func BenchmarkForwardPacked(b *testing.B) {
 			m := New(Config{HiddenUnits: 64, Seed: 1}, tdim, jdim, pdim)
 			m.SetPrecision(p)
 			e := m.Engine()
-			encs := make([]featurize.Encoded, len(examples))
-			for i, ex := range examples {
-				encs[i] = ex.Enc
-			}
+			encs := encsOf(examples)
 			pb, err := BuildPackedBatch(encs, tdim, jdim, pdim)
 			if err != nil {
 				b.Fatal(err)
@@ -100,10 +92,7 @@ func BenchmarkPredictSourcePacked(b *testing.B) {
 	examples, tdim, jdim, pdim, _ := benchExamples(b, 64)
 	m := New(Config{HiddenUnits: 64, BatchSize: 64, Seed: 1}, tdim, jdim, pdim)
 	e := m.Engine()
-	encs := make([]featurize.Encoded, len(examples))
-	for i, ex := range examples {
-		encs[i] = ex.Enc
-	}
+	encs := encsOf(examples)
 	out := make([]float64, len(encs))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -29,7 +29,7 @@ func TestTrainWithL1LogLoss(t *testing.T) {
 	_, enc, examples, norm := testSetup(t, 200)
 	cfg := Config{HiddenUnits: 16, Epochs: 8, BatchSize: 32, Seed: 3, Loss: nn.LossL1Log}
 	m := New(cfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	stats, err := m.Train(examples, norm, nil)
+	stats, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

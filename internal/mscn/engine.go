@@ -21,8 +21,7 @@ import (
 //
 // Every estimate enters through PredictSourceInto, a single estimate as a
 // batch of one. Predict, and Forward over a BuildPackedBatch, are adapters
-// over featurize.Encoded kept for bench/layers.go and tests until ROADMAP
-// item 1.
+// over featurize.Encoded whose only callers are bench/layers.go and tests.
 //
 // The forward pass is forwardPacked instantiated at the model's Precision:
 // f64 reads the live weights in place, f32 reads a copy converted once per
@@ -355,9 +354,8 @@ func (e *Engine) forward(pb *PackedBatch, s *engineScratch, out []float64) {
 
 // Predict returns the normalized prediction for one featurized query: a
 // batch of one through PredictSourceInto's chunk body, so it returns the
-// bits a batch would. It is an adapter kept for bench/layers.go,
-// cmd/experiments and tests until ROADMAP item 1; estimates never build a
-// featurize.Encoded.
+// bits a batch would. It is an adapter over dense rows whose only callers
+// are bench/layers.go and tests; estimates never build a featurize.Encoded.
 func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 	var out [1]float64
 	err := e.chunk(encodedSource{enc}, 0, 1, out[:])
@@ -365,12 +363,12 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 }
 
 // QuerySource feeds queries straight into packed feature rows, bypassing
-// any intermediate per-query materialization — the serving batch path.
-// RowCounts must report exactly the rows EncodeTo will consume.
-// Implementations must be safe for concurrent calls on distinct indices:
-// on multicore machines PredictSourceInto fans chunks out across
-// goroutines, each driving its own index range — per-call mutable state
-// shared between calls would race.
+// any intermediate per-query materialization — the path every estimate
+// batch and every training minibatch (Example) takes. RowCounts must report
+// exactly the rows EncodeTo will consume. Implementations must be safe for
+// concurrent calls on distinct indices: PredictSourceInto fans chunks out
+// across goroutines and the trainer its shards, each driving its own index
+// range — per-call mutable state shared between calls would race.
 type QuerySource interface {
 	// RowCounts returns the table/join/predicate row counts of query i.
 	RowCounts(i int) (t, j, p int)

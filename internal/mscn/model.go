@@ -21,8 +21,10 @@
 // once: the finite-domain elements (join one-hots, zero rows, the rows an
 // unfiltered table encodes to — Engine.SetReferenceRows) come from an
 // element table built once per weight generation, and a row equal to an
-// earlier row of its batch is copied from it. Training forwards every row,
-// and it is data-parallel over the same kernels: each
+// earlier row of its batch is copied from it. Training packs its
+// minibatches through the same QuerySource path (an Example is a reference
+// to a query, never its feature rows), forwards every row, and is
+// data-parallel over the same kernels: each
 // minibatch is sharded contiguously across TrainOptions.Parallelism
 // workers, every worker packs and backpropagates its shard with a private
 // workspace arena and private gradient buffers (nn.BackwardFused,

@@ -36,21 +36,19 @@ func testSetup(t *testing.T, nQueries int) (*db.DB, *featurize.Encoder, []Exampl
 		t.Fatal(err)
 	}
 	cards := make([]int64, len(labeled))
-	examples := make([]Example, len(labeled))
+	encs := make([]featurize.Encoded, len(labeled))
 	for i, lq := range labeled {
 		bms, err := s.Bitmaps(lq.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := enc.EncodeQuery(lq.Query, bms)
-		if err != nil {
+		if encs[i], err = enc.EncodeQuery(lq.Query, bms); err != nil {
 			t.Fatal(err)
 		}
-		examples[i] = Example{Enc: e, Card: lq.Card}
 		cards[i] = lq.Card
 	}
 	enc.FitLabels(cards)
-	return d, enc, examples, enc.Norm
+	return d, enc, encodedExamples(encs, cards), enc.Norm
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -133,10 +131,7 @@ func TestBuildBatchErrors(t *testing.T) {
 func TestForwardOutputsInUnitInterval(t *testing.T) {
 	_, enc, examples, _ := testSetup(t, 30)
 	m := New(Config{HiddenUnits: 16, Seed: 3}, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	encs := make([]featurize.Encoded, len(examples))
-	for i, ex := range examples {
-		encs[i] = ex.Enc
-	}
+	encs := encsOf(examples)
 	preds := predictBatch(t, m.Engine(), encs)
 	for i, p := range preds {
 		if p <= 0 || p >= 1 || math.IsNaN(p) {
@@ -151,19 +146,19 @@ func TestForwardPermutationInvariance(t *testing.T) {
 	_, enc, examples, _ := testSetup(t, 40)
 	m := New(Config{HiddenUnits: 16, Seed: 3}, enc.TableDim(), enc.JoinDim(), enc.PredDim())
 	var tested int
-	for _, ex := range examples {
-		if len(ex.Enc.PredVecs) < 2 && len(ex.Enc.TableVecs) < 2 {
+	for _, enc := range encsOf(examples) {
+		if len(enc.PredVecs) < 2 && len(enc.TableVecs) < 2 {
 			continue
 		}
 		tested++
-		p1, err := m.Engine().Predict(ex.Enc)
+		p1, err := m.Engine().Predict(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rev := featurize.Encoded{
-			TableVecs: reverse(ex.Enc.TableVecs),
-			JoinVecs:  reverse(ex.Enc.JoinVecs),
-			PredVecs:  reverse(ex.Enc.PredVecs),
+			TableVecs: reverse(enc.TableVecs),
+			JoinVecs:  reverse(enc.JoinVecs),
+			PredVecs:  reverse(enc.PredVecs),
 		}
 		p2, err := m.Engine().Predict(rev)
 		if err != nil {
@@ -190,10 +185,7 @@ func TestBatchSizeIndependence(t *testing.T) {
 	// Predictions must not depend on batch packing (padding + masks).
 	_, enc, examples, _ := testSetup(t, 25)
 	m := New(Config{HiddenUnits: 16, Seed: 9}, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	encs := make([]featurize.Encoded, len(examples))
-	for i, ex := range examples {
-		encs[i] = ex.Enc
-	}
+	encs := encsOf(examples)
 	batched := predictBatch(t, m.Engine(), encs)
 	for i, e := range encs {
 		single, err := m.Engine().Predict(e)
@@ -211,7 +203,7 @@ func TestTrainingReducesValidationQError(t *testing.T) {
 	cfg := Config{HiddenUnits: 24, Epochs: 12, BatchSize: 32, Seed: 7, ValFrac: 0.15}
 	m := New(cfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
 	mon := trainmon.New()
-	stats, err := m.Train(examples, norm, mon)
+	stats, err := m.TrainWithOptions(examples, norm, mon, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +234,10 @@ func TestTrainDeterminism(t *testing.T) {
 	cfg := Config{HiddenUnits: 8, Epochs: 3, BatchSize: 16, Seed: 5}
 	m1 := New(cfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
 	m2 := New(cfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	if _, err := m1.Train(examples, norm, nil); err != nil {
+	if _, err := m1.TrainWithOptions(examples, norm, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Train(examples, norm, nil); err != nil {
+	if _, err := m2.TrainWithOptions(examples, norm, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	p1 := m1.Params()
@@ -261,7 +253,7 @@ func TestTrainDeterminism(t *testing.T) {
 
 func TestTrainEmptyErrors(t *testing.T) {
 	m := New(Config{HiddenUnits: 4}, 3, 1, 2)
-	if _, err := m.Train(nil, nn.LabelNorm{MinLog: 0, MaxLog: 1}, nil); err == nil {
+	if _, err := m.TrainWithOptions(nil, nn.LabelNorm{MinLog: 0, MaxLog: 1}, nil, TrainOptions{}); err == nil {
 		t.Error("empty training set should error")
 	}
 }
@@ -270,7 +262,7 @@ func TestWeightsRoundTrip(t *testing.T) {
 	_, enc, examples, norm := testSetup(t, 60)
 	cfg := Config{HiddenUnits: 12, Epochs: 2, BatchSize: 16, Seed: 2}
 	m := New(cfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	if _, err := m.Train(examples, norm, nil); err != nil {
+	if _, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -282,11 +274,11 @@ func TestWeightsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ex := range examples[:10] {
-		a, err := m.Engine().Predict(ex.Enc)
+		a, err := m.Engine().Predict(encOf(ex))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := m2.Engine().Predict(ex.Enc)
+		b, err := m2.Engine().Predict(encOf(ex))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +306,7 @@ func TestMSCNGradCheck(t *testing.T) {
 	encs := make([]featurize.Encoded, 4)
 	targets := make([]float64, 4)
 	for i := 0; i < 4; i++ {
-		encs[i] = examples[i].Enc
+		encs[i] = encOf(examples[i])
 		targets[i] = norm.Normalize(examples[i].Card)
 	}
 	batch, err := BuildBatch(encs, targets, m.TDim, m.JDim, m.PDim)

@@ -67,8 +67,8 @@ func (pb *PackedBatch) sets() ([3]nn.Matrix, [3][]int) {
 
 // BuildPackedBatch packs featurized queries through BuildFrom. All Encoded
 // values must come from the same encoder (equal widths). It is an adapter
-// kept for bench/layers.go and tests until ROADMAP item 1; nothing that
-// serves an estimate builds a featurize.Encoded.
+// over dense rows whose only callers are bench/layers.go and tests; nothing
+// that estimates or trains builds a featurize.Encoded.
 func BuildPackedBatch(encs []featurize.Encoded, tdim, jdim, pdim int) (*PackedBatch, error) {
 	pb := &PackedBatch{}
 	if err := pb.BuildFrom(encodedSource(encs), 0, len(encs), tdim, jdim, pdim); err != nil {
@@ -77,8 +77,9 @@ func BuildPackedBatch(encs []featurize.Encoded, tdim, jdim, pdim int) (*PackedBa
 	return pb, nil
 }
 
-// encodedSource hands already-featurized queries to BuildFrom: the trainer's
-// examples, and the adapters' (BuildPackedBatch, Engine.Predict).
+// encodedSource hands already-featurized queries to BuildFrom: the element
+// batch of Engine.SetReferenceRows, the dense-row adapters
+// (BuildPackedBatch, Engine.Predict) and tests.
 type encodedSource []featurize.Encoded
 
 func (s encodedSource) RowCounts(i int) (t, j, p int) {

@@ -156,7 +156,7 @@ func TestTrainForwardMatchesEngineForward(t *testing.T) {
 
 	wk := newTrainWorker(m.Params())
 	trained := make([]float64, len(encs))
-	if err := wk.forward(m, encs, trained); err != nil {
+	if err := wk.forward(m, encodedSource(encs), 0, trained); err != nil {
 		t.Fatal(err)
 	}
 	pb, err := BuildPackedBatch(encs, tdim, jdim, pdim)

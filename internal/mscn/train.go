@@ -7,16 +7,32 @@ import (
 	"sort"
 
 	"deepsketch/internal/datagen"
-	"deepsketch/internal/featurize"
 	"deepsketch/internal/nn"
 	"deepsketch/internal/trainmon"
 )
 
-// Example is one training example: a featurized query and its true
-// cardinality.
+// Example is one training example: query I of Src, and its true
+// cardinality. It holds no feature rows: the trainer packs each minibatch
+// and each validation chunk through Src, which featurizes the query
+// straight into the packed rows the way an estimate is featurized, so a
+// run keeps one minibatch of rows per worker whatever its training-set
+// size. The examples of one run may come from different sources of the
+// model's widths.
 type Example struct {
-	Enc  featurize.Encoded
+	Src  QuerySource
+	I    int
 	Card int64
+}
+
+// exampleSource is a QuerySource over examples: entry i is query
+// examples[i].I of examples[i].Src. The trainer packs a shuffled minibatch
+// through it.
+type exampleSource []Example
+
+func (s exampleSource) RowCounts(i int) (t, j, p int) { return s[i].Src.RowCounts(s[i].I) }
+
+func (s exampleSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
+	return s[i].Src.EncodeTo(s[i].I, nextT, nextJ, nextP)
 }
 
 // EpochStats captures one epoch of training for monitoring and the epoch-
@@ -29,23 +45,21 @@ type EpochStats struct {
 	ValMedQ   float64
 }
 
-// Train fits the model on examples using the encoder's label normalization
-// with default TrainOptions (data-parallel across GOMAXPROCS workers).
-// A validation split (Cfg.ValFrac, taken deterministically from the shuffled
-// tail) is evaluated after every epoch; per-epoch metrics stream to mon and
-// are returned. The encoder must already have its label norm fitted
-// (Encoder.FitLabels) on the training cardinalities.
-func (m *Model) Train(examples []Example, norm nn.LabelNorm, mon *trainmon.Monitor) ([]EpochStats, error) {
-	return m.TrainWithOptions(examples, norm, mon, TrainOptions{})
-}
-
-// TrainWithOptions is Train with explicit execution options. Training runs
-// on the packed representation: each minibatch is sharded contiguously
-// across opts.Parallelism workers, every worker packs and backpropagates
-// its shard with private scratch and gradient buffers, gradients reduce in
-// fixed worker order, and one Adam step applies per minibatch — so a fixed
-// (seed, parallelism) pair reproduces bitwise-identical weights, and any
-// parallelism matches the serial path up to float summation order.
+// TrainWithOptions fits the model on examples under the label
+// normalization norm, which must already be fitted on the training
+// cardinalities (Encoder.FitLabels). A validation split (Cfg.ValFrac, taken
+// deterministically from the shuffled tail) is evaluated after every epoch;
+// per-epoch metrics stream to mon and are returned.
+//
+// Training runs on the packed representation: each minibatch is sharded
+// contiguously across opts.Parallelism workers, every worker packs its
+// shard from the examples' sources (BuildFrom's fill half) and
+// backpropagates it with private scratch and gradient buffers, gradients
+// reduce in fixed worker order, and one Adam step applies per minibatch —
+// so a fixed (seed, parallelism) pair reproduces bitwise-identical weights,
+// and any parallelism matches the serial path up to float summation order.
+// A source error (a query its encoder cannot featurize) ends the run with
+// that error.
 //
 // opts.Resume warm-starts the optimizer from an exported state; opts.Epochs
 // overrides the configured epoch budget; opts.StopAtValQ stops early once
@@ -99,18 +113,14 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 	mon.TrainStart(tr.parallelism(), len(train), len(val))
 	stats := make([]EpochStats, 0, epochs)
 
-	valEncs := make([]featurize.Encoded, len(val))
-	for i, ex := range val {
-		valEncs[i] = ex.Enc
-	}
 	qs := make([]float64, len(val)) // validation predictions, then their q-errors
 
 	// The trainer state (packed batches, workspaces, gradient buffers) and
 	// the staging slices live across every step of every epoch: steady-state
-	// training allocates nothing per step beyond what shape growth and, at
-	// P>1, the per-step fork/join demand.
+	// training allocates nothing per step beyond what featurization, shape
+	// growth and, at P>1, the per-step fork/join demand.
 	var (
-		encs    []featurize.Encoded
+		batch   exampleSource
 		targets []float64
 	)
 	// From here Adam steps the live weights, so every return — a step or
@@ -126,13 +136,13 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 			if hi > len(order) {
 				hi = len(order)
 			}
-			encs = encs[:0]
+			batch = batch[:0]
 			targets = targets[:0]
 			for _, idx := range order[lo:hi] {
-				encs = append(encs, train[idx].Enc)
+				batch = append(batch, train[idx])
 				targets = append(targets, ys[idx])
 			}
-			loss, err := tr.step(encs, targets, norm)
+			loss, err := tr.step(batch, targets, norm)
 			if err != nil {
 				return stats, err
 			}
@@ -142,7 +152,7 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 		}
 		st := EpochStats{Epoch: epoch, TrainLoss: lossSum / float64(batches)}
 		if len(val) > 0 {
-			if err := tr.predict(valEncs, qs); err != nil {
+			if err := tr.predict(exampleSource(val), qs); err != nil {
 				return stats, err
 			}
 			for i, ex := range val {

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 
-	"deepsketch/internal/featurize"
 	"deepsketch/internal/nn"
 )
 
@@ -94,14 +93,14 @@ func (wk *trainWorker) zeroGrads() {
 	}
 }
 
-// forward packs encs with BuildFrom's fill half (no dedupe keys: the
-// trainer forwards every row) and runs forwardPacked on the live weights
-// with no element table, keeping the activations as the tape and writing
-// normalized predictions into preds (len(encs)). The workspace is reserved
-// for the whole step — forward and backward — so the backward Allocs
-// continue the same arena.
-func (wk *trainWorker) forward(m *Model, encs []featurize.Encoded, preds []float64) error {
-	if err := wk.pb.fill(encodedSource(encs), 0, len(encs), m.TDim, m.JDim, m.PDim); err != nil {
+// forward packs queries lo..lo+len(preds) of src with BuildFrom's fill half
+// (no dedupe keys: the trainer forwards every row) and runs forwardPacked on
+// the live weights with no element table, keeping the activations as the
+// tape and writing normalized predictions into preds. The workspace is
+// reserved for the whole step — forward and backward — so the backward
+// Allocs continue the same arena.
+func (wk *trainWorker) forward(m *Model, src QuerySource, lo int, preds []float64) error {
+	if err := wk.pb.fill(src, lo, lo+len(preds), m.TDim, m.JDim, m.PDim); err != nil {
 		return err
 	}
 	b := wk.pb.B
@@ -160,11 +159,13 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 }
 
 // packedTrainer drives the data-parallel packed training steps: shard the
-// minibatch contiguously across workers, run forward+loss+backward per
+// minibatch contiguously across workers, run pack+forward+loss+backward per
 // shard (one fork/join per step — per-sample loss gradients depend only on
 // their own prediction, so no barrier is needed between phases), then
 // reduce the private gradients into the shared parameters in fixed worker
-// order and let the caller take one Adam step.
+// order and let the caller take one Adam step. Each worker featurizes its
+// own shard from the minibatch's QuerySource, so the only feature rows
+// alive are the workers' packed batches.
 type packedTrainer struct {
 	m       *Model
 	params  []*nn.Param
@@ -296,11 +297,12 @@ func (t *packedTrainer) forEachShard(n int, fn func(w, lo, hi int) error) error 
 	return nil
 }
 
-// step runs one minibatch: returns the mean loss with parameter gradients
-// accumulated (the caller applies the optimizer step). encs and targets are
-// staged by the caller in shuffled order.
-func (t *packedTrainer) step(encs []featurize.Encoded, targets []float64, norm nn.LabelNorm) (float64, error) {
-	n := len(encs)
+// step runs one minibatch, the len(targets) queries of src: returns the
+// mean loss with parameter gradients accumulated (the caller applies the
+// optimizer step). src and targets are staged by the caller in shuffled
+// order.
+func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNorm) (float64, error) {
+	n := len(targets)
 	if cap(t.preds) < n {
 		t.preds = make([]float64, n)
 		t.grad = make([]float64, n)
@@ -311,7 +313,7 @@ func (t *packedTrainer) step(encs []featurize.Encoded, targets []float64, norm n
 
 	err := t.forEachShard(n, func(w, lo, hi int) error {
 		wk := t.workers[w]
-		if err := wk.forward(t.m, encs[lo:hi], preds[lo:hi]); err != nil {
+		if err := wk.forward(t.m, src, lo, preds[lo:hi]); err != nil {
 			return err
 		}
 		wk.lossSum = nn.LossSumInto(t.m.Cfg.Loss, norm, preds[lo:hi], targets[lo:hi],
@@ -335,18 +337,18 @@ func (t *packedTrainer) step(encs []featurize.Encoded, targets []float64, norm n
 	return lossSum * invN, nil
 }
 
-// predict writes the live weights' normalized predictions for encs into
-// preds (equal lengths): the forward half of a step, sharded across the same
-// workers and walked in Cfg.BatchSize chunks so each worker's arena stays
-// minibatch-sized. A prediction does not depend on its batch or its worker
-// (GEMM rows and segment pools are per query), so any parallelism returns
-// the same bits.
-func (t *packedTrainer) predict(encs []featurize.Encoded, preds []float64) error {
+// predict writes the live weights' normalized predictions for the
+// len(preds) queries of src into preds: the forward half of a step, sharded
+// across the same workers and walked in Cfg.BatchSize chunks so each
+// worker's arena stays minibatch-sized. A prediction does not depend on its
+// batch or its worker (GEMM rows and segment pools are per query), so any
+// parallelism returns the same bits.
+func (t *packedTrainer) predict(src QuerySource, preds []float64) error {
 	bs := t.m.Cfg.BatchSize
-	return t.forEachShard(len(encs), func(w, lo, hi int) error {
+	return t.forEachShard(len(preds), func(w, lo, hi int) error {
 		for ; lo < hi; lo += bs {
 			end := min(lo+bs, hi)
-			if err := t.workers[w].forward(t.m, encs[lo:end], preds[lo:end]); err != nil {
+			if err := t.workers[w].forward(t.m, src, lo, preds[lo:end]); err != nil {
 				return err
 			}
 		}

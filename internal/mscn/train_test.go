@@ -12,15 +12,36 @@ import (
 // trainExamples builds randomized ragged training examples (mixed set
 // shapes, including empty joins/predicates) with matching label norm.
 func trainExamples(rng *rand.Rand, n, tdim, jdim, pdim int) ([]Example, nn.LabelNorm) {
-	examples := make([]Example, n)
+	encs := make([]featurize.Encoded, n)
 	cards := make([]int64, n)
-	for i := range examples {
-		enc := randEnc(rng, 1+rng.Intn(4), rng.Intn(4), rng.Intn(4), tdim, jdim, pdim)
-		card := int64(1 + rng.Intn(1_000_000))
-		examples[i] = Example{Enc: enc, Card: card}
-		cards[i] = card
+	for i := range encs {
+		encs[i] = randEnc(rng, 1+rng.Intn(4), rng.Intn(4), rng.Intn(4), tdim, jdim, pdim)
+		cards[i] = int64(1 + rng.Intn(1_000_000))
 	}
-	return examples, nn.NewLabelNorm(cards)
+	return encodedExamples(encs, cards), nn.NewLabelNorm(cards)
+}
+
+// encodedExamples returns one example per encs[i], labeled cards[i], all
+// over one encodedSource.
+func encodedExamples(encs []featurize.Encoded, cards []int64) []Example {
+	var src QuerySource = encodedSource(encs)
+	examples := make([]Example, len(encs))
+	for i := range encs {
+		examples[i] = Example{Src: src, I: i, Card: cards[i]}
+	}
+	return examples
+}
+
+// encOf returns the dense rows of an example over an encodedSource.
+func encOf(ex Example) featurize.Encoded { return ex.Src.(encodedSource)[ex.I] }
+
+// encsOf returns the dense rows of examples over encodedSources.
+func encsOf(examples []Example) []featurize.Encoded {
+	encs := make([]featurize.Encoded, len(examples))
+	for i, ex := range examples {
+		encs[i] = encOf(ex)
+	}
+	return encs
 }
 
 // paddedReferenceTrain replicates the training schedule of TrainWithOptions
@@ -61,7 +82,7 @@ func paddedReferenceTrain(m *Model, examples []Example, norm nn.LabelNorm) error
 			encs = encs[:0]
 			targets = targets[:0]
 			for _, idx := range order[lo:hi] {
-				encs = append(encs, train[idx].Enc)
+				encs = append(encs, encOf(train[idx]))
 				targets = append(targets, ys[idx])
 			}
 			if err := batch.build(encs, targets, m.TDim, m.JDim, m.PDim); err != nil {
@@ -196,7 +217,7 @@ func TestTrainerPredictMatchesEnginePredict(t *testing.T) {
 		tr := newPackedTrainer(m, m.Params(), p)
 		for _, n := range []int{0, 1, 2, 8, 17, 53} {
 			got := make([]float64, n)
-			if err := tr.predict(encs[:n], got); err != nil {
+			if err := tr.predict(encodedSource(encs), got); err != nil {
 				t.Fatal(err)
 			}
 			for i := range got {
@@ -229,9 +250,10 @@ func TestTrainErrorBumpsWeightGen(t *testing.T) {
 	perm := shuffle(srng, n)
 	nTrain := n - int(float64(n)*m.Cfg.ValFrac)
 	order := shuffle(srng, nTrain)
-	bad := &examples[perm[order[batch]]]
-	bad.Enc.TableVecs = append([][]float64(nil), bad.Enc.TableVecs...)
-	bad.Enc.TableVecs[0] = make([]float64, tdim+1)
+	bad := examples[perm[order[batch]]]
+	encs := bad.Src.(encodedSource)
+	encs[bad.I].TableVecs = append([][]float64(nil), encs[bad.I].TableVecs...)
+	encs[bad.I].TableVecs[0] = make([]float64, tdim+1)
 
 	e := m.Engine()
 	e.SetReferenceRows(memoReferences())

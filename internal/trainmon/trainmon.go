@@ -22,9 +22,9 @@ type Stage string
 const (
 	StageDefine    Stage = "define"    // 1: table set + parameters
 	StageGenerate  Stage = "generate"  // 2: generate training queries
-	StageExecute   Stage = "execute"   // 3: execute against DB + samples
-	StageFeaturize Stage = "featurize" // 4a: featurize queries and bitmaps
-	StageTrain     Stage = "train"     // 4b: train the MSCN model
+	StageExecute   Stage = "execute"   // 3: execute against the DB, draw samples
+	StageFeaturize Stage = "featurize" // 4a: fit the encoder and label normalization
+	StageTrain     Stage = "train"     // 4b: featurize each minibatch, train the MSCN model
 )
 
 // Kind discriminates event payloads.
