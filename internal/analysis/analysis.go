@@ -268,11 +268,17 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // calleeBuiltin resolves a call to a builtin (make, append, len, ...) or
-// returns "".
+// returns "". The builtins of package unsafe are package-qualified and come
+// back with their qualifier (unsafe.Sizeof, unsafe.Slice, ...).
 func calleeBuiltin(info *types.Info, call *ast.CallExpr) string {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if b, ok := info.Uses[fun].(*types.Builtin); ok {
 			return b.Name()
+		}
+	case *ast.SelectorExpr:
+		if b, ok := info.Uses[fun.Sel].(*types.Builtin); ok {
+			return "unsafe." + b.Name()
 		}
 	}
 	return ""

@@ -29,7 +29,7 @@ type ignoreKey struct {
 
 // Index is the program-wide registry of //deepsketch: directives, keyed
 // by funcKey so annotations resolve across packages (an annotation on
-// nn.ForwardFused is visible while analyzing mscn, where the callee
+// nn.Layer.Forward is visible while analyzing mscn, where the callee
 // object comes from export data rather than source).
 type Index struct {
 	funcs   map[string]FuncDirectives

@@ -3,6 +3,8 @@
 // kernels it must stay quiet on.
 package fixture
 
+import "unsafe"
+
 type scratch struct {
 	buf []float64
 	idx map[string]int
@@ -104,4 +106,20 @@ func genericBad[T float](x []T) []T {
 	_ = box
 	_ = helperGeneric[T](x) // want "call to .*helperGeneric, which is neither annotated"
 	return out
+}
+
+// Package unsafe's builtins are package-qualified calls; none allocates, so
+// a kernel that reinterprets a slice through them — and calls an annotated
+// bodiless (assembly) function — is clean.
+
+//deepsketch:zeroalloc
+func asmKernel(a float64, x, y []float64)
+
+//deepsketch:zeroalloc
+func unsafeOK[T float](a T, x, y []T) {
+	if unsafe.Sizeof(a) == 8 && unsafe.Alignof(a) == 8 {
+		xs := unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(x))), len(x))
+		ys := unsafe.Slice((*float64)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(y)), 0)), len(y))
+		asmKernel(*(*float64)(unsafe.Pointer(&a)), xs, ys)
+	}
 }

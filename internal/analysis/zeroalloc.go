@@ -35,11 +35,16 @@ var zeroAllocSyncAllow = map[string]bool{
 	"Lock": true, "Unlock": true, "RLock": true, "RUnlock": true, "TryLock": true,
 }
 
-// zeroAllocBuiltinAllow lists non-allocating builtins.
+// zeroAllocBuiltinAllow lists non-allocating builtins, package unsafe's
+// among them: each only computes a size, an offset or a pointer, or
+// reinterprets memory it is handed.
 var zeroAllocBuiltinAllow = map[string]bool{
 	"len": true, "cap": true, "copy": true, "delete": true,
 	"min": true, "max": true, "real": true, "imag": true, "complex": true,
 	"print": true, "println": true, // debug-only, no heap growth
+	"unsafe.Sizeof": true, "unsafe.Alignof": true, "unsafe.Offsetof": true,
+	"unsafe.Add": true, "unsafe.Slice": true, "unsafe.SliceData": true,
+	"unsafe.String": true, "unsafe.StringData": true,
 }
 
 func runZeroAlloc(pass *Pass) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -167,6 +168,14 @@ func FuzzLoadSketch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// The same sketch with its first weight replaced by +Inf: Load must
+	// refuse it (weights are finite in every model that loads).
+	inf := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint64(inf[sketchFields(f, inf)["parameter block length"]+4:], math.Float64bits(math.Inf(1)))
+	if _, err := loadBounded(f, inf); err == nil || !strings.Contains(err.Error(), "table1.W[0]") {
+		f.Fatalf("a sketch with an infinite weight: Load error = %v, want one naming table1.W[0]", err)
+	}
+	f.Add(inf)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loadBounded(t, data)
 	})

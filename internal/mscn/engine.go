@@ -11,59 +11,61 @@ import (
 	"deepsketch/internal/nn"
 )
 
-// Engine is the packed ragged-batch inference path of the model: fused
-// Linear+ReLU kernels over PackedBatch rows, segment average pooling instead
-// of masked pooling, and sync.Pool-backed scratch so a steady-state forward
-// pass performs zero heap allocations. It shares the model's weights
-// (read-only) with the training path and is safe for concurrent use — every
-// concurrent caller gets its own scratch from the pool. Obtain one with
-// Model.Engine (shared, cached) or NewEngine.
+// Engine is the packed ragged-batch inference path of the model: the one
+// forward kernel over PackedBatch rows, segment average pooling instead of
+// masked pooling, and sync.Pool-backed scratch so a steady-state forward
+// pass performs zero heap allocations. It reads a transposed copy of the
+// model's weights and is safe for concurrent use — every concurrent caller
+// gets its own scratch from the pool. Obtain one with Model.Engine (shared,
+// cached) or NewEngine.
 //
 // Every estimate enters through PredictSourceInto, a single estimate as a
 // batch of one. Predict, and Forward over a BuildPackedBatch, are adapters
 // over featurize.Encoded whose only callers are bench/layers.go and tests.
 //
-// The forward pass is forwardPacked instantiated at the model's Precision:
-// f64 reads the live weights in place, f32 reads a copy converted once per
-// weight generation, so reduced precision never pays conversion per forward
-// and never serves stale weights after a Refresh/Swap.
+// The forward pass is forwardPacked instantiated at the model's Precision,
+// on a snapshot of the eight layers with W transposed to [in][out] at that
+// precision (nn.Layer): every layer is one kernel, nn.Layer.Forward, whose
+// outputs are the dense GEMM's in every bit. The snapshot is taken once
+// per weight generation, so no forward pays a transposition or a
+// conversion and none serves stale weights after a Refresh/Swap.
 //
 // The engine forwards each distinct set element once. A set element's h2 —
 // its output after both layers of its set module, what the pool averages —
 // depends only on the element and the weights. So a row's h2 is copied from
 // the element table when the row is one of its finite-domain elements
 // (every join one-hot, the zero join and predicate rows, each reference row
-// of SetReferenceRows; computed once per weight generation and precision),
-// else from an earlier equal row of the same batch (PackedBatch's keys), and
-// only the rows left are forwarded, as one contiguous block.
+// of SetReferenceRows; computed once per snapshot), else from an earlier
+// equal row of the same batch (PackedBatch's keys), and only the rows left
+// are forwarded.
 type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
 
 	// elems holds the element table's rows, replaced whole by
-	// SetReferenceRows. reduced is the f32 weight snapshot and
-	// table64/table32 the element table at each precision, all built lazily
-	// under convMu and tagged with the Model.WeightGen they were computed
-	// from.
-	convMu  sync.Mutex
-	reduced atomic.Pointer[snapshot]
-	elems   atomic.Pointer[PackedBatch]
-	table64 atomic.Pointer[elementTable[float64]]
-	table32 atomic.Pointer[elementTable[float32]]
+	// SetReferenceRows. snap64 and snap32 are the transposed weights at
+	// each precision, each with its element table, built lazily under
+	// convMu and tagged with the Model.WeightGen they were read at.
+	convMu sync.Mutex
+	elems  atomic.Pointer[PackedBatch]
+	snap64 atomic.Pointer[snapshot[float64]]
+	snap32 atomic.Pointer[snapshot[float32]]
 }
 
-// snapshot is a float32 copy of all eight layers, tagged with the weight
-// generation it was converted from.
-type snapshot struct {
-	gen uint64
-	w   weights[float32]
+// snapshot is the model's eight layers at element type T, W transposed,
+// tagged with the weight generation they were read at, and the element
+// table computed on exactly these weights — so a forward that loads the
+// snapshot once reads a table and weights of one generation.
+type snapshot[T nn.Float] struct {
+	gen   uint64
+	w     weights[T]
+	table atomic.Pointer[elementTable[T]]
 }
 
 // elementTable is the h2 of every row of the element batch elems at
-// element type T — by the kernels forwardPacked runs, on the weights of
-// generation gen — so copying a row of h2 is bit for bit computing it.
+// element type T — by the kernels forwardPacked runs, on its snapshot's
+// weights — so copying a row of h2 is bit for bit computing it.
 type elementTable[T nn.Float] struct {
-	gen   uint64
 	elems *PackedBatch
 	h2    [3]nn.Mat[T]
 }
@@ -97,30 +99,58 @@ func (e *Engine) SetReferenceRows(rows [][]float64) {
 	e.elems.Store(el)
 }
 
-// tableFor returns the element table at element type T for weight
-// generation gen, on weights w of that generation: the cached one when slot
-// holds it, else computed once under convMu (the snapshot's double-checked
-// pattern).
-func tableFor[T nn.Float](e *Engine, slot *atomic.Pointer[elementTable[T]], gen uint64, w *weights[T]) *elementTable[T] {
+// current returns the snapshot of the current weight generation at element
+// type T (slot is its precision's) and its element table of the installed
+// reference rows: the weights and the table a forward reads, of one
+// generation.
+func current[T nn.Float](e *Engine, slot *atomic.Pointer[snapshot[T]]) (*snapshot[T], *elementTable[T]) {
+	s := snapshotFor(e, slot)
+	return s, s.tableFor(e)
+}
+
+// snapshotFor returns the snapshot slot holds when it is of the current
+// weight generation, else transposes the live weights into a new one once
+// under convMu. The double-checked load keeps the hot path to one atomic
+// read.
+func snapshotFor[T nn.Float](e *Engine, slot *atomic.Pointer[snapshot[T]]) *snapshot[T] {
+	gen := e.m.WeightGen()
+	if s := slot.Load(); s != nil && s.gen == gen {
+		return s
+	}
+	e.convMu.Lock()
+	defer e.convMu.Unlock()
+	if s := slot.Load(); s != nil && s.gen == gen {
+		return s
+	}
+	s := &snapshot[T]{gen: gen}
+	transpose(e.m, &s.w)
+	slot.Store(s)
+	return s
+}
+
+// tableFor returns the element table of the installed reference rows on
+// the snapshot's weights: the cached one when it is of those rows, else
+// computed once under convMu (the snapshot's double-checked pattern).
+func (s *snapshot[T]) tableFor(e *Engine) *elementTable[T] {
 	elems := e.elems.Load()
-	if t := slot.Load(); t != nil && t.gen == gen && t.elems == elems {
+	if t := s.table.Load(); t != nil && t.elems == elems {
 		return t
 	}
 	e.convMu.Lock()
 	defer e.convMu.Unlock()
-	if t := slot.Load(); t != nil && t.gen == gen && t.elems == elems {
+	if t := s.table.Load(); t != nil && t.elems == elems {
 		return t
 	}
-	t := &elementTable[T]{gen: gen, elems: elems}
+	t := &elementTable[T]{elems: elems}
 	src, _ := elems.sets()
 	for k, x := range src {
 		xt := nn.NewMat[T](x.Rows, x.Cols)
 		nn.ConvertRows(xt, x)
-		h1 := nn.NewMat[T](x.Rows, w[2*k].Out)
-		t.h2[k] = nn.NewMat[T](x.Rows, w[2*k+1].Out)
-		setModule(w, k, xt, &elems.keys[k].runs, h1, t.h2[k])
+		h1 := nn.NewMat[T](x.Rows, s.w[2*k].Out)
+		t.h2[k] = nn.NewMat[T](x.Rows, s.w[2*k+1].Out)
+		setModule(&s.w, k, xt, &elems.keys[k].runs, h1, t.h2[k])
 	}
-	slot.Store(t)
+	s.table.Store(t)
 	return t
 }
 
@@ -153,20 +183,16 @@ func (e *Engine) scratch() *engineScratch {
 }
 
 // weights is the inference view of the model's eight layers at element
-// type T, in Model.layers order: set module k (tables, joins, predicates)
-// is w[2k], w[2k+1]; the output network is w[6], w[7].
+// type T, W transposed, in Model.layers order: set module k (tables, joins,
+// predicates) is w[2k], w[2k+1]; the output network is w[6], w[7].
 type weights[T nn.Float] [8]nn.Layer[T]
 
-// weights returns the float64 inference view of the eight layers. It
-// aliases the live parameters, so training steps show through it with no
-// rebuild and no generation tag.
-//
-//deepsketch:zeroalloc
-func (m *Model) weights() (w weights[float64]) {
+// transpose copies the live weights into w at element type T, W
+// transposed, reusing w's buffers when they fit (nn.Transpose).
+func transpose[T nn.Float](m *Model, w *weights[T]) {
 	for i, l := range m.layers() {
-		w[i] = l.View()
+		nn.Transpose(&w[i], l)
 	}
-	return w
 }
 
 // activations records the intermediates of one packed forward. All matrices
@@ -180,26 +206,26 @@ type activations[T nn.Float] struct {
 }
 
 // forwardFloats is the arena forwardPacked consumes on pb at hidden width
-// h: three hidden activations per set row (h1, h2 and, with an element
-// table, the block of rows forwarded fresh), three pools + concat (3·B·h) +
-// oA1, and the B outputs.
+// h: two hidden activations per set row (h1, h2), three pools + concat
+// (3·B·h) + oA1, and the B outputs.
 //
 //deepsketch:zeroalloc
 func forwardFloats(pb *PackedBatch, h int) int {
 	nt, nj, np := pb.Rows()
-	return (3*(nt+nj+np)+7*pb.B)*h + pb.B
+	return (2*(nt+nj+np)+7*pb.B)*h + pb.B
 }
 
 // forwardPacked is the MSCN forward pass on packed rows — the only one:
 // per set module Linear+ReLU twice then a segment average pool, the three
-// pools concatenated, the two-layer output network, a sigmoid. xs are pb's
-// packed feature rows at element type T (see PackedBatch.sets); each set
-// module's first layer reads them through pb's run index, the other layers
-// are dense. With an element table (on these same weights) each distinct
-// element is forwarded once (elementTable.module); without one — the
-// trainer — every row is. Every intermediate is carved from ws — which the
-// caller has Reserved — and recorded in act; the normalized predictions
-// (act.out) are also written to out (len B), widened when T is float32.
+// pools concatenated, the two-layer output network, a sigmoid. Every layer
+// is nn.Layer.Forward on w; xs are pb's packed feature rows at element type
+// T (see PackedBatch.sets), which each set module's first layer reads
+// through pb's run index. With an element table (on these same weights)
+// each distinct element is forwarded once (elementTable.module); without
+// one — the trainer — every row is. Every intermediate is carved from ws —
+// which the caller has Reserved — and recorded in act; the normalized
+// predictions (act.out) are also written to out (len B), widened when T is
+// float32.
 //
 //deepsketch:zeroalloc
 func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], table *elementTable[T], ws *nn.Arena[T], act *activations[T], out []float64) {
@@ -213,7 +239,7 @@ func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], 
 		if table == nil {
 			setModule(w, k, xs[k], &pb.keys[k].runs, act.h1[k], act.h2[k])
 		} else {
-			table.module(w, k, pb, xs[k], ws, act.h1[k], act.h2[k])
+			table.module(w, k, pb, xs[k], act.h1[k], act.h2[k])
 		}
 		act.pool[k] = ws.Alloc(b, h)
 		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
@@ -226,9 +252,9 @@ func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], 
 		copy(dst[2*h:], act.pool[2].Row(bi))
 	}
 	act.oA1 = ws.Alloc(b, h)
-	w[6].ForwardFused(act.concat, act.oA1, true)
+	w[6].Forward(act.concat, nil, act.oA1, 0, b, true)
 	act.out = ws.Alloc(b, 1)
-	w[7].ForwardFused(act.oA1, act.out, false)
+	w[7].Forward(act.oA1, nil, act.out, 0, b, false)
 	nn.SigmoidInPlace(act.out)
 	nn.ConvertRows(nn.Matrix{Rows: b, Cols: 1, Data: out}, act.out)
 }
@@ -238,46 +264,33 @@ func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], 
 //
 //deepsketch:zeroalloc
 func setModule[T nn.Float](w *weights[T], k int, x nn.Mat[T], runs *nn.RunIndex, h1, h2 nn.Mat[T]) {
-	w[2*k].ForwardIndexed(x, runs, h1, 0, x.Rows, true)
-	w[2*k+1].ForwardFused(h1, h2, true)
+	w[2*k].Forward(x, runs, h1, 0, x.Rows, true)
+	w[2*k+1].Forward(h1, nil, h2, 0, x.Rows, true)
 }
 
 // module is setModule with each distinct element forwarded once: a row
 // equal to an earlier row of the batch (pb's keys) or to an element of the
-// table is copied, and the rest — the first occurrences the table lacks —
-// go through the first layer one row at a time (it works row by row),
-// gather at the top of h1, and go through the second layer as one
-// contiguous block, so its 2-row tile stays fed. Every kernel sums each
-// output in ascending k whatever rows surround it, so a copied row is the
-// bits the row would have been computed to.
+// table is copied, and only the rest — the first occurrences the table
+// lacks — go through both layers. The kernel computes each row on its own,
+// summing each output in ascending k whatever rows surround it, so a copied
+// row is the bits the row would have been computed to.
 //
 //deepsketch:zeroalloc
-func (t *elementTable[T]) module(w *weights[T], k int, pb *PackedBatch, x nn.Mat[T], ws *nn.Arena[T], h1, h2 nn.Mat[T]) {
+func (t *elementTable[T]) module(w *weights[T], k int, pb *PackedBatch, x nn.Mat[T], h1, h2 nn.Mat[T]) {
 	keys := &pb.keys[k]
-	n := 0
-	for r := 0; r < x.Rows; r++ {
-		if keys.rep[r] == r && t.find(pb, k, r) < 0 {
-			w[2*k].ForwardIndexed(x, &keys.runs, h1, r, r+1, true)
-			copy(h1.Row(n), h1.Row(r))
-			n++
-		}
-	}
-	fresh := ws.Alloc(n, h2.Cols)
-	w[2*k+1].ForwardFused(nn.Mat[T]{Rows: n, Cols: h1.Cols, Data: h1.Data[:n*h1.Cols]}, fresh, true)
-	n = 0
 	for r := 0; r < x.Rows; r++ {
 		if q := keys.rep[r]; q != r {
 			copy(h2.Row(r), h2.Row(q))
 		} else if e := t.find(pb, k, r); e >= 0 {
 			copy(h2.Row(r), t.h2[k].Row(e))
 		} else {
-			copy(h2.Row(r), fresh.Row(n))
-			n++
+			w[2*k].Forward(x, &keys.runs, h1, r, r+1, true)
+			w[2*k+1].Forward(h1, nil, h2, r, r+1, true)
 		}
 	}
 }
 
-// Forward runs one packed forward pass in float64 on the live weights,
+// Forward runs one packed forward pass in float64 on the current weights,
 // writing the normalized prediction for query i into out[i]. out must have
 // length ≥ pb.B; ws provides the scratch and must not be shared with a
 // concurrent pass. Steady-state (after the workspace has grown to the batch
@@ -285,28 +298,24 @@ func (t *elementTable[T]) module(w *weights[T], k int, pb *PackedBatch, x nn.Mat
 //
 //deepsketch:zeroalloc
 func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
+	//deepsketch:ignore zeroalloc the snapshot and its table compute once per weight generation, then cache
+	snap, table := current(e, &e.snap64)
 	ws.Reserve(forwardFloats(pb, e.m.Cfg.HiddenUnits))
-	gen := e.m.WeightGen()
-	w := e.m.weights()
-	//deepsketch:ignore zeroalloc the table computes once per weight generation, then caches
-	table := tableFor(e, &e.table64, gen, &w)
 	xs, _ := pb.sets()
 	var act activations[float64]
-	forwardPacked(&w, pb, xs, table, ws, &act, out[:pb.B])
+	forwardPacked(&snap.w, pb, xs, table, ws, &act, out[:pb.B])
 }
 
-// forwardReduced runs one packed forward pass in float32 on the converted
-// weight snapshot. Packed feature rows convert f64→f32 into the arena on
-// entry (each element touched once — negligible next to the GEMMs) and the
-// B predictions widen back on exit. Same contract and steady-state
+// forwardReduced runs one packed forward pass in float32 on the float32
+// snapshot. Packed feature rows convert f64→f32 into the arena on entry
+// (each element touched once — negligible next to the layers) and the B
+// predictions widen back on exit. Same contract and steady-state
 // zero-allocation property as Forward.
 //
 //deepsketch:zeroalloc
 func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []float64) {
-	//deepsketch:ignore zeroalloc snapshot converts once per weight generation, then caches
-	snap := e.snapshot()
-	//deepsketch:ignore zeroalloc the table computes once per weight generation, then caches
-	table := tableFor(e, &e.table32, snap.gen, &snap.w)
+	//deepsketch:ignore zeroalloc the snapshot and its table compute once per weight generation, then cache
+	snap, table := current(e, &e.snap32)
 	src, _ := pb.sets()
 	ws.Reserve(len(src[0].Data) + len(src[1].Data) + len(src[2].Data) + forwardFloats(pb, e.m.Cfg.HiddenUnits))
 	var xs [3]nn.Mat[float32]
@@ -316,27 +325,6 @@ func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []fl
 	}
 	var act activations[float32]
 	forwardPacked(&snap.w, pb, xs, table, ws, &act, out[:pb.B])
-}
-
-// snapshot returns the cached f32 weights for the current weight
-// generation, converting them once under convMu on a miss. The
-// double-checked load keeps the hot path to one atomic read.
-func (e *Engine) snapshot() *snapshot {
-	gen := e.m.WeightGen()
-	if s := e.reduced.Load(); s != nil && s.gen == gen {
-		return s
-	}
-	e.convMu.Lock()
-	defer e.convMu.Unlock()
-	if s := e.reduced.Load(); s != nil && s.gen == gen {
-		return s
-	}
-	s := &snapshot{gen: gen}
-	for i, l := range e.m.layers() {
-		s.w[i] = nn.ConvertLayer[float32](l)
-	}
-	e.reduced.Store(s)
-	return s
 }
 
 // forward dispatches one packed forward pass to the model's current

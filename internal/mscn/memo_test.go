@@ -11,10 +11,10 @@ import (
 	"deepsketch/internal/nn"
 )
 
-// The element table and the in-batch dedupe are optimisations with no
-// numerical content: the engine must return the bits of a plain forward,
-// which computes every row of every set (plainPredict, the trainer's
-// forward). The tests below compare the two with ==.
+// The transposed-weight kernel, the element table and the in-batch dedupe
+// are optimisations with no numerical content: the engine must return the
+// bits of a plain forward, which computes every row of every set with the
+// dense GEMM (plainPredict). The tests below compare the two with ==.
 
 const memoT, memoBits = 4, 70 // tables, bitmap width
 
@@ -119,8 +119,9 @@ func templateEncs(rng *rand.Rand, n, jdim, pdim int) []featurize.Encoded {
 	return encs
 }
 
-// plainPredict is the forward with no element table and no dedupe — every
-// row of every set computed, as the trainer computes it — at the model's
+// plainPredict is the MSCN forward with no element table, no dedupe and no
+// transposed weights — every row of every set through every layer as a
+// dense GEMM on the [out][in] weights (referenceLinear) — at the model's
 // current precision, over encs as one packed batch.
 func plainPredict(t testing.TB, m *Model, encs []featurize.Encoded) []float64 {
 	t.Helper()
@@ -128,28 +129,59 @@ func plainPredict(t testing.TB, m *Model, encs []featurize.Encoded) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, len(encs))
-	src, _ := pb.sets()
 	if m.Precision() == F32 {
-		var w weights[float32]
-		for i, l := range m.layers() {
-			w[i] = nn.ConvertLayer[float32](l)
-		}
-		var ws nn.Arena[float32]
-		var xs [3]nn.Mat[float32]
-		for k, x := range src {
-			xs[k] = ws.Alloc(x.Rows, x.Cols)
-			nn.ConvertRows(xs[k], x)
-		}
-		var act activations[float32]
-		forwardPacked(&w, pb, xs, nil, &ws, &act, out)
-		return out
+		return referenceForward[float32](m, pb)
 	}
-	w := m.weights()
-	var ws nn.Workspace
-	var act activations[float64]
-	forwardPacked(&w, pb, src, nil, &ws, &act, out)
+	return referenceForward[float64](m, pb)
+}
+
+// referenceForward is plainPredict's forward at element type T.
+func referenceForward[T nn.Float](m *Model, pb *PackedBatch) []float64 {
+	layers := m.layers()
+	src, offs := pb.sets()
+	h := m.Cfg.HiddenUnits
+	concat := nn.NewMat[T](pb.B, 3*h)
+	for k, x := range src {
+		xt := nn.NewMat[T](x.Rows, x.Cols)
+		nn.ConvertRows(xt, x)
+		h2 := referenceLinear(layers[2*k+1], referenceLinear(layers[2*k], xt, true), true)
+		pool := nn.NewMat[T](pb.B, h)
+		nn.SegmentAvgPool(h2, offs[k], pool)
+		for bi := 0; bi < pb.B; bi++ {
+			copy(concat.Row(bi)[k*h:(k+1)*h], pool.Row(bi))
+		}
+	}
+	y := referenceLinear(layers[7], referenceLinear(layers[6], concat, true), false)
+	nn.SigmoidInPlace(y)
+	out := make([]float64, pb.B)
+	nn.ConvertRows(nn.Matrix{Rows: pb.B, Cols: 1, Data: out}, y)
 	return out
+}
+
+// referenceLinear is the dense layer the engine's kernel answers to bit for
+// bit: gemmBias itself (nn.Linear.ForwardFused) at float64, and at float32
+// its per-output order written out — each output summed over every input in
+// ascending k from zero, then the bias, then the ReLU.
+func referenceLinear[T nn.Float](l *nn.Linear, x nn.Mat[T], relu bool) nn.Mat[T] {
+	y := nn.NewMat[T](x.Rows, l.Out)
+	if x64, ok := any(x).(nn.Matrix); ok {
+		l.ForwardFused(x64, any(y).(nn.Matrix), relu)
+		return y
+	}
+	for r := 0; r < x.Rows; r++ {
+		for o := range y.Row(r) {
+			var a T
+			for k, v := range x.Row(r) {
+				a += v * T(l.W.Data[o*l.In+k])
+			}
+			a += T(l.B.Data[o])
+			if relu && !(a > 0) {
+				a = 0
+			}
+			y.Row(r)[o] = a
+		}
+	}
+	return y
 }
 
 func samePredictions(t *testing.T, what string, got, want []float64) {
@@ -240,8 +272,7 @@ func TestReferenceRowLookup(t *testing.T) {
 	const jdim, pdim = 3, 5
 	m := New(Config{HiddenUnits: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	w := m.weights()
-	table := func() *elementTable[float64] { return tableFor(e, &e.table64, m.WeightGen(), &w) }
+	table := func() *elementTable[float64] { return snapshotFor(e, &e.snap64).tableFor(e) }
 	tb := table()
 	if r := [3]int{tb.h2[0].Rows, tb.h2[1].Rows, tb.h2[2].Rows}; r != [3]int{0, jdim + 1, 1} {
 		t.Fatalf("an engine with no reference rows has table rows %v, want [0 %d 1]", r, jdim+1)
@@ -460,16 +491,22 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 // FuzzDedupedForwardMatchesPlain: over ragged batches built from the seed —
 // planted duplicates within and across queries, join one-hots, reference
 // rows, zero rows and arbitrary rows — the engine's forward equals the plain
-// forward in every bit, at f64 and f32.
+// forward (dense GEMMs, no table, no dedupe) in every bit, at f64 and f32.
+// Shape bit 2 selects the serving width, 256 units.
 func FuzzDedupedForwardMatchesPlain(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(64), uint8(1))
 	f.Add(int64(3), uint8(17), uint8(2))
 	f.Add(int64(4), uint8(200), uint8(3))
+	f.Add(int64(5), uint8(30), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, n, shape uint8) {
 		const jdim, pdim = 4, 7
 		rng := rand.New(rand.NewSource(seed))
-		m := New(Config{HiddenUnits: 6 + int(shape%4)*3, BatchSize: 1 + int(n%80), Seed: seed}, memoT+memoBits, jdim, pdim)
+		units := 6 + int(shape%4)*3
+		if shape&4 != 0 {
+			units = 256
+		}
+		m := New(Config{HiddenUnits: units, BatchSize: 1 + int(n%80), Seed: seed}, memoT+memoBits, jdim, pdim)
 		e := NewEngine(m)
 		if shape&1 == 0 {
 			e.SetReferenceRows(memoReferences())
@@ -485,4 +522,16 @@ func FuzzDedupedForwardMatchesPlain(f *testing.F) {
 			samePredictions(t, "fuzz "+p.String(), predictBatch(t, e, encs), plainPredict(t, m, encs))
 		}
 	})
+}
+
+// TestEngineMatchesGemmBias pins the engine's predictions at the serving
+// width, 256 units, to the plain forward on gemmBias bit for bit: at f64
+// and f32, batched, as one forward and single, with the element table and
+// the dedupe on.
+func TestEngineMatchesGemmBias(t *testing.T) {
+	const jdim, pdim = 5, 9
+	m := New(Config{HiddenUnits: 256, BatchSize: 32, Seed: 8}, memoT+memoBits, jdim, pdim)
+	e := NewEngine(m)
+	e.SetReferenceRows(memoReferences())
+	checkEngineIsPlain(t, "256 units", e, memoEncs(rand.New(rand.NewSource(64)), 60, jdim, pdim))
 }

@@ -14,8 +14,10 @@
 // sample tuples, a join a one-hot, a predicate three non-zeros — so packing
 // also indexes their non-zero columns, and each set module's first layer
 // visits only those, in training and in serving, with the dense kernel's
-// result in every bit (nn.ForwardIndexed, nn.BackwardIndexed). Serving uses
-// the Engine (fused Linear+ReLU kernels, segment pooling, pooled workspace
+// result in every bit (nn.Layer.Forward, nn.BackwardIndexed). Every layer's
+// forward is that one kernel, on a copy of the weights transposed once per
+// weight generation (the engine) or per step (the trainer). Serving uses
+// the Engine (the forward kernel, segment pooling, pooled workspace
 // arenas, zero steady-state allocations; concurrency-safe — workspaces are
 // per-pass and never shared), which forwards each distinct set element
 // once: the finite-domain elements (join one-hots, zero rows, the rows an
@@ -139,13 +141,13 @@ type Model struct {
 	optState *nn.OptState
 
 	// precision selects the engine's forward-pass numeric format
-	// (Precision). The f64 weights remain the source of truth; reduced
-	// precision reads a converted snapshot keyed to weightGen.
+	// (Precision). The f64 weights remain the source of truth; the engine
+	// reads a transposed snapshot at that precision keyed to weightGen.
 	precision atomic.Uint32
 	// weightGen counts wholesale weight replacements (ReadWeights, every
 	// return of a training run that has started stepping). The engine tags
-	// what it derives from the weights — the reduced-precision snapshot,
-	// the element table — with the generation it was built at and
+	// what it derives from the weights — the transposed snapshots and their
+	// element tables — with the generation it was built at and
 	// rebuilds on mismatch, so a Refresh/Swap can never serve stale ones.
 	weightGen atomic.Uint64
 
@@ -164,9 +166,9 @@ func (m *Model) Precision() Precision { return Precision(m.precision.Load()) }
 func (m *Model) SetPrecision(p Precision) { m.precision.Store(uint32(p)) }
 
 // WeightGen returns the current weight generation. It increments on every
-// wholesale weight replacement; reduced-precision snapshots and the
-// engine's element table are valid only for the generation they were
-// computed from.
+// wholesale weight replacement; the engine's transposed snapshots and
+// element tables are valid only for the generation they were computed
+// from.
 //
 //deepsketch:zeroalloc
 func (m *Model) WeightGen() uint64 { return m.weightGen.Load() }
@@ -272,8 +274,9 @@ func (m *Model) NumParams() int {
 func (m *Model) WriteWeights(w io.Writer) error { return nn.WriteParams(w, m.Params()) }
 
 // ReadWeights restores weights written by WriteWeights into this
-// architecture; dimensions must match. It bumps the weight generation so
-// any cached reduced-precision snapshot is rebuilt before the next use.
+// architecture; dimensions must match and every weight must be finite. It
+// bumps the weight generation so the engine's cached snapshots are rebuilt
+// before the next use.
 func (m *Model) ReadWeights(r io.Reader) error {
 	err := nn.ReadParams(r, m.Params())
 	m.noteWeightsChanged()

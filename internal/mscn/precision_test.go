@@ -155,8 +155,10 @@ func TestTrainForwardMatchesEngineForward(t *testing.T) {
 	}
 
 	wk := newTrainWorker(m.Params())
+	var w weights[float64]
+	transpose(m, &w)
 	trained := make([]float64, len(encs))
-	if err := wk.forward(m, encodedSource(encs), 0, trained); err != nil {
+	if err := wk.forward(m, &w, encodedSource(encs), 0, trained); err != nil {
 		t.Fatal(err)
 	}
 	pb, err := BuildPackedBatch(encs, tdim, jdim, pdim)

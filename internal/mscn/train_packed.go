@@ -95,11 +95,11 @@ func (wk *trainWorker) zeroGrads() {
 
 // forward packs queries lo..lo+len(preds) of src with BuildFrom's fill half
 // (no dedupe keys: the trainer forwards every row) and runs forwardPacked on
-// the live weights with no element table, keeping the activations as the
-// tape and writing normalized predictions into preds. The workspace is
-// reserved for the whole step — forward and backward — so the backward
-// Allocs continue the same arena.
-func (wk *trainWorker) forward(m *Model, src QuerySource, lo int, preds []float64) error {
+// w, the trainer's transposed copy of the live weights, with no element
+// table, keeping the activations as the tape and writing normalized
+// predictions into preds. The workspace is reserved for the whole step —
+// forward and backward — so the backward Allocs continue the same arena.
+func (wk *trainWorker) forward(m *Model, w *weights[float64], src QuerySource, lo int, preds []float64) error {
 	if err := wk.pb.fill(src, lo, lo+len(preds), m.TDim, m.JDim, m.PDim); err != nil {
 		return err
 	}
@@ -110,9 +110,8 @@ func (wk *trainWorker) forward(m *Model, src QuerySource, lo int, preds []float6
 	// per set row. One Reserve covers both phases.
 	wk.ws.Reserve(forwardFloats(&wk.pb, h) + 2*(nt+nj+np)*h + 5*b*h + b)
 
-	w := m.weights()
 	xs, _ := wk.pb.sets()
-	forwardPacked(&w, &wk.pb, xs, nil, &wk.ws, &wk.tp, preds)
+	forwardPacked(w, &wk.pb, xs, nil, &wk.ws, &wk.tp, preds)
 	return nil
 }
 
@@ -166,8 +165,14 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 // order and let the caller take one Adam step. Each worker featurizes its
 // own shard from the minibatch's QuerySource, so the only feature rows
 // alive are the workers' packed batches.
+//
+// The forward runs on w, one transposed copy of the live weights that
+// every worker reads: transpose rewrites it in place once per step, before
+// the shards fork, and once per predict. The backward reads the live
+// [out][in] weights.
 type packedTrainer struct {
 	m       *Model
+	w       weights[float64]
 	params  []*nn.Param
 	workers []*trainWorker
 	errs    []error // per-worker step errors, reused across steps
@@ -311,9 +316,10 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 	grad := t.grad[:n]
 	invN := 1.0 / float64(n)
 
+	transpose(t.m, &t.w)
 	err := t.forEachShard(n, func(w, lo, hi int) error {
 		wk := t.workers[w]
-		if err := wk.forward(t.m, src, lo, preds[lo:hi]); err != nil {
+		if err := wk.forward(t.m, &t.w, src, lo, preds[lo:hi]); err != nil {
 			return err
 		}
 		wk.lossSum = nn.LossSumInto(t.m.Cfg.Loss, norm, preds[lo:hi], targets[lo:hi],
@@ -338,17 +344,18 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 }
 
 // predict writes the live weights' normalized predictions for the
-// len(preds) queries of src into preds: the forward half of a step, sharded
-// across the same workers and walked in Cfg.BatchSize chunks so each
-// worker's arena stays minibatch-sized. A prediction does not depend on its
-// batch or its worker (GEMM rows and segment pools are per query), so any
-// parallelism returns the same bits.
+// len(preds) queries of src into preds: the forward half of a step, on a
+// freshly transposed copy, sharded across the same workers and walked in
+// Cfg.BatchSize chunks so each worker's arena stays minibatch-sized. A
+// prediction does not depend on its batch or its worker (layer rows and
+// segment pools are per query), so any parallelism returns the same bits.
 func (t *packedTrainer) predict(src QuerySource, preds []float64) error {
 	bs := t.m.Cfg.BatchSize
+	transpose(t.m, &t.w)
 	return t.forEachShard(len(preds), func(w, lo, hi int) error {
 		for ; lo < hi; lo += bs {
 			end := min(lo+bs, hi)
-			if err := t.workers[w].forward(t.m, src, lo, preds[lo:end]); err != nil {
+			if err := t.workers[w].forward(t.m, &t.w, src, lo, preds[lo:end]); err != nil {
 				return err
 			}
 		}

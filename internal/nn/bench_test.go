@@ -1,8 +1,8 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
-	"unsafe"
 
 	"deepsketch/internal/datagen"
 )
@@ -26,25 +26,6 @@ func benchLinear(b *testing.B) (*Linear, Matrix) {
 	return l, x
 }
 
-// BenchmarkLinearForwardFused measures the serial register-tiled inference
-// kernel at both element types. Zero allocs/op expected.
-func BenchmarkLinearForwardFused(b *testing.B) {
-	b.Run("f64", benchForwardFused[float64])
-	b.Run("f32", benchForwardFused[float32])
-}
-
-func benchForwardFused[T Float](b *testing.B) {
-	l, x := benchLinear(b)
-	lt, xt := ConvertLayer[T](l), convertMat[T](x)
-	y := NewMat[T](benchBatch, benchOut)
-	b.SetBytes(int64(benchBatch*benchIn) * int64(unsafe.Sizeof(T(0))))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lt.ForwardFused(xt, y, true)
-	}
-}
-
 // benchBitmapRows fills a batch with table rows of the MSCN shape — a
 // one-hot in the first 8 columns, then a bitmap whose bits are set
 // independently with probability fill (1 gives the all-ones row of an
@@ -65,36 +46,60 @@ func benchBitmapRows(fill float64) Matrix {
 	return x
 }
 
-// BenchmarkLinearForwardIndexed measures the run-indexed first-layer kernel
-// beside the dense one on the same rows, and the cost of building the index.
-func BenchmarkLinearForwardIndexed(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		fill float64
-	}{{"fill=1", 1}, {"fill=0.3", 0.3}, {"fill=0.005", 0.005}} {
-		l, _ := benchLinear(b)
-		x := benchBitmapRows(c.fill)
-		y := NewMatrix(benchBatch, benchOut)
+// BenchmarkLinearForward measures the forward kernel on a table module's
+// first layer at 256 units, run-indexed, at 5, 50 and 100 % bitmap fill and
+// both element types; "index" is the cost of building the run index.
+// Zero allocs/op expected.
+func BenchmarkLinearForward(b *testing.B) {
+	const units = 256
+	l := NewLinear("bench", benchIn, units, datagen.NewRand(1))
+	for _, fill := range []float64{0.05, 0.5, 1} {
+		x := benchBitmapRows(fill)
 		var ix RunIndex
 		Index(&ix, x)
-		b.Run(c.name+"/dense", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l.ForwardFused(x, y, true)
-			}
-		})
-		b.Run(c.name+"/indexed", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l.View().ForwardIndexed(x, &ix, y, 0, benchBatch, true)
-			}
-		})
-		b.Run(c.name+"/index", func(b *testing.B) {
+		name := fmt.Sprintf("fill=%g", fill)
+		b.Run(name+"/f64", func(b *testing.B) { benchForward(b, l, x, &ix) })
+		b.Run(name+"/f32", func(b *testing.B) { benchForward(b, l, convertMat[float32](x), &ix) })
+		b.Run(name+"/index", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Index(&ix, x)
 			}
 		})
+	}
+}
+
+func benchForward[T Float](b *testing.B, l *Linear, x Mat[T], ix *RunIndex) {
+	var lt Layer[T]
+	Transpose(&lt, l)
+	y := NewMat[T](x.Rows, l.Out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lt.Forward(x, ix, y, 0, x.Rows, true)
+	}
+}
+
+// BenchmarkAxpy measures the primitive at a hidden layer's width (256) and
+// a table row's (1006): the dispatched axpy (assembly where the CPU has
+// AVX) beside the pure-Go loop.
+func BenchmarkAxpy(b *testing.B) {
+	for _, n := range []int{256, 1006} {
+		x, y := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		for _, c := range []struct {
+			name string
+			fn   func(float64, []float64, []float64)
+		}{{"axpy", axpy}, {"go", axpyGo[float64]}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, c.name), func(b *testing.B) {
+				b.SetBytes(int64(16 * n))
+				for i := 0; i < b.N; i++ {
+					c.fn(1e-9, x, y)
+				}
+			})
+		}
 	}
 }
 

@@ -1,14 +1,15 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"deepsketch/internal/datagen"
 )
 
-// The indexed kernels promise equality of bits with the dense ones, so
-// nothing here has a tolerance: values are compared through Float64bits
+// The forward kernel and the indexed backward promise equality of bits with
+// gemmBias and the dense backward, so nothing here has a tolerance: values are compared through Float64bits
 // (exact for float32 too, and it tells −0 from +0).
 
 // indexedCase is one input of the bitwise check: a rows×in matrix filled by
@@ -64,28 +65,41 @@ func sameBits[T Float](a, b []T) int {
 	return -1
 }
 
-// checkIndexedForward: ForwardIndexed over x's own index equals ForwardFused
-// in every bit at element type T, with and without the fused ReLU, computed
-// in one range or in two.
+// gemmRef is gemmBias on l's weights converted to element type T and kept
+// in Linear's [out][in] layout: the reference the forward kernel answers to.
+func gemmRef[T Float](l *Linear, x, y Mat[T], relu bool) {
+	w, b := make([]T, len(l.W.Data)), make([]T, len(l.B.Data))
+	convert(w, l.W.Data)
+	convert(b, l.B.Data)
+	gemmBias(x, w, b, y, relu)
+}
+
+// checkIndexedForward: Layer.Forward equals gemmBias in every bit at element
+// type T — through x's run index and through the dense x[k] != 0 test, with
+// and without the fused ReLU, computed in one range or in two.
 func checkIndexedForward[T Float](t *testing.T, c indexedCase, seed int64) {
 	t.Helper()
-	l := ConvertLayer[T](NewLinear("t", c.in, c.out, datagen.NewRand(seed)))
+	lin := NewLinear("t", c.in, c.out, datagen.NewRand(seed))
+	var l Layer[T]
+	Transpose(&l, lin)
 	x := convertMat[T](c.matrix())
 	var ix RunIndex
 	Index(&ix, x)
 	for _, relu := range []bool{false, true} {
 		want := dirty[T](c.rows, c.out)
-		l.ForwardFused(x, want, relu)
-		got := dirty[T](c.rows, c.out)
-		l.ForwardIndexed(x, &ix, got, 0, c.rows, relu)
-		if i := sameBits(got.Data, want.Data); i >= 0 {
-			t.Fatalf("%s relu=%v: indexed[%d]=%v, dense %v", c.name, relu, i, got.Data[i], want.Data[i])
-		}
-		split := dirty[T](c.rows, c.out)
-		l.ForwardIndexed(x, &ix, split, 0, c.rows/2, relu)
-		l.ForwardIndexed(x, &ix, split, c.rows/2, c.rows, relu)
-		if i := sameBits(split.Data, want.Data); i >= 0 {
-			t.Fatalf("%s relu=%v: indexed in two ranges [%d]=%v, dense %v", c.name, relu, i, split.Data[i], want.Data[i])
+		gemmRef(lin, x, want, relu)
+		for _, index := range []*RunIndex{&ix, nil} {
+			got := dirty[T](c.rows, c.out)
+			l.Forward(x, index, got, 0, c.rows, relu)
+			if i := sameBits(got.Data, want.Data); i >= 0 {
+				t.Fatalf("%s relu=%v indexed=%v: forward[%d]=%v, gemmBias %v", c.name, relu, index != nil, i, got.Data[i], want.Data[i])
+			}
+			split := dirty[T](c.rows, c.out)
+			l.Forward(x, index, split, 0, c.rows/2, relu)
+			l.Forward(x, index, split, c.rows/2, c.rows, relu)
+			if i := sameBits(split.Data, want.Data); i >= 0 {
+				t.Fatalf("%s relu=%v indexed=%v: forward in two ranges [%d]=%v, gemmBias %v", c.name, relu, index != nil, i, split.Data[i], want.Data[i])
+			}
 		}
 	}
 }
@@ -120,11 +134,31 @@ func checkIndexedBackward(t *testing.T, c indexedCase, seed int64) {
 	}
 }
 
+// wideCase is a table module's first layer at serving width: rows of a
+// one-hot in 8 columns and a 1,006-column bitmap whose bits are set with
+// probability fill, into 256 units. The pattern's length does not divide
+// the row's, so every row has other bits.
+func wideCase(fill float64, seed int64) indexedCase {
+	rng := datagen.NewRand(seed)
+	pattern := make([]byte, 1031)
+	for i := range pattern {
+		if rng.Float64() < fill {
+			pattern[i] = 1
+		}
+	}
+	return indexedCase{fmt.Sprintf("width 256, fill %g", fill), 5, 8 + 1006, 256, pattern}
+}
+
 func TestIndexedMatchesDenseBitwise(t *testing.T) {
 	for i, c := range indexedCases {
 		checkIndexedForward[float64](t, c, int64(100+i))
 		checkIndexedForward[float32](t, c, int64(200+i))
 		checkIndexedBackward(t, c, int64(300+i))
+	}
+	for i, fill := range []float64{0.02, 0.1, 0.5, 0.95, 1} {
+		c := wideCase(fill, int64(400+i))
+		checkIndexedForward[float64](t, c, int64(500+i))
+		checkIndexedForward[float32](t, c, int64(600+i))
 	}
 }
 
@@ -159,7 +193,8 @@ func TestIndexRuns(t *testing.T) {
 }
 
 // FuzzIndexedForwardMatchesDense lets the fuzzer pick the shape and the
-// zero/non-zero pattern; the named cases above are its seeds.
+// zero/non-zero pattern; the named cases above are its seeds. An out of 250
+// or more is the serving width, 256 units.
 func FuzzIndexedForwardMatchesDense(f *testing.F) {
 	for i, c := range indexedCases {
 		f.Add(uint8(c.rows), uint8(c.in), uint8(c.out), int64(i), c.pattern)
@@ -168,24 +203,31 @@ func FuzzIndexedForwardMatchesDense(f *testing.F) {
 		if len(pattern) == 0 {
 			pattern = []byte{0}
 		}
-		c := indexedCase{"fuzz", int(rows % 12), 1 + int(in%80), 1 + int(out%19), pattern}
+		units := 1 + int(out%19)
+		if out >= 250 {
+			units = 256
+		}
+		c := indexedCase{"fuzz", int(rows % 12), 1 + int(in%80), units, pattern}
 		checkIndexedForward[float64](t, c, seed)
 		checkIndexedForward[float32](t, c, seed)
 		checkIndexedBackward(t, c, seed)
 	})
 }
 
-// TestForwardIndexedZeroAlloc: the kernel and the index lookups on its path
-// never touch the heap.
+// TestForwardIndexedZeroAlloc: the forward kernel, indexed and dense, and
+// the index lookups on its path never touch the heap.
 func TestForwardIndexedZeroAlloc(t *testing.T) {
 	c := indexedCases[9]
-	l := NewLinear("t", c.in, c.out, datagen.NewRand(1)).View()
+	var l Layer[float64]
+	Transpose(&l, NewLinear("t", c.in, c.out, datagen.NewRand(1)))
 	x := c.matrix()
 	var ix RunIndex
 	Index(&ix, x)
 	y := NewMatrix(c.rows, c.out)
-	if a := testing.AllocsPerRun(20, func() { l.ForwardIndexed(x, &ix, y, 0, c.rows, true) }); a != 0 {
-		t.Fatalf("ForwardIndexed allocates %.1f times per call, want 0", a)
+	for _, index := range []*RunIndex{&ix, nil} {
+		if a := testing.AllocsPerRun(20, func() { l.Forward(x, index, y, 0, c.rows, true) }); a != 0 {
+			t.Fatalf("Forward (indexed=%v) allocates %.1f times per call, want 0", index != nil, a)
+		}
 	}
 	Index(&ix, x) // steady state: same shape, buffers reused
 	if a := testing.AllocsPerRun(20, func() { Index(&ix, x) }); a != 0 {

@@ -2,31 +2,30 @@ package nn
 
 import "math"
 
-// Inference-only kernels: a bump-allocated scratch arena (Arena), fused
-// Linear+ReLU with a register-tiled GEMM, and CSR-style segment pooling.
-// These power the packed ragged-batch engine in internal/mscn. They are
-// deliberately serial and allocation-free: concurrency comes from running
-// independent forward passes on separate arenas (one per goroutine), not
-// from fanning a single pass across cores. The training path keeps the
-// tape-friendly allocating functions in layers.go.
+// Inference-only kernels: a bump-allocated scratch arena (Arena), the one
+// forward kernel (Layer.Forward), and CSR-style segment pooling. These power
+// the packed ragged-batch engine in internal/mscn and the packed trainer's
+// forward. They are deliberately serial and allocation-free: concurrency
+// comes from running independent forward passes on separate arenas (one per
+// goroutine), not from fanning a single pass across cores. The training
+// path keeps the tape-friendly allocating functions in layers.go.
 //
-// gemmBias below is the kernel of every layer whose input is dense — five
-// of the MSCN's eight. The first layer of each set module reads a sparse
-// element (a one-hot plus sample bitmap, a one-hot, a predicate's three
-// non-zeros) and goes through ForwardIndexed in indexed.go, which visits
-// only the non-zero columns and is gemmBias's result in every bit.
+// Layer.Forward runs every MSCN layer, on weights stored transposed
+// ([in][out]): an output row is a zeroed row plus, in ascending k,
+// y += x[k]·Wᵀ[k] over the input's non-zero columns (axpy, assembly on
+// amd64 with AVX), then the bias, then the ReLU. Vectorising across the
+// outputs leaves each output's summation order alone, so every output is
+// gemmBias's in every bit (see Layer.Forward's contract). gemmBias, the
+// scalar 2×4-tiled GEMM on [out][in] weights, is kept only behind
+// Linear.ForwardFused, as a benchmark rung and the tests' reference.
 //
 // Every kernel is generic over Float and used at float64 (the reference
 // engine and the packed trainer's forward) and float32 (the reduced-
-// precision engine). Under Go's scalar codegen the fused GEMM is
-// execution-port-bound — float32 and float64 multiply-add have identical
-// scalar throughput — so float32 buys halved weight traffic, not
-// arithmetic: ~10% on batched ragged shapes, parity on single-query shapes
-// that fit in L2, more when weights spill cache (larger samples, wider
-// hidden layers, many resident sketches). Training stays entirely float64
-// (Adam moments, gradient reduction, the fused backward kernels): reduced
-// precision is an inference-only trade, gated by the q-error equivalence
-// tests in the mscn package.
+// precision engine). float64 runs the assembly axpy; float32 runs the
+// pure-Go loop, so it buys halved weight traffic and no arithmetic.
+// Training stays entirely float64 (Adam moments, gradient reduction, the
+// fused backward kernels): reduced precision is an inference-only trade,
+// gated by the q-error equivalence tests in the mscn package.
 
 // Arena is a reusable scratch arena for inference forward passes. Alloc
 // hands out matrices backed by one contiguous buffer via bump allocation;
@@ -85,53 +84,102 @@ func (w *Arena[T]) Alloc(rows, cols int) Mat[T] {
 	return m
 }
 
-// Layer is the inference view of a Linear at element type T: y = x·Wᵀ + b
-// with W row-major [out][in]. It holds no gradients. Linear.View aliases the
-// live float64 parameters; ConvertLayer copies them to another element type
-// once per weight version (the mscn engine converts per Model weight
-// generation, never per forward).
+// Layer is the inference view of a Linear at element type T, with W stored
+// transposed: WT is row-major [in][out], so the weights input k multiplies
+// are one contiguous row, WT[k·Out:(k+1)·Out]. It holds no gradients and is
+// a copy: Transpose refreshes it from the Linear's live float64 parameters
+// (the mscn engine once per weight generation, the packed trainer once per
+// step).
 type Layer[T Float] struct {
 	In, Out int
-	W, B    []T
+	WT, B   []T
 }
 
-// View returns l's float64 inference view. It aliases l.W.Data and l.B.Data
-// — no conversion, no copy — so parameter updates are visible through it.
+// Transpose copies l's current weights into dst at element type T, W
+// transposed. It reuses dst's buffers when they fit and allocates them
+// otherwise, so a Layer that is refreshed every step allocates once.
+func Transpose[T Float](dst *Layer[T], l *Linear) {
+	dst.In, dst.Out = l.In, l.Out
+	if len(dst.WT) != len(l.W.Data) || len(dst.B) != len(l.B.Data) {
+		dst.WT, dst.B = make([]T, len(l.W.Data)), make([]T, len(l.B.Data))
+	}
+	for o := 0; o < l.Out; o++ {
+		for k, v := range l.W.Data[o*l.In : (o+1)*l.In] {
+			dst.WT[k*l.Out+o] = T(v)
+		}
+	}
+	convert(dst.B, l.B.Data)
+}
+
+// Forward computes rows lo..hi of y = x·W + b, fusing the ReLU when relu is
+// set. Each output row is zeroed, then receives y += x[k]·WT[k] (axpy) for
+// every non-zero column k of its input row in ascending order, then the
+// bias, then the ReLU. With a run index (ix, which must be x's) the columns
+// come from its runs — the first layer of each set module, whose rows are
+// one-hots, bitmaps and predicate triples; with ix nil every column is
+// tested with x[k] != 0, which skips the zeros a previous ReLU left. The
+// row range lets a caller that already knows some rows' outputs skip them.
+// It runs on the calling goroutine only and performs no allocations. y must
+// be x.Rows×l.Out and may not alias x.
+//
+// Contract: gemmBias sums every output in ascending k from a zero
+// accumulator and adds the bias last, and so does this kernel, output by
+// output; the terms it leaves out have x[k] == 0, and adding 0·w changes
+// no bit of an accumulator that started at +0 — provided w is finite
+// (0·±Inf and 0·NaN are NaN). For finite weights the result therefore
+// equals gemmBias's in every bit, at any fill and either element type.
+// It reads x[k] rather than assuming 1, so it is exact for any values, and
+// a listed column that holds 0 (a float64 that rounded to a float32 zero)
+// is merely a wasted term.
 //
 //deepsketch:zeroalloc
-func (l *Linear) View() Layer[float64] {
-	return Layer[float64]{In: l.In, Out: l.Out, W: l.W.Data, B: l.B.Data}
-}
-
-// ConvertLayer copies l's current weights to element type T.
-func ConvertLayer[T Float](l *Linear) Layer[T] {
-	v := Layer[T]{In: l.In, Out: l.Out, W: make([]T, len(l.W.Data)), B: make([]T, len(l.B.Data))}
-	convert(v.W, l.W.Data)
-	convert(v.B, l.B.Data)
-	return v
+func (l Layer[T]) Forward(x Mat[T], ix *RunIndex, y Mat[T], lo, hi int, relu bool) {
+	if x.Cols != l.In || y.Rows != x.Rows || y.Cols != l.Out || (ix != nil && ix.Rows() != x.Rows) {
+		panic("nn: Layer.Forward dimension mismatch")
+	}
+	out := l.Out
+	bias := l.B[:out]
+	for r := lo; r < hi; r++ {
+		xr, yr := x.Row(r), y.Row(r)
+		clear(yr)
+		if ix != nil {
+			for _, run := range ix.Row(r) {
+				for k := int(run.Lo); k < int(run.Hi); k++ {
+					axpyOf(xr[k], l.WT[k*out:(k+1)*out], yr)
+				}
+			}
+		} else {
+			for k, v := range xr {
+				if v != 0 {
+					axpyOf(v, l.WT[k*out:(k+1)*out], yr)
+				}
+			}
+		}
+		for o, b := range bias {
+			v := yr[o] + b
+			if relu {
+				v = relu1(v)
+			}
+			yr[o] = v
+		}
+	}
 }
 
 // ForwardFused computes y = x·Wᵀ + b into the preallocated y, optionally
-// fusing ReLU, using a 2×4 register-tiled GEMM over the rows. It runs on the
-// calling goroutine only and performs no allocations — the packed inference
-// path. y must be x.Rows×l.Out and may not alias x.
+// fusing ReLU, with gemmBias on the live [out][in] weights. Nothing serves
+// or trains through it: it is the benchmark's GEMM rung (nn.gemm_us) and,
+// with gemmBias, the reference Layer.Forward is tested against bit for bit.
 //
 //deepsketch:zeroalloc
-func (l Layer[T]) ForwardFused(x, y Mat[T], relu bool) {
+func (l *Linear) ForwardFused(x, y Matrix, relu bool) {
 	if x.Cols != l.In || y.Rows != x.Rows || y.Cols != l.Out {
 		panic("nn: ForwardFused dimension mismatch")
 	}
-	gemmBias(x, l.W, l.B, y, relu)
+	gemmBias(x, l.W.Data, l.B.Data, y, relu)
 }
 
-// ForwardFused on a Linear is Layer.ForwardFused on its aliased float64
-// view — the forward of the packed training path.
-//
-//deepsketch:zeroalloc
-func (l *Linear) ForwardFused(x, y Matrix, relu bool) { l.View().ForwardFused(x, y, relu) }
-
-// gemmBias is the serial blocked kernel behind ForwardFused: 2 rows × 4
-// output units per tile, 8 independent accumulators, one pass over the
+// gemmBias is the serial blocked kernel behind Linear.ForwardFused: 2 rows
+// × 4 output units per tile, 8 independent accumulators, one pass over the
 // shared inner dimension. The tile size is chosen for scalar Go on x86-64:
 // 8 accumulators + 6 streamed values stay within the 16 vector registers
 // (a 4×4 tile's 24 live floats spill and run slower), while each k-step

@@ -45,14 +45,16 @@ func convertMat[T Float](src Matrix) Mat[T] {
 	return dst
 }
 
-// testForwardFused: the tiled fused kernel at T must match the reference
-// f64 dot-product forward across shapes that hit every tile-remainder path
-// (rows not divisible by 2, outputs not divisible by 4/2).
+// testForwardFused: the forward kernel at T (dense, on transposed weights)
+// and, at float64, Linear.ForwardFused (gemmBias) must match the reference
+// f64 dot-product forward across shapes that hit gemmBias's tile-remainder
+// paths (rows not divisible by 2, outputs not divisible by 4/2) and the
+// axpy's (outputs not divisible by 16 or 4).
 func testForwardFused[T Float](t *testing.T, seed int64, tol float64) {
 	rng := datagen.NewRand(seed)
 	for _, shape := range [][3]int{
 		{1, 3, 1}, {2, 5, 4}, {3, 8, 5}, {4, 16, 4}, {5, 7, 9},
-		{8, 33, 12}, {17, 10, 6}, {64, 21, 13},
+		{8, 33, 12}, {17, 10, 6}, {64, 21, 13}, {3, 40, 37},
 	} {
 		rows, in, out := shape[0], shape[1], shape[2]
 		l := NewLinear("t", in, out, rng)
@@ -60,18 +62,26 @@ func testForwardFused[T Float](t *testing.T, seed int64, tol float64) {
 		for i := range x.Data {
 			x.Data[i] = rng.Float64()*2 - 1
 		}
-		lt, xt := ConvertLayer[T](l), convertMat[T](x)
+		var lt Layer[T]
+		Transpose(&lt, l)
+		xt := convertMat[T](x)
 		for _, relu := range []bool{false, true} {
 			want := l.Forward(x)
 			if relu {
 				want = ReLU(want)
 			}
 			got := dirty[T](rows, out)
-			lt.ForwardFused(xt, got, relu)
+			lt.Forward(xt, nil, got, 0, rows, relu)
+			fused := dirty[float64](rows, out)
+			l.ForwardFused(x, fused, relu)
 			for i := range want.Data {
 				if d := relDiff(got.Data[i], want.Data[i]); d > tol {
-					t.Fatalf("shape %v relu=%v: fused[%d]=%v want %v (Δ=%g)",
+					t.Fatalf("shape %v relu=%v: forward[%d]=%v want %v (Δ=%g)",
 						shape, relu, i, got.Data[i], want.Data[i], d)
+				}
+				if d := relDiff(fused.Data[i], want.Data[i]); d > f64Tol {
+					t.Fatalf("shape %v relu=%v: fused[%d]=%v want %v (Δ=%g)",
+						shape, relu, i, fused.Data[i], want.Data[i], d)
 				}
 			}
 		}

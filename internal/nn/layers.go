@@ -71,22 +71,6 @@ func dot(a, b []float64) float64 {
 	return s0 + s1 + s2 + s3
 }
 
-// axpy computes y[i] += alpha * x[i]; x and y must have equal length.
-func axpy(alpha float64, x, y []float64) {
-	n := len(x)
-	y = y[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
 // Forward computes y = x·Wᵀ + b for a batch of rows.
 func (l *Linear) Forward(x Matrix) Matrix {
 	y := NewMatrix(x.Rows, l.Out)
@@ -97,7 +81,7 @@ func (l *Linear) Forward(x Matrix) Matrix {
 // ForwardInto computes y = x·Wᵀ + b into the preallocated y, optionally
 // fusing ReLU, parallelized over row blocks. It is the reusable-buffer
 // variant of Forward for the training loop; the serial allocation-free
-// inference kernel is ForwardFused.
+// inference kernel is Layer.Forward.
 func (l *Linear) ForwardInto(x, y Matrix, relu bool) {
 	if x.Cols != l.In || y.Rows != x.Rows || y.Cols != l.Out {
 		panic("nn: Linear.ForwardInto dimension mismatch")

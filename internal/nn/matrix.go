@@ -6,21 +6,23 @@
 // training objective, and deterministic weight initialization. Training is
 // float64 and CPU-only; hot loops are parallelized across row blocks.
 //
-// Two forward paths coexist. The training path (Forward/ForwardInto,
-// Backward/BackwardInto, MaskedAvgPool) keeps tape-friendly semantics and
-// fans out across cores; its Into variants let the trainer reuse buffers
-// between mini-batches. The inference path (Layer.ForwardFused,
-// SegmentAvgPool, Arena in infer.go) is serial, padding-free and
-// allocation-free: packed ragged batches, a register-tiled fused
-// Linear+ReLU GEMM, and bump-allocated scratch. An Arena serves one forward
-// pass at a time — concurrency comes from one Arena per goroutine, never
-// from sharing.
+// Two layer paths coexist. The tape path (Linear.Forward/ForwardInto,
+// Backward/BackwardInto, MaskedAvgPool) allocates, fans out across cores
+// and is what the padded reference and the gradient checks run. Training
+// and serving both run the packed path: one forward kernel,
+// Layer.Forward in infer.go, on weights stored transposed — every output
+// row a run of axpys over the input's non-zero columns, the axpy in amd64
+// assembly where the CPU has AVX (axpy.go) — plus SegmentAvgPool and the
+// fused backward kernels (BackwardFused, BackwardIndexed). The packed path
+// is serial, padding-free and allocation-free, its scratch bump-allocated
+// from an Arena; an Arena serves one pass at a time, so concurrency comes
+// from one Arena per goroutine, never from sharing.
 //
 // The inference kernels are written once over Float (float32 | float64)
-// and instantiated at both: float64 reads the training weights in place,
-// float32 reads a copy converted once per weight version and halves the
-// weight memory traffic. The f64 training state is the single source of
-// truth.
+// and instantiated at both. A Layer is a copy, taken once per weight
+// version (Transpose); the f64 training state is the single source of
+// truth, and every bitwise promise of the kernels holds for finite weights,
+// which ReadParams enforces.
 package nn
 
 import (

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -418,6 +419,23 @@ func TestParamSerializationMismatch(t *testing.T) {
 	}
 	if err := ReadParams(bytes.NewReader(nil), l.Params()); err == nil {
 		t.Error("truncated stream should error")
+	}
+}
+
+// TestReadParamsRejectsNonFinite: a stream holding a NaN or an infinity
+// anywhere is refused, and the error names the parameter and the index.
+func TestReadParamsRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		l := NewLinear("l", 4, 3, datagen.NewRand(5))
+		l.B.Data[2] = bad
+		var buf bytes.Buffer
+		if err := WriteParams(&buf, l.Params()); err != nil {
+			t.Fatal(err)
+		}
+		err := ReadParams(&buf, NewLinear("l", 4, 3, datagen.NewRand(6)).Params())
+		if err == nil || !strings.Contains(err.Error(), "l.b[2]") {
+			t.Errorf("%v at l.b[2]: ReadParams error = %v, want one naming l.b[2]", bad, err)
+		}
 	}
 }
 

@@ -106,7 +106,10 @@ func ReadOptState(r io.Reader, params []*Param) (*OptState, error) {
 }
 
 // ReadParams deserializes into an existing parameter list, enforcing that
-// counts and lengths match the target architecture exactly.
+// counts and lengths match the target architecture exactly and that every
+// value is finite: the forward kernels equal the dense GEMM in every bit
+// only for finite weights (Layer.Forward), so no model that can be loaded
+// holds a NaN or an infinity.
 func ReadParams(r io.Reader, params []*Param) error {
 	var buf [8]byte
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
@@ -126,7 +129,11 @@ func ReadParams(r io.Reader, params []*Param) error {
 			if _, err := io.ReadFull(r, buf[:]); err != nil {
 				return fmt.Errorf("nn: read %s data: %w", p.Name, err)
 			}
-			p.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+			v := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: param %s[%d] is %v, want a finite value", p.Name, i, v)
+			}
+			p.Data[i] = v
 		}
 	}
 	return nil

@@ -18,6 +18,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"deepsketch/internal/db"
@@ -28,7 +29,10 @@ import (
 // the sanity bound no estimate should escape (an MSCN extrapolating far
 // outside its training distribution can produce estimates beyond the
 // database's maximum possible join size). max <= 0 disables the upper
-// bound and only enforces the ≥ 1 convention.
+// bound and only enforces the ≥ 1 convention. A NaN or infinite estimate
+// has no place in that range and is an error, not a value: a Fallback
+// behind the clamp moves on to its next backend, and the failure is
+// reported instead of reaching a JSON encoder that rejects it.
 func Clamp(inner estimator.Estimator, max float64) estimator.Estimator {
 	return &clamp{inner: inner, max: max}
 }
@@ -40,14 +44,17 @@ type clamp struct {
 
 func (c *clamp) Name() string { return c.inner.Name() }
 
-func (c *clamp) apply(e estimator.Estimate) estimator.Estimate {
+func (c *clamp) apply(e estimator.Estimate) (estimator.Estimate, error) {
+	if math.IsNaN(e.Cardinality) || math.IsInf(e.Cardinality, 0) {
+		return estimator.Estimate{}, fmt.Errorf("serve: non-finite estimate from %s", c.inner.Name())
+	}
 	if e.Cardinality < 1 {
 		e.Cardinality = 1
 	}
 	if c.max > 0 && e.Cardinality > c.max {
 		e.Cardinality = c.max
 	}
-	return e
+	return e, nil
 }
 
 func (c *clamp) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, error) {
@@ -55,7 +62,7 @@ func (c *clamp) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, e
 	if err != nil {
 		return estimator.Estimate{}, err
 	}
-	return c.apply(e), nil
+	return c.apply(e)
 }
 
 func (c *clamp) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.Estimate, error) {
@@ -64,7 +71,9 @@ func (c *clamp) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.E
 		return nil, err
 	}
 	for i := range ests {
-		ests[i] = c.apply(ests[i])
+		if ests[i], err = c.apply(ests[i]); err != nil {
+			return nil, err
+		}
 	}
 	return ests, nil
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -437,6 +439,45 @@ func TestClamp(t *testing.T) {
 	}
 	if ests[0].Cardinality != 3 || ests[1].Cardinality != 5 {
 		t.Errorf("batch clamped to %v/%v, want 3/5", ests[0].Cardinality, ests[1].Cardinality)
+	}
+}
+
+// TestClampRejectsNonFinite: a backend that answers NaN or ±Inf gets an
+// error from the clamp, not a clamped number, so in the daemon's stack
+// shape — cache over fallback over clamp — the next backend answers that
+// query, alone or in a batch, and nothing non-finite is cached.
+func TestClampRejectsNonFinite(t *testing.T) {
+	ctx := context.Background()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		model := newFake("model")
+		model.fn = func(q db.Query) (float64, error) {
+			if q.Preds[0].Val == 13 {
+				return bad, nil
+			}
+			return float64(q.Preds[0].Val), nil
+		}
+		if _, err := Clamp(model, 1e6).Estimate(ctx, query(13)); err == nil || !strings.Contains(err.Error(), "non-finite estimate from model") {
+			t.Fatalf("%v: clamp error = %v, want one naming the non-finite estimate and the backend", bad, err)
+		}
+		stack := NewCache(Fallback(Clamp(model, 1e6), newFake("postgres")), 16)
+		for round := 0; round < 2; round++ {
+			got, err := stack.Estimate(ctx, query(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Source != "postgres" || got.Cardinality != 13 {
+				t.Fatalf("%v round %d: answered %v by %q, want 13 by postgres", bad, round, got.Cardinality, got.Source)
+			}
+		}
+		ests, err := stack.EstimateBatch(ctx, []db.Query{query(12), query(13), query(14)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []string{"model", "postgres", "model"} {
+			if ests[i].Source != want || math.IsNaN(ests[i].Cardinality) || math.IsInf(ests[i].Cardinality, 0) {
+				t.Errorf("%v: batch[%d] = %v from %q, want a finite answer from %s", bad, i, ests[i].Cardinality, ests[i].Source, want)
+			}
+		}
 	}
 }
 
