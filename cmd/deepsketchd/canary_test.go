@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -298,5 +299,68 @@ func TestGateJudgesOperatorCanary(t *testing.T) {
 	srv.controllers["imdb"].Tick()
 	if status, version, canary := entryState(t, h, id); status != "ready" || version != 2 || canary != nil {
 		t.Fatalf("after the gate: %s v%d canary %+v, want promoted to ready v2", status, version, canary)
+	}
+}
+
+// TestTemplateAnswersFromLive: POST /api/template reports the version that
+// answered next to its points, and that version is the live one
+// (Registry.Live): a canary taking every estimate never answers a template
+// until it is promoted.
+func TestTemplateAnswersFromLive(t *testing.T) {
+	srv := testServer(t)
+	h := srv.routes()
+	id := buildReadySketch(t, h, "template version")
+	template := func() (int, []float64) {
+		t.Helper()
+		rec := post(t, h, "/api/template", templateReq{
+			SketchID: id, SQL: "SELECT COUNT(*) FROM title t WHERE t.production_year=?", Group: "buckets", Buckets: 4,
+		})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("template status %d: %s", rec.Code, rec.Body)
+		}
+		var out struct {
+			Version int `json:"version"`
+			Points  []struct {
+				Est float64 `json:"deep_sketch"`
+			} `json:"points"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		ests := make([]float64, len(out.Points))
+		for i, p := range out.Points {
+			ests[i] = p.Est
+		}
+		return out.Version, ests
+	}
+	ver, live := template()
+	if ver != 1 || len(live) != 4 {
+		t.Fatalf("fresh sketch's template: version %d, %d points; want version 1, 4 points", ver, len(live))
+	}
+
+	rec := post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{
+		"fraction": 1.0, "queries": 150, "epochs": 1, "workers": 2,
+	})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("canary start: %d %s", rec.Code, rec.Body)
+	}
+	awaitStatus(t, h, id, "canarying")
+	rec = post(t, h, "/api/estimate", estimateReq{SketchID: id, SQL: "SELECT COUNT(*) FROM title t WHERE t.kind_id=1"})
+	var est struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &est); err != nil || est.Version != 2 {
+		t.Fatalf("estimate under a 100%% canary: version %d (%v), want 2: %s", est.Version, err, rec.Body)
+	}
+	ver, during := template()
+	if ver != 1 || !slices.Equal(during, live) {
+		t.Fatalf("template under a 100%% canary: version %d, points %v; want version 1's %v", ver, during, live)
+	}
+
+	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/promote", id), nil); rec.Code != http.StatusOK {
+		t.Fatalf("promote: %d %s", rec.Code, rec.Body)
+	}
+	if ver, _ := template(); ver != 2 {
+		t.Fatalf("template after promoting the canary: version %d, want 2", ver)
 	}
 }

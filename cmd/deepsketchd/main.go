@@ -24,7 +24,7 @@
 //	POST /api/sketches/{id}/promote    make the canary live for 100% of traffic
 //	DELETE /api/sketches/{id}/canary   abort the canary; the live version resumes all traffic
 //	POST /api/estimate                 {sketch_id, sql} -> all overlays (+ serving version)
-//	POST /api/template                 {sketch_id, sql, group, buckets}
+//	POST /api/template                 {sketch_id, sql, group, buckets} -> points (+ live version)
 //
 // # Refreshing a live sketch
 //
@@ -131,13 +131,7 @@ func main() {
 	pinnedRegress := flag.Float64("pinned-max-regress", deepsketch.DefaultPinnedMaxRegress, "pinned-benchmark rail tolerance: a refresh candidate's median and p95 q-error on the pinned set may each be at most this ratio × the live version's")
 	retainVersions := flag.Int("retain-versions", 0, "persisted non-live version files kept per sketch after a promote (0 = keep all)")
 	retainWALBytes := flag.Int64("retain-wal-bytes", 0, "WAL size budget; checkpointed segments are pruned down to it after a promote (0 = keep all)")
-	engineFlag := flag.String("engine", "f64", "inference precision for installed sketches: f64 (reference) or f32 (reduced precision)")
 	flag.Parse()
-
-	engine, err := deepsketch.ParseEnginePrecision(*engineFlag)
-	if err != nil {
-		log.Fatalf("deepsketchd: %v", err)
-	}
 
 	driftCfg := deepsketch.DriftConfig{
 		SampleEvery: *driftSample, Window: *driftWindow,
@@ -173,11 +167,7 @@ func main() {
 		pinnedMaxRegress: *pinnedRegress,
 		retainVersions:   *retainVersions,
 		retainWALBytes:   *retainWALBytes,
-		engine:           engine,
 	})
-	if engine != deepsketch.EngineF64 {
-		log.Printf("deepsketchd: serving sketches on the %s inference engine", engine)
-	}
 	if !*driftTruth {
 		log.Printf("deepsketchd: exact executor off the serving path — ground truth via POST /api/sketches/{id}/actuals only")
 	}
@@ -264,7 +254,7 @@ type sketchEntry struct {
 	// serving is the entry's serving stack (servingStack over the registry's
 	// per-name view, with no fallback). All request traffic to this sketch
 	// goes through it, on the request's own goroutine.
-	// The stack is built once (installVersion), before the entry is
+	// The stack is built once (installServing), before the entry is
 	// published, and survives every version change: the registry view routes
 	// each query to whichever version (live or canary split) should answer
 	// it, and cache keys embed that serving version — so a swap, canary or
@@ -325,11 +315,6 @@ type server struct {
 	// persisted and from which they are restored at startup.
 	store string
 
-	// engine is the inference precision applied to every sketch version that
-	// enters the daemon (builds, uploads, restores); refreshed versions
-	// inherit it from the version they were fine-tuned from.
-	engine deepsketch.EnginePrecision
-
 	mu       sync.RWMutex
 	sketches map[int]*sketchEntry
 	nextID   int
@@ -386,9 +371,6 @@ type serverOptions struct {
 	// Missing files are generated from the dataset and persisted at boot.
 	pinnedDir        string
 	pinnedMaxRegress float64
-	// engine is the inference precision every installed sketch is switched
-	// to (zero value = EngineF64, the full-precision reference).
-	engine deepsketch.EnginePrecision
 }
 
 func newServerOpts(opts serverOptions) *server {
@@ -409,7 +391,6 @@ func newServerOpts(opts serverOptions) *server {
 		walDelta:         opts.walDelta,
 		retainVersions:   opts.retainVersions,
 		retainWALBytes:   opts.retainWALBytes,
-		engine:           opts.engine,
 		sketches:         map[int]*sketchEntry{},
 		nextID:           1,
 	}
@@ -614,7 +595,7 @@ func (s *server) failBuild(e *sketchEntry, err error) {
 // name (version 1) and persists it. From here on the entry's status is
 // derived, not stored.
 func (s *server) markReady(e *sketchEntry, sk *deepsketch.Sketch) {
-	s.installVersion(e, sk)
+	s.installServing(e)
 	ver, err := s.registries[e.Dataset].Publish(e.Name, sk)
 	if err != nil {
 		s.failBuild(e, err)
@@ -626,16 +607,13 @@ func (s *server) markReady(e *sketchEntry, sk *deepsketch.Sketch) {
 	s.persistVersion(e, sk, ver)
 }
 
-// installVersion readies a sketch version that enters the daemon from
-// outside the registry — a build, an upload, a store restore — and does
-// the two things only the daemon can: apply its -engine precision (refresh
-// candidates inherit it from the version they clone) and, once per entry,
-// build the serving stack. The stack is shared across versions: it serves
-// through the registry's per-name view, whose answers and cache keys are
-// version-aware, so a version change needs no stack rebuild — the old
-// version's cache lines simply stop being looked up.
-func (s *server) installVersion(e *sketchEntry, sk *deepsketch.Sketch) {
-	sk.SetEnginePrecision(s.engine)
+// installServing builds the entry's serving stack, once per entry, before
+// it is published by a build or a store restore. The stack is shared
+// across versions: it serves through the registry's per-name view, whose
+// answers and cache keys are version-aware, so a version change needs no
+// stack rebuild — the old version's cache lines simply stop being looked
+// up.
+func (s *server) installServing(e *sketchEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e.serving != nil {
@@ -949,7 +927,6 @@ func (s *server) handleSketchUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sk.Cfg.Name = e.Name
-	s.installVersion(e, sk)
 	ver, err := s.registries[e.Dataset].Swap(e.Name, sk)
 	if err != nil {
 		writeErr(w, http.StatusConflict, err)
@@ -1260,12 +1237,6 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if est.Version > 0 {
 		resp["version"] = est.Version
 	}
-	// Tag the inference precision that computed the answer ("f64" or
-	// "f32"); cache hits keep the original computation's tag, non-model
-	// fallbacks have none.
-	if est.Engine != "" {
-		resp["engine"] = est.Engine
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1278,7 +1249,7 @@ type templateReq struct {
 }
 
 // handleTemplate serves the demo's placeholder queries: one series point per
-// template instance, with optional overlays.
+// template instance, with optional overlays, and the version that answered.
 func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 	var req templateReq
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -1297,7 +1268,9 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 			req.Buckets = 20
 		}
 	}
-	live, _, err := s.registries[e.Dataset].Live(e.Name)
+	// Templates read the live version only (Registry.Live): a canary
+	// splits estimate traffic, never a template.
+	live, version, err := s.registries[e.Dataset].Live(e.Name)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -1341,7 +1314,7 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		}
 		points = append(points, p)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"points": points})
+	writeJSON(w, http.StatusOK, map[string]any{"version": version, "points": points})
 }
 
 func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {

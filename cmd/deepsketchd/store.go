@@ -194,12 +194,7 @@ func (s *server) loadVersionedDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	// Every restored version may serve again — the live one now, a resumed
-	// canary straight from the registry, an older one after a rollback — so
-	// each gets the daemon's engine precision. Nothing is listening yet.
-	for _, sk := range found {
-		s.installVersion(e, sk)
-	}
+	s.installServing(e) // nothing is listening yet
 	s.mu.Lock()
 	e.published = true
 	s.mu.Unlock()

@@ -162,25 +162,12 @@ const (
 	LossL1Log  = nn.LossL1Log
 )
 
-// EnginePrecision selects the numeric format of a sketch's MSCN inference
-// engine (Sketch.SetEnginePrecision). Training always stays float64; the
-// reduced-precision path is inference-only, converts a weight snapshot once
-// per weight version, and is gated on bounded q-error deviation vs the f64
-// reference.
-type EnginePrecision = mscn.Precision
-
-// Inference engine precisions.
-const (
-	// EngineF64 is the full-precision reference path (default).
-	EngineF64 = mscn.F64
-	// EngineF32 halves weight memory traffic; per-query q-error deviation
-	// vs f64 is bounded <1% by the equivalence gate.
-	EngineF32 = mscn.F32
-)
-
-// ParseEnginePrecision parses an -engine flag spelling ("f64" or "f32");
-// the empty string means f64.
-func ParseEnginePrecision(s string) (EnginePrecision, error) { return mscn.ParsePrecision(s) }
+// EngineF32 makes Sketch.SetEnginePrecision round the engine's weights to
+// single precision (mscn.F32); the forward stays float64 and per-query
+// q-error deviation from the unrounded weights is bounded <1% by
+// TestEngineF32QErrorGate. It remains only because bench/layers.go names
+// it.
+const EngineF32 = mscn.F32
 
 // Dataset generator configs.
 type (

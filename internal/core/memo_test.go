@@ -21,23 +21,30 @@ import (
 // test here compares a sketch's estimates, with ==, to a plain forward
 // written out row by row (plainForward).
 
-// plainForward is the MSCN forward of one featurized query at element type
-// T, one set element at a time through both layers of its module, with no
-// batch, no element table and no dedupe. Each output is summed in ascending
-// input order from zero with the bias added last, and the pool adds rows in
-// order and scales by 1/n, as the engine's kernels do, so these are the bits
-// the engine must return.
-func plainForward[T float32 | float64](m *mscn.Model, enc featurize.Encoded) float64 {
+// plainForward is the MSCN forward of one featurized query, one set
+// element at a time through both layers of its module, with no batch, no
+// element table and no dedupe, on the model's weights or — with round —
+// on the weights rounded through float32, what an F32 engine stores. Each
+// output is summed in ascending input order from zero with the bias added
+// last, and the pool adds rows in order and scales by 1/n, as the engine's
+// kernels do, so these are the bits the engine must return.
+func plainForward(m *mscn.Model, enc featurize.Encoded, round bool) float64 {
 	ps := m.Params() // layer i's weights at 2i, its bias at 2i+1
-	layer := func(i int, x []T, relu bool) []T {
+	weight := func(v float64) float64 {
+		if round {
+			return float64(float32(v))
+		}
+		return v
+	}
+	layer := func(i int, x []float64, relu bool) []float64 {
 		w, b := ps[2*i].Data, ps[2*i+1].Data
-		y := make([]T, len(b))
+		y := make([]float64, len(b))
 		for o := range y {
-			var a T
+			var a float64
 			for k, v := range x {
-				a += v * T(w[o*len(x)+k])
+				a += v * weight(w[o*len(x)+k])
 			}
-			a += T(b[o])
+			a += weight(b[o])
 			if relu && !(a > 0) {
 				a = 0
 			}
@@ -45,15 +52,11 @@ func plainForward[T float32 | float64](m *mscn.Model, enc featurize.Encoded) flo
 		}
 		return y
 	}
-	var concat []T
+	var concat []float64
 	for k, vecs := range [][][]float64{enc.TableVecs, enc.JoinVecs, enc.PredVecs} {
-		pool := make([]T, m.Cfg.HiddenUnits)
+		pool := make([]float64, m.Cfg.HiddenUnits)
 		for i, v := range vecs {
-			x := make([]T, len(v))
-			for c, f := range v {
-				x[c] = T(f)
-			}
-			h2 := layer(2*k+1, layer(2*k, x, true), true)
+			h2 := layer(2*k+1, layer(2*k, v, true), true)
 			for c := range pool {
 				if i == 0 {
 					pool[c] = h2[c]
@@ -63,7 +66,7 @@ func plainForward[T float32 | float64](m *mscn.Model, enc featurize.Encoded) flo
 			}
 		}
 		if n := len(vecs); n > 1 {
-			inv := 1 / T(n)
+			inv := 1 / float64(n)
 			for c := range pool {
 				pool[c] *= inv
 			}
@@ -71,12 +74,12 @@ func plainForward[T float32 | float64](m *mscn.Model, enc featurize.Encoded) flo
 		concat = append(concat, pool...)
 	}
 	y := layer(7, layer(6, concat, true), false)[0]
-	return float64(T(1.0 / (1.0 + math.Exp(-float64(y)))))
+	return 1.0 / (1.0 + math.Exp(-y))
 }
 
-// plainCardinalities estimates qs through plainForward at the model's
-// current precision.
-func plainCardinalities(t *testing.T, s *Sketch, qs []db.Query) []float64 {
+// plainCardinalities estimates qs through plainForward as an engine at
+// precision p must.
+func plainCardinalities(t *testing.T, s *Sketch, qs []db.Query, p mscn.Precision) []float64 {
 	t.Helper()
 	out := make([]float64, len(qs))
 	for i, q := range qs {
@@ -88,27 +91,25 @@ func plainCardinalities(t *testing.T, s *Sketch, qs []db.Query) []float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y := plainForward[float64](s.Model, enc)
-		if s.EnginePrecision() == mscn.F32 {
-			y = plainForward[float32](s.Model, enc)
-		}
-		out[i] = s.Encoder.Norm.Denormalize(y)
+		out[i] = s.Encoder.Norm.Denormalize(plainForward(s.Model, enc, p == mscn.F32))
 	}
 	return out
 }
 
-// checkMemoChangesNothing: the batched path over all of qs and the single
-// path over a prefix of it equal the plain engine bit for bit.
-func checkMemoChangesNothing(t *testing.T, what string, s *Sketch, qs []db.Query) {
+// checkMemoChangesNothing switches s to precision p; then the batched
+// path (EstimateBatch) over all of qs and the single path over a prefix of
+// it equal the plain engine bit for bit.
+func checkMemoChangesNothing(t *testing.T, what string, s *Sketch, qs []db.Query, p mscn.Precision) {
 	t.Helper()
-	want := plainCardinalities(t, s, qs)
-	got, err := s.BatchCardinalities(context.Background(), qs)
+	s.SetEnginePrecision(p)
+	want := plainCardinalities(t, s, qs, p)
+	got, err := s.EstimateBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s (%v): batched query %d (%s) = %v, plain engine %v", what, s.EnginePrecision(), i, qs[i].SQL(nil), got[i], want[i])
+		if math.Float64bits(got[i].Cardinality) != math.Float64bits(want[i]) {
+			t.Fatalf("%s (precision %d): batched query %d (%s) = %v, plain engine %v", what, p, i, qs[i].SQL(nil), got[i].Cardinality, want[i])
 		}
 	}
 	for i, q := range qs[:min(len(qs), 150)] {
@@ -117,21 +118,18 @@ func checkMemoChangesNothing(t *testing.T, what string, s *Sketch, qs []db.Query
 			t.Fatal(err)
 		}
 		if math.Float64bits(one) != math.Float64bits(want[i]) {
-			t.Fatalf("%s (%v): single query %d (%s) = %v, plain forward %v", what, s.EnginePrecision(), i, q.SQL(nil), one, want[i])
+			t.Fatalf("%s (precision %d): single query %d (%s) = %v, plain forward %v", what, p, i, q.SQL(nil), one, want[i])
 		}
 	}
 }
 
-// atBothPrecisions runs the check at f64, f32 and f64 again (the second f64
-// pass reads a table that an f32 pass ran beside).
+// atBothPrecisions runs the check at F64, F32 and F64 again (each switch
+// replaces the engine's snapshot and its table), leaving s at F64.
 func atBothPrecisions(t *testing.T, what string, s *Sketch, qs []db.Query) {
 	t.Helper()
-	was := s.EnginePrecision()
 	for _, p := range []mscn.Precision{mscn.F64, mscn.F32, mscn.F64} {
-		s.SetEnginePrecision(p)
-		checkMemoChangesNothing(t, what, s, qs)
+		checkMemoChangesNothing(t, what, s, qs, p)
 	}
-	s.SetEnginePrecision(was)
 }
 
 // memoQueries is the bench's cold set in small (signature-distinct queries
@@ -262,14 +260,11 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	}
 	atBothPrecisions(t, "loaded sketch", loaded, qs)
 
-	// A precision flip mid-stream: each half is served by its own table.
+	// A precision flip mid-stream: each half is served by its own snapshot.
 	half := len(qs) / 2
-	s.SetEnginePrecision(mscn.F64)
-	checkMemoChangesNothing(t, "first half", s, qs[:half])
-	s.SetEnginePrecision(mscn.F32)
-	checkMemoChangesNothing(t, "second half after the flip", s, qs[half:])
-	s.SetEnginePrecision(mscn.F64)
-	checkMemoChangesNothing(t, "second half flipped back", s, qs[half:])
+	checkMemoChangesNothing(t, "first half", s, qs[:half], mscn.F64)
+	checkMemoChangesNothing(t, "second half after the flip", s, qs[half:], mscn.F32)
+	checkMemoChangesNothing(t, "second half flipped back", s, qs[half:], mscn.F64)
 
 	// Another reference set under the same weights: the table must follow.
 	s.engine().SetReferenceRows(s.referenceRows()[1:])

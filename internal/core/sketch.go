@@ -115,15 +115,12 @@ var _ estimator.Estimator = (*Sketch)(nil)
 // Name implements estimator.Estimator with the sketch's configured name.
 func (s *Sketch) Name() string { return s.Cfg.Name }
 
-// SetEnginePrecision selects the numeric format of the sketch's MSCN
-// inference engine (f64 reference or f32). Safe to call on a serving
-// sketch; in-flight estimates finish on the precision they started with.
-// Estimates are tagged with the precision that computed them
-// (Estimate.Engine).
+// SetEnginePrecision selects the precision the sketch's inference engine
+// stores its weights at (mscn.Precision: at F32 they are rounded to single
+// precision, the arithmetic stays float64). Safe to call on a serving
+// sketch; in-flight estimates finish on the snapshot they loaded. It
+// remains only because bench/layers.go names it.
 func (s *Sketch) SetEnginePrecision(p mscn.Precision) { s.Model.SetPrecision(p) }
-
-// EnginePrecision reports the current inference precision.
-func (s *Sketch) EnginePrecision() mscn.Precision { return s.Model.Precision() }
 
 // Estimate implements the sketch interface of Figure 1b for an already-
 // parsed query: evaluate base-table selections on the embedded samples,
@@ -208,9 +205,8 @@ func (s *Sketch) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.
 		per = time.Since(start) / time.Duration(len(qs))
 	}
 	out := make([]estimator.Estimate, len(cards))
-	engine := s.Model.Precision().String()
 	for i, c := range cards {
-		out[i] = estimator.Estimate{Cardinality: c, Source: s.Name(), Latency: per, Engine: engine}
+		out[i] = estimator.Estimate{Cardinality: c, Source: s.Name(), Latency: per}
 	}
 	return out, nil
 }

@@ -52,37 +52,30 @@ func BenchmarkPredictSingle(b *testing.B) {
 // BenchmarkForwardPacked measures the packed engine's steady-state forward
 // pass on a prebuilt batch and scratch — the number that must stay at
 // 0 allocs/op. "single" is one query; "mixed64" is a 64-query ragged batch
-// of mixed shapes (the coalescer's flush shape under load). Each shape runs
-// once per inference precision (f64 reference, f32).
+// of mixed shapes.
 func BenchmarkForwardPacked(b *testing.B) {
-	run := func(n int, p Precision) func(b *testing.B) {
-		return func(b *testing.B) {
-			examples, tdim, jdim, pdim, _ := benchExamples(b, n)
+	for _, shape := range []struct {
+		name string
+		n    int
+	}{{"single", 1}, {"mixed64", 64}} {
+		b.Run(shape.name, func(b *testing.B) {
+			examples, tdim, jdim, pdim, _ := benchExamples(b, shape.n)
 			m := New(Config{HiddenUnits: 64, Seed: 1}, tdim, jdim, pdim)
-			m.SetPrecision(p)
 			e := m.Engine()
 			encs := encsOf(examples)
 			pb, err := BuildPackedBatch(encs, tdim, jdim, pdim)
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := e.scratch()
+			var ws nn.Workspace
 			out := make([]float64, len(encs))
-			e.forward(pb, s, out) // warm the scratch + converted snapshot
+			e.Forward(pb, &ws, out) // warm the workspace and the snapshot
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.forward(pb, s, out)
+				e.Forward(pb, &ws, out)
 			}
-		}
-	}
-	for _, shape := range []struct {
-		name string
-		n    int
-	}{{"single", 1}, {"mixed64", 64}} {
-		for _, p := range []Precision{F64, F32} {
-			b.Run(shape.name+"/engine="+p.String(), run(shape.n, p))
-		}
+		})
 	}
 }
 

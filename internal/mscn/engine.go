@@ -23,12 +23,13 @@ import (
 // batch of one. Predict, and Forward over a BuildPackedBatch, are adapters
 // over featurize.Encoded whose only callers are bench/layers.go and tests.
 //
-// The forward pass is forwardPacked instantiated at the model's Precision,
-// on a snapshot of the eight layers with W transposed to [in][out] at that
-// precision (nn.Layer): every layer is one kernel, nn.Layer.Forward, whose
-// outputs are the dense GEMM's in every bit. The snapshot is taken once
-// per weight generation, so no forward pays a transposition or a
-// conversion and none serves stale weights after a Refresh/Swap.
+// The forward pass is forwardPacked on a snapshot of the eight layers with
+// W transposed to [in][out] (nn.Layer): every layer is one kernel,
+// nn.Layer.Forward, whose outputs are the dense GEMM's in every bit. The
+// snapshot is taken once per weight generation and Precision — at F32 its
+// weights are rounded to single precision as it is taken — so no forward
+// pays a transposition or a rounding, none serves stale weights after a
+// Refresh/Swap, and every forward runs the same float64 arithmetic.
 //
 // The engine forwards each distinct set element once. A set element's h2 —
 // its output after both layers of its set module, what the pool averages —
@@ -43,31 +44,31 @@ type Engine struct {
 	pool sync.Pool // *engineScratch
 
 	// elems holds the element table's rows, replaced whole by
-	// SetReferenceRows. snap64 and snap32 are the transposed weights at
-	// each precision, each with its element table, built lazily under
-	// convMu and tagged with the Model.WeightGen they were read at.
+	// SetReferenceRows. snap is the transposed weights with their element
+	// table, built lazily under convMu and tagged with the Model.WeightGen
+	// and the Precision they were read at.
 	convMu sync.Mutex
 	elems  atomic.Pointer[PackedBatch]
-	snap64 atomic.Pointer[snapshot[float64]]
-	snap32 atomic.Pointer[snapshot[float32]]
+	snap   atomic.Pointer[snapshot]
 }
 
-// snapshot is the model's eight layers at element type T, W transposed,
+// snapshot is the model's eight layers, W transposed and stored at prec,
 // tagged with the weight generation they were read at, and the element
 // table computed on exactly these weights — so a forward that loads the
 // snapshot once reads a table and weights of one generation.
-type snapshot[T nn.Float] struct {
+type snapshot struct {
 	gen   uint64
-	w     weights[T]
-	table atomic.Pointer[elementTable[T]]
+	prec  Precision
+	w     weights
+	table atomic.Pointer[elementTable]
 }
 
-// elementTable is the h2 of every row of the element batch elems at
-// element type T — by the kernels forwardPacked runs, on its snapshot's
-// weights — so copying a row of h2 is bit for bit computing it.
-type elementTable[T nn.Float] struct {
+// elementTable is the h2 of every row of the element batch elems — by the
+// kernels forwardPacked runs, on its snapshot's weights — so copying a row
+// of h2 is bit for bit computing it.
+type elementTable struct {
 	elems *PackedBatch
-	h2    [3]nn.Mat[T]
+	h2    [3]nn.Matrix
 }
 
 // NewEngine builds an inference engine over the model's weights.
@@ -99,39 +100,43 @@ func (e *Engine) SetReferenceRows(rows [][]float64) {
 	e.elems.Store(el)
 }
 
-// current returns the snapshot of the current weight generation at element
-// type T (slot is its precision's) and its element table of the installed
-// reference rows: the weights and the table a forward reads, of one
-// generation.
-func current[T nn.Float](e *Engine, slot *atomic.Pointer[snapshot[T]]) (*snapshot[T], *elementTable[T]) {
-	s := snapshotFor(e, slot)
+// current returns the snapshot of the current weight generation and
+// precision and its element table of the installed reference rows: the
+// weights and the table a forward reads, of one generation.
+func (e *Engine) current() (*snapshot, *elementTable) {
+	s := e.snapshot()
 	return s, s.tableFor(e)
 }
 
-// snapshotFor returns the snapshot slot holds when it is of the current
-// weight generation, else transposes the live weights into a new one once
-// under convMu. The double-checked load keeps the hot path to one atomic
-// read.
-func snapshotFor[T nn.Float](e *Engine, slot *atomic.Pointer[snapshot[T]]) *snapshot[T] {
-	gen := e.m.WeightGen()
-	if s := slot.Load(); s != nil && s.gen == gen {
+// snapshot returns the cached snapshot when it is of the current weight
+// generation and precision, else transposes the live weights into a new
+// one once under convMu, rounding them to single precision at F32. The
+// double-checked load keeps the hot path to one atomic read.
+func (e *Engine) snapshot() *snapshot {
+	gen, prec := e.m.WeightGen(), e.m.precision()
+	if s := e.snap.Load(); s != nil && s.gen == gen && s.prec == prec {
 		return s
 	}
 	e.convMu.Lock()
 	defer e.convMu.Unlock()
-	if s := slot.Load(); s != nil && s.gen == gen {
+	if s := e.snap.Load(); s != nil && s.gen == gen && s.prec == prec {
 		return s
 	}
-	s := &snapshot[T]{gen: gen}
+	s := &snapshot{gen: gen, prec: prec}
 	transpose(e.m, &s.w)
-	slot.Store(s)
+	if prec == F32 {
+		for i := range s.w {
+			s.w[i].RoundToSingle()
+		}
+	}
+	e.snap.Store(s)
 	return s
 }
 
 // tableFor returns the element table of the installed reference rows on
 // the snapshot's weights: the cached one when it is of those rows, else
 // computed once under convMu (the snapshot's double-checked pattern).
-func (s *snapshot[T]) tableFor(e *Engine) *elementTable[T] {
+func (s *snapshot) tableFor(e *Engine) *elementTable {
 	elems := e.elems.Load()
 	if t := s.table.Load(); t != nil && t.elems == elems {
 		return t
@@ -141,14 +146,12 @@ func (s *snapshot[T]) tableFor(e *Engine) *elementTable[T] {
 	if t := s.table.Load(); t != nil && t.elems == elems {
 		return t
 	}
-	t := &elementTable[T]{elems: elems}
+	t := &elementTable{elems: elems}
 	src, _ := elems.sets()
 	for k, x := range src {
-		xt := nn.NewMat[T](x.Rows, x.Cols)
-		nn.ConvertRows(xt, x)
-		h1 := nn.NewMat[T](x.Rows, s.w[2*k].Out)
-		t.h2[k] = nn.NewMat[T](x.Rows, s.w[2*k+1].Out)
-		setModule(&s.w, k, xt, &elems.keys[k].runs, h1, t.h2[k])
+		h1 := nn.NewMatrix(x.Rows, s.w[2*k].Out)
+		t.h2[k] = nn.NewMatrix(x.Rows, s.w[2*k+1].Out)
+		setModule(&s.w, k, x, &elems.keys[k].runs, h1, t.h2[k])
 	}
 	s.table.Store(t)
 	return t
@@ -158,7 +161,7 @@ func (s *snapshot[T]) tableFor(e *Engine) *elementTable[T] {
 // k equals, or -1.
 //
 //deepsketch:zeroalloc
-func (t *elementTable[T]) find(pb *PackedBatch, k, r int) int {
+func (t *elementTable) find(pb *PackedBatch, k, r int) int {
 	for q := 0; q < t.h2[k].Rows; q++ {
 		if pb.sameRow(k, r, t.elems, q) {
 			return q
@@ -168,11 +171,10 @@ func (t *elementTable[T]) find(pb *PackedBatch, k, r int) int {
 }
 
 // engineScratch bundles the per-goroutine reusable state: a packed batch and
-// the forward arenas (only the active precision's grows).
+// the forward's workspace.
 type engineScratch struct {
-	pb      PackedBatch
-	ws      nn.Workspace
-	reduced nn.Arena[float32]
+	pb PackedBatch
+	ws nn.Workspace
 }
 
 func (e *Engine) scratch() *engineScratch {
@@ -182,14 +184,14 @@ func (e *Engine) scratch() *engineScratch {
 	return &engineScratch{}
 }
 
-// weights is the inference view of the model's eight layers at element
-// type T, W transposed, in Model.layers order: set module k (tables, joins,
+// weights is the inference view of the model's eight layers, W
+// transposed, in Model.layers order: set module k (tables, joins,
 // predicates) is w[2k], w[2k+1]; the output network is w[6], w[7].
-type weights[T nn.Float] [8]nn.Layer[T]
+type weights [8]nn.Layer
 
-// transpose copies the live weights into w at element type T, W
-// transposed, reusing w's buffers when they fit (nn.Transpose).
-func transpose[T nn.Float](m *Model, w *weights[T]) {
+// transpose copies the live weights into w, W transposed, reusing w's
+// buffers when they fit (nn.Transpose).
+func transpose(m *Model, w *weights) {
 	for i, l := range m.layers() {
 		nn.Transpose(&w[i], l)
 	}
@@ -198,11 +200,11 @@ func transpose[T nn.Float](m *Model, w *weights[T]) {
 // activations records the intermediates of one packed forward. All matrices
 // alias the arena the forward ran on and live until its next Reserve; the
 // packed trainer keeps them as its tape.
-type activations[T nn.Float] struct {
-	h1, h2, pool [3]nn.Mat[T] // per set module, post-ReLU / pooled
-	concat       nn.Mat[T]
-	oA1          nn.Mat[T]
-	out          nn.Mat[T] // sigmoid output, B×1
+type activations struct {
+	h1, h2, pool [3]nn.Matrix // per set module, post-ReLU / pooled
+	concat       nn.Matrix
+	oA1          nn.Matrix
+	out          nn.Matrix // sigmoid output, B×1
 }
 
 // forwardFloats is the arena forwardPacked consumes on pb at hidden width
@@ -218,20 +220,19 @@ func forwardFloats(pb *PackedBatch, h int) int {
 // forwardPacked is the MSCN forward pass on packed rows — the only one:
 // per set module Linear+ReLU twice then a segment average pool, the three
 // pools concatenated, the two-layer output network, a sigmoid. Every layer
-// is nn.Layer.Forward on w; xs are pb's packed feature rows at element type
-// T (see PackedBatch.sets), which each set module's first layer reads
-// through pb's run index. With an element table (on these same weights)
-// each distinct element is forwarded once (elementTable.module); without
-// one — the trainer — every row is. Every intermediate is carved from ws —
-// which the caller has Reserved — and recorded in act; the normalized
-// predictions (act.out) are also written to out (len B), widened when T is
-// float32.
+// is nn.Layer.Forward on w, over pb's packed feature rows (see
+// PackedBatch.sets), which each set module's first layer reads through
+// pb's run index. With an element table (on these same weights) each
+// distinct element is forwarded once (elementTable.module); without one —
+// the trainer — every row is. Every intermediate is carved from ws — which
+// the caller has Reserved — and recorded in act; the normalized
+// predictions (act.out) are also copied to out (len B).
 //
 //deepsketch:zeroalloc
-func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], table *elementTable[T], ws *nn.Arena[T], act *activations[T], out []float64) {
+func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Workspace, act *activations, out []float64) {
 	b := len(out)
 	h := w[7].In
-	_, offs := pb.sets()
+	xs, offs := pb.sets()
 	for k := 0; k < 3; k++ {
 		rows := xs[k].Rows
 		act.h1[k] = ws.Alloc(rows, h)
@@ -256,14 +257,14 @@ func forwardPacked[T nn.Float](w *weights[T], pb *PackedBatch, xs [3]nn.Mat[T], 
 	act.out = ws.Alloc(b, 1)
 	w[7].Forward(act.oA1, nil, act.out, 0, b, false)
 	nn.SigmoidInPlace(act.out)
-	nn.ConvertRows(nn.Matrix{Rows: b, Cols: 1, Data: out}, act.out)
+	copy(out, act.out.Data)
 }
 
 // setModule runs set module k on every row of x, whose run index is runs:
 // the indexed first layer into h1, the dense second into h2.
 //
 //deepsketch:zeroalloc
-func setModule[T nn.Float](w *weights[T], k int, x nn.Mat[T], runs *nn.RunIndex, h1, h2 nn.Mat[T]) {
+func setModule(w *weights, k int, x nn.Matrix, runs *nn.RunIndex, h1, h2 nn.Matrix) {
 	w[2*k].Forward(x, runs, h1, 0, x.Rows, true)
 	w[2*k+1].Forward(h1, nil, h2, 0, x.Rows, true)
 }
@@ -276,7 +277,7 @@ func setModule[T nn.Float](w *weights[T], k int, x nn.Mat[T], runs *nn.RunIndex,
 // row is the bits the row would have been computed to.
 //
 //deepsketch:zeroalloc
-func (t *elementTable[T]) module(w *weights[T], k int, pb *PackedBatch, x nn.Mat[T], h1, h2 nn.Mat[T]) {
+func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h1, h2 nn.Matrix) {
 	keys := &pb.keys[k]
 	for r := 0; r < x.Rows; r++ {
 		if q := keys.rep[r]; q != r {
@@ -290,54 +291,19 @@ func (t *elementTable[T]) module(w *weights[T], k int, pb *PackedBatch, x nn.Mat
 	}
 }
 
-// Forward runs one packed forward pass in float64 on the current weights,
-// writing the normalized prediction for query i into out[i]. out must have
-// length ≥ pb.B; ws provides the scratch and must not be shared with a
-// concurrent pass. Steady-state (after the workspace has grown to the batch
-// shape) the call performs zero heap allocations.
+// Forward runs one packed forward pass on the current weights at the
+// model's Precision, writing the normalized prediction for query i into
+// out[i]. out must have length ≥ pb.B; ws provides the scratch and must not
+// be shared with a concurrent pass. Steady-state (after the workspace has
+// grown to the batch shape) the call performs zero heap allocations.
 //
 //deepsketch:zeroalloc
 func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
 	//deepsketch:ignore zeroalloc the snapshot and its table compute once per weight generation, then cache
-	snap, table := current(e, &e.snap64)
+	snap, table := e.current()
 	ws.Reserve(forwardFloats(pb, e.m.Cfg.HiddenUnits))
-	xs, _ := pb.sets()
-	var act activations[float64]
-	forwardPacked(&snap.w, pb, xs, table, ws, &act, out[:pb.B])
-}
-
-// forwardReduced runs one packed forward pass in float32 on the float32
-// snapshot. Packed feature rows convert f64→f32 into the arena on entry
-// (each element touched once — negligible next to the layers) and the B
-// predictions widen back on exit. Same contract and steady-state
-// zero-allocation property as Forward.
-//
-//deepsketch:zeroalloc
-func (e *Engine) forwardReduced(pb *PackedBatch, ws *nn.Arena[float32], out []float64) {
-	//deepsketch:ignore zeroalloc the snapshot and its table compute once per weight generation, then cache
-	snap, table := current(e, &e.snap32)
-	src, _ := pb.sets()
-	ws.Reserve(len(src[0].Data) + len(src[1].Data) + len(src[2].Data) + forwardFloats(pb, e.m.Cfg.HiddenUnits))
-	var xs [3]nn.Mat[float32]
-	for k, x := range src {
-		xs[k] = ws.Alloc(x.Rows, x.Cols)
-		nn.ConvertRows(xs[k], x)
-	}
-	var act activations[float32]
-	forwardPacked(&snap.w, pb, xs, table, ws, &act, out[:pb.B])
-}
-
-// forward dispatches one packed forward pass to the model's current
-// precision. out must have length ≥ pb.B; s must not be shared with a
-// concurrent pass.
-//
-//deepsketch:zeroalloc
-func (e *Engine) forward(pb *PackedBatch, s *engineScratch, out []float64) {
-	if e.m.Precision() == F32 {
-		e.forwardReduced(pb, &s.reduced, out)
-		return
-	}
-	e.Forward(pb, &s.ws, out)
+	var act activations
+	forwardPacked(&snap.w, pb, table, ws, &act, out[:pb.B])
 }
 
 // Predict returns the normalized prediction for one featurized query: a
@@ -447,14 +413,14 @@ func (e *Engine) predictChunk(ctx context.Context, src QuerySource, lo, hi int, 
 
 // chunk predicts queries lo..hi of src into out[lo:hi]: feature rows are
 // encoded directly into a pooled scratch's PackedBatch
-// (PackedBatch.BuildFrom) — no per-query vectors, no copies — and predicted
-// at the serving precision. It is the one way into the engine.
+// (PackedBatch.BuildFrom) — no per-query vectors, no copies — and
+// forwarded (Forward). It is the one way into the engine.
 func (e *Engine) chunk(src QuerySource, lo, hi int, out []float64) error {
 	s := e.scratch()
 	defer e.pool.Put(s)
 	if err := s.pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
 		return err
 	}
-	e.forward(&s.pb, s, out[lo:hi])
+	e.Forward(&s.pb, &s.ws, out[lo:hi])
 	return nil
 }

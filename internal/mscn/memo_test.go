@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -121,67 +122,34 @@ func templateEncs(rng *rand.Rand, n, jdim, pdim int) []featurize.Encoded {
 
 // plainPredict is the MSCN forward with no element table, no dedupe and no
 // transposed weights — every row of every set through every layer as a
-// dense GEMM on the [out][in] weights (referenceLinear) — at the model's
-// current precision, over encs as one packed batch.
+// dense GEMM on the [out][in] weights (gemmBias, nn.Linear.ForwardFused) —
+// over encs as one packed batch.
 func plainPredict(t testing.TB, m *Model, encs []featurize.Encoded) []float64 {
 	t.Helper()
 	pb, err := BuildPackedBatch(encs, m.TDim, m.JDim, m.PDim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Precision() == F32 {
-		return referenceForward[float32](m, pb)
-	}
-	return referenceForward[float64](m, pb)
-}
-
-// referenceForward is plainPredict's forward at element type T.
-func referenceForward[T nn.Float](m *Model, pb *PackedBatch) []float64 {
 	layers := m.layers()
+	dense := func(l *nn.Linear, x nn.Matrix, relu bool) nn.Matrix {
+		y := nn.NewMatrix(x.Rows, l.Out)
+		l.ForwardFused(x, y, relu)
+		return y
+	}
 	src, offs := pb.sets()
 	h := m.Cfg.HiddenUnits
-	concat := nn.NewMat[T](pb.B, 3*h)
+	concat := nn.NewMatrix(pb.B, 3*h)
 	for k, x := range src {
-		xt := nn.NewMat[T](x.Rows, x.Cols)
-		nn.ConvertRows(xt, x)
-		h2 := referenceLinear(layers[2*k+1], referenceLinear(layers[2*k], xt, true), true)
-		pool := nn.NewMat[T](pb.B, h)
+		h2 := dense(layers[2*k+1], dense(layers[2*k], x, true), true)
+		pool := nn.NewMatrix(pb.B, h)
 		nn.SegmentAvgPool(h2, offs[k], pool)
 		for bi := 0; bi < pb.B; bi++ {
 			copy(concat.Row(bi)[k*h:(k+1)*h], pool.Row(bi))
 		}
 	}
-	y := referenceLinear(layers[7], referenceLinear(layers[6], concat, true), false)
+	y := dense(layers[7], dense(layers[6], concat, true), false)
 	nn.SigmoidInPlace(y)
-	out := make([]float64, pb.B)
-	nn.ConvertRows(nn.Matrix{Rows: pb.B, Cols: 1, Data: out}, y)
-	return out
-}
-
-// referenceLinear is the dense layer the engine's kernel answers to bit for
-// bit: gemmBias itself (nn.Linear.ForwardFused) at float64, and at float32
-// its per-output order written out — each output summed over every input in
-// ascending k from zero, then the bias, then the ReLU.
-func referenceLinear[T nn.Float](l *nn.Linear, x nn.Mat[T], relu bool) nn.Mat[T] {
-	y := nn.NewMat[T](x.Rows, l.Out)
-	if x64, ok := any(x).(nn.Matrix); ok {
-		l.ForwardFused(x64, any(y).(nn.Matrix), relu)
-		return y
-	}
-	for r := 0; r < x.Rows; r++ {
-		for o := range y.Row(r) {
-			var a T
-			for k, v := range x.Row(r) {
-				a += v * T(l.W.Data[o*l.In+k])
-			}
-			a += T(l.B.Data[o])
-			if relu && !(a > 0) {
-				a = 0
-			}
-			y.Row(r)[o] = a
-		}
-	}
-	return y
+	return y.Data
 }
 
 func samePredictions(t *testing.T, what string, got, want []float64) {
@@ -193,35 +161,31 @@ func samePredictions(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// checkEngineIsPlain compares e against plainPredict over every encs, at
-// f64, f32 and f64 again, batched (PredictSourceInto and one Forward over
-// all of them) and single (Predict).
+// checkEngineIsPlain compares e against plainPredict over every encs,
+// batched (PredictSourceInto and one Forward over all of them) and single
+// (Predict).
 func checkEngineIsPlain(t *testing.T, what string, e *Engine, encs []featurize.Encoded) {
 	t.Helper()
 	m := e.m
-	for _, p := range []Precision{F64, F32, F64} {
-		m.SetPrecision(p)
-		want := plainPredict(t, m, encs)
-		samePredictions(t, what+" batch "+p.String(), predictBatch(t, e, encs), want)
-		pb, err := BuildPackedBatch(encs, m.TDim, m.JDim, m.PDim)
+	want := plainPredict(t, m, encs)
+	samePredictions(t, what+" batch", predictBatch(t, e, encs), want)
+	pb, err := BuildPackedBatch(encs, m.TDim, m.JDim, m.PDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws nn.Workspace
+	got := make([]float64, len(encs))
+	e.Forward(pb, &ws, got)
+	samePredictions(t, what+" one forward", got, want)
+	for i, enc := range encs[:min(len(encs), 40)] {
+		got, err := e.Predict(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var s engineScratch
-		got := make([]float64, len(encs))
-		e.forward(pb, &s, got)
-		samePredictions(t, what+" one forward "+p.String(), got, want)
-		for i, enc := range encs[:min(len(encs), 40)] {
-			got, err := e.Predict(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want[i] {
-				t.Fatalf("%s single %v: query %d: engine %v, plain %v", what, p, i, got, want[i])
-			}
+		if got != want[i] {
+			t.Fatalf("%s single: query %d: engine %v, plain %v", what, i, got, want[i])
 		}
 	}
-	m.SetPrecision(F64)
 }
 
 func TestReferenceRowMemoIsBitwise(t *testing.T) {
@@ -272,7 +236,7 @@ func TestReferenceRowLookup(t *testing.T) {
 	const jdim, pdim = 3, 5
 	m := New(Config{HiddenUnits: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	table := func() *elementTable[float64] { return snapshotFor(e, &e.snap64).tableFor(e) }
+	table := func() *elementTable { return e.snapshot().tableFor(e) }
 	tb := table()
 	if r := [3]int{tb.h2[0].Rows, tb.h2[1].Rows, tb.h2[2].Rows}; r != [3]int{0, jdim + 1, 1} {
 		t.Fatalf("an engine with no reference rows has table rows %v, want [0 %d 1]", r, jdim+1)
@@ -385,9 +349,7 @@ func TestPackedBatchKeys(t *testing.T) {
 
 // TestReferenceRowMemoZeroAlloc: with the element table hit and rows
 // deduped, the steady-state forward still does not touch the heap, at
-// either precision — both kernels directly and Engine.forward, the dispatch
-// every estimate goes through, so a local of the dispatch moved to the heap
-// fails here. TestPredictSourceIntoZeroAlloc adds the batch entry.
+// either precision. TestPredictSourceIntoZeroAlloc adds the batch entry.
 func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	const jdim, pdim = 5, 9
 	m := New(Config{HiddenUnits: 16, BatchSize: 64, Seed: 1}, memoT+memoBits, jdim, pdim)
@@ -399,43 +361,30 @@ func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ws nn.Workspace
-	var ws32 nn.Arena[float32]
 	out := make([]float64, len(encs))
-	e.Forward(pb, &ws, out)
-	e.forwardReduced(pb, &ws32, out)
-	if a := testing.AllocsPerRun(50, func() { e.Forward(pb, &ws, out) }); a != 0 {
-		t.Fatalf("f64 forward allocates %.1f times per op, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() { e.forwardReduced(pb, &ws32, out) }); a != 0 {
-		t.Fatalf("f32 forward allocates %.1f times per op, want 0", a)
-	}
-	var s engineScratch
 	for _, p := range []Precision{F64, F32} {
 		m.SetPrecision(p)
-		e.forward(pb, &s, out)
-		if a := testing.AllocsPerRun(50, func() { e.forward(pb, &s, out) }); a != 0 {
-			t.Fatalf("%v forward dispatch allocates %.1f times per op, want 0", p, a)
+		e.Forward(pb, &ws, out)
+		if a := testing.AllocsPerRun(50, func() { e.Forward(pb, &ws, out) }); a != 0 {
+			t.Fatalf("precision %d: forward allocates %.1f times per op, want 0", p, a)
 		}
 	}
 }
 
-// TestReferenceRowMemoConcurrentGenerations: predictions at both precisions
-// race a goroutine that keeps bumping the weight generation (ReadWeights on
-// an empty stream fails before it writes a weight, and bumps regardless).
-// The weights never change, so every prediction must equal the plain
-// forward's; under -race this is the table's and the snapshot's
-// double-checked rebuild.
+// TestReferenceRowMemoConcurrentGenerations: predictions race a goroutine
+// that keeps bumping the weight generation (ReadWeights on an empty stream
+// fails before it writes a weight, and bumps regardless) and flipping the
+// precision. The weights never change, so every forward must equal, over
+// its whole batch, the plain forward of the weights or of their float32
+// rounding — one snapshot, never a mix; under -race this is the table's
+// and the snapshot's double-checked rebuild.
 func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 	const jdim, pdim = 5, 9
 	m := New(Config{HiddenUnits: 16, BatchSize: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
 	e.SetReferenceRows(memoReferences())
 	encs := memoEncs(rand.New(rand.NewSource(63)), 40, jdim, pdim)
-	var want [2][]float64
-	for _, p := range []Precision{F64, F32} {
-		m.SetPrecision(p)
-		want[p] = plainPredict(t, m, encs)
-	}
+	want := [2][]float64{F64: plainPredict(t, m, encs), F32: plainPredict(t, roundedClone(m), encs)}
 
 	stop := make(chan struct{})
 	var bumper sync.WaitGroup
@@ -447,6 +396,11 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 			case <-stop:
 				return
 			default:
+				if m.precision() == F64 {
+					m.SetPrecision(F32)
+				} else {
+					m.SetPrecision(F64)
+				}
 				if err := m.ReadWeights(bytes.NewReader(nil)); err == nil {
 					t.Error("ReadWeights on an empty stream succeeded")
 					return
@@ -460,7 +414,6 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var ws nn.Workspace
-			var ws32 nn.Arena[float32]
 			var pb PackedBatch
 			out := make([]float64, len(encs))
 			for round := 0; round < 30; round++ {
@@ -468,17 +421,10 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				p := Precision((g + round) % 2)
-				if p == F32 {
-					e.forwardReduced(&pb, &ws32, out)
-				} else {
-					e.Forward(&pb, &ws, out)
-				}
-				for i := range out {
-					if out[i] != want[p][i] {
-						t.Errorf("goroutine %d round %d %v: query %d = %v, want %v", g, round, p, i, out[i], want[p][i])
-						return
-					}
+				e.Forward(&pb, &ws, out)
+				if !slices.Equal(out, want[F64]) && !slices.Equal(out, want[F32]) {
+					t.Errorf("goroutine %d round %d: predictions %v are neither the weights' %v nor their rounding's %v", g, round, out, want[F64], want[F32])
+					return
 				}
 			}
 		}(g)
@@ -491,8 +437,8 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 // FuzzDedupedForwardMatchesPlain: over ragged batches built from the seed —
 // planted duplicates within and across queries, join one-hots, reference
 // rows, zero rows and arbitrary rows — the engine's forward equals the plain
-// forward (dense GEMMs, no table, no dedupe) in every bit, at f64 and f32.
-// Shape bit 2 selects the serving width, 256 units.
+// forward (dense GEMMs, no table, no dedupe) in every bit. Shape bit 2
+// selects the serving width, 256 units.
 func FuzzDedupedForwardMatchesPlain(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(64), uint8(1))
@@ -517,17 +463,13 @@ func FuzzDedupedForwardMatchesPlain(f *testing.F) {
 		} else {
 			encs = templateEncs(rng, 1+int(n)%97, jdim, pdim)
 		}
-		for _, p := range []Precision{F64, F32} {
-			m.SetPrecision(p)
-			samePredictions(t, "fuzz "+p.String(), predictBatch(t, e, encs), plainPredict(t, m, encs))
-		}
+		samePredictions(t, "fuzz", predictBatch(t, e, encs), plainPredict(t, m, encs))
 	})
 }
 
 // TestEngineMatchesGemmBias pins the engine's predictions at the serving
-// width, 256 units, to the plain forward on gemmBias bit for bit: at f64
-// and f32, batched, as one forward and single, with the element table and
-// the dedupe on.
+// width, 256 units, to the plain forward on gemmBias bit for bit: batched,
+// as one forward and single, with the element table and the dedupe on.
 func TestEngineMatchesGemmBias(t *testing.T) {
 	const jdim, pdim = 5, 9
 	m := New(Config{HiddenUnits: 256, BatchSize: 32, Seed: 8}, memoT+memoBits, jdim, pdim)

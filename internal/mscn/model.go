@@ -140,10 +140,9 @@ type Model struct {
 	// is what TrainOptions.Resume consumes for warm-start fine-tuning.
 	optState *nn.OptState
 
-	// precision selects the engine's forward-pass numeric format
-	// (Precision). The f64 weights remain the source of truth; the engine
-	// reads a transposed snapshot at that precision keyed to weightGen.
-	precision atomic.Uint32
+	// prec is the precision the engine stores its weight snapshot at
+	// (Precision). The f64 weights remain the source of truth.
+	prec atomic.Uint32
 	// weightGen counts wholesale weight replacements (ReadWeights, every
 	// return of a training run that has started stepping). The engine tags
 	// what it derives from the weights — the transposed snapshots and their
@@ -155,15 +154,32 @@ type Model struct {
 	eng     *Engine
 }
 
-// Precision returns the engine forward-pass precision (default F64).
+// Precision is the precision the inference engine stores its weights at.
+// At F32 the engine rounds its transposed snapshot of the weights to
+// single precision once per weight generation and runs the same float64
+// forward on it; the model's weights, training and every other path stay
+// float64. It remains only because bench/layers.go times an F32 engine
+// (mscn.predict_f32_us) through core.Sketch.SetEnginePrecision.
+type Precision uint32
+
+const (
+	// F64 serves the weights as trained (the default).
+	F64 Precision = iota
+	// F32 serves them rounded to single precision; TestEngineF32QErrorGate
+	// bounds the q-error this costs.
+	F32
+)
+
+// SetPrecision selects the precision the engine stores its weights at.
+// Safe to call concurrently with serving; a forward in flight finishes on
+// the snapshot it loaded. It remains only because bench/layers.go names
+// it, through core.Sketch.SetEnginePrecision.
+func (m *Model) SetPrecision(p Precision) { m.prec.Store(uint32(p)) }
+
+// precision returns the engine's weight precision (default F64).
 //
 //deepsketch:zeroalloc
-func (m *Model) Precision() Precision { return Precision(m.precision.Load()) }
-
-// SetPrecision selects the engine forward-pass precision. Safe to call
-// concurrently with serving; in-flight forwards finish on the precision
-// they started with.
-func (m *Model) SetPrecision(p Precision) { m.precision.Store(uint32(p)) }
+func (m *Model) precision() Precision { return Precision(m.prec.Load()) }
 
 // WeightGen returns the current weight generation. It increments on every
 // wholesale weight replacement; the engine's transposed snapshots and
@@ -236,7 +252,7 @@ func (m *Model) Clone() *Model {
 		copy(dst[i].Data, p.Data)
 	}
 	nm.optState = m.optState.Clone()
-	nm.SetPrecision(m.Precision())
+	nm.SetPrecision(m.precision())
 	return nm
 }
 

@@ -2,83 +2,82 @@ package mscn
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"deepsketch/internal/featurize"
 	"deepsketch/internal/nn"
 )
 
-// f32EngineTol bounds the per-query relative deviation of the f32 forward
-// vs the f64 reference on the normalized (0,1) output. The JOB-light
-// fixture gate in the repo root additionally bounds the resulting q-error
-// deviation to <1%.
-const f32EngineTol = 1e-4
+// roundedClone returns a clone of m at F64 whose weights were rounded
+// through float32: the model the F32 engine of m answers as, bit for bit.
+func roundedClone(m *Model) *Model {
+	c := m.Clone()
+	c.SetPrecision(F64)
+	for _, p := range c.Params() {
+		for i, v := range p.Data {
+			p.Data[i] = float64(float32(v))
+		}
+	}
+	c.noteWeightsChanged()
+	return c
+}
 
-// TestEngineF32Equivalence: the f32 engine must match the f64 engine per
-// query across randomized ragged shapes — empty sets, singleton batches,
-// JOB-light-like chains — within fp32 tolerance, on both the batch and the
-// pooled single-Predict paths.
+// TestEngineF32Equivalence pins what F32 means: the F64 engine on weights
+// rounded through float32, in every bit. At the serving width (256 units),
+// with the element table and the in-batch dedupe active, the F32 engine's
+// Predict, one Forward over a batch of 256 and PredictSourceInto (the
+// engine half of Sketch.EstimateBatch) equal a rounded clone's at F64;
+// Clone carries F32 to the copy; and switching back to F64 serves the
+// unrounded weights' plain forward again.
 func TestEngineF32Equivalence(t *testing.T) {
-	const tdim, jdim, pdim = 37, 5, 11
+	const jdim, pdim = 5, 9
 	rng := rand.New(rand.NewSource(43))
-	m := New(Config{HiddenUnits: 32, Seed: 7}, tdim, jdim, pdim)
-	e := m.Engine()
+	m := New(Config{HiddenUnits: 256, BatchSize: 48, Seed: 7}, memoT+memoBits, jdim, pdim)
+	m.SetPrecision(F32)
+	ref := roundedClone(m)
+	e, want := NewEngine(m), NewEngine(ref)
+	e.SetReferenceRows(memoReferences())
+	want.SetReferenceRows(memoReferences())
+	encs := append(memoEncs(rng, 200, jdim, pdim), templateEncs(rng, 56, jdim, pdim)...)
 
-	cases := [][][3]int{
-		{{1, 1, 1}},
-		{{4, 3, 3}},
-		{{2, 0, 0}},
-		{{1, 0, 2}, {3, 2, 0}},
-		// JOB-light shapes: chains of 1..5 tables, joins = tables-1.
-		{{1, 0, 1}, {2, 1, 2}, {3, 2, 1}, {4, 3, 3}, {5, 4, 2}},
+	f64 := predictBatch(t, want, encs)
+	samePredictions(t, "F32 PredictSourceInto", predictBatch(t, e, encs), f64)
+	pb, err := BuildPackedBatch(encs, m.TDim, m.JDim, m.PDim)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for c := 0; c < 20; c++ {
-		b := 1 + rng.Intn(65)
-		shapes := make([][3]int, b)
-		for i := range shapes {
-			shapes[i] = [3]int{1 + rng.Intn(5), rng.Intn(5), rng.Intn(5)}
+	var ws nn.Workspace
+	got := make([]float64, len(encs))
+	e.Forward(pb, &ws, got)
+	samePredictions(t, "F32 Forward at batch 256", got, f64)
+	for i, enc := range encs[:40] {
+		y, err := e.Predict(enc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cases = append(cases, shapes)
+		if y != f64[i] {
+			t.Fatalf("F32 Predict: query %d = %v, rounded clone at F64 %v", i, y, f64[i])
+		}
 	}
+	samePredictions(t, "a clone of the F32 model", predictBatch(t, m.Clone().Engine(), encs), f64)
 
-	for ci, shapes := range cases {
-		encs := make([]featurize.Encoded, len(shapes))
-		for i, sh := range shapes {
-			encs[i] = randEnc(rng, sh[0], sh[1], sh[2], tdim, jdim, pdim)
-		}
-		m.SetPrecision(F64)
-		want := predictBatch(t, e, encs)
-		m.SetPrecision(F32)
-		got := predictBatch(t, e, encs)
-		for i := range got {
-			if d := math.Abs(got[i]-want[i]) / math.Max(want[i], 1e-9); d > f32EngineTol || math.IsNaN(got[i]) {
-				t.Errorf("case %d query %d (shape %v): f32 %v vs f64 %v (relΔ=%g)",
-					ci, i, shapes[i], got[i], want[i], d)
-			}
-		}
-		for i, enc := range encs {
-			y, err := e.Predict(enc)
-			if err != nil {
-				t.Fatalf("case %d: f32 Predict: %v", ci, err)
-			}
-			if d := math.Abs(y-want[i]) / math.Max(want[i], 1e-9); d > f32EngineTol {
-				t.Errorf("case %d query %d: f32 Predict %v vs f64 %v (relΔ=%g)", ci, i, y, want[i], d)
-			}
-		}
-		m.SetPrecision(F64)
+	m.SetPrecision(F64)
+	plain := plainPredict(t, m, encs)
+	samePredictions(t, "back at F64", predictBatch(t, e, encs), plain)
+	if slices.Equal(plain, f64) {
+		t.Fatal("rounding the weights changed no prediction — the test is vacuous")
 	}
 }
 
-// TestForwardPacked32ZeroAlloc mirrors TestForwardPackedZeroAlloc for the
-// reduced-precision path: once warmed, the f32 forward may not touch the
-// heap.
+// TestForwardPacked32ZeroAlloc mirrors TestForwardPackedZeroAlloc at F32:
+// once warmed, the forward on the rounded snapshot may not touch the heap.
 func TestForwardPacked32ZeroAlloc(t *testing.T) {
 	const tdim, jdim, pdim = 30, 6, 10
 	rng := rand.New(rand.NewSource(9))
 	m := New(Config{HiddenUnits: 32, Seed: 1}, tdim, jdim, pdim)
+	m.SetPrecision(F32)
 	e := m.Engine()
 	encs := make([]featurize.Encoded, 32)
 	for i := range encs {
@@ -88,21 +87,21 @@ func TestForwardPacked32ZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ws nn.Arena[float32]
+	var ws nn.Workspace
 	out := make([]float64, len(encs))
-	e.forwardReduced(pb, &ws, out) // warm the arena and the weight snapshot
+	e.Forward(pb, &ws, out) // warm the arena and the weight snapshot
 	allocs := testing.AllocsPerRun(50, func() {
-		e.forwardReduced(pb, &ws, out)
+		e.Forward(pb, &ws, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state f32 forward allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("steady-state F32 forward allocates %.1f times per op, want 0", allocs)
 	}
 }
 
 // TestEngineSnapshotInvalidation: replacing the model's weights (the
 // Refresh/Swap path runs through ReadWeights) must invalidate the cached
-// f32 snapshot — a stale snapshot would silently serve the old sketch's
-// estimates at reduced precision.
+// F32 snapshot — a stale snapshot would silently serve the old sketch's
+// estimates.
 func TestEngineSnapshotInvalidation(t *testing.T) {
 	const tdim, jdim, pdim = 13, 3, 5
 	oldM := New(Config{HiddenUnits: 16, Seed: 21}, tdim, jdim, pdim)
@@ -155,7 +154,7 @@ func TestTrainForwardMatchesEngineForward(t *testing.T) {
 	}
 
 	wk := newTrainWorker(m.Params())
-	var w weights[float64]
+	var w weights
 	transpose(m, &w)
 	trained := make([]float64, len(encs))
 	if err := wk.forward(m, &w, encodedSource(encs), 0, trained); err != nil {
@@ -172,32 +171,5 @@ func TestTrainForwardMatchesEngineForward(t *testing.T) {
 		if trained[i] != served[i] {
 			t.Errorf("query %d (shape %v): trainer forward %v != engine forward %v", i, shapes[i], trained[i], served[i])
 		}
-	}
-}
-
-// TestPrecisionParseAndClone: flag spellings round-trip and Clone carries
-// the serving precision to the copy (Refresh clones must not silently fall
-// back to f64).
-func TestPrecisionParseAndClone(t *testing.T) {
-	for _, c := range []struct {
-		s    string
-		want Precision
-	}{{"f64", F64}, {"", F64}, {"f32", F32}} {
-		got, err := ParsePrecision(c.s)
-		if err != nil || got != c.want {
-			t.Fatalf("ParsePrecision(%q) = %v, %v; want %v", c.s, got, err, c.want)
-		}
-	}
-	// int8 was an engine once; the rejection must name what is left.
-	for _, s := range []string{"fp16", "int8"} {
-		_, err := ParsePrecision(s)
-		if err == nil || !strings.Contains(err.Error(), "f64") || !strings.Contains(err.Error(), "f32") {
-			t.Fatalf("ParsePrecision(%q) error = %v, want one naming f64 and f32", s, err)
-		}
-	}
-	m := New(Config{HiddenUnits: 8, Seed: 1}, 3, 2, 2)
-	m.SetPrecision(F32)
-	if got := m.Clone().Precision(); got != F32 {
-		t.Fatalf("Clone precision = %v, want F32", got)
 	}
 }

@@ -71,7 +71,7 @@ const (
 type trainWorker struct {
 	pb      PackedBatch
 	ws      nn.Workspace
-	tp      activations[float64]
+	tp      activations
 	grads   [][]float64 // parallel to Model.Params()
 	lossSum float64     // per-shard loss sum of the current step
 }
@@ -99,7 +99,7 @@ func (wk *trainWorker) zeroGrads() {
 // table, keeping the activations as the tape and writing normalized
 // predictions into preds. The workspace is reserved for the whole step —
 // forward and backward — so the backward Allocs continue the same arena.
-func (wk *trainWorker) forward(m *Model, w *weights[float64], src QuerySource, lo int, preds []float64) error {
+func (wk *trainWorker) forward(m *Model, w *weights, src QuerySource, lo int, preds []float64) error {
 	if err := wk.pb.fill(src, lo, lo+len(preds), m.TDim, m.JDim, m.PDim); err != nil {
 		return err
 	}
@@ -110,8 +110,7 @@ func (wk *trainWorker) forward(m *Model, w *weights[float64], src QuerySource, l
 	// per set row. One Reserve covers both phases.
 	wk.ws.Reserve(forwardFloats(&wk.pb, h) + 2*(nt+nj+np)*h + 5*b*h + b)
 
-	xs, _ := wk.pb.sets()
-	forwardPacked(w, &wk.pb, xs, nil, &wk.ws, &wk.tp, preds)
+	forwardPacked(w, &wk.pb, nil, &wk.ws, &wk.tp, preds)
 	return nil
 }
 
@@ -172,7 +171,7 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 // [out][in] weights.
 type packedTrainer struct {
 	m       *Model
-	w       weights[float64]
+	w       weights
 	params  []*nn.Param
 	workers []*trainWorker
 	errs    []error // per-worker step errors, reused across steps

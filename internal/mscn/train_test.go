@@ -231,7 +231,7 @@ func TestTrainerPredictMatchesEnginePredict(t *testing.T) {
 
 // TestTrainErrorBumpsWeightGen: a run that fails after Adam has stepped
 // leaves new weights, so it must leave a new weight generation too —
-// otherwise the engine's f32 snapshot and element table, both tagged
+// otherwise the engine's snapshot and element table, both tagged
 // with the old generation, are served beside rows computed from the new
 // weights. The training set's shuffled order reaches a wrong-width example
 // in its second minibatch.
@@ -257,10 +257,8 @@ func TestTrainErrorBumpsWeightGen(t *testing.T) {
 
 	e := m.Engine()
 	e.SetReferenceRows(memoReferences())
-	for _, p := range []Precision{F32, F64} { // cache the snapshot and both tables
-		m.SetPrecision(p)
-		predictBatch(t, e, probe)
-	}
+	m.SetPrecision(F32) // cache an F32 snapshot and its table; checked first below
+	predictBatch(t, e, probe)
 	gen := m.WeightGen()
 	before := weightsOf(m)
 	if _, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: 1}); err == nil {
@@ -277,7 +275,7 @@ func TestTrainErrorBumpsWeightGen(t *testing.T) {
 		got, want := predictBatch(t, e, probe), predictBatch(t, NewEngine(m), probe)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%v query %d: the model's engine predicts %v, a fresh engine %v", p, i, got[i], want[i])
+				t.Fatalf("precision %d query %d: the model's engine predicts %v, a fresh engine %v", p, i, got[i], want[i])
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func TestPredictSourceIntoZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a := testing.AllocsPerRun(50, func() { _ = e.PredictSourceInto(ctx, src, len(encs), out) }); a != 0 {
-			t.Fatalf("%v PredictSourceInto allocates %.1f times per op, want 0", p, a)
+			t.Fatalf("precision %d: PredictSourceInto allocates %.1f times per op, want 0", p, a)
 		}
 	}
 }

@@ -47,8 +47,8 @@ func benchBitmapRows(fill float64) Matrix {
 }
 
 // BenchmarkLinearForward measures the forward kernel on a table module's
-// first layer at 256 units, run-indexed, at 5, 50 and 100 % bitmap fill and
-// both element types; "index" is the cost of building the run index.
+// first layer at 256 units, run-indexed, at 5, 50 and 100 % bitmap fill;
+// "index" is the cost of building the run index.
 // Zero allocs/op expected.
 func BenchmarkLinearForward(b *testing.B) {
 	const units = 256
@@ -58,8 +58,7 @@ func BenchmarkLinearForward(b *testing.B) {
 		var ix RunIndex
 		Index(&ix, x)
 		name := fmt.Sprintf("fill=%g", fill)
-		b.Run(name+"/f64", func(b *testing.B) { benchForward(b, l, x, &ix) })
-		b.Run(name+"/f32", func(b *testing.B) { benchForward(b, l, convertMat[float32](x), &ix) })
+		b.Run(name+"/forward", func(b *testing.B) { benchForward(b, l, x, &ix) })
 		b.Run(name+"/index", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -69,10 +68,10 @@ func BenchmarkLinearForward(b *testing.B) {
 	}
 }
 
-func benchForward[T Float](b *testing.B, l *Linear, x Mat[T], ix *RunIndex) {
-	var lt Layer[T]
+func benchForward(b *testing.B, l *Linear, x Matrix, ix *RunIndex) {
+	var lt Layer
 	Transpose(&lt, l)
-	y := NewMat[T](x.Rows, l.Out)
+	y := NewMatrix(x.Rows, l.Out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -92,7 +91,7 @@ func BenchmarkAxpy(b *testing.B) {
 		for _, c := range []struct {
 			name string
 			fn   func(float64, []float64, []float64)
-		}{{"axpy", axpy}, {"go", axpyGo[float64]}} {
+		}{{"axpy", axpy}, {"go", axpyGo}} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, c.name), func(b *testing.B) {
 				b.SetBytes(int64(16 * n))
 				for i := 0; i < b.N; i++ {
@@ -106,22 +105,17 @@ func BenchmarkAxpy(b *testing.B) {
 // BenchmarkSegmentAvgPool pools 64 sets of 2 valid elements on the packed
 // representation (no padding rows).
 func BenchmarkSegmentAvgPool(b *testing.B) {
-	b.Run("f64", benchSegmentAvgPool[float64])
-	b.Run("f32", benchSegmentAvgPool[float32])
-}
-
-func benchSegmentAvgPool[T Float](b *testing.B) {
 	rng := datagen.NewRand(2)
 	const sets, valid, width = 64, 2, 64
-	x := NewMat[T](sets*valid, width)
+	x := NewMatrix(sets*valid, width)
 	for i := range x.Data {
-		x.Data[i] = T(rng.Float64())
+		x.Data[i] = rng.Float64()
 	}
 	offsets := make([]int, sets+1)
 	for i := 1; i <= sets; i++ {
 		offsets[i] = i * valid
 	}
-	out := NewMat[T](sets, width)
+	out := NewMatrix(sets, width)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

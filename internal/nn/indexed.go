@@ -32,7 +32,7 @@ func (ix *RunIndex) Row(r int) []Run { return ix.runs[ix.off[r]:ix.off[r+1]] }
 
 // Index rebuilds ix as the run-length index of x: a column belongs to a run
 // exactly when its element is not 0 (so NaN does, and −0 does not).
-func Index[T Float](ix *RunIndex, x Mat[T]) {
+func Index(ix *RunIndex, x Matrix) {
 	if cap(ix.off) < x.Rows+1 {
 		ix.off = make([]int, 0, x.Rows+1)
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // The forward kernel and the indexed backward promise equality of bits with
-// gemmBias and the dense backward, so nothing here has a tolerance: values are compared through Float64bits
-// (exact for float32 too, and it tells −0 from +0).
+// gemmBias and the dense backward, so nothing here has a tolerance: values
+// are compared through Float64bits (which tells −0 from +0).
 
 // indexedCase is one input of the bitwise check: a rows×in matrix filled by
 // cycling pattern through indexedVals (so a pattern whose length does not
@@ -56,45 +56,37 @@ func (c indexedCase) matrix() Matrix {
 	return x
 }
 
-func sameBits[T Float](a, b []T) int {
+func sameBits(a, b []float64) int {
 	for i := range a {
-		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return i
 		}
 	}
 	return -1
 }
 
-// gemmRef is gemmBias on l's weights converted to element type T and kept
-// in Linear's [out][in] layout: the reference the forward kernel answers to.
-func gemmRef[T Float](l *Linear, x, y Mat[T], relu bool) {
-	w, b := make([]T, len(l.W.Data)), make([]T, len(l.B.Data))
-	convert(w, l.W.Data)
-	convert(b, l.B.Data)
-	gemmBias(x, w, b, y, relu)
-}
-
-// checkIndexedForward: Layer.Forward equals gemmBias in every bit at element
-// type T — through x's run index and through the dense x[k] != 0 test, with
-// and without the fused ReLU, computed in one range or in two.
-func checkIndexedForward[T Float](t *testing.T, c indexedCase, seed int64) {
+// checkIndexedForward: Layer.Forward equals gemmBias on the [out][in]
+// weights in every bit — through x's run index and through the dense
+// x[k] != 0 test, with and without the fused ReLU, computed in one range
+// or in two.
+func checkIndexedForward(t *testing.T, c indexedCase, seed int64) {
 	t.Helper()
 	lin := NewLinear("t", c.in, c.out, datagen.NewRand(seed))
-	var l Layer[T]
+	var l Layer
 	Transpose(&l, lin)
-	x := convertMat[T](c.matrix())
+	x := c.matrix()
 	var ix RunIndex
 	Index(&ix, x)
 	for _, relu := range []bool{false, true} {
-		want := dirty[T](c.rows, c.out)
-		gemmRef(lin, x, want, relu)
+		want := dirty(c.rows, c.out)
+		gemmBias(x, lin.W.Data, lin.B.Data, want, relu)
 		for _, index := range []*RunIndex{&ix, nil} {
-			got := dirty[T](c.rows, c.out)
+			got := dirty(c.rows, c.out)
 			l.Forward(x, index, got, 0, c.rows, relu)
 			if i := sameBits(got.Data, want.Data); i >= 0 {
 				t.Fatalf("%s relu=%v indexed=%v: forward[%d]=%v, gemmBias %v", c.name, relu, index != nil, i, got.Data[i], want.Data[i])
 			}
-			split := dirty[T](c.rows, c.out)
+			split := dirty(c.rows, c.out)
 			l.Forward(x, index, split, 0, c.rows/2, relu)
 			l.Forward(x, index, split, c.rows/2, c.rows, relu)
 			if i := sameBits(split.Data, want.Data); i >= 0 {
@@ -151,14 +143,12 @@ func wideCase(fill float64, seed int64) indexedCase {
 
 func TestIndexedMatchesDenseBitwise(t *testing.T) {
 	for i, c := range indexedCases {
-		checkIndexedForward[float64](t, c, int64(100+i))
-		checkIndexedForward[float32](t, c, int64(200+i))
+		checkIndexedForward(t, c, int64(100+i))
 		checkIndexedBackward(t, c, int64(300+i))
 	}
 	for i, fill := range []float64{0.02, 0.1, 0.5, 0.95, 1} {
 		c := wideCase(fill, int64(400+i))
-		checkIndexedForward[float64](t, c, int64(500+i))
-		checkIndexedForward[float32](t, c, int64(600+i))
+		checkIndexedForward(t, c, int64(500+i))
 	}
 }
 
@@ -208,8 +198,7 @@ func FuzzIndexedForwardMatchesDense(f *testing.F) {
 			units = 256
 		}
 		c := indexedCase{"fuzz", int(rows % 12), 1 + int(in%80), units, pattern}
-		checkIndexedForward[float64](t, c, seed)
-		checkIndexedForward[float32](t, c, seed)
+		checkIndexedForward(t, c, seed)
 		checkIndexedBackward(t, c, seed)
 	})
 }
@@ -218,7 +207,7 @@ func FuzzIndexedForwardMatchesDense(f *testing.F) {
 // the index lookups on its path never touch the heap.
 func TestForwardIndexedZeroAlloc(t *testing.T) {
 	c := indexedCases[9]
-	var l Layer[float64]
+	var l Layer
 	Transpose(&l, NewLinear("t", c.in, c.out, datagen.NewRand(1)))
 	x := c.matrix()
 	var ix RunIndex

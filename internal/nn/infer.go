@@ -2,7 +2,7 @@ package nn
 
 import "math"
 
-// Inference-only kernels: a bump-allocated scratch arena (Arena), the one
+// Inference-only kernels: a bump-allocated scratch arena (Workspace), the one
 // forward kernel (Layer.Forward), and CSR-style segment pooling. These power
 // the packed ragged-batch engine in internal/mscn and the packed trainer's
 // forward. They are deliberately serial and allocation-free: concurrency
@@ -19,40 +19,36 @@ import "math"
 // scalar 2×4-tiled GEMM on [out][in] weights, is kept only behind
 // Linear.ForwardFused, as a benchmark rung and the tests' reference.
 //
-// Every kernel is generic over Float and used at float64 (the reference
-// engine and the packed trainer's forward) and float32 (the reduced-
-// precision engine). float64 runs the assembly axpy; float32 runs the
-// pure-Go loop, so it buys halved weight traffic and no arithmetic.
+// Every kernel is float64, the reference engine's, the packed trainer's
+// and the f32 engine's alike: f32 is a storage precision, weights rounded
+// through single precision once per snapshot (Layer.RoundToSingle) and
+// then run by these same kernels, so no forward has a second arithmetic.
 // Training stays entirely float64 (Adam moments, gradient reduction, the
-// fused backward kernels): reduced precision is an inference-only trade,
-// gated by the q-error equivalence tests in the mscn package.
+// fused backward kernels) on unrounded weights.
 
-// Arena is a reusable scratch arena for inference forward passes. Alloc
+// Workspace is a reusable scratch arena for forward passes. Alloc
 // hands out matrices backed by one contiguous buffer via bump allocation;
 // Reset recycles the whole arena without freeing. After the buffer has grown
 // to a steady-state batch shape, a Reserve/Alloc cycle performs zero heap
 // allocations.
 //
-// Ownership rules: an Arena may serve at most one forward pass at a time —
+// Ownership rules: a Workspace may serve at most one forward pass at a time —
 // it is NOT safe for concurrent use. Matrices returned by Alloc alias the
 // arena and die at the next Reset/Reserve; callers must copy anything they
-// keep. Pool arenas (e.g. sync.Pool) to serve concurrent traffic.
-type Arena[T Float] struct {
-	buf []T
+// keep. Pool workspaces (e.g. sync.Pool) to serve concurrent traffic.
+type Workspace struct {
+	buf []float64
 	off int
 }
-
-// Workspace is the float64 arena of the f64 engine and the packed trainer.
-type Workspace = Arena[float64]
 
 // Reserve resets the arena and ensures capacity for n elements, so that
 // subsequent Allocs totalling at most n cannot grow the buffer mid-pass.
 //
 //deepsketch:zeroalloc
-func (w *Arena[T]) Reserve(n int) {
+func (w *Workspace) Reserve(n int) {
 	if cap(w.buf) < n {
 		//deepsketch:ignore zeroalloc amortized arena growth; steady state never reallocates
-		w.buf = make([]T, n)
+		w.buf = make([]float64, n)
 	} else {
 		w.buf = w.buf[:cap(w.buf)]
 	}
@@ -60,7 +56,7 @@ func (w *Arena[T]) Reserve(n int) {
 }
 
 // Reset recycles the arena, invalidating previously allocated matrices.
-func (w *Arena[T]) Reset() { w.off = 0 }
+func (w *Workspace) Reset() { w.off = 0 }
 
 // Alloc returns a rows×cols matrix carved from the arena. Contents are
 // uninitialized — every kernel writing into it must overwrite or zero it.
@@ -68,7 +64,7 @@ func (w *Arena[T]) Reset() { w.off = 0 }
 // old backing array.
 //
 //deepsketch:zeroalloc
-func (w *Arena[T]) Alloc(rows, cols int) Mat[T] {
+func (w *Workspace) Alloc(rows, cols int) Matrix {
 	n := rows * cols
 	if w.off+n > len(w.buf) {
 		grow := 2 * len(w.buf)
@@ -76,39 +72,73 @@ func (w *Arena[T]) Alloc(rows, cols int) Mat[T] {
 			grow = n
 		}
 		//deepsketch:ignore zeroalloc amortized arena growth; steady state never reallocates
-		w.buf = make([]T, grow)
+		w.buf = make([]float64, grow)
 		w.off = 0
 	}
-	m := Mat[T]{Rows: rows, Cols: cols, Data: w.buf[w.off : w.off+n : w.off+n]}
+	m := Matrix{Rows: rows, Cols: cols, Data: w.buf[w.off : w.off+n : w.off+n]}
 	w.off += n
 	return m
 }
 
-// Layer is the inference view of a Linear at element type T, with W stored
-// transposed: WT is row-major [in][out], so the weights input k multiplies
-// are one contiguous row, WT[k·Out:(k+1)·Out]. It holds no gradients and is
+// Layer is the inference view of a Linear, with W stored transposed: WT
+// is row-major [in][out], so the weights input k multiplies are one
+// contiguous row, WT[k·Out:(k+1)·Out]. It holds no gradients and is
 // a copy: Transpose refreshes it from the Linear's live float64 parameters
 // (the mscn engine once per weight generation, the packed trainer once per
 // step).
-type Layer[T Float] struct {
+type Layer struct {
 	In, Out int
-	WT, B   []T
+	WT, B   []float64
 }
 
-// Transpose copies l's current weights into dst at element type T, W
-// transposed. It reuses dst's buffers when they fit and allocates them
-// otherwise, so a Layer that is refreshed every step allocates once.
-func Transpose[T Float](dst *Layer[T], l *Linear) {
+// Transpose copies l's current weights into dst, W transposed. It reuses
+// dst's buffers when they fit and allocates them otherwise, so a Layer
+// that is refreshed every step allocates once.
+func Transpose(dst *Layer, l *Linear) {
 	dst.In, dst.Out = l.In, l.Out
 	if len(dst.WT) != len(l.W.Data) || len(dst.B) != len(l.B.Data) {
-		dst.WT, dst.B = make([]T, len(l.W.Data)), make([]T, len(l.B.Data))
+		dst.WT, dst.B = make([]float64, len(l.W.Data)), make([]float64, len(l.B.Data))
 	}
 	for o := 0; o < l.Out; o++ {
 		for k, v := range l.W.Data[o*l.In : (o+1)*l.In] {
-			dst.WT[k*l.Out+o] = T(v)
+			dst.WT[k*l.Out+o] = v
 		}
 	}
-	convert(dst.B, l.B.Data)
+	copy(dst.B, l.B.Data)
+}
+
+// RoundToSingle rounds every weight and bias of l in place to the nearest
+// value IEEE single precision holds (ties to even, ±Inf past its range):
+// the value converting it to a 32-bit float and back returns. It is how
+// the f32 engine stores its weights; the forward then runs on them in
+// float64 like any other layer.
+func (l *Layer) RoundToSingle() {
+	for _, s := range [2][]float64{l.WT, l.B} {
+		for i, v := range s {
+			s[i] = roundToSingle(v)
+		}
+	}
+}
+
+// roundToSingle is RoundToSingle for one value. It is computed in float64
+// arithmetic, exact at every step, so that the package holds no second
+// float type: a single keeps 24 significant bits, down to a quantum of
+// 2⁻¹⁴⁹ (its subnormals), so v scaled by a power of two to put that
+// quantum at 1 is rounded to an integer (ties to even) and scaled back.
+// Past MaxFloat32 the rounded value overflows to ±Inf; zeros, NaNs and
+// infinities return unchanged. TestRoundToSingleMatchesConversion checks
+// it against the conversion bit for bit.
+func roundToSingle(v float64) float64 {
+	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return v
+	}
+	_, exp := math.Frexp(v) // |v| in [2^(exp-1), 2^exp)
+	q := max(exp-24, -149)
+	r := math.Ldexp(math.RoundToEven(math.Ldexp(v, -q)), q)
+	if math.Abs(r) > math.MaxFloat32 {
+		return math.Inf(int(math.Copysign(1, v)))
+	}
+	return r
 }
 
 // Forward computes rows lo..hi of y = x·W + b, fusing the ReLU when relu is
@@ -127,13 +157,12 @@ func Transpose[T Float](dst *Layer[T], l *Linear) {
 // output; the terms it leaves out have x[k] == 0, and adding 0·w changes
 // no bit of an accumulator that started at +0 — provided w is finite
 // (0·±Inf and 0·NaN are NaN). For finite weights the result therefore
-// equals gemmBias's in every bit, at any fill and either element type.
+// equals gemmBias's in every bit, at any fill.
 // It reads x[k] rather than assuming 1, so it is exact for any values, and
-// a listed column that holds 0 (a float64 that rounded to a float32 zero)
-// is merely a wasted term.
+// a listed column that holds 0 is merely a wasted term.
 //
 //deepsketch:zeroalloc
-func (l Layer[T]) Forward(x Mat[T], ix *RunIndex, y Mat[T], lo, hi int, relu bool) {
+func (l Layer) Forward(x Matrix, ix *RunIndex, y Matrix, lo, hi int, relu bool) {
 	if x.Cols != l.In || y.Rows != x.Rows || y.Cols != l.Out || (ix != nil && ix.Rows() != x.Rows) {
 		panic("nn: Layer.Forward dimension mismatch")
 	}
@@ -145,13 +174,13 @@ func (l Layer[T]) Forward(x Mat[T], ix *RunIndex, y Mat[T], lo, hi int, relu boo
 		if ix != nil {
 			for _, run := range ix.Row(r) {
 				for k := int(run.Lo); k < int(run.Hi); k++ {
-					axpyOf(xr[k], l.WT[k*out:(k+1)*out], yr)
+					axpy(xr[k], l.WT[k*out:(k+1)*out], yr)
 				}
 			}
 		} else {
 			for k, v := range xr {
 				if v != 0 {
-					axpyOf(v, l.WT[k*out:(k+1)*out], yr)
+					axpy(v, l.WT[k*out:(k+1)*out], yr)
 				}
 			}
 		}
@@ -187,7 +216,7 @@ func (l *Linear) ForwardFused(x, y Matrix, relu bool) {
 // intensity of a per-element dot loop.
 //
 //deepsketch:zeroalloc
-func gemmBias[T Float](x Mat[T], w, bias []T, y Mat[T], relu bool) {
+func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 	in, out, n := x.Cols, y.Cols, x.Rows
 	r := 0
 	for ; r+2 <= n; r += 2 {
@@ -201,8 +230,8 @@ func gemmBias[T Float](x Mat[T], w, bias []T, y Mat[T], relu bool) {
 			w1 := w[(o+1)*in : (o+1)*in+in]
 			w2 := w[(o+2)*in : (o+2)*in+in]
 			w3 := w[(o+3)*in : (o+3)*in+in]
-			var a00, a01, a02, a03 T
-			var a10, a11, a12, a13 T
+			var a00, a01, a02, a03 float64
+			var a10, a11, a12, a13 float64
 			for k := 0; k < in; k++ {
 				xv0, xv1 := x0[k], x1[k]
 				wv0, wv1, wv2, wv3 := w0[k], w1[k], w2[k], w3[k]
@@ -239,7 +268,7 @@ func gemmBias[T Float](x Mat[T], w, bias []T, y Mat[T], relu bool) {
 		}
 		for ; o < out; o++ {
 			wo := w[o*in : o*in+in]
-			var a0, a1 T
+			var a0, a1 float64
 			for k := 0; k < in; k++ {
 				wv := wo[k]
 				a0 += x0[k] * wv
@@ -260,7 +289,7 @@ func gemmBias[T Float](x Mat[T], w, bias []T, y Mat[T], relu bool) {
 		for ; o+2 <= out; o += 2 {
 			w0 := w[o*in : o*in+in]
 			w1 := w[(o+1)*in : (o+1)*in+in]
-			var a0, a1 T
+			var a0, a1 float64
 			for k := 0; k < in; k++ {
 				xv := xr[k]
 				a0 += xv * w0[k]
@@ -274,7 +303,7 @@ func gemmBias[T Float](x Mat[T], w, bias []T, y Mat[T], relu bool) {
 		}
 		for ; o < out; o++ {
 			wo := w[o*in : o*in+in]
-			var a T
+			var a float64
 			for k := 0; k < in; k++ {
 				a += xr[k] * wo[k]
 			}
@@ -288,7 +317,7 @@ func gemmBias[T Float](x Mat[T], w, bias []T, y Mat[T], relu bool) {
 }
 
 //deepsketch:zeroalloc
-func relu1[T Float](v T) T {
+func relu1(v float64) float64 {
 	if v > 0 {
 		return v
 	}
@@ -302,7 +331,7 @@ func relu1[T Float](v T) T {
 // be preallocated (B×x.Cols) and is fully overwritten; no allocations.
 //
 //deepsketch:zeroalloc
-func SegmentAvgPool[T Float](x Mat[T], offsets []int, out Mat[T]) {
+func SegmentAvgPool(x Matrix, offsets []int, out Matrix) {
 	b := out.Rows
 	if len(offsets) != b+1 || offsets[b] != x.Rows || out.Cols != x.Cols {
 		panic("nn: SegmentAvgPool shape mismatch")
@@ -324,7 +353,7 @@ func SegmentAvgPool[T Float](x Mat[T], offsets []int, out Mat[T]) {
 			}
 		}
 		if n := hi - lo; n > 1 {
-			inv := 1 / T(n)
+			inv := 1 / float64(n)
 			for c := range dst {
 				dst[c] *= inv
 			}
@@ -332,34 +361,11 @@ func SegmentAvgPool[T Float](x Mat[T], offsets []int, out Mat[T]) {
 	}
 }
 
-// SigmoidInPlace applies 1/(1+e^-x) element-wise, overwriting x. The
-// exponential is computed in float64 (math.Exp has no float32 twin in the
-// standard library) and rounded once per element.
+// SigmoidInPlace applies 1/(1+e^-x) element-wise, overwriting x.
 //
 //deepsketch:zeroalloc
-func SigmoidInPlace[T Float](x Mat[T]) {
+func SigmoidInPlace(x Matrix) {
 	for i, v := range x.Data {
-		x.Data[i] = T(1.0 / (1.0 + math.Exp(-float64(v))))
-	}
-}
-
-// ConvertRows copies src into dst element-wise, converting between element
-// types; the matrices must have identical shapes. It is how packed float64
-// feature rows enter the float32 pipeline and how its outputs widen back:
-// the conversion touches each element once, which is negligible next to
-// the GEMMs that re-stream the weight matrices per output unit.
-//
-//deepsketch:zeroalloc
-func ConvertRows[D, S Float](dst Mat[D], src Mat[S]) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("nn: ConvertRows shape mismatch")
-	}
-	convert(dst.Data, src.Data)
-}
-
-//deepsketch:zeroalloc
-func convert[D, S Float](dst []D, src []S) {
-	for i, v := range src {
-		dst[i] = D(v)
+		x.Data[i] = 1.0 / (1.0 + math.Exp(-v))
 	}
 }

@@ -7,21 +7,13 @@ import (
 	"deepsketch/internal/datagen"
 )
 
-// The kernel tests below take the element type as one more input: every
-// helper runs at float64 against a tight bound and at float32 against
-// f32RelTol. f32 kernels accumulate in float32, so they drift from the f64
-// reference by rounding noise that grows with the inner dimension; a
-// relative bound of ~1e-5 is comfortable for these shapes while still
-// catching any real kernel bug (tiling, remainder, offset errors produce
-// O(1) deviations).
-const (
-	f64Tol    = 1e-12
-	f32RelTol = 2e-5
-)
+// f64Tol bounds the kernels' distance from the tape path's dot-product
+// forward, which sums in another order.
+const f64Tol = 1e-12
 
 // relDiff is |got-want|, relative to |want| once that exceeds 1.
-func relDiff[T Float](got T, want float64) float64 {
-	d := math.Abs(float64(got) - want)
+func relDiff(got, want float64) float64 {
+	d := math.Abs(got - want)
 	if m := math.Abs(want); m > 1 {
 		d /= m
 	}
@@ -30,28 +22,21 @@ func relDiff[T Float](got T, want float64) float64 {
 
 // dirty returns a rows×cols matrix filled with a sentinel, to prove a
 // kernel fully overwrites a reused output buffer.
-func dirty[T Float](rows, cols int) Mat[T] {
-	m := NewMat[T](rows, cols)
+func dirty(rows, cols int) Matrix {
+	m := NewMatrix(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = 999
 	}
 	return m
 }
 
-// convertMat returns src converted to element type T.
-func convertMat[T Float](src Matrix) Mat[T] {
-	dst := NewMat[T](src.Rows, src.Cols)
-	ConvertRows(dst, src)
-	return dst
-}
-
-// testForwardFused: the forward kernel at T (dense, on transposed weights)
-// and, at float64, Linear.ForwardFused (gemmBias) must match the reference
-// f64 dot-product forward across shapes that hit gemmBias's tile-remainder
+// TestForwardFusedMatchesForward: the forward kernel (dense, on transposed
+// weights) and Linear.ForwardFused (gemmBias) must match the reference
+// dot-product forward across shapes that hit gemmBias's tile-remainder
 // paths (rows not divisible by 2, outputs not divisible by 4/2) and the
 // axpy's (outputs not divisible by 16 or 4).
-func testForwardFused[T Float](t *testing.T, seed int64, tol float64) {
-	rng := datagen.NewRand(seed)
+func TestForwardFusedMatchesForward(t *testing.T) {
+	rng := datagen.NewRand(7)
 	for _, shape := range [][3]int{
 		{1, 3, 1}, {2, 5, 4}, {3, 8, 5}, {4, 16, 4}, {5, 7, 9},
 		{8, 33, 12}, {17, 10, 6}, {64, 21, 13}, {3, 40, 37},
@@ -62,20 +47,19 @@ func testForwardFused[T Float](t *testing.T, seed int64, tol float64) {
 		for i := range x.Data {
 			x.Data[i] = rng.Float64()*2 - 1
 		}
-		var lt Layer[T]
+		var lt Layer
 		Transpose(&lt, l)
-		xt := convertMat[T](x)
 		for _, relu := range []bool{false, true} {
 			want := l.Forward(x)
 			if relu {
 				want = ReLU(want)
 			}
-			got := dirty[T](rows, out)
-			lt.Forward(xt, nil, got, 0, rows, relu)
-			fused := dirty[float64](rows, out)
+			got := dirty(rows, out)
+			lt.Forward(x, nil, got, 0, rows, relu)
+			fused := dirty(rows, out)
 			l.ForwardFused(x, fused, relu)
 			for i := range want.Data {
-				if d := relDiff(got.Data[i], want.Data[i]); d > tol {
+				if d := relDiff(got.Data[i], want.Data[i]); d > f64Tol {
 					t.Fatalf("shape %v relu=%v: forward[%d]=%v want %v (Δ=%g)",
 						shape, relu, i, got.Data[i], want.Data[i], d)
 				}
@@ -88,13 +72,10 @@ func testForwardFused[T Float](t *testing.T, seed int64, tol float64) {
 	}
 }
 
-func TestForwardFusedMatchesForward(t *testing.T) { testForwardFused[float64](t, 7, f64Tol) }
-func TestForwardFused32MatchesF64(t *testing.T)   { testForwardFused[float32](t, 21, f32RelTol) }
-
-// testSegmentAvgPool: CSR segment pooling at T must agree with the padded
-// f64 masked pooling on equivalent inputs, including empty segments.
-func testSegmentAvgPool[T Float](t *testing.T, seed int64, tol float64) {
-	rng := datagen.NewRand(seed)
+// TestSegmentAvgPoolMatchesMasked: CSR segment pooling must agree with the
+// padded masked pooling on equivalent inputs, including empty segments.
+func TestSegmentAvgPoolMatchesMasked(t *testing.T) {
+	rng := datagen.NewRand(8)
 	const b, maxS, h = 5, 4, 3
 	lens := []int{2, 0, 4, 1, 3}
 
@@ -123,56 +104,34 @@ func testSegmentAvgPool[T Float](t *testing.T, seed int64, tol float64) {
 	}
 
 	want := MaskedAvgPool(padded, mask, b, maxS)
-	got := dirty[T](b, h) // prove full overwrite, incl. empty segments
-	SegmentAvgPool(convertMat[T](packed), offsets, got)
+	got := dirty(b, h) // prove full overwrite, incl. empty segments
+	SegmentAvgPool(packed, offsets, got)
 	for i := range want.Data {
-		if d := relDiff(got.Data[i], want.Data[i]); d > tol {
+		if d := relDiff(got.Data[i], want.Data[i]); d > f64Tol {
 			t.Fatalf("pool[%d] = %v, want %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
-func TestSegmentAvgPoolMatchesMasked(t *testing.T) { testSegmentAvgPool[float64](t, 8, f64Tol) }
-func TestSegmentAvgPool32MatchesF64(t *testing.T)  { testSegmentAvgPool[float32](t, 22, f32RelTol) }
-
-// TestSigmoidInPlace32MatchesF64: the f32 sigmoid computes through float64
-// exp and rounds once, so it should sit within one ulp-ish of the f64 one.
-func TestSigmoidInPlace32MatchesF64(t *testing.T) {
-	rng := datagen.NewRand(23)
-	x := NewMatrix(3, 4)
-	for i := range x.Data {
-		x.Data[i] = rng.Float64()*8 - 4
-	}
-	want := x.Clone()
-	SigmoidInPlace(want)
-	got := convertMat[float32](x)
-	SigmoidInPlace(got)
-	for i := range want.Data {
-		if d := relDiff(got.Data[i], want.Data[i]); d > f32RelTol {
-			t.Fatalf("sigmoid32[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-// testArenaReuse: Reserve/Alloc must reuse the arena (zero allocations at
-// steady state) and growth must leave earlier matrices intact.
-func testArenaReuse[T Float](t *testing.T) {
-	var ws Arena[T]
+// TestWorkspaceReuse: Reserve/Alloc must reuse the arena (zero allocations
+// at steady state) and growth must leave earlier matrices intact.
+func TestWorkspaceReuse(t *testing.T) {
+	var ws Workspace
 	ws.Reserve(12)
 	a := ws.Alloc(2, 3)
 	for i := range a.Data {
-		a.Data[i] = T(i)
+		a.Data[i] = float64(i)
 	}
 	// Force growth: earlier matrix keeps its (old) backing storage.
 	b := ws.Alloc(10, 10)
 	b.Data[0] = 7
 	for i := range a.Data {
-		if a.Data[i] != T(i) {
+		if a.Data[i] != float64(i) {
 			t.Fatalf("growth corrupted earlier matrix at %d", i)
 		}
 	}
 
-	ws2 := &Arena[T]{}
+	ws2 := &Workspace{}
 	ws2.Reserve(64)
 	ws2.Alloc(4, 8) // warm
 	allocs := testing.AllocsPerRun(20, func() {
@@ -185,8 +144,45 @@ func testArenaReuse[T Float](t *testing.T) {
 	}
 }
 
-func TestWorkspaceReuse(t *testing.T)   { testArenaReuse[float64](t) }
-func TestWorkspace32Reuse(t *testing.T) { testArenaReuse[float32](t) }
+// singleEdges are values where rounding to single precision changes
+// regime: the overflow threshold, the normal/subnormal boundary, the
+// smallest subnormal and the ties around each, both signs.
+var singleEdges = []float64{
+	0, math.Copysign(0, -1), 1, 1 + 0x1p-24, 1 + 0x1p-23 + 0x1p-24, 1 + 0x1p-24 + 0x1p-52,
+	math.MaxFloat32, math.MaxFloat32 + 0x1p103, math.MaxFloat32 + 0x1p103 - 0x1p75, 0x1p128, math.MaxFloat64,
+	0x1p-126, 0x1p-126 - 0x1p-150, 0x1p-149, 0x1p-150, 0x1p-150 + 0x1p-170, 0x3p-150, 0x1p-151,
+	math.SmallestNonzeroFloat64, math.Inf(1),
+}
+
+// TestRoundToSingleMatchesConversion: roundToSingle returns, bit for bit,
+// what a conversion through float32 returns — at the regime edges and
+// across random values of every magnitude a float32 can hold and beyond.
+func TestRoundToSingleMatchesConversion(t *testing.T) {
+	check := func(v float64) {
+		want := float64(float32(v))
+		if got := roundToSingle(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("roundToSingle(%x) = %x, float32 conversion %x", v, got, want)
+		}
+	}
+	for _, v := range singleEdges {
+		check(v)
+		check(-v)
+	}
+	rng := datagen.NewRand(24)
+	for i := 0; i < 200000; i++ {
+		v := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(v) {
+			continue
+		}
+		check(v)
+		check(math.Ldexp(rng.Float64()*2-1, rng.Intn(320)-170))
+	}
+	l := Layer{WT: []float64{1 + 0x1p-30, -0x1p-160}, B: []float64{math.MaxFloat64}}
+	l.RoundToSingle()
+	if l.WT[0] != 1 || math.Float64bits(l.WT[1]) != math.Float64bits(math.Copysign(0, -1)) || !math.IsInf(l.B[0], 1) {
+		t.Fatalf("RoundToSingle = %v, %v; want [1 -0], [+Inf]", l.WT, l.B)
+	}
+}
 
 // TestBackwardIntoMatchesBackward: the reusable-buffer backward (including
 // the nil-dx params-only mode) must accumulate identical gradients.

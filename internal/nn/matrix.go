@@ -15,14 +15,13 @@
 // assembly where the CPU has AVX (axpy.go) — plus SegmentAvgPool and the
 // fused backward kernels (BackwardFused, BackwardIndexed). The packed path
 // is serial, padding-free and allocation-free, its scratch bump-allocated
-// from an Arena; an Arena serves one pass at a time, so concurrency comes
-// from one Arena per goroutine, never from sharing.
+// from a Workspace; a Workspace serves one pass at a time, so concurrency
+// comes from one Workspace per goroutine, never from sharing.
 //
-// The inference kernels are written once over Float (float32 | float64)
-// and instantiated at both. A Layer is a copy, taken once per weight
-// version (Transpose); the f64 training state is the single source of
-// truth, and every bitwise promise of the kernels holds for finite weights,
-// which ReadParams enforces.
+// The inference kernels are float64 only, like training. A Layer is a
+// copy, taken once per weight version (Transpose); the f64 training state
+// is the single source of truth, and every bitwise promise of the kernels
+// holds for finite weights, which ReadParams enforces.
 package nn
 
 import (
@@ -31,41 +30,30 @@ import (
 	"sync"
 )
 
-// Float is the element type the matrix and the inference kernels are
-// generic over. The compiler stencils one body per float shape, so each
-// instantiation runs the same scalar code a hand-written copy would.
-type Float interface{ ~float32 | ~float64 }
-
-// Mat is a dense row-major matrix.
-type Mat[T Float] struct {
+// Matrix is a dense row-major float64 matrix.
+type Matrix struct {
 	Rows, Cols int
-	Data       []T
+	Data       []float64
 }
 
-// Matrix is the float64 matrix of the training path and the f64 engine.
-type Matrix = Mat[float64]
-
-// NewMat allocates a zeroed Rows×Cols matrix of element type T.
-func NewMat[T Float](rows, cols int) Mat[T] {
-	return Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
+// NewMatrix allocates a zeroed Rows×Cols matrix.
+func NewMatrix(rows, cols int) Matrix {
+	return Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
-
-// NewMatrix allocates a zeroed Rows×Cols float64 matrix.
-func NewMatrix(rows, cols int) Matrix { return NewMat[float64](rows, cols) }
 
 // At returns element (r, c).
-func (m Mat[T]) At(r, c int) T { return m.Data[r*m.Cols+c] }
+func (m Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
 // Set assigns element (r, c).
-func (m Mat[T]) Set(r, c int, v T) { m.Data[r*m.Cols+c] = v }
+func (m Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // Row returns the r-th row as a slice aliasing the matrix storage.
 //
 //deepsketch:zeroalloc
-func (m Mat[T]) Row(r int) []T { return m.Data[r*m.Cols : (r+1)*m.Cols] }
+func (m Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // Zero clears all elements in place.
-func (m Mat[T]) Zero() {
+func (m Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
@@ -74,10 +62,10 @@ func (m Mat[T]) Zero() {
 // Reshape resizes m to rows×cols in place, reusing the backing slice when
 // its capacity allows and reallocating otherwise. Contents are unspecified
 // afterwards; callers must fully overwrite (or Zero) the matrix.
-func (m *Mat[T]) Reshape(rows, cols int) {
+func (m *Matrix) Reshape(rows, cols int) {
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = make([]T, n)
+		m.Data = make([]float64, n)
 	} else {
 		m.Data = m.Data[:n]
 	}
@@ -85,13 +73,13 @@ func (m *Mat[T]) Reshape(rows, cols int) {
 }
 
 // Clone returns a deep copy.
-func (m Mat[T]) Clone() Mat[T] {
-	c := NewMat[T](m.Rows, m.Cols)
+func (m Matrix) Clone() Matrix {
+	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
-func (m Mat[T]) String() string {
+func (m Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 }
 

@@ -36,11 +36,10 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key    string
-	card   float64
-	src    string
-	ver    int
-	engine string
+	key  string
+	card float64
+	src  string
+	ver  int
 }
 
 // NewCache wraps inner with an LRU of the given capacity (entries).
@@ -110,7 +109,6 @@ func (c *Cache) lookup(key string, start time.Time) (estimator.Estimate, bool) {
 		Cardinality: ent.card,
 		Source:      ent.src,
 		Version:     ent.ver,
-		Engine:      ent.engine,
 		Latency:     time.Since(start),
 		CacheHit:    true,
 	}, true
@@ -127,11 +125,11 @@ func (c *Cache) insert(key string, e estimator.Estimate) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		ent.card, ent.src, ent.ver, ent.engine = e.Cardinality, e.Source, e.Version, e.Engine
+		ent.card, ent.src, ent.ver = e.Cardinality, e.Source, e.Version
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, card: e.Cardinality, src: e.Source, ver: e.Version, engine: e.Engine})
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, card: e.Cardinality, src: e.Source, ver: e.Version})
 	for c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
