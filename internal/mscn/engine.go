@@ -148,10 +148,11 @@ func (s *snapshot) tableFor(e *Engine) *elementTable {
 	}
 	t := &elementTable{elems: elems}
 	src, _ := elems.sets()
+	var ws nn.Workspace
 	for k, x := range src {
 		h1 := nn.NewMatrix(x.Rows, s.w[2*k].Out)
 		t.h2[k] = nn.NewMatrix(x.Rows, s.w[2*k+1].Out)
-		setModule(&s.w, k, x, &elems.keys[k].runs, h1, t.h2[k])
+		setModule(&s.w, k, x, &elems.keys[k].runs, h1, t.h2[k], &ws)
 	}
 	s.table.Store(t)
 	return t
@@ -238,9 +239,9 @@ func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Work
 		act.h1[k] = ws.Alloc(rows, h)
 		act.h2[k] = ws.Alloc(rows, h)
 		if table == nil {
-			setModule(w, k, xs[k], &pb.keys[k].runs, act.h1[k], act.h2[k])
+			setModule(w, k, xs[k], &pb.keys[k].runs, act.h1[k], act.h2[k], ws)
 		} else {
-			table.module(w, k, pb, xs[k], act.h1[k], act.h2[k])
+			table.module(w, k, pb, xs[k], act.h1[k], act.h2[k], ws)
 		}
 		act.pool[k] = ws.Alloc(b, h)
 		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
@@ -253,9 +254,9 @@ func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Work
 		copy(dst[2*h:], act.pool[2].Row(bi))
 	}
 	act.oA1 = ws.Alloc(b, h)
-	w[6].Forward(act.concat, nil, act.oA1, 0, b, true)
+	w[6].Forward(act.concat, nil, act.oA1, nil, true, ws)
 	act.out = ws.Alloc(b, 1)
-	w[7].Forward(act.oA1, nil, act.out, 0, b, false)
+	w[7].Forward(act.oA1, nil, act.out, nil, false, ws)
 	nn.SigmoidInPlace(act.out)
 	copy(out, act.out.Data)
 }
@@ -264,29 +265,41 @@ func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Work
 // the indexed first layer into h1, the dense second into h2.
 //
 //deepsketch:zeroalloc
-func setModule(w *weights, k int, x nn.Matrix, runs *nn.RunIndex, h1, h2 nn.Matrix) {
-	w[2*k].Forward(x, runs, h1, 0, x.Rows, true)
-	w[2*k+1].Forward(h1, nil, h2, 0, x.Rows, true)
+func setModule(w *weights, k int, x nn.Matrix, runs *nn.RunIndex, h1, h2 nn.Matrix, ws *nn.Workspace) {
+	w[2*k].Forward(x, runs, h1, nil, true, ws)
+	w[2*k+1].Forward(h1, nil, h2, nil, true, ws)
 }
 
 // module is setModule with each distinct element forwarded once: a row
-// equal to an earlier row of the batch (pb's keys) or to an element of the
-// table is copied, and only the rest — the first occurrences the table
-// lacks — go through both layers. The kernel computes each row on its own,
-// summing each output in ascending k whatever rows surround it, so a copied
-// row is the bits the row would have been computed to.
+// equal to an element of the table is copied from it, the first
+// occurrences the table lacks are listed (ws.RowList) and go through both
+// layers as one row list, so the dense second layer takes them four at a
+// time, and then a row equal to an earlier row of the batch (pb's keys) is
+// copied from that row. The kernel computes each row's outputs on their
+// own, summing each in ascending k whatever rows share its tile, so a
+// copied row is the bits the row would have been computed to.
 //
 //deepsketch:zeroalloc
-func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h1, h2 nn.Matrix) {
+func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h1, h2 nn.Matrix, ws *nn.Workspace) {
 	keys := &pb.keys[k]
+	fresh := ws.RowList(x.Rows)
+	n := 0
+	for r := 0; r < x.Rows; r++ {
+		if keys.rep[r] != r {
+			continue
+		}
+		if e := t.find(pb, k, r); e >= 0 {
+			copy(h2.Row(r), t.h2[k].Row(e))
+		} else {
+			fresh[n] = r
+			n++
+		}
+	}
+	w[2*k].Forward(x, &keys.runs, h1, fresh[:n:n], true, ws)
+	w[2*k+1].Forward(h1, nil, h2, fresh[:n:n], true, ws)
 	for r := 0; r < x.Rows; r++ {
 		if q := keys.rep[r]; q != r {
 			copy(h2.Row(r), h2.Row(q))
-		} else if e := t.find(pb, k, r); e >= 0 {
-			copy(h2.Row(r), t.h2[k].Row(e))
-		} else {
-			w[2*k].Forward(x, &keys.runs, h1, r, r+1, true)
-			w[2*k+1].Forward(h1, nil, h2, r, r+1, true)
 		}
 	}
 }

@@ -310,27 +310,31 @@ func TestPredictSourceStopsAfterFirstError(t *testing.T) {
 }
 
 // TestForwardPackedZeroAlloc: the steady-state packed forward pass must not
-// touch the heap.
+// touch the heap — also with table rows wider than 1,024 columns (sample
+// size past ~1,018) into 256 units, where the kernel's column list outgrows
+// any small fixed buffer.
 func TestForwardPackedZeroAlloc(t *testing.T) {
-	const tdim, jdim, pdim = 30, 6, 10
-	rng := rand.New(rand.NewSource(9))
-	m := New(Config{HiddenUnits: 32, Seed: 1}, tdim, jdim, pdim)
-	e := m.Engine()
-	encs := make([]featurize.Encoded, 32)
-	for i := range encs {
-		encs[i] = randEnc(rng, 1+rng.Intn(4), rng.Intn(4), 1+rng.Intn(3), tdim, jdim, pdim)
-	}
-	pb, err := BuildPackedBatch(encs, tdim, jdim, pdim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ws nn.Workspace
-	out := make([]float64, len(encs))
-	e.Forward(pb, &ws, out) // warm the workspace to steady state
-	allocs := testing.AllocsPerRun(50, func() {
-		e.Forward(pb, &ws, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state packed Forward allocates %.1f times per op, want 0", allocs)
+	for _, c := range []struct{ tdim, units int }{{30, 32}, {1100, 256}} {
+		const jdim, pdim = 6, 10
+		rng := rand.New(rand.NewSource(9))
+		m := New(Config{HiddenUnits: c.units, Seed: 1}, c.tdim, jdim, pdim)
+		e := m.Engine()
+		encs := make([]featurize.Encoded, 32)
+		for i := range encs {
+			encs[i] = randEnc(rng, 1+rng.Intn(4), rng.Intn(4), 1+rng.Intn(3), c.tdim, jdim, pdim)
+		}
+		pb, err := BuildPackedBatch(encs, c.tdim, jdim, pdim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws nn.Workspace
+		out := make([]float64, len(encs))
+		e.Forward(pb, &ws, out) // warm the workspace to steady state
+		allocs := testing.AllocsPerRun(50, func() {
+			e.Forward(pb, &ws, out)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d→%d units: steady-state packed Forward allocates %.1f times per op, want 0", c.tdim, c.units, allocs)
+		}
 	}
 }

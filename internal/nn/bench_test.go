@@ -47,9 +47,16 @@ func benchBitmapRows(fill float64) Matrix {
 }
 
 // BenchmarkLinearForward measures the forward kernel on a table module's
-// first layer at 256 units, run-indexed, at 5, 50 and 100 % bitmap fill;
-// "index" is the cost of building the run index.
-// Zero allocs/op expected.
+// first layer at 256 units, run-indexed, at 5, 50 and 100 % bitmap fill
+// ("index" is the cost of building the run index), and on the dense layers
+// that follow — a set module's second layer (256→256) and the output
+// network's first (768→256) — at batches of 1, 4 and 64 rows. A dense
+// input is either ReLU rows from a real forward ("relu": the first layer's
+// outputs on bitmap rows, whose zeros line up across rows) or rows with
+// independent random zeros at the same ~50 % ("random": the four-row tile's
+// worst case, the union of four rows' columns nearly full). Each runs on
+// the kernel Forward selects and, where that is the tile, on the axpy loop
+// beside it. Zero allocs/op expected.
 func BenchmarkLinearForward(b *testing.B) {
 	const units = 256
 	l := NewLinear("bench", benchIn, units, datagen.NewRand(1))
@@ -66,16 +73,67 @@ func BenchmarkLinearForward(b *testing.B) {
 			}
 		})
 	}
+	for _, in := range []int{256, 768} {
+		dense := NewLinear("bench", in, units, datagen.NewRand(3))
+		for _, rows := range []string{"relu", "random"} {
+			x := benchDenseRows(rows, in)
+			for _, batch := range []int{1, 4, 64} {
+				xb := Matrix{Rows: batch, Cols: in, Data: x.Data[:batch*in]}
+				b.Run(fmt.Sprintf("dense=%d/%s/batch=%d", in, rows, batch), func(b *testing.B) { benchForward(b, dense, xb, nil) })
+			}
+		}
+	}
+}
+
+// benchDenseRows returns benchBatch dense input rows of width in: "relu"
+// forwards bitmap rows at 50 % fill through a first layer of in units with
+// the ReLU; "random" zeroes each element independently with that
+// forward's zero share and draws the rest uniformly from (0, 1).
+func benchDenseRows(kind string, in int) Matrix {
+	var lt Layer
+	Transpose(&lt, NewLinear("bench.first", benchIn, in, datagen.NewRand(2)))
+	bits := benchBitmapRows(0.5)
+	var ix RunIndex
+	Index(&ix, bits)
+	x := NewMatrix(benchBatch, in)
+	var ws Workspace
+	lt.Forward(bits, &ix, x, nil, true, &ws)
+	if kind == "relu" {
+		return x
+	}
+	zeros := 0
+	for _, v := range x.Data {
+		if v == 0 {
+			zeros++
+		}
+	}
+	share := float64(zeros) / float64(len(x.Data))
+	rng := datagen.NewRand(4)
+	for i := range x.Data {
+		x.Data[i] = 0
+		if rng.Float64() >= share {
+			x.Data[i] = 1 - rng.Float64()
+		}
+	}
+	return x
 }
 
 func benchForward(b *testing.B, l *Linear, x Matrix, ix *RunIndex) {
 	var lt Layer
 	Transpose(&lt, l)
 	y := NewMatrix(x.Rows, l.Out)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lt.Forward(x, ix, y, 0, x.Rows, true)
+	var ws Workspace
+	kernels := []string{"axpy"}
+	if useTile && l.Out%32 == 0 {
+		kernels = []string{"tile", "axpy"}
+	}
+	for _, kernel := range kernels {
+		b.Run(kernel, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lt.forward(x, ix, y, nil, true, &ws, kernel == "tile")
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@ type Run struct{ Lo, Hi uint32 }
 
 // RunIndex lists, per row of a matrix, the maximal runs of non-zero columns
 // in ascending order: row r's runs are runs[off[r]:off[r+1]]. It is rebuilt
-// in place by Index (amortised growth, like Mat.Reshape) and is read-only to
+// in place by Index (amortised growth, like Matrix.Reshape) and is read-only to
 // the kernels, so one index may serve concurrent forwards.
 type RunIndex struct {
 	off  []int

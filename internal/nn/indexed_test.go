@@ -68,7 +68,7 @@ func sameBits(a, b []float64) int {
 // checkIndexedForward: Layer.Forward equals gemmBias on the [out][in]
 // weights in every bit — through x's run index and through the dense
 // x[k] != 0 test, with and without the fused ReLU, computed in one range
-// or in two.
+// or as two row lists.
 func checkIndexedForward(t *testing.T, c indexedCase, seed int64) {
 	t.Helper()
 	lin := NewLinear("t", c.in, c.out, datagen.NewRand(seed))
@@ -77,20 +77,21 @@ func checkIndexedForward(t *testing.T, c indexedCase, seed int64) {
 	x := c.matrix()
 	var ix RunIndex
 	Index(&ix, x)
+	var ws Workspace
 	for _, relu := range []bool{false, true} {
 		want := dirty(c.rows, c.out)
 		gemmBias(x, lin.W.Data, lin.B.Data, want, relu)
 		for _, index := range []*RunIndex{&ix, nil} {
 			got := dirty(c.rows, c.out)
-			l.Forward(x, index, got, 0, c.rows, relu)
+			l.Forward(x, index, got, nil, relu, &ws)
 			if i := sameBits(got.Data, want.Data); i >= 0 {
 				t.Fatalf("%s relu=%v indexed=%v: forward[%d]=%v, gemmBias %v", c.name, relu, index != nil, i, got.Data[i], want.Data[i])
 			}
 			split := dirty(c.rows, c.out)
-			l.Forward(x, index, split, 0, c.rows/2, relu)
-			l.Forward(x, index, split, c.rows/2, c.rows, relu)
+			l.Forward(x, index, split, span(0, c.rows/2), relu, &ws)
+			l.Forward(x, index, split, span(c.rows/2, c.rows), relu, &ws)
 			if i := sameBits(split.Data, want.Data); i >= 0 {
-				t.Fatalf("%s relu=%v indexed=%v: forward in two ranges [%d]=%v, gemmBias %v", c.name, relu, index != nil, i, split.Data[i], want.Data[i])
+				t.Fatalf("%s relu=%v indexed=%v: forward as two row lists [%d]=%v, gemmBias %v", c.name, relu, index != nil, i, split.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -203,23 +204,34 @@ func FuzzIndexedForwardMatchesDense(f *testing.F) {
 	})
 }
 
-// TestForwardIndexedZeroAlloc: the forward kernel, indexed and dense, and
-// the index lookups on its path never touch the heap.
+// TestForwardIndexedZeroAlloc: the forward kernel, indexed and dense, over
+// every row and over a row list, and the index lookups on its path never
+// touch the heap once the workspace has grown — also at a table row wider
+// than 1,024 columns into 256 units, where the column list outgrows any
+// small fixed buffer.
 func TestForwardIndexedZeroAlloc(t *testing.T) {
-	c := indexedCases[9]
-	var l Layer
-	Transpose(&l, NewLinear("t", c.in, c.out, datagen.NewRand(1)))
-	x := c.matrix()
-	var ix RunIndex
-	Index(&ix, x)
-	y := NewMatrix(c.rows, c.out)
-	for _, index := range []*RunIndex{&ix, nil} {
-		if a := testing.AllocsPerRun(20, func() { l.Forward(x, index, y, 0, c.rows, true) }); a != 0 {
-			t.Fatalf("Forward (indexed=%v) allocates %.1f times per call, want 0", index != nil, a)
+	wide := wideCase(0.5, 7)
+	wide.rows, wide.in = 9, 8+1100
+	for _, c := range []indexedCase{indexedCases[9], wide} {
+		var l Layer
+		Transpose(&l, NewLinear("t", c.in, c.out, datagen.NewRand(1)))
+		x := c.matrix()
+		var ix RunIndex
+		Index(&ix, x)
+		y := NewMatrix(c.rows, c.out)
+		list := span(1, c.rows)
+		var ws Workspace
+		for _, index := range []*RunIndex{&ix, nil} {
+			for _, rows := range [][]int{nil, list} {
+				l.Forward(x, index, y, rows, true, &ws) // grow the column list
+				if a := testing.AllocsPerRun(20, func() { l.Forward(x, index, y, rows, true, &ws) }); a != 0 {
+					t.Fatalf("%s: Forward (indexed=%v, rows %v) allocates %.1f times per call, want 0", c.name, index != nil, rows, a)
+				}
+			}
 		}
-	}
-	Index(&ix, x) // steady state: same shape, buffers reused
-	if a := testing.AllocsPerRun(20, func() { Index(&ix, x) }); a != 0 {
-		t.Fatalf("Index allocates %.1f times per rebuild at a steady shape, want 0", a)
+		Index(&ix, x) // steady state: same shape, buffers reused
+		if a := testing.AllocsPerRun(20, func() { Index(&ix, x) }); a != 0 {
+			t.Fatalf("%s: Index allocates %.1f times per rebuild at a steady shape, want 0", c.name, a)
+		}
 	}
 }

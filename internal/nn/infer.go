@@ -11,13 +11,17 @@ import "math"
 // path keeps the tape-friendly allocating functions in layers.go.
 //
 // Layer.Forward runs every MSCN layer, on weights stored transposed
-// ([in][out]): an output row is a zeroed row plus, in ascending k,
-// y += x[k]·Wᵀ[k] over the input's non-zero columns (axpy, assembly on
-// amd64 with AVX), then the bias, then the ReLU. Vectorising across the
-// outputs leaves each output's summation order alone, so every output is
-// gemmBias's in every bit (see Layer.Forward's contract). gemmBias, the
-// scalar 2×4-tiled GEMM on [out][in] weights, is kept only behind
-// Linear.ForwardFused, as a benchmark rung and the tests' reference.
+// ([in][out]): each output is summed from +0, in ascending k, over the
+// input's non-zero columns, then the bias, then the ReLU. On amd64 with
+// AVX-512, a layer whose width is a multiple of 32 keeps its outputs in
+// registers (tile_amd64.s): dense rows four at a time over the union of
+// their columns, indexed and leftover rows one at a time. Every other
+// layer runs a zeroed row plus one y += x[k]·Wᵀ[k] per column (axpy,
+// assembly on amd64 with AVX). Vectorising across the outputs and sharing
+// columns across rows leave each output's summation order alone, so every
+// output is gemmBias's in every bit (see Layer.Forward's contract).
+// gemmBias, the scalar 2×4-tiled GEMM on [out][in] weights, is kept only
+// behind Linear.ForwardFused, as a benchmark rung and the tests' reference.
 //
 // Every kernel is float64, the reference engine's, the packed trainer's
 // and the f32 engine's alike: f32 is a storage precision, weights rounded
@@ -37,8 +41,10 @@ import "math"
 // arena and die at the next Reset/Reserve; callers must copy anything they
 // keep. Pool workspaces (e.g. sync.Pool) to serve concurrent traffic.
 type Workspace struct {
-	buf []float64
-	off int
+	buf  []float64
+	off  int
+	cols []uint32 // Layer.Forward's column list
+	rows []int    // a caller's row list (RowList)
 }
 
 // Reserve resets the arena and ensures capacity for n elements, so that
@@ -53,6 +59,31 @@ func (w *Workspace) Reserve(n int) {
 		w.buf = w.buf[:cap(w.buf)]
 	}
 	w.off = 0
+}
+
+// columns returns the workspace's column list at length n, growing it once
+// when it is shorter. Its contents are stale.
+//
+//deepsketch:zeroalloc
+func (w *Workspace) columns(n int) []uint32 {
+	if cap(w.cols) < n {
+		//deepsketch:ignore zeroalloc amortized growth to the widest layer; steady state never reallocates
+		w.cols = make([]uint32, n)
+	}
+	return w.cols[:n]
+}
+
+// RowList returns a row list of length n for a caller to fill and hand to
+// Layer.Forward, growing it once when it is shorter. Its contents are stale,
+// and it stays valid until the next RowList call; Forward does not touch it.
+//
+//deepsketch:zeroalloc
+func (w *Workspace) RowList(n int) []int {
+	if cap(w.rows) < n {
+		//deepsketch:ignore zeroalloc amortized growth to the largest batch; steady state never reallocates
+		w.rows = make([]int, n)
+	}
+	return w.rows[:n]
 }
 
 // Reset recycles the arena, invalidating previously allocated matrices.
@@ -141,57 +172,171 @@ func roundToSingle(v float64) float64 {
 	return r
 }
 
-// Forward computes rows lo..hi of y = x·W + b, fusing the ReLU when relu is
-// set. Each output row is zeroed, then receives y += x[k]·WT[k] (axpy) for
-// every non-zero column k of its input row in ascending order, then the
-// bias, then the ReLU. With a run index (ix, which must be x's) the columns
-// come from its runs — the first layer of each set module, whose rows are
-// one-hots, bitmaps and predicate triples; with ix nil every column is
-// tested with x[k] != 0, which skips the zeros a previous ReLU left. The
-// row range lets a caller that already knows some rows' outputs skip them.
-// It runs on the calling goroutine only and performs no allocations. y must
-// be x.Rows×l.Out and may not alias x.
+// Forward computes the rows of y = x·W + b that rows lists (every row of x
+// when rows is nil), fusing the ReLU when relu is set. Each output is summed
+// from +0 over the non-zero columns k of its input row in ascending order,
+// one term x[k]·WT[k] at a time, then the bias is added, then the ReLU.
+// With a run index (ix, which must be x's) the columns come from its runs —
+// the first layer of each set module, whose rows are one-hots, bitmaps and
+// predicate triples; with ix nil every column is tested with x[k] != 0,
+// which skips the zeros a previous ReLU left. The row list lets a caller
+// that already knows some rows' outputs skip them; other rows of y are not
+// written. ws holds the kernel's column list (not its arena: Forward
+// allocates no matrix from it). Forward runs on the calling goroutine only
+// and performs no allocations once ws has grown to the layer's width. y
+// must be x.Rows×l.Out and may not alias x.
+//
+// Two kernels compute that sum. Where the CPU has AVX-512F and Out is a
+// multiple of 32, the tiled kernel keeps its outputs in registers
+// (tile_amd64.s): a dense layer takes its rows four at a time over the
+// columns where any of the four is non-zero, an indexed layer or a leftover
+// row one at a time over its own columns. Everywhere else each row is a
+// zeroed output row plus one axpy per column (forwardAxpy), the reference.
 //
 // Contract: gemmBias sums every output in ascending k from a zero
-// accumulator and adds the bias last, and so does this kernel, output by
-// output; the terms it leaves out have x[k] == 0, and adding 0·w changes
+// accumulator and adds the bias last, and so do both kernels, output by
+// output; the terms gemmBias has and they leave out, and the terms a tile
+// adds for another row's columns, have x[k] == 0, and adding 0·w changes
 // no bit of an accumulator that started at +0 — provided w is finite
 // (0·±Inf and 0·NaN are NaN). For finite weights the result therefore
-// equals gemmBias's in every bit, at any fill.
+// equals gemmBias's in every bit, at any fill, on either kernel.
 // It reads x[k] rather than assuming 1, so it is exact for any values, and
 // a listed column that holds 0 is merely a wasted term.
 //
 //deepsketch:zeroalloc
-func (l Layer) Forward(x Matrix, ix *RunIndex, y Matrix, lo, hi int, relu bool) {
+func (l Layer) Forward(x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, ws *Workspace) {
+	l.forward(x, ix, y, rows, relu, ws, useTile && l.In > 0 && l.Out > 0 && l.Out%32 == 0)
+}
+
+// forward is Forward on the kernel tiled selects: the assembly tiles (which
+// need useTile and Out a positive multiple of 32) or forwardAxpy. The
+// bitwise tests run both on one input.
+//
+//deepsketch:zeroalloc
+func (l Layer) forward(x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, ws *Workspace, tiled bool) {
 	if x.Cols != l.In || y.Rows != x.Rows || y.Cols != l.Out || (ix != nil && ix.Rows() != x.Rows) {
 		panic("nn: Layer.Forward dimension mismatch")
 	}
-	out := l.Out
-	bias := l.B[:out]
-	for r := lo; r < hi; r++ {
-		xr, yr := x.Row(r), y.Row(r)
-		clear(yr)
-		if ix != nil {
-			for _, run := range ix.Row(r) {
-				for k := int(run.Lo); k < int(run.Hi); k++ {
-					axpy(xr[k], l.WT[k*out:(k+1)*out], yr)
-				}
-			}
-		} else {
-			for k, v := range xr {
-				if v != 0 {
-					axpy(v, l.WT[k*out:(k+1)*out], yr)
-				}
-			}
-		}
-		for o, b := range bias {
-			v := yr[o] + b
-			if relu {
-				v = relu1(v)
-			}
-			yr[o] = v
+	if len(l.WT) != l.In*l.Out || len(l.B) != l.Out {
+		panic("nn: Layer.Forward weight size mismatch")
+	}
+	n := x.Rows
+	if rows != nil {
+		n = len(rows)
+	}
+	i := 0
+	if tiled && ix == nil {
+		for ; i+4 <= n; i += 4 {
+			l.tileBlock(x, y, rows, i, relu, ws)
 		}
 	}
+	for ; i < n; i++ {
+		if tiled {
+			l.tileRow(x, ix, y, rowAt(rows, i), relu, ws)
+		} else {
+			l.forwardAxpy(x, ix, y, rowAt(rows, i), relu)
+		}
+	}
+}
+
+// rowAt is the i-th row a forward computes: rows[i], or i when rows is nil.
+//
+//deepsketch:zeroalloc
+func rowAt(rows []int, i int) int {
+	if rows == nil {
+		return i
+	}
+	return rows[i]
+}
+
+// forwardAxpy computes row r: a zeroed output row plus y += x[k]·WT[k]
+// (axpy) for each listed column, then the bias and the ReLU. It is the
+// kernel wherever there is no tile, and the reference the tiles are tested
+// against.
+//
+//deepsketch:zeroalloc
+func (l Layer) forwardAxpy(x Matrix, ix *RunIndex, y Matrix, r int, relu bool) {
+	out := l.Out
+	xr, yr := x.Row(r), y.Row(r)
+	clear(yr)
+	if ix != nil {
+		for _, run := range ix.Row(r) {
+			if int(run.Hi) > len(xr) {
+				panic("nn: run past the row")
+			}
+			for k := int(run.Lo); k < int(run.Hi); k++ {
+				axpy(xr[k], l.WT[k*out:(k+1)*out], yr)
+			}
+		}
+	} else {
+		for k, v := range xr {
+			if v != 0 {
+				axpy(v, l.WT[k*out:(k+1)*out], yr)
+			}
+		}
+	}
+	for o, b := range l.B[:out] {
+		v := yr[o] + b
+		if relu {
+			v = relu1(v)
+		}
+		yr[o] = v
+	}
+}
+
+// tileBlock computes the four rows rowAt(rows, i..i+3) of a dense layer in
+// one tile4 call, over the ascending list of columns where any of them is
+// non-zero. Each column is < l.In by construction.
+//
+//deepsketch:zeroalloc
+func (l Layer) tileBlock(x, y Matrix, rows []int, i int, relu bool, ws *Workspace) {
+	var xs, ys [4]*float64
+	var xr [4][]float64
+	for j := range xr {
+		r := rowAt(rows, i+j)
+		xr[j] = x.Row(r)[:l.In]
+		xs[j], ys[j] = &xr[j][0], &y.Row(r)[0]
+	}
+	cols := ws.columns(l.In)
+	c := 0
+	for k := range cols {
+		if xr[0][k] != 0 || xr[1][k] != 0 || xr[2][k] != 0 || xr[3][k] != 0 {
+			cols[c] = uint32(k)
+			c++
+		}
+	}
+	tile4(&l.WT[0], l.Out, cols[:c], &xs, &ys, &l.B[0], relu)
+}
+
+// tileRow computes row r in one tile1 call, over its runs' columns (ix) or
+// its non-zero ones. Runs from Index neither overlap nor descend, so a
+// row's runs list at most l.In columns when none reaches past the row; one
+// that does panics before the assembly reads anything.
+//
+//deepsketch:zeroalloc
+func (l Layer) tileRow(x Matrix, ix *RunIndex, y Matrix, r int, relu bool, ws *Workspace) {
+	xr := x.Row(r)[:l.In]
+	cols := ws.columns(l.In)
+	c := 0
+	if ix != nil {
+		for _, run := range ix.Row(r) {
+			if int(run.Hi) > l.In {
+				panic("nn: run past the row")
+			}
+			for k := run.Lo; k < run.Hi; k++ {
+				cols[c] = k
+				c++
+			}
+		}
+	} else {
+		for k, v := range xr {
+			if v != 0 {
+				cols[c] = uint32(k)
+				c++
+			}
+		}
+	}
+	tile1(&l.WT[0], l.Out, cols[:c], &xr[0], &y.Row(r)[0], &l.B[0], relu)
 }
 
 // ForwardFused computes y = x·Wᵀ + b into the preallocated y, optionally

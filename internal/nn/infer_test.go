@@ -55,7 +55,8 @@ func TestForwardFusedMatchesForward(t *testing.T) {
 				want = ReLU(want)
 			}
 			got := dirty(rows, out)
-			lt.Forward(x, nil, got, 0, rows, relu)
+			var ws Workspace
+			lt.Forward(x, nil, got, nil, relu, &ws)
 			fused := dirty(rows, out)
 			l.ForwardFused(x, fused, relu)
 			for i := range want.Data {

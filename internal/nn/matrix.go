@@ -11,12 +11,14 @@
 // and is what the padded reference and the gradient checks run. Training
 // and serving both run the packed path: one forward kernel,
 // Layer.Forward in infer.go, on weights stored transposed — every output
-// row a run of axpys over the input's non-zero columns, the axpy in amd64
-// assembly where the CPU has AVX (axpy.go) — plus SegmentAvgPool and the
-// fused backward kernels (BackwardFused, BackwardIndexed). The packed path
-// is serial, padding-free and allocation-free, its scratch bump-allocated
-// from a Workspace; a Workspace serves one pass at a time, so concurrency
-// comes from one Workspace per goroutine, never from sharing.
+// summed over the input's non-zero columns, by register tiles of four rows
+// in AVX-512 assembly (tile_amd64.s) or else a run of axpys per row, the
+// axpy in amd64 assembly where the CPU has AVX (axpy.go) — plus
+// SegmentAvgPool and the fused backward kernels (BackwardFused,
+// BackwardIndexed). The packed path is serial, padding-free and
+// allocation-free, its scratch bump-allocated from a Workspace; a
+// Workspace serves one pass at a time, so concurrency comes from one
+// Workspace per goroutine, never from sharing.
 //
 // The inference kernels are float64 only, like training. A Layer is a
 // copy, taken once per weight version (Transpose); the f64 training state
