@@ -91,6 +91,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -271,9 +272,43 @@ type sketchEntry struct {
 	adminMu sync.Mutex
 }
 
+// cacheCapacity is the entries each of the daemon's LRUs holds: every
+// serving stack's estimate cache and each of a dataset's overlay caches.
+const cacheCapacity = 1024
+
+// baseline holds a dataset's demo overlays — the true cardinality, HyPer's
+// and PostgreSQL's estimates — each behind its own LRU keyed by
+// Query.Signature, so a query is counted and estimated once while it stays
+// cached, whichever of /api/estimate, /api/template or the drift monitor
+// asks first. Caching is exact: a dataset is generated at start-up and
+// never written, HyPer's sample is drawn once, and each overlay is a
+// function of the query. Errors are never cached.
 type baseline struct {
-	hyper deepsketch.Estimator
-	pg    deepsketch.Estimator
+	truth, hyper, pg *deepsketch.EstimateCache
+}
+
+// overlays answers q's three overlays from the dataset's caches. The true
+// count comes back as Count's int64: counts below 2^53 survive the float64
+// round trip exactly, and Count's saturation at MaxInt64 (whose float64 is
+// 2^63, beyond int64) reads back as MaxInt64.
+func (b baseline) overlays(ctx context.Context, q deepsketch.Query) (truth int64, hyper, pg float64, err error) {
+	te, err := b.truth.Estimate(ctx, q)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	truth = math.MaxInt64
+	if te.Cardinality < 1<<63 {
+		truth = int64(te.Cardinality)
+	}
+	he, err := b.hyper.Estimate(ctx, q)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	pe, err := b.pg.Estimate(ctx, q)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return truth, he.Cardinality, pe.Cardinality, nil
 }
 
 type server struct {
@@ -357,9 +392,10 @@ type serverOptions struct {
 	// walDir, when non-empty, roots per-dataset observation WALs at
 	// walDir/<dataset>.
 	walDir string
-	// driftTruth keeps the exact executor as the monitors' in-process
-	// ground-truth source; false drops it from the serving path entirely —
-	// actuals arrive only via POST /api/sketches/{id}/actuals.
+	// driftTruth makes the exact executor, through the truth overlay's
+	// cache, the monitors' in-process ground-truth source; false leaves the
+	// monitors without one — actuals arrive only via POST
+	// /api/sketches/{id}/actuals.
 	driftTruth     bool
 	admitCfg       deepsketch.AdmitConfig
 	walDelta       int
@@ -404,7 +440,12 @@ func newServerOpts(opts serverOptions) *server {
 			log.Fatalf("baseline for %s: %v", name, err)
 		}
 		pg := deepsketch.PostgresEstimator(d)
-		s.baseline[name] = baseline{hyper: hyper, pg: pg}
+		bl := baseline{
+			truth: deepsketch.WithCache(deepsketch.TruthEstimator(d), cacheCapacity),
+			hyper: deepsketch.WithCache(hyper, cacheCapacity),
+			pg:    deepsketch.WithCache(pg, cacheCapacity),
+		}
+		s.baseline[name] = bl
 		reg := deepsketch.NewSketchRegistry()
 		s.registries[name] = reg
 		// The observation WAL journals every pending/resolved monitor
@@ -422,13 +463,15 @@ func newServerOpts(opts serverOptions) *server {
 		}
 		// The drift monitor windows q-errors per sketch version; with
 		// -drift-truth it ground-truths sampled estimates against the exact
-		// executor (the demo's HyPer role), without it every sampled estimate
-		// parks pending until a logged actual arrives. The controller runs
-		// every refresh cycle: the ones monitor triggers start and the ones
-		// the refresh/canary endpoints start.
+		// executor (the demo's HyPer role) through the truth overlay's cache,
+		// so a sampled query the demo already counted is not counted again;
+		// without it every sampled estimate parks pending until a logged
+		// actual arrives. The controller runs every refresh cycle: the ones
+		// monitor triggers start and the ones the refresh/canary endpoints
+		// start.
 		var truth deepsketch.Estimator
 		if opts.driftTruth {
-			truth = deepsketch.TruthEstimator(d)
+			truth = bl.truth
 		}
 		mon := deepsketch.NewDriftMonitor(driftCfg, truth)
 		s.monitors[name] = mon
@@ -467,7 +510,9 @@ func newServerOpts(opts serverOptions) *server {
 		// CacheKey is the query signature qualified by the answering sketch
 		// version, so a swap, canary start, re-fraction, promote or rollback
 		// changes the key of exactly the queries whose answering version
-		// changed, and the rest of the cache stays warm.
+		// changed, and the rest of the cache stays warm. The fallback is the
+		// bare PostgreSQL estimator, not the overlay's cache: a hit there
+		// would mark a miss of this stack as a cache hit.
 		s.auto[name] = servingStack(d, reg.Router(), mon, reg.Router().CacheKey, pg)
 	}
 	return s
@@ -485,7 +530,7 @@ func servingStack(d *deepsketch.DB, backend deepsketch.Estimator, mon *deepsketc
 	chain := append([]deepsketch.Estimator{
 		deepsketch.ObserveEstimates(deepsketch.Clamp(backend, deepsketch.MaxCardinality(d)), mon),
 	}, fallbacks...)
-	return deepsketch.WithCache(deepsketch.Fallback(chain...), 1024).KeyFunc(key)
+	return deepsketch.WithCache(deepsketch.Fallback(chain...), cacheCapacity).KeyFunc(key)
 }
 
 // syntheticSource returns a workload source that generates and labels a
@@ -1155,10 +1200,35 @@ type estimateReq struct {
 	SQL      string `json:"sql"`
 }
 
+// estimateResp is /api/estimate's reply. Its fields are in the order of
+// their JSON names, the order encoding/json gave the reply when it was a
+// map, so the bytes are the same.
+type estimateResp struct {
+	CacheHit   bool    `json:"cache_hit"`
+	DeepSketch float64 `json:"deep_sketch"`
+	Hyper      float64 `json:"hyper"`
+	LatencyMS  float64 `json:"latency_ms"`
+	PostgreSQL float64 `json:"postgresql"`
+	QErrors    qErrors `json:"q_errors"`
+	Source     string  `json:"source"`
+	SQL        string  `json:"sql"`
+	True       int64   `json:"true"`
+	// Version is the version of the sketch that answered; absent when a
+	// baseline fallback answered.
+	Version int `json:"version,omitempty"`
+}
+
+// qErrors are each estimate's q-error against the true cardinality.
+type qErrors struct {
+	DeepSketch float64 `json:"deep_sketch"`
+	Hyper      float64 `json:"hyper"`
+	PostgreSQL float64 `json:"postgresql"`
+}
+
 // handleEstimate computes all the demo's overlays for one ad-hoc query:
 // Deep Sketch (through the serving stack), HyPer, PostgreSQL, and the true
-// cardinality. The client disconnecting cancels the work via the request
-// context.
+// cardinality, the last three from the dataset's overlay caches. The client
+// disconnecting cancels the work via the request context.
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateReq
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -1199,43 +1269,32 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	truth, err := deepsketch.TrueCardinality(d, q)
+	truth, hyper, pg, err := s.baseline[dataset].overlays(ctx, q)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	bl := s.baseline[dataset]
-	hyperEst, err := bl.hyper.Estimate(ctx, q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	pgEst, err := bl.pg.Estimate(ctx, q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	resp := map[string]any{
-		"sql":         q.SQL(d),
-		"deep_sketch": est.Cardinality,
-		"source":      est.Source,
-		"latency_ms":  float64(est.Latency.Microseconds()) / 1000.0,
-		"cache_hit":   est.CacheHit,
-		"hyper":       hyperEst.Cardinality,
-		"postgresql":  pgEst.Cardinality,
-		"true":        truth,
-		"q_errors": map[string]float64{
-			"deep_sketch": deepsketch.QError(est.Cardinality, float64(truth)),
-			"hyper":       deepsketch.QError(hyperEst.Cardinality, float64(truth)),
-			"postgresql":  deepsketch.QError(pgEst.Cardinality, float64(truth)),
+	resp := estimateResp{
+		CacheHit:   est.CacheHit,
+		DeepSketch: est.Cardinality,
+		Hyper:      hyper,
+		LatencyMS:  float64(est.Latency.Microseconds()) / 1000.0,
+		PostgreSQL: pg,
+		QErrors: qErrors{
+			DeepSketch: deepsketch.QError(est.Cardinality, float64(truth)),
+			Hyper:      deepsketch.QError(hyper, float64(truth)),
+			PostgreSQL: deepsketch.QError(pg, float64(truth)),
 		},
+		Source: est.Source,
+		SQL:    q.SQL(d),
+		True:   truth,
 	}
-	// Tag which version of the answering sketch served the estimate (absent
-	// when a baseline fallback answered). The version is stamped on the
-	// estimate by the registry's routing layer itself — exact even when a
-	// swap, canary split or rollback races the request.
+	// Tag which version of the answering sketch served the estimate. The
+	// version is stamped on the estimate by the registry's routing layer
+	// itself — exact even when a swap, canary split or rollback races the
+	// request.
 	if est.Version > 0 {
-		resp["version"] = est.Version
+		resp.Version = est.Version
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1280,7 +1339,6 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	d := s.datasets[e.Dataset]
 	bl := s.baseline[e.Dataset]
 	type point struct {
 		Label      string  `json:"label"`
@@ -1293,24 +1351,12 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 	for _, inst := range res {
 		p := point{Label: inst.Label, Estimate: inst.Estimate}
 		if req.Truth {
-			tc, err := deepsketch.TrueCardinality(d, inst.Query)
+			tc, he, pe, err := bl.overlays(r.Context(), inst.Query)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, err)
 				return
 			}
-			p.True = &tc
-			he, err := bl.hyper.Estimate(r.Context(), inst.Query)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-			p.Hyper = he.Cardinality
-			pe, err := bl.pg.Estimate(r.Context(), inst.Query)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-			p.PostgreSQL = pe.Cardinality
+			p.True, p.Hyper, p.PostgreSQL = &tc, he, pe
 		}
 		points = append(points, p)
 	}

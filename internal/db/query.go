@@ -1,8 +1,10 @@
 package db
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -189,25 +191,61 @@ func (q Query) SQL(d *DB) string {
 // Signature returns a canonical, order-independent key for the query, used
 // for de-duplicating generated workloads. Two queries that are equal as sets
 // share a signature.
+//
+// It is the sorted "table alias" list, the sorted canonical joins and the
+// sorted "alias.col<op><literal>" predicates, each list joined by "," and
+// the three by "|". Canary splits hash it and WAL records store it, so
+// these bytes must never change. Every clause is rendered once into one
+// buffer and each list is sorted as spans of it.
 func (q Query) Signature() string {
-	tables := make([]string, len(q.Tables))
-	for i, t := range q.Tables {
-		tables[i] = t.Table + " " + t.Alias
+	var scratch [512]byte
+	buf := scratch[:0]
+	spans := make([]span, 0, len(q.Tables)+len(q.Joins)+len(q.Preds))
+	for _, t := range q.Tables {
+		lo := len(buf)
+		buf = append(append(append(buf, t.Table...), ' '), t.Alias...)
+		spans = append(spans, span{lo, len(buf)})
 	}
-	sort.Strings(tables)
-	joins := make([]string, len(q.Joins))
-	for i, j := range q.Joins {
-		c := j.Canonical()
-		joins[i] = c.LeftAlias + "." + c.LeftCol + "=" + c.RightAlias + "." + c.RightCol
+	for _, j := range q.Joins {
+		// The join's canonical side order, as JoinPred.Canonical decides it,
+		// without building its two strings.
+		lo := len(buf)
+		buf = append(append(append(buf, j.LeftAlias...), '.'), j.LeftCol...)
+		mid := len(buf)
+		buf = append(append(append(append(buf, '='), j.RightAlias...), '.'), j.RightCol...)
+		if bytes.Compare(buf[lo:mid], buf[mid+1:]) > 0 {
+			hi := len(buf)
+			buf = append(append(append(buf, buf[mid+1:hi]...), '='), buf[lo:mid]...)
+			lo = hi
+		}
+		spans = append(spans, span{lo, len(buf)})
 	}
-	sort.Strings(joins)
-	preds := make([]string, len(q.Preds))
-	for i, p := range q.Preds {
-		preds[i] = fmt.Sprintf("%s.%s%s%d", p.Alias, p.Col, p.Op, p.Val)
+	for _, p := range q.Preds {
+		lo := len(buf)
+		buf = append(append(append(buf, p.Alias...), '.'), p.Col...)
+		buf = strconv.AppendInt(append(buf, p.Op.String()...), p.Val, 10)
+		spans = append(spans, span{lo, len(buf)})
 	}
-	sort.Strings(preds)
-	return strings.Join(tables, ",") + "|" + strings.Join(joins, ",") + "|" + strings.Join(preds, ",")
+	nt, nj := len(q.Tables), len(q.Tables)+len(q.Joins)
+	var b strings.Builder
+	b.Grow(len(buf) + len(spans) + 2)
+	for i, list := range [3][]span{spans[:nt], spans[nt:nj], spans[nj:]} {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		slices.SortFunc(list, func(x, y span) int { return bytes.Compare(buf[x.lo:x.hi], buf[y.lo:y.hi]) })
+		for k, sp := range list {
+			if k > 0 {
+				b.WriteByte(',')
+			}
+			b.Write(buf[sp.lo:sp.hi])
+		}
+	}
+	return b.String()
 }
+
+// span is one rendered clause of Signature's buffer.
+type span struct{ lo, hi int }
 
 // ValidateQuery checks the query against the database schema: aliases are
 // unique, tables and columns exist, joins reference in-query aliases, and

@@ -16,9 +16,19 @@ type ColStats struct {
 	// rows); MCVFrac is their combined fraction.
 	MCVs    map[int64]float64
 	MCVFrac float64
+	// mcvs lists the same MCVs by ascending value: the range selectivities
+	// sum their frequencies in this order, not in the map's random one, so
+	// an estimate is a function of its query down to the last bit.
+	mcvs []mcv
 	// Bounds are equi-depth histogram bucket boundaries over non-MCV values
 	// (len = buckets+1); nil when every value is an MCV.
 	Bounds []int64
+}
+
+// mcv is one most common value and its frequency.
+type mcv struct {
+	v int64
+	f float64
 }
 
 // BuildColStats computes statistics for one column with the given MCV list
@@ -58,8 +68,10 @@ func BuildColStats(c *db.Column, mcvK, buckets int) ColStats {
 		f := float64(e.n) / float64(st.Rows)
 		st.MCVs[e.v] = f
 		st.MCVFrac += f
+		st.mcvs = append(st.mcvs, mcv{e.v, f})
 		isMCV[e.v] = true
 	}
+	sort.Slice(st.mcvs, func(i, j int) bool { return st.mcvs[i].v < st.mcvs[j].v })
 
 	// Equi-depth histogram over the non-MCV values.
 	rest := make([]int64, 0, st.Rows)
@@ -108,10 +120,11 @@ func (st ColStats) LtSelectivity(v int64) float64 {
 		return 0
 	}
 	var sel float64
-	for mv, f := range st.MCVs {
-		if mv < v {
-			sel += f
+	for _, m := range st.mcvs {
+		if m.v >= v {
+			break
 		}
+		sel += m.f
 	}
 	sel += (1 - st.MCVFrac) * st.histFracBelow(v)
 	return clampSel(sel)
@@ -123,9 +136,9 @@ func (st ColStats) GtSelectivity(v int64) float64 {
 		return 0
 	}
 	var sel float64
-	for mv, f := range st.MCVs {
-		if mv > v {
-			sel += f
+	for _, m := range st.mcvs {
+		if m.v > v {
+			sel += m.f
 		}
 	}
 	// P(hist > v) = 1 − P(hist < v) − P(hist = v); the point mass inside the
