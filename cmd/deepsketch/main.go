@@ -121,7 +121,7 @@ func cmdBuild(args []string) error {
 	batch := fs.Int("batch", 64, "mini-batch size")
 	lr := fs.Float64("lr", 1e-3, "learning rate")
 	loss := fs.String("loss", "qerror", "training loss: qerror or l1log")
-	workers := fs.Int("workers", 0, "parallel query execution workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "workers for query execution and training (0 = GOMAXPROCS); the sketch file is the same at any count")
 	seed := fs.Int64("seed", 1, "sketch seed (query gen, sampling, training)")
 	fromWorkload := fs.String("fromworkload", "", "train from a labeled workload file instead of generating queries")
 	quiet := fs.Bool("q", false, "suppress progress output")

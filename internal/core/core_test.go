@@ -262,10 +262,10 @@ func TestFootprint(t *testing.T) {
 }
 
 // TestSketchDeterministicBuild: a sketch file is a pure function of its
-// inputs. Two builds from the same database, config, seed and worker count
-// save the same bytes, and so do two refreshes of one parent on one delta
-// workload — with no field zeroed, so nothing clock-dependent may enter the
-// file.
+// inputs, the database, config and seed. Builds from the same ones save the
+// same bytes at 1, 2 and 3 workers, and so do refreshes of one parent on
+// one delta workload — with no field zeroed, so nothing clock- or
+// core-count-dependent may enter the file.
 func TestSketchDeterministicBuild(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 84, Titles: 400, Keywords: 40, Companies: 20, Persons: 100})
 	cfg := Config{
@@ -280,17 +280,22 @@ func TestSketchDeterministicBuild(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	build := func() *Sketch {
+	build := func(workers int) *Sketch {
 		t.Helper()
-		s, err := Build(d, cfg, nil)
+		c := cfg
+		c.Workers = workers
+		s, err := Build(d, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	parent := build()
-	if a, b := saved(parent), saved(build()); !bytes.Equal(a, b) {
-		t.Fatalf("two same-seed builds saved different files (%d and %d bytes)", len(a), len(b))
+	parent := build(2)
+	want := saved(parent)
+	for _, workers := range []int{1, 2, 3} {
+		if got := saved(build(workers)); !bytes.Equal(got, want) {
+			t.Fatalf("a build at %d workers saved a different file than one at 2 (%d and %d bytes)", workers, len(got), len(want))
+		}
 	}
 
 	g, err := workload.NewGenerator(d, workload.GenConfig{Seed: 85, Count: 60, MaxJoins: 2, MaxPreds: 2, Dedup: true})
@@ -301,15 +306,18 @@ func TestSketchDeterministicBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refresh := func() []byte {
+	refresh := func(workers int) []byte {
 		t.Helper()
-		ns, err := Refresh(context.Background(), parent, labeled, RefreshOptions{Epochs: 2, Workers: 2}, nil)
+		ns, err := Refresh(context.Background(), parent, labeled, RefreshOptions{Epochs: 2, Workers: workers}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return saved(ns)
 	}
-	if a, b := refresh(), refresh(); !bytes.Equal(a, b) {
-		t.Fatalf("two refreshes of one parent on one workload saved different files (%d and %d bytes)", len(a), len(b))
+	want = refresh(2)
+	for _, workers := range []int{1, 2, 3} {
+		if got := refresh(workers); !bytes.Equal(got, want) {
+			t.Fatalf("a refresh at %d workers saved a different file than one at 2 (%d and %d bytes)", workers, len(got), len(want))
+		}
 	}
 }

@@ -34,9 +34,8 @@ type RefreshOptions struct {
 	// q-error reaches this value or better (0 disables) — "train until as
 	// good as before" instead of a fixed budget.
 	StopAtValQ float64
-	// Workers bounds the data-parallel training shards; 0 uses the
-	// sketch's configured worker count (which itself defaults to
-	// GOMAXPROCS).
+	// Workers bounds the data-parallel training shards; 0 uses
+	// GOMAXPROCS. The refreshed sketch is the same at every worker count.
 	Workers int
 }
 
@@ -78,14 +77,10 @@ func Refresh(ctx context.Context, s *Sketch, labeled []workload.LabeledQuery, op
 		return nil, err
 	}
 
-	workers := opts.Workers
-	if workers == 0 {
-		workers = s.Cfg.Workers
-	}
 	ns := s.Clone()
 	mon.StartStage(trainmon.StageTrain, "featurizing and fine-tuning MSCN (warm start)")
 	stats, err := ns.Model.TrainWithOptions(examples, ns.Encoder.Norm, mon, mscn.TrainOptions{
-		Parallelism: workers,
+		Parallelism: opts.Workers,
 		Resume:      ns.Model.OptState(),
 		Epochs:      opts.Epochs,
 		StopAtValQ:  opts.StopAtValQ,

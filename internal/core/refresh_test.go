@@ -19,8 +19,9 @@ import (
 // trailer), replicating the original writer byte for byte — the
 // compatibility corpus for TestLoadV1Sketch. Its header is spelled out
 // rather than taken from the current one: files of that era carry the
-// Figure 1a stage timings ("stage_ms") and each epoch's wall time
-// ("Duration"), which the current header no longer has.
+// Figure 1a stage timings ("stage_ms"), each epoch's wall time
+// ("Duration") and the config's worker count ("workers"), which the
+// current header no longer has.
 func saveV1(t *testing.T, s *Sketch) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -42,16 +43,20 @@ func saveV1(t *testing.T, s *Sketch) []byte {
 	for i, e := range s.Epochs {
 		epochs[i] = epochV1{e.Epoch, e.TrainLoss, e.ValMeanQ, e.ValMedQ, time.Duration(i+1) * 18_250_117}
 	}
+	type configV1 struct {
+		Config
+		Workers int `json:"workers"`
+	}
 	hdr := struct {
 		Name        string             `json:"name"`
 		DBName      string             `json:"db_name"`
-		Cfg         Config             `json:"config"`
+		Cfg         configV1           `json:"config"`
 		Encoder     *featurize.Encoder `json:"encoder"`
 		Epochs      []epochV1          `json:"epochs"`
 		StageMillis map[string]int     `json:"stage_ms"`
 		SampleSize  int                `json:"sample_set_size"`
 	}{
-		Name: s.Name(), DBName: s.DBName, Cfg: s.Cfg, Encoder: s.Encoder, Epochs: epochs,
+		Name: s.Name(), DBName: s.DBName, Cfg: configV1{s.Cfg, 4}, Encoder: s.Encoder, Epochs: epochs,
 		StageMillis: map[string]int{"define": 0, "generate": 3, "execute": 41, "featurize": 7, "train": 912},
 		SampleSize:  s.Samples.Size,
 	}
@@ -105,11 +110,16 @@ func TestLoadV1Sketch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 sketch no longer loads: %v", err)
 	}
-	if !bytes.Contains(blob, []byte(`"stage_ms":`)) || !bytes.Contains(blob, []byte(`"Duration":`)) {
-		t.Fatal("the v1 fixture no longer carries the timing fields files of its era have")
+	for _, field := range []string{`"stage_ms":`, `"Duration":`, `"workers":4`} {
+		if !bytes.Contains(blob, []byte(field)) {
+			t.Fatalf("the v1 fixture no longer carries %s, which files of its era have", field)
+		}
 	}
 	if loaded.Model.OptState() != nil {
 		t.Error("v1 sketch should have no optimizer state")
+	}
+	if loaded.Cfg.Workers != 0 {
+		t.Errorf("v1 sketch loaded workers %d; the header field is ignored", loaded.Cfg.Workers)
 	}
 	if !slices.Equal(loaded.Epochs, s.Epochs) {
 		t.Errorf("v1 training record = %+v, want %+v", loaded.Epochs, s.Epochs)

@@ -30,11 +30,12 @@ import (
 // is the paper's "small footprint size (a few MiBs)" figure, dominated by
 // the model weights and the samples.
 //
-// Nothing in the file depends on the clock: it is a pure function of the
-// database, config, seed and worker count it was built from, so two builds
-// (or two refreshes of one parent on one workload) save the same bytes and
-// an artifact's SHA-256 checks a rebuild. Files written when the header
-// still carried stage timings ("stage_ms", per-epoch "Duration") load; the
+// Nothing in the file depends on the clock or the core count: it is a pure
+// function of the database, config and seed it was built from, so two
+// builds (or two refreshes of one parent on one workload) save the same
+// bytes at any worker count and an artifact's SHA-256 checks a rebuild.
+// Files written when the header still carried stage timings ("stage_ms",
+// per-epoch "Duration") or the worker count (config "workers") load; those
 // fields are ignored.
 //
 // Load believes no length or count beyond what the input can still supply:

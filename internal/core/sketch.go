@@ -48,8 +48,10 @@ type Config struct {
 	// Workers bounds the parallel stages of sketch creation: training-query
 	// execution (the paper's "multiple HyPer instances") and the
 	// data-parallel minibatch sharding of MSCN training
-	// (mscn.TrainOptions.Parallelism); 0 uses GOMAXPROCS.
-	Workers int `json:"workers"`
+	// (mscn.TrainOptions.Parallelism); 0 uses GOMAXPROCS. It sets only
+	// throughput: the sketch is the same at every worker count, so the
+	// file does not record it.
+	Workers int `json:"-"`
 	// Seed drives query generation, sampling and training determinism.
 	Seed int64 `json:"seed"`
 	// Model holds the MSCN hyperparameters (epochs are step 1's "number of

@@ -507,8 +507,8 @@ type RefreshOptions struct {
 	// StopAtValQ ends the fine-tune once the validation mean q-error
 	// reaches this value or better (0 disables).
 	StopAtValQ float64
-	// Workers bounds data-parallel training (0: the sketch's configured
-	// worker count).
+	// Workers bounds data-parallel training (0: GOMAXPROCS); the candidate
+	// is the same at every worker count.
 	Workers int
 	// Monitor receives stage/epoch events (nil for none).
 	Monitor *trainmon.Monitor

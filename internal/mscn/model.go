@@ -28,11 +28,12 @@
 // to a query, never its feature rows), forwards every row, and is
 // data-parallel over the same kernels: each
 // minibatch is sharded contiguously across TrainOptions.Parallelism
-// workers, every worker packs and backpropagates its shard with a private
-// workspace arena and private gradient buffers (nn.BackwardFused,
-// nn.SegmentAvgPoolBackward), per-step gradients reduce in fixed worker
-// order, and one Adam step applies per minibatch — a fixed (seed,
-// parallelism) pair therefore reproduces bitwise-identical weights. Each
+// workers, every worker packs its shard and carries its gradient back
+// through the layers with a private workspace arena (nn.BackwardInput,
+// nn.SegmentAvgPoolBackward), each worker sums a range of every layer's
+// output units' parameter gradients over all shards in query order
+// (nn.BackwardParams, nn.BackwardIndexed), and one Adam step applies per
+// minibatch — so the seed fixes every weight bit at any parallelism. Each
 // epoch validates with the forward half of a step on the same workers, so
 // training never goes through the Engine. The
 // padded, masked Batch with its tape-based forward/backward is the dense

@@ -153,7 +153,7 @@ func TestTrainForwardMatchesEngineForward(t *testing.T) {
 		encs[i] = randEnc(rng, sh[0], sh[1], sh[2], tdim, jdim, pdim)
 	}
 
-	wk := newTrainWorker(m.Params())
+	wk := new(trainWorker)
 	var w weights
 	transpose(m, &w)
 	trained := make([]float64, len(encs))

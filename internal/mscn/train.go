@@ -53,13 +53,13 @@ type EpochStats struct {
 //
 // Training runs on the packed representation: each minibatch is sharded
 // contiguously across opts.Parallelism workers, every worker packs its
-// shard from the examples' sources (BuildFrom's fill half) and
-// backpropagates it with private scratch and gradient buffers, gradients
-// reduce in fixed worker order, and one Adam step applies per minibatch —
-// so a fixed (seed, parallelism) pair reproduces bitwise-identical weights,
-// and any parallelism matches the serial path up to float summation order.
-// A source error (a query its encoder cannot featurize) ends the run with
-// that error.
+// shard from the examples' sources (BuildFrom's fill half), forwards it
+// and carries its gradient back layer by layer with private scratch, while
+// the parameter gradients are split by output unit across the workers and
+// summed over all shards in query order, and one Adam step applies per
+// minibatch — so the seed fixes every weight bit, whatever the
+// parallelism. A source error (a query its encoder cannot featurize) ends
+// the run with that error.
 //
 // opts.Resume warm-starts the optimizer from an exported state; opts.Epochs
 // overrides the configured epoch budget; opts.StopAtValQ stops early once
@@ -72,11 +72,11 @@ type EpochStats struct {
 // its weight-generation tag.
 //
 // Bitwise reproducibility is pinned by tests, not by annotation:
-// TestTrainFingerprint hashes the trained weights and Adam state,
-// TestTrainDeterminism and TestTrainParallelReproducible retrain and compare
-// bit for bit, and TestShardedReductionMatchesSerial holds the sharded
-// gradient reduction to the serial one. A global-source draw, a wall-clock
-// seed or a map-ordered reduction on this path fails them.
+// TestTrainFingerprint hashes the trained weights and Adam state at
+// parallelism 1, 2, 3 and 8 against one set of constants, and
+// TestTrainDeterminism and TestTrainParallelReproducible retrain and
+// compare bit for bit. A global-source draw, a wall-clock seed or a
+// summation order that follows the shards on this path fails them.
 func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *trainmon.Monitor, opts TrainOptions) ([]EpochStats, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("mscn: no training examples")
@@ -115,7 +115,7 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 
 	qs := make([]float64, len(val)) // validation predictions, then their q-errors
 
-	// The trainer state (packed batches, workspaces, gradient buffers) and
+	// The trainer state (packed batches, workspaces) and
 	// the staging slices live across every step of every epoch: steady-state
 	// training allocates nothing per step beyond what featurization, shape
 	// growth and, at P>1, the per-step fork/join demand.

@@ -13,13 +13,12 @@ import (
 // report, maybe stop.
 type TrainOptions struct {
 	// Parallelism is the number of data-parallel workers each minibatch is
-	// sharded across. Every worker packs and backpropagates its own
-	// contiguous shard with a private workspace arena and private gradient
-	// buffers; per-step gradients reduce in fixed worker order into the
-	// shared parameters before one Adam step, so a fixed (seed, parallelism)
-	// pair reproduces bitwise-identical weights on any machine. 0 uses
-	// GOMAXPROCS; 1 is fully serial (and the reference the padded-path
-	// equivalence tests compare against).
+	// sharded across. Every worker packs, forwards and backpropagates its
+	// own contiguous shard with a private workspace arena, and accumulates
+	// a range of each layer's output units' parameter gradients over every
+	// shard in query order, so the weights are the same bits at every
+	// parallelism: it sets throughput, never the result. 0 uses
+	// GOMAXPROCS; 1 is fully serial.
 	Parallelism int
 	// Resume warm-starts the optimizer from a previous run's exported state
 	// (Adam moments + step count, see Model.OptState). The moments carry
@@ -52,45 +51,28 @@ func (o TrainOptions) epochs(cfg Config) int {
 	return cfg.Epochs
 }
 
-// Indices into Model.Params() / trainWorker.grads, fixed by the Params()
-// serialization contract: layer li of Model.layers contributes W at 2·li
-// and b at 2·li+1, so set module k's layers sit at Params indices 4k..4k+3.
+// Indices into Model.layers(): set module k's layers are 2k and 2k+1, then
+// the output network's two. Layer li's W and b are Model.Params() entries
+// 2·li and 2·li+1 (the serialization contract).
 const (
-	gradOut1W = 12
-	gradOut1B = 13
-	gradOut2W = 14
-	gradOut2B = 15
+	layerOut1 = 6
+	layerOut2 = 7
 )
 
-// trainWorker is the private state of one data-parallel worker: a packed
-// sub-batch, a workspace arena for the step's intermediates, the forward's
-// activations kept as the backward's tape (they alias the arena and live
-// exactly one step), and gradient buffers mirroring Model.Params(). Nothing
-// here is ever shared between workers, which is what keeps the parallel
-// path race-free and the reduction deterministic.
+// trainWorker is the state of one data-parallel worker's shard: a packed
+// batch, a workspace arena for the step's intermediates, the forward's
+// activations kept as the backward's tape, and the loss gradients the
+// backward carries down through them (dOut at the sigmoid's input, dOA1
+// at the first output layer's ReLU, dH2 and dH1 at each set module's). They
+// alias the arena and live exactly one step. Only the worker writes them;
+// once its backward has joined, every worker reads them to accumulate its
+// output units' parameter gradients.
 type trainWorker struct {
-	pb      PackedBatch
-	ws      nn.Workspace
-	tp      activations
-	grads   [][]float64 // parallel to Model.Params()
-	lossSum float64     // per-shard loss sum of the current step
-}
-
-func newTrainWorker(params []*nn.Param) *trainWorker {
-	w := &trainWorker{grads: make([][]float64, len(params))}
-	for i, p := range params {
-		w.grads[i] = make([]float64, len(p.Data))
-	}
-	return w
-}
-
-// zeroGrads clears the private gradient accumulators for the next step.
-func (wk *trainWorker) zeroGrads() {
-	for _, g := range wk.grads {
-		for i := range g {
-			g[i] = 0
-		}
-	}
+	pb         PackedBatch
+	ws         nn.Workspace
+	tp         activations
+	dOut, dOA1 nn.Matrix
+	dH1, dH2   [3]nn.Matrix
 }
 
 // forward packs queries lo..lo+len(preds) of src with BuildFrom's fill half
@@ -114,22 +96,22 @@ func (wk *trainWorker) forward(m *Model, w *weights, src QuerySource, lo int, pr
 	return nil
 }
 
-// backward backpropagates the shard's loss gradient dPreds through the tape
-// into the worker's private gradient buffers (which it first zeroes).
+// backward carries the shard's loss gradients dPreds down through the tape
+// to each set module's first layer: every input gradient, which the shard's
+// own rows decide. The parameter gradients are paramGrads' work.
 func (wk *trainWorker) backward(m *Model, dPreds []float64) {
-	wk.zeroGrads()
 	b := wk.pb.B
 	h := m.Cfg.HiddenUnits
 	tp := &wk.tp
 
-	dOut := wk.ws.Alloc(b, 1)
-	copy(dOut.Data, dPreds)
-	nn.SigmoidBackwardInPlace(tp.out, dOut)
-	dOA1 := wk.ws.Alloc(b, h)
-	m.out2.BackwardFused(tp.oA1, dOut, &dOA1, wk.grads[gradOut2W], wk.grads[gradOut2B])
-	nn.ReLUBackwardInPlace(tp.oA1, dOA1)
+	wk.dOut = wk.ws.Alloc(b, 1)
+	copy(wk.dOut.Data, dPreds)
+	nn.SigmoidBackwardInPlace(tp.out, wk.dOut)
+	wk.dOA1 = wk.ws.Alloc(b, h)
+	m.out2.BackwardInput(wk.dOut, wk.dOA1)
+	nn.ReLUBackwardInPlace(tp.oA1, wk.dOA1)
 	dConcat := wk.ws.Alloc(b, 3*h)
-	m.out1.BackwardFused(tp.concat, dOA1, &dConcat, wk.grads[gradOut1W], wk.grads[gradOut1B])
+	m.out1.BackwardInput(wk.dOA1, dConcat)
 
 	dPool := wk.ws.Alloc(b, h)
 	xs, offs := wk.pb.sets()
@@ -146,24 +128,43 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 			// saw no input this step.
 			continue
 		}
-		dH2 := wk.ws.Alloc(rows, h)
-		nn.SegmentAvgPoolBackward(dPool, offs[k], dH2)
-		nn.ReLUBackwardInPlace(tp.h2[k], dH2)
-		dH1 := wk.ws.Alloc(rows, h)
-		layers[2*k+1].BackwardFused(tp.h1[k], dH2, &dH1, wk.grads[4*k+2], wk.grads[4*k+3])
-		nn.ReLUBackwardInPlace(tp.h1[k], dH1)
-		layers[2*k].BackwardIndexed(xs[k], &wk.pb.keys[k].runs, dH1, wk.grads[4*k], wk.grads[4*k+1])
+		wk.dH2[k] = wk.ws.Alloc(rows, h)
+		nn.SegmentAvgPoolBackward(dPool, offs[k], wk.dH2[k])
+		nn.ReLUBackwardInPlace(tp.h2[k], wk.dH2[k])
+		wk.dH1[k] = wk.ws.Alloc(rows, h)
+		layers[2*k+1].BackwardInput(wk.dH2[k], wk.dH1[k])
+		nn.ReLUBackwardInPlace(tp.h1[k], wk.dH1[k])
 	}
 }
 
-// packedTrainer drives the data-parallel packed training steps: shard the
-// minibatch contiguously across workers, run pack+forward+loss+backward per
-// shard (one fork/join per step — per-sample loss gradients depend only on
-// their own prediction, so no barrier is needed between phases), then
-// reduce the private gradients into the shared parameters in fixed worker
-// order and let the caller take one Adam step. Each worker featurizes its
-// own shard from the minibatch's QuerySource, so the only feature rows
-// alive are the workers' packed batches.
+// tape returns layer li's forward input and output gradient on the
+// worker's shard; for a set module's first layer, also the input's run
+// index. x has no rows when the shard has no element of that set.
+func (wk *trainWorker) tape(li int) (x nn.Matrix, runs *nn.RunIndex, dy nn.Matrix) {
+	switch li {
+	case layerOut2:
+		return wk.tp.oA1, nil, wk.dOut
+	case layerOut1:
+		return wk.tp.concat, nil, wk.dOA1
+	}
+	k := li / 2
+	if li%2 == 1 {
+		return wk.tp.h1[k], nil, wk.dH2[k]
+	}
+	xs, _ := wk.pb.sets()
+	return xs[k], &wk.pb.keys[k].runs, wk.dH1[k]
+}
+
+// packedTrainer drives the data-parallel packed training steps. A step
+// shards the minibatch contiguously across the workers, and each packs its
+// own shard from the minibatch's QuerySource and forwards it, so the only
+// feature rows alive are the workers' packed batches. The loss is summed
+// serially in query order, each worker backpropagates its shard's input
+// gradients, and then every worker accumulates the parameter gradients of
+// its range of each layer's output units straight into the shared
+// Param.Grad, over every shard's rows in shard order. That is the order one
+// worker takes, so every parameter gradient, and with it every weight, has
+// the same bits at any parallelism.
 //
 // The forward runs on w, one transposed copy of the live weights that
 // every worker reads: transpose rewrites it in place once per step, before
@@ -177,84 +178,16 @@ type packedTrainer struct {
 	errs    []error // per-worker step errors, reused across steps
 	preds   []float64
 	grad    []float64
-	// reduceOff[i] is the flat offset of params[i] in the concatenated
-	// parameter space; reduceTotal its total element count. The gradient
-	// reduction shards by contiguous flat ranges over this space.
-	reduceOff   []int
-	reduceTotal int
 }
-
-// minShardedReduce is the flat parameter count below which the reduction
-// stays serial: goroutine fork/join costs more than summing a few thousand
-// elements.
-const minShardedReduce = 1 << 14
 
 func newPackedTrainer(m *Model, params []*nn.Param, parallelism int) *packedTrainer {
 	t := &packedTrainer{m: m, params: params}
 	t.workers = make([]*trainWorker, parallelism)
 	for i := range t.workers {
-		t.workers[i] = newTrainWorker(params)
+		t.workers[i] = new(trainWorker)
 	}
 	t.errs = make([]error, parallelism)
-	t.reduceOff = make([]int, len(params))
-	for i, p := range params {
-		t.reduceOff[i] = t.reduceTotal
-		t.reduceTotal += len(p.Data)
-	}
 	return t
-}
-
-// reduceRange accumulates the first p workers' private gradients for flat
-// parameter elements [lo, hi) into the shared parameter gradients. Per
-// element the workers combine in fixed order w=0..p-1 — exactly the serial
-// reduction's summation tree — so sharding the flat space across goroutines
-// changes nothing bitwise.
-func (t *packedTrainer) reduceRange(p, lo, hi int) {
-	for i, param := range t.params {
-		off := t.reduceOff[i]
-		end := off + len(param.Grad)
-		if end <= lo || off >= hi {
-			continue
-		}
-		s := max(lo, off) - off
-		e := min(hi, end) - off
-		dst := param.Grad[s:e]
-		for w := 0; w < p; w++ {
-			src := t.workers[w].grads[i][s:e]
-			for j, g := range src {
-				dst[j] += g
-			}
-		}
-	}
-}
-
-// reduce combines the per-worker gradients into the shared parameters. With
-// one worker (or a small model) it is the plain serial loop; otherwise the
-// flat parameter space is split into one contiguous shard per worker and
-// the shards reduce concurrently — at high parallelism on wide models the
-// serial reduction is the Amdahl term of the step, and sharding it keeps
-// the sequential fraction flat as P grows.
-func (t *packedTrainer) reduce(p int) {
-	shards := len(t.workers)
-	if p == 1 || shards == 1 || t.reduceTotal < minShardedReduce {
-		t.reduceRange(p, 0, t.reduceTotal)
-		return
-	}
-	chunk := (t.reduceTotal + shards - 1) / shards
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo := s * chunk
-		hi := min(lo+chunk, t.reduceTotal)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			t.reduceRange(p, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // parallelism reports the configured worker count.
@@ -264,41 +197,70 @@ func (t *packedTrainer) parallelism() int { return len(t.workers) }
 // one per query when there are fewer queries than workers.
 func (t *packedTrainer) shards(n int) int { return min(len(t.workers), n) }
 
+// fork runs fn(0), …, fn(k-1) and returns when all have: inline when k is
+// 1, otherwise one goroutine each.
+func fork(k int, fn func(w int)) {
+	if k == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < k; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+}
+
 // forEachShard splits [0, n) into shards(n) contiguous shards — worker w
 // takes [lo(w), lo(w+1)), the first n%p shards one element longer — and runs
-// fn on each: inline with one shard, otherwise one fork/join. It returns the
-// first error in worker order. Shard w may use t.workers[w] and nothing
-// another shard touches.
+// fn on each in one fork. It returns the first error in worker order. Shard
+// w may use t.workers[w] and nothing another shard touches.
 func (t *packedTrainer) forEachShard(n int, fn func(w, lo, hi int) error) error {
 	p := t.shards(n)
-	if p <= 1 {
-		if n == 0 {
-			return nil
-		}
-		return fn(0, 0, n)
+	if p == 0 {
+		return nil
 	}
 	errs := t.errs[:p]
-	var wg sync.WaitGroup
-	lo := 0
-	for w := 0; w < p; w++ {
+	fork(p, func(w int) {
+		lo := w*(n/p) + min(w, n%p)
 		hi := lo + n/p
 		if w < n%p {
 			hi++
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = fn(w, lo, hi)
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
+		errs[w] = fn(w, lo, hi)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// paramGrads accumulates layer li's parameter gradients for worker w's
+// share of its output units into the shared Param.Grad, over the first p
+// workers' shards in shard order.
+func (t *packedTrainer) paramGrads(w, p, li int) {
+	l := t.m.layers()[li]
+	lo, hi := w*l.Out/len(t.workers), (w+1)*l.Out/len(t.workers)
+	if lo == hi {
+		return
+	}
+	dW, dB := t.params[2*li].Grad, t.params[2*li+1].Grad
+	for _, wk := range t.workers[:p] {
+		x, runs, dy := wk.tape(li)
+		switch {
+		case x.Rows == 0:
+		case runs != nil:
+			l.BackwardIndexed(x, runs, dy, lo, hi, dW, dB)
+		default:
+			l.BackwardParams(x, dy, lo, hi, dW, dB)
+		}
+	}
 }
 
 // step runs one minibatch, the len(targets) queries of src: returns the
@@ -317,28 +279,23 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 
 	transpose(t.m, &t.w)
 	err := t.forEachShard(n, func(w, lo, hi int) error {
-		wk := t.workers[w]
-		if err := wk.forward(t.m, &t.w, src, lo, preds[lo:hi]); err != nil {
-			return err
-		}
-		wk.lossSum = nn.LossSumInto(t.m.Cfg.Loss, norm, preds[lo:hi], targets[lo:hi],
-			grad[lo:hi], t.m.Cfg.GradCap, invN)
-		wk.backward(t.m, grad[lo:hi])
-		return nil
+		return t.workers[w].forward(t.m, &t.w, src, lo, preds[lo:hi])
 	})
 	if err != nil {
 		return 0, err
 	}
-
-	// Deterministic reduction: loss sums and every gradient element combine
-	// in worker order, so a fixed parallelism fixes the summation tree.
-	// The gradient reduction itself is sharded by parameter range.
+	lossSum := nn.LossSumInto(t.m.Cfg.Loss, norm, preds, targets, grad, t.m.Cfg.GradCap, invN)
+	// A shard's backward cannot fail.
+	_ = t.forEachShard(n, func(w, lo, hi int) error {
+		t.workers[w].backward(t.m, grad[lo:hi])
+		return nil
+	})
 	p := t.shards(n)
-	var lossSum float64
-	for w := 0; w < p; w++ {
-		lossSum += t.workers[w].lossSum
-	}
-	t.reduce(p)
+	fork(len(t.workers), func(w int) {
+		for li := range t.m.layers() {
+			t.paramGrads(w, p, li)
+		}
+	})
 	return lossSum * invN, nil
 }
 

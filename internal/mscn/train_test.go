@@ -141,56 +141,61 @@ func TestPackedTrainingMatchesPaddedReference(t *testing.T) {
 	}
 }
 
-// TestTrainParallelReproducible: a fixed (seed, parallelism) pair must
-// reproduce bitwise-identical weights — the worker-ordered gradient
-// reduction leaves nothing to scheduling.
+// TestTrainParallelReproducible: every parallelism trains the bits P=1
+// does — weights, Adam state and the epoch record — because each parameter
+// gradient sums its rows in query order whatever the shards. Epoch 1's first
+// minibatch gives P=3's middle shard (its queries 6–10) no join and no
+// predicate rows, so that shard has nothing for two set modules.
 func TestTrainParallelReproducible(t *testing.T) {
 	const tdim, jdim, pdim = 23, 4, 7
+	const n = 70
 	rng := rand.New(rand.NewSource(72))
-	examples, norm := trainExamples(rng, 70, tdim, jdim, pdim)
+	examples, norm := trainExamples(rng, n, tdim, jdim, pdim)
 	cfg := Config{HiddenUnits: 12, Epochs: 2, BatchSize: 16, Seed: 9}
 
-	train := func(p int) [][]float64 {
-		m := New(cfg, tdim, jdim, pdim)
-		if _, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: p}); err != nil {
-			t.Fatal(err)
-		}
-		return weightsOf(m)
-	}
-	a, b := train(3), train(3)
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("param %d[%d]: %v vs %v — same seed+parallelism must be bitwise identical",
-					i, j, a[i][j], b[i][j])
-			}
-		}
+	// Reproduce the run's shuffles to find the minibatch's queries.
+	srng := trainRand(cfg.Seed)
+	perm := shuffle(srng, n)
+	order := shuffle(srng, n-int(float64(n)*New(cfg, tdim, jdim, pdim).Cfg.ValFrac))
+	encs := examples[0].Src.(encodedSource)
+	for _, i := range order[6:11] {
+		encs[perm[i]] = randEnc(rng, 1+rng.Intn(4), 0, 0, tdim, jdim, pdim)
 	}
 
-	// Parallel shards only change float summation order, so any
-	// parallelism stays numerically close to serial.
-	if d := maxWeightDiff(a, train(1)); d > 1e-8 {
-		t.Errorf("P=3 vs P=1: max weight diff %g > 1e-8", d)
+	train := func(p int) string {
+		m := New(cfg, tdim, jdim, pdim)
+		stats, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trainFingerprint(m, stats)
+	}
+	want := train(1)
+	for _, p := range []int{2, 3} {
+		if got := train(p); got != want {
+			t.Errorf("P=%d trains fingerprint %s, P=1 %s", p, got, want)
+		}
 	}
 }
 
 // TestTrainParallelismExceedsBatch: more workers than examples (and a batch
-// smaller than the worker count) must still train correctly.
+// smaller than the worker count) must train the bits P=1 does; the workers
+// without a shard take only parameter-gradient ranges.
 func TestTrainParallelismExceedsBatch(t *testing.T) {
 	const tdim, jdim, pdim = 11, 3, 5
 	rng := rand.New(rand.NewSource(73))
 	examples, norm := trainExamples(rng, 9, tdim, jdim, pdim)
 	cfg := Config{HiddenUnits: 8, Epochs: 2, BatchSize: 4, Seed: 2}
-	m := New(cfg, tdim, jdim, pdim)
-	if _, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: 8}); err != nil {
-		t.Fatal(err)
+	train := func(p int) string {
+		m := New(cfg, tdim, jdim, pdim)
+		stats, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trainFingerprint(m, stats)
 	}
-	ref := New(cfg, tdim, jdim, pdim)
-	if _, err := ref.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxWeightDiff(weightsOf(m), weightsOf(ref)); d > 1e-8 {
-		t.Errorf("P=8 on 4-query batches vs serial: max weight diff %g", d)
+	if got, want := train(8), train(1); got != want {
+		t.Errorf("P=8 on 4-query batches trains fingerprint %s, serial %s", got, want)
 	}
 }
 

@@ -152,44 +152,3 @@ func TestModelClone(t *testing.T) {
 		t.Error("clone shares optimizer state with the original")
 	}
 }
-
-// TestShardedReductionMatchesSerial: the range-sharded gradient reduction
-// must be bitwise identical to the serial worker-ordered loop — sharding
-// splits the element space, never the per-element summation order. The
-// model is wide enough that reduce() actually takes the sharded path.
-func TestShardedReductionMatchesSerial(t *testing.T) {
-	const tdim, jdim, pdim = 600, 7, 17
-	m := New(Config{HiddenUnits: 32, Seed: 6}, tdim, jdim, pdim)
-	params := m.Params()
-	const p = 4
-	tr := newPackedTrainer(m, params, p)
-	if tr.reduceTotal < minShardedReduce {
-		t.Fatalf("test model too small to exercise sharded reduction (%d < %d)", tr.reduceTotal, minShardedReduce)
-	}
-	rng := rand.New(rand.NewSource(85))
-	for _, wk := range tr.workers {
-		for _, g := range wk.grads {
-			for i := range g {
-				g[i] = rng.NormFloat64()
-			}
-		}
-	}
-	// Serial reference, accumulated into separate buffers.
-	want := make([][]float64, len(params))
-	for i, param := range params {
-		want[i] = make([]float64, len(param.Grad))
-		for w := 0; w < p; w++ {
-			for j, g := range tr.workers[w].grads[i] {
-				want[i][j] += g
-			}
-		}
-	}
-	tr.reduce(p)
-	for i, param := range params {
-		for j := range param.Grad {
-			if param.Grad[j] != want[i][j] {
-				t.Fatalf("param %d[%d]: sharded %v != serial %v", i, j, param.Grad[j], want[i][j])
-			}
-		}
-	}
-}

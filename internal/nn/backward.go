@@ -1,58 +1,52 @@
 package nn
 
 // Packed training kernels: the backward counterparts of infer.go's fused
-// forward path. Like the forward kernels they are deliberately serial and
-// allocation-free — data-parallel training runs one worker per minibatch
-// shard, each backpropagating its own packed sub-batch into private gradient
-// buffers from a private workspace arena. Concurrency comes from the shards,
-// never from fanning a single kernel across cores, which is what makes the
-// worker-ordered gradient reduction (and therefore training itself)
-// deterministic for a fixed parallelism.
+// forward path, serial and allocation-free like the forward kernels. A
+// layer's backward is two halves with different owners. The input gradient
+// (BackwardInput) is per row, so each data-parallel worker computes it for
+// its own minibatch shard. The parameter gradients (BackwardParams,
+// BackwardIndexed) are per output unit, so each worker accumulates a range
+// of output units straight into the shared Param.Grad, over every shard's
+// rows in query order. Every gradient element therefore sums its
+// contributions in one order whatever the worker count, and training is
+// bitwise the same at every parallelism.
 
-// BackwardFused is the serial backward of a Linear layer for the packed
-// training path. Given the forward input x and the upstream gradient dy, it
-// accumulates the parameter gradients into the caller's buffers — dW
-// (l.In*l.Out, row-major like l.W) and dB (l.Out) — rather than into
-// l.W.Grad/l.B.Grad, so concurrent workers never share accumulators. When dx
-// is non-nil it is fully overwritten with the input gradient dy·W; passing
-// nil skips that GEMM entirely (the first layer of each set module never
-// needs gradients with respect to its features). Runs on the calling
-// goroutine only and performs no allocations.
-func (l *Linear) BackwardFused(x, dy Matrix, dx *Matrix, dW, dB []float64) {
-	if dy.Cols != l.Out || x.Rows != dy.Rows || x.Cols != l.In {
-		panic("nn: BackwardFused dimension mismatch")
-	}
-	if len(dW) != l.In*l.Out || len(dB) != l.Out {
-		panic("nn: BackwardFused gradient buffer size mismatch")
+// BackwardInput overwrites dx with the input gradient of a Linear layer:
+// dx[r] = Σ_o dy[r,o]·W[o,:], summed in ascending o. Rows are independent.
+// No allocations.
+func (l *Linear) BackwardInput(dy, dx Matrix) {
+	if dy.Cols != l.Out || dx.Rows != dy.Rows || dx.Cols != l.In {
+		panic("nn: BackwardInput dimension mismatch")
 	}
 	w := l.W.Data
-
-	// dx[r] = Σ_o dy[r,o] · W[o,:]
-	if dx != nil {
-		if dx.Rows != x.Rows || dx.Cols != l.In {
-			panic("nn: BackwardFused dx dimension mismatch")
+	for r := 0; r < dy.Rows; r++ {
+		dyr := dy.Row(r)
+		dxr := dx.Row(r)
+		for i := range dxr {
+			dxr[i] = 0
 		}
-		d := *dx
-		for r := 0; r < x.Rows; r++ {
-			dyr := dy.Row(r)
-			dxr := d.Row(r)
-			for i := range dxr {
-				dxr[i] = 0
-			}
-			for o := 0; o < l.Out; o++ {
-				if g := dyr[o]; g != 0 {
-					axpy(g, w[o*l.In:(o+1)*l.In], dxr)
-				}
+		for o := 0; o < l.Out; o++ {
+			if g := dyr[o]; g != 0 {
+				axpy(g, w[o*l.In:(o+1)*l.In], dxr)
 			}
 		}
 	}
+}
 
-	// dW[o,:] += Σ_r dy[r,o] · x[r,:]; dB[o] += Σ_r dy[r,o]. Rows outer so
-	// each accumulator sees its contributions in a fixed (row-major) order.
+// BackwardParams accumulates the parameter gradients of output units
+// [lo, hi) of a Linear layer, given its forward input x and upstream
+// gradient dy: dW[o,:] += Σ_r dy[r,o]·x[r,:] and dB[o] += Σ_r dy[r,o], rows
+// in order. dW is l.Out×l.In, row-major like l.W, and dB has l.Out
+// elements; no element outside the range is touched, so goroutines owning
+// disjoint ranges may share them. Each element receives its contributions
+// in row order whatever the range, so how the outputs are split changes no
+// bit. No allocations.
+func (l *Linear) BackwardParams(x, dy Matrix, lo, hi int, dW, dB []float64) {
+	l.checkParams("BackwardParams", x, dy, lo, hi, dW, dB)
 	for r := 0; r < x.Rows; r++ {
 		dyr := dy.Row(r)
 		xr := x.Row(r)
-		for o := 0; o < l.Out; o++ {
+		for o := lo; o < hi; o++ {
 			g := dyr[o]
 			if g == 0 {
 				continue
@@ -61,6 +55,30 @@ func (l *Linear) BackwardFused(x, dy Matrix, dx *Matrix, dW, dB []float64) {
 			axpy(g, xr, dW[o*l.In:(o+1)*l.In])
 		}
 	}
+}
+
+func (l *Linear) checkParams(op string, x, dy Matrix, lo, hi int, dW, dB []float64) {
+	if dy.Cols != l.Out || x.Rows != dy.Rows || x.Cols != l.In {
+		panic("nn: " + op + " dimension mismatch")
+	}
+	if len(dW) != l.In*l.Out || len(dB) != l.Out {
+		panic("nn: " + op + " gradient buffer size mismatch")
+	}
+	if lo < 0 || lo > hi || hi > l.Out {
+		panic("nn: " + op + " output range out of bounds")
+	}
+}
+
+// BackwardFused is BackwardInput into *dx (skipped when dx is nil)
+// followed by BackwardParams over every output unit. Training calls the
+// halves directly; this composition remains for the nn.backward_us rung of
+// the benchmark ladder, which times it on a table layer (ROADMAP 1(e)
+// retargets that rung).
+func (l *Linear) BackwardFused(x, dy Matrix, dx *Matrix, dW, dB []float64) {
+	if dx != nil {
+		l.BackwardInput(dy, *dx)
+	}
+	l.BackwardParams(x, dy, 0, l.Out, dW, dB)
 }
 
 // SegmentAvgPoolBackward distributes dOut back to packed set-element rows —

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestBackwardFusedMatchesBackwardInto: the serial packed backward kernel
+// TestBackwardFusedMatchesBackwardInto: the serial packed backward kernels
 // must agree with the padded training backward (same math, different
-// parallelization) on random layers within float tolerance.
+// parallelization) on random layers within float tolerance, and the
+// parameter half must not depend on how the outputs are split.
 func TestBackwardFusedMatchesBackwardInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range []struct{ rows, in, out int }{
@@ -52,6 +53,24 @@ func TestBackwardFusedMatchesBackwardInto(t *testing.T) {
 		for i := range wantDx.Data {
 			if math.Abs(gotDx.Data[i]-wantDx.Data[i]) > tol {
 				t.Fatalf("shape %+v: dx[%d] = %v, want %v", shape, i, gotDx.Data[i], wantDx.Data[i])
+			}
+		}
+
+		// Split into two output ranges, taken in either order, the
+		// parameter half gives the same bits.
+		splitW := make([]float64, shape.in*shape.out)
+		splitB := make([]float64, shape.out)
+		k := shape.out / 2
+		l.BackwardParams(x, dy, k, shape.out, splitW, splitB)
+		l.BackwardParams(x, dy, 0, k, splitW, splitB)
+		for i := range dW {
+			if math.Float64bits(splitW[i]) != math.Float64bits(dW[i]) {
+				t.Fatalf("shape %+v: split dW[%d] = %v, whole %v", shape, i, splitW[i], dW[i])
+			}
+		}
+		for i := range dB {
+			if math.Float64bits(splitB[i]) != math.Float64bits(dB[i]) {
+				t.Fatalf("shape %+v: split dB[%d] = %v, whole %v", shape, i, splitB[i], dB[i])
 			}
 		}
 

@@ -230,7 +230,7 @@ func BenchmarkLinearBackwardIndexed(b *testing.B) {
 		})
 		b.Run(c.name+"/indexed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				l.BackwardIndexed(x, &ix, dy, dW, dB)
+				l.BackwardIndexed(x, &ix, dy, 0, benchOut, dW, dB)
 			}
 		})
 	}

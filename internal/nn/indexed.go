@@ -6,7 +6,7 @@ package nn
 // one-hot, a predicate element three non-zeros. A RunIndex records where a
 // matrix's non-zero columns are; the first layer of each of the three set
 // modules visits only those, forward (Layer.Forward with an index) and
-// backward (BackwardIndexed, bit for bit BackwardFused(…, nil, …)).
+// backward (BackwardIndexed, bit for bit BackwardParams).
 
 // Run is a maximal run of non-zero columns of one matrix row, half-open.
 type Run struct{ Lo, Hi uint32 }
@@ -53,25 +53,23 @@ func Index(ix *RunIndex, x Matrix) {
 	}
 }
 
-// BackwardIndexed is BackwardFused(x, dy, nil, dW, dB) restricted to the
-// columns ix lists, which must be the index of x: the parameter gradients of
-// a first layer, whose input gradient nobody needs. Rows are the outer loop
-// and each run is axpy's dW[k] += dy·x[k] over its columns, so every dW
-// element receives its contributions in the dense kernel's row order; the
-// ones left out are dy·0, which change no bit of an accumulator that
-// started at +0 (for finite dy).
-func (l *Linear) BackwardIndexed(x Matrix, ix *RunIndex, dy Matrix, dW, dB []float64) {
-	if dy.Cols != l.Out || x.Rows != dy.Rows || x.Cols != l.In || ix.Rows() != x.Rows {
-		panic("nn: BackwardIndexed dimension mismatch")
-	}
-	if len(dW) != l.In*l.Out || len(dB) != l.Out {
-		panic("nn: BackwardIndexed gradient buffer size mismatch")
+// BackwardIndexed is BackwardParams(x, dy, lo, hi, dW, dB) restricted to
+// the columns ix lists, which must be the index of x: the parameter
+// gradients of a first layer, whose input gradient nobody needs. Rows are
+// the outer loop and each run is axpy's dW[k] += dy·x[k] over its columns,
+// so every dW element receives its contributions in the dense kernel's row
+// order; the ones left out are dy·0, which change no bit of an accumulator
+// that started at +0 (for finite dy).
+func (l *Linear) BackwardIndexed(x Matrix, ix *RunIndex, dy Matrix, lo, hi int, dW, dB []float64) {
+	l.checkParams("BackwardIndexed", x, dy, lo, hi, dW, dB)
+	if ix.Rows() != x.Rows {
+		panic("nn: BackwardIndexed index does not match x")
 	}
 	for r := 0; r < x.Rows; r++ {
 		dyr := dy.Row(r)
 		xr := x.Row(r)
 		runs := ix.Row(r)
-		for o := 0; o < l.Out; o++ {
+		for o := lo; o < hi; o++ {
 			g := dyr[o]
 			if g == 0 {
 				continue
@@ -79,11 +77,11 @@ func (l *Linear) BackwardIndexed(x Matrix, ix *RunIndex, dy Matrix, dW, dB []flo
 			dB[o] += g
 			dWo := dW[o*l.In : (o+1)*l.In][:len(xr)]
 			for _, run := range runs {
-				hi := int(run.Hi)
-				if hi > len(xr) {
+				end := int(run.Hi)
+				if end > len(xr) {
 					panic("nn: run past the row")
 				}
-				for k := int(run.Lo); k < hi; k++ {
+				for k := int(run.Lo); k < end; k++ {
 					dWo[k] += g * xr[k]
 				}
 			}

@@ -97,9 +97,10 @@ func checkIndexedForward(t *testing.T, c indexedCase, seed int64) {
 	}
 }
 
-// checkIndexedBackward: BackwardIndexed equals BackwardFused(x, dy, nil, …)
-// in every bit of dW and dB, accumulating into buffers that already hold a
-// previous contribution (the trainer accumulates rows of a shard).
+// checkIndexedBackward: BackwardIndexed equals BackwardParams in every bit
+// of dW and dB, accumulating into buffers that already hold a previous
+// contribution (the trainer accumulates every shard's rows in turn), and
+// taken over two output ranges it equals one pass over all outputs.
 func checkIndexedBackward(t *testing.T, c indexedCase, seed int64) {
 	t.Helper()
 	rng := datagen.NewRand(seed)
@@ -115,9 +116,11 @@ func checkIndexedBackward(t *testing.T, c indexedCase, seed int64) {
 	}
 	wantW, wantB := make([]float64, c.in*c.out), make([]float64, c.out)
 	gotW, gotB := make([]float64, c.in*c.out), make([]float64, c.out)
+	split := c.out / 3
 	for pass := 0; pass < 2; pass++ {
-		l.BackwardFused(x, dy, nil, wantW, wantB)
-		l.BackwardIndexed(x, &ix, dy, gotW, gotB)
+		l.BackwardParams(x, dy, 0, c.out, wantW, wantB)
+		l.BackwardIndexed(x, &ix, dy, split, c.out, gotW, gotB)
+		l.BackwardIndexed(x, &ix, dy, 0, split, gotW, gotB)
 	}
 	if i := sameBits(gotW, wantW); i >= 0 {
 		t.Fatalf("%s: indexed dW[%d]=%v, dense %v", c.name, i, gotW[i], wantW[i])

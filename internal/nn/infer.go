@@ -27,8 +27,8 @@ import "math"
 // and the f32 engine's alike: f32 is a storage precision, weights rounded
 // through single precision once per snapshot (Layer.RoundToSingle) and
 // then run by these same kernels, so no forward has a second arithmetic.
-// Training stays entirely float64 (Adam moments, gradient reduction, the
-// fused backward kernels) on unrounded weights.
+// Training stays entirely float64 (Adam moments, gradient accumulation, the
+// backward kernels) on unrounded weights.
 
 // Workspace is a reusable scratch arena for forward passes. Alloc
 // hands out matrices backed by one contiguous buffer via bump allocation;

@@ -106,11 +106,11 @@ func Loss(kind LossKind, norm LabelNorm, preds, targets []float64, gradCap float
 
 // LossSumInto computes per-sample loss gradients into grad (scaled by invN,
 // the reciprocal of the full batch size) and returns the *sum* of per-sample
-// losses, unscaled. It is the shard-friendly core of Loss: per-sample
-// gradients depend only on their own prediction, so data-parallel workers
-// each run LossSumInto on their contiguous shard with the full-batch invN
-// and the caller combines the returned sums in worker order — reproducing
-// Loss over the whole batch exactly. No allocations.
+// losses, unscaled: the core of Loss, into the caller's buffer. The trainer
+// runs it once per minibatch over the whole batch, so the sum takes one
+// order at every parallelism. Per-sample gradients depend only on their own
+// prediction, so it may also run on contiguous slices with the full-batch
+// invN. No allocations.
 func LossSumInto(kind LossKind, norm LabelNorm, preds, targets, grad []float64, gradCap, invN float64) float64 {
 	if len(preds) != len(targets) || len(grad) != len(preds) {
 		panic("nn: Loss length mismatch")

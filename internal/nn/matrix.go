@@ -14,9 +14,10 @@
 // summed over the input's non-zero columns, by register tiles of four rows
 // in AVX-512 assembly (tile_amd64.s) or else a run of axpys per row, the
 // axpy in amd64 assembly where the CPU has AVX (axpy.go) — plus
-// SegmentAvgPool and the fused backward kernels (BackwardFused,
-// BackwardIndexed). The packed path is serial, padding-free and
-// allocation-free, its scratch bump-allocated from a Workspace; a
+// SegmentAvgPool and the backward kernels (BackwardInput for a shard's
+// rows, BackwardParams and BackwardIndexed for a range of output units).
+// The packed path is serial, padding-free and allocation-free, its scratch
+// bump-allocated from a Workspace; a
 // Workspace serves one pass at a time, so concurrency comes from one
 // Workspace per goroutine, never from sharing.
 //
