@@ -150,7 +150,7 @@ func TestCountMatchesBruteForce(t *testing.T) {
 		d := randomStarDB(rng, 8+rng.Intn(8), 20+rng.Intn(20))
 		for i := 0; i < 20; i++ {
 			q := randomQuery(rng)
-			want, err := d.CountBruteForce(q)
+			want, err := d.countBruteForce(q)
 			if err != nil {
 				t.Fatalf("brute force: %v", err)
 			}

@@ -16,7 +16,7 @@ import (
 func FuzzCountMatchesBruteForce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, q := fuzzQuery(data)
-		want, err := d.CountBruteForce(q)
+		want, err := d.countBruteForce(q)
 		if err != nil {
 			t.Fatalf("brute force: %v (%s)", err, q.SQL(nil))
 		}

@@ -122,8 +122,7 @@ func (e *Engine) snapshot() *snapshot {
 	if s := e.snap.Load(); s != nil && s.gen == gen && s.prec == prec {
 		return s
 	}
-	s := &snapshot{gen: gen, prec: prec}
-	transpose(e.m, &s.w)
+	s := &snapshot{gen: gen, prec: prec, w: newWeights(e.m)}
 	if prec == F32 {
 		for i := range s.w {
 			s.w[i].RoundToSingle()
@@ -152,17 +151,21 @@ func (s *snapshot) tableFor(e *Engine) *elementTable {
 	for k, x := range src {
 		h1 := nn.NewMatrix(x.Rows, s.w[2*k].Out)
 		t.h2[k] = nn.NewMatrix(x.Rows, s.w[2*k+1].Out)
-		setModule(&s.w, k, x, &elems.keys[k].runs, h1, t.h2[k], &ws)
+		// No table yet: the element batch's rows, deduplicated.
+		(*elementTable)(nil).module(&s.w, k, elems, x, h1, t.h2[k], &ws)
 	}
 	s.table.Store(t)
 	return t
 }
 
 // find returns the row of the element batch's set k that row r of pb's set
-// k equals, or -1.
+// k equals, or -1 (always, for a nil table).
 //
 //deepsketch:zeroalloc
 func (t *elementTable) find(pb *PackedBatch, k, r int) int {
+	if t == nil {
+		return -1
+	}
 	for q := 0; q < t.h2[k].Rows; q++ {
 		if pb.sameRow(k, r, t.elems, q) {
 			return q
@@ -190,12 +193,13 @@ func (e *Engine) scratch() *engineScratch {
 // predicates) is w[2k], w[2k+1]; the output network is w[6], w[7].
 type weights [8]nn.Layer
 
-// transpose copies the live weights into w, W transposed, reusing w's
-// buffers when they fit (nn.Transpose).
-func transpose(m *Model, w *weights) {
+// newWeights returns the live weights, W transposed (nn.NewLayer).
+func newWeights(m *Model) weights {
+	var w weights
 	for i, l := range m.layers() {
-		nn.Transpose(&w[i], l)
+		w[i] = nn.NewLayer(l)
 	}
+	return w
 }
 
 // activations records the intermediates of one packed forward. All matrices
@@ -223,11 +227,13 @@ func forwardFloats(pb *PackedBatch, h int) int {
 // pools concatenated, the two-layer output network, a sigmoid. Every layer
 // is nn.Layer.Forward on w, over pb's packed feature rows (see
 // PackedBatch.sets), which each set module's first layer reads through
-// pb's run index. With an element table (on these same weights) each
-// distinct element is forwarded once (elementTable.module); without one —
-// the trainer — every row is. Every intermediate is carved from ws — which
-// the caller has Reserved — and recorded in act; the normalized
-// predictions (act.out) are also copied to out (len B).
+// pb's run index. Each distinct element is forwarded once
+// (elementTable.module): with an element table (on these same weights) a
+// row it holds is copied from it; without one — the trainer — only rows
+// equal to an earlier row of the batch are copied, h1 as well as h2, so
+// the tape the backward reads is every row's. Every intermediate is carved
+// from ws — which the caller has Reserved — and recorded in act; the
+// normalized predictions (act.out) are also copied to out (len B).
 //
 //deepsketch:zeroalloc
 func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Workspace, act *activations, out []float64) {
@@ -238,11 +244,7 @@ func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Work
 		rows := xs[k].Rows
 		act.h1[k] = ws.Alloc(rows, h)
 		act.h2[k] = ws.Alloc(rows, h)
-		if table == nil {
-			setModule(w, k, xs[k], &pb.keys[k].runs, act.h1[k], act.h2[k], ws)
-		} else {
-			table.module(w, k, pb, xs[k], act.h1[k], act.h2[k], ws)
-		}
+		table.module(w, k, pb, xs[k], act.h1[k], act.h2[k], ws)
 		act.pool[k] = ws.Alloc(b, h)
 		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
 	}
@@ -261,23 +263,18 @@ func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Work
 	copy(out, act.out.Data)
 }
 
-// setModule runs set module k on every row of x, whose run index is runs:
-// the indexed first layer into h1, the dense second into h2.
-//
-//deepsketch:zeroalloc
-func setModule(w *weights, k int, x nn.Matrix, runs *nn.RunIndex, h1, h2 nn.Matrix, ws *nn.Workspace) {
-	w[2*k].Forward(x, runs, h1, nil, true, ws)
-	w[2*k+1].Forward(h1, nil, h2, nil, true, ws)
-}
-
-// module is setModule with each distinct element forwarded once: a row
-// equal to an element of the table is copied from it, the first
-// occurrences the table lacks are listed (ws.RowList) and go through both
-// layers as one row list, so the dense second layer takes them four at a
-// time, and then a row equal to an earlier row of the batch (pb's keys) is
-// copied from that row. The kernel computes each row's outputs on their
-// own, summing each in ascending k whatever rows share its tile, so a
-// copied row is the bits the row would have been computed to.
+// module runs set module k — the indexed first layer into h1, the dense
+// second into h2 — on x, pb's set k, forwarding each distinct element once.
+// A row equal to an element of the table is copied from it (h2 only: the
+// engine reads nothing else), the first occurrences the table lacks are
+// listed (ws.RowList) and go through both layers as one row list, so the
+// dense second layer takes them four at a time, and then a row equal to an
+// earlier row of the batch (pb's keys) is copied from that row. A nil
+// table holds no element: every first occurrence is forwarded, and a copied
+// row gets its h1 too, which the trainer's backward reads. The kernel
+// computes each row's outputs on their own, summing each in ascending k
+// whatever rows share its tile, so a copied row is the bits the row would
+// have been computed to.
 //
 //deepsketch:zeroalloc
 func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h1, h2 nn.Matrix, ws *nn.Workspace) {
@@ -300,6 +297,9 @@ func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h
 	for r := 0; r < x.Rows; r++ {
 		if q := keys.rep[r]; q != r {
 			copy(h2.Row(r), h2.Row(q))
+			if t == nil {
+				copy(h1.Row(r), h1.Row(q))
+			}
 		}
 	}
 }

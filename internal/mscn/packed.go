@@ -21,8 +21,8 @@ import (
 // row three non-zeros. Packing records, per set, where each row's non-zero
 // columns are — the run index every set module's first layer reads — and
 // which earlier row of the batch, if any, the row equals (setKeys), so the
-// engine can forward each distinct element once. TX, JX and PX keep the
-// dense rows they index.
+// engine and the trainer forward each distinct element once. TX, JX and PX
+// keep the dense rows they index.
 //
 // BuildFrom is the only code that fills a PackedBatch. A PackedBatch is
 // reusable: BuildFrom grows the backing buffers once and then rebuilds in
@@ -109,24 +109,14 @@ func copyRows(vecs [][]float64, next func() []float64) error {
 	return nil
 }
 
-// indexRuns rebuilds each set's run index and clears the keys dedupe fills,
-// so a batch packed without them cannot be read as deduped.
-func (pb *PackedBatch) indexRuns() {
+// key rebuilds each set's keys: its run index, then each row's hash,
+// looked up in an open-addressing table of the set's rows seen so far to
+// find its first equal row. Buffers are reused across builds.
+func (pb *PackedBatch) key() {
 	xs, _ := pb.sets()
 	for k, x := range xs {
 		s := &pb.keys[k]
 		nn.Index(&s.runs, x)
-		s.hash, s.rep = s.hash[:0], s.rep[:0]
-	}
-}
-
-// dedupe fills the rest of the keys after indexRuns: each row's hash,
-// looked up in an open-addressing table of the set's rows seen so far to
-// find its first equal row. Buffers are reused across builds.
-func (pb *PackedBatch) dedupe() {
-	xs, _ := pb.sets()
-	for k, x := range xs {
-		s := &pb.keys[k]
 		s.hash = ensureLen(s.hash, x.Rows)
 		s.rep = ensureLen(s.rep, x.Rows)
 		size := 1
@@ -227,19 +217,10 @@ func (pb *PackedBatch) Rows() (nt, nj, np int) {
 // BuildFrom (re)packs queries lo..hi of a QuerySource into pb, letting the
 // source featurize directly into the packed rows — no intermediate
 // per-query vectors — reusing the backing buffers of previous builds when
-// their capacity suffices. The source's RowCounts contract is enforced:
-// consuming a different number of rows than promised is an error.
+// their capacity suffices, and then keys the rows (setKeys). The source's
+// RowCounts contract is enforced: consuming a different number of rows than
+// promised is an error.
 func (pb *PackedBatch) BuildFrom(src QuerySource, lo, hi, tdim, jdim, pdim int) error {
-	if err := pb.fill(src, lo, hi, tdim, jdim, pdim); err != nil {
-		return err
-	}
-	pb.dedupe()
-	return nil
-}
-
-// fill is BuildFrom without the dedupe keys: the rows, their offsets and
-// their run indexes — all the trainer reads.
-func (pb *PackedBatch) fill(src QuerySource, lo, hi, tdim, jdim, pdim int) error {
 	b := hi - lo
 	if b <= 0 {
 		return fmt.Errorf("mscn: empty batch")
@@ -279,7 +260,7 @@ func (pb *PackedBatch) fill(src QuerySource, lo, hi, tdim, jdim, pdim int) error
 	if tr != nt || jr != nj || pr != np {
 		return fmt.Errorf("mscn: source consumed %d/%d/%d rows, RowCounts promised %d/%d/%d", tr, jr, pr, nt, nj, np)
 	}
-	pb.indexRuns()
+	pb.key()
 	return nil
 }
 

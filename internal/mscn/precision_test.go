@@ -154,8 +154,7 @@ func TestTrainForwardMatchesEngineForward(t *testing.T) {
 	}
 
 	wk := new(trainWorker)
-	var w weights
-	transpose(m, &w)
+	w := newWeights(m)
 	trained := make([]float64, len(encs))
 	if err := wk.forward(m, &w, encodedSource(encs), 0, trained); err != nil {
 		t.Fatal(err)

@@ -53,13 +53,15 @@ type EpochStats struct {
 //
 // Training runs on the packed representation: each minibatch is sharded
 // contiguously across opts.Parallelism workers, every worker packs its
-// shard from the examples' sources (BuildFrom's fill half), forwards it
-// and carries its gradient back layer by layer with private scratch, while
-// the parameter gradients are split by output unit across the workers and
-// summed over all shards in query order, and one Adam step applies per
-// minibatch — so the seed fixes every weight bit, whatever the
-// parallelism. A source error (a query its encoder cannot featurize) ends
-// the run with that error.
+// shard from the examples' sources (BuildFrom), forwards each distinct set
+// element of it once and carries its gradient back layer by layer, row by
+// row, with private scratch, while the parameter gradients are split by
+// output unit across the workers and summed over all shards in query
+// order, and one Adam step applies per minibatch, its element-wise update
+// and the next forward's weight transposes split across the same workers —
+// so the seed fixes every weight bit, whatever the parallelism. A source
+// error (a query its encoder cannot featurize) ends the run with that
+// error.
 //
 // opts.Resume warm-starts the optimizer from an exported state; opts.Epochs
 // overrides the configured epoch budget; opts.StopAtValQ stops early once
@@ -109,16 +111,17 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 		}
 	}
 	epochs := opts.epochs(m.Cfg)
-	tr := newPackedTrainer(m, params, opts.workers())
+	tr := newPackedTrainer(m, params, opt, opts.workers())
+	defer tr.stop()
 	mon.TrainStart(tr.parallelism(), len(train), len(val))
 	stats := make([]EpochStats, 0, epochs)
 
 	qs := make([]float64, len(val)) // validation predictions, then their q-errors
 
-	// The trainer state (packed batches, workspaces) and
+	// The trainer state (packed batches, workspaces, helper goroutines) and
 	// the staging slices live across every step of every epoch: steady-state
 	// training allocates nothing per step beyond what featurization, shape
-	// growth and, at P>1, the per-step fork/join demand.
+	// growth and the closures of the step's shard forks demand.
 	var (
 		batch   exampleSource
 		targets []float64
@@ -146,7 +149,7 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 			if err != nil {
 				return stats, err
 			}
-			opt.Step(params)
+			tr.update()
 			lossSum += loss
 			batches++
 		}

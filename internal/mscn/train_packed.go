@@ -75,14 +75,15 @@ type trainWorker struct {
 	dH1, dH2   [3]nn.Matrix
 }
 
-// forward packs queries lo..lo+len(preds) of src with BuildFrom's fill half
-// (no dedupe keys: the trainer forwards every row) and runs forwardPacked on
-// w, the trainer's transposed copy of the live weights, with no element
-// table, keeping the activations as the tape and writing normalized
-// predictions into preds. The workspace is reserved for the whole step —
-// forward and backward — so the backward Allocs continue the same arena.
+// forward packs queries lo..lo+len(preds) of src with BuildFrom, keys
+// included, and runs forwardPacked on w, the trainer's transposed copy of
+// the live weights, with no element table: each distinct row of a set is
+// forwarded once and its duplicates get copies of its h1 and h2. It keeps
+// the activations as the tape and writes normalized predictions into
+// preds. The workspace is reserved for the whole step — forward and
+// backward — so the backward Allocs continue the same arena.
 func (wk *trainWorker) forward(m *Model, w *weights, src QuerySource, lo int, preds []float64) error {
-	if err := wk.pb.fill(src, lo, lo+len(preds), m.TDim, m.JDim, m.PDim); err != nil {
+	if err := wk.pb.BuildFrom(src, lo, lo+len(preds), m.TDim, m.JDim, m.PDim); err != nil {
 		return err
 	}
 	b := wk.pb.B
@@ -160,34 +161,121 @@ func (wk *trainWorker) tape(li int) (x nn.Matrix, runs *nn.RunIndex, dy nn.Matri
 // own shard from the minibatch's QuerySource and forwards it, so the only
 // feature rows alive are the workers' packed batches. The loss is summed
 // serially in query order, each worker backpropagates its shard's input
-// gradients, and then every worker accumulates the parameter gradients of
-// its range of each layer's output units straight into the shared
-// Param.Grad, over every shard's rows in shard order. That is the order one
-// worker takes, so every parameter gradient, and with it every weight, has
-// the same bits at any parallelism.
+// gradients row by row — a duplicate row too, so no gradient merges rows
+// the forward deduplicated — and then every worker accumulates the
+// parameter gradients of its range of each layer's output units straight
+// into the shared Param.Grad, over every shard's rows in shard order. That
+// is the order one worker takes, so every parameter gradient, and with it
+// every weight, has the same bits at any parallelism.
 //
-// The forward runs on w, one transposed copy of the live weights that
-// every worker reads: transpose rewrites it in place once per step, before
-// the shards fork, and once per predict. The backward reads the live
-// [out][in] weights.
+// The serial remainder of a step is sharded too. update takes Adam's
+// global gradient norm serially and then splits the element-wise update
+// across the workers by parameter range (nn.Adam.StepShard). The forward
+// runs on w, one transposed copy of the live weights that every worker
+// reads: transpose rewrites it once per step, before the shards fork, and
+// once per predict, its rows split across the workers (transposeShard).
+// The backward reads the live [out][in] weights. Every one of these splits
+// is of element-wise work, so none moves a bit.
+//
+// Every fork runs on the calling goroutine and the trainer's helpers,
+// which live until stop, so a step starts no goroutine; update's and
+// transpose's shares are bound once, so neither allocates per step.
 type packedTrainer struct {
 	m       *Model
 	w       weights
+	opt     *nn.Adam
 	params  []*nn.Param
 	workers []*trainWorker
 	errs    []error // per-worker step errors, reused across steps
 	preds   []float64
 	grad    []float64
+
+	helpers []chan func(w int) // helper i runs share i+1 of a fork
+	joined  sync.WaitGroup     // a fork's helper shares, or stop's exits
+
+	// transpose's and update's shares, bound to t once.
+	transposeShare, updateShare func(w int)
 }
 
-func newPackedTrainer(m *Model, params []*nn.Param, parallelism int) *packedTrainer {
-	t := &packedTrainer{m: m, params: params}
+// newPackedTrainer returns a trainer of parallelism workers stepping
+// params, the model's, with opt; it runs until stop.
+func newPackedTrainer(m *Model, params []*nn.Param, opt *nn.Adam, parallelism int) *packedTrainer {
+	t := &packedTrainer{m: m, w: newWeights(m), opt: opt, params: params}
 	t.workers = make([]*trainWorker, parallelism)
 	for i := range t.workers {
 		t.workers[i] = new(trainWorker)
 	}
 	t.errs = make([]error, parallelism)
+	t.helpers = make([]chan func(int), parallelism-1)
+	for i := range t.helpers {
+		jobs := make(chan func(int))
+		t.helpers[i] = jobs
+		go func() {
+			for fn := range jobs {
+				fn(i + 1)
+				t.joined.Done()
+			}
+			t.joined.Done() // stop's
+		}()
+	}
+	t.transposeShare = func(w int) { transposeShard(t.m, &t.w, w, parallelism) }
+	t.updateShare = func(w int) { t.opt.StepShard(t.params, w, parallelism) }
 	return t
+}
+
+// stop ends the trainer's helpers and returns once they have exited. The
+// trainer must not be used after.
+func (t *packedTrainer) stop() {
+	t.joined.Add(len(t.helpers))
+	for _, jobs := range t.helpers {
+		close(jobs)
+	}
+	t.joined.Wait()
+}
+
+// fork runs fn(0), …, fn(k-1), k at most the worker count, and returns
+// when all have: fn(0) on the calling goroutine, the rest on helpers.
+func (t *packedTrainer) fork(k int, fn func(w int)) {
+	t.joined.Add(k - 1)
+	for _, jobs := range t.helpers[:k-1] {
+		jobs <- fn
+	}
+	fn(0)
+	t.joined.Wait()
+}
+
+// transposeShard copies shard s of n of the live weights into w, which has
+// their shape: the rows s·R/n up to (s+1)·R/n of the eight layers' R rows of
+// WT taken end to end, with each layer's bias going to the shard holding
+// its row 0 (nn.Transpose). Shards write disjoint rows, so the n of one
+// generation may run concurrently.
+func transposeShard(m *Model, w *weights, s, n int) {
+	layers := m.layers()
+	rows := 0
+	for _, l := range layers {
+		rows += l.In
+	}
+	lo, hi := s*rows/n, (s+1)*rows/n
+	off := 0
+	for i, l := range layers {
+		a, b := max(lo-off, 0), min(hi-off, l.In)
+		off += l.In
+		if a < b {
+			nn.Transpose(&w[i], l, a, b)
+		}
+	}
+}
+
+// transpose rewrites w from the live weights, its rows split across every
+// worker in one fork.
+func (t *packedTrainer) transpose() { t.fork(len(t.workers), t.transposeShare) }
+
+// update applies one step of opt to the live weights from the gradients a
+// step accumulated, and zeroes them: the serial half (nn.Adam.BeginStep),
+// then the element-wise half split across every worker in one fork.
+func (t *packedTrainer) update() {
+	t.opt.BeginStep(t.params)
+	t.fork(len(t.workers), t.updateShare)
 }
 
 // parallelism reports the configured worker count.
@@ -196,24 +284,6 @@ func (t *packedTrainer) parallelism() int { return len(t.workers) }
 // shards is how many workers n queries are split across: every worker, or
 // one per query when there are fewer queries than workers.
 func (t *packedTrainer) shards(n int) int { return min(len(t.workers), n) }
-
-// fork runs fn(0), …, fn(k-1) and returns when all have: inline when k is
-// 1, otherwise one goroutine each.
-func fork(k int, fn func(w int)) {
-	if k == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w)
-		}()
-	}
-	wg.Wait()
-}
 
 // forEachShard splits [0, n) into shards(n) contiguous shards — worker w
 // takes [lo(w), lo(w+1)), the first n%p shards one element longer — and runs
@@ -225,7 +295,7 @@ func (t *packedTrainer) forEachShard(n int, fn func(w, lo, hi int) error) error 
 		return nil
 	}
 	errs := t.errs[:p]
-	fork(p, func(w int) {
+	t.fork(p, func(w int) {
 		lo := w*(n/p) + min(w, n%p)
 		hi := lo + n/p
 		if w < n%p {
@@ -265,8 +335,8 @@ func (t *packedTrainer) paramGrads(w, p, li int) {
 
 // step runs one minibatch, the len(targets) queries of src: returns the
 // mean loss with parameter gradients accumulated (the caller applies the
-// optimizer step). src and targets are staged by the caller in shuffled
-// order.
+// optimizer step, update). src and targets are staged by the caller in
+// shuffled order.
 func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNorm) (float64, error) {
 	n := len(targets)
 	if cap(t.preds) < n {
@@ -277,7 +347,7 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 	grad := t.grad[:n]
 	invN := 1.0 / float64(n)
 
-	transpose(t.m, &t.w)
+	t.transpose()
 	err := t.forEachShard(n, func(w, lo, hi int) error {
 		return t.workers[w].forward(t.m, &t.w, src, lo, preds[lo:hi])
 	})
@@ -291,7 +361,7 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 		return nil
 	})
 	p := t.shards(n)
-	fork(len(t.workers), func(w int) {
+	t.fork(len(t.workers), func(w int) {
 		for li := range t.m.layers() {
 			t.paramGrads(w, p, li)
 		}
@@ -307,7 +377,7 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 // segment pools are per query), so any parallelism returns the same bits.
 func (t *packedTrainer) predict(src QuerySource, preds []float64) error {
 	bs := t.m.Cfg.BatchSize
-	transpose(t.m, &t.w)
+	t.transpose()
 	return t.forEachShard(len(preds), func(w, lo, hi int) error {
 		for ; lo < hi; lo += bs {
 			end := min(lo+bs, hi)

@@ -1,6 +1,7 @@
 package mscn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -219,7 +220,8 @@ func TestTrainerPredictMatchesEnginePredict(t *testing.T) {
 		want[i] = y
 	}
 	for p := 1; p <= 3; p++ {
-		tr := newPackedTrainer(m, m.Params(), p)
+		tr := newPackedTrainer(m, m.Params(), nil, p)
+		defer tr.stop()
 		for _, n := range []int{0, 1, 2, 8, 17, 53} {
 			got := make([]float64, n)
 			if err := tr.predict(encodedSource(encs), got); err != nil {
@@ -281,6 +283,83 @@ func TestTrainErrorBumpsWeightGen(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("precision %d query %d: the model's engine predicts %v, a fresh engine %v", p, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTrainForwardDedupeMatchesFull: the trainer forwards each distinct set
+// row once and copies h1 and h2 to its duplicates, so its tape (h1, h2,
+// out) must be, bit for bit, that of a forward computing every row — the
+// same batch with each row its own representative. The minibatch plants
+// duplicate table, join and predicate rows within and across queries, and
+// its second shard has no join or predicate row. At 32 units the dense
+// second layer runs four-row tiles where the CPU has them, so deduplicated
+// rows share tiles with other rows than in the full forward.
+func TestTrainForwardDedupeMatchesFull(t *testing.T) {
+	const jdim, pdim = 5, 9
+	a, b, c := tableRow(0, 40), tableRow(1, 25), tableRow(0, 39)
+	j1, j2 := oneHot(jdim, 1), oneHot(jdim, 3)
+	p1 := []float64{0, 1, 0, 0, 0.25, 0, 0, 1, 0}
+	p2 := []float64{1, 0, 0, 0, 0, 0.75, 1, 0, 0}
+	encs := []featurize.Encoded{
+		{TableVecs: [][]float64{a, a, b}, JoinVecs: [][]float64{j1, j1}, PredVecs: [][]float64{p1, p2, p1}},
+		{TableVecs: [][]float64{b, c}, JoinVecs: [][]float64{j1, j2}, PredVecs: [][]float64{p2}},
+		{TableVecs: [][]float64{a}},
+		{TableVecs: [][]float64{c, a, c}},
+	}
+	for _, h := range []int{12, 32} {
+		m := New(Config{HiddenUnits: h, Seed: 9}, memoT+memoBits, jdim, pdim)
+		tr := newPackedTrainer(m, m.Params(), nil, 2)
+		defer tr.stop()
+		tr.transpose()
+		preds := make([]float64, len(encs))
+		err := tr.forEachShard(len(encs), func(w, lo, hi int) error {
+			return tr.workers[w].forward(m, &tr.w, encodedSource(encs), lo, preds[lo:hi])
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped := [3]int{}
+		for w, wk := range tr.workers {
+			var full PackedBatch
+			if err := full.BuildFrom(encodedSource(encs), 2*w, 2*w+2, m.TDim, m.JDim, m.PDim); err != nil {
+				t.Fatal(err)
+			}
+			for k := range full.keys {
+				for r, q := range wk.pb.keys[k].rep {
+					if q != r {
+						skipped[k]++
+					}
+					full.keys[k].rep[r] = r
+				}
+			}
+			var ws nn.Workspace
+			ws.Reserve(forwardFloats(&full, h))
+			var act activations
+			out := make([]float64, full.B)
+			forwardPacked(&tr.w, &full, nil, &ws, &act, out)
+			same := func(what string, got, want nn.Matrix) {
+				t.Helper()
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("h=%d shard %d %s: element %d (row %d) deduped %v, full %v",
+							h, w, what, i, i/max(want.Cols, 1), got.Data[i], want.Data[i])
+					}
+				}
+			}
+			for k := 0; k < 3; k++ {
+				same(fmt.Sprint("h1 of set ", k), wk.tp.h1[k], act.h1[k])
+				same(fmt.Sprint("h2 of set ", k), wk.tp.h2[k], act.h2[k])
+			}
+			same("out", wk.tp.out, act.out)
+			if nj, np := len(wk.pb.keys[1].rep), len(wk.pb.keys[2].rep); w == 1 && (nj != 0 || np != 0) {
+				t.Fatalf("shard 1 has %d join and %d predicate rows, want none", nj, np)
+			}
+		}
+		for k, n := range skipped {
+			if n == 0 {
+				t.Fatalf("h=%d: no row of set %d was deduplicated", h, k)
 			}
 		}
 	}

@@ -90,8 +90,7 @@ func BenchmarkLinearForward(b *testing.B) {
 // the ReLU; "random" zeroes each element independently with that
 // forward's zero share and draws the rest uniformly from (0, 1).
 func benchDenseRows(kind string, in int) Matrix {
-	var lt Layer
-	Transpose(&lt, NewLinear("bench.first", benchIn, in, datagen.NewRand(2)))
+	lt := NewLayer(NewLinear("bench.first", benchIn, in, datagen.NewRand(2)))
 	bits := benchBitmapRows(0.5)
 	var ix RunIndex
 	Index(&ix, bits)
@@ -119,8 +118,7 @@ func benchDenseRows(kind string, in int) Matrix {
 }
 
 func benchForward(b *testing.B, l *Linear, x Matrix, ix *RunIndex) {
-	var lt Layer
-	Transpose(&lt, l)
+	lt := NewLayer(l)
 	y := NewMatrix(x.Rows, l.Out)
 	var ws Workspace
 	kernels := []string{"axpy"}

@@ -72,8 +72,7 @@ func sameBits(a, b []float64) int {
 func checkIndexedForward(t *testing.T, c indexedCase, seed int64) {
 	t.Helper()
 	lin := NewLinear("t", c.in, c.out, datagen.NewRand(seed))
-	var l Layer
-	Transpose(&l, lin)
+	l := NewLayer(lin)
 	x := c.matrix()
 	var ix RunIndex
 	Index(&ix, x)
@@ -216,8 +215,7 @@ func TestForwardIndexedZeroAlloc(t *testing.T) {
 	wide := wideCase(0.5, 7)
 	wide.rows, wide.in = 9, 8+1100
 	for _, c := range []indexedCase{indexedCases[9], wide} {
-		var l Layer
-		Transpose(&l, NewLinear("t", c.in, c.out, datagen.NewRand(1)))
+		l := NewLayer(NewLinear("t", c.in, c.out, datagen.NewRand(1)))
 		x := c.matrix()
 		var ix RunIndex
 		Index(&ix, x)

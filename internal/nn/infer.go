@@ -116,26 +116,55 @@ func (w *Workspace) Alloc(rows, cols int) Matrix {
 // contiguous row, WT[k·Out:(k+1)·Out]. It holds no gradients and is
 // a copy: Transpose refreshes it from the Linear's live float64 parameters
 // (the mscn engine once per weight generation, the packed trainer once per
-// step).
+// step, its rows split across the trainer's workers).
 type Layer struct {
 	In, Out int
 	WT, B   []float64
 }
 
-// Transpose copies l's current weights into dst, W transposed. It reuses
-// dst's buffers when they fit and allocates them otherwise, so a Layer
-// that is refreshed every step allocates once.
-func Transpose(dst *Layer, l *Linear) {
-	dst.In, dst.Out = l.In, l.Out
-	if len(dst.WT) != len(l.W.Data) || len(dst.B) != len(l.B.Data) {
-		dst.WT, dst.B = make([]float64, len(l.W.Data)), make([]float64, len(l.B.Data))
+// NewLayer returns a Layer of l's shape holding l's current weights, W
+// transposed: its buffers are allocated here and reused by every later
+// Transpose into it.
+func NewLayer(l *Linear) Layer {
+	dst := Layer{In: l.In, Out: l.Out, WT: make([]float64, len(l.W.Data)), B: make([]float64, len(l.B.Data))}
+	Transpose(&dst, l, 0, l.In)
+	return dst
+}
+
+// transposeBlock is the edge of the square blocks Transpose copies: 8×8
+// float64 are eight cache lines read and eight written per block.
+const transposeBlock = 8
+
+// Transpose copies rows lo..hi of WT from l's current weights — the
+// weights inputs lo..hi multiply, column k of W becoming row k of WT — and,
+// when the range holds row 0, the bias. dst must have l's shape
+// (NewLayer). It writes nothing else, so calls on disjoint ranges of one
+// dst may run concurrently. The copy walks transposeBlock×transposeBlock
+// blocks, so each W row and each WT row it touches stays in cache for a
+// whole block.
+func Transpose(dst *Layer, l *Linear, lo, hi int) {
+	in, out := l.In, l.Out
+	if dst.In != in || dst.Out != out || len(dst.WT) != len(l.W.Data) || len(dst.B) != len(l.B.Data) {
+		panic("nn: Transpose into a Layer of another shape")
 	}
-	for o := 0; o < l.Out; o++ {
-		for k, v := range l.W.Data[o*l.In : (o+1)*l.In] {
-			dst.WT[k*l.Out+o] = v
+	if lo < 0 || hi > in || lo > hi {
+		panic("nn: Transpose rows out of range")
+	}
+	w, wt := l.W.Data, dst.WT
+	for k0 := lo; k0 < hi; k0 += transposeBlock {
+		k1 := min(k0+transposeBlock, hi)
+		for o0 := 0; o0 < out; o0 += transposeBlock {
+			o1 := min(o0+transposeBlock, out)
+			for o := o0; o < o1; o++ {
+				for k, v := range w[o*in+k0 : o*in+k1] {
+					wt[(k0+k)*out+o] = v
+				}
+			}
 		}
 	}
-	copy(dst.B, l.B.Data)
+	if lo == 0 && hi > 0 {
+		copy(dst.B, l.B.Data)
+	}
 }
 
 // RoundToSingle rounds every weight and bias of l in place to the nearest

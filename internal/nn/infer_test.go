@@ -2,6 +2,8 @@ package nn
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"deepsketch/internal/datagen"
@@ -47,8 +49,7 @@ func TestForwardFusedMatchesForward(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = rng.Float64()*2 - 1
 		}
-		var lt Layer
-		Transpose(&lt, l)
+		lt := NewLayer(l)
 		for _, relu := range []bool{false, true} {
 			want := l.Forward(x)
 			if relu {
@@ -314,6 +315,86 @@ func TestMaskedAvgPoolIntoDirtyBuffers(t *testing.T) {
 	for i := range wantB.Data {
 		if wantB.Data[i] != gotB.Data[i] {
 			t.Fatalf("pool backward into[%d] = %v, want %v", i, gotB.Data[i], wantB.Data[i])
+		}
+	}
+}
+
+// TestTransposeRangesMatchElementLoop: Transpose over any split of WT's rows
+// into ranges, run concurrently, writes the element loop's WT[k][o] =
+// W[o][k] and the bias, and a range writes no row outside itself and the
+// bias only when it holds row 0.
+func TestTransposeRangesMatchElementLoop(t *testing.T) {
+	rng := datagen.NewRand(3)
+	for _, shape := range [][2]int{{1006, 256}, {9, 17}, {7, 3}, {1, 1}} {
+		in, out := shape[0], shape[1]
+		l := NewLinear("t", in, out, rng)
+		want := make([]float64, in*out)
+		for o := 0; o < out; o++ {
+			for k := 0; k < in; k++ {
+				want[k*out+o] = l.W.Data[o*in+k]
+			}
+		}
+		// Every cut point for the small shapes; around the block edges
+		// and the middle for the wide one. Each set of cuts is one split.
+		var splits [][]int
+		for c := 0; c <= in; c++ {
+			if in < 64 || c%8 <= 1 && (c < 24 || c > in-24) || c == in/2 {
+				splits = append(splits, []int{0, c, in})
+			}
+		}
+		splits = append(splits, []int{0, in / 3, 2 * in / 3, in})
+		if in < 64 {
+			every := make([]int, in+1)
+			for i := range every {
+				every[i] = i
+			}
+			splits = append(splits, every)
+		}
+		for _, cuts := range splits {
+			dst := NewLayer(NewLinear("zero", in, out, rng)) // other weights, to be overwritten
+			var wg sync.WaitGroup
+			for i := 0; i+1 < len(cuts); i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					Transpose(&dst, l, cuts[i], cuts[i+1])
+				}()
+			}
+			wg.Wait()
+			for i, v := range want {
+				if math.Float64bits(dst.WT[i]) != math.Float64bits(v) {
+					t.Fatalf("%d×%d split %v: WT[%d][%d] = %v, want %v", in, out, cuts, i/out, i%out, dst.WT[i], v)
+				}
+			}
+			for o, v := range l.B.Data {
+				if math.Float64bits(dst.B[o]) != math.Float64bits(v) {
+					t.Fatalf("%d×%d split %v: B[%d] = %v, want %v", in, out, cuts, o, dst.B[o], v)
+				}
+			}
+		}
+		// One range alone leaves the other rows, and the bias unless it
+		// holds row 0, as they were.
+		for _, r := range [][2]int{{0, in / 2}, {in / 2, in}, {in, in}} {
+			dst := NewLayer(NewLinear("zero", in, out, rng))
+			oldWT, oldB := slices.Clone(dst.WT), slices.Clone(dst.B)
+			Transpose(&dst, l, r[0], r[1])
+			for i := range want {
+				k := i / out
+				exp := oldWT[i]
+				if k >= r[0] && k < r[1] {
+					exp = want[i]
+				}
+				if dst.WT[i] != exp {
+					t.Fatalf("%d×%d range %v: WT[%d][%d] = %v, want %v", in, out, r, k, i%out, dst.WT[i], exp)
+				}
+			}
+			wantB := oldB
+			if r[0] == 0 && r[1] > 0 {
+				wantB = l.B.Data
+			}
+			if !slices.Equal(dst.B, wantB) {
+				t.Fatalf("%d×%d range %v: bias %v, want %v", in, out, r, dst.B, wantB)
+			}
 		}
 	}
 }

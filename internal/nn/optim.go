@@ -18,6 +18,11 @@ type Adam struct {
 	t int
 	m map[*Param][]float64
 	v map[*Param][]float64
+
+	// The step BeginStep began: the clip scale (1 when clipping is off or
+	// idle), the bias corrections and the parameters' element count.
+	scale, bc1, bc2 float64
+	size            int
 }
 
 // NewAdam constructs an Adam optimizer with standard defaults
@@ -112,40 +117,65 @@ func (a *Adam) RestoreState(params []*Param, st *OptState) error {
 }
 
 // Step applies one update to all parameters from their accumulated
-// gradients, then zeroes the gradients.
+// gradients, then zeroes the gradients: BeginStep, then the whole of
+// StepShard as one shard.
 func (a *Adam) Step(params []*Param) {
+	a.BeginStep(params)
+	a.StepShard(params, 0, 1)
+}
+
+// BeginStep is the serial half of a step on params: the clip scale from
+// the global gradient norm (one sum in params order), the step count and
+// bias corrections, and each moment vector not yet allocated. The
+// element-wise half, StepShard, must then cover every shard before the next
+// BeginStep.
+func (a *Adam) BeginStep(params []*Param) {
+	a.scale = 1
 	if a.ClipNorm > 0 {
-		norm := GlobalGradNorm(params)
-		if norm > a.ClipNorm {
-			scale := a.ClipNorm / (norm + 1e-12)
-			for _, p := range params {
-				for i := range p.Grad {
-					p.Grad[i] *= scale
-				}
-			}
+		if norm := GlobalGradNorm(params); norm > a.ClipNorm {
+			a.scale = a.ClipNorm / (norm + 1e-12)
 		}
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.bc1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.bc2 = 1 - math.Pow(a.Beta2, float64(a.t))
+	a.size = 0
 	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float64, len(p.Data))
-			a.m[p] = m
+		if _, ok := a.m[p]; !ok {
+			a.m[p] = make([]float64, len(p.Data))
 		}
-		v, ok := a.v[p]
-		if !ok {
-			v = make([]float64, len(p.Data))
-			a.v[p] = v
+		if _, ok := a.v[p]; !ok {
+			a.v[p] = make([]float64, len(p.Data))
 		}
-		for i, g := range p.Grad {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+		a.size += len(p.Data)
+	}
+}
+
+// StepShard applies the step BeginStep began to shard s of n: the elements
+// s·N/n up to (s+1)·N/n of params' N elements taken end to end. Each element
+// is clip-scaled, moves its two moments and its weight, and has its
+// gradient zeroed, on its own, so the shards of one step may run
+// concurrently and leave the bits one shard would. It allocates nothing.
+func (a *Adam) StepShard(params []*Param, s, n int) {
+	lo, hi := s*a.size/n, (s+1)*a.size/n
+	b1, b2, bc1, bc2, scale := a.Beta1, a.Beta2, a.bc1, a.bc2, a.scale
+	off := 0
+	for _, p := range params {
+		i0, i1 := max(lo-off, 0), min(hi-off, len(p.Data))
+		off += len(p.Data)
+		if i0 >= i1 {
+			continue
+		}
+		m, v := a.m[p][i0:i1], a.v[p][i0:i1]
+		data, grad := p.Data[i0:i1], p.Grad[i0:i1]
+		for i, g := range grad {
+			g *= scale
+			m[i] = b1*m[i] + (1-b1)*g
+			v[i] = b2*v[i] + (1-b2)*g*g
 			mh := m[i] / bc1
 			vh := v[i] / bc2
-			p.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+			data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
-		p.ZeroGrad()
+		clear(grad)
 	}
 }

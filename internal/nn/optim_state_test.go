@@ -2,7 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -148,5 +151,82 @@ func TestOptStateCloneNil(t *testing.T) {
 	var st *OptState
 	if st.Clone() != nil {
 		t.Error("nil clone should be nil")
+	}
+}
+
+// TestAdamShardedMatchesSerial: BeginStep followed by StepShard over n
+// concurrent shards leaves the weights, the moments and the zeroed gradients
+// of Step, bit for bit — with clipping off, active and idle, from a first
+// step (the moments allocated lazily) and from a restored state. The
+// parameter sizes split unevenly at every shard count, and one is empty.
+func TestAdamShardedMatchesSerial(t *testing.T) {
+	sizes := []int{7, 1, 13, 0, 4, 29}
+	params := func() []*Param {
+		rng := rand.New(rand.NewSource(5))
+		ps := make([]*Param, len(sizes))
+		for i, n := range sizes {
+			ps[i] = NewParam(fmt.Sprint("p", i), n)
+			for j := range ps[i].Data {
+				ps[i].Data[j] = rng.NormFloat64()
+			}
+		}
+		return ps
+	}
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d]: sharded %v, serial %v", what, i, b[i], a[i])
+			}
+		}
+	}
+	// The gradients have a norm near 7: a clip of 1e-3 scales them, 1e6 does not.
+	for _, clip := range []float64{0, 1e-3, 1e6} {
+		for _, n := range []int{1, 2, 3, 7} {
+			serial, sharded := params(), params()
+			so, po := NewAdam(1e-2, clip), NewAdam(1e-2, clip)
+			rngS, rngP := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+			step := func(round int) {
+				t.Helper()
+				fillGrads(serial, rngS)
+				fillGrads(sharded, rngP)
+				so.Step(serial)
+				po.BeginStep(sharded)
+				var wg sync.WaitGroup
+				for s := 0; s < n; s++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						po.StepShard(sharded, s, n)
+					}()
+				}
+				wg.Wait()
+				what := fmt.Sprintf("clip %v, %d shards, step %d", clip, n, round)
+				ss, ps := so.ExportState(serial), po.ExportState(sharded)
+				if ss.Step != ps.Step {
+					t.Fatalf("%s: step count %d, serial %d", what, ps.Step, ss.Step)
+				}
+				for i := range serial {
+					same(what+" weight "+serial[i].Name, serial[i].Data, sharded[i].Data)
+					same(what+" grad "+serial[i].Name, make([]float64, sizes[i]), sharded[i].Grad)
+					same(what+" m "+serial[i].Name, ss.M[i], ps.M[i])
+					same(what+" v "+serial[i].Name, ss.V[i], ps.V[i])
+				}
+			}
+			for round := 1; round <= 3; round++ {
+				step(round)
+			}
+			st := so.ExportState(serial)
+			so, po = NewAdam(1e-2, clip), NewAdam(1e-2, clip)
+			if err := so.RestoreState(serial, st); err != nil {
+				t.Fatal(err)
+			}
+			if err := po.RestoreState(sharded, st); err != nil {
+				t.Fatal(err)
+			}
+			for round := 4; round <= 5; round++ {
+				step(round)
+			}
+		}
 	}
 }
