@@ -25,10 +25,14 @@ import (
 // unfiltered leaf's per-key sums are its join column's group sizes, with no
 // pass over its rows; and a parent no predicate or child has narrowed yet is
 // entered from a smaller child's distinct keys through its own index rather
-// than scanned. A column too wide to index is scanned and aggregated in a
-// map. Scratch space is pooled, so a count allocates little. Every count is
-// the same as a plain scan-and-hash execution's: the weights are integers,
-// so no summation order changes one below 2^53.
+// than scanned. A child that is still its whole table, joined on a column
+// holding every value of [Min, Max] once, is an identity join for a parent
+// whose column lies in that range, and is skipped (see identityJoin). Each
+// kind of per-key sum has its own loops, so no row re-tests the kind. A
+// column too wide to index is scanned and aggregated in a map. Scratch
+// space is pooled, so a count allocates little. Every count is the same as
+// a plain scan-and-hash execution's: the weights are integers, so no
+// summation order changes one below 2^53.
 //
 // Counts are accumulated in float64, which is exact up to 2^53; the result
 // saturates at MaxInt64 beyond that (unreachable at supported scales).
@@ -68,8 +72,8 @@ type execScratch struct {
 type execNode struct {
 	table *Table
 	// all means the node is still its whole table at weight 1: no predicate
-	// excluded a row and no child has been absorbed. rows and weights are
-	// unused then.
+	// excluded a row and no child but an identity join has been absorbed.
+	// rows and weights are unused then.
 	all bool
 	// rows are the qualifying row ids: a value index's memory, read only,
 	// or buf's.
@@ -209,8 +213,12 @@ func aliasIndex(q Query, alias string) int {
 
 // absorb folds a fully reduced child into the parent: parent row weights are
 // multiplied by the child's per-key weight sums, and parent rows without a
-// matching child key are dropped.
+// matching child key are dropped. An identity join leaves the parent as it
+// is.
 func (s *execScratch) absorb(n, child *execNode, pcol, ccol *Column) {
+	if child.all && identityJoin(pcol, ccol) {
+		return
+	}
 	a := s.aggregate(child, ccol)
 	if n.all && a.dense != nil && child.size() < n.size() {
 		if pix := pcol.index(); pix != nil {
@@ -230,6 +238,15 @@ func (s *execScratch) absorb(n, child *execNode, pcol, ccol *Column) {
 	}
 }
 
+// identityJoin reports whether joining a parent on pcol to the whole table
+// of ccol multiplies every parent row by exactly 1: ccol holds every value
+// of [Min, Max] once, and pcol's values all lie in that range. A dangling
+// key, a gap, a duplicate or a column too wide to index fails the test.
+func identityJoin(pcol, ccol *Column) bool {
+	ix := ccol.index()
+	return ix != nil && ix.unique && ix.min <= pcol.Min && pcol.Max <= ix.max
+}
+
 // weightAgg holds a reduced child's row-weight sums per join key: the group
 // sizes of the join column's index for an unfiltered leaf; otherwise a
 // dense array over the column's value span when it has an index, and a map
@@ -242,52 +259,61 @@ type weightAgg struct {
 }
 
 // aggregate sums the child's row weights per value of col. A dense sum is
-// left in the scratch's pooled array, which the caller zeroes again.
+// left in the scratch's pooled array, which the caller zeroes again. Each
+// kind of sum, weighted or not, has its own loop.
 func (s *execScratch) aggregate(c *execNode, col *Column) weightAgg {
 	ix := col.index()
 	if ix != nil && c.all {
 		return weightAgg{ix: ix}
 	}
-	var a weightAgg
-	if ix != nil {
-		span := len(ix.offsets) - 1
-		if len(s.agg) < span {
-			s.agg = make([]float64, span)
-		}
-		a.dense, a.offset = s.agg[:span], ix.min
-	} else {
-		a.m = make(map[int64]float64, c.size())
-	}
 	vals := col.Vals
-	for i := range c.size() {
-		r, w := int32(i), 1.0
-		if !c.all {
-			r = c.rows[i]
+	if ix == nil {
+		m := make(map[int64]float64, c.size())
+		switch {
+		case c.all:
+			for _, v := range vals {
+				m[v]++
+			}
+		case c.weights == nil:
+			for _, r := range c.rows {
+				m[vals[r]]++
+			}
+		default:
+			for i, r := range c.rows {
+				m[vals[r]] += c.weights[i]
+			}
 		}
-		if c.weights != nil {
-			w = c.weights[i]
+		return weightAgg{m: m}
+	}
+	span := len(ix.offsets) - 1
+	if len(s.agg) < span {
+		s.agg = make([]float64, span)
+	}
+	dense, off := s.agg[:span], ix.min
+	if c.weights == nil {
+		for _, r := range c.rows {
+			dense[vals[r]-off]++
 		}
-		if a.dense != nil {
-			a.dense[vals[r]-a.offset] += w
-		} else {
-			a.m[vals[r]] += w
+	} else {
+		for i, r := range c.rows {
+			dense[vals[r]-off] += c.weights[i]
 		}
 	}
-	return a
+	return weightAgg{dense: dense, offset: off}
 }
 
-func (a *weightAgg) get(key int64) float64 {
-	switch {
-	case a.ix != nil:
-		lo, hi := a.ix.valueRange(key)
-		return float64(hi - lo)
-	case a.dense != nil:
-		if k := uint64(key) - uint64(a.offset); k < uint64(len(a.dense)) {
-			return a.dense[k]
-		}
-		return 0
+// groupSize is the number of rows holding v, 0 outside [min, max].
+func (ix *valueIndex) groupSize(v int64) float64 {
+	lo, hi := ix.valueRange(v)
+	return float64(hi - lo)
+}
+
+// denseSum is a dense aggregate's sum for key, 0 outside its span.
+func denseSum(dense []float64, offset, key int64) float64 {
+	if k := uint64(key) - uint64(offset); k < uint64(len(dense)) {
+		return dense[k]
 	}
-	return a.m[key]
+	return 0
 }
 
 // enter sets a whole, unit-weight parent to the rows matching the child's
@@ -315,7 +341,8 @@ func (n *execNode) enter(pix *valueIndex, a *weightAgg, child *execNode, ccol *C
 
 // multiply scans the parent's rows, multiplying each weight by its key's sum
 // and dropping the rows whose sum is zero. The survivors go to buf, in place
-// when the rows are already there.
+// when the rows are already there. Each kind of aggregate has its own loops:
+// over the whole table, over unit-weight rows and over weighted rows.
 func (n *execNode) multiply(pcol *Column, a *weightAgg) {
 	size := n.size()
 	if cap(n.buf) < size {
@@ -327,18 +354,78 @@ func (n *execNode) multiply(pcol *Column, a *weightAgg) {
 	rows, ws := n.buf[:size], n.wbuf[:size]
 	vals := pcol.Vals
 	j := 0
-	for i := range size {
-		r := int32(i)
-		if !n.all {
-			r = n.rows[i]
+	switch ix, dense, off, m := a.ix, a.dense, a.offset, a.m; {
+	case ix != nil && n.all:
+		for r, v := range vals {
+			w := ix.groupSize(v)
+			rows[j], ws[j] = int32(r), w
+			if w != 0 {
+				j++
+			}
 		}
-		w := a.get(vals[r])
-		if n.weights != nil {
-			w *= n.weights[i]
+	case ix != nil && n.weights == nil:
+		for _, r := range n.rows {
+			w := ix.groupSize(vals[r])
+			rows[j], ws[j] = r, w
+			if w != 0 {
+				j++
+			}
 		}
-		rows[j], ws[j] = r, w
-		if w != 0 {
-			j++
+	case ix != nil:
+		for i, r := range n.rows {
+			w := ix.groupSize(vals[r]) * n.weights[i]
+			rows[j], ws[j] = r, w
+			if w != 0 {
+				j++
+			}
+		}
+	case dense != nil && n.all:
+		for r, v := range vals {
+			w := denseSum(dense, off, v)
+			rows[j], ws[j] = int32(r), w
+			if w != 0 {
+				j++
+			}
+		}
+	case dense != nil && n.weights == nil:
+		for _, r := range n.rows {
+			w := denseSum(dense, off, vals[r])
+			rows[j], ws[j] = r, w
+			if w != 0 {
+				j++
+			}
+		}
+	case dense != nil:
+		for i, r := range n.rows {
+			w := denseSum(dense, off, vals[r]) * n.weights[i]
+			rows[j], ws[j] = r, w
+			if w != 0 {
+				j++
+			}
+		}
+	case n.all:
+		for r, v := range vals {
+			w := m[v]
+			rows[j], ws[j] = int32(r), w
+			if w != 0 {
+				j++
+			}
+		}
+	case n.weights == nil:
+		for _, r := range n.rows {
+			w := m[vals[r]]
+			rows[j], ws[j] = r, w
+			if w != 0 {
+				j++
+			}
+		}
+	default:
+		for i, r := range n.rows {
+			w := m[vals[r]] * n.weights[i]
+			rows[j], ws[j] = r, w
+			if w != 0 {
+				j++
+			}
 		}
 	}
 	n.set(rows[:j], ws[:j])

@@ -233,6 +233,17 @@ func TestFilterTable(t *testing.T) {
 	}
 }
 
+// get is the per-key sum of any kind of aggregate, as multiply reads it.
+func (a *weightAgg) get(key int64) float64 {
+	switch {
+	case a.ix != nil:
+		return a.ix.groupSize(key)
+	case a.dense != nil:
+		return denseSum(a.dense, a.offset, key)
+	}
+	return a.m[key]
+}
+
 // TestWeightAggDenseAndSparse: a child's key sums go to the pooled dense
 // array when its join column has an index, and to a map when the column is
 // too wide for one; the pooled array is all zeros again after the absorb.
@@ -279,5 +290,39 @@ func TestWeightAggDenseAndSparse(t *testing.T) {
 	}
 	if got := sp.get(5); got != 0 {
 		t.Errorf("sparse missing get = %v", got)
+	}
+}
+
+// TestIdentityJoin: a join to a whole table whose key holds every value of
+// [Min, Max] once, from a parent column inside that range, multiplies every
+// parent row by 1, so absorb leaves the parent as it is. Any dangling key,
+// gap, duplicate or unindexed key takes the aggregate path.
+func TestIdentityJoin(t *testing.T) {
+	ids := NewIntColumn("id", []int64{3, 1, 4, 2})
+	for _, c := range []struct {
+		name   string
+		parent []int64
+		child  *Column
+		want   bool
+	}{
+		{"inside", []int64{2, 2, 3, 1}, ids, true},
+		{"whole range", []int64{1, 2, 3, 4}, ids, true},
+		{"below Min", []int64{0, 2, 3}, ids, false},
+		{"above Max", []int64{2, 5, 3}, ids, false},
+		{"gap", []int64{1, 2}, NewIntColumn("id", []int64{1, 2, 4}), false},
+		{"duplicate", []int64{1, 2}, NewIntColumn("id", []int64{1, 2, 2, 3}), false},
+		{"too wide to index", []int64{0}, NewIntColumn("id", []int64{0, 1 << 40}), false},
+	} {
+		pcol := NewIntColumn("fk", c.parent)
+		if got := identityJoin(pcol, c.child); got != c.want {
+			t.Errorf("%s: identityJoin = %v, want %v", c.name, got, c.want)
+		}
+		s := new(execScratch)
+		parent := &execNode{table: MustNewTable("p", pcol), all: true}
+		child := &execNode{table: MustNewTable("c", c.child), all: true}
+		s.absorb(parent, child, pcol, c.child)
+		if parent.all != c.want {
+			t.Errorf("%s: parent whole after absorb = %v, want %v", c.name, parent.all, c.want)
+		}
 	}
 }

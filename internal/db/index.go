@@ -8,6 +8,9 @@ type valueIndex struct {
 	min, max int64
 	offsets  []int32 // one per value in [min, max], plus the row count
 	rows     []int32
+	// unique means every value of [min, max] occurs exactly once: a key
+	// column with no gap and no duplicate, such as a dense primary key.
+	unique bool
 }
 
 // denseSlack is how many key slots per row a dense per-key array may spend:
@@ -15,21 +18,22 @@ type valueIndex struct {
 // a map aggregate and a full scan instead of an index.
 const denseSlack = 4
 
-// denseSpan reports whether keys in [min, max] over n rows fit a dense
-// per-key array. It is false for an empty range (min > max).
-func denseSpan(min, max int64, n int) bool {
-	if min > max {
+// Dense reports whether the column's value span fits a dense per-value
+// array, the rule that gives it a value index. It is false for an empty
+// column (Min > Max).
+func (c *Column) Dense() bool {
+	if c.Min > c.Max {
 		return false
 	}
-	d := uint64(max) - uint64(min) // span-1, exact even where max-min overflows
-	return d < uint64(denseSlack*n+1024) || d < 1<<16
+	d := uint64(c.Max) - uint64(c.Min) // span-1, exact even where Max-Min overflows
+	return d < uint64(denseSlack*len(c.Vals)+1024) || d < 1<<16
 }
 
 // index returns the column's value index, building it on first use, or nil
 // when the column is empty or its span too wide for a dense key array.
 func (c *Column) index() *valueIndex {
 	c.ixOnce.Do(func() {
-		if denseSpan(c.Min, c.Max, len(c.Vals)) {
+		if c.Dense() {
 			c.ix = buildValueIndex(c.Vals, c.Min, c.Max)
 		}
 	})
@@ -44,7 +48,9 @@ func buildValueIndex(vals []int64, min, max int64) *valueIndex {
 		off[v-min]++
 	}
 	var end int32
+	unique := true
 	for k := 0; k < span; k++ {
+		unique = unique && off[k] == 1
 		end += off[k]
 		off[k] = end
 	}
@@ -57,7 +63,7 @@ func buildValueIndex(vals []int64, min, max int64) *valueIndex {
 		off[k]--
 		rows[off[k]] = int32(r)
 	}
-	return &valueIndex{min: min, max: max, offsets: off, rows: rows}
+	return &valueIndex{min: min, max: max, offsets: off, rows: rows, unique: unique}
 }
 
 // valueRange returns the slot range [lo, hi) of value v's rows, empty when v

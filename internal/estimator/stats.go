@@ -1,6 +1,8 @@
 package estimator
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"deepsketch/internal/db"
@@ -33,65 +35,101 @@ type mcv struct {
 
 // BuildColStats computes statistics for one column with the given MCV list
 // size and histogram bucket count (PostgreSQL defaults are 100/100).
+//
+// It works on the column's distinct values in ascending order with their
+// counts, found by counting into an array over [Min, Max] when the span is
+// dense (the executor's value-index rule) and by sorting a copy otherwise.
+// The MCVs are the top mcvK by (count descending, value ascending), chosen
+// through a count threshold without sorting the distinct values, and their
+// frequencies are summed in that order. The histogram bounds come from the
+// cumulative non-MCV counts.
 func BuildColStats(c *db.Column, mcvK, buckets int) ColStats {
 	st := ColStats{Rows: len(c.Vals), MCVs: map[int64]float64{}}
 	if st.Rows == 0 {
 		return st
 	}
-	freq := make(map[int64]int)
-	for _, v := range c.Vals {
-		freq[v]++
-	}
-	st.NDistinct = float64(len(freq))
+	vals, counts := distinctCounts(c)
+	st.NDistinct = float64(len(vals))
 
-	// MCVs: top-k by frequency (ties broken by value for determinism).
-	type vf struct {
-		v int64
-		n int
+	// The k-th largest count is t: every value counted more than t is an
+	// MCV, and so are the atT lowest values counted exactly t.
+	maxCount := slices.Max(counts)
+	byCount := make([]int, maxCount+1)
+	for _, n := range counts {
+		byCount[n]++
 	}
-	all := make([]vf, 0, len(freq))
-	for v, n := range freq {
-		all = append(all, vf{v, n})
+	t, atT := maxCount, min(mcvK, len(vals))
+	for atT > byCount[t] {
+		atT -= byCount[t]
+		t--
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
+	var top []int // indexes into vals, ascending
+	for i, n := range counts {
+		if n > t || n == t && atT > 0 {
+			if n == t {
+				atT--
+			}
+			top = append(top, i)
 		}
-		return all[i].v < all[j].v
-	})
-	k := mcvK
-	if k > len(all) {
-		k = len(all)
 	}
-	isMCV := make(map[int64]bool, k)
-	for _, e := range all[:k] {
-		f := float64(e.n) / float64(st.Rows)
-		st.MCVs[e.v] = f
-		st.MCVFrac += f
-		st.mcvs = append(st.mcvs, mcv{e.v, f})
-		isMCV[e.v] = true
+	for _, i := range top {
+		f := float64(counts[i]) / float64(st.Rows)
+		st.MCVs[vals[i]] = f
+		st.mcvs = append(st.mcvs, mcv{vals[i], f})
 	}
-	sort.Slice(st.mcvs, func(i, j int) bool { return st.mcvs[i].v < st.mcvs[j].v })
+	// Sum the frequencies by (count descending, value ascending).
+	slices.SortStableFunc(top, func(i, j int) int { return cmp.Compare(counts[j], counts[i]) })
+	rest := st.Rows
+	for _, i := range top {
+		st.MCVFrac += float64(counts[i]) / float64(st.Rows)
+		rest -= int(counts[i])
+		counts[i] = 0
+	}
 
-	// Equi-depth histogram over the non-MCV values.
-	rest := make([]int64, 0, st.Rows)
-	for _, v := range c.Vals {
-		if !isMCV[v] {
-			rest = append(rest, v)
-		}
-	}
-	if len(rest) > 0 && buckets > 0 {
-		sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-		if buckets > len(rest) {
-			buckets = len(rest)
-		}
+	// Equi-depth histogram over the non-MCV values: bound b is the value at
+	// position b*(rest-1)/buckets of their ascending list.
+	if rest > 0 && buckets > 0 {
+		buckets = min(buckets, rest)
 		st.Bounds = make([]int64, buckets+1)
-		for b := 0; b <= buckets; b++ {
-			idx := b * (len(rest) - 1) / buckets
-			st.Bounds[b] = rest[idx]
+		i, cum := 0, int(counts[0])
+		for b := range st.Bounds {
+			for pos := b * (rest - 1) / buckets; cum <= pos; {
+				i++
+				cum += int(counts[i])
+			}
+			st.Bounds[b] = vals[i]
 		}
 	}
 	return st
+}
+
+// distinctCounts returns the column's distinct values in ascending order
+// and how often each occurs. The column must not be empty.
+func distinctCounts(c *db.Column) (vals []int64, counts []int32) {
+	if c.Dense() {
+		slots := make([]int32, uint64(c.Max)-uint64(c.Min)+1)
+		for _, v := range c.Vals {
+			slots[v-c.Min]++
+		}
+		for k, n := range slots {
+			if n > 0 {
+				vals = append(vals, c.Min+int64(k))
+				counts = append(counts, n)
+			}
+		}
+		return vals, counts
+	}
+	sorted := slices.Clone(c.Vals)
+	slices.Sort(sorted)
+	for i, v := range sorted {
+		if i > 0 && v == sorted[i-1] {
+			counts[len(counts)-1]++
+			continue
+		}
+		vals = append(vals, v)
+		counts = append(counts, 1)
+	}
+	return vals, counts
 }
 
 // EqSelectivity estimates P(col = v): the MCV frequency if v is an MCV,
