@@ -14,16 +14,17 @@ import (
 	"deepsketch/internal/workload"
 )
 
-// A sketch hands its engine the all-ones row of every table once
-// (Sketch.engine); the engine keeps their h2, with the join and zero rows',
-// in its element table and forwards each distinct element of a batch once.
-// That changes what an estimate costs and must change nothing else: every
-// test here compares a sketch's estimates, with ==, to a plain forward
-// written out row by row (plainForward).
+// A sketch's engine keeps the h2 of every set element a batch computed in
+// an element memo of its weight snapshot, so a row that recurs across
+// estimates — a table's all-ones row, a join, a template's predicate — is
+// forwarded once per weight generation, and each distinct element of a
+// batch once. That changes what an estimate costs and must change nothing
+// else: every test here compares a sketch's estimates, with ==, to a plain
+// forward written out row by row (plainForward).
 
 // plainForward is the MSCN forward of one featurized query, one set
 // element at a time through both layers of its module, with no batch, no
-// element table and no dedupe, on the model's weights or — with round —
+// element memo and no dedupe, on the model's weights or — with round —
 // on the weights rounded through float32, what an F32 engine stores. Each
 // output is summed in ascending input order from zero with the bias added
 // last, and the pool adds rows in order and scales by 1/n, as the engine's
@@ -124,7 +125,7 @@ func checkMemoChangesNothing(t *testing.T, what string, s *Sketch, qs []db.Query
 }
 
 // atBothPrecisions runs the check at F64, F32 and F64 again (each switch
-// replaces the engine's snapshot and its table), leaving s at F64.
+// replaces the engine's snapshot and its memo), leaving s at F64.
 func atBothPrecisions(t *testing.T, what string, s *Sketch, qs []db.Query) {
 	t.Helper()
 	for _, p := range []mscn.Precision{mscn.F64, mscn.F32, mscn.F64} {
@@ -174,11 +175,36 @@ func templateQueries(t *testing.T, d *db.DB, s *Sketch) []db.Query {
 	return qs
 }
 
+// referenceRows returns, per table of the sketch, the row an unfiltered
+// reference to it encodes to: its one-hot plus an all-ones bitmap of the
+// table's actual sample size (shorter than SampleSize for small tables),
+// through the Bitmaps → EncodeQueryTo path every estimate takes. These are
+// the table rows that recur most across estimates.
+func referenceRows(t *testing.T, s *Sketch) [][]float64 {
+	t.Helper()
+	enc := s.Encoder
+	rows := make([][]float64, len(enc.Tables))
+	for i, name := range enc.Tables {
+		q := db.Query{Tables: []db.TableRef{{Table: name, Alias: name}}}
+		bms, err := s.Samples.Bitmaps(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := enc.EncodeQuery(q, bms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = e.TableVecs[0]
+	}
+	return rows
+}
+
 // referenceShare counts the table rows of qs that equal one of s's
-// reference rows — the table rows the element table answers.
+// reference rows — table rows that recur from query to query, so the memo
+// answers all but their first.
 func referenceShare(t *testing.T, s *Sketch, qs []db.Query) (hits, rows int) {
 	t.Helper()
-	refs := s.referenceRows()
+	refs := referenceRows(t, s)
 	for _, q := range qs {
 		bms, err := s.Samples.Bitmaps(q)
 		if err != nil {
@@ -206,9 +232,10 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	s := shared.Clone() // precision flips and ReadWeights below must not reach the shared sketch
 	qs := memoQueries(t, d, s, 2000)
 
-	// The property that makes the table worth having, measured rather than
+	// The property that makes the memo worth having, measured rather than
 	// assumed: a large share of this traffic's table rows are reference
-	// rows. (If this reads 0 the comparisons below compare nothing.)
+	// rows, which recur. (If this reads 0 the memo is not exercised across
+	// batches.)
 	hits, rows := referenceShare(t, s, qs)
 	if hits*5 < rows {
 		t.Fatalf("only %d of %d table rows equal a reference row", hits, rows)
@@ -226,7 +253,7 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	atBothPrecisions(t, "refreshed sketch", refreshed, qs)
 	atBothPrecisions(t, "the sketch a refresh was taken from", s, qs)
 
-	// ReadWeights under a serving engine whose tables are warm: the old
+	// ReadWeights under a serving engine whose memo is warm: the old
 	// generation's rows must not survive.
 	before, err := s.BatchCardinalities(context.Background(), qs[:50])
 	if err != nil {
@@ -266,15 +293,44 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	checkMemoChangesNothing(t, "second half after the flip", s, qs[half:], mscn.F32)
 	checkMemoChangesNothing(t, "second half flipped back", s, qs[half:], mscn.F64)
 
-	// Another reference set under the same weights: the table must follow.
-	s.engine().SetReferenceRows(s.referenceRows()[1:])
-	atBothPrecisions(t, "replaced reference rows", s, qs)
+	// The same queries in the opposite order, on a warm memo: rows come
+	// from slots other batches filled.
+	rev := slices.Clone(qs)
+	slices.Reverse(rev)
+	atBothPrecisions(t, "reversed, warm memo", s, rev)
+}
+
+// TestServingMemoLeavesSketchBytes: serving fills the engine's memo and
+// nothing else; the sketch file written after serving at both precisions
+// is the one written before.
+func TestServingMemoLeavesSketchBytes(t *testing.T) {
+	d, shared := getSketch(t)
+	s := shared.Clone()
+	var before, after bytes.Buffer
+	if err := s.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	qs := memoQueries(t, d, s, 300)
+	for _, p := range []mscn.Precision{mscn.F32, mscn.F64} {
+		s.SetEnginePrecision(p)
+		for range 2 {
+			if _, err := s.BatchCardinalities(context.Background(), qs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("the sketch file changed after serving: %d bytes, then %d", before.Len(), after.Len())
+	}
 }
 
 // TestReferenceRowsOfSmallTables: a table smaller than the sample size has a
-// short all-ones bitmap (TPC-H's nation: 25 rows), and its reference row is
-// that short row — built from the table's actual sample, not from
-// SampleSize — so unfiltered references to it are element-table hits.
+// short all-ones bitmap (TPC-H's nation: 25 rows), and every unfiltered
+// reference to it encodes to that short row — built from the table's actual
+// sample, not from SampleSize — so after its first it is a memo hit.
 func TestReferenceRowsOfSmallTables(t *testing.T) {
 	d := datagen.TPCH(datagen.TPCHConfig{Seed: 3, Orders: 600})
 	s, err := Build(d, Config{
@@ -284,7 +340,7 @@ func TestReferenceRowsOfSmallTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := s.referenceRows()
+	refs := referenceRows(t, s)
 	if len(refs) != len(s.Encoder.Tables) {
 		t.Fatalf("%d reference rows for %d tables", len(refs), len(s.Encoder.Tables))
 	}
@@ -349,8 +405,8 @@ func TestReferenceRowsOfSmallTables(t *testing.T) {
 }
 
 // TestReferenceRowsWithoutBitmaps: the SampleSize-0 ablation's table rows
-// are the one-hot alone; its sketch still builds reference rows (which every
-// table row then equals) and still estimates what a plain engine estimates.
+// are the one-hot alone, so every table row equals a reference row and
+// recurs; its sketch still estimates what a plain engine estimates.
 func TestReferenceRowsWithoutBitmaps(t *testing.T) {
 	d, shared := getSketch(t)
 	enc, err := featurize.NewEncoder(d, shared.Cfg.Tables, 0)

@@ -109,7 +109,6 @@ type Sketch struct {
 
 	schemaOnce sync.Once
 	schema     *db.DB // lazily built from samples, for SQL parsing
-	engineOnce sync.Once
 }
 
 var _ estimator.Estimator = (*Sketch)(nil)
@@ -136,44 +135,6 @@ func (s *Sketch) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, 
 		return estimator.Estimate{}, err
 	}
 	return ests[0], nil
-}
-
-// engine returns the model's inference engine, having handed it — once per
-// Sketch value, so a clone, a loaded and a refreshed sketch each do it for
-// their own model — the table rows that recur (referenceRows). On
-// JOB-light-style traffic about half of all table rows are these; the
-// engine keeps their h2 in its element table, beside the join and zero
-// rows', computed once per weight generation instead of once per
-// occurrence.
-func (s *Sketch) engine() *mscn.Engine {
-	s.engineOnce.Do(func() { s.Model.Engine().SetReferenceRows(s.referenceRows()) })
-	return s.Model.Engine()
-}
-
-// referenceRows returns, per table of the sketch, the row an unfiltered
-// reference to it encodes to: its one-hot plus an all-ones bitmap of the
-// table's actual sample size (shorter than SampleSize for small tables).
-// The rows come from the same Bitmaps → EncodeQueryTo path every estimate
-// takes, so they are what serving produces by construction; a table that
-// path cannot encode has no row.
-func (s *Sketch) referenceRows() [][]float64 {
-	enc := s.Encoder
-	// An unfiltered one-table query has no join and no predicate: its join
-	// and predicate rows stay zero.
-	join, pred := make([]float64, enc.JoinDim()), make([]float64, enc.PredDim())
-	var rows [][]float64
-	for _, t := range enc.Tables {
-		q := db.Query{Tables: []db.TableRef{{Table: t, Alias: t}}}
-		bms, err := s.Samples.Bitmaps(q)
-		if err != nil {
-			continue
-		}
-		row := make([]float64, enc.TableDim())
-		if enc.EncodeQueryTo(q, bms, func() []float64 { return row }, func() []float64 { return join }, func() []float64 { return pred }) == nil {
-			rows = append(rows, row)
-		}
-	}
-	return rows
 }
 
 // Cardinality is the bare estimation path of Figure 1b, without the result
@@ -225,7 +186,7 @@ func (s *Sketch) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.
 func (s *Sketch) BatchCardinalities(ctx context.Context, qs []db.Query) ([]float64, error) {
 	out := make([]float64, len(qs))
 	src := &querySource{enc: s.Encoder, samples: s.Samples, qs: qs}
-	if err := s.engine().PredictSourceInto(ctx, src, len(qs), out); err != nil {
+	if err := s.Model.Engine().PredictSourceInto(ctx, src, len(qs), out); err != nil {
 		return nil, err
 	}
 	for i, y := range out {

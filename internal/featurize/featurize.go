@@ -161,8 +161,8 @@ func (e *Encoder) PredDim() int { return len(e.Columns) + db.NumOps + 1 }
 // vectors. Empty join/predicate sets are represented by a single zero
 // vector so that the set modules always see at least one element. Neither
 // estimates nor training build one — both featurize through EncodeQueryTo
-// into packed rows; it remains for bench/layers.go, the element batch of
-// mscn.Engine.SetReferenceRows, and tests.
+// into packed rows; it remains for bench/layers.go, mscn's dense-row
+// adapters (BuildPackedBatch, Engine.Predict) and tests.
 type Encoded struct {
 	TableVecs [][]float64
 	JoinVecs  [][]float64

@@ -96,6 +96,66 @@ func BenchmarkPredictSourcePacked(b *testing.B) {
 	}
 }
 
+// templateInstances is a year template in synthetic form, the query the
+// demo expands over a column sample: n instances of title ⋈ movie_keyword
+// ⋈ keyword with a fixed keyword predicate and a production_year literal
+// that varies. Each instance's title row is its own (the year filters the
+// title sample) and so is its year predicate; the other rows are shared.
+func templateInstances(n int) ([]featurize.Encoded, int, int, int) {
+	const tdim, jdim, pdim = 1008, 7, 17
+	row := func(dim, oneHot int) []float64 {
+		v := make([]float64, dim)
+		v[oneHot] = 1
+		return v
+	}
+	mk := row(tdim, 1) // unfiltered: every sample bit set
+	for k := 8; k < tdim; k++ {
+		mk[k] = 1
+	}
+	kw := row(tdim, 2) // one keyword's tuples
+	for k := 8; k < tdim; k += 97 {
+		kw[k] = 1
+	}
+	joins := [][]float64{row(jdim, 0), row(jdim, 1)}
+	kwPred := row(pdim, 3)
+	kwPred[12] = 1
+	kwPred[pdim-1] = 0.25
+	encs := make([]featurize.Encoded, n)
+	for i := range encs {
+		title := row(tdim, 0)
+		for k := 8 + i%11; k < tdim; k += 11 + i%5 {
+			title[k] = 1
+		}
+		year := row(pdim, 5)
+		year[12] = 1
+		year[pdim-1] = float64(i+1) / float64(n+1)
+		encs[i] = featurize.Encoded{
+			TableVecs: [][]float64{title, mk, kw},
+			JoinVecs:  joins,
+			PredVecs:  [][]float64{kwPred, year},
+		}
+	}
+	return encs, tdim, jdim, pdim
+}
+
+// BenchmarkPredictSourceTemplate is a template request at the serving
+// width, repeated: the same 137 instances predicted once per op, so from
+// the second op on every row's h2 comes from the engine's element memo and
+// what is left is packing, the pools and the output network.
+func BenchmarkPredictSourceTemplate(b *testing.B) {
+	encs, tdim, jdim, pdim := templateInstances(137)
+	m := New(Config{HiddenUnits: 256, BatchSize: 64, Seed: 1}, tdim, jdim, pdim)
+	e := m.Engine()
+	out := make([]float64, len(encs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.PredictSourceInto(context.Background(), encodedSource(encs), len(encs), out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTrainEpoch measures one epoch of packed data-parallel training:
 // serial (P=1) vs sharded across 2 and 4 workers. On a single-core box the
 // parallel variants measure sharding overhead only; the speedup needs

@@ -31,87 +31,168 @@ import (
 // pays a transposition or a rounding, none serves stale weights after a
 // Refresh/Swap, and every forward runs the same float64 arithmetic.
 //
-// The engine forwards each distinct set element once. A set element's h2 —
-// its output after both layers of its set module, what the pool averages —
-// depends only on the element and the weights. So a row's h2 is copied from
-// the element table when the row is one of its finite-domain elements
-// (every join one-hot, the zero join and predicate rows, each reference row
-// of SetReferenceRows; computed once per snapshot), else from an earlier
-// equal row of the same batch (PackedBatch's keys), and only the rows left
-// are forwarded.
+// The engine forwards each distinct set element once per snapshot. A set
+// element's h2 — its output after both layers of its set module, what the
+// pool averages — depends only on the element and the weights. So a row's
+// h2 is copied from the snapshot's element memo when an earlier batch
+// computed it (elementTable: memoSlots direct-mapped slots per set, filled
+// as batches miss), else from an earlier equal row of the same batch
+// (PackedBatch's keys), and only the rows left are forwarded.
 type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
 
-	// elems holds the element table's rows, replaced whole by
-	// SetReferenceRows. snap is the transposed weights with their element
-	// table, built lazily under convMu and tagged with the Model.WeightGen
-	// and the Precision they were read at.
+	// snap is the transposed weights with their element memo, built lazily
+	// under convMu and tagged with the Model.WeightGen and the Precision
+	// they were read at.
 	convMu sync.Mutex
-	elems  atomic.Pointer[PackedBatch]
 	snap   atomic.Pointer[snapshot]
 }
 
 // snapshot is the model's eight layers, W transposed and stored at prec,
 // tagged with the weight generation they were read at, and the element
-// table computed on exactly these weights — so a forward that loads the
-// snapshot once reads a table and weights of one generation.
+// memo of h2s computed on exactly these weights — so a forward that loads
+// the snapshot once reads a memo and weights of one generation, and a new
+// generation or precision starts from an empty memo.
 type snapshot struct {
-	gen   uint64
-	prec  Precision
-	w     weights
-	table atomic.Pointer[elementTable]
+	gen  uint64
+	prec Precision
+	w    weights
+	memo elementTable
 }
 
-// elementTable is the h2 of every row of the element batch elems — by the
-// kernels forwardPacked runs, on its snapshot's weights — so copying a row
-// of h2 is bit for bit computing it.
-type elementTable struct {
-	elems *PackedBatch
-	h2    [3]nn.Matrix
+// memoSlots is the number of slots per set of an element memo: the
+// estimate cache's capacity.
+const (
+	memoSlotBits = 10
+	memoSlots    = 1 << memoSlotBits
+)
+
+// elementTable is a snapshot's element memo: per set (tables, joins,
+// predicates) memoSlots slots, each holding one row's key and its h2 — by
+// the kernels forwardPacked runs, on the snapshot's weights — so copying a
+// slot's h2 is bit for bit computing it. It is direct-mapped on the row
+// hash packing computes (memoSlot); a miss overwrites the slot.
+type elementTable [3]memoSet
+
+// memoSet is the memo of one set: slot i's key is keys[i], its h2 row i
+// of h2. mu guards both; no forward runs under it.
+type memoSet struct {
+	mu   sync.Mutex
+	keys [memoSlots]memoKey
+	h2   nn.Matrix
+}
+
+// memoKey is what sameRow compares of a row: its runs and the values in
+// them (vals, run after run), with the row's hash; full is false until
+// the slot is first written. The buffers are the slot's own, reused by
+// every row written to it.
+type memoKey struct {
+	full bool
+	hash uint64
+	runs []nn.Run
+	vals []float64
+}
+
+// memoSlot is the slot of a row hash: the top bits of the hash times an
+// odd constant, which depend on every bit of the hash. Its low bits alone
+// barely vary between predicate rows that differ only in their literal.
+//
+//deepsketch:zeroalloc
+func memoSlot(hash uint64) int {
+	return int((hash * 0x9e3779b97f4a7c15) >> (64 - memoSlotBits))
+}
+
+// lookup copies into h2 the memoised h2 of each first occurrence of pb's
+// set k that set's memo holds, lists the others in fresh and returns how
+// many it listed.
+//
+//deepsketch:zeroalloc
+func (s *memoSet) lookup(pb *PackedBatch, k int, h2 nn.Matrix, fresh []int) int {
+	keys, x := &pb.keys[k], pb.set(k)
+	n := 0
+	s.mu.Lock()
+	for r := 0; r < x.Rows; r++ {
+		if keys.rep[r] != r {
+			continue
+		}
+		i := memoSlot(keys.hash[r])
+		if s.keys[i].holds(keys.hash[r], keys.runs.Row(r), x.Row(r)) {
+			copy(h2.Row(r), s.h2.Row(i))
+		} else {
+			fresh[n] = r
+			n++
+		}
+	}
+	s.mu.Unlock()
+	return n
+}
+
+// store writes rows of pb's set k, with their h2, into their slots.
+//
+//deepsketch:zeroalloc
+func (s *memoSet) store(pb *PackedBatch, k int, h2 nn.Matrix, rows []int) {
+	keys, x := &pb.keys[k], pb.set(k)
+	s.mu.Lock()
+	for _, r := range rows {
+		i := memoSlot(keys.hash[r])
+		s.keys[i].set(keys.hash[r], keys.runs.Row(r), x.Row(r))
+		copy(s.h2.Row(i), h2.Row(r))
+	}
+	s.mu.Unlock()
+}
+
+// holds reports whether the key is of the row x with these runs and hash:
+// the same runs and the same values in them (compared with ==, so a row
+// holding a NaN is held by no key), as sameRow decides.
+//
+//deepsketch:zeroalloc
+func (m *memoKey) holds(hash uint64, runs []nn.Run, x []float64) bool {
+	if !m.full || m.hash != hash || len(m.runs) != len(runs) {
+		return false
+	}
+	at := 0
+	for j, run := range runs {
+		if m.runs[j] != run {
+			return false
+		}
+		for _, v := range x[run.Lo:run.Hi] {
+			if m.vals[at] != v {
+				return false
+			}
+			at++
+		}
+	}
+	return true
+}
+
+// set makes the key the row x's, with these runs and hash, in the slot's
+// own buffers.
+//
+//deepsketch:zeroalloc
+func (m *memoKey) set(hash uint64, runs []nn.Run, x []float64) {
+	n := 0
+	for _, run := range runs {
+		n += int(run.Hi - run.Lo)
+	}
+	m.full, m.hash = true, hash
+	//deepsketch:ignore zeroalloc a slot's buffers grow to the longest row written to it, then are reused
+	m.runs, m.vals = ensureLen(m.runs, len(runs)), ensureLen(m.vals, n)
+	copy(m.runs, runs)
+	at := 0
+	for _, run := range runs {
+		at += copy(m.vals[at:], x[run.Lo:run.Hi])
+	}
 }
 
 // NewEngine builds an inference engine over the model's weights.
-func NewEngine(m *Model) *Engine {
-	e := &Engine{m: m}
-	e.SetReferenceRows(nil)
-	return e
-}
-
-// SetReferenceRows installs the table rows (width TDim) the engine puts in
-// its element table beside the join and zero rows: the rows the owner
-// expects over and over, such as an unfiltered table's all-ones bitmap. It
-// changes no prediction in any bit, only what recurring rows cost; the rows
-// replace any installed before. Safe for concurrent use with predictions.
-func (e *Engine) SetReferenceRows(rows [][]float64) {
-	m := e.m
-	joins := make([][]float64, m.JDim+1) // each one-hot, then the zero row
-	for j := range joins {
-		joins[j] = make([]float64, m.JDim)
-		if j < m.JDim {
-			joins[j][j] = 1
-		}
-	}
-	elems := encodedSource{{TableVecs: rows, JoinVecs: joins, PredVecs: [][]float64{make([]float64, m.PDim)}}}
-	el := &PackedBatch{}
-	if err := el.BuildFrom(elems, 0, 1, m.TDim, m.JDim, m.PDim); err != nil {
-		panic(fmt.Sprintf("mscn: reference rows: %v", err))
-	}
-	e.elems.Store(el)
-}
-
-// current returns the snapshot of the current weight generation and
-// precision and its element table of the installed reference rows: the
-// weights and the table a forward reads, of one generation.
-func (e *Engine) current() (*snapshot, *elementTable) {
-	s := e.snapshot()
-	return s, s.tableFor(e)
-}
+func NewEngine(m *Model) *Engine { return &Engine{m: m} }
 
 // snapshot returns the cached snapshot when it is of the current weight
 // generation and precision, else transposes the live weights into a new
-// one once under convMu, rounding them to single precision at F32. The
-// double-checked load keeps the hot path to one atomic read.
+// one, with an empty element memo, once under convMu, rounding them to
+// single precision at F32. The double-checked load keeps the hot path to
+// one atomic read.
 func (e *Engine) snapshot() *snapshot {
 	gen, prec := e.m.WeightGen(), e.m.precision()
 	if s := e.snap.Load(); s != nil && s.gen == gen && s.prec == prec {
@@ -128,50 +209,11 @@ func (e *Engine) snapshot() *snapshot {
 			s.w[i].RoundToSingle()
 		}
 	}
+	for k := range s.memo {
+		s.memo[k].h2 = nn.NewMatrix(memoSlots, s.w[2*k+1].Out)
+	}
 	e.snap.Store(s)
 	return s
-}
-
-// tableFor returns the element table of the installed reference rows on
-// the snapshot's weights: the cached one when it is of those rows, else
-// computed once under convMu (the snapshot's double-checked pattern).
-func (s *snapshot) tableFor(e *Engine) *elementTable {
-	elems := e.elems.Load()
-	if t := s.table.Load(); t != nil && t.elems == elems {
-		return t
-	}
-	e.convMu.Lock()
-	defer e.convMu.Unlock()
-	if t := s.table.Load(); t != nil && t.elems == elems {
-		return t
-	}
-	t := &elementTable{elems: elems}
-	src, _ := elems.sets()
-	var ws nn.Workspace
-	for k, x := range src {
-		h1 := nn.NewMatrix(x.Rows, s.w[2*k].Out)
-		t.h2[k] = nn.NewMatrix(x.Rows, s.w[2*k+1].Out)
-		// No table yet: the element batch's rows, deduplicated.
-		(*elementTable)(nil).module(&s.w, k, elems, x, h1, t.h2[k], &ws)
-	}
-	s.table.Store(t)
-	return t
-}
-
-// find returns the row of the element batch's set k that row r of pb's set
-// k equals, or -1 (always, for a nil table).
-//
-//deepsketch:zeroalloc
-func (t *elementTable) find(pb *PackedBatch, k, r int) int {
-	if t == nil {
-		return -1
-	}
-	for q := 0; q < t.h2[k].Rows; q++ {
-		if pb.sameRow(k, r, t.elems, q) {
-			return q
-		}
-	}
-	return -1
 }
 
 // engineScratch bundles the per-goroutine reusable state: a packed batch and
@@ -228,15 +270,16 @@ func forwardFloats(pb *PackedBatch, h int) int {
 // is nn.Layer.Forward on w, over pb's packed feature rows (see
 // PackedBatch.sets), which each set module's first layer reads through
 // pb's run index. Each distinct element is forwarded once
-// (elementTable.module): with an element table (on these same weights) a
-// row it holds is copied from it; without one — the trainer — only rows
-// equal to an earlier row of the batch are copied, h1 as well as h2, so
-// the tape the backward reads is every row's. Every intermediate is carved
+// (elementTable.module): with an element memo (on these same weights) a
+// row it holds is copied from it and the rows it lacks are written into
+// it; without one — the trainer — only rows equal to an earlier row of the
+// batch are copied, h1 as well as h2, so the tape the backward reads is
+// every row's. Every intermediate is carved
 // from ws — which the caller has Reserved — and recorded in act; the
 // normalized predictions (act.out) are also copied to out (len B).
 //
 //deepsketch:zeroalloc
-func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Workspace, act *activations, out []float64) {
+func forwardPacked(w *weights, pb *PackedBatch, memo *elementTable, ws *nn.Workspace, act *activations, out []float64) {
 	b := len(out)
 	h := w[7].In
 	xs, offs := pb.sets()
@@ -244,7 +287,7 @@ func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Work
 		rows := xs[k].Rows
 		act.h1[k] = ws.Alloc(rows, h)
 		act.h2[k] = ws.Alloc(rows, h)
-		table.module(w, k, pb, xs[k], act.h1[k], act.h2[k], ws)
+		memo.module(w, k, pb, xs[k], act.h1[k], act.h2[k], ws)
 		act.pool[k] = ws.Alloc(b, h)
 		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
 	}
@@ -265,35 +308,38 @@ func forwardPacked(w *weights, pb *PackedBatch, table *elementTable, ws *nn.Work
 
 // module runs set module k — the indexed first layer into h1, the dense
 // second into h2 — on x, pb's set k, forwarding each distinct element once.
-// A row equal to an element of the table is copied from it (h2 only: the
-// engine reads nothing else), the first occurrences the table lacks are
-// listed (ws.RowList) and go through both layers as one row list, so the
-// dense second layer takes them four at a time, and then a row equal to an
-// earlier row of the batch (pb's keys) is copied from that row. A nil
-// table holds no element: every first occurrence is forwarded, and a copied
-// row gets its h1 too, which the trainer's backward reads. The kernel
-// computes each row's outputs on their own, summing each in ascending k
-// whatever rows share its tile, so a copied row is the bits the row would
-// have been computed to.
+// A first occurrence the memo holds is copied from it (h2 only: the engine
+// reads nothing else) in one locked pass; the others are listed
+// (ws.RowList) and go through both layers as one row list, under no lock,
+// so the dense second layer takes them four at a time; a second locked
+// pass writes them into their slots; and then a row equal to an earlier
+// row of the batch (pb's keys) is copied from that row. A nil memo — the
+// trainer's — holds no element and keeps none: every first occurrence is
+// forwarded, and a copied row gets its h1 too, which the trainer's
+// backward reads. The kernel computes each row's outputs on their own,
+// summing each in ascending k whatever rows share its tile, so a copied
+// row is the bits the row would have been computed to.
 //
 //deepsketch:zeroalloc
 func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h1, h2 nn.Matrix, ws *nn.Workspace) {
 	keys := &pb.keys[k]
 	fresh := ws.RowList(x.Rows)
 	n := 0
-	for r := 0; r < x.Rows; r++ {
-		if keys.rep[r] != r {
-			continue
-		}
-		if e := t.find(pb, k, r); e >= 0 {
-			copy(h2.Row(r), t.h2[k].Row(e))
-		} else {
-			fresh[n] = r
-			n++
+	if t != nil {
+		n = t[k].lookup(pb, k, h2, fresh)
+	} else {
+		for r := 0; r < x.Rows; r++ {
+			if keys.rep[r] == r {
+				fresh[n] = r
+				n++
+			}
 		}
 	}
 	w[2*k].Forward(x, &keys.runs, h1, fresh[:n:n], true, ws)
 	w[2*k+1].Forward(h1, nil, h2, fresh[:n:n], true, ws)
+	if t != nil {
+		t[k].store(pb, k, h2, fresh[:n])
+	}
 	for r := 0; r < x.Rows; r++ {
 		if q := keys.rep[r]; q != r {
 			copy(h2.Row(r), h2.Row(q))
@@ -312,11 +358,11 @@ func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h
 //
 //deepsketch:zeroalloc
 func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
-	//deepsketch:ignore zeroalloc the snapshot and its table compute once per weight generation, then cache
-	snap, table := e.current()
+	//deepsketch:ignore zeroalloc the snapshot and its memo are built once per weight generation, then cached
+	snap := e.snapshot()
 	ws.Reserve(forwardFloats(pb, e.m.Cfg.HiddenUnits))
 	var act activations
-	forwardPacked(&snap.w, pb, table, ws, &act, out[:pb.B])
+	forwardPacked(&snap.w, pb, &snap.memo, ws, &act, out[:pb.B])
 }
 
 // Predict returns the normalized prediction for one featurized query: a

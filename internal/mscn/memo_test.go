@@ -12,7 +12,7 @@ import (
 	"deepsketch/internal/nn"
 )
 
-// The transposed-weight kernel, the element table and the in-batch dedupe
+// The transposed-weight kernel, the element memo and the in-batch dedupe
 // are optimisations with no numerical content: the engine must return the
 // bits of a plain forward, which computes every row of every set with the
 // dense GEMM (plainPredict). The tests below compare the two with ==.
@@ -45,7 +45,7 @@ func oneHot(dim, i int) []float64 {
 	return v
 }
 
-// nearTableRow returns a table row of one of the classes the element table
+// nearTableRow returns a table row of one of the classes the element memo
 // and the dedupe must tell apart: exact reference rows, rows that share a
 // reference's prefix or runs but not its values, rows of no reference.
 func nearTableRow(rng *rand.Rand) []float64 {
@@ -120,7 +120,7 @@ func templateEncs(rng *rand.Rand, n, jdim, pdim int) []featurize.Encoded {
 	return encs
 }
 
-// plainPredict is the MSCN forward with no element table, no dedupe and no
+// plainPredict is the MSCN forward with no element memo, no dedupe and no
 // transposed weights — every row of every set through every layer as a
 // dense GEMM on the [out][in] weights (gemmBias, nn.Linear.ForwardFused) —
 // over encs as one packed batch.
@@ -188,12 +188,72 @@ func checkEngineIsPlain(t *testing.T, what string, e *Engine, encs []featurize.E
 	}
 }
 
+// rowwisePredict is plainPredict on each query alone: no row of one query
+// shares a batch with another's.
+func rowwisePredict(t testing.TB, m *Model, encs []featurize.Encoded) []float64 {
+	t.Helper()
+	out := make([]float64, len(encs))
+	for i := range encs {
+		out[i] = plainPredict(t, m, encs[i:i+1])[0]
+	}
+	return out
+}
+
+// rerollEncs is a second batch drawn from first: n ragged queries whose
+// rows are, each with probability 1/2, a row of the same set of a query of
+// first, and otherwise memoEncs' fresh rows.
+func rerollEncs(rng *rand.Rand, first []featurize.Encoded, n, jdim, pdim int) []featurize.Encoded {
+	encs := memoEncs(rng, n, jdim, pdim)
+	draw := func(rows [][]float64, set func(featurize.Encoded) [][]float64) [][]float64 {
+		out := slices.Clone(rows)
+		for i := range out {
+			if from := set(first[rng.Intn(len(first))]); len(from) > 0 && rng.Intn(2) == 0 {
+				out[i] = from[rng.Intn(len(from))]
+			}
+		}
+		return out
+	}
+	for i := range encs {
+		e := &encs[i]
+		e.TableVecs = draw(e.TableVecs, func(f featurize.Encoded) [][]float64 { return f.TableVecs })
+		e.JoinVecs = draw(e.JoinVecs, func(f featurize.Encoded) [][]float64 { return f.JoinVecs })
+		e.PredVecs = draw(e.PredVecs, func(f featurize.Encoded) [][]float64 { return f.PredVecs })
+	}
+	return encs
+}
+
+// collidingRows returns two rows of width dim with the same runs and the
+// same values, permuted inside one run — the same rowHash, and not equal.
+func collidingRows(rng *rand.Rand, dim int) (a, b []float64) {
+	lo := rng.Intn(dim - 2)
+	a = make([]float64, dim)
+	for c := lo; c < lo+3; c++ {
+		a[c] = float64(c-lo+1) / 4 * (1 + rng.Float64())
+	}
+	b = slices.Clone(a)
+	b[lo], b[lo+1] = b[lo+1], b[lo]
+	return a, b
+}
+
+// memoMisses returns how many first occurrences of pb's set k the current
+// snapshot's memo of e lacks — what a forward of pb would compute — and
+// the number of first occurrences. It writes nothing into the memo.
+func memoMisses(e *Engine, pb *PackedBatch, k int) (misses, firsts int) {
+	x := pb.set(k)
+	for r := 0; r < x.Rows; r++ {
+		if pb.keys[k].rep[r] == r {
+			firsts++
+		}
+	}
+	h2 := nn.NewMatrix(x.Rows, e.m.Cfg.HiddenUnits)
+	return e.snapshot().memo[k].lookup(pb, k, h2, make([]int, x.Rows)), firsts
+}
+
 func TestReferenceRowMemoIsBitwise(t *testing.T) {
 	const jdim, pdim = 5, 9
 	rng := rand.New(rand.NewSource(61))
 	m := New(Config{HiddenUnits: 22, BatchSize: 16, Seed: 3}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	e.SetReferenceRows(memoReferences())
 	encs := memoEncs(rng, 150, jdim, pdim)
 	tpl := templateEncs(rng, 70, jdim, pdim)
 
@@ -203,9 +263,10 @@ func TestReferenceRowMemoIsBitwise(t *testing.T) {
 		checkEngineIsPlain(t, what+" template", e, tpl)
 	}
 	check("initial weights")
-	checkEngineIsPlain(t, "no reference rows", NewEngine(m), encs)
+	check("a warm memo")
+	checkEngineIsPlain(t, "a fresh engine", NewEngine(m), encs)
 
-	// New weights under a new generation: the table must follow them.
+	// New weights under a new generation: the memo must follow them.
 	other := New(Config{HiddenUnits: 22, BatchSize: 16, Seed: 4}, memoT+memoBits, jdim, pdim)
 	var buf bytes.Buffer
 	if err := other.WriteWeights(&buf); err != nil {
@@ -220,34 +281,18 @@ func TestReferenceRowMemoIsBitwise(t *testing.T) {
 		t.Fatal("ReadWeights changed no prediction — the test is vacuous")
 	}
 
-	// Other reference rows on the same generation: the table must follow
-	// those too.
-	e.SetReferenceRows(memoReferences()[1:])
-	check("after replacing the reference rows")
-
-	c := m.Clone().Engine()
-	c.SetReferenceRows(memoReferences())
-	checkEngineIsPlain(t, "clone", c, encs)
+	checkEngineIsPlain(t, "clone", m.Clone().Engine(), encs)
 }
 
-// TestReferenceRowLookup pins what the element table holds and what counts
-// as a hit: the same runs and the same values, nothing less.
+// TestReferenceRowLookup pins what the memo holds and what counts as a hit:
+// a row a batch computed on the snapshot's weights, with the same runs and
+// the same values, nothing less — and nothing of another snapshot.
 func TestReferenceRowLookup(t *testing.T) {
 	const jdim, pdim = 3, 5
 	m := New(Config{HiddenUnits: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	table := func() *elementTable { return e.snapshot().tableFor(e) }
-	tb := table()
-	if r := [3]int{tb.h2[0].Rows, tb.h2[1].Rows, tb.h2[2].Rows}; r != [3]int{0, jdim + 1, 1} {
-		t.Fatalf("an engine with no reference rows has table rows %v, want [0 %d 1]", r, jdim+1)
-	}
-	refs := memoReferences()
-	e.SetReferenceRows(refs)
-	tb = table()
-	if again := table(); again != tb {
-		t.Fatal("the table was recomputed on an unchanged generation")
-	}
-	find := func(k int, row []float64) int {
+	held := func(k int, row []float64) bool {
+		t.Helper()
 		enc := featurize.Encoded{TableVecs: [][]float64{tableRow(0, 0)}}
 		switch k {
 		case 0:
@@ -261,24 +306,36 @@ func TestReferenceRowLookup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tb.find(pb, k, 0)
+		misses, _ := memoMisses(e, pb, k)
+		return misses == 0
 	}
+	refs := memoReferences()
+	if held(0, refs[0]) || held(1, oneHot(jdim, 0)) || held(2, make([]float64, pdim)) {
+		t.Fatal("an engine that has predicted nothing holds a row")
+	}
+	// One query per join one-hot and the zero join, each with every
+	// reference row and the zero predicate row.
+	var warm []featurize.Encoded
+	for j := -1; j < jdim; j++ {
+		warm = append(warm, featurize.Encoded{TableVecs: refs, JoinVecs: [][]float64{oneHot(jdim, j)}, PredVecs: [][]float64{make([]float64, pdim)}})
+	}
+	predictBatch(t, e, warm)
+	snap := e.snapshot()
 	for i, ref := range refs {
-		if got := find(0, ref); got != i {
-			t.Fatalf("reference row %d finds table row %d", i, got)
+		if !held(0, ref) {
+			t.Fatalf("reference row %d is not held after a batch computed it", i)
 		}
 	}
 	for j := -1; j < jdim; j++ {
-		want := j
-		if j < 0 {
-			want = jdim
-		}
-		if got := find(1, oneHot(jdim, j)); got != want {
-			t.Fatalf("join one-hot %d finds table row %d, want %d", j, got, want)
+		if !held(1, oneHot(jdim, j)) {
+			t.Fatalf("join one-hot %d is not held after a batch computed it", j)
 		}
 	}
-	if got := find(2, make([]float64, pdim)); got != 0 {
-		t.Fatalf("the zero predicate row finds table row %d", got)
+	if !held(2, make([]float64, pdim)) {
+		t.Fatal("the zero predicate row is not held after a batch computed it")
+	}
+	if e.snapshot() != snap {
+		t.Fatal("the snapshot was rebuilt on an unchanged generation")
 	}
 	half := tableRow(0, memoBits)
 	half[memoT+3] = 0.5
@@ -303,19 +360,110 @@ func TestReferenceRowLookup(t *testing.T) {
 		"join one-hot of value 2":    {1, scaledJoin},
 		"non-zero predicate":         {2, oneHot(pdim, 1)},
 	} {
-		if got := find(c.k, c.row); got >= 0 {
-			t.Errorf("%s finds table row %d", name, got)
+		if held(c.k, c.row) {
+			t.Errorf("%s is held", name)
 		}
 	}
 	m.noteWeightsChanged()
-	if next := table(); next == tb {
-		t.Fatal("the table survived a weight-generation bump")
+	if e.snapshot() == snap || held(0, refs[0]) {
+		t.Fatal("the memo survived a weight-generation bump")
 	}
-	tb = table()
-	e.SetReferenceRows(refs)
-	if next := table(); next == tb {
-		t.Fatal("the table survived a replaced reference set")
+	predictBatch(t, e, warm)
+	m.SetPrecision(F32)
+	if held(0, refs[0]) || held(1, oneHot(jdim, 0)) {
+		t.Fatal("the memo survived a precision switch")
 	}
+}
+
+// TestMemoAcrossBatches: a second batch that reuses half of the first's
+// rows is served partly from the memo the first filled, and both batches
+// equal, bit for bit, a fresh engine's answers, the plain forward and the
+// plain forward of each query alone.
+func TestMemoAcrossBatches(t *testing.T) {
+	const jdim, pdim = 5, 9
+	rng := rand.New(rand.NewSource(65))
+	m := New(Config{HiddenUnits: 20, BatchSize: 16, Seed: 5}, memoT+memoBits, jdim, pdim)
+	e := NewEngine(m)
+	first := memoEncs(rng, 90, jdim, pdim)
+	second := rerollEncs(rng, first, 90, jdim, pdim)
+
+	samePredictions(t, "first batch", predictBatch(t, e, first), rowwisePredict(t, m, first))
+	pb, err := BuildPackedBatch(second, m.TDim, m.JDim, m.PDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		if misses, firsts := memoMisses(e, pb, k); misses*4 > firsts*3 {
+			t.Fatalf("set %d: the memo lacks %d of the second batch's %d distinct rows — the test is vacuous", k, misses, firsts)
+		}
+	}
+	got := predictBatch(t, e, second)
+	samePredictions(t, "second batch, fresh engine", got, predictBatch(t, NewEngine(m), second))
+	samePredictions(t, "second batch, plain", got, plainPredict(t, m, second))
+	samePredictions(t, "second batch, row by row", got, rowwisePredict(t, m, second))
+	samePredictions(t, "first batch again", predictBatch(t, e, first), rowwisePredict(t, m, first))
+}
+
+// TestMemoHashCollision: rows with the same runs and the same values in a
+// permuted order have the same rowHash, so the same slot; each must get
+// its own h2, whichever the slot holds when it arrives.
+func TestMemoHashCollision(t *testing.T) {
+	const jdim, pdim = 6, 9
+	rng := rand.New(rand.NewSource(66))
+	m := New(Config{HiddenUnits: 12, BatchSize: 8, Seed: 6}, memoT+memoBits, jdim, pdim)
+	e := NewEngine(m)
+	ta, tb := collidingRows(rng, memoT+memoBits)
+	ja, jb := collidingRows(rng, jdim)
+	pa, pb := collidingRows(rng, pdim)
+	ab := []featurize.Encoded{
+		{TableVecs: [][]float64{ta}, JoinVecs: [][]float64{ja}, PredVecs: [][]float64{pa}},
+		{TableVecs: [][]float64{tb}, JoinVecs: [][]float64{jb}, PredVecs: [][]float64{pb}},
+	}
+	packed, err := BuildPackedBatch(ab, m.TDim, m.JDim, m.PDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		keys := &packed.keys[k]
+		if keys.hash[0] != keys.hash[1] || keys.rep[1] != 1 {
+			t.Fatalf("set %d: hashes %x and %x, rep %d — the rows do not collide", k, keys.hash[0], keys.hash[1], keys.rep[1])
+		}
+	}
+	want := plainPredict(t, m, ab)
+	if want[0] == want[1] {
+		t.Fatal("the colliding rows predict the same — the test is vacuous")
+	}
+	for _, order := range [][]int{{0}, {1}, {0}, {0, 1}, {1, 0}, {1}, {1, 1, 0}} {
+		encs := make([]featurize.Encoded, len(order))
+		for j, q := range order {
+			encs[j] = ab[q]
+		}
+		got := predictBatch(t, e, encs)
+		for j, q := range order {
+			if got[j] != want[q] {
+				t.Fatalf("batch %v, query %d: %v, plain %v", order, j, got[j], want[q])
+			}
+		}
+	}
+}
+
+// TestMemoMoreRowsThanSlots: three times as many distinct predicate rows as
+// a set has slots, twice over, so slots are overwritten throughout; every
+// answer is the plain forward's.
+func TestMemoMoreRowsThanSlots(t *testing.T) {
+	const jdim, pdim = 4, 6
+	m := New(Config{HiddenUnits: 8, BatchSize: 64, Seed: 7}, memoT+memoBits, jdim, pdim)
+	e := NewEngine(m)
+	n := 3 * memoSlots
+	encs := make([]featurize.Encoded, n)
+	for i := range encs {
+		lit := oneHot(pdim, i%3)
+		lit[pdim-1] = float64(i+1) / float64(n)
+		encs[i] = featurize.Encoded{TableVecs: [][]float64{tableRow(i%memoT, i%memoBits)}, PredVecs: [][]float64{lit}}
+	}
+	want := plainPredict(t, m, encs)
+	samePredictions(t, "first pass", predictBatch(t, e, encs), want)
+	samePredictions(t, "second pass", predictBatch(t, e, encs), want)
 }
 
 // TestPackedBatchKeys pins the in-batch dedupe: each row's rep is the first
@@ -347,14 +495,13 @@ func TestPackedBatchKeys(t *testing.T) {
 	}
 }
 
-// TestReferenceRowMemoZeroAlloc: with the element table hit and rows
-// deduped, the steady-state forward still does not touch the heap, at
-// either precision. TestPredictSourceIntoZeroAlloc adds the batch entry.
+// TestReferenceRowMemoZeroAlloc: with every row a memo hit or deduped, the
+// steady-state forward does not touch the heap, at either precision.
+// TestPredictSourceIntoZeroAlloc adds the batch entry.
 func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	const jdim, pdim = 5, 9
 	m := New(Config{HiddenUnits: 16, BatchSize: 64, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	e.SetReferenceRows(memoReferences())
 	encs := memoEncs(rand.New(rand.NewSource(62)), 24, jdim, pdim)
 	pb, err := BuildPackedBatch(encs, memoT+memoBits, jdim, pdim)
 	if err != nil {
@@ -371,19 +518,23 @@ func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReferenceRowMemoConcurrentGenerations: predictions race a goroutine
-// that keeps bumping the weight generation (ReadWeights on an empty stream
-// fails before it writes a weight, and bumps regardless) and flipping the
-// precision. The weights never change, so every forward must equal, over
-// its whole batch, the plain forward of the weights or of their float32
-// rounding — one snapshot, never a mix; under -race this is the table's
-// and the snapshot's double-checked rebuild.
+// TestReferenceRowMemoConcurrentGenerations: goroutines predict overlapping
+// windows of one query list — so they share memo slots, reading what the
+// others wrote — while another keeps bumping the weight generation
+// (ReadWeights on an empty stream fails before it writes a weight, and
+// bumps regardless) and flipping the precision. The weights never change,
+// so every forward must equal, over its whole batch, the plain forward of
+// the weights or of their float32 rounding — one snapshot and its memo,
+// never a mix; under -race this is the memo's locking and the snapshot's
+// double-checked rebuild.
 func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 	const jdim, pdim = 5, 9
+	const goroutines, window = 4, 25
 	m := New(Config{HiddenUnits: 16, BatchSize: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	e.SetReferenceRows(memoReferences())
-	encs := memoEncs(rand.New(rand.NewSource(63)), 40, jdim, pdim)
+	rng := rand.New(rand.NewSource(63))
+	first := memoEncs(rng, 30, jdim, pdim)
+	encs := append(first, rerollEncs(rng, first, 30, jdim, pdim)...)
 	want := [2][]float64{F64: plainPredict(t, m, encs), F32: plainPredict(t, roundedClone(m), encs)}
 
 	stop := make(chan struct{})
@@ -409,21 +560,23 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 		}
 	}()
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			lo := g * (len(encs) - window) / (goroutines - 1)
+			mine := encs[lo : lo+window]
 			var ws nn.Workspace
 			var pb PackedBatch
-			out := make([]float64, len(encs))
+			out := make([]float64, window)
 			for round := 0; round < 30; round++ {
-				if err := pb.BuildFrom(encodedSource(encs), 0, len(encs), memoT+memoBits, jdim, pdim); err != nil {
+				if err := pb.BuildFrom(encodedSource(mine), 0, window, memoT+memoBits, jdim, pdim); err != nil {
 					t.Error(err)
 					return
 				}
 				e.Forward(&pb, &ws, out)
-				if !slices.Equal(out, want[F64]) && !slices.Equal(out, want[F32]) {
-					t.Errorf("goroutine %d round %d: predictions %v are neither the weights' %v nor their rounding's %v", g, round, out, want[F64], want[F32])
+				if !slices.Equal(out, want[F64][lo:lo+window]) && !slices.Equal(out, want[F32][lo:lo+window]) {
+					t.Errorf("goroutine %d round %d: predictions %v are neither the weights' %v nor their rounding's %v", g, round, out, want[F64][lo:lo+window], want[F32][lo:lo+window])
 					return
 				}
 			}
@@ -434,10 +587,13 @@ func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
 	bumper.Wait()
 }
 
-// FuzzDedupedForwardMatchesPlain: over ragged batches built from the seed —
-// planted duplicates within and across queries, join one-hots, reference
-// rows, zero rows and arbitrary rows — the engine's forward equals the plain
-// forward (dense GEMMs, no table, no dedupe) in every bit. Shape bit 2
+// FuzzDedupedForwardMatchesPlain: two consecutive ragged batches through
+// one engine — the first built from the seed with planted duplicates
+// within and across queries, join one-hots, reference rows, zero rows and
+// arbitrary rows; the second drawing about half its rows from the first —
+// each equal the plain forward (dense GEMMs, no memo, no dedupe) in every
+// bit. Shape bit 0 adds pairs of rows whose hashes collide, one of each
+// pair per batch; bit 1 makes the first batch a template expansion; bit 2
 // selects the serving width, 256 units.
 func FuzzDedupedForwardMatchesPlain(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0))
@@ -454,26 +610,34 @@ func FuzzDedupedForwardMatchesPlain(f *testing.F) {
 		}
 		m := New(Config{HiddenUnits: units, BatchSize: 1 + int(n%80), Seed: seed}, memoT+memoBits, jdim, pdim)
 		e := NewEngine(m)
-		if shape&1 == 0 {
-			e.SetReferenceRows(memoReferences())
-		}
-		var encs []featurize.Encoded
+		var first []featurize.Encoded
 		if shape&2 == 0 {
-			encs = memoEncs(rng, 1+int(n)%97, jdim, pdim)
+			first = memoEncs(rng, 1+int(n)%97, jdim, pdim)
 		} else {
-			encs = templateEncs(rng, 1+int(n)%97, jdim, pdim)
+			first = templateEncs(rng, 1+int(n)%97, jdim, pdim)
 		}
-		samePredictions(t, "fuzz", predictBatch(t, e, encs), plainPredict(t, m, encs))
+		second := rerollEncs(rng, first, 1+int(n)%89, jdim, pdim)
+		if shape&1 != 0 {
+			for i := 0; i < 3; i++ {
+				ta, tb := collidingRows(rng, memoT+memoBits)
+				ja, jb := collidingRows(rng, jdim)
+				pa, pb := collidingRows(rng, pdim)
+				first = append(first, featurize.Encoded{TableVecs: [][]float64{ta}, JoinVecs: [][]float64{ja}, PredVecs: [][]float64{pa}})
+				second = append(second, featurize.Encoded{TableVecs: [][]float64{tb}, JoinVecs: [][]float64{jb}, PredVecs: [][]float64{pb}})
+			}
+		}
+		samePredictions(t, "fuzz, first batch", predictBatch(t, e, first), plainPredict(t, m, first))
+		samePredictions(t, "fuzz, second batch", predictBatch(t, e, second), plainPredict(t, m, second))
 	})
 }
 
 // TestEngineMatchesGemmBias pins the engine's predictions at the serving
 // width, 256 units, to the plain forward on gemmBias bit for bit: batched,
-// as one forward and single, with the element table and the dedupe on.
+// as one forward and single, with the memo (warm after the first) and the
+// dedupe on.
 func TestEngineMatchesGemmBias(t *testing.T) {
 	const jdim, pdim = 5, 9
 	m := New(Config{HiddenUnits: 256, BatchSize: 32, Seed: 8}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	e.SetReferenceRows(memoReferences())
 	checkEngineIsPlain(t, "256 units", e, memoEncs(rand.New(rand.NewSource(64)), 60, jdim, pdim))
 }

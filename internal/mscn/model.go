@@ -20,10 +20,9 @@
 // the Engine (the forward kernel, segment pooling, pooled workspace
 // arenas, zero steady-state allocations; concurrency-safe — workspaces are
 // per-pass and never shared), which forwards each distinct set element
-// once: the finite-domain elements (join one-hots, zero rows, the rows an
-// unfiltered table encodes to — Engine.SetReferenceRows) come from an
-// element table built once per weight generation, and a row equal to an
-// earlier row of its batch is copied from it. Training packs its
+// once per weight generation: a row an earlier batch computed comes from
+// an element memo that lives as long as the weight snapshot, and a row
+// equal to an earlier row of its batch is copied from it. Training packs its
 // minibatches through the same QuerySource path (an Example is a reference
 // to a query, never its feature rows), forwards every row, and is
 // data-parallel over the same kernels: each
@@ -147,7 +146,7 @@ type Model struct {
 	// weightGen counts wholesale weight replacements (ReadWeights, every
 	// return of a training run that has started stepping). The engine tags
 	// what it derives from the weights — the transposed snapshots and their
-	// element tables — with the generation it was built at and
+	// element memos — with the generation it was built at and
 	// rebuilds on mismatch, so a Refresh/Swap can never serve stale ones.
 	weightGen atomic.Uint64
 
@@ -184,7 +183,7 @@ func (m *Model) precision() Precision { return Precision(m.prec.Load()) }
 
 // WeightGen returns the current weight generation. It increments on every
 // wholesale weight replacement; the engine's transposed snapshots and
-// element tables are valid only for the generation they were computed
+// element memos are valid only for the generation they were computed
 // from.
 //
 //deepsketch:zeroalloc

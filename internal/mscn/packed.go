@@ -77,9 +77,8 @@ func BuildPackedBatch(encs []featurize.Encoded, tdim, jdim, pdim int) (*PackedBa
 	return pb, nil
 }
 
-// encodedSource hands already-featurized queries to BuildFrom: the element
-// batch of Engine.SetReferenceRows, the dense-row adapters
-// (BuildPackedBatch, Engine.Predict) and tests.
+// encodedSource hands already-featurized queries to BuildFrom: the
+// dense-row adapters (BuildPackedBatch, Engine.Predict) and tests.
 type encodedSource []featurize.Encoded
 
 func (s encodedSource) RowCounts(i int) (t, j, p int) {

@@ -26,7 +26,7 @@ func roundedClone(m *Model) *Model {
 
 // TestEngineF32Equivalence pins what F32 means: the F64 engine on weights
 // rounded through float32, in every bit. At the serving width (256 units),
-// with the element table and the in-batch dedupe active, the F32 engine's
+// with the element memo and the in-batch dedupe active, the F32 engine's
 // Predict, one Forward over a batch of 256 and PredictSourceInto (the
 // engine half of Sketch.EstimateBatch) equal a rounded clone's at F64;
 // Clone carries F32 to the copy; and switching back to F64 serves the
@@ -38,8 +38,6 @@ func TestEngineF32Equivalence(t *testing.T) {
 	m.SetPrecision(F32)
 	ref := roundedClone(m)
 	e, want := NewEngine(m), NewEngine(ref)
-	e.SetReferenceRows(memoReferences())
-	want.SetReferenceRows(memoReferences())
 	encs := append(memoEncs(rng, 200, jdim, pdim), templateEncs(rng, 56, jdim, pdim)...)
 
 	f64 := predictBatch(t, want, encs)
@@ -99,27 +97,23 @@ func TestForwardPacked32ZeroAlloc(t *testing.T) {
 }
 
 // TestEngineSnapshotInvalidation: replacing the model's weights (the
-// Refresh/Swap path runs through ReadWeights) must invalidate the cached
-// F32 snapshot — a stale snapshot would silently serve the old sketch's
-// estimates.
+// Refresh/Swap path runs through ReadWeights), a warm-start training run
+// (what a refresh does to a model) and a precision switch each start a
+// new snapshot with an empty memo — a stale snapshot, or a memo filled on
+// other weights, would silently serve the old sketch's estimates. Each
+// check predicts a batch whose rows the old memo holds.
 func TestEngineSnapshotInvalidation(t *testing.T) {
-	const tdim, jdim, pdim = 13, 3, 5
-	oldM := New(Config{HiddenUnits: 16, Seed: 21}, tdim, jdim, pdim)
-	newM := New(Config{HiddenUnits: 16, Seed: 22}, tdim, jdim, pdim)
+	const tdim, jdim, pdim = memoT + memoBits, 3, 5
+	oldM := New(Config{HiddenUnits: 16, BatchSize: 16, Seed: 21}, tdim, jdim, pdim)
+	newM := New(Config{HiddenUnits: 16, BatchSize: 16, Seed: 22}, tdim, jdim, pdim)
 	rng := rand.New(rand.NewSource(45))
-	enc := randEnc(rng, 2, 1, 2, tdim, jdim, pdim)
+	encs := memoEncs(rng, 40, jdim, pdim)
 
 	oldM.SetPrecision(F32)
 	newM.SetPrecision(F32)
-	before, err := oldM.Engine().Predict(enc) // caches the snapshot
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := newM.Engine().Predict(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == want {
+	before := predictBatch(t, oldM.Engine(), encs) // caches the snapshot and fills its memo
+	want := predictBatch(t, newM.Engine(), encs)
+	if before[0] == want[0] {
 		t.Fatal("distinct seeds produced equal predictions — test is vacuous")
 	}
 
@@ -130,14 +124,38 @@ func TestEngineSnapshotInvalidation(t *testing.T) {
 	if err := oldM.ReadWeights(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := oldM.Engine().Predict(enc)
+	samePredictions(t, "after ReadWeights", predictBatch(t, oldM.Engine(), encs), want)
+	got, err := oldM.Engine().Predict(encs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if got != want[0] {
 		t.Fatalf("after ReadWeights predict = %v, want %v (stale snapshot: before-swap value was %v)",
-			got, want, before)
+			got, want[0], before[0])
 	}
+
+	// A precision switch: each precision's memo is its own.
+	oldM.SetPrecision(F64)
+	f64 := plainPredict(t, oldM, encs)
+	if slices.Equal(f64, want) {
+		t.Fatal("rounding the weights changed no prediction — the test is vacuous")
+	}
+	samePredictions(t, "after a switch to F64", predictBatch(t, oldM.Engine(), encs), f64)
+	oldM.SetPrecision(F32)
+	samePredictions(t, "after a switch back to F32", predictBatch(t, oldM.Engine(), encs), want)
+
+	// A refresh: warm-start training steps the weights in place.
+	oldM.SetPrecision(F64)
+	warm := predictBatch(t, oldM.Engine(), encs)
+	examples, norm := trainExamples(rng, 48, tdim, jdim, pdim)
+	if _, err := oldM.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: 1, Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	refreshed := predictBatch(t, oldM.Engine(), encs)
+	if slices.Equal(refreshed, warm) {
+		t.Fatal("training changed no prediction — the test is vacuous")
+	}
+	samePredictions(t, "after a training run", refreshed, plainPredict(t, oldM, encs))
 }
 
 // TestTrainForwardMatchesEngineForward: the packed trainer and the f64

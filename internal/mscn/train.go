@@ -128,7 +128,7 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 	)
 	// From here Adam steps the live weights, so every return — a step or
 	// validation error mid-run included — leaves weights no engine snapshot
-	// or element table of the old generation may be served beside.
+	// or element memo of the old generation may be served beside.
 	defer m.noteWeightsChanged()
 	for epoch := 1; epoch <= epochs; epoch++ {
 		order := shuffle(rng, len(train))

@@ -77,7 +77,7 @@ type trainWorker struct {
 
 // forward packs queries lo..lo+len(preds) of src with BuildFrom, keys
 // included, and runs forwardPacked on w, the trainer's transposed copy of
-// the live weights, with no element table: each distinct row of a set is
+// the live weights, with no element memo: each distinct row of a set is
 // forwarded once and its duplicates get copies of its h1 and h2. It keeps
 // the activations as the tape and writes normalized predictions into
 // preds. The workspace is reserved for the whole step — forward and

@@ -238,7 +238,7 @@ func TestTrainerPredictMatchesEnginePredict(t *testing.T) {
 
 // TestTrainErrorBumpsWeightGen: a run that fails after Adam has stepped
 // leaves new weights, so it must leave a new weight generation too —
-// otherwise the engine's snapshot and element table, both tagged
+// otherwise the engine's snapshot and element memo, both tagged
 // with the old generation, are served beside rows computed from the new
 // weights. The training set's shuffled order reaches a wrong-width example
 // in its second minibatch.
@@ -263,8 +263,7 @@ func TestTrainErrorBumpsWeightGen(t *testing.T) {
 	encs[bad.I].TableVecs[0] = make([]float64, tdim+1)
 
 	e := m.Engine()
-	e.SetReferenceRows(memoReferences())
-	m.SetPrecision(F32) // cache an F32 snapshot and its table; checked first below
+	m.SetPrecision(F32) // cache an F32 snapshot and fill its memo; checked first below
 	predictBatch(t, e, probe)
 	gen := m.WeightGen()
 	before := weightsOf(m)

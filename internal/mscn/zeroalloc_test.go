@@ -13,14 +13,13 @@ import (
 
 // TestPredictSourceIntoZeroAlloc: the batch entry every BatchCardinalities
 // call goes through — pooled scratch, BuildFrom's row cursor, the packing
-// keys, the element table and the dedupe — allocates nothing in steady
+// keys, the element memo and the dedupe — allocates nothing in steady
 // state at either precision. (AllocsPerRun runs at GOMAXPROCS 1, the
 // serial path; the fan-out's goroutines are its only allocations.)
 func TestPredictSourceIntoZeroAlloc(t *testing.T) {
 	const jdim, pdim = 5, 9
 	m := New(Config{HiddenUnits: 16, BatchSize: 64, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
-	e.SetReferenceRows(memoReferences())
 	encs := memoEncs(rand.New(rand.NewSource(62)), 24, jdim, pdim)
 	out := make([]float64, len(encs))
 	var src QuerySource = encodedSource(encs)
