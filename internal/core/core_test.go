@@ -15,7 +15,7 @@ import (
 )
 
 // buildTestSketch trains a small sketch once and shares it across tests.
-func buildTestSketch(t *testing.T) (*db.DB, *Sketch) {
+func buildTestSketch(t testing.TB) (*db.DB, *Sketch) {
 	t.Helper()
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 81, Titles: 1200, Keywords: 60, Companies: 30, Persons: 200})
 	cfg := Config{
@@ -33,7 +33,7 @@ func buildTestSketch(t *testing.T) (*db.DB, *Sketch) {
 var sharedSketch *Sketch
 var sharedDB *db.DB
 
-func getSketch(t *testing.T) (*db.DB, *Sketch) {
+func getSketch(t testing.TB) (*db.DB, *Sketch) {
 	t.Helper()
 	if sharedSketch == nil {
 		sharedDB, sharedSketch = buildTestSketch(t)
@@ -191,6 +191,24 @@ func TestSketchTemplateSQL(t *testing.T) {
 	}
 	if len(res2) != 8 {
 		t.Errorf("buckets = %d", len(res2))
+	}
+}
+
+// BenchmarkEstimateTemplate estimates a year template on the shared small
+// sketch, end to end as the daemon's template route does: parse, expand
+// over the sample's years, bitmaps, featurize into valued runs, one packed
+// forward. After the first op the element memo holds most rows.
+func BenchmarkEstimateTemplate(b *testing.B) {
+	_, s := getSketch(b)
+	const sql = "SELECT COUNT(*) FROM title t, movie_keyword mk WHERE mk.movie_id=t.id AND mk.keyword_id=3 AND t.production_year=?"
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.EstimateTemplateSQL(ctx, sql, workload.GroupDistinct, 0)
+		if err != nil || len(res) < 5 {
+			b.Fatalf("%d instances, %v", len(res), err)
+		}
 	}
 }
 

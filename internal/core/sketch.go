@@ -21,6 +21,7 @@ import (
 	"deepsketch/internal/estimator"
 	"deepsketch/internal/featurize"
 	"deepsketch/internal/mscn"
+	"deepsketch/internal/nn"
 	"deepsketch/internal/sample"
 	"deepsketch/internal/sqlparse"
 	"deepsketch/internal/workload"
@@ -123,6 +124,17 @@ func (s *Sketch) Name() string { return s.Cfg.Name }
 // remains only because bench/layers.go names it.
 func (s *Sketch) SetEnginePrecision(p mscn.Precision) { s.Model.SetPrecision(p) }
 
+// ReleaseEngine drops the inference engine's cached weight snapshot and
+// element memo and keeps none until ServeEngine (mscn.Engine.Release): the
+// registry calls it on a version that stops serving. An estimate meanwhile
+// builds a snapshot for itself and returns the bits it returned before.
+func (s *Sketch) ReleaseEngine() { s.Model.Engine().Release() }
+
+// ServeEngine lets the engine keep its snapshot again after ReleaseEngine
+// (mscn.Engine.Serve): the registry calls it on every version it routes
+// traffic to.
+func (s *Sketch) ServeEngine() { s.Model.Engine().Serve() }
+
 // Estimate implements the sketch interface of Figure 1b for an already-
 // parsed query: evaluate base-table selections on the embedded samples,
 // featurize straight into packed rows, one MSCN forward pass, denormalize.
@@ -196,26 +208,23 @@ func (s *Sketch) BatchCardinalities(ctx context.Context, qs []db.Query) ([]float
 }
 
 // querySource is the one featurization path of the package: query i's
-// bitmaps over samples, encoded by enc straight into the packed rows
-// BuildFrom hands out, on demand. Estimates (BatchCardinalities), builds
-// and refreshes (Examples) all pack through it.
+// bitmaps over samples, encoded by enc straight into the valued runs of
+// the packed sets BuildFrom hands out, on demand. Estimates
+// (BatchCardinalities), builds and refreshes (Examples) all pack through
+// it.
 type querySource struct {
 	enc     *featurize.Encoder
 	samples *sample.Set
 	qs      []db.Query
 }
 
-func (src *querySource) RowCounts(i int) (t, j, p int) {
-	return src.enc.RowCounts(src.qs[i])
-}
-
-func (src *querySource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
+func (src *querySource) EncodeTo(i int, t, j, p *nn.RunIndex) error {
 	q := src.qs[i]
 	bms, err := src.samples.Bitmaps(q)
 	if err != nil {
 		return fmt.Errorf("core: query %d (%s): %w", i, q.SQL(nil), err)
 	}
-	if err := src.enc.EncodeQueryTo(q, bms, nextT, nextJ, nextP); err != nil {
+	if err := src.enc.EncodeQueryTo(q, bms, t, j, p); err != nil {
 		return fmt.Errorf("core: query %d (%s): %w", i, q.SQL(nil), err)
 	}
 	return nil

@@ -161,7 +161,7 @@ func (e *Encoder) PredDim() int { return len(e.Columns) + db.NumOps + 1 }
 // vectors. Empty join/predicate sets are represented by a single zero
 // vector so that the set modules always see at least one element. Neither
 // estimates nor training build one — both featurize through EncodeQueryTo
-// into packed rows; it remains for bench/layers.go, mscn's dense-row
+// into valued runs; it remains for bench/layers.go, mscn's dense-row
 // adapters (BuildPackedBatch, Engine.Predict) and tests.
 type Encoded struct {
 	TableVecs [][]float64
@@ -169,63 +169,50 @@ type Encoded struct {
 	PredVecs  [][]float64
 }
 
-// RowCounts returns the number of feature rows EncodeQuery/EncodeQueryTo
-// emit per set for q: one per table, and one per join/predicate with a
-// minimum of one (empty sets are represented by a single zero row).
-func (e *Encoder) RowCounts(q db.Query) (t, j, p int) {
-	t = len(q.Tables)
-	j = len(q.Joins)
-	if j == 0 {
-		j = 1
-	}
-	p = len(q.Preds)
-	if p == 0 {
-		p = 1
-	}
-	return t, j, p
-}
-
 // EncodeQuery featurizes a query given its per-alias sample bitmaps (as
-// produced by sample.Set.Bitmaps) into dense Encoded vectors, through
-// EncodeQueryTo. A missing bitmap is an error unless the encoder was built
-// with SampleSize 0 (bitmap ablation), in which case bitmaps are ignored
-// entirely. Its only callers are bench/layers.go and tests.
+// produced by sample.Set.Bitmaps) into dense Encoded vectors: the valued
+// runs EncodeQueryTo writes, expanded. A missing bitmap is an error unless
+// the encoder was built with SampleSize 0 (bitmap ablation), in which case
+// bitmaps are ignored entirely. It is a dense adapter whose only callers
+// are bench/layers.go and tests.
 func (e *Encoder) EncodeQuery(q db.Query, bitmaps map[string]sample.Bitmap) (Encoded, error) {
-	nt, nj, np := e.RowCounts(q)
-	enc := Encoded{
-		TableVecs: make([][]float64, 0, nt),
-		JoinVecs:  make([][]float64, 0, nj),
-		PredVecs:  make([][]float64, 0, np),
-	}
-	nextT := func() []float64 {
-		v := make([]float64, e.TableDim())
-		enc.TableVecs = append(enc.TableVecs, v)
-		return v
-	}
-	nextJ := func() []float64 {
-		v := make([]float64, e.JoinDim())
-		enc.JoinVecs = append(enc.JoinVecs, v)
-		return v
-	}
-	nextP := func() []float64 {
-		v := make([]float64, e.PredDim())
-		enc.PredVecs = append(enc.PredVecs, v)
-		return v
-	}
-	if err := e.EncodeQueryTo(q, bitmaps, nextT, nextJ, nextP); err != nil {
+	var sets [3]nn.RunIndex
+	sets[0].Reset(e.TableDim())
+	sets[1].Reset(e.JoinDim())
+	sets[2].Reset(e.PredDim())
+	if err := e.EncodeQueryTo(q, bitmaps, &sets[0], &sets[1], &sets[2]); err != nil {
 		return Encoded{}, err
 	}
-	return enc, nil
+	return Encoded{TableVecs: dense(&sets[0]), JoinVecs: dense(&sets[1]), PredVecs: dense(&sets[2])}, nil
 }
 
-// EncodeQueryTo featurizes a query directly into caller-provided rows: each
-// next function must return the next *zeroed* destination row for its set
-// (width TableDim/JoinDim/PredDim); exactly the counts reported by RowCounts
-// are consumed, in order. This is the path of every estimate and every
-// training minibatch — it featurizes straight into a PackedBatch with no
-// intermediate per-query vector allocations. On error some rows may already
-// have been consumed.
-func (e *Encoder) EncodeQueryTo(q db.Query, bitmaps map[string]sample.Bitmap, nextT, nextJ, nextP func() []float64) error {
+// dense expands each row of ix into a vector of its width.
+func dense(ix *nn.RunIndex) [][]float64 {
+	vecs := make([][]float64, ix.Rows())
+	for r := range vecs {
+		v := make([]float64, ix.Cols())
+		for _, run := range ix.Row(r) {
+			for k := run.Lo; k < run.Hi; k++ {
+				v[k] = run.V
+			}
+		}
+		vecs[r] = v
+	}
+	return vecs
+}
+
+// EncodeQueryTo featurizes a query into valued runs (nn.Run), appending
+// one row per element to each set's index — t, j and p, TableDim, JoinDim
+// and PredDim wide — in order: a row per table, a row per join and per
+// predicate, and one empty row for an empty join or predicate set. A table
+// row is its one-hot plus the runs of its bitmap's words (bitmapRuns), a
+// join row one run, a predicate row at most three (its column's one-hot,
+// its operator's, and its literal unless that normalizes to 0); the index
+// merges touching runs of one value, so the runs are the maximal ones
+// nn.Index finds on the dense row. This is the path of every estimate and
+// every training minibatch: no dense row is written. On error some rows
+// may already have been appended.
+func (e *Encoder) EncodeQueryTo(q db.Query, bitmaps map[string]sample.Bitmap, t, j, p *nn.RunIndex) error {
 	// Queries reference at most a handful of tables: RefByAlias's linear
 	// scan beats building a map and allocates nothing.
 	tableOf := func(alias string) (string, bool) {
@@ -238,71 +225,80 @@ func (e *Encoder) EncodeQueryTo(q db.Query, bitmaps map[string]sample.Bitmap, ne
 		if !ok {
 			return fmt.Errorf("featurize: table %s not in sketch vocabulary", tr.Table)
 		}
-		vec := nextT()
-		vec[ti] = 1
+		t.Add(ti, ti+1, 1)
 		if e.SampleSize > 0 {
 			bm, ok := bitmaps[tr.Alias]
 			if !ok {
 				return fmt.Errorf("featurize: missing bitmap for alias %s", tr.Alias)
 			}
-			setBits(vec[len(e.Tables):], bm, min(bm.N, e.SampleSize))
+			bitmapRuns(t, len(e.Tables), bm, min(bm.N, e.SampleSize))
 		}
+		t.EndRow()
 	}
 
-	for _, j := range q.Joins {
-		lt, ok := tableOf(j.LeftAlias)
+	for _, jn := range q.Joins {
+		lt, ok := tableOf(jn.LeftAlias)
 		if !ok {
-			return fmt.Errorf("featurize: join references unknown alias %s", j.LeftAlias)
+			return fmt.Errorf("featurize: join references unknown alias %s", jn.LeftAlias)
 		}
-		rt, ok := tableOf(j.RightAlias)
+		rt, ok := tableOf(jn.RightAlias)
 		if !ok {
-			return fmt.Errorf("featurize: join references unknown alias %s", j.RightAlias)
+			return fmt.Errorf("featurize: join references unknown alias %s", jn.RightAlias)
 		}
-		key := canonicalJoin(lt, j.LeftCol, rt, j.RightCol)
+		key := canonicalJoin(lt, jn.LeftCol, rt, jn.RightCol)
 		ji, ok := e.joinIdx[key]
 		if !ok {
 			return fmt.Errorf("featurize: join %s not in sketch vocabulary", key)
 		}
-		nextJ()[ji] = 1
+		j.Add(ji, ji+1, 1)
+		j.EndRow()
 	}
 	if len(q.Joins) == 0 {
-		nextJ() // empty set: one zero row
+		j.EndRow() // empty set: one zero row
 	}
 
-	for _, p := range q.Preds {
-		tbl, ok := tableOf(p.Alias)
+	for _, pr := range q.Preds {
+		tbl, ok := tableOf(pr.Alias)
 		if !ok {
-			return fmt.Errorf("featurize: predicate references unknown alias %s", p.Alias)
+			return fmt.Errorf("featurize: predicate references unknown alias %s", pr.Alias)
 		}
-		key := tbl + "." + p.Col
+		key := tbl + "." + pr.Col
 		ci, ok := e.colIdx[key]
 		if !ok {
 			return fmt.Errorf("featurize: column %s not in sketch vocabulary", key)
 		}
-		vec := nextP()
-		vec[ci] = 1
-		vec[len(e.Columns)+int(p.Op)] = 1
-		vec[len(e.Columns)+db.NumOps] = e.normalizeLiteral(key, p.Val)
+		op, lit := len(e.Columns)+int(pr.Op), len(e.Columns)+db.NumOps
+		p.Add(ci, ci+1, 1)
+		p.Add(op, op+1, 1)
+		p.Add(lit, lit+1, e.normalizeLiteral(key, pr.Val))
+		p.EndRow()
 	}
 	if len(q.Preds) == 0 {
-		nextP() // empty set: one zero row
+		p.EndRow() // empty set: one zero row
 	}
 	return nil
 }
 
-// setBits writes 1 at dst[i] for every set bit i < n of bm, visiting only
-// the set bits of each word.
-func setBits(dst []float64, bm sample.Bitmap, n int) {
+// bitmapRuns adds to ix's open row, at columns base+i, a run of ones for
+// each maximal run of set bits i < n of bm, visiting only each word's run
+// boundaries: w &^ (w<<1) marks the first bit of each run within the word
+// and w &^ (w>>1) its last. A run that reaches a word's top bit continues
+// in the next word's bit 0, and the index merges the two.
+func bitmapRuns(ix *nn.RunIndex, base int, bm sample.Bitmap, n int) {
 	for wi, w := range bm.Bits {
-		base := wi * 64
-		if base >= n {
+		at := wi * 64
+		if at >= n {
 			return
 		}
-		if n-base < 64 {
-			w &= 1<<uint(n-base) - 1
+		if n-at < 64 {
+			w &= 1<<uint(n-at) - 1
 		}
-		for ; w != 0; w &= w - 1 {
-			dst[base+bits.TrailingZeros64(w)] = 1
+		starts, ends := w&^(w<<1), w&^(w>>1)
+		for starts != 0 {
+			lo, hi := bits.TrailingZeros64(starts), bits.TrailingZeros64(ends)+1
+			ix.Add(base+at+lo, base+at+hi, 1)
+			starts &= starts - 1
+			ends &= ends - 1
 		}
 	}
 }

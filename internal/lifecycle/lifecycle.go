@@ -160,11 +160,35 @@ func (g *Registry) commit(name string, h history) error {
 	if c := h.canary; c != nil {
 		sv.Canary, sv.CanaryVersion, sv.Fraction = h.versions[c.idx], c.idx+1, c.fraction
 	}
+	// A version that serves keeps its engine's snapshot (ServeEngine); one
+	// that stops serving keeps its weights, one Rollback away, but not the
+	// snapshot (ReleaseEngine).
+	for _, s := range h.serving() {
+		s.ServeEngine()
+	}
 	if err := g.r.Install(name, sv); err != nil {
 		return err
 	}
+	prev := g.entries[name]
 	g.entries[name] = h
+	for _, s := range prev.serving() {
+		if s != sv.Primary && s != sv.Canary {
+			s.ReleaseEngine()
+		}
+	}
 	return nil
+}
+
+// serving returns the sketches that answer h's traffic: the live version
+// and the canary, if any. The zero history has none.
+func (h history) serving() []*core.Sketch {
+	if len(h.versions) == 0 {
+		return nil
+	}
+	if h.canary == nil {
+		return []*core.Sketch{h.versions[h.live]}
+	}
+	return []*core.Sketch{h.versions[h.live], h.versions[h.canary.idx]}
 }
 
 // Publish installs s as the newest version of name and makes it live

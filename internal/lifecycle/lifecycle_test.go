@@ -365,3 +365,155 @@ func TestRefreshCandidateTrainsWithoutInstalling(t *testing.T) {
 		t.Error("RefreshCandidate of an unknown name succeeded")
 	}
 }
+
+// snapshotted reports whether s's inference engine holds a weight snapshot.
+func snapshotted(s *core.Sketch) bool { return s.Model.Engine().Snapshotted() }
+
+// estimateAll answers qs through the registry's serving view of name.
+func estimateAll(t *testing.T, reg *Registry, name string, qs []db.Query) []float64 {
+	t.Helper()
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		est, err := reg.Serving(name).Estimate(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = est.Cardinality
+	}
+	return out
+}
+
+// TestRollbackAnswersAsWhenLive: a swap drops the retired version's engine
+// snapshot, a late request on it keeps none, and a rollback to it answers
+// bit for bit as it did when it was live, from a snapshot rebuilt on first
+// use and kept.
+func TestRollbackAnswersAsWhenLive(t *testing.T) {
+	d := fixture(t)
+	v1 := buildNamed(t, d, "imdb", 21)
+	v2 := buildNamed(t, d, "imdb", 22)
+	var qs []db.Query
+	for _, lq := range labelDelta(t, d, 23, 40) {
+		qs = append(qs, lq.Query)
+	}
+	reg := New()
+	if _, err := reg.Publish("imdb", v1); err != nil {
+		t.Fatal(err)
+	}
+	live := estimateAll(t, reg, "imdb", qs)
+	if !snapshotted(v1) {
+		t.Fatal("the live version answered without a snapshot — the test is vacuous")
+	}
+	if _, err := reg.Swap("imdb", v2); err != nil {
+		t.Fatal(err)
+	}
+	if snapshotted(v1) {
+		t.Fatal("the retired version still holds its snapshot after the swap")
+	}
+	// A request that chose v1 before the swap forwards on it after: it
+	// answers as v1 did, and leaves no snapshot behind.
+	for i, q := range qs {
+		got, err := v1.Cardinality(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(live[i]) {
+			t.Fatalf("query %d on the retired version: %v, %v when it was live", i, got, live[i])
+		}
+	}
+	if snapshotted(v1) {
+		t.Fatal("a request on the retired version left a snapshot behind")
+	}
+	swapped := estimateAll(t, reg, "imdb", qs)
+	if _, _, err := reg.Rollback("imdb"); err != nil {
+		t.Fatal(err)
+	}
+	if snapshotted(v2) {
+		t.Fatal("the rolled-back-from version still holds its snapshot")
+	}
+	back := estimateAll(t, reg, "imdb", qs)
+	if !snapshotted(v1) {
+		t.Fatal("the version rolled back to serves without keeping a snapshot")
+	}
+	differs := false
+	for i := range qs {
+		if math.Float64bits(back[i]) != math.Float64bits(live[i]) {
+			t.Fatalf("query %d: %v after the rollback, %v when the version was live", i, back[i], live[i])
+		}
+		differs = differs || swapped[i] != live[i]
+	}
+	if !differs {
+		t.Fatal("the two versions answer alike — the test is vacuous")
+	}
+}
+
+// TestRetiredVersionsReleaseSnapshots: through 20 swaps, with canaries
+// started, promoted and aborted and a rollback among them, and traffic
+// after each, only the live version and the canary hold an engine snapshot,
+// and the live version does.
+func TestRetiredVersionsReleaseSnapshots(t *testing.T) {
+	d := fixture(t)
+	base, err := core.Build(d, core.Config{
+		Name: "imdb", SampleSize: 48, TrainQueries: 200, MaxJoins: 2, MaxPreds: 2, Seed: 31, Workers: 2,
+		Model: mscn.Config{HiddenUnits: 64, Epochs: 2, BatchSize: 32, Seed: 31},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []db.Query
+	for _, lq := range labelDelta(t, d, 32, 12) {
+		qs = append(qs, lq.Query)
+	}
+	reg := New()
+	if _, err := reg.Publish("imdb", base); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		estimateAll(t, reg, "imdb", qs)
+		vs, err := reg.Versions("imdb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			s, err := reg.Sketch("imdb", v.Version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A canary holds one once a query has hashed to it.
+			if held := snapshotted(s); held != v.Live && !(v.Canary && held) {
+				t.Fatalf("%s: version %d (live %v, canary %v) holds a snapshot: %v", step, v.Version, v.Live, v.Canary, held)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := reg.Swap("imdb", base.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		check("swap")
+		switch i % 5 {
+		case 1:
+			if _, err := reg.StartCanary("imdb", base.Clone(), 0.5); err != nil {
+				t.Fatal(err)
+			}
+			check("canary")
+			if _, err := reg.PromoteCanary("imdb"); err != nil {
+				t.Fatal(err)
+			}
+			check("promote")
+		case 2:
+			if _, err := reg.StartCanary("imdb", base.Clone(), 0.5); err != nil {
+				t.Fatal(err)
+			}
+			check("canary")
+			if err := reg.AbortCanary("imdb"); err != nil {
+				t.Fatal(err)
+			}
+			check("abort")
+		case 3:
+			if _, _, err := reg.Rollback("imdb"); err != nil {
+				t.Fatal(err)
+			}
+			check("rollback")
+		}
+	}
+}

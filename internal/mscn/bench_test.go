@@ -80,17 +80,19 @@ func BenchmarkForwardPacked(b *testing.B) {
 }
 
 // BenchmarkPredictSourcePacked is the end-to-end batched inference path as
-// the serve coalescer drives it: pack (pooled buffers) + forward per call.
+// a batch estimate drives it: pack valued runs (pooled buffers) + forward
+// per call, from a source of runs built once.
 func BenchmarkPredictSourcePacked(b *testing.B) {
 	examples, tdim, jdim, pdim, _ := benchExamples(b, 64)
 	m := New(Config{HiddenUnits: 64, BatchSize: 64, Seed: 1}, tdim, jdim, pdim)
 	e := m.Engine()
 	encs := encsOf(examples)
+	src := newRunsSource(encs, tdim, jdim, pdim)
 	out := make([]float64, len(encs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.PredictSourceInto(context.Background(), encodedSource(encs), len(encs), out); err != nil {
+		if err := e.PredictSourceInto(context.Background(), src, len(encs), out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,16 +143,18 @@ func templateInstances(n int) ([]featurize.Encoded, int, int, int) {
 // BenchmarkPredictSourceTemplate is a template request at the serving
 // width, repeated: the same 137 instances predicted once per op, so from
 // the second op on every row's h2 comes from the engine's element memo and
-// what is left is packing, the pools and the output network.
+// what is left is packing the valued runs (from a source built once), the
+// pools and the output network.
 func BenchmarkPredictSourceTemplate(b *testing.B) {
 	encs, tdim, jdim, pdim := templateInstances(137)
 	m := New(Config{HiddenUnits: 256, BatchSize: 64, Seed: 1}, tdim, jdim, pdim)
 	e := m.Engine()
+	src := newRunsSource(encs, tdim, jdim, pdim)
 	out := make([]float64, len(encs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.PredictSourceInto(context.Background(), encodedSource(encs), len(encs), out); err != nil {
+		if err := e.PredictSourceInto(context.Background(), src, len(encs), out); err != nil {
 			b.Fatal(err)
 		}
 	}

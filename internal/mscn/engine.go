@@ -44,9 +44,10 @@ type Engine struct {
 
 	// snap is the transposed weights with their element memo, built lazily
 	// under convMu and tagged with the Model.WeightGen and the Precision
-	// they were read at.
-	convMu sync.Mutex
-	snap   atomic.Pointer[snapshot]
+	// they were read at. While retired (Release to Serve) none is kept.
+	convMu  sync.Mutex
+	snap    atomic.Pointer[snapshot]
+	retired atomic.Bool
 }
 
 // snapshot is the model's eight layers, W transposed and stored at prec,
@@ -83,15 +84,14 @@ type memoSet struct {
 	h2   nn.Matrix
 }
 
-// memoKey is what sameRow compares of a row: its runs and the values in
-// them (vals, run after run), with the row's hash; full is false until
-// the slot is first written. The buffers are the slot's own, reused by
-// every row written to it.
+// memoKey is what sameRow compares of a row, its valued runs, with the
+// row's hash; full is false until the slot is first written. The buffer is
+// the slot's own, reused by every row written to it: a full bitmap's key is
+// two runs.
 type memoKey struct {
 	full bool
 	hash uint64
 	runs []nn.Run
-	vals []float64
 }
 
 // memoSlot is the slot of a row hash: the top bits of the hash times an
@@ -109,15 +109,15 @@ func memoSlot(hash uint64) int {
 //
 //deepsketch:zeroalloc
 func (s *memoSet) lookup(pb *PackedBatch, k int, h2 nn.Matrix, fresh []int) int {
-	keys, x := &pb.keys[k], pb.set(k)
+	keys := &pb.keys[k]
 	n := 0
 	s.mu.Lock()
-	for r := 0; r < x.Rows; r++ {
+	for r := 0; r < keys.runs.Rows(); r++ {
 		if keys.rep[r] != r {
 			continue
 		}
 		i := memoSlot(keys.hash[r])
-		if s.keys[i].holds(keys.hash[r], keys.runs.Row(r), x.Row(r)) {
+		if s.keys[i].holds(keys.hash[r], keys.runs.Row(r)) {
 			copy(h2.Row(r), s.h2.Row(i))
 		} else {
 			fresh[n] = r
@@ -132,57 +132,34 @@ func (s *memoSet) lookup(pb *PackedBatch, k int, h2 nn.Matrix, fresh []int) int 
 //
 //deepsketch:zeroalloc
 func (s *memoSet) store(pb *PackedBatch, k int, h2 nn.Matrix, rows []int) {
-	keys, x := &pb.keys[k], pb.set(k)
+	keys := &pb.keys[k]
 	s.mu.Lock()
 	for _, r := range rows {
 		i := memoSlot(keys.hash[r])
-		s.keys[i].set(keys.hash[r], keys.runs.Row(r), x.Row(r))
+		s.keys[i].set(keys.hash[r], keys.runs.Row(r))
 		copy(s.h2.Row(i), h2.Row(r))
 	}
 	s.mu.Unlock()
 }
 
-// holds reports whether the key is of the row x with these runs and hash:
-// the same runs and the same values in them (compared with ==, so a row
-// holding a NaN is held by no key), as sameRow decides.
+// holds reports whether the key is of the row with these runs and hash:
+// the same runs with the same values (compared with ==, so a row holding a
+// NaN is held by no key), as sameRow decides.
 //
 //deepsketch:zeroalloc
-func (m *memoKey) holds(hash uint64, runs []nn.Run, x []float64) bool {
-	if !m.full || m.hash != hash || len(m.runs) != len(runs) {
-		return false
-	}
-	at := 0
-	for j, run := range runs {
-		if m.runs[j] != run {
-			return false
-		}
-		for _, v := range x[run.Lo:run.Hi] {
-			if m.vals[at] != v {
-				return false
-			}
-			at++
-		}
-	}
-	return true
+func (m *memoKey) holds(hash uint64, runs []nn.Run) bool {
+	return m.full && m.hash == hash && sameRuns(m.runs, runs)
 }
 
-// set makes the key the row x's, with these runs and hash, in the slot's
-// own buffers.
+// set makes the key the row's with these runs and hash, in the slot's own
+// buffer.
 //
 //deepsketch:zeroalloc
-func (m *memoKey) set(hash uint64, runs []nn.Run, x []float64) {
-	n := 0
-	for _, run := range runs {
-		n += int(run.Hi - run.Lo)
-	}
+func (m *memoKey) set(hash uint64, runs []nn.Run) {
 	m.full, m.hash = true, hash
-	//deepsketch:ignore zeroalloc a slot's buffers grow to the longest row written to it, then are reused
-	m.runs, m.vals = ensureLen(m.runs, len(runs)), ensureLen(m.vals, n)
+	//deepsketch:ignore zeroalloc a slot's buffer grows to the longest row written to it, then is reused
+	m.runs = ensureLen(m.runs, len(runs))
 	copy(m.runs, runs)
-	at := 0
-	for _, run := range runs {
-		at += copy(m.vals[at:], x[run.Lo:run.Hi])
-	}
 }
 
 // NewEngine builds an inference engine over the model's weights.
@@ -191,7 +168,7 @@ func NewEngine(m *Model) *Engine { return &Engine{m: m} }
 // snapshot returns the cached snapshot when it is of the current weight
 // generation and precision, else transposes the live weights into a new
 // one, with an empty element memo, once under convMu, rounding them to
-// single precision at F32. The double-checked load keeps the hot path to
+// single precision at F32, and caches it unless the engine is retired. The double-checked load keeps the hot path to
 // one atomic read.
 func (e *Engine) snapshot() *snapshot {
 	gen, prec := e.m.WeightGen(), e.m.precision()
@@ -212,9 +189,33 @@ func (e *Engine) snapshot() *snapshot {
 	for k := range s.memo {
 		s.memo[k].h2 = nn.NewMatrix(memoSlots, s.w[2*k+1].Out)
 	}
-	e.snap.Store(s)
+	if !e.retired.Load() {
+		e.snap.Store(s)
+	}
 	return s
 }
+
+// Release drops the engine's cached snapshot — the transposed weights and
+// the element memo, 6 MiB of memo slabs at 256 units — for a model that has
+// stopped serving, and keeps none until Serve. A forward in flight
+// finishes on the snapshot it loaded; a later one, such as a request that
+// chose this model before it stopped serving, builds one for itself, on
+// unchanged weights the same bits.
+func (e *Engine) Release() {
+	e.convMu.Lock()
+	defer e.convMu.Unlock()
+	e.retired.Store(true)
+	e.snap.Store(nil)
+}
+
+// Serve ends a Release: the next forward's snapshot is kept again. The
+// registry calls it on every model it routes traffic to, before the
+// traffic arrives.
+func (e *Engine) Serve() { e.retired.Store(false) }
+
+// Snapshotted reports whether the engine holds a snapshot, built and not
+// released since. It exists for tests.
+func (e *Engine) Snapshotted() bool { return e.snap.Load() != nil }
 
 // engineScratch bundles the per-goroutine reusable state: a packed batch and
 // the forward's workspace.
@@ -267,9 +268,10 @@ func forwardFloats(pb *PackedBatch, h int) int {
 // forwardPacked is the MSCN forward pass on packed rows — the only one:
 // per set module Linear+ReLU twice then a segment average pool, the three
 // pools concatenated, the two-layer output network, a sigmoid. Every layer
-// is nn.Layer.Forward on w, over pb's packed feature rows (see
-// PackedBatch.sets), which each set module's first layer reads through
-// pb's run index. Each distinct element is forwarded once
+// is one kernel on w: each set module's first layer reads pb's valued runs
+// (nn.Layer.ForwardRuns, see PackedBatch.sets), every other layer the
+// dense activations before it (nn.Layer.Forward). Each distinct element is
+// forwarded once
 // (elementTable.module): with an element memo (on these same weights) a
 // row it holds is copied from it and the rows it lacks are written into
 // it; without one — the trainer — only rows equal to an earlier row of the
@@ -284,10 +286,10 @@ func forwardPacked(w *weights, pb *PackedBatch, memo *elementTable, ws *nn.Works
 	h := w[7].In
 	xs, offs := pb.sets()
 	for k := 0; k < 3; k++ {
-		rows := xs[k].Rows
+		rows := xs[k].Rows()
 		act.h1[k] = ws.Alloc(rows, h)
 		act.h2[k] = ws.Alloc(rows, h)
-		memo.module(w, k, pb, xs[k], act.h1[k], act.h2[k], ws)
+		memo.module(w, k, pb, act.h1[k], act.h2[k], ws)
 		act.pool[k] = ws.Alloc(b, h)
 		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
 	}
@@ -299,15 +301,16 @@ func forwardPacked(w *weights, pb *PackedBatch, memo *elementTable, ws *nn.Works
 		copy(dst[2*h:], act.pool[2].Row(bi))
 	}
 	act.oA1 = ws.Alloc(b, h)
-	w[6].Forward(act.concat, nil, act.oA1, nil, true, ws)
+	w[6].Forward(act.concat, act.oA1, nil, true, ws)
 	act.out = ws.Alloc(b, 1)
-	w[7].Forward(act.oA1, nil, act.out, nil, false, ws)
+	w[7].Forward(act.oA1, act.out, nil, false, ws)
 	nn.SigmoidInPlace(act.out)
 	copy(out, act.out.Data)
 }
 
-// module runs set module k — the indexed first layer into h1, the dense
-// second into h2 — on x, pb's set k, forwarding each distinct element once.
+// module runs set module k — the first layer on the set's valued runs into
+// h1, the dense second into h2 — on pb's set k, forwarding each distinct
+// element once.
 // A first occurrence the memo holds is copied from it (h2 only: the engine
 // reads nothing else) in one locked pass; the others are listed
 // (ws.RowList) and go through both layers as one row list, under no lock,
@@ -321,26 +324,27 @@ func forwardPacked(w *weights, pb *PackedBatch, memo *elementTable, ws *nn.Works
 // row is the bits the row would have been computed to.
 //
 //deepsketch:zeroalloc
-func (t *elementTable) module(w *weights, k int, pb *PackedBatch, x nn.Matrix, h1, h2 nn.Matrix, ws *nn.Workspace) {
+func (t *elementTable) module(w *weights, k int, pb *PackedBatch, h1, h2 nn.Matrix, ws *nn.Workspace) {
 	keys := &pb.keys[k]
-	fresh := ws.RowList(x.Rows)
+	rows := keys.runs.Rows()
+	fresh := ws.RowList(rows)
 	n := 0
 	if t != nil {
 		n = t[k].lookup(pb, k, h2, fresh)
 	} else {
-		for r := 0; r < x.Rows; r++ {
+		for r := 0; r < rows; r++ {
 			if keys.rep[r] == r {
 				fresh[n] = r
 				n++
 			}
 		}
 	}
-	w[2*k].Forward(x, &keys.runs, h1, fresh[:n:n], true, ws)
-	w[2*k+1].Forward(h1, nil, h2, fresh[:n:n], true, ws)
+	w[2*k].ForwardRuns(&keys.runs, h1, fresh[:n:n], true, ws)
+	w[2*k+1].Forward(h1, h2, fresh[:n:n], true, ws)
 	if t != nil {
 		t[k].store(pb, k, h2, fresh[:n])
 	}
-	for r := 0; r < x.Rows; r++ {
+	for r := 0; r < rows; r++ {
 		if q := keys.rep[r]; q != r {
 			copy(h2.Row(r), h2.Row(q))
 			if t == nil {
@@ -375,19 +379,19 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 	return out[0], err
 }
 
-// QuerySource feeds queries straight into packed feature rows, bypassing
-// any intermediate per-query materialization — the path every estimate
-// batch and every training minibatch (Example) takes. RowCounts must report
-// exactly the rows EncodeTo will consume. Implementations must be safe for
-// concurrent calls on distinct indices: PredictSourceInto fans chunks out
-// across goroutines and the trainer its shards, each driving its own index
-// range — per-call mutable state shared between calls would race.
+// QuerySource feeds queries straight into packed sets of valued runs,
+// bypassing any dense row or per-query materialization — the path every
+// estimate batch and every training minibatch (Example) takes.
+// Implementations must be safe for concurrent calls on distinct indices:
+// PredictSourceInto fans chunks out across goroutines and the trainer its
+// shards, each driving its own index range — per-call mutable state shared
+// between calls would race.
 type QuerySource interface {
-	// RowCounts returns the table/join/predicate row counts of query i.
-	RowCounts(i int) (t, j, p int)
-	// EncodeTo writes query i's feature rows via the next functions, each
-	// of which returns the next zeroed destination row for its set.
-	EncodeTo(i int, nextT, nextJ, nextP func() []float64) error
+	// EncodeTo appends query i's elements to the sets' indexes, one row
+	// each (nn.RunIndex.Add, then EndRow): its tables to t, its joins to
+	// j, its predicates to p. A set it appends no row to is an empty
+	// segment, which pools to zeros.
+	EncodeTo(i int, t, j, p *nn.RunIndex) error
 }
 
 // PredictSourceInto writes normalized predictions for the source's n

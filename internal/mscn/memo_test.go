@@ -59,8 +59,14 @@ func nearTableRow(rng *rand.Rand) []float64 {
 		v[memoT+rng.Intn(memoBits)] = 0
 		return v
 	case 3:
-		v := tableRow(0, memoBits) // same runs, one other value
-		v[memoT+rng.Intn(memoBits)] = 0.5
+		v := tableRow(0, memoBits)
+		if rng.Intn(2) == 0 { // one other value, splitting the bitmap's run
+			v[memoT+rng.Intn(memoBits)] = 0.5
+			return v
+		}
+		for i := memoT; i < len(v); i++ { // the same runs, another value
+			v[i] = 0.5
+		}
 		return v
 	case 4:
 		return tableRow(3, memoBits) // a table with no reference
@@ -120,15 +126,35 @@ func templateEncs(rng *rand.Rand, n, jdim, pdim int) []featurize.Encoded {
 	return encs
 }
 
-// plainPredict is the MSCN forward with no element memo, no dedupe and no
-// transposed weights — every row of every set through every layer as a
-// dense GEMM on the [out][in] weights (gemmBias, nn.Linear.ForwardFused) —
-// over encs as one packed batch.
+// denseSets stacks encs' dense rows into one matrix per set, with CSR
+// offsets per query — the packed batch of encs as dense rows, built with no
+// code of the packer's.
+func denseSets(encs []featurize.Encoded, tdim, jdim, pdim int) ([3]nn.Matrix, [3][]int) {
+	var xs [3]nn.Matrix
+	var offs [3][]int
+	for k, dim := range [3]int{tdim, jdim, pdim} {
+		offs[k] = []int{0}
+		var data []float64
+		for _, enc := range encs {
+			vecs := [3][][]float64{enc.TableVecs, enc.JoinVecs, enc.PredVecs}[k]
+			for _, v := range vecs {
+				data = append(data, v...)
+			}
+			offs[k] = append(offs[k], offs[k][len(offs[k])-1]+len(vecs))
+		}
+		xs[k] = nn.Matrix{Rows: len(data) / dim, Cols: dim, Data: data}
+	}
+	return xs, offs
+}
+
+// plainPredict is the MSCN forward with no element memo, no dedupe, no runs
+// and no transposed weights — every row of every set through every layer
+// as a dense GEMM on the [out][in] weights (gemmBias,
+// nn.Linear.ForwardFused) — over encs as one batch.
 func plainPredict(t testing.TB, m *Model, encs []featurize.Encoded) []float64 {
 	t.Helper()
-	pb, err := BuildPackedBatch(encs, m.TDim, m.JDim, m.PDim)
-	if err != nil {
-		t.Fatal(err)
+	if len(encs) == 0 {
+		t.Fatal("plainPredict of no query")
 	}
 	layers := m.layers()
 	dense := func(l *nn.Linear, x nn.Matrix, relu bool) nn.Matrix {
@@ -136,14 +162,14 @@ func plainPredict(t testing.TB, m *Model, encs []featurize.Encoded) []float64 {
 		l.ForwardFused(x, y, relu)
 		return y
 	}
-	src, offs := pb.sets()
-	h := m.Cfg.HiddenUnits
-	concat := nn.NewMatrix(pb.B, 3*h)
+	src, offs := denseSets(encs, m.TDim, m.JDim, m.PDim)
+	h, b := m.Cfg.HiddenUnits, len(encs)
+	concat := nn.NewMatrix(b, 3*h)
 	for k, x := range src {
 		h2 := dense(layers[2*k+1], dense(layers[2*k], x, true), true)
-		pool := nn.NewMatrix(pb.B, h)
+		pool := nn.NewMatrix(b, h)
 		nn.SegmentAvgPool(h2, offs[k], pool)
-		for bi := 0; bi < pb.B; bi++ {
+		for bi := 0; bi < b; bi++ {
 			copy(concat.Row(bi)[k*h:(k+1)*h], pool.Row(bi))
 		}
 	}
@@ -222,16 +248,23 @@ func rerollEncs(rng *rand.Rand, first []featurize.Encoded, n, jdim, pdim int) []
 	return encs
 }
 
-// collidingRows returns two rows of width dim with the same runs and the
-// same values, permuted inside one run — the same rowHash, and not equal.
+// collidingRows returns two rows of width dim (at least 3), each one valued
+// run: a's is columns lo..hi-1, b's one column longer, and b's value is a's
+// with exactly the bits flipped where the two runs' bounds differ
+// (rowHash's word per run) — the same rowHash, and not equal.
 func collidingRows(rng *rand.Rand, dim int) (a, b []float64) {
 	lo := rng.Intn(dim - 2)
-	a = make([]float64, dim)
-	for c := lo; c < lo+3; c++ {
-		a[c] = float64(c-lo+1) / 4 * (1 + rng.Float64())
+	hi := lo + 1 + rng.Intn(dim-lo-1)
+	va := 1 + rng.Float64()
+	bounds := func(lo, hi int) uint64 { return uint64(lo)<<32 | uint64(hi) }
+	vb := math.Float64frombits(math.Float64bits(va) ^ bounds(lo, hi) ^ bounds(lo, hi+1))
+	a, b = make([]float64, dim), make([]float64, dim)
+	for c := lo; c < hi; c++ {
+		a[c] = va
 	}
-	b = slices.Clone(a)
-	b[lo], b[lo+1] = b[lo+1], b[lo]
+	for c := lo; c <= hi; c++ {
+		b[c] = vb
+	}
 	return a, b
 }
 
@@ -239,14 +272,14 @@ func collidingRows(rng *rand.Rand, dim int) (a, b []float64) {
 // snapshot's memo of e lacks — what a forward of pb would compute — and
 // the number of first occurrences. It writes nothing into the memo.
 func memoMisses(e *Engine, pb *PackedBatch, k int) (misses, firsts int) {
-	x := pb.set(k)
-	for r := 0; r < x.Rows; r++ {
+	rows := pb.keys[k].runs.Rows()
+	for r := 0; r < rows; r++ {
 		if pb.keys[k].rep[r] == r {
 			firsts++
 		}
 	}
-	h2 := nn.NewMatrix(x.Rows, e.m.Cfg.HiddenUnits)
-	return e.snapshot().memo[k].lookup(pb, k, h2, make([]int, x.Rows)), firsts
+	h2 := nn.NewMatrix(rows, e.m.Cfg.HiddenUnits)
+	return e.snapshot().memo[k].lookup(pb, k, h2, make([]int, rows)), firsts
 }
 
 func TestReferenceRowMemoIsBitwise(t *testing.T) {
@@ -337,8 +370,12 @@ func TestReferenceRowLookup(t *testing.T) {
 	if e.snapshot() != snap {
 		t.Fatal("the snapshot was rebuilt on an unchanged generation")
 	}
+	oneHalf := tableRow(0, memoBits)
+	oneHalf[memoT+3] = 0.5
 	half := tableRow(0, memoBits)
-	half[memoT+3] = 0.5
+	for i := memoT; i < len(half); i++ {
+		half[i] = 0.5
+	}
 	cleared := tableRow(0, memoBits)
 	cleared[memoT+memoBits-1] = 0
 	twoJoins := oneHot(jdim, 0)
@@ -352,6 +389,7 @@ func TestReferenceRowLookup(t *testing.T) {
 		"shorter all-ones bitmap":    {0, tableRow(1, 24)},
 		"longer all-ones bitmap":     {0, tableRow(1, 26)},
 		"same runs, different value": {0, half},
+		"one value different":        {0, oneHalf},
 		"last bit cleared":           {0, cleared},
 		"other table, same bitmap":   {0, tableRow(3, 25)},
 		"one-hot only":               {0, tableRow(0, 0)},
@@ -404,9 +442,9 @@ func TestMemoAcrossBatches(t *testing.T) {
 	samePredictions(t, "first batch again", predictBatch(t, e, first), rowwisePredict(t, m, first))
 }
 
-// TestMemoHashCollision: rows with the same runs and the same values in a
-// permuted order have the same rowHash, so the same slot; each must get
-// its own h2, whichever the slot holds when it arrives.
+// TestMemoHashCollision: rows whose valued runs differ but have the same
+// rowHash (collidingRows) take the same slot and are not deduped; each must
+// get its own h2, whichever the slot holds when it arrives.
 func TestMemoHashCollision(t *testing.T) {
 	const jdim, pdim = 6, 9
 	rng := rand.New(rand.NewSource(66))
@@ -503,16 +541,16 @@ func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	m := New(Config{HiddenUnits: 16, BatchSize: 64, Seed: 1}, memoT+memoBits, jdim, pdim)
 	e := NewEngine(m)
 	encs := memoEncs(rand.New(rand.NewSource(62)), 24, jdim, pdim)
-	pb, err := BuildPackedBatch(encs, memoT+memoBits, jdim, pdim)
-	if err != nil {
+	var pb PackedBatch
+	if err := pb.BuildFrom(newRunsSource(encs, memoT+memoBits, jdim, pdim), 0, len(encs), memoT+memoBits, jdim, pdim); err != nil {
 		t.Fatal(err)
 	}
 	var ws nn.Workspace
 	out := make([]float64, len(encs))
 	for _, p := range []Precision{F64, F32} {
 		m.SetPrecision(p)
-		e.Forward(pb, &ws, out)
-		if a := testing.AllocsPerRun(50, func() { e.Forward(pb, &ws, out) }); a != 0 {
+		e.Forward(&pb, &ws, out)
+		if a := testing.AllocsPerRun(50, func() { e.Forward(&pb, &ws, out) }); a != 0 {
 			t.Fatalf("precision %d: forward allocates %.1f times per op, want 0", p, a)
 		}
 	}

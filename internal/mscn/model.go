@@ -11,11 +11,12 @@
 // PackedBatch stores only valid set elements with CSR-style offsets, so a
 // mixed-shape batch costs exactly its valid rows. Every set element is
 // sparse — a table element is a one-hot plus the bitmap of qualifying
-// sample tuples, a join a one-hot, a predicate three non-zeros — so packing
-// also indexes their non-zero columns, and each set module's first layer
-// visits only those, in training and in serving, with the dense kernel's
-// result in every bit (nn.Layer.Forward, nn.BackwardIndexed). Every layer's
-// forward is that one kernel, on a copy of the weights transposed once per
+// sample tuples, a join a one-hot, a predicate three non-zeros — so a
+// packed element is its list of valued runs (nn.Run), which the featurizer
+// writes directly and each set module's first layer reads, in training and
+// in serving, with the dense kernel's result in every bit
+// (nn.Layer.ForwardRuns, nn.BackwardIndexed). Every layer's forward is that
+// one kernel, on a copy of the weights transposed once per
 // weight generation (the engine) or per step (the trainer). Serving uses
 // the Engine (the forward kernel, segment pooling, pooled workspace
 // arenas, zero steady-state allocations; concurrency-safe — workspaces are

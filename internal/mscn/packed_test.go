@@ -39,6 +39,38 @@ func randEnc(rng *rand.Rand, nt, nj, np, tdim, jdim, pdim int) featurize.Encoded
 	}
 }
 
+// runsSource is a QuerySource over queries featurized once into valued
+// runs: EncodeTo copies query i's rows run by run, the compact path an
+// estimate takes, with no dense row and no indexing.
+type runsSource [][3]nn.RunIndex
+
+// newRunsSource indexes encs' dense rows once (nn.RunIndex.AppendDense).
+func newRunsSource(encs []featurize.Encoded, tdim, jdim, pdim int) runsSource {
+	src := make(runsSource, len(encs))
+	for i, enc := range encs {
+		for k, vecs := range [3][][]float64{enc.TableVecs, enc.JoinVecs, enc.PredVecs} {
+			src[i][k].Reset([3]int{tdim, jdim, pdim}[k])
+			for _, v := range vecs {
+				src[i][k].AppendDense(v)
+			}
+		}
+	}
+	return src
+}
+
+func (s runsSource) EncodeTo(i int, t, j, p *nn.RunIndex) error {
+	for k, dst := range [3]*nn.RunIndex{t, j, p} {
+		from := &s[i][k]
+		for r := 0; r < from.Rows(); r++ {
+			for _, run := range from.Row(r) {
+				dst.Add(int(run.Lo), int(run.Hi), run.V)
+			}
+			dst.EndRow()
+		}
+	}
+	return nil
+}
+
 // TestPackedEquivalence: the packed engine forward must match the reference
 // padded forward within 1e-12 across randomized ragged shapes, including
 // empty sets, singleton batches, and JOB-light-like shapes.
@@ -279,17 +311,16 @@ func TestPredictSourceMatchesEncoded(t *testing.T) {
 // failure would be seen encoding them.
 type failingSource struct{ encoded atomic.Int64 }
 
-func (s *failingSource) RowCounts(int) (t, j, p int) { return 1, 1, 1 }
-
-func (s *failingSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
+func (s *failingSource) EncodeTo(i int, t, j, p *nn.RunIndex) error {
 	s.encoded.Add(1)
 	if i == 0 {
 		return errors.New("query 0 does not encode")
 	}
 	time.Sleep(100 * time.Microsecond)
-	nextT()[0] = 1
-	nextJ()
-	nextP()
+	t.Add(0, 1, 1)
+	for _, ix := range []*nn.RunIndex{t, j, p} {
+		ix.EndRow()
+	}
 	return nil
 }
 
@@ -311,8 +342,8 @@ func TestPredictSourceStopsAfterFirstError(t *testing.T) {
 
 // TestForwardPackedZeroAlloc: the steady-state packed forward pass must not
 // touch the heap — also with table rows wider than 1,024 columns (sample
-// size past ~1,018) into 256 units, where the kernel's column list outgrows
-// any small fixed buffer.
+// size past ~1,018) into 256 units, where a row's runs outgrow any small
+// fixed buffer.
 func TestForwardPackedZeroAlloc(t *testing.T) {
 	for _, c := range []struct{ tdim, units int }{{30, 32}, {1100, 256}} {
 		const jdim, pdim = 6, 10

@@ -29,10 +29,8 @@ type Example struct {
 // through it.
 type exampleSource []Example
 
-func (s exampleSource) RowCounts(i int) (t, j, p int) { return s[i].Src.RowCounts(s[i].I) }
-
-func (s exampleSource) EncodeTo(i int, nextT, nextJ, nextP func() []float64) error {
-	return s[i].Src.EncodeTo(s[i].I, nextT, nextJ, nextP)
+func (s exampleSource) EncodeTo(i int, t, j, p *nn.RunIndex) error {
+	return s[i].Src.EncodeTo(s[i].I, t, j, p)
 }
 
 // EpochStats captures one epoch of training for monitoring and the epoch-

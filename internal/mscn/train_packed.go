@@ -122,7 +122,7 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 		for bi := 0; bi < b; bi++ {
 			copy(dPool.Row(bi), dConcat.Row(bi)[off:off+h])
 		}
-		rows := xs[k].Rows
+		rows := xs[k].Rows()
 		if rows == 0 {
 			// Every query's set is empty: the pool emitted zeros, no
 			// elements exist to receive gradient, and the module's layers
@@ -139,8 +139,9 @@ func (wk *trainWorker) backward(m *Model, dPreds []float64) {
 }
 
 // tape returns layer li's forward input and output gradient on the
-// worker's shard; for a set module's first layer, also the input's run
-// index. x has no rows when the shard has no element of that set.
+// worker's shard: x, or for a set module's first layer the valued runs of
+// its set. The input has no rows when the shard has no element of that
+// set, and then dy is stale.
 func (wk *trainWorker) tape(li int) (x nn.Matrix, runs *nn.RunIndex, dy nn.Matrix) {
 	switch li {
 	case layerOut2:
@@ -153,7 +154,7 @@ func (wk *trainWorker) tape(li int) (x nn.Matrix, runs *nn.RunIndex, dy nn.Matri
 		return wk.tp.h1[k], nil, wk.dH2[k]
 	}
 	xs, _ := wk.pb.sets()
-	return xs[k], &wk.pb.keys[k].runs, wk.dH1[k]
+	return nn.Matrix{}, xs[k], wk.dH1[k]
 }
 
 // packedTrainer drives the data-parallel packed training steps. A step
@@ -324,10 +325,9 @@ func (t *packedTrainer) paramGrads(w, p, li int) {
 	for _, wk := range t.workers[:p] {
 		x, runs, dy := wk.tape(li)
 		switch {
-		case x.Rows == 0:
-		case runs != nil:
-			l.BackwardIndexed(x, runs, dy, lo, hi, dW, dB)
-		default:
+		case runs != nil && runs.Rows() > 0:
+			l.BackwardIndexed(runs, dy, lo, hi, dW, dB)
+		case runs == nil && x.Rows > 0:
 			l.BackwardParams(x, dy, lo, hi, dW, dB)
 		}
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // TestPredictSourceIntoZeroAlloc: the batch entry every BatchCardinalities
-// call goes through — pooled scratch, BuildFrom's row cursor, the packing
-// keys, the element memo and the dedupe — allocates nothing in steady
-// state at either precision. (AllocsPerRun runs at GOMAXPROCS 1, the
+// call goes through — pooled scratch, packing valued runs from a compact
+// source, the packing keys, the element memo and the dedupe — allocates
+// nothing in steady state at either precision. (AllocsPerRun runs at GOMAXPROCS 1, the
 // serial path; the fan-out's goroutines are its only allocations.)
 func TestPredictSourceIntoZeroAlloc(t *testing.T) {
 	const jdim, pdim = 5, 9
@@ -22,7 +22,7 @@ func TestPredictSourceIntoZeroAlloc(t *testing.T) {
 	e := NewEngine(m)
 	encs := memoEncs(rand.New(rand.NewSource(62)), 24, jdim, pdim)
 	out := make([]float64, len(encs))
-	var src QuerySource = encodedSource(encs)
+	var src QuerySource = newRunsSource(encs, memoT+memoBits, jdim, pdim)
 	ctx := context.Background()
 	for _, p := range []Precision{F64, F32} {
 		m.SetPrecision(p)

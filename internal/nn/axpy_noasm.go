@@ -23,6 +23,6 @@ func tile4(wt *float64, out int, cols []uint32, x, y *[4]*float64, b *float64, r
 }
 
 //deepsketch:zeroalloc
-func tile1(wt *float64, out int, cols []uint32, x, y, b *float64, relu bool) {
+func tile1(wt *float64, out int, runs []Run, y, b *float64, relu bool) {
 	panic("nn: no tiled forward in this build")
 }

@@ -42,7 +42,10 @@ func (l *Linear) BackwardInput(dy, dx Matrix) {
 // in row order whatever the range, so how the outputs are split changes no
 // bit. No allocations.
 func (l *Linear) BackwardParams(x, dy Matrix, lo, hi int, dW, dB []float64) {
-	l.checkParams("BackwardParams", x, dy, lo, hi, dW, dB)
+	if x.Cols != l.In {
+		panic("nn: BackwardParams dimension mismatch")
+	}
+	l.checkGrads("BackwardParams", x.Rows, dy, lo, hi, dW, dB)
 	for r := 0; r < x.Rows; r++ {
 		dyr := dy.Row(r)
 		xr := x.Row(r)
@@ -57,8 +60,10 @@ func (l *Linear) BackwardParams(x, dy Matrix, lo, hi int, dW, dB []float64) {
 	}
 }
 
-func (l *Linear) checkParams(op string, x, dy Matrix, lo, hi int, dW, dB []float64) {
-	if dy.Cols != l.Out || x.Rows != dy.Rows || x.Cols != l.In {
+// checkGrads checks the shapes a parameter backward over rows input rows
+// reads and writes, the input's width aside.
+func (l *Linear) checkGrads(op string, rows int, dy Matrix, lo, hi int, dW, dB []float64) {
+	if dy.Cols != l.Out || dy.Rows != rows {
 		panic("nn: " + op + " dimension mismatch")
 	}
 	if len(dW) != l.In*l.Out || len(dB) != l.Out {

@@ -96,7 +96,7 @@ func benchDenseRows(kind string, in int) Matrix {
 	Index(&ix, bits)
 	x := NewMatrix(benchBatch, in)
 	var ws Workspace
-	lt.Forward(bits, &ix, x, nil, true, &ws)
+	lt.ForwardRuns(&ix, x, nil, true, &ws)
 	if kind == "relu" {
 		return x
 	}
@@ -228,7 +228,7 @@ func BenchmarkLinearBackwardIndexed(b *testing.B) {
 		})
 		b.Run(c.name+"/indexed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				l.BackwardIndexed(x, &ix, dy, 0, benchOut, dW, dB)
+				l.BackwardIndexed(&ix, dy, 0, benchOut, dW, dB)
 			}
 		})
 	}

@@ -46,6 +46,8 @@ var indexedCases = []indexedCase{
 	{"single output", 3, 6, 1, []byte{1, 0, 5}},
 	{"single row", 1, 6, 3, []byte{0, 6, 1}},
 	{"zero rows", 0, 6, 4, []byte{1}},
+	{"runs of one repeated non-unit value", 3, 23, 8, []byte{5, 5, 5, 5, 0, 6, 6, 6, 7, 7}},
+	{"adjacent runs of different values", 4, 17, 32, []byte{1, 1, 5, 5, 6, 7, 7, 4, 3, 3, 0}},
 }
 
 func (c indexedCase) matrix() Matrix {
@@ -65,10 +67,19 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
-// checkIndexedForward: Layer.Forward equals gemmBias on the [out][in]
-// weights in every bit — through x's run index and through the dense
-// x[k] != 0 test, with and without the fused ReLU, computed in one range
-// or as two row lists.
+// forwardEither is ForwardRuns on ix, or Forward on x when ix is nil.
+func forwardEither(l Layer, x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, ws *Workspace) {
+	if ix != nil {
+		l.ForwardRuns(ix, y, rows, relu, ws)
+		return
+	}
+	l.Forward(x, y, rows, relu, ws)
+}
+
+// checkIndexedForward: Layer.ForwardRuns on x's valued runs and
+// Layer.Forward on x itself equal gemmBias on the [out][in] weights in
+// every bit, with and without the fused ReLU, computed in one range or as
+// two row lists.
 func checkIndexedForward(t *testing.T, c indexedCase, seed int64) {
 	t.Helper()
 	lin := NewLinear("t", c.in, c.out, datagen.NewRand(seed))
@@ -82,13 +93,13 @@ func checkIndexedForward(t *testing.T, c indexedCase, seed int64) {
 		gemmBias(x, lin.W.Data, lin.B.Data, want, relu)
 		for _, index := range []*RunIndex{&ix, nil} {
 			got := dirty(c.rows, c.out)
-			l.Forward(x, index, got, nil, relu, &ws)
+			forwardEither(l, x, index, got, nil, relu, &ws)
 			if i := sameBits(got.Data, want.Data); i >= 0 {
 				t.Fatalf("%s relu=%v indexed=%v: forward[%d]=%v, gemmBias %v", c.name, relu, index != nil, i, got.Data[i], want.Data[i])
 			}
 			split := dirty(c.rows, c.out)
-			l.Forward(x, index, split, span(0, c.rows/2), relu, &ws)
-			l.Forward(x, index, split, span(c.rows/2, c.rows), relu, &ws)
+			forwardEither(l, x, index, split, span(0, c.rows/2), relu, &ws)
+			forwardEither(l, x, index, split, span(c.rows/2, c.rows), relu, &ws)
 			if i := sameBits(split.Data, want.Data); i >= 0 {
 				t.Fatalf("%s relu=%v indexed=%v: forward as two row lists [%d]=%v, gemmBias %v", c.name, relu, index != nil, i, split.Data[i], want.Data[i])
 			}
@@ -118,8 +129,8 @@ func checkIndexedBackward(t *testing.T, c indexedCase, seed int64) {
 	split := c.out / 3
 	for pass := 0; pass < 2; pass++ {
 		l.BackwardParams(x, dy, 0, c.out, wantW, wantB)
-		l.BackwardIndexed(x, &ix, dy, split, c.out, gotW, gotB)
-		l.BackwardIndexed(x, &ix, dy, 0, split, gotW, gotB)
+		l.BackwardIndexed(&ix, dy, split, c.out, gotW, gotB)
+		l.BackwardIndexed(&ix, dy, 0, split, gotW, gotB)
 	}
 	if i := sameBits(gotW, wantW); i >= 0 {
 		t.Fatalf("%s: indexed dW[%d]=%v, dense %v", c.name, i, gotW[i], wantW[i])
@@ -155,7 +166,8 @@ func TestIndexedMatchesDenseBitwise(t *testing.T) {
 	}
 }
 
-// TestIndexRuns pins the index itself: maximal, ascending, half-open runs;
+// TestIndexRuns pins the index itself: maximal, ascending, half-open runs
+// of one non-zero value each (a run ends where the value's bits change);
 // rebuilt in place.
 func TestIndexRuns(t *testing.T) {
 	x := NewMatrix(4, 6)
@@ -165,7 +177,8 @@ func TestIndexRuns(t *testing.T) {
 	var ix RunIndex
 	Index(&ix, NewMatrix(9, 2)) // a previous, larger build must leave nothing behind
 	Index(&ix, x)
-	want := [][]Run{{{0, 2}, {4, 6}}, {}, {{2, 3}}, {{0, 5}}}
+	nan := math.NaN()
+	want := [][]Run{{{0, 2, 1}, {4, 5, 2}, {5, 6, 1}}, {}, {{2, 3, -3}}, {{0, 1, nan}, {1, 5, 1}}}
 	if ix.Rows() != len(want) {
 		t.Fatalf("Rows() = %d, want %d", ix.Rows(), len(want))
 	}
@@ -175,7 +188,7 @@ func TestIndexRuns(t *testing.T) {
 			t.Fatalf("row %d: runs %v, want %v", r, got, w)
 		}
 		for i := range w {
-			if got[i] != w[i] {
+			if got[i].Lo != w[i].Lo || got[i].Hi != w[i].Hi || math.Float64bits(got[i].V) != math.Float64bits(w[i].V) {
 				t.Fatalf("row %d: runs %v, want %v", r, got, w)
 			}
 		}
@@ -186,7 +199,9 @@ func TestIndexRuns(t *testing.T) {
 }
 
 // FuzzIndexedForwardMatchesDense lets the fuzzer pick the shape and the
-// zero/non-zero pattern; the named cases above are its seeds. An out of 250
+// pattern of values — zeros, ones, runs of one repeated non-unit value,
+// adjacent runs of different values — whose valued runs (Index) the
+// indexed kernels read; the named cases above are its seeds. An out of 250
 // or more is the serving width, 256 units.
 func FuzzIndexedForwardMatchesDense(f *testing.F) {
 	for i, c := range indexedCases {
@@ -209,7 +224,7 @@ func FuzzIndexedForwardMatchesDense(f *testing.F) {
 // TestForwardIndexedZeroAlloc: the forward kernel, indexed and dense, over
 // every row and over a row list, and the index lookups on its path never
 // touch the heap once the workspace has grown — also at a table row wider
-// than 1,024 columns into 256 units, where the column list outgrows any
+// than 1,024 columns into 256 units, where a dense row's run list outgrows any
 // small fixed buffer.
 func TestForwardIndexedZeroAlloc(t *testing.T) {
 	wide := wideCase(0.5, 7)
@@ -224,8 +239,8 @@ func TestForwardIndexedZeroAlloc(t *testing.T) {
 		var ws Workspace
 		for _, index := range []*RunIndex{&ix, nil} {
 			for _, rows := range [][]int{nil, list} {
-				l.Forward(x, index, y, rows, true, &ws) // grow the column list
-				if a := testing.AllocsPerRun(20, func() { l.Forward(x, index, y, rows, true, &ws) }); a != 0 {
+				forwardEither(l, x, index, y, rows, true, &ws) // grow the lists
+				if a := testing.AllocsPerRun(20, func() { forwardEither(l, x, index, y, rows, true, &ws) }); a != 0 {
 					t.Fatalf("%s: Forward (indexed=%v, rows %v) allocates %.1f times per call, want 0", c.name, index != nil, rows, a)
 				}
 			}

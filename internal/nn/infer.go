@@ -11,11 +11,12 @@ import "math"
 // path keeps the tape-friendly allocating functions in layers.go.
 //
 // Layer.Forward runs every MSCN layer, on weights stored transposed
-// ([in][out]): each output is summed from +0, in ascending k, over the
-// input's non-zero columns, then the bias, then the ReLU. On amd64 with
+// ([in][out]) — ForwardRuns the set modules' first layers, on the valued
+// runs of indexed.go: each output is summed from +0, in ascending k, over
+// the input's non-zero columns, then the bias, then the ReLU. On amd64 with
 // AVX-512, a layer whose width is a multiple of 32 keeps its outputs in
 // registers (tile_amd64.s): dense rows four at a time over the union of
-// their columns, indexed and leftover rows one at a time. Every other
+// their columns, valued runs and leftover rows one at a time. Every other
 // layer runs a zeroed row plus one y += x[k]·Wᵀ[k] per column (axpy,
 // assembly on amd64 with AVX). Vectorising across the outputs and sharing
 // columns across rows leave each output's summation order alone, so every
@@ -43,7 +44,8 @@ import "math"
 type Workspace struct {
 	buf  []float64
 	off  int
-	cols []uint32 // Layer.Forward's column list
+	cols []uint32 // Layer.Forward's column list for a four-row tile
+	runs []Run    // a dense row's non-zero columns as runs (denseRuns)
 	rows []int    // a caller's row list (RowList)
 }
 
@@ -71,6 +73,27 @@ func (w *Workspace) columns(n int) []uint32 {
 		w.cols = make([]uint32, n)
 	}
 	return w.cols[:n]
+}
+
+// denseRuns returns the dense row x's non-zero columns as runs of one
+// column each, in the workspace's run list, which it grows once when it is
+// shorter than x. It stays valid until the next denseRuns call.
+//
+//deepsketch:zeroalloc
+func (w *Workspace) denseRuns(x []float64) []Run {
+	if cap(w.runs) < len(x) {
+		//deepsketch:ignore zeroalloc amortized growth to the widest layer; steady state never reallocates
+		w.runs = make([]Run, len(x))
+	}
+	runs := w.runs[:len(x)]
+	n := 0
+	for k, v := range x {
+		if v != 0 {
+			runs[n] = Run{uint32(k), uint32(k + 1), v}
+			n++
+		}
+	}
+	return runs[:n]
 }
 
 // RowList returns a row list of length n for a caller to fill and hand to
@@ -204,23 +227,23 @@ func roundToSingle(v float64) float64 {
 // Forward computes the rows of y = x·W + b that rows lists (every row of x
 // when rows is nil), fusing the ReLU when relu is set. Each output is summed
 // from +0 over the non-zero columns k of its input row in ascending order,
-// one term x[k]·WT[k] at a time, then the bias is added, then the ReLU.
-// With a run index (ix, which must be x's) the columns come from its runs —
-// the first layer of each set module, whose rows are one-hots, bitmaps and
-// predicate triples; with ix nil every column is tested with x[k] != 0,
-// which skips the zeros a previous ReLU left. The row list lets a caller
-// that already knows some rows' outputs skip them; other rows of y are not
-// written. ws holds the kernel's column list (not its arena: Forward
-// allocates no matrix from it). Forward runs on the calling goroutine only
-// and performs no allocations once ws has grown to the layer's width. y
-// must be x.Rows×l.Out and may not alias x.
+// one term x[k]·WT[k] at a time, then the bias is added, then the ReLU;
+// every column is tested with x[k] != 0, which skips the zeros a previous
+// ReLU left. The row list lets a caller that already knows some rows'
+// outputs skip them; other rows of y are not written. ws holds the kernel's
+// column and run lists (not its arena: Forward allocates no matrix from
+// it). Forward runs on the calling goroutine only and performs no
+// allocations once ws has grown to the layer's width. y must be
+// x.Rows×l.Out and may not alias x.
 //
 // Two kernels compute that sum. Where the CPU has AVX-512F and Out is a
 // multiple of 32, the tiled kernel keeps its outputs in registers
 // (tile_amd64.s): a dense layer takes its rows four at a time over the
-// columns where any of the four is non-zero, an indexed layer or a leftover
-// row one at a time over its own columns. Everywhere else each row is a
-// zeroed output row plus one axpy per column (forwardAxpy), the reference.
+// columns where any of the four is non-zero (tile4), an indexed layer or a
+// leftover row one at a time over its valued runs (tile1; a dense row's
+// non-zero columns are runs of one, denseRuns). Everywhere else each row is
+// a zeroed output row plus one axpy per column of its runs (forwardAxpy),
+// the reference.
 //
 // Contract: gemmBias sums every output in ascending k from a zero
 // accumulator and adds the bias last, and so do both kernels, output by
@@ -229,27 +252,48 @@ func roundToSingle(v float64) float64 {
 // no bit of an accumulator that started at +0 — provided w is finite
 // (0·±Inf and 0·NaN are NaN). For finite weights the result therefore
 // equals gemmBias's in every bit, at any fill, on either kernel.
-// It reads x[k] rather than assuming 1, so it is exact for any values, and
-// a listed column that holds 0 is merely a wasted term.
 //
 //deepsketch:zeroalloc
-func (l Layer) Forward(x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, ws *Workspace) {
-	l.forward(x, ix, y, rows, relu, ws, useTile && l.In > 0 && l.Out > 0 && l.Out%32 == 0)
+func (l Layer) Forward(x Matrix, y Matrix, rows []int, relu bool, ws *Workspace) {
+	l.forward(x, nil, y, rows, relu, ws, l.tiled())
 }
 
-// forward is Forward on the kernel tiled selects: the assembly tiles (which
-// need useTile and Out a positive multiple of 32) or forwardAxpy. The
-// bitwise tests run both on one input.
+// ForwardRuns is Forward on the matrix ix holds as valued runs — the first
+// layer of each set module, whose rows are one-hots, bitmaps and predicate
+// triples. Each output sums, in ascending k over the runs' columns, the
+// term V·WT[k] of the run holding column k, which is x[k]·WT[k] on the
+// dense row: every output is Forward's on that row, and gemmBias's, in
+// every bit. The tile broadcasts each run's value once and steps through
+// its columns' rows of Wᵀ; the axpy loop runs one axpy per column. y must
+// be ix.Rows()×l.Out.
+//
+//deepsketch:zeroalloc
+func (l Layer) ForwardRuns(ix *RunIndex, y Matrix, rows []int, relu bool, ws *Workspace) {
+	l.forward(Matrix{}, ix, y, rows, relu, ws, l.tiled())
+}
+
+// tiled reports whether Forward runs the assembly tiles on l: the CPU has
+// them and Out is a positive multiple of 32.
+//
+//deepsketch:zeroalloc
+func (l Layer) tiled() bool { return useTile && l.In > 0 && l.Out > 0 && l.Out%32 == 0 }
+
+// forward is Forward on x (ix nil) or ForwardRuns on ix, on the kernel
+// tiled selects: the assembly tiles (which need useTile and Out a positive
+// multiple of 32) or forwardAxpy. The bitwise tests run both on one input.
 //
 //deepsketch:zeroalloc
 func (l Layer) forward(x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, ws *Workspace, tiled bool) {
-	if x.Cols != l.In || y.Rows != x.Rows || y.Cols != l.Out || (ix != nil && ix.Rows() != x.Rows) {
+	n, cols := x.Rows, x.Cols
+	if ix != nil {
+		n, cols = ix.Rows(), ix.Cols()
+	}
+	if cols != l.In || y.Rows != n || y.Cols != l.Out {
 		panic("nn: Layer.Forward dimension mismatch")
 	}
 	if len(l.WT) != l.In*l.Out || len(l.B) != l.Out {
 		panic("nn: Layer.Forward weight size mismatch")
 	}
-	n := x.Rows
 	if rows != nil {
 		n = len(rows)
 	}
@@ -260,10 +304,22 @@ func (l Layer) forward(x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, 
 		}
 	}
 	for ; i < n; i++ {
-		if tiled {
-			l.tileRow(x, ix, y, rowAt(rows, i), relu, ws)
+		r := rowAt(rows, i)
+		var runs []Run
+		if ix != nil {
+			runs = ix.Row(r)
+			for _, run := range runs {
+				if int(run.Hi) > l.In || run.Lo >= run.Hi {
+					panic("nn: run past the row, or empty")
+				}
+			}
 		} else {
-			l.forwardAxpy(x, ix, y, rowAt(rows, i), relu)
+			runs = ws.denseRuns(x.Row(r))
+		}
+		if tiled {
+			tile1(&l.WT[0], l.Out, runs, &y.Row(r)[0], &l.B[0], relu)
+		} else {
+			l.forwardAxpy(runs, y.Row(r), relu)
 		}
 	}
 }
@@ -278,30 +334,19 @@ func rowAt(rows []int, i int) int {
 	return rows[i]
 }
 
-// forwardAxpy computes row r: a zeroed output row plus y += x[k]·WT[k]
-// (axpy) for each listed column, then the bias and the ReLU. It is the
-// kernel wherever there is no tile, and the reference the tiles are tested
+// forwardAxpy computes one output row yr from its input's valued runs: a
+// zeroed row plus yr += V·WT[k] (axpy) for each column k of each run, then
+// the bias and the ReLU. Every run ends within l.In. It is the kernel
+// wherever there is no tile, and the reference the tiles are tested
 // against.
 //
 //deepsketch:zeroalloc
-func (l Layer) forwardAxpy(x Matrix, ix *RunIndex, y Matrix, r int, relu bool) {
+func (l Layer) forwardAxpy(runs []Run, yr []float64, relu bool) {
 	out := l.Out
-	xr, yr := x.Row(r), y.Row(r)
 	clear(yr)
-	if ix != nil {
-		for _, run := range ix.Row(r) {
-			if int(run.Hi) > len(xr) {
-				panic("nn: run past the row")
-			}
-			for k := int(run.Lo); k < int(run.Hi); k++ {
-				axpy(xr[k], l.WT[k*out:(k+1)*out], yr)
-			}
-		}
-	} else {
-		for k, v := range xr {
-			if v != 0 {
-				axpy(v, l.WT[k*out:(k+1)*out], yr)
-			}
+	for _, run := range runs {
+		for k := int(run.Lo); k < int(run.Hi); k++ {
+			axpy(run.V, l.WT[k*out:(k+1)*out], yr)
 		}
 	}
 	for o, b := range l.B[:out] {
@@ -335,37 +380,6 @@ func (l Layer) tileBlock(x, y Matrix, rows []int, i int, relu bool, ws *Workspac
 		}
 	}
 	tile4(&l.WT[0], l.Out, cols[:c], &xs, &ys, &l.B[0], relu)
-}
-
-// tileRow computes row r in one tile1 call, over its runs' columns (ix) or
-// its non-zero ones. Runs from Index neither overlap nor descend, so a
-// row's runs list at most l.In columns when none reaches past the row; one
-// that does panics before the assembly reads anything.
-//
-//deepsketch:zeroalloc
-func (l Layer) tileRow(x Matrix, ix *RunIndex, y Matrix, r int, relu bool, ws *Workspace) {
-	xr := x.Row(r)[:l.In]
-	cols := ws.columns(l.In)
-	c := 0
-	if ix != nil {
-		for _, run := range ix.Row(r) {
-			if int(run.Hi) > l.In {
-				panic("nn: run past the row")
-			}
-			for k := run.Lo; k < run.Hi; k++ {
-				cols[c] = k
-				c++
-			}
-		}
-	} else {
-		for k, v := range xr {
-			if v != 0 {
-				cols[c] = uint32(k)
-				c++
-			}
-		}
-	}
-	tile1(&l.WT[0], l.Out, cols[:c], &xr[0], &y.Row(r)[0], &l.B[0], relu)
 }
 
 // ForwardFused computes y = x·Wᵀ + b into the preallocated y, optionally

@@ -57,7 +57,7 @@ func TestForwardFusedMatchesForward(t *testing.T) {
 			}
 			got := dirty(rows, out)
 			var ws Workspace
-			lt.Forward(x, nil, got, nil, relu, &ws)
+			lt.Forward(x, got, nil, relu, &ws)
 			fused := dirty(rows, out)
 			l.ForwardFused(x, fused, relu)
 			for i := range want.Data {

@@ -20,8 +20,11 @@ func hasAVX512() bool
 //deepsketch:zeroalloc
 func tile4(wt *float64, out int, cols []uint32, x, y *[4]*float64, b *float64, relu bool)
 
-// tile1 is tile4 for one row, in 64-output tiles of 8 ZMM accumulators.
+// tile1 forwards one row: y = x·Wᵀ + b over x's valued runs, in 64-output
+// tiles of 8 ZMM accumulators, broadcasting each run's value once; every
+// run must hold at least one column and end within in (Layer.Forward
+// checks it).
 //
 //go:noescape
 //deepsketch:zeroalloc
-func tile1(wt *float64, out int, cols []uint32, x, y, b *float64, relu bool)
+func tile1(wt *float64, out int, runs []Run, y, b *float64, relu bool)

@@ -36,7 +36,8 @@ no:
 	RET
 
 // Both tiles sum each output exactly as axpyAVX does: from +0, one listed
-// column at a time in the list's order, each term Wᵀ[k]·x[k] rounded by a
+// column at a time in the list's order (tile1: run after run, column after
+// column), each term Wᵀ[k]·x[k] (tile1: Wᵀ[k]·V) rounded by a
 // VMULPD (the weight the first source) and then added by a VADDPD (the
 // product the first source) — never a fused multiply-add. The bias is then
 // added (accumulator first) and the ReLU is VMAXPD against +0 as the second
@@ -44,7 +45,7 @@ no:
 // Each accumulator stays in a register until the single store.
 
 // MAC4 adds one row's products to its four accumulators: xb is the row's
-// x[k] broadcast, Z16–Z19 hold Wᵀ[k]'s 32 outputs of the tile.
+// x[k] (a run's V) broadcast, Z16–Z19 hold Wᵀ[k]'s 32 outputs of the tile.
 #define MAC4(xb, a0, a1, a2, a3) \
 	VMULPD xb, Z16, Z24; \
 	VMULPD xb, Z17, Z25; \
@@ -187,16 +188,19 @@ done:
 	VZEROUPPER
 	RET
 
-// func tile1(wt *float64, out int, cols []uint32, x, y, b *float64, relu bool)
+// func tile1(wt *float64, out int, runs []Run, y, b *float64, relu bool)
 //
 // One row × 64 outputs per tile, 8 ZMM accumulators (Z0–Z7), over the
-// columns cols lists; out is a positive multiple of 32, and an odd
-// multiple ends in one 32-output tile (Z0–Z3).
-TEXT ·tile1(SB), NOSPLIT, $0-65
-	MOVQ   x+40(FP), R8
+// valued runs runs lists; out is a positive multiple of 32, and an odd
+// multiple ends in one 32-output tile (Z0–Z3). A run's value is broadcast
+// once (Z20) and its columns' rows of Wᵀ are read one after another, out
+// float64s apart. A Run is 16 bytes: Lo and Hi (uint32) at 0 and 4, V at 8;
+// every run holds at least one column (Layer.Forward checks it), so each
+// loop tests its count at the bottom.
+TEXT ·tile1(SB), NOSPLIT, $0-57
 	MOVQ   out+8(FP), DX
-	SHLQ   $3, DX
-	XORQ   R12, R12
+	SHLQ   $3, DX            // bytes per row of Wᵀ and of y
+	XORQ   R12, R12          // the tile's byte offset
 	VPXORQ Z31, Z31, Z31
 
 wide:
@@ -204,10 +208,10 @@ wide:
 	SUBQ   R12, AX
 	CMPQ   AX, $512
 	JLT    narrow
-	MOVQ   wt+0(FP), DI
-	ADDQ   R12, DI
-	MOVQ   cols_base+16(FP), SI
-	MOVQ   cols_len+24(FP), CX
+	MOVQ   wt+0(FP), R13
+	ADDQ   R12, R13          // Wᵀ row 0, at the tile
+	MOVQ   runs_base+16(FP), SI
+	MOVQ   runs_len+24(FP), CX
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -216,30 +220,37 @@ wide:
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
+	TESTQ  CX, CX
+	JEQ    wfinish
+
+wrun:
+	MOVL         0(SI), AX         // Lo
+	MOVL         4(SI), BX         // Hi
+	SUBQ         AX, BX            // the run's columns
+	VBROADCASTSD 8(SI), Z20
+	IMULQ        DX, AX
+	LEAQ         (R13)(AX*1), DI   // Wᵀ row Lo, at the tile
 
 wcol:
-	TESTQ        CX, CX
-	JEQ          wfinish
-	MOVL         (SI), AX
-	MOVQ         AX, BX
-	IMULQ        DX, BX
-	VBROADCASTSD (R8)(AX*8), Z20
-	VMOVUPD      0(DI)(BX*1), Z16
-	VMOVUPD      64(DI)(BX*1), Z17
-	VMOVUPD      128(DI)(BX*1), Z18
-	VMOVUPD      192(DI)(BX*1), Z19
+	VMOVUPD 0(DI), Z16
+	VMOVUPD 64(DI), Z17
+	VMOVUPD 128(DI), Z18
+	VMOVUPD 192(DI), Z19
 	MAC4(Z20, Z0, Z1, Z2, Z3)
-	VMOVUPD      256(DI)(BX*1), Z16
-	VMOVUPD      320(DI)(BX*1), Z17
-	VMOVUPD      384(DI)(BX*1), Z18
-	VMOVUPD      448(DI)(BX*1), Z19
+	VMOVUPD 256(DI), Z16
+	VMOVUPD 320(DI), Z17
+	VMOVUPD 384(DI), Z18
+	VMOVUPD 448(DI), Z19
 	MAC4(Z20, Z4, Z5, Z6, Z7)
-	ADDQ         $4, SI
-	DECQ         CX
-	JMP          wcol
+	ADDQ    DX, DI
+	DECQ    BX
+	JNZ     wcol
+	ADDQ    $16, SI
+	DECQ    CX
+	JNZ     wrun
 
 wfinish:
-	MOVQ    b+56(FP), BX
+	MOVQ    b+48(FP), BX
 	VMOVUPD 0(BX)(R12*1), Z16
 	VMOVUPD 64(BX)(R12*1), Z17
 	VMOVUPD 128(BX)(R12*1), Z18
@@ -250,13 +261,13 @@ wfinish:
 	VMOVUPD 384(BX)(R12*1), Z18
 	VMOVUPD 448(BX)(R12*1), Z19
 	FINISH4(Z4, Z5, Z6, Z7)
-	CMPB    relu+64(FP), $0
+	CMPB    relu+56(FP), $0
 	JEQ     wstore
 	RELU4(Z0, Z1, Z2, Z3)
 	RELU4(Z4, Z5, Z6, Z7)
 
 wstore:
-	MOVQ y+48(FP), BX
+	MOVQ y+40(FP), BX
 	STORE4(BX, Z0, Z1, Z2, Z3)
 	ADDQ $256, R12
 	STORE4(BX, Z4, Z5, Z6, Z7)
@@ -266,44 +277,51 @@ wstore:
 narrow:
 	TESTQ  AX, AX
 	JEQ    done1
-	MOVQ   wt+0(FP), DI
-	ADDQ   R12, DI
-	MOVQ   cols_base+16(FP), SI
-	MOVQ   cols_len+24(FP), CX
+	MOVQ   wt+0(FP), R13
+	ADDQ   R12, R13
+	MOVQ   runs_base+16(FP), SI
+	MOVQ   runs_len+24(FP), CX
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
 	VPXORQ Z3, Z3, Z3
+	TESTQ  CX, CX
+	JEQ    nfinish
+
+nrun:
+	MOVL         0(SI), AX
+	MOVL         4(SI), BX
+	SUBQ         AX, BX
+	VBROADCASTSD 8(SI), Z20
+	IMULQ        DX, AX
+	LEAQ         (R13)(AX*1), DI
 
 ncol:
-	TESTQ        CX, CX
-	JEQ          nfinish
-	MOVL         (SI), AX
-	MOVQ         AX, BX
-	IMULQ        DX, BX
-	VBROADCASTSD (R8)(AX*8), Z20
-	VMOVUPD      0(DI)(BX*1), Z16
-	VMOVUPD      64(DI)(BX*1), Z17
-	VMOVUPD      128(DI)(BX*1), Z18
-	VMOVUPD      192(DI)(BX*1), Z19
+	VMOVUPD 0(DI), Z16
+	VMOVUPD 64(DI), Z17
+	VMOVUPD 128(DI), Z18
+	VMOVUPD 192(DI), Z19
 	MAC4(Z20, Z0, Z1, Z2, Z3)
-	ADDQ         $4, SI
-	DECQ         CX
-	JMP          ncol
+	ADDQ    DX, DI
+	DECQ    BX
+	JNZ     ncol
+	ADDQ    $16, SI
+	DECQ    CX
+	JNZ     nrun
 
 nfinish:
-	MOVQ    b+56(FP), BX
+	MOVQ    b+48(FP), BX
 	VMOVUPD 0(BX)(R12*1), Z16
 	VMOVUPD 64(BX)(R12*1), Z17
 	VMOVUPD 128(BX)(R12*1), Z18
 	VMOVUPD 192(BX)(R12*1), Z19
 	FINISH4(Z0, Z1, Z2, Z3)
-	CMPB    relu+64(FP), $0
+	CMPB    relu+56(FP), $0
 	JEQ     nstore
 	RELU4(Z0, Z1, Z2, Z3)
 
 nstore:
-	MOVQ y+48(FP), BX
+	MOVQ y+40(FP), BX
 	STORE4(BX, Z0, Z1, Z2, Z3)
 
 done1:

@@ -66,11 +66,12 @@ func finiteVal(rng *rand.Rand) float64 {
 	return rng.NormFloat64() * 0.2
 }
 
-// checkTileMatchesAxpy forwards c's input through Forward and through the
-// axpy loop (forward with tiled false) into equal dirty outputs, with and
-// without the ReLU, and fails on the first differing bit anywhere in y. An
-// indexed case's runs also cover some zero columns (wasted terms, which
-// both kernels must add alike).
+// checkTileMatchesAxpy forwards c's input through Forward (ForwardRuns
+// when indexed) and through the axpy loop (forward with tiled false) into
+// equal dirty outputs, with and without the ReLU, and fails on the first
+// differing bit anywhere in y. An indexed case's rows are valued runs drawn
+// directly (runsRow): runs of one repeated value, adjacent runs of
+// different values, the special values.
 func checkTileMatchesAxpy(t *testing.T, c tileCase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(c.seed))
@@ -81,28 +82,31 @@ func checkTileMatchesAxpy(t *testing.T, c tileCase) {
 	for i := range l.B {
 		l.B[i] = finiteVal(rng)
 	}
-	x, cover := NewMatrix(c.rows, c.in), NewMatrix(c.rows, c.in)
-	for r := 0; r < c.rows; r++ {
-		if r%4 == 0 && rng.Float64() < c.zeroBlock {
-			r += 3
-			continue
-		}
-		if rng.Float64() < c.zeroRow {
-			continue
-		}
-		for k := range x.Row(r) {
-			if rng.Float64() < c.fill {
-				x.Row(r)[k] = tileVal(rng)
-			}
-			if x.Row(r)[k] != 0 || rng.Intn(8) == 0 {
-				cover.Row(r)[k] = 1
-			}
-		}
-	}
+	x := NewMatrix(c.rows, c.in)
 	var ix *RunIndex
 	if c.indexed {
 		ix = new(RunIndex)
-		Index(ix, cover)
+		ix.Reset(c.in)
+		x = Matrix{}
+	}
+	zeroUntil := 0
+	for r := 0; r < c.rows; r++ {
+		if r%4 == 0 && rng.Float64() < c.zeroBlock {
+			zeroUntil = r + 4
+		}
+		blank := r < zeroUntil || rng.Float64() < c.zeroRow
+		switch {
+		case ix != nil && blank:
+			ix.EndRow()
+		case ix != nil:
+			runsRow(rng, ix, c.fill)
+		case !blank:
+			for k := range x.Row(r) {
+				if rng.Float64() < c.fill {
+					x.Row(r)[k] = tileVal(rng)
+				}
+			}
+		}
 	}
 	sentinel := NewMatrix(c.rows, c.out)
 	for i := range sentinel.Data {
@@ -113,7 +117,7 @@ func checkTileMatchesAxpy(t *testing.T, c tileCase) {
 		got, want := NewMatrix(c.rows, c.out), NewMatrix(c.rows, c.out)
 		copy(got.Data, sentinel.Data)
 		copy(want.Data, sentinel.Data)
-		l.Forward(x, ix, got, c.list, relu, &ws)
+		forwardEither(l, x, ix, got, c.list, relu, &ws)
 		l.forward(x, ix, want, c.list, relu, &ws, false)
 		if i := sameBits(got.Data, want.Data); i >= 0 {
 			t.Fatalf("%v relu=%v: y[%d][%d] = %#x, axpy loop %#x", c, relu, i/c.out, i%c.out,
@@ -129,6 +133,22 @@ func checkTileMatchesAxpy(t *testing.T, c tileCase) {
 			}
 		}
 	}
+}
+
+// runsRow appends to ix one row of valued runs over its width: runs of 1
+// to 8 columns, each holding one tileVal (a long run of a non-unit value is
+// common), separated by gaps of 0 to 3 columns — a gap of 0 puts two runs
+// of different values side by side — with fill the chance that a run is
+// kept rather than left a gap.
+func runsRow(rng *rand.Rand, ix *RunIndex, fill float64) {
+	for k := rng.Intn(4); k < ix.Cols(); {
+		n := min(1+rng.Intn(8), ix.Cols()-k)
+		if rng.Float64() < fill {
+			ix.Add(k, k+n, tileVal(rng))
+		}
+		k += n + rng.Intn(4)
+	}
+	ix.EndRow()
 }
 
 // tileOuts are the widths the table test runs: every multiple of 32 up to
@@ -207,7 +227,7 @@ func TestForwardBoundsChecked(t *testing.T) {
 	const in, out = 5, 32
 	l := Layer{In: in, Out: out, WT: make([]float64, in*out), B: make([]float64, out)}
 	x, y := NewMatrix(1, in), NewMatrix(1, out)
-	past := &RunIndex{off: []int{0, 1}, runs: []Run{{2, in + 1}}}
+	past := &RunIndex{cols: in, off: []int{0, 1}, runs: []Run{{2, in + 1, 1}}}
 	for _, tiled := range []bool{false, true} {
 		if tiled && !useTile {
 			continue
