@@ -186,6 +186,18 @@ func TestDriftStateSurvivesRestart(t *testing.T) {
 	srv1.store = store
 	h1 := srv1.routes()
 	id := buildReadySketch(t, h1, "episode")
+	// "ready" means persisted: at the first read of it the version file
+	// and state.json exist, and a fresh daemon restores the sketch.
+	for _, f := range []string{"v1.dsk", "state.json"} {
+		if _, err := os.Stat(filepath.Join(store, sanitizeName("episode"), f)); err != nil {
+			t.Fatalf("at the first ready: %v", err)
+		}
+	}
+	probe := noTruthServer(driftCfg, deepsketch.DriftControllerConfig{}, "")
+	probe.store = store
+	if n, err := probe.loadStore(); err != nil || n != 1 {
+		t.Fatalf("restore at the first ready: n=%d err=%v", n, err)
+	}
 
 	sqls := make([]string, 0, 8)
 	for i := 0; i < 8; i++ {

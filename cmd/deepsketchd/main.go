@@ -637,8 +637,10 @@ func (s *server) failBuild(e *sketchEntry, err error) {
 }
 
 // markReady publishes a built sketch into the dataset's registry as a new
-// name (version 1) and persists it. From here on the entry's status is
-// derived, not stored.
+// name (version 1) and persists it. Only then is the entry marked
+// published, so "ready" is never reported before the store holds the
+// version file and state.json; from there on its status is derived, not
+// stored.
 func (s *server) markReady(e *sketchEntry, sk *deepsketch.Sketch) {
 	s.installServing(e)
 	ver, err := s.registries[e.Dataset].Publish(e.Name, sk)
@@ -646,10 +648,10 @@ func (s *server) markReady(e *sketchEntry, sk *deepsketch.Sketch) {
 		s.failBuild(e, err)
 		return
 	}
+	s.persistVersion(e, sk, ver)
 	s.mu.Lock()
 	e.published = true
 	s.mu.Unlock()
-	s.persistVersion(e, sk, ver)
 }
 
 // installServing builds the entry's serving stack, once per entry, before

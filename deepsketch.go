@@ -162,11 +162,11 @@ const (
 	LossL1Log  = nn.LossL1Log
 )
 
-// EngineF32 makes Sketch.SetEnginePrecision round the engine's weights to
-// single precision (mscn.F32); the forward stays float64 and per-query
-// q-error deviation from the unrounded weights is bounded <1% by
-// TestEngineF32QErrorGate. It remains only because bench/layers.go names
-// it.
+// EngineF32 makes Sketch.SetEnginePrecision, called before the sketch's
+// first estimate, round the engine's weights to single precision
+// (mscn.F32); the forward stays float64 and per-query q-error deviation
+// from the unrounded weights is bounded <1% by TestEngineF32QErrorGate. It
+// remains only because bench/layers.go names it.
 const EngineF32 = mscn.F32
 
 // Dataset generator configs.

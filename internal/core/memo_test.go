@@ -17,7 +17,7 @@ import (
 // A sketch's engine keeps the h2 of every set element a batch computed in
 // an element memo of its weight snapshot, so a row that recurs across
 // estimates — a table's all-ones row, a join, a template's predicate — is
-// forwarded once per weight generation, and each distinct element of a
+// forwarded once per engine, and each distinct element of a
 // batch once. That changes what an estimate costs and must change nothing
 // else: every test here compares a sketch's estimates, with ==, to a plain
 // forward written out row by row (plainForward).
@@ -97,12 +97,11 @@ func plainCardinalities(t *testing.T, s *Sketch, qs []db.Query, p mscn.Precision
 	return out
 }
 
-// checkMemoChangesNothing switches s to precision p; then the batched
-// path (EstimateBatch) over all of qs and the single path over a prefix of
-// it equal the plain engine bit for bit.
+// checkMemoChangesNothing: on s, whose engine is at precision p, the
+// batched path (EstimateBatch) over all of qs and the single path over a
+// prefix of it equal the plain engine bit for bit.
 func checkMemoChangesNothing(t *testing.T, what string, s *Sketch, qs []db.Query, p mscn.Precision) {
 	t.Helper()
-	s.SetEnginePrecision(p)
 	want := plainCardinalities(t, s, qs, p)
 	got, err := s.EstimateBatch(context.Background(), qs)
 	if err != nil {
@@ -124,12 +123,24 @@ func checkMemoChangesNothing(t *testing.T, what string, s *Sketch, qs []db.Query
 	}
 }
 
-// atBothPrecisions runs the check at F64, F32 and F64 again (each switch
-// replaces the engine's snapshot and its memo), leaving s at F64.
-func atBothPrecisions(t *testing.T, what string, s *Sketch, qs []db.Query) {
+// precisions is a sketch at F64 and a clone of it at F32: one engine, and
+// one memo, per precision.
+type precisions [2]*Sketch
+
+// bothPrecisions pairs s, at F64, with a clone of it whose engine stores
+// its weights at F32.
+func bothPrecisions(s *Sketch) precisions {
+	c := s.Clone()
+	c.SetEnginePrecision(mscn.F32)
+	return precisions{mscn.F64: s, mscn.F32: c}
+}
+
+// check runs checkMemoChangesNothing on both sketches, each at its
+// precision; each memo stays warm from one check to the next.
+func (ps precisions) check(t *testing.T, what string, qs []db.Query) {
 	t.Helper()
-	for _, p := range []mscn.Precision{mscn.F64, mscn.F32, mscn.F64} {
-		checkMemoChangesNothing(t, what, s, qs, p)
+	for p, s := range ps {
+		checkMemoChangesNothing(t, what, s, qs, mscn.Precision(p))
 	}
 }
 
@@ -229,7 +240,7 @@ func referenceShare(t *testing.T, s *Sketch, qs []db.Query) (hits, rows int) {
 
 func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	d, shared := getSketch(t)
-	s := shared.Clone() // precision flips and ReadWeights below must not reach the shared sketch
+	s := shared.Clone() // the estimates below must not fill the shared sketch's memo
 	qs := memoQueries(t, d, s, 2000)
 
 	// The property that makes the memo worth having, measured rather than
@@ -242,7 +253,8 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	}
 	t.Logf("%d of %d table rows (%.1f %%) equal a reference row", hits, rows, 100*float64(hits)/float64(rows))
 
-	atBothPrecisions(t, "built sketch", s, qs)
+	built := bothPrecisions(s)
+	built.check(t, "built sketch", qs)
 
 	// Refresh = clone + warm-start training: a new Sketch value, a new
 	// model, a new engine, new weights.
@@ -250,11 +262,11 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atBothPrecisions(t, "refreshed sketch", refreshed, qs)
-	atBothPrecisions(t, "the sketch a refresh was taken from", s, qs)
+	bothPrecisions(refreshed).check(t, "refreshed sketch", qs)
+	built.check(t, "the sketch a refresh was taken from", qs)
 
-	// ReadWeights under a serving engine whose memo is warm: the old
-	// generation's rows must not survive.
+	// ReadWeights under a serving engine whose memo is warm is refused
+	// and changes no estimate.
 	before, err := s.BatchCardinalities(context.Background(), qs[:50])
 	if err != nil {
 		t.Fatal(err)
@@ -263,19 +275,25 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	if err := refreshed.Model.WriteWeights(&w); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Model.ReadWeights(&w); err != nil {
-		t.Fatal(err)
+	if err := s.Model.ReadWeights(&w); err == nil {
+		t.Fatal("ReadWeights on a serving sketch's model succeeded")
 	}
-	atBothPrecisions(t, "after ReadWeights", s, qs)
 	after, err := s.BatchCardinalities(context.Background(), qs[:50])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slices.Equal(before, after) {
-		t.Fatal("ReadWeights changed no estimate — the test is vacuous")
+	if !slices.Equal(before, after) {
+		t.Fatal("a refused ReadWeights changed an estimate")
+	}
+	other, err := refreshed.BatchCardinalities(context.Background(), qs[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(before, other) {
+		t.Fatal("the refreshed sketch estimates as the one it was taken from — the test is vacuous")
 	}
 
-	atBothPrecisions(t, "clone", s.Clone(), qs)
+	bothPrecisions(s.Clone()).check(t, "clone", qs)
 
 	var file bytes.Buffer
 	if err := s.Save(&file); err != nil {
@@ -285,45 +303,46 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atBothPrecisions(t, "loaded sketch", loaded, qs)
+	bothPrecisions(loaded).check(t, "loaded sketch", qs)
 
-	// A precision flip mid-stream: each half is served by its own snapshot.
+	// Each precision on its own cold clone, half the queries first: the
+	// second half is then served partly from the first half's rows.
 	half := len(qs) / 2
-	checkMemoChangesNothing(t, "first half", s, qs[:half], mscn.F64)
-	checkMemoChangesNothing(t, "second half after the flip", s, qs[half:], mscn.F32)
-	checkMemoChangesNothing(t, "second half flipped back", s, qs[half:], mscn.F64)
+	cold := bothPrecisions(s.Clone())
+	cold.check(t, "first half", qs[:half])
+	cold.check(t, "second half", qs[half:])
 
 	// The same queries in the opposite order, on a warm memo: rows come
 	// from slots other batches filled.
 	rev := slices.Clone(qs)
 	slices.Reverse(rev)
-	atBothPrecisions(t, "reversed, warm memo", s, rev)
+	built.check(t, "reversed, warm memo", rev)
 }
 
 // TestServingMemoLeavesSketchBytes: serving fills the engine's memo and
-// nothing else; the sketch file written after serving at both precisions
-// is the one written before.
+// nothing else; the sketch file written after serving, at either
+// precision (a clone each), is the one written before.
 func TestServingMemoLeavesSketchBytes(t *testing.T) {
 	d, shared := getSketch(t)
 	s := shared.Clone()
-	var before, after bytes.Buffer
+	var before bytes.Buffer
 	if err := s.Save(&before); err != nil {
 		t.Fatal(err)
 	}
 	qs := memoQueries(t, d, s, 300)
-	for _, p := range []mscn.Precision{mscn.F32, mscn.F64} {
-		s.SetEnginePrecision(p)
+	for p, c := range bothPrecisions(s) {
 		for range 2 {
-			if _, err := s.BatchCardinalities(context.Background(), qs); err != nil {
+			if _, err := c.BatchCardinalities(context.Background(), qs); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := s.Save(&after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Fatalf("the sketch file changed after serving: %d bytes, then %d", before.Len(), after.Len())
+		var after bytes.Buffer
+		if err := c.Save(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("precision %d: the sketch file changed after serving: %d bytes, then %d", p, before.Len(), after.Len())
+		}
 	}
 }
 
@@ -401,7 +420,7 @@ func TestReferenceRowsOfSmallTables(t *testing.T) {
 		t.Fatalf("none of %d table rows equals a reference row", rows)
 	}
 	t.Logf("%d of %d table rows equal a reference row; %d queries reference nation unfiltered", hits, rows, nation)
-	atBothPrecisions(t, "tpch sketch", s, qs)
+	bothPrecisions(s).check(t, "tpch sketch", qs)
 }
 
 // TestReferenceRowsWithoutBitmaps: the SampleSize-0 ablation's table rows
@@ -422,7 +441,7 @@ func TestReferenceRowsWithoutBitmaps(t *testing.T) {
 	if hits, rows := referenceShare(t, s, qs); hits != rows {
 		t.Fatalf("%d of %d one-hot table rows equal a reference row, want all", hits, rows)
 	}
-	atBothPrecisions(t, "no-bitmap sketch", s, qs)
+	bothPrecisions(s).check(t, "no-bitmap sketch", qs)
 	for _, q := range qs[:20] {
 		if v, err := s.Cardinality(q); err != nil || v < 1 || math.IsNaN(v) {
 			t.Fatalf("no-bitmap estimate %v, %v", v, err)

@@ -119,20 +119,23 @@ func (s *Sketch) Name() string { return s.Cfg.Name }
 
 // SetEnginePrecision selects the precision the sketch's inference engine
 // stores its weights at (mscn.Precision: at F32 they are rounded to single
-// precision, the arithmetic stays float64). Safe to call on a serving
-// sketch; in-flight estimates finish on the snapshot they loaded. It
-// remains only because bench/layers.go names it.
+// precision, the arithmetic stays float64). Call it before the first
+// estimate — on a fresh Clone, say: the first estimate builds the engine,
+// and from then on it panics (mscn.Model.SetPrecision). It remains only
+// because bench/layers.go names it.
 func (s *Sketch) SetEnginePrecision(p mscn.Precision) { s.Model.SetPrecision(p) }
 
-// ReleaseEngine drops the inference engine's cached weight snapshot and
-// element memo and keeps none until ServeEngine (mscn.Engine.Release): the
+// ReleaseEngine drops the inference engine's weight snapshot and element
+// memo and keeps none until ServeEngine (mscn.Engine.Release): the
 // registry calls it on a version that stops serving. An estimate meanwhile
-// builds a snapshot for itself and returns the bits it returned before.
+// transposes the weights for itself and returns the bits it returned
+// before.
 func (s *Sketch) ReleaseEngine() { s.Model.Engine().Release() }
 
-// ServeEngine lets the engine keep its snapshot again after ReleaseEngine
-// (mscn.Engine.Serve): the registry calls it on every version it routes
-// traffic to.
+// ServeEngine builds the engine, with its snapshot, or builds the
+// snapshot again after ReleaseEngine (mscn.Engine.Serve): the registry
+// calls it on every version it routes traffic to, before the traffic
+// arrives.
 func (s *Sketch) ServeEngine() { s.Model.Engine().Serve() }
 
 // Estimate implements the sketch interface of Figure 1b for an already-

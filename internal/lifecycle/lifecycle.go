@@ -160,9 +160,9 @@ func (g *Registry) commit(name string, h history) error {
 	if c := h.canary; c != nil {
 		sv.Canary, sv.CanaryVersion, sv.Fraction = h.versions[c.idx], c.idx+1, c.fraction
 	}
-	// A version that serves keeps its engine's snapshot (ServeEngine); one
-	// that stops serving keeps its weights, one Rollback away, but not the
-	// snapshot (ReleaseEngine).
+	// A version that serves has its engine's snapshot built before it is
+	// installed (ServeEngine); one that stops serving keeps its weights,
+	// one Rollback away, but not the snapshot (ReleaseEngine).
 	for _, s := range h.serving() {
 		s.ServeEngine()
 	}

@@ -385,8 +385,8 @@ func estimateAll(t *testing.T, reg *Registry, name string, qs []db.Query) []floa
 
 // TestRollbackAnswersAsWhenLive: a swap drops the retired version's engine
 // snapshot, a late request on it keeps none, and a rollback to it answers
-// bit for bit as it did when it was live, from a snapshot rebuilt on first
-// use and kept.
+// bit for bit as it did when it was live, from a snapshot rebuilt as it
+// is served again and kept.
 func TestRollbackAnswersAsWhenLive(t *testing.T) {
 	d := fixture(t)
 	v1 := buildNamed(t, d, "imdb", 21)

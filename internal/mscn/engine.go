@@ -25,11 +25,11 @@ import (
 //
 // The forward pass is forwardPacked on a snapshot of the eight layers with
 // W transposed to [in][out] (nn.Layer): every layer is one kernel,
-// nn.Layer.Forward, whose outputs are the dense GEMM's in every bit. The
-// snapshot is taken once per weight generation and Precision — at F32 its
-// weights are rounded to single precision as it is taken — so no forward
-// pays a transposition or a rounding, none serves stale weights after a
-// Refresh/Swap, and every forward runs the same float64 arithmetic.
+// nn.Layer.Forward, whose outputs are the dense GEMM's in every bit. A
+// model's weights and Precision are fixed once an engine exists (NewEngine),
+// so the snapshot is taken once per engine — at F32 its weights are rounded
+// to single precision as it is taken — and no forward pays a transposition
+// or a rounding, and every forward runs the same float64 arithmetic.
 //
 // The engine forwards each distinct set element once per snapshot. A set
 // element's h2 — its output after both layers of its set module, what the
@@ -42,22 +42,15 @@ type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
 
-	// snap is the transposed weights with their element memo, built lazily
-	// under convMu and tagged with the Model.WeightGen and the Precision
-	// they were read at. While retired (Release to Serve) none is kept.
-	convMu  sync.Mutex
-	snap    atomic.Pointer[snapshot]
-	retired atomic.Bool
+	// snap is the transposed weights with their element memo, built by
+	// Serve, which NewEngine calls; nil from Release to Serve.
+	snap atomic.Pointer[snapshot]
 }
 
-// snapshot is the model's eight layers, W transposed and stored at prec,
-// tagged with the weight generation they were read at, and the element
-// memo of h2s computed on exactly these weights — so a forward that loads
-// the snapshot once reads a memo and weights of one generation, and a new
-// generation or precision starts from an empty memo.
+// snapshot is the model's eight layers, W transposed and stored at the
+// model's Precision, and the element memo of h2s computed on exactly these
+// weights.
 type snapshot struct {
-	gen  uint64
-	prec Precision
 	w    weights
 	memo elementTable
 }
@@ -162,56 +155,39 @@ func (m *memoKey) set(hash uint64, runs []nn.Run) {
 	copy(m.runs, runs)
 }
 
-// NewEngine builds an inference engine over the model's weights.
-func NewEngine(m *Model) *Engine { return &Engine{m: m} }
+// NewEngine builds an inference engine over the model's weights, with its
+// snapshot. From here on the model's weights and Precision are fixed:
+// training and ReadWeights return an error and SetPrecision panics. The
+// first engine built over a model is the one Model.Engine shares.
+func NewEngine(m *Model) *Engine {
+	e := &Engine{m: m}
+	e.Serve()
+	m.eng.CompareAndSwap(nil, e)
+	return e
+}
 
-// snapshot returns the cached snapshot when it is of the current weight
-// generation and precision, else transposes the live weights into a new
-// one, with an empty element memo, once under convMu, rounding them to
-// single precision at F32, and caches it unless the engine is retired. The double-checked load keeps the hot path to
-// one atomic read.
-func (e *Engine) snapshot() *snapshot {
-	gen, prec := e.m.WeightGen(), e.m.precision()
-	if s := e.snap.Load(); s != nil && s.gen == gen && s.prec == prec {
-		return s
+// Release drops the engine's snapshot — the transposed weights and the
+// element memo, 6 MiB of memo slabs at 256 units — for a model that has
+// stopped serving, and keeps none until Serve. A forward in flight
+// finishes on the snapshot it loaded; a later one, such as a request that
+// chose this model before it stopped serving, transposes the weights for
+// itself and keeps nothing: the same bits, at a transposition per call.
+func (e *Engine) Release() { e.snap.Store(nil) }
+
+// Serve builds the engine's snapshot — the model's weights transposed, with
+// an empty element memo — unless it holds one: after a Release, again. The
+// registry calls it, under its lock, on every model it routes traffic to,
+// before the traffic arrives.
+func (e *Engine) Serve() {
+	if e.snap.Load() != nil {
+		return
 	}
-	e.convMu.Lock()
-	defer e.convMu.Unlock()
-	if s := e.snap.Load(); s != nil && s.gen == gen && s.prec == prec {
-		return s
-	}
-	s := &snapshot{gen: gen, prec: prec, w: newWeights(e.m)}
-	if prec == F32 {
-		for i := range s.w {
-			s.w[i].RoundToSingle()
-		}
-	}
+	s := &snapshot{w: servedWeights(e.m)}
 	for k := range s.memo {
 		s.memo[k].h2 = nn.NewMatrix(memoSlots, s.w[2*k+1].Out)
 	}
-	if !e.retired.Load() {
-		e.snap.Store(s)
-	}
-	return s
+	e.snap.CompareAndSwap(nil, s)
 }
-
-// Release drops the engine's cached snapshot — the transposed weights and
-// the element memo, 6 MiB of memo slabs at 256 units — for a model that has
-// stopped serving, and keeps none until Serve. A forward in flight
-// finishes on the snapshot it loaded; a later one, such as a request that
-// chose this model before it stopped serving, builds one for itself, on
-// unchanged weights the same bits.
-func (e *Engine) Release() {
-	e.convMu.Lock()
-	defer e.convMu.Unlock()
-	e.retired.Store(true)
-	e.snap.Store(nil)
-}
-
-// Serve ends a Release: the next forward's snapshot is kept again. The
-// registry calls it on every model it routes traffic to, before the
-// traffic arrives.
-func (e *Engine) Serve() { e.retired.Store(false) }
 
 // Snapshotted reports whether the engine holds a snapshot, built and not
 // released since. It exists for tests.
@@ -241,6 +217,18 @@ func newWeights(m *Model) weights {
 	var w weights
 	for i, l := range m.layers() {
 		w[i] = nn.NewLayer(l)
+	}
+	return w
+}
+
+// servedWeights returns the weights an engine forwards on: the live ones,
+// W transposed, rounded to single precision at F32.
+func servedWeights(m *Model) weights {
+	w := newWeights(m)
+	if m.prec == F32 {
+		for i := range w {
+			w[i].RoundToSingle()
+		}
 	}
 	return w
 }
@@ -354,19 +342,25 @@ func (t *elementTable) module(w *weights, k int, pb *PackedBatch, h1, h2 nn.Matr
 	}
 }
 
-// Forward runs one packed forward pass on the current weights at the
-// model's Precision, writing the normalized prediction for query i into
-// out[i]. out must have length ≥ pb.B; ws provides the scratch and must not
-// be shared with a concurrent pass. Steady-state (after the workspace has
-// grown to the batch shape) the call performs zero heap allocations.
+// Forward runs one packed forward pass on the engine's snapshot, writing
+// the normalized prediction for query i into out[i]. out must have length
+// ≥ pb.B; ws provides the scratch and must not be shared with a concurrent
+// pass. Steady-state (after the workspace has grown to the batch shape)
+// the call performs zero heap allocations. A released engine forwards on
+// weights transposed for the call, with no element memo, as the trainer
+// does: the same bits.
 //
 //deepsketch:zeroalloc
 func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
-	//deepsketch:ignore zeroalloc the snapshot and its memo are built once per weight generation, then cached
-	snap := e.snapshot()
 	ws.Reserve(forwardFloats(pb, e.m.Cfg.HiddenUnits))
 	var act activations
-	forwardPacked(&snap.w, pb, &snap.memo, ws, &act, out[:pb.B])
+	if s := e.snap.Load(); s != nil {
+		forwardPacked(&s.w, pb, &s.memo, ws, &act, out[:pb.B])
+		return
+	}
+	//deepsketch:ignore zeroalloc only a released engine's late request transposes the weights, once per call
+	w := servedWeights(e.m)
+	forwardPacked(&w, pb, nil, ws, &act, out[:pb.B])
 }
 
 // Predict returns the normalized prediction for one featurized query: a

@@ -279,7 +279,7 @@ func memoMisses(e *Engine, pb *PackedBatch, k int) (misses, firsts int) {
 		}
 	}
 	h2 := nn.NewMatrix(rows, e.m.Cfg.HiddenUnits)
-	return e.snapshot().memo[k].lookup(pb, k, h2, make([]int, rows)), firsts
+	return e.snap.Load().memo[k].lookup(pb, k, h2, make([]int, rows)), firsts
 }
 
 func TestReferenceRowMemoIsBitwise(t *testing.T) {
@@ -299,19 +299,22 @@ func TestReferenceRowMemoIsBitwise(t *testing.T) {
 	check("a warm memo")
 	checkEngineIsPlain(t, "a fresh engine", NewEngine(m), encs)
 
-	// New weights under a new generation: the memo must follow them.
+	// Other weights, read into a fresh model as a sketch file is loaded:
+	// its engine's memo is filled on them.
 	other := New(Config{HiddenUnits: 22, BatchSize: 16, Seed: 4}, memoT+memoBits, jdim, pdim)
 	var buf bytes.Buffer
 	if err := other.WriteWeights(&buf); err != nil {
 		t.Fatal(err)
 	}
-	before := predictBatch(t, e, encs)
-	if err := m.ReadWeights(&buf); err != nil {
+	loaded := New(m.Cfg, m.TDim, m.JDim, m.PDim)
+	if err := loaded.ReadWeights(&buf); err != nil {
 		t.Fatal(err)
 	}
-	check("after ReadWeights")
-	if after := predictBatch(t, e, encs); after[0] == before[0] {
-		t.Fatal("ReadWeights changed no prediction — the test is vacuous")
+	le := loaded.Engine()
+	checkEngineIsPlain(t, "read weights", le, encs)
+	checkEngineIsPlain(t, "read weights, warm memo", le, tpl)
+	if after := predictBatch(t, le, encs); slices.Equal(after, predictBatch(t, e, encs)) {
+		t.Fatal("the read weights predict as the model's — the test is vacuous")
 	}
 
 	checkEngineIsPlain(t, "clone", m.Clone().Engine(), encs)
@@ -319,7 +322,7 @@ func TestReferenceRowMemoIsBitwise(t *testing.T) {
 
 // TestReferenceRowLookup pins what the memo holds and what counts as a hit:
 // a row a batch computed on the snapshot's weights, with the same runs and
-// the same values, nothing less — and nothing of another snapshot.
+// the same values, nothing less — and nothing of a released snapshot.
 func TestReferenceRowLookup(t *testing.T) {
 	const jdim, pdim = 3, 5
 	m := New(Config{HiddenUnits: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
@@ -353,7 +356,7 @@ func TestReferenceRowLookup(t *testing.T) {
 		warm = append(warm, featurize.Encoded{TableVecs: refs, JoinVecs: [][]float64{oneHot(jdim, j)}, PredVecs: [][]float64{make([]float64, pdim)}})
 	}
 	predictBatch(t, e, warm)
-	snap := e.snapshot()
+	snap := e.snap.Load()
 	for i, ref := range refs {
 		if !held(0, ref) {
 			t.Fatalf("reference row %d is not held after a batch computed it", i)
@@ -367,8 +370,8 @@ func TestReferenceRowLookup(t *testing.T) {
 	if !held(2, make([]float64, pdim)) {
 		t.Fatal("the zero predicate row is not held after a batch computed it")
 	}
-	if e.snapshot() != snap {
-		t.Fatal("the snapshot was rebuilt on an unchanged generation")
+	if e.snap.Load() != snap {
+		t.Fatal("the snapshot was replaced while serving")
 	}
 	oneHalf := tableRow(0, memoBits)
 	oneHalf[memoT+3] = 0.5
@@ -402,14 +405,10 @@ func TestReferenceRowLookup(t *testing.T) {
 			t.Errorf("%s is held", name)
 		}
 	}
-	m.noteWeightsChanged()
-	if e.snapshot() == snap || held(0, refs[0]) {
-		t.Fatal("the memo survived a weight-generation bump")
-	}
-	predictBatch(t, e, warm)
-	m.SetPrecision(F32)
-	if held(0, refs[0]) || held(1, oneHot(jdim, 0)) {
-		t.Fatal("the memo survived a precision switch")
+	e.Release()
+	e.Serve()
+	if e.snap.Load() == snap || held(0, refs[0]) || held(1, oneHot(jdim, 0)) {
+		t.Fatal("the memo survived a Release")
 	}
 }
 
@@ -534,12 +533,12 @@ func TestPackedBatchKeys(t *testing.T) {
 }
 
 // TestReferenceRowMemoZeroAlloc: with every row a memo hit or deduped, the
-// steady-state forward does not touch the heap, at either precision.
-// TestPredictSourceIntoZeroAlloc adds the batch entry.
+// steady-state forward does not touch the heap, at either precision (a
+// clone of one model each). TestPredictSourceIntoZeroAlloc adds the batch
+// entry.
 func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	const jdim, pdim = 5, 9
-	m := New(Config{HiddenUnits: 16, BatchSize: 64, Seed: 1}, memoT+memoBits, jdim, pdim)
-	e := NewEngine(m)
+	base := New(Config{HiddenUnits: 16, BatchSize: 64, Seed: 1}, memoT+memoBits, jdim, pdim)
 	encs := memoEncs(rand.New(rand.NewSource(62)), 24, jdim, pdim)
 	var pb PackedBatch
 	if err := pb.BuildFrom(newRunsSource(encs, memoT+memoBits, jdim, pdim), 0, len(encs), memoT+memoBits, jdim, pdim); err != nil {
@@ -548,7 +547,9 @@ func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	var ws nn.Workspace
 	out := make([]float64, len(encs))
 	for _, p := range []Precision{F64, F32} {
+		m := base.Clone()
 		m.SetPrecision(p)
+		e := NewEngine(m)
 		e.Forward(&pb, &ws, out)
 		if a := testing.AllocsPerRun(50, func() { e.Forward(&pb, &ws, out) }); a != 0 {
 			t.Fatalf("precision %d: forward allocates %.1f times per op, want 0", p, a)
@@ -556,73 +557,121 @@ func TestReferenceRowMemoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReferenceRowMemoConcurrentGenerations: goroutines predict overlapping
-// windows of one query list — so they share memo slots, reading what the
-// others wrote — while another keeps bumping the weight generation
-// (ReadWeights on an empty stream fails before it writes a weight, and
-// bumps regardless) and flipping the precision. The weights never change,
-// so every forward must equal, over its whole batch, the plain forward of
-// the weights or of their float32 rounding — one snapshot and its memo,
-// never a mix; under -race this is the memo's locking and the snapshot's
-// double-checked rebuild.
-func TestReferenceRowMemoConcurrentGenerations(t *testing.T) {
+// TestMemoSnapshotRaceReleaseServe: goroutines predict overlapping windows
+// of one query list — so they share memo slots, reading what the others
+// wrote — while another keeps releasing and serving the engine, so a
+// forward finds the snapshot, a new one with an empty memo, or none and
+// transposes the weights for itself. Every forward must equal, over its
+// whole batch, the plain forward of the served weights: the model's at
+// F64, their float32 rounding at F32 (a clone of one model each). Under
+// -race this is the memo's locking and the snapshot's atomic swaps.
+func TestMemoSnapshotRaceReleaseServe(t *testing.T) {
 	const jdim, pdim = 5, 9
 	const goroutines, window = 4, 25
-	m := New(Config{HiddenUnits: 16, BatchSize: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
-	e := NewEngine(m)
+	base := New(Config{HiddenUnits: 16, BatchSize: 8, Seed: 1}, memoT+memoBits, jdim, pdim)
 	rng := rand.New(rand.NewSource(63))
 	first := memoEncs(rng, 30, jdim, pdim)
 	encs := append(first, rerollEncs(rng, first, 30, jdim, pdim)...)
-	want := [2][]float64{F64: plainPredict(t, m, encs), F32: plainPredict(t, roundedClone(m), encs)}
+	for _, p := range []Precision{F64, F32} {
+		m := base.Clone()
+		m.SetPrecision(p)
+		served := m
+		if p == F32 {
+			served = roundedClone(m)
+		}
+		want := plainPredict(t, served, encs)
+		e := NewEngine(m)
 
-	stop := make(chan struct{})
-	var bumper sync.WaitGroup
-	bumper.Add(1)
-	go func() {
-		defer bumper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if m.precision() == F64 {
-					m.SetPrecision(F32)
-				} else {
-					m.SetPrecision(F64)
-				}
-				if err := m.ReadWeights(bytes.NewReader(nil)); err == nil {
-					t.Error("ReadWeights on an empty stream succeeded")
+		stop := make(chan struct{})
+		var cycler sync.WaitGroup
+		cycler.Add(1)
+		go func() {
+			defer cycler.Done()
+			for {
+				select {
+				case <-stop:
 					return
+				default:
+					e.Release()
+					e.Serve()
 				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				lo := g * (len(encs) - window) / (goroutines - 1)
+				mine := encs[lo : lo+window]
+				var ws nn.Workspace
+				var pb PackedBatch
+				out := make([]float64, window)
+				for round := 0; round < 30; round++ {
+					if err := pb.BuildFrom(encodedSource(mine), 0, window, memoT+memoBits, jdim, pdim); err != nil {
+						t.Error(err)
+						return
+					}
+					e.Forward(&pb, &ws, out)
+					if !slices.Equal(out, want[lo:lo+window]) {
+						t.Errorf("precision %d, goroutine %d round %d: predictions %v, served weights %v", p, g, round, out, want[lo:lo+window])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(stop)
+		cycler.Wait()
+		if !e.Snapshotted() {
+			t.Fatalf("precision %d: the engine was served last and holds no snapshot", p)
+		}
+	}
+}
+
+// TestReleasedEngineKeepsNoSnapshot: a released engine's late forwards —
+// batched, one Forward and single — answer as the served engine did, bit
+// for bit, at F64 and at F32, and leave no snapshot behind; Serve builds
+// one again, with an empty memo.
+func TestReleasedEngineKeepsNoSnapshot(t *testing.T) {
+	const jdim, pdim = 5, 9
+	base := New(Config{HiddenUnits: 24, BatchSize: 16, Seed: 2}, memoT+memoBits, jdim, pdim)
+	rng := rand.New(rand.NewSource(67))
+	encs := memoEncs(rng, 60, jdim, pdim)
+	for _, p := range []Precision{F64, F32} {
+		m := base.Clone()
+		m.SetPrecision(p)
+		e := m.Engine()
+		served := predictBatch(t, e, encs)
+		e.Release()
+		if e.Snapshotted() {
+			t.Fatalf("precision %d: a released engine holds a snapshot", p)
+		}
+		samePredictions(t, "released, batched", predictBatch(t, e, encs), served)
+		pb, err := BuildPackedBatch(encs, m.TDim, m.JDim, m.PDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws nn.Workspace
+		got := make([]float64, len(encs))
+		e.Forward(pb, &ws, got)
+		samePredictions(t, "released, one forward", got, served)
+		for i, enc := range encs[:10] {
+			if y, err := e.Predict(enc); err != nil || y != served[i] {
+				t.Fatalf("precision %d, released, single query %d: %v (%v), served %v", p, i, y, err, served[i])
 			}
 		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lo := g * (len(encs) - window) / (goroutines - 1)
-			mine := encs[lo : lo+window]
-			var ws nn.Workspace
-			var pb PackedBatch
-			out := make([]float64, window)
-			for round := 0; round < 30; round++ {
-				if err := pb.BuildFrom(encodedSource(mine), 0, window, memoT+memoBits, jdim, pdim); err != nil {
-					t.Error(err)
-					return
-				}
-				e.Forward(&pb, &ws, out)
-				if !slices.Equal(out, want[F64][lo:lo+window]) && !slices.Equal(out, want[F32][lo:lo+window]) {
-					t.Errorf("goroutine %d round %d: predictions %v are neither the weights' %v nor their rounding's %v", g, round, out, want[F64][lo:lo+window], want[F32][lo:lo+window])
-					return
-				}
+		if e.Snapshotted() {
+			t.Fatalf("precision %d: late forwards left a snapshot behind", p)
+		}
+		e.Serve()
+		for k := 0; k < 3; k++ {
+			if misses, firsts := memoMisses(e, pb, k); misses != firsts {
+				t.Fatalf("precision %d: set %d: the memo Serve built holds %d of %d rows", p, k, firsts-misses, firsts)
 			}
-		}(g)
+		}
+		samePredictions(t, "served again", predictBatch(t, e, encs), served)
 	}
-	wg.Wait()
-	close(stop)
-	bumper.Wait()
 }
 
 // FuzzDedupedForwardMatchesPlain: two consecutive ragged batches through

@@ -16,14 +16,16 @@
 // writes directly and each set module's first layer reads, in training and
 // in serving, with the dense kernel's result in every bit
 // (nn.Layer.ForwardRuns, nn.BackwardIndexed). Every layer's forward is that
-// one kernel, on a copy of the weights transposed once per
-// weight generation (the engine) or per step (the trainer). Serving uses
-// the Engine (the forward kernel, segment pooling, pooled workspace
-// arenas, zero steady-state allocations; concurrency-safe — workspaces are
-// per-pass and never shared), which forwards each distinct set element
-// once per weight generation: a row an earlier batch computed comes from
-// an element memo that lives as long as the weight snapshot, and a row
-// equal to an earlier row of its batch is copied from it. Training packs its
+// one kernel, on a copy of the weights transposed once per engine or once
+// per step (the trainer). Serving uses the Engine (the forward kernel,
+// segment pooling, pooled workspace arenas, zero steady-state allocations;
+// concurrency-safe — workspaces are per-pass and never shared), which
+// forwards each distinct set element once per engine: a row an earlier
+// batch computed comes from an element memo that lives as long as the
+// weight snapshot, and a row equal to an earlier row of its batch is
+// copied from it. A model's weights never change under an engine: once
+// one exists, training and ReadWeights refuse, and a refresh trains a
+// Clone. Training packs its
 // minibatches through the same QuerySource path (an Example is a reference
 // to a query, never its feature rows), forwards every row, and is
 // data-parallel over the same kernels: each
@@ -42,9 +44,9 @@
 package mscn
 
 import (
+	"errors"
 	"io"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"deepsketch/internal/datagen"
@@ -143,21 +145,20 @@ type Model struct {
 
 	// prec is the precision the engine stores its weight snapshot at
 	// (Precision). The f64 weights remain the source of truth.
-	prec atomic.Uint32
-	// weightGen counts wholesale weight replacements (ReadWeights, every
-	// return of a training run that has started stepping). The engine tags
-	// what it derives from the weights — the transposed snapshots and their
-	// element memos — with the generation it was built at and
-	// rebuilds on mismatch, so a Refresh/Swap can never serve stale ones.
-	weightGen atomic.Uint64
-
-	engOnce sync.Once
-	eng     *Engine
+	prec Precision
+	// eng is the model's shared engine, the first built over it
+	// (NewEngine); nil until then. Once it is set the weights and prec are
+	// fixed.
+	eng atomic.Pointer[Engine]
 }
+
+// errHasEngine is what training and ReadWeights return on a model an
+// engine serves: its weights are fixed.
+var errHasEngine = errors.New("mscn: the model's weights are fixed once it has an inference engine; change a Clone")
 
 // Precision is the precision the inference engine stores its weights at.
 // At F32 the engine rounds its transposed snapshot of the weights to
-// single precision once per weight generation and runs the same float64
+// single precision once per engine and runs the same float64
 // forward on it; the model's weights, training and every other path stay
 // float64. It remains only because bench/layers.go times an F32 engine
 // (mscn.predict_f32_us) through core.Sketch.SetEnginePrecision.
@@ -171,28 +172,16 @@ const (
 	F32
 )
 
-// SetPrecision selects the precision the engine stores its weights at.
-// Safe to call concurrently with serving; a forward in flight finishes on
-// the snapshot it loaded. It remains only because bench/layers.go names
-// it, through core.Sketch.SetEnginePrecision.
-func (m *Model) SetPrecision(p Precision) { m.prec.Store(uint32(p)) }
-
-// precision returns the engine's weight precision (default F64).
-//
-//deepsketch:zeroalloc
-func (m *Model) precision() Precision { return Precision(m.prec.Load()) }
-
-// WeightGen returns the current weight generation. It increments on every
-// wholesale weight replacement; the engine's transposed snapshots and
-// element memos are valid only for the generation they were computed
-// from.
-//
-//deepsketch:zeroalloc
-func (m *Model) WeightGen() uint64 { return m.weightGen.Load() }
-
-// noteWeightsChanged invalidates everything the engine derived from the
-// weights. Every path that replaces the f64 weights wholesale must call it.
-func (m *Model) noteWeightsChanged() { m.weightGen.Add(1) }
+// SetPrecision selects the precision the engine stores its weights at. It
+// must be called before the model's first engine exists (Engine,
+// NewEngine), and panics after. It remains only because bench/layers.go
+// names it, through core.Sketch.SetEnginePrecision.
+func (m *Model) SetPrecision(p Precision) {
+	if m.eng.Load() != nil {
+		panic("mscn: SetPrecision on a model that has an inference engine")
+	}
+	m.prec = p
+}
 
 // OptState returns the optimizer state captured at the end of the last
 // training run, or nil if the model has never been trained in this process
@@ -205,11 +194,13 @@ func (m *Model) OptState() *nn.OptState { return m.optState }
 func (m *Model) SetOptState(st *nn.OptState) { m.optState = st }
 
 // Engine returns the model's shared packed inference engine, building it on
-// first use. The engine reads the current weights, so it stays valid across
-// ReadWeights; it must not run concurrently with training steps.
+// first use. From then on the model's weights and precision are fixed.
 func (m *Model) Engine() *Engine {
-	m.engOnce.Do(func() { m.eng = NewEngine(m) })
-	return m.eng
+	if e := m.eng.Load(); e != nil {
+		return e
+	}
+	NewEngine(m)
+	return m.eng.Load()
 }
 
 // New builds an MSCN with freshly initialized weights for the given feature
@@ -253,7 +244,7 @@ func (m *Model) Clone() *Model {
 		copy(dst[i].Data, p.Data)
 	}
 	nm.optState = m.optState.Clone()
-	nm.SetPrecision(m.precision())
+	nm.prec = m.prec
 	return nm
 }
 
@@ -291,13 +282,13 @@ func (m *Model) NumParams() int {
 func (m *Model) WriteWeights(w io.Writer) error { return nn.WriteParams(w, m.Params()) }
 
 // ReadWeights restores weights written by WriteWeights into this
-// architecture; dimensions must match and every weight must be finite. It
-// bumps the weight generation so the engine's cached snapshots are rebuilt
-// before the next use.
+// architecture; dimensions must match and every weight must be finite. On
+// a model that has an engine it returns an error and reads nothing.
 func (m *Model) ReadWeights(r io.Reader) error {
-	err := nn.ReadParams(r, m.Params())
-	m.noteWeightsChanged()
-	return err
+	if m.eng.Load() != nil {
+		return errHasEngine
+	}
+	return nn.ReadParams(r, m.Params())
 }
 
 // shuffle produces a deterministic permutation for one epoch.

@@ -2,6 +2,7 @@ package mscn
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,7 +21,6 @@ func roundedClone(m *Model) *Model {
 			p.Data[i] = float64(float32(v))
 		}
 	}
-	c.noteWeightsChanged()
 	return c
 }
 
@@ -29,12 +29,14 @@ func roundedClone(m *Model) *Model {
 // with the element memo and the in-batch dedupe active, the F32 engine's
 // Predict, one Forward over a batch of 256 and PredictSourceInto (the
 // engine half of Sketch.EstimateBatch) equal a rounded clone's at F64;
-// Clone carries F32 to the copy; and switching back to F64 serves the
-// unrounded weights' plain forward again.
+// Clone carries F32 to the copy; and a clone of the model set to F64
+// serves the unrounded weights' plain forward. Each precision is its own
+// clone of one model, whose weights no engine fixes.
 func TestEngineF32Equivalence(t *testing.T) {
 	const jdim, pdim = 5, 9
 	rng := rand.New(rand.NewSource(43))
-	m := New(Config{HiddenUnits: 256, BatchSize: 48, Seed: 7}, memoT+memoBits, jdim, pdim)
+	base := New(Config{HiddenUnits: 256, BatchSize: 48, Seed: 7}, memoT+memoBits, jdim, pdim)
+	m := base.Clone()
 	m.SetPrecision(F32)
 	ref := roundedClone(m)
 	e, want := NewEngine(m), NewEngine(ref)
@@ -61,9 +63,10 @@ func TestEngineF32Equivalence(t *testing.T) {
 	}
 	samePredictions(t, "a clone of the F32 model", predictBatch(t, m.Clone().Engine(), encs), f64)
 
-	m.SetPrecision(F64)
-	plain := plainPredict(t, m, encs)
-	samePredictions(t, "back at F64", predictBatch(t, e, encs), plain)
+	m64 := base.Clone()
+	m64.SetPrecision(F64)
+	plain := plainPredict(t, base, encs)
+	samePredictions(t, "a clone at F64", predictBatch(t, m64.Engine(), encs), plain)
 	if slices.Equal(plain, f64) {
 		t.Fatal("rounding the weights changed no prediction — the test is vacuous")
 	}
@@ -96,66 +99,81 @@ func TestForwardPacked32ZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotInvalidation: replacing the model's weights (the
-// Refresh/Swap path runs through ReadWeights), a warm-start training run
-// (what a refresh does to a model) and a precision switch each start a
-// new snapshot with an empty memo — a stale snapshot, or a memo filled on
-// other weights, would silently serve the old sketch's estimates. Each
-// check predicts a batch whose rows the old memo holds.
-func TestEngineSnapshotInvalidation(t *testing.T) {
+// engineBuilders are the two ways an engine over a model comes to exist.
+var engineBuilders = map[string]func(*Model) *Engine{"Model.Engine": (*Model).Engine, "NewEngine": NewEngine}
+
+// TestEngineFixesWeights: once a model has an engine, a training run and
+// ReadWeights return an error and change no weight bit, and the engine
+// answers as before; a Clone has no engine, and trains and reads weights.
+func TestEngineFixesWeights(t *testing.T) {
 	const tdim, jdim, pdim = memoT + memoBits, 3, 5
-	oldM := New(Config{HiddenUnits: 16, BatchSize: 16, Seed: 21}, tdim, jdim, pdim)
-	newM := New(Config{HiddenUnits: 16, BatchSize: 16, Seed: 22}, tdim, jdim, pdim)
 	rng := rand.New(rand.NewSource(45))
 	encs := memoEncs(rng, 40, jdim, pdim)
-
-	oldM.SetPrecision(F32)
-	newM.SetPrecision(F32)
-	before := predictBatch(t, oldM.Engine(), encs) // caches the snapshot and fills its memo
-	want := predictBatch(t, newM.Engine(), encs)
-	if before[0] == want[0] {
-		t.Fatal("distinct seeds produced equal predictions — test is vacuous")
-	}
-
-	var buf bytes.Buffer
-	if err := newM.WriteWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := oldM.ReadWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	samePredictions(t, "after ReadWeights", predictBatch(t, oldM.Engine(), encs), want)
-	got, err := oldM.Engine().Predict(encs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want[0] {
-		t.Fatalf("after ReadWeights predict = %v, want %v (stale snapshot: before-swap value was %v)",
-			got, want[0], before[0])
-	}
-
-	// A precision switch: each precision's memo is its own.
-	oldM.SetPrecision(F64)
-	f64 := plainPredict(t, oldM, encs)
-	if slices.Equal(f64, want) {
-		t.Fatal("rounding the weights changed no prediction — the test is vacuous")
-	}
-	samePredictions(t, "after a switch to F64", predictBatch(t, oldM.Engine(), encs), f64)
-	oldM.SetPrecision(F32)
-	samePredictions(t, "after a switch back to F32", predictBatch(t, oldM.Engine(), encs), want)
-
-	// A refresh: warm-start training steps the weights in place.
-	oldM.SetPrecision(F64)
-	warm := predictBatch(t, oldM.Engine(), encs)
 	examples, norm := trainExamples(rng, 48, tdim, jdim, pdim)
-	if _, err := oldM.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: 1, Epochs: 1}); err != nil {
+	other := New(Config{HiddenUnits: 16, BatchSize: 16, Seed: 22}, tdim, jdim, pdim)
+	var file bytes.Buffer
+	if err := other.WriteWeights(&file); err != nil {
 		t.Fatal(err)
 	}
-	refreshed := predictBatch(t, oldM.Engine(), encs)
-	if slices.Equal(refreshed, warm) {
-		t.Fatal("training changed no prediction — the test is vacuous")
+	sameBits := func(a, b [][]float64) bool {
+		return slices.EqualFunc(a, b, func(x, y []float64) bool {
+			return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+		})
 	}
-	samePredictions(t, "after a training run", refreshed, plainPredict(t, oldM, encs))
+	train := func(m *Model) error {
+		_, err := m.TrainWithOptions(examples, norm, nil, TrainOptions{Parallelism: 1, Epochs: 1})
+		return err
+	}
+	for name, build := range engineBuilders {
+		m := New(Config{HiddenUnits: 16, BatchSize: 16, Seed: 21}, tdim, jdim, pdim)
+		e := build(m)
+		before, weights := predictBatch(t, e, encs), weightsOf(m)
+		if err := train(m); err == nil {
+			t.Fatalf("%s: training a model that has an engine succeeded", name)
+		}
+		if err := m.ReadWeights(bytes.NewReader(file.Bytes())); err == nil {
+			t.Fatalf("%s: ReadWeights on a model that has an engine succeeded", name)
+		}
+		if !sameBits(weightsOf(m), weights) || m.OptState() != nil {
+			t.Fatalf("%s: a refused change changed the model", name)
+		}
+		samePredictions(t, name+": after the refused changes", predictBatch(t, e, encs), before)
+
+		trained, read := m.Clone(), m.Clone()
+		if err := train(trained); err != nil {
+			t.Fatalf("%s: training a clone: %v", name, err)
+		}
+		if sameBits(weightsOf(trained), weights) {
+			t.Fatalf("%s: training the clone changed no weight — the test is vacuous", name)
+		}
+		if err := read.ReadWeights(bytes.NewReader(file.Bytes())); err != nil {
+			t.Fatalf("%s: ReadWeights on a clone: %v", name, err)
+		}
+		if !sameBits(weightsOf(read), weightsOf(other)) {
+			t.Fatalf("%s: the clone did not read the weights", name)
+		}
+	}
+}
+
+// TestSetPrecisionAfterEnginePanics: the precision is set before the
+// model's first engine exists, and SetPrecision panics after, leaving it.
+func TestSetPrecisionAfterEnginePanics(t *testing.T) {
+	for name, build := range engineBuilders {
+		m := New(Config{HiddenUnits: 8, Seed: 1}, 6, 3, 4)
+		m.SetPrecision(F32)
+		build(m)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SetPrecision on a model that has an engine did not panic", name)
+				}
+			}()
+			m.SetPrecision(F64)
+		}()
+		if m.prec != F32 {
+			t.Errorf("%s: the precision is %d after the refused SetPrecision, want F32", name, m.prec)
+		}
+	}
 }
 
 // TestTrainForwardMatchesEngineForward: the packed trainer and the f64

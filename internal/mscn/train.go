@@ -68,8 +68,9 @@ type EpochStats struct {
 //
 // Each epoch validates on the trainer's own workers (packedTrainer.predict):
 // the float64 forward over the live weights that training itself runs, so
-// StopAtValQ never depends on the inference engine, its serving precision or
-// its weight-generation tag.
+// StopAtValQ never depends on the inference engine or its serving precision.
+// A model that has an engine is not trained: the run returns an error and
+// changes no weight.
 //
 // Bitwise reproducibility is pinned by tests, not by annotation:
 // TestTrainFingerprint hashes the trained weights and Adam state at
@@ -78,6 +79,9 @@ type EpochStats struct {
 // compare bit for bit. A global-source draw, a wall-clock seed or a
 // summation order that follows the shards on this path fails them.
 func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *trainmon.Monitor, opts TrainOptions) ([]EpochStats, error) {
+	if m.eng.Load() != nil {
+		return nil, errHasEngine
+	}
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("mscn: no training examples")
 	}
@@ -124,10 +128,6 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 		batch   exampleSource
 		targets []float64
 	)
-	// From here Adam steps the live weights, so every return — a step or
-	// validation error mid-run included — leaves weights no engine snapshot
-	// or element memo of the old generation may be served beside.
-	defer m.noteWeightsChanged()
 	for epoch := 1; epoch <= epochs; epoch++ {
 		order := shuffle(rng, len(train))
 		var lossSum float64

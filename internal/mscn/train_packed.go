@@ -249,7 +249,7 @@ func (t *packedTrainer) fork(k int, fn func(w int)) {
 // their shape: the rows s·R/n up to (s+1)·R/n of the eight layers' R rows of
 // WT taken end to end, with each layer's bias going to the shard holding
 // its row 0 (nn.Transpose). Shards write disjoint rows, so the n of one
-// generation may run concurrently.
+// step may run concurrently.
 func transposeShard(m *Model, w *weights, s, n int) {
 	layers := m.layers()
 	rows := 0

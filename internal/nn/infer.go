@@ -138,7 +138,7 @@ func (w *Workspace) Alloc(rows, cols int) Matrix {
 // is row-major [in][out], so the weights input k multiplies are one
 // contiguous row, WT[k·Out:(k+1)·Out]. It holds no gradients and is
 // a copy: Transpose refreshes it from the Linear's live float64 parameters
-// (the mscn engine once per weight generation, the packed trainer once per
+// (an mscn engine once, as it is built; the packed trainer once per
 // step, its rows split across the trainer's workers).
 type Layer struct {
 	In, Out int
