@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -43,7 +44,7 @@ func plainForward(m *mscn.Model, enc featurize.Encoded, round bool) float64 {
 		for o := range y {
 			var a float64
 			for k, v := range x {
-				a += v * weight(w[o*len(x)+k])
+				a += float64(v * weight(w[o*len(x)+k]))
 			}
 			a += weight(b[o])
 			if relu && !(a > 0) {
@@ -343,6 +344,52 @@ func TestServingMemoLeavesSketchBytes(t *testing.T) {
 		if !bytes.Equal(before.Bytes(), after.Bytes()) {
 			t.Fatalf("precision %d: the sketch file changed after serving: %d bytes, then %d", p, before.Len(), after.Len())
 		}
+	}
+}
+
+// TestTemplatesHeldInMemo: 32 year templates, the keyword varying as in
+// the benchmark's template set, estimated once fill the memo so that a
+// second pass finds every distinct row of every template in it — no two of
+// their rows evict each other — and estimates the same bits.
+func TestTemplatesHeldInMemo(t *testing.T) {
+	_, shared := getSketch(t)
+	s := shared.Clone() // the estimates below must not fill the shared sketch's memo
+	ctx := context.Background()
+	var first [][]TemplateResult
+	for k := 1; k <= 32; k++ {
+		sql := fmt.Sprintf("SELECT COUNT(*) FROM title t, movie_keyword mk WHERE mk.movie_id=t.id AND mk.keyword_id=%d AND t.production_year=?", k)
+		res, err := s.EstimateTemplateSQL(ctx, sql, workload.GroupDistinct, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = append(first, res)
+	}
+	distinctRows := 0
+	for i, res := range first {
+		qs := make([]db.Query, len(res))
+		for j, r := range res {
+			qs[j] = r.Query
+		}
+		misses, distinct, err := s.Model.Engine().MemoMisses(&querySource{enc: s.Encoder, samples: s.Samples, qs: qs}, len(qs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses != 0 {
+			t.Fatalf("template %d: the memo lacks %d of its %d distinct rows on the second pass", i+1, misses, distinct)
+		}
+		distinctRows += distinct
+		again, err := s.BatchCardinalities(ctx, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range res {
+			if math.Float64bits(again[j]) != math.Float64bits(r.Estimate) {
+				t.Fatalf("template %d instance %d: %v, first pass %v", i+1, j, again[j], r.Estimate)
+			}
+		}
+	}
+	if distinctRows < 32*10 {
+		t.Fatalf("32 templates have %d distinct rows in all — the test is vacuous", distinctRows)
 	}
 }
 

@@ -35,9 +35,11 @@ import (
 // element's h2 — its output after both layers of its set module, what the
 // pool averages — depends only on the element and the weights. So a row's
 // h2 is copied from the snapshot's element memo when an earlier batch
-// computed it (elementTable: memoSlots direct-mapped slots per set, filled
-// as batches miss), else from an earlier equal row of the same batch
-// (PackedBatch's keys), and only the rows left are forwarded.
+// computed it (elementTable: memoSlots slots per set, memoWays-way set
+// associative, filled as batches miss), a row equal to an earlier row of
+// the same batch (PackedBatch's keys) is not computed at all — the pool
+// reads the earlier row in its place — and only the rows left are
+// forwarded.
 type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
@@ -56,24 +58,31 @@ type snapshot struct {
 }
 
 // memoSlots is the number of slots per set of an element memo: the
-// estimate cache's capacity.
+// estimate cache's capacity. A row may sit in any of the memoWays adjacent
+// slots of the bucket its hash picks (memoSlot).
 const (
 	memoSlotBits = 10
 	memoSlots    = 1 << memoSlotBits
+	memoWays     = 4
 )
 
 // elementTable is a snapshot's element memo: per set (tables, joins,
 // predicates) memoSlots slots, each holding one row's key and its h2 — by
 // the kernels forwardPacked runs, on the snapshot's weights — so copying a
-// slot's h2 is bit for bit computing it. It is direct-mapped on the row
-// hash packing computes (memoSlot); a miss overwrites the slot.
+// slot's h2 is bit for bit computing it. It is set associative on the row
+// hash packing computes: the hash picks a bucket of memoWays adjacent slots
+// (memoSlot), and a row is held in whichever of them it was written to, so
+// a few rows whose hashes share a bucket are all held at once. A miss fills
+// an empty slot of its bucket, else the bucket's round-robin victim.
 type elementTable [3]memoSet
 
 // memoSet is the memo of one set: slot i's key is keys[i], its h2 row i
-// of h2. mu guards both; no forward runs under it.
+// of h2, and next[b] the slot of bucket b the next miss that finds the
+// bucket full overwrites. mu guards all three; no forward runs under it.
 type memoSet struct {
 	mu   sync.Mutex
 	keys [memoSlots]memoKey
+	next [memoSlots / memoWays]uint8
 	h2   nn.Matrix
 }
 
@@ -87,18 +96,33 @@ type memoKey struct {
 	runs []nn.Run
 }
 
-// memoSlot is the slot of a row hash: the top bits of the hash times an
-// odd constant, which depend on every bit of the hash. Its low bits alone
-// barely vary between predicate rows that differ only in their literal.
+// memoSlot is the first slot of the bucket of a row hash: the top bits of
+// the hash times an odd constant, which depend on every bit of the hash,
+// with the low memoWays−1 bits cleared. The hash's low bits alone barely
+// vary between predicate rows that differ only in their literal.
 //
 //deepsketch:zeroalloc
 func memoSlot(hash uint64) int {
-	return int((hash * 0x9e3779b97f4a7c15) >> (64 - memoSlotBits))
+	return int((hash*0x9e3779b97f4a7c15)>>(64-memoSlotBits)) &^ (memoWays - 1)
+}
+
+// find returns the slot of the bucket at slot b that holds the row with
+// these runs and hash, or −1. The caller holds mu.
+//
+//deepsketch:zeroalloc
+func (s *memoSet) find(b int, hash uint64, runs []nn.Run) int {
+	for i := b; i < b+memoWays; i++ {
+		if s.keys[i].holds(hash, runs) {
+			return i
+		}
+	}
+	return -1
 }
 
 // lookup copies into h2 the memoised h2 of each first occurrence of pb's
 // set k that set's memo holds, lists the others in fresh and returns how
-// many it listed.
+// many it listed. A hit is copied under the lock, because a concurrent
+// store may overwrite the slot as soon as it is released.
 //
 //deepsketch:zeroalloc
 func (s *memoSet) lookup(pb *PackedBatch, k int, h2 nn.Matrix, fresh []int) int {
@@ -109,8 +133,7 @@ func (s *memoSet) lookup(pb *PackedBatch, k int, h2 nn.Matrix, fresh []int) int 
 		if keys.rep[r] != r {
 			continue
 		}
-		i := memoSlot(keys.hash[r])
-		if s.keys[i].holds(keys.hash[r], keys.runs.Row(r)) {
+		if i := s.find(memoSlot(keys.hash[r]), keys.hash[r], keys.runs.Row(r)); i >= 0 {
 			copy(h2.Row(r), s.h2.Row(i))
 		} else {
 			fresh[n] = r
@@ -121,15 +144,31 @@ func (s *memoSet) lookup(pb *PackedBatch, k int, h2 nn.Matrix, fresh []int) int 
 	return n
 }
 
-// store writes rows of pb's set k, with their h2, into their slots.
+// store writes rows of pb's set k, with their h2, into their buckets: a
+// row the bucket already holds (another batch stored it since this one's
+// lookup) is skipped, else it takes an empty slot, else the bucket's
+// round-robin victim.
 //
 //deepsketch:zeroalloc
 func (s *memoSet) store(pb *PackedBatch, k int, h2 nn.Matrix, rows []int) {
 	keys := &pb.keys[k]
 	s.mu.Lock()
 	for _, r := range rows {
-		i := memoSlot(keys.hash[r])
-		s.keys[i].set(keys.hash[r], keys.runs.Row(r))
+		hash, runs := keys.hash[r], keys.runs.Row(r)
+		b := memoSlot(hash)
+		if s.find(b, hash, runs) >= 0 {
+			continue
+		}
+		i := b
+		for i < b+memoWays && s.keys[i].full {
+			i++
+		}
+		if i == b+memoWays {
+			v := &s.next[b/memoWays]
+			i = b + int(*v)
+			*v = (*v + 1) % memoWays
+		}
+		s.keys[i].set(hash, runs)
 		copy(s.h2.Row(i), h2.Row(r))
 	}
 	s.mu.Unlock()
@@ -193,6 +232,35 @@ func (e *Engine) Serve() {
 // released since. It exists for tests.
 func (e *Engine) Snapshotted() bool { return e.snap.Load() != nil }
 
+// MemoMisses packs queries 0..n of src as one batch and returns how many of
+// its distinct set elements, over the three sets, the element memo lacks —
+// the rows a forward of the batch would compute (all of them without a
+// snapshot) — and how many distinct elements it has. It writes nothing into
+// the memo. It exists for tests.
+func (e *Engine) MemoMisses(src QuerySource, n int) (misses, distinct int, err error) {
+	var pb PackedBatch
+	if err := pb.BuildFrom(src, 0, n, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
+		return 0, 0, err
+	}
+	s := e.snap.Load()
+	for k := range pb.keys {
+		rows := pb.keys[k].runs.Rows()
+		for r := 0; r < rows; r++ {
+			if pb.keys[k].rep[r] == r {
+				distinct++
+			}
+		}
+		if s == nil {
+			continue
+		}
+		misses += s.memo[k].lookup(&pb, k, nn.NewMatrix(rows, e.m.Cfg.HiddenUnits), make([]int, rows))
+	}
+	if s == nil {
+		misses = distinct
+	}
+	return misses, distinct, nil
+}
+
 // engineScratch bundles the per-goroutine reusable state: a packed batch and
 // the forward's workspace.
 type engineScratch struct {
@@ -237,34 +305,35 @@ func servedWeights(m *Model) weights {
 // alias the arena the forward ran on and live until its next Reserve; the
 // packed trainer keeps them as its tape.
 type activations struct {
-	h1, h2, pool [3]nn.Matrix // per set module, post-ReLU / pooled
-	concat       nn.Matrix
-	oA1          nn.Matrix
-	out          nn.Matrix // sigmoid output, B×1
+	h1, h2 [3]nn.Matrix // per set module, post-ReLU
+	concat nn.Matrix    // the three pools side by side, B×3h
+	oA1    nn.Matrix
+	out    nn.Matrix // sigmoid output, B×1
 }
 
 // forwardFloats is the arena forwardPacked consumes on pb at hidden width
-// h: two hidden activations per set row (h1, h2), three pools + concat
-// (3·B·h) + oA1, and the B outputs.
+// h: two hidden activations per set row (h1, h2), the concatenated pools
+// (3·B·h), oA1 (B·h) and the B outputs.
 //
 //deepsketch:zeroalloc
 func forwardFloats(pb *PackedBatch, h int) int {
 	nt, nj, np := pb.Rows()
-	return (2*(nt+nj+np)+7*pb.B)*h + pb.B
+	return (2*(nt+nj+np)+4*pb.B)*h + pb.B
 }
 
 // forwardPacked is the MSCN forward pass on packed rows — the only one:
 // per set module Linear+ReLU twice then a segment average pool, the three
-// pools concatenated, the two-layer output network, a sigmoid. Every layer
+// pools side by side, the two-layer output network, a sigmoid. Every layer
 // is one kernel on w: each set module's first layer reads pb's valued runs
 // (nn.Layer.ForwardRuns, see PackedBatch.sets), every other layer the
 // dense activations before it (nn.Layer.Forward). Each distinct element is
-// forwarded once
-// (elementTable.module): with an element memo (on these same weights) a
-// row it holds is copied from it and the rows it lacks are written into
-// it; without one — the trainer — only rows equal to an earlier row of the
-// batch are copied, h1 as well as h2, so the tape the backward reads is
-// every row's. Every intermediate is carved
+// forwarded once (elementTable.module): with an element memo (on these
+// same weights) a row it holds is copied from it and the rows it lacks are
+// written into it; without one — the trainer — rows equal to an earlier
+// row of the batch are copied, h1 as well as h2, so the tape the backward
+// reads is every row's. Set k pools straight into its columns of concat,
+// reading each row's first equal row (nn.SegmentAvgPoolAt over pb's
+// reps), so the engine copies no duplicate. Every intermediate is carved
 // from ws — which the caller has Reserved — and recorded in act; the
 // normalized predictions (act.out) are also copied to out (len B).
 //
@@ -273,20 +342,13 @@ func forwardPacked(w *weights, pb *PackedBatch, memo *elementTable, ws *nn.Works
 	b := len(out)
 	h := w[7].In
 	xs, offs := pb.sets()
+	act.concat = ws.Alloc(b, 3*h)
 	for k := 0; k < 3; k++ {
 		rows := xs[k].Rows()
 		act.h1[k] = ws.Alloc(rows, h)
 		act.h2[k] = ws.Alloc(rows, h)
 		memo.module(w, k, pb, act.h1[k], act.h2[k], ws)
-		act.pool[k] = ws.Alloc(b, h)
-		nn.SegmentAvgPool(act.h2[k], offs[k], act.pool[k])
-	}
-	act.concat = ws.Alloc(b, 3*h)
-	for bi := 0; bi < b; bi++ {
-		dst := act.concat.Row(bi)
-		copy(dst[:h], act.pool[0].Row(bi))
-		copy(dst[h:2*h], act.pool[1].Row(bi))
-		copy(dst[2*h:], act.pool[2].Row(bi))
+		nn.SegmentAvgPoolAt(act.h2[k], pb.keys[k].rep, offs[k], act.concat, k*h)
 	}
 	act.oA1 = ws.Alloc(b, h)
 	w[6].Forward(act.concat, act.oA1, nil, true, ws)
@@ -298,18 +360,20 @@ func forwardPacked(w *weights, pb *PackedBatch, memo *elementTable, ws *nn.Works
 
 // module runs set module k — the first layer on the set's valued runs into
 // h1, the dense second into h2 — on pb's set k, forwarding each distinct
-// element once.
+// element once, and writes the h2 of each first occurrence (a row that is
+// its own rep).
 // A first occurrence the memo holds is copied from it (h2 only: the engine
 // reads nothing else) in one locked pass; the others are listed
 // (ws.RowList) and go through both layers as one row list, under no lock,
 // so the dense second layer takes them four at a time; a second locked
-// pass writes them into their slots; and then a row equal to an earlier
-// row of the batch (pb's keys) is copied from that row. A nil memo — the
+// pass writes them into their buckets. A row equal to an earlier row of
+// the batch is left unwritten: the pool reads its rep. A nil memo — the
 // trainer's — holds no element and keeps none: every first occurrence is
-// forwarded, and a copied row gets its h1 too, which the trainer's
-// backward reads. The kernel computes each row's outputs on their own,
-// summing each in ascending k whatever rows share its tile, so a copied
-// row is the bits the row would have been computed to.
+// forwarded, and each other row gets a copy of its rep's h1 and h2, which
+// the trainer's backward reads row by row. The kernel computes each row's
+// outputs on their own, summing each in ascending k whatever rows share
+// its tile, so a copied row is the bits the row would have been computed
+// to.
 //
 //deepsketch:zeroalloc
 func (t *elementTable) module(w *weights, k int, pb *PackedBatch, h1, h2 nn.Matrix, ws *nn.Workspace) {
@@ -331,13 +395,12 @@ func (t *elementTable) module(w *weights, k int, pb *PackedBatch, h1, h2 nn.Matr
 	w[2*k+1].Forward(h1, h2, fresh[:n:n], true, ws)
 	if t != nil {
 		t[k].store(pb, k, h2, fresh[:n])
+		return
 	}
 	for r := 0; r < rows; r++ {
 		if q := keys.rep[r]; q != r {
+			copy(h1.Row(r), h1.Row(q))
 			copy(h2.Row(r), h2.Row(q))
-			if t == nil {
-				copy(h1.Row(r), h1.Row(q))
-			}
 		}
 	}
 }

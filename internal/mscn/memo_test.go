@@ -503,6 +503,55 @@ func TestMemoMoreRowsThanSlots(t *testing.T) {
 	samePredictions(t, "second pass", predictBatch(t, e, encs), want)
 }
 
+// TestMemoHoldsCollidingRows: memoWays distinct predicate rows whose
+// hashes pick one bucket — rows a direct-mapped memo would evict in turn —
+// are all held after one batch, a second batch of them forwards none, and
+// both answer as the plain forward.
+func TestMemoHoldsCollidingRows(t *testing.T) {
+	const jdim, pdim, candidates = 3, 6, 8 * memoSlots
+	m := New(Config{HiddenUnits: 8, BatchSize: 64, Seed: 8}, memoT+memoBits, jdim, pdim)
+	enc := func(i int) featurize.Encoded {
+		lit := oneHot(pdim, 0)
+		lit[1] = 1
+		lit[pdim-1] = float64(i+1) / candidates
+		return featurize.Encoded{TableVecs: [][]float64{tableRow(0, 5)}, PredVecs: [][]float64{lit}}
+	}
+	all := make([]featurize.Encoded, candidates)
+	for i := range all {
+		all[i] = enc(i)
+	}
+	pb, err := BuildPackedBatch(all, m.TDim, m.JDim, m.PDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := map[int][]featurize.Encoded{}
+	var encs []featurize.Encoded
+	for r, h := range pb.keys[2].hash {
+		b := memoSlot(h)
+		if buckets[b] = append(buckets[b], all[r]); len(buckets[b]) == memoWays {
+			encs = buckets[b]
+			break
+		}
+	}
+	if encs == nil {
+		t.Fatalf("no %d of %d predicate rows share a bucket", memoWays, candidates)
+	}
+	e := NewEngine(m)
+	want := plainPredict(t, m, encs)
+	samePredictions(t, "first batch", predictBatch(t, e, encs), want)
+	one, err := BuildPackedBatch(encs, m.TDim, m.JDim, m.PDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses, firsts := memoMisses(e, one, 2); firsts != memoWays || misses != 0 {
+		t.Fatalf("after one batch the memo lacks %d of the %d colliding rows (%d distinct)", misses, memoWays, firsts)
+	}
+	samePredictions(t, "second batch", predictBatch(t, e, encs), want)
+	if misses, _ := memoMisses(e, one, 2); misses != 0 {
+		t.Fatalf("after the second batch the memo lacks %d of the colliding rows", misses)
+	}
+}
+
 // TestPackedBatchKeys pins the in-batch dedupe: each row's rep is the first
 // row of its set with the same runs and values, and rows that differ in any
 // value — or hold a NaN — are their own.

@@ -229,7 +229,7 @@ func New(cfg Config, tdim, jdim, pdim int) *Model {
 func NumParamsFor(cfg Config, tdim, jdim, pdim int) float64 {
 	h := float64(cfg.withDefaults().HiddenUnits)
 	in := float64(tdim) + float64(jdim) + float64(pdim)
-	return h*in + 6*h*h + 8*h + 1
+	return float64(h*in) + float64(6*h*h) + float64(8*h) + 1
 }
 
 // Clone returns a deep copy of the model: same architecture and config,

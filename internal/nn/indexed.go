@@ -139,7 +139,7 @@ func (l *Linear) BackwardIndexed(ix *RunIndex, dy Matrix, lo, hi int, dW, dB []f
 					panic("nn: run past the row")
 				}
 				for k := int(run.Lo); k < int(run.Hi); k++ {
-					dWo[k] += g * run.V
+					dWo[k] += float64(g * run.V)
 				}
 			}
 		}

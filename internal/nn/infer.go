@@ -16,13 +16,19 @@ import "math"
 // the input's non-zero columns, then the bias, then the ReLU. On amd64 with
 // AVX-512, a layer whose width is a multiple of 32 keeps its outputs in
 // registers (tile_amd64.s): dense rows four at a time over the union of
-// their columns, valued runs and leftover rows one at a time. Every other
-// layer runs a zeroed row plus one y += x[k]·Wᵀ[k] per column (axpy,
-// assembly on amd64 with AVX). Vectorising across the outputs and sharing
-// columns across rows leave each output's summation order alone, so every
-// output is gemmBias's in every bit (see Layer.Forward's contract).
-// gemmBias, the scalar 2×4-tiled GEMM on [out][in] weights, is kept only
-// behind Linear.ForwardFused, as a benchmark rung and the tests' reference.
+// their columns, valued runs and leftover rows one at a time. A dense row
+// of a width-1 layer (the output) is one scalar dot. Every other row runs
+// a zeroed output row plus one y += x[k]·Wᵀ[k] per column (axpy, assembly
+// on amd64 with AVX). Vectorising across the outputs and sharing columns
+// across rows leave each output's summation order alone, so every output
+// is gemmBias's in every bit (see Layer.Forward's contract). gemmBias, the
+// scalar 2×4-tiled GEMM on [out][in] weights, is kept only behind
+// Linear.ForwardFused, as a benchmark rung and the tests' reference.
+//
+// No product here is fused with the sum it feeds: the Go spec lets a port
+// compute x*y + z with one rounding (arm64 does) unless the product is
+// converted explicitly, so every pure-Go kernel of the package writes
+// float64(x*y).
 //
 // Every kernel is float64, the reference engine's, the packed trainer's
 // and the f32 engine's alike: f32 is a storage precision, weights rounded
@@ -241,9 +247,10 @@ func roundToSingle(v float64) float64 {
 // (tile_amd64.s): a dense layer takes its rows four at a time over the
 // columns where any of the four is non-zero (tile4), an indexed layer or a
 // leftover row one at a time over its valued runs (tile1; a dense row's
-// non-zero columns are runs of one, denseRuns). Everywhere else each row is
-// a zeroed output row plus one axpy per column of its runs (forwardAxpy),
-// the reference.
+// non-zero columns are runs of one, denseRuns). A dense row of a width-1
+// layer is one scalar dot over its non-zero columns (dot). Everywhere else
+// each row is a zeroed output row plus one axpy per column of its runs
+// (forwardAxpy), the reference.
 //
 // Contract: gemmBias sums every output in ascending k from a zero
 // accumulator and adds the bias last, and so do both kernels, output by
@@ -280,7 +287,8 @@ func (l Layer) tiled() bool { return useTile && l.In > 0 && l.Out > 0 && l.Out%3
 
 // forward is Forward on x (ix nil) or ForwardRuns on ix, on the kernel
 // tiled selects: the assembly tiles (which need useTile and Out a positive
-// multiple of 32) or forwardAxpy. The bitwise tests run both on one input.
+// multiple of 32) or forwardAxpy; a dense width-1 layer takes dot either
+// way. The bitwise tests run each against forwardAxpy on one input.
 //
 //deepsketch:zeroalloc
 func (l Layer) forward(x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, ws *Workspace, tiled bool) {
@@ -305,6 +313,10 @@ func (l Layer) forward(x Matrix, ix *RunIndex, y Matrix, rows []int, relu bool, 
 	}
 	for ; i < n; i++ {
 		r := rowAt(rows, i)
+		if ix == nil && l.Out == 1 {
+			l.dot(x.Row(r), &y.Row(r)[0], relu)
+			continue
+		}
 		var runs []Run
 		if ix != nil {
 			runs = ix.Row(r)
@@ -358,9 +370,38 @@ func (l Layer) forwardAxpy(runs []Run, yr []float64, relu bool) {
 	}
 }
 
+// dot computes the one output of a width-1 layer (Out == 1) from its dense
+// input row x into y: the terms x[k]·WT[k] of the non-zero columns summed
+// from +0 in ascending k, then the bias, then the ReLU — forwardAxpy's
+// arithmetic on denseRuns(x), with no run list and no axpy call. The sum
+// accumulates in y itself and each term is written Wᵀ[k]·x[k] + y, in
+// axpyGo's operand order, so that which NaN an operation propagates is the
+// axpy's too. Each product is converted explicitly, so no port fuses it
+// with the sum.
+//
+//deepsketch:zeroalloc
+func (l Layer) dot(x []float64, y *float64, relu bool) {
+	w := l.WT[:len(x)]
+	*y = 0
+	for k, v := range x {
+		if v != 0 {
+			*y = float64(w[k]*v) + *y
+		}
+	}
+	a := *y + l.B[0]
+	if relu {
+		a = relu1(a)
+	}
+	*y = a
+}
+
 // tileBlock computes the four rows rowAt(rows, i..i+3) of a dense layer in
 // one tile4 call, over the ascending list of columns where any of them is
-// non-zero. Each column is < l.In by construction.
+// non-zero. The union takes no branch: the four values' bits are or-ed and
+// their signs shifted out, which leaves 0 exactly when all four are ±0 (a
+// NaN is non-zero, as x[k] != 0 has it), every column is written to the
+// list and the count advances by one when that word is not 0. Each column
+// is < l.In by construction.
 //
 //deepsketch:zeroalloc
 func (l Layer) tileBlock(x, y Matrix, rows []int, i int, relu bool, ws *Workspace) {
@@ -372,12 +413,12 @@ func (l Layer) tileBlock(x, y Matrix, rows []int, i int, relu bool, ws *Workspac
 		xs[j], ys[j] = &xr[j][0], &y.Row(r)[0]
 	}
 	cols := ws.columns(l.In)
+	x0, x1, x2, x3 := xr[0][:len(cols)], xr[1][:len(cols)], xr[2][:len(cols)], xr[3][:len(cols)]
 	c := 0
 	for k := range cols {
-		if xr[0][k] != 0 || xr[1][k] != 0 || xr[2][k] != 0 || xr[3][k] != 0 {
-			cols[c] = uint32(k)
-			c++
-		}
+		nz := (math.Float64bits(x0[k]) | math.Float64bits(x1[k]) | math.Float64bits(x2[k]) | math.Float64bits(x3[k])) << 1
+		cols[c] = uint32(k)
+		c += int((nz | -nz) >> 63)
 	}
 	tile4(&l.WT[0], l.Out, cols[:c], &xs, &ys, &l.B[0], relu)
 }
@@ -423,14 +464,14 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 			for k := 0; k < in; k++ {
 				xv0, xv1 := x0[k], x1[k]
 				wv0, wv1, wv2, wv3 := w0[k], w1[k], w2[k], w3[k]
-				a00 += xv0 * wv0
-				a01 += xv0 * wv1
-				a02 += xv0 * wv2
-				a03 += xv0 * wv3
-				a10 += xv1 * wv0
-				a11 += xv1 * wv1
-				a12 += xv1 * wv2
-				a13 += xv1 * wv3
+				a00 += float64(xv0 * wv0)
+				a01 += float64(xv0 * wv1)
+				a02 += float64(xv0 * wv2)
+				a03 += float64(xv0 * wv3)
+				a10 += float64(xv1 * wv0)
+				a11 += float64(xv1 * wv1)
+				a12 += float64(xv1 * wv2)
+				a13 += float64(xv1 * wv3)
 			}
 			b0, b1, b2, b3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
 			a00 += b0
@@ -459,8 +500,8 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 			var a0, a1 float64
 			for k := 0; k < in; k++ {
 				wv := wo[k]
-				a0 += x0[k] * wv
-				a1 += x1[k] * wv
+				a0 += float64(x0[k] * wv)
+				a1 += float64(x1[k] * wv)
 			}
 			bo := bias[o]
 			a0, a1 = a0+bo, a1+bo
@@ -480,8 +521,8 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 			var a0, a1 float64
 			for k := 0; k < in; k++ {
 				xv := xr[k]
-				a0 += xv * w0[k]
-				a1 += xv * w1[k]
+				a0 += float64(xv * w0[k])
+				a1 += float64(xv * w1[k])
 			}
 			a0, a1 = a0+bias[o], a1+bias[o+1]
 			if relu {
@@ -493,7 +534,7 @@ func gemmBias(x Matrix, w, bias []float64, y Matrix, relu bool) {
 			wo := w[o*in : o*in+in]
 			var a float64
 			for k := 0; k < in; k++ {
-				a += xr[k] * wo[k]
+				a += float64(xr[k] * wo[k])
 			}
 			a += bias[o]
 			if relu {
@@ -516,26 +557,38 @@ func relu1(v float64) float64 {
 // the padding-free replacement for MaskedAvgPool on the packed inference
 // path. offsets is CSR-style with len = out.Rows+1: segment i spans rows
 // offsets[i] to offsets[i+1] of x. Empty segments yield a zero row. out must
-// be preallocated (B×x.Cols) and is fully overwritten; no allocations.
+// be preallocated (B×x.Cols); no allocations. It is SegmentAvgPoolAt with
+// every row its own and column 0.
 //
 //deepsketch:zeroalloc
-func SegmentAvgPool(x Matrix, offsets []int, out Matrix) {
-	b := out.Rows
-	if len(offsets) != b+1 || offsets[b] != x.Rows || out.Cols != x.Cols {
+func SegmentAvgPool(x Matrix, offsets []int, out Matrix) { SegmentAvgPoolAt(x, nil, offsets, out, 0) }
+
+// SegmentAvgPoolAt averages segments of x into columns col..col+x.Cols of
+// the rows of out: segment i spans rows offsets[i] to offsets[i+1], and
+// the row it reads for row r is rep[r] (r itself when rep is nil) — so a
+// row that equals an earlier one need not be copied into x, and three set
+// modules pool side by side into one concatenated row. Each output is the
+// first row's value plus the others' in row order, times 1/n when n > 1; an
+// empty segment writes zeros. No column of out outside col..col+x.Cols is
+// written. offsets must have out.Rows+1 entries ending at x.Rows, rep (when
+// set) x.Rows entries, and the columns must lie within out; no allocations.
+//
+//deepsketch:zeroalloc
+func SegmentAvgPoolAt(x Matrix, rep, offsets []int, out Matrix, col int) {
+	b, w := out.Rows, x.Cols
+	if len(offsets) != b+1 || offsets[b] != x.Rows || col < 0 || col+w > out.Cols || (rep != nil && len(rep) != x.Rows) {
 		panic("nn: SegmentAvgPool shape mismatch")
 	}
 	for i := 0; i < b; i++ {
-		dst := out.Row(i)
+		dst := out.Row(i)[col : col+w]
 		lo, hi := offsets[i], offsets[i+1]
 		if hi == lo {
-			for c := range dst {
-				dst[c] = 0
-			}
+			clear(dst)
 			continue
 		}
-		copy(dst, x.Row(lo))
+		copy(dst, x.Row(rowAt(rep, lo)))
 		for r := lo + 1; r < hi; r++ {
-			src := x.Row(r)
+			src := x.Row(rowAt(rep, r))[:len(dst)]
 			for c, v := range src {
 				dst[c] += v
 			}

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -113,6 +115,118 @@ func TestSegmentAvgPoolMatchesMasked(t *testing.T) {
 			t.Fatalf("pool[%d] = %v, want %v", i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// checkPoolAt: SegmentAvgPoolAt of x through rep into columns col.. of a
+// width-wide out whose every element holds a sentinel equals, bit for bit,
+// SegmentAvgPool of the materialized rows (row r of it is x's row rep[r])
+// in those columns, and leaves every other column's sentinel.
+func checkPoolAt(t *testing.T, what string, x Matrix, rep, offsets []int, width, col int) {
+	t.Helper()
+	b, h := len(offsets)-1, x.Cols
+	rows := NewMatrix(x.Rows, h)
+	for r := range x.Rows {
+		copy(rows.Row(r), x.Row(rowAt(rep, r)))
+	}
+	want := NewMatrix(b, h)
+	SegmentAvgPool(rows, offsets, want)
+	got := NewMatrix(b, width)
+	sentinel := math.Float64frombits(0x7ff8000000000999)
+	for i := range got.Data {
+		got.Data[i] = sentinel
+	}
+	SegmentAvgPoolAt(x, rep, offsets, got, col)
+	for i := range b {
+		for c, v := range got.Row(i) {
+			w := sentinel
+			if c >= col && c < col+h {
+				w = want.Row(i)[c-col]
+			}
+			if math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("%s: segment %d column %d = %#x, want %#x", what, i, c, math.Float64bits(v), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// poolCase draws checkPoolAt's input from seed: b segments of 0 to 4 rows
+// (a third of them empty), h columns of tileVal values, and each row's rep
+// r itself or, half the time, any row of x.
+func poolCase(seed int64, b, h int) (x Matrix, rep, offsets []int) {
+	rng := rand.New(rand.NewSource(seed))
+	offsets = make([]int, b+1)
+	for i := range b {
+		n := 0
+		if rng.Intn(3) > 0 {
+			n = 1 + rng.Intn(4)
+		}
+		offsets[i+1] = offsets[i] + n
+	}
+	x = NewMatrix(offsets[b], h)
+	for i := range x.Data {
+		x.Data[i] = tileVal(rng)
+	}
+	rep = make([]int, x.Rows)
+	for r := range rep {
+		rep[r] = r
+		if rng.Intn(2) == 0 {
+			rep[r] = rng.Intn(x.Rows)
+		}
+	}
+	return x, rep, offsets
+}
+
+// TestSegmentAvgPoolAt: pooling through reps at a column offset is
+// SegmentAvgPool of the rows the reps name, in those columns only, with
+// and without reps, at the first, a middle and the last column; empty
+// segments zero their own columns and nothing else; and a column range
+// outside out panics, as do offsets or reps that do not fit x.
+func TestSegmentAvgPoolAt(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		b, h := 1+int(seed%7), 1+int(seed%5)
+		x, rep, offsets := poolCase(seed, b, h)
+		for _, col := range []int{0, 1 + int(seed%3), 2*h + 2} {
+			checkPoolAt(t, fmt.Sprintf("seed %d col %d", seed, col), x, rep, offsets, col+h+int(seed%2)*3, col)
+			checkPoolAt(t, fmt.Sprintf("seed %d col %d, no reps", seed, col), x, nil, offsets, col+h, col)
+		}
+	}
+	// Every segment empty: zeros in the pooled columns only.
+	checkPoolAt(t, "all empty", NewMatrix(0, 3), nil, []int{0, 0, 0}, 9, 3)
+
+	x, rep, offsets := poolCase(7, 4, 3)
+	for name, f := range map[string]func(){
+		"column past out":       func() { SegmentAvgPoolAt(x, rep, offsets, NewMatrix(4, 5), 3) },
+		"negative column":       func() { SegmentAvgPoolAt(x, rep, offsets, NewMatrix(4, 5), -1) },
+		"out narrower than x":   func() { SegmentAvgPool(x, offsets, NewMatrix(4, 2)) },
+		"rep shorter than x":    func() { SegmentAvgPoolAt(x, rep[:len(rep)-1], offsets, NewMatrix(4, 3), 0) },
+		"offsets past x":        func() { SegmentAvgPoolAt(x, rep, []int{0, 0, 0, 0, x.Rows + 1}, NewMatrix(4, 3), 0) },
+		"one offset too few":    func() { SegmentAvgPoolAt(x, rep, offsets[:4], NewMatrix(4, 3), 0) },
+		"rep past the last row": func() { SegmentAvgPoolAt(x, append(rep[:len(rep)-1:len(rep)-1], x.Rows), offsets, NewMatrix(4, 3), 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// FuzzSegmentAvgPoolAt lets the fuzzer pick the segments, the values, the
+// reps, the column and out's extra width of TestSegmentAvgPoolAt's check.
+func FuzzSegmentAvgPoolAt(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(4), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(9), uint8(1), uint8(5), uint8(2))
+	f.Add(int64(3), uint8(1), uint8(8), uint8(9), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, bN, hN, col, extra uint8) {
+		b, h := 1+int(bN%12), 1+int(hN%16)
+		x, rep, offsets := poolCase(seed, b, h)
+		c := int(col % 40)
+		checkPoolAt(t, "reps", x, rep, offsets, c+h+int(extra%8), c)
+		checkPoolAt(t, "no reps", x, nil, offsets, c+h+int(extra%8), c)
+	})
 }
 
 // TestWorkspaceReuse: Reserve/Alloc must reuse the arena (zero allocations

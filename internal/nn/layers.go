@@ -39,12 +39,14 @@ type Linear struct {
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{In: in, Out: out, W: NewParam(name+".W", in*out), B: NewParam(name+".b", out)}
 	bound := math.Sqrt(6.0 / float64(in))
+	// Each draw is converted explicitly: inlined, rng.Float64 ends in a
+	// product, which a port may otherwise fuse with the doubling.
 	for i := range l.W.Data {
-		l.W.Data[i] = (rng.Float64()*2 - 1) * bound
+		l.W.Data[i] = (float64(rng.Float64())*2 - 1) * bound
 	}
 	bBound := 1.0 / math.Sqrt(float64(in))
 	for i := range l.B.Data {
-		l.B.Data[i] = (rng.Float64()*2 - 1) * bBound
+		l.B.Data[i] = (float64(rng.Float64())*2 - 1) * bBound
 	}
 	return l
 }
@@ -53,20 +55,21 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
 // dot computes Σ a[i]*b[i] with four accumulators to break the FP add
-// dependency chain; a and b must have equal length.
+// dependency chain, each product rounded before its sum; a and b must have
+// equal length.
 func dot(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	n := len(a)
 	b = b[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return s0 + s1 + s2 + s3
 }

@@ -75,7 +75,7 @@ func (n LabelNorm) Normalize(card int64) float64 {
 
 // Denormalize maps a network output back to a cardinality (≥ 1).
 func (n LabelNorm) Denormalize(y float64) float64 {
-	card := math.Exp(n.MinLog + y*n.Scale())
+	card := math.Exp(n.MinLog + float64(y*n.Scale()))
 	if card < 1 {
 		return 1
 	}
@@ -138,7 +138,7 @@ func LossSumInto(kind LossKind, norm LabelNorm, preds, targets, grad []float64, 
 			}
 			grad[i] = g * invN
 		case LossL1Log:
-			loss += scale * math.Abs(diff)
+			loss += float64(scale * math.Abs(diff))
 			grad[i] = sign * scale * invN
 		}
 	}

@@ -39,7 +39,7 @@ func GlobalGradNorm(params []*Param) float64 {
 	var ss float64
 	for _, p := range params {
 		for _, g := range p.Grad {
-			ss += g * g
+			ss += float64(g * g)
 		}
 	}
 	return math.Sqrt(ss)
@@ -170,8 +170,8 @@ func (a *Adam) StepShard(params []*Param, s, n int) {
 		data, grad := p.Data[i0:i1], p.Grad[i0:i1]
 		for i, g := range grad {
 			g *= scale
-			m[i] = b1*m[i] + (1-b1)*g
-			v[i] = b2*v[i] + (1-b2)*g*g
+			m[i] = float64(b1*m[i]) + float64((1-b1)*g)
+			v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
 			mh := m[i] / bc1
 			vh := v[i] / bc2
 			data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
