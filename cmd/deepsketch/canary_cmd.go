@@ -24,7 +24,6 @@ func cmdCanary(args []string) error {
 	fromWorkload := fs.String("workload", "", "labeled workload file (artifact CSV); default: generate+label")
 	queries := fs.Int("queries", 1000, "generated workload size (when no -workload file)")
 	seed := fs.Int64("seed", 17, "generated workload seed")
-	workers := fs.Int("workers", 0, "labeling workers (0 = GOMAXPROCS)")
 	pinnedPath := fs.String("pinned", "", "pinned benchmark file (labeled workload CSV); candidates must also pass this frozen rail")
 	pinnedRegress := fs.Float64("pinned-max-regress", deepsketch.DefaultPinnedMaxRegress, "rail tolerance: candidate median and p95 on the pinned set may be at most this × live's")
 	gate := fs.Bool("gate", false, "exit non-zero on an ABORT verdict (for scripting)")
@@ -67,7 +66,7 @@ func cmdCanary(args []string) error {
 			MaxJoins: live.Cfg.MaxJoins, MaxPreds: live.Cfg.MaxPreds, Dedup: true,
 		})
 		if err == nil {
-			labeled, err = deepsketch.LabelWorkload(d, qs, *workers)
+			labeled, err = deepsketch.LabelWorkload(d, qs)
 		}
 	}
 	if err != nil {

@@ -95,7 +95,7 @@ func TestCLICanaryPinnedRail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labeled, err := deepsketch.LabelWorkload(d, qs, 2)
+	labeled, err := deepsketch.LabelWorkload(d, qs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,6 @@ func cmdBuild(args []string) error {
 	batch := fs.Int("batch", 64, "mini-batch size")
 	lr := fs.Float64("lr", 1e-3, "learning rate")
 	loss := fs.String("loss", "qerror", "training loss: qerror or l1log")
-	workers := fs.Int("workers", 0, "workers for query execution and training (0 = GOMAXPROCS); the sketch file is the same at any count")
 	seed := fs.Int64("seed", 1, "sketch seed (query gen, sampling, training)")
 	fromWorkload := fs.String("fromworkload", "", "train from a labeled workload file instead of generating queries")
 	quiet := fs.Bool("q", false, "suppress progress output")
@@ -148,7 +147,7 @@ func cmdBuild(args []string) error {
 	}
 	cfg := deepsketch.Config{
 		Name: *name, SampleSize: *samples, TrainQueries: *queries,
-		MaxJoins: *maxJoins, Workers: *workers, Seed: *seed, Model: mcfg,
+		MaxJoins: *maxJoins, Seed: *seed, Model: mcfg,
 	}
 	if *tables != "" {
 		cfg.Tables = strings.Split(*tables, ",")
@@ -372,7 +371,6 @@ func cmdRefresh(args []string) error {
 	seed := fs.Int64("seed", 99, "delta workload generation seed")
 	epochs := fs.Int("epochs", 0, "fine-tune epoch cap (0 = the sketch's build epochs)")
 	stopq := fs.Float64("stopq", 0, "stop early at this validation mean q-error (0 = off)")
-	workers := fs.Int("workers", 0, "labeling/training workers (0 = GOMAXPROCS)")
 	fromWorkload := fs.String("fromworkload", "", "labeled delta workload file instead of generating one")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	if err := fs.Parse(args); err != nil {
@@ -406,7 +404,7 @@ func cmdRefresh(args []string) error {
 		if err != nil {
 			return err
 		}
-		labeled, err = deepsketch.LabelWorkload(d, qs, *workers)
+		labeled, err = deepsketch.LabelWorkload(d, qs)
 		if err != nil {
 			return err
 		}
@@ -427,7 +425,7 @@ func cmdRefresh(args []string) error {
 	}
 	baseEpochs := len(s.Epochs)
 	ns, err := deepsketch.Refresh(context.Background(), s, labeled, deepsketch.RefreshOptions{
-		Epochs: *epochs, StopAtValQ: *stopq, Workers: *workers,
+		Epochs: *epochs, StopAtValQ: *stopq,
 	}, mon)
 	if err != nil {
 		return err
@@ -477,7 +475,7 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	labeled, err := deepsketch.LabelWorkload(d, qs, 0)
+	labeled, err := deepsketch.LabelWorkload(d, qs)
 	if err != nil {
 		return err
 	}

@@ -58,7 +58,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	refreshedPath := filepath.Join(dir, "t2.dsk")
 	refresh := append([]string{
 		"-sketch", sketchPath, "-out", refreshedPath,
-		"-queries", "80", "-epochs", "1", "-seed", "11", "-workers", "2", "-q",
+		"-queries", "80", "-epochs", "1", "-seed", "11", "-q",
 	}, dbArgs...)
 	if err := cmdRefresh(refresh); err != nil {
 		t.Fatalf("refresh: %v", err)

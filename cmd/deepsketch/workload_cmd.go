@@ -24,7 +24,6 @@ func cmdWorkload(args []string) error {
 	maxPreds := fs.Int("maxpreds", 3, "max predicates per query")
 	seed := fs.Int64("seed", 1, "generation seed")
 	kind := fs.String("kind", "uniform", "workload kind: uniform or joblight")
-	workers := fs.Int("workers", 0, "parallel execution workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,7 +46,7 @@ func cmdWorkload(args []string) error {
 		return err
 	}
 	fmt.Printf("executing %d queries for true cardinalities...\n", len(qs))
-	labeled, err := deepsketch.LabelWorkload(d, qs, *workers)
+	labeled, err := deepsketch.LabelWorkload(d, qs)
 	if err != nil {
 		return err
 	}

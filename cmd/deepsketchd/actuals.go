@@ -216,9 +216,10 @@ func (s *server) walWorkload(dataset, sketchName string) []deepsketch.LabeledQue
 // applyRetention runs the retention policy after a promote: the WAL is
 // checkpointed (everything logged so far is folded into the promoted
 // version) and pruned to -retain-wal-bytes, and the store's version files
-// are pruned to -retain-versions non-live versions. One policy spans both
-// — the feedback that produced a version and the version artifact itself
-// age out together.
+// are pruned to -retain-versions non-live versions, as after every new
+// version file (persistVersion). One policy spans both — the feedback
+// that produced a version and the version artifact itself age out
+// together.
 func (s *server) applyRetention(dataset string, e *sketchEntry) {
 	if l := s.wals[dataset]; l != nil {
 		if err := l.Checkpoint(); err != nil {
@@ -231,7 +232,5 @@ func (s *server) applyRetention(dataset string, e *sketchEntry) {
 			}
 		}
 	}
-	if s.retainVersions > 0 {
-		s.pruneVersionFiles(e)
-	}
+	s.pruneVersionFiles(e)
 }

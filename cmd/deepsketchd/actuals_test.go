@@ -308,7 +308,7 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 	}
 	ctrlCfg := deepsketch.DriftControllerConfig{
 		CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100,
-		Epochs: 1, Workers: 2,
+		Epochs: 1,
 	}
 	srv := noTruthServer(driftCfg, ctrlCfg, walDir)
 	srv.store = store
@@ -453,7 +453,7 @@ func TestTriggerDeferredUntilEvidence(t *testing.T) {
 		MaxMedianQ: 1.01, Cooldown: time.Hour, QueueSize: 4096,
 	}
 	ctrlCfg := deepsketch.DriftControllerConfig{
-		CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100, Epochs: 1, Workers: 2,
+		CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100, Epochs: 1,
 	}
 	srv := noTruthServer(driftCfg, ctrlCfg, t.TempDir())
 	h := srv.routes()
@@ -521,7 +521,8 @@ func TestTriggerDeferredUntilEvidence(t *testing.T) {
 // TestRetentionPrunesStoreAndWAL: one policy spans both artifacts — old
 // version files and checkpointed WAL segments age out together, and a
 // restart over the pruned store restores the history with gaps the
-// lifecycle refuses to roll back onto.
+// lifecycle refuses to roll back onto. Operator refreshes swap without a
+// promote, so their version files must be pruned as they are written.
 func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 	dir := t.TempDir()
 	store, walDir := filepath.Join(dir, "store"), filepath.Join(dir, "wal")
@@ -543,7 +544,7 @@ func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 			t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
 		}
 		srv.monitors["imdb"].Drain(context.Background())
-		if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), map[string]any{"queries": 80, "epochs": 1, "workers": 2}); rec.Code != http.StatusAccepted {
+		if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), map[string]any{"queries": 80, "epochs": 1}); rec.Code != http.StatusAccepted {
 			t.Fatalf("refresh: %d %s", rec.Code, rec.Body)
 		}
 		awaitStatus(t, h, id, "ready")
@@ -552,12 +553,8 @@ func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 		t.Fatalf("history did not reach v4")
 	}
 
-	e := srv.entryByName("imdb", "retained")
-	e.adminMu.Lock()
-	srv.applyRetention("imdb", e)
-	e.adminMu.Unlock()
-
-	// retain-versions 1: live v4 + newest non-live v3 survive on disk.
+	// retain-versions 1: the three refreshes leave live v4 + newest
+	// non-live v3 on disk, with no promote in between.
 	sketchDir := filepath.Join(store, "retained")
 	for ver := 1; ver <= 4; ver++ {
 		_, err := os.Stat(filepath.Join(sketchDir, fmt.Sprintf("v%d.dsk", ver)))
@@ -565,6 +562,11 @@ func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 			t.Errorf("v%d.dsk: err=%v, want gone=%v", ver, err, wantGone)
 		}
 	}
+
+	e := srv.entryByName("imdb", "retained")
+	e.adminMu.Lock()
+	srv.applyRetention("imdb", e)
+	e.adminMu.Unlock()
 	// retain-wal-bytes 1: every checkpointed segment is pruned; only the
 	// fresh active segment remains.
 	if st := srv.wals["imdb"].Stats(); st.CheckpointSeq == 0 || st.Segments != 1 {

@@ -59,7 +59,7 @@ func TestCanaryEndpointsFlow(t *testing.T) {
 
 	// Refresh into a canary at 50%.
 	rec := post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{
-		"fraction": 0.5, "queries": 150, "epochs": 1, "workers": 2,
+		"fraction": 0.5, "queries": 150, "epochs": 1,
 	})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("canary start: %d %s", rec.Code, rec.Body)
@@ -142,7 +142,7 @@ func TestCanaryEndpointsFlow(t *testing.T) {
 
 	// Second canary: aborted; live stays at v2, history keeps v3.
 	rec = post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{
-		"fraction": 0.3, "queries": 120, "epochs": 1, "workers": 2,
+		"fraction": 0.3, "queries": 120, "epochs": 1,
 	})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("second canary: %d %s", rec.Code, rec.Body)
@@ -279,7 +279,7 @@ func TestGateJudgesOperatorCanary(t *testing.T) {
 	h := srv.routes()
 	id := buildReadySketch(t, h, "gated")
 	rec := post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{
-		"fraction": 0.5, "queries": 120, "epochs": 1, "workers": 2,
+		"fraction": 0.5, "queries": 120, "epochs": 1,
 	})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("canary: %d %s", rec.Code, rec.Body)
@@ -339,7 +339,7 @@ func TestTemplateAnswersFromLive(t *testing.T) {
 	}
 
 	rec := post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{
-		"fraction": 1.0, "queries": 150, "epochs": 1, "workers": 2,
+		"fraction": 1.0, "queries": 150, "epochs": 1,
 	})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("canary start: %d %s", rec.Code, rec.Body)
@@ -362,5 +362,37 @@ func TestTemplateAnswersFromLive(t *testing.T) {
 	}
 	if ver, _ := template(); ver != 2 {
 		t.Fatalf("template after promoting the canary: version %d, want 2", ver)
+	}
+}
+
+// TestWorkersFieldIgnored: the refresh and canary bodies no longer have a
+// worker count (labeling and training run on GOMAXPROCS cores), but a
+// client that still sends "workers" is answered as before — the field is
+// ignored, and each cycle lands its version.
+func TestWorkersFieldIgnored(t *testing.T) {
+	srv := testServer(t)
+	h := srv.routes()
+	id := buildReadySketch(t, h, "old client")
+
+	rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), map[string]any{
+		"queries": 80, "epochs": 1, "workers": 4,
+	})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("refresh with workers: %d %s", rec.Code, rec.Body)
+	}
+	awaitStatus(t, h, id, "ready")
+	if _, version, _ := entryState(t, h, id); version != 2 {
+		t.Fatalf("refresh with workers landed version %d, want 2", version)
+	}
+
+	rec = post(t, h, fmt.Sprintf("/api/sketches/%d/canary", id), map[string]any{
+		"fraction": 0.5, "queries": 80, "epochs": 1, "workers": 4,
+	})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("canary with workers: %d %s", rec.Code, rec.Body)
+	}
+	awaitStatus(t, h, id, "canarying")
+	if _, _, canary := entryState(t, h, id); canary == nil || canary.Version != 3 {
+		t.Fatalf("canary with workers landed %+v, want version 3", canary)
 	}
 }

@@ -32,7 +32,7 @@ func TestAutoDriftLoopDaemon(t *testing.T) {
 			// the daemon wiring, not the gate's judgement — the drift
 			// package's e2e test covers that.
 			CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100,
-			Epochs: 1, Workers: 2,
+			Epochs: 1,
 		},
 	})
 	h := srv.routes()

@@ -275,7 +275,7 @@ func TestRefreshEndpoint(t *testing.T) {
 	id := buildReadySketch(t, h, "refresh-me")
 
 	rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), refreshReq{
-		Queries: 80, Epochs: 1, Workers: 2, Seed: 99,
+		Queries: 80, Epochs: 1, Seed: 99,
 	})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("refresh status %d: %s", rec.Code, rec.Body)
@@ -350,7 +350,7 @@ func TestFailedBuildNameReuse(t *testing.T) {
 	if e := srv.entryByName("imdb", "again"); e == nil || e.ID != live {
 		t.Fatalf("entryByName = %+v, want the published entry %d", e, live)
 	}
-	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", live), refreshReq{Queries: 80, Epochs: 1, Workers: 2}); rec.Code != http.StatusAccepted {
+	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", live), refreshReq{Queries: 80, Epochs: 1}); rec.Code != http.StatusAccepted {
 		t.Fatalf("refresh: %d %s", rec.Code, rec.Body)
 	}
 	if st, _, _ := entryState(t, h, live); st != "refreshing" {

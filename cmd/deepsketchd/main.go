@@ -36,7 +36,7 @@
 // looked up. To refresh a sketch after the data has drifted:
 //
 //	POST /api/sketches/1/refresh
-//	{"queries": 2000, "epochs": 5, "workers": 4}
+//	{"queries": 2000, "epochs": 5}
 //
 // The daemon generates and labels a fresh delta workload over the sketch's
 // tables, fine-tunes a clone of the serving model — resuming the Adam
@@ -45,7 +45,9 @@
 // the same cycle the drift controller runs for an automatic repair: with
 // -pinned-benchmark set the candidate must pass the pinned rail first (PUT
 // upload is the way around it). The old version keeps serving until the
-// swap; a failed or rejected refresh never replaces it. Poll GET
+// swap; a failed or rejected refresh never replaces it. Labeling and
+// fine-tuning run on GOMAXPROCS cores; start the daemon with a smaller
+// GOMAXPROCS to leave cores to serving. Poll GET
 // /api/sketches/1 for status ("refreshing" → "ready", the version field
 // bumps) and the full version history. If the refreshed
 // model misbehaves, POST /api/sketches/1/rollback restores the previous
@@ -130,7 +132,7 @@ func main() {
 	walDelta := flag.Int("wal-delta", 512, "max WAL-logged actuals drawn into a refresh delta workload")
 	pinnedDir := flag.String("pinned-benchmark", "", "directory of frozen per-dataset labeled workloads (<dataset>.workload) the drift controller judges every refresh candidate against before its canary starts; missing files are generated and persisted at boot (empty = rail off)")
 	pinnedRegress := flag.Float64("pinned-max-regress", deepsketch.DefaultPinnedMaxRegress, "pinned-benchmark rail tolerance: a refresh candidate's median and p95 q-error on the pinned set may each be at most this ratio × the live version's")
-	retainVersions := flag.Int("retain-versions", 0, "persisted non-live version files kept per sketch after a promote (0 = keep all)")
+	retainVersions := flag.Int("retain-versions", 0, "persisted non-live version files kept per sketch, pruned after each new version file and each promote (0 = keep all)")
 	retainWALBytes := flag.Int64("retain-wal-bytes", 0, "WAL size budget; checkpointed segments are pruned down to it after a promote (0 = keep all)")
 	flag.Parse()
 
@@ -340,8 +342,8 @@ type server struct {
 	// admit rate-limits the logged-actuals ingest path per client.
 	admit *deepsketch.ActualsAdmitter
 	// walDelta caps how many WAL-logged actuals a refresh delta workload
-	// draws; retainVersions / retainWALBytes are the retention knobs applied
-	// after a promote.
+	// draws; retainWALBytes is applied after a promote, retainVersions
+	// after each new version file and each promote.
 	walDelta       int
 	retainVersions int
 	retainWALBytes int64
@@ -567,7 +569,7 @@ func (s *server) syntheticSource(dataset string, req refreshReq) func(context.Co
 		if err != nil {
 			return nil, err
 		}
-		return deepsketch.LabelWorkload(d, qs, req.Workers)
+		return deepsketch.LabelWorkload(d, qs)
 	}
 }
 
@@ -994,8 +996,6 @@ type refreshReq struct {
 	Epochs int `json:"epochs"`
 	// StopAtValQ stops early at this validation mean q-error (0 disables).
 	StopAtValQ float64 `json:"stop_at_val_q"`
-	// Workers bounds labeling and training parallelism (0 = GOMAXPROCS).
-	Workers int `json:"workers"`
 }
 
 // handleSketchRefresh warm-start retrains the serving sketch on a freshly
@@ -1026,7 +1026,7 @@ func (s *server) startCycle(w http.ResponseWriter, e *sketchEntry, req refreshRe
 		Reason:         deepsketch.DriftReason{Kind: "operator"},
 		Workload:       s.syntheticSource(e.Dataset, req),
 		CanaryFraction: fraction,
-		Epochs:         req.Epochs, StopAtValQ: req.StopAtValQ, Workers: req.Workers,
+		Epochs:         req.Epochs, StopAtValQ: req.StopAtValQ,
 		Monitor: e.mon,
 	})
 	if err != nil {

@@ -31,7 +31,7 @@ func loadOrCreatePinned(d *deepsketch.DB, path string, seed int64) (*deepsketch.
 	if err != nil {
 		return nil, err
 	}
-	labeled, err := deepsketch.LabelWorkload(d, qs, 2)
+	labeled, err := deepsketch.LabelWorkload(d, qs)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func TestPinnedBenchmarkBootPersistence(t *testing.T) {
 	// The rail judges every refresh candidate — an operator's too, not only
 	// a drift trigger's. Whatever the verdict on this tiny fixture, there
 	// must be one on record once the operator's refresh has run.
-	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), refreshReq{Queries: 80, Epochs: 1, Workers: 2}); rec.Code != http.StatusAccepted {
+	if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), refreshReq{Queries: 80, Epochs: 1}); rec.Code != http.StatusAccepted {
 		t.Fatalf("refresh: %d %s", rec.Code, rec.Body)
 	}
 	if err := srv.Close(); err != nil { // joins the cycle
@@ -118,7 +118,7 @@ func TestPinnedRailRejectsPoisonedRefresh(t *testing.T) {
 	}
 	ctrlCfg := deepsketch.DriftControllerConfig{
 		CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100,
-		Epochs: 40, Workers: 2,
+		Epochs: 40,
 	}
 	srv := pinnedServer(pinnedDir, 1.25, driftCfg, ctrlCfg, walDir)
 	h := srv.routes()

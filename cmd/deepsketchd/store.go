@@ -42,7 +42,9 @@ type storeCanary struct {
 }
 
 // persistVersion writes one sketch version file plus the current state
-// (best effort; the in-memory registry stays authoritative).
+// (best effort; the in-memory registry stays authoritative), then prunes
+// the store's older version files to -retain-versions. Caller holds
+// e.adminMu.
 func (s *server) persistVersion(e *sketchEntry, sk *deepsketch.Sketch, ver int) {
 	if s.store == "" {
 		return
@@ -59,6 +61,7 @@ func (s *server) persistVersion(e *sketchEntry, sk *deepsketch.Sketch, ver int) 
 	}
 	s.persistState(e)
 	log.Printf("deepsketchd: persisted sketch %q v%d to %s", e.Name, ver, path)
+	s.pruneVersionFiles(e)
 }
 
 // persistState snapshots the registry's live pointer and canary state for
@@ -202,13 +205,14 @@ func (s *server) loadVersionedDir(dir string) error {
 }
 
 // pruneVersionFiles applies -retain-versions to one sketch's store
-// directory after a promote: the live version's file plus the newest
-// retainVersions other version files are kept, older ones are deleted.
+// directory after each new version file and each promote: the live
+// version's file plus the newest retainVersions other version files are
+// kept, older ones are deleted.
 // The in-memory registry keeps the full history (pruning only reclaims
 // disk); after a restart the pruned versions restore as nil gaps that
 // rollback refuses to land on. Caller holds e.adminMu.
 func (s *server) pruneVersionFiles(e *sketchEntry) {
-	if s.store == "" {
+	if s.store == "" || s.retainVersions <= 0 {
 		return
 	}
 	live, ok := s.registries[e.Dataset].LiveVersion(e.Name)

@@ -111,7 +111,7 @@ func TestStoreRestartMidCanaryResumes(t *testing.T) {
 	}
 	awaitStatus(t, h1, 1, "ready")
 	rec = post(t, h1, "/api/sketches/1/canary", map[string]any{
-		"fraction": 0.25, "queries": 120, "epochs": 1, "workers": 2,
+		"fraction": 0.25, "queries": 120, "epochs": 1,
 	})
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("canary: %d %s", rec.Code, rec.Body)

@@ -14,12 +14,12 @@ import (
 )
 
 // TestFastScaleGates runs the experiments whose claims hold with margin at
-// -fast scale and fails on any gate the CLI would exit 1 on. Fixed (seed,
-// workers) is bitwise reproducible, so the claims' factors are slack against
-// code changes, not tolerance for noise.
+// -fast scale and fails on any gate the CLI would exit 1 on. A fixed seed is
+// bitwise reproducible at any GOMAXPROCS, so the claims' factors are slack
+// against code changes, not tolerance for noise.
 func TestFastScaleGates(t *testing.T) {
 	var out bytes.Buffer
-	c := newCtx(&out, true, 0, 0, 0, 0, 0, 2, 1)
+	c := newCtx(&out, true, 0, 0, 0, 0, 0, 1)
 	byName := map[string]experiment{}
 	for _, e := range experiments {
 		byName[e.name] = e

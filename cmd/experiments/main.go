@@ -130,7 +130,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "override training epochs")
 	hidden := flag.Int("hidden", 0, "override MSCN hidden units")
 	samples := flag.Int("samples", 0, "override sample tuples per table")
-	workers := flag.Int("workers", 0, "parallel workers for labeling and data-parallel training (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
@@ -143,7 +142,7 @@ func main() {
 	}
 	flag.Parse()
 
-	c := newCtx(os.Stdout, *fast, *titles, *queries, *epochs, *hidden, *samples, *workers, *seed)
+	c := newCtx(os.Stdout, *fast, *titles, *queries, *epochs, *hidden, *samples, *seed)
 
 	want := map[string]bool{}
 	for _, n := range strings.Split(*run, ",") {
@@ -212,10 +211,9 @@ func defaultScale(fast bool) scale {
 // database, the main sketch, its training data, and the labeled JOB-light
 // workload.
 type ctx struct {
-	out     io.Writer // tables, progress and verdicts
-	sc      scale
-	seed    int64
-	workers int
+	out  io.Writer // tables, progress and verdicts
+	sc   scale
+	seed int64
 
 	imdb      *db.DB
 	td        *core.TrainingData
@@ -225,7 +223,7 @@ type ctx struct {
 	joblight  []workload.LabeledQuery
 }
 
-func newCtx(out io.Writer, fast bool, titles, queries, epochs, hidden, samples, workers int, seed int64) *ctx {
+func newCtx(out io.Writer, fast bool, titles, queries, epochs, hidden, samples int, seed int64) *ctx {
 	sc := defaultScale(fast)
 	if titles > 0 {
 		sc.titles = titles
@@ -242,7 +240,7 @@ func newCtx(out io.Writer, fast bool, titles, queries, epochs, hidden, samples, 
 	if samples > 0 {
 		sc.samples = samples
 	}
-	return &ctx{out: out, sc: sc, seed: seed, workers: workers}
+	return &ctx{out: out, sc: sc, seed: seed}
 }
 
 func (c *ctx) db() *db.DB {
@@ -261,7 +259,6 @@ func (c *ctx) sketchCfg() core.Config {
 		SampleSize:   c.sc.samples,
 		TrainQueries: c.sc.queries,
 		MaxJoins:     4, // JOB-light's query class
-		Workers:      c.workers,
 		Seed:         c.seed,
 		Model: mscn.Config{
 			HiddenUnits: c.sc.hidden,

@@ -480,9 +480,10 @@ func GenerateWorkload(d *DB, cfg GenConfig) ([]Query, error) {
 	return g.Generate(), nil
 }
 
-// LabelWorkload executes queries in parallel to obtain true cardinalities.
-func LabelWorkload(d *DB, qs []Query, workers int) ([]LabeledQuery, error) {
-	return workload.Label(d, qs, workers, nil)
+// LabelWorkload executes queries in parallel, one worker per GOMAXPROCS,
+// to obtain true cardinalities.
+func LabelWorkload(d *DB, qs []Query) ([]LabeledQuery, error) {
+	return workload.Label(d, qs, 0, nil)
 }
 
 // Estimation interface: the one entry point every backend implements.

@@ -96,7 +96,7 @@ func TestPublicAPICompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labeled, err := deepsketch.LabelWorkload(d, qs, 2)
+	labeled, err := deepsketch.LabelWorkload(d, qs)
 	if err != nil {
 		t.Fatal(err)
 	}

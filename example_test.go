@@ -85,7 +85,7 @@ func ExampleSketch_Save() {
 func ExampleCompare() {
 	d := deepsketch.NewIMDb(deepsketch.IMDbConfig{Seed: 3, Titles: 500, Keywords: 30, Companies: 15, Persons: 80})
 	qs, _ := deepsketch.GenerateWorkload(d, deepsketch.GenConfig{Seed: 4, Count: 10, MaxJoins: 1, MaxPreds: 1})
-	labeled, _ := deepsketch.LabelWorkload(d, qs, 1)
+	labeled, _ := deepsketch.LabelWorkload(d, qs)
 	rows, err := deepsketch.Compare(context.Background(), labeled, []deepsketch.Estimator{deepsketch.PostgresEstimator(d)})
 	if err != nil {
 		fmt.Println("error:", err)

@@ -149,7 +149,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	delta, err := deepsketch.LabelWorkload(d, deltaQs, 0)
+	delta, err := deepsketch.LabelWorkload(d, deltaQs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	labeled, err := deepsketch.LabelWorkload(d, qs, 0)
+	labeled, err := deepsketch.LabelWorkload(d, qs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func fixture(t *testing.T) *e2eFixture {
 			return
 		}
 		f.base, f.err = core.BuildWithWorkload(f.d, core.Config{
-			Name: "movies", SampleSize: 48, MaxJoins: 2, MaxPreds: 2, Seed: 5, Workers: 2,
+			Name: "movies", SampleSize: 48, MaxJoins: 2, MaxPreds: 2, Seed: 5,
 			Model: mscn.Config{HiddenUnits: 16, Epochs: 8, BatchSize: 32, Seed: 5},
 		}, broad, nil)
 		if f.err != nil {
@@ -178,7 +178,7 @@ func newStack(t *testing.T, fix *e2eFixture, pinned *drift.PinnedBenchmark) *e2e
 	s.adm = wal.NewAdmitter(wal.AdmitConfig{PerClientPerMin: 1000})
 	s.ctrl = drift.NewController(s.reg, s.mon, drift.ControllerConfig{
 		CanaryFraction: 0.5, PromoteAfter: 8, MaxQRatio: 1.5,
-		Epochs: 30, Workers: 2, Synchronous: true,
+		Epochs: 30, Synchronous: true,
 		Pinned: pinned, PinnedMaxRegress: 1.25,
 		Observed: func(name string) []workload.LabeledQuery {
 			recs := s.walog.RecentActuals(name, 256)

@@ -24,7 +24,7 @@ import (
 func TestEstimateAllocatesNoFeatureRows(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 86, Titles: 1500, Keywords: 60, Companies: 30, Persons: 200})
 	s, err := Build(d, Config{
-		SampleSize: 1000, TrainQueries: 100, MaxJoins: 2, MaxPreds: 2, Seed: 3, Workers: 2,
+		SampleSize: 1000, TrainQueries: 100, MaxJoins: 2, MaxPreds: 2, Seed: 3,
 		Model: mscn.Config{HiddenUnits: 8, Epochs: 1, BatchSize: 32, Seed: 3},
 	}, nil)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestTrainingDataHoldsNoFeatureRows(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 87, Titles: 1500, Keywords: 60, Companies: 30, Persons: 200})
 	prepare := func(n int) *TrainingData {
 		td, err := PrepareTrainingData(d, Config{
-			SampleSize: 1000, TrainQueries: n, MaxJoins: 2, MaxPreds: 2, Seed: 4, Workers: 2,
+			SampleSize: 1000, TrainQueries: n, MaxJoins: 2, MaxPreds: 2, Seed: 4,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -56,10 +56,10 @@ func PrepareTrainingData(d *db.DB, cfg Config, mon *trainmon.Monitor) (*Training
 	mon.EndStage(trainmon.StageGenerate)
 
 	// Step 3: execute — obtain true cardinalities in parallel (the demo's
-	// "multiple HyPer instances").
+	// "multiple HyPer instances"), one worker per GOMAXPROCS.
 	mon.StartStage(trainmon.StageExecute, "executing training queries and materializing samples")
 	total := len(queries)
-	labeled, err := workload.Label(d, queries, cfg.Workers, func(done int) {
+	labeled, err := workload.Label(d, queries, 0, func(done int) {
 		if done%256 == 0 || done == total {
 			mon.Progress(trainmon.StageExecute, done, total)
 		}
@@ -149,9 +149,9 @@ func BuildFromData(td *TrainingData, mon *trainmon.Monitor) (*Sketch, error) {
 	}
 	enc := td.Encoder
 	model := mscn.New(modelCfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	// Cfg.Workers bounds every parallel stage of sketch creation: query
-	// labeling earlier, data-parallel training here (0 = GOMAXPROCS).
-	stats, err := model.TrainWithOptions(td.Examples, enc.Norm, mon, mscn.TrainOptions{Parallelism: cfg.Workers})
+	// Data-parallel training shards across GOMAXPROCS; the sketch is the
+	// same at every width.
+	stats, err := model.TrainWithOptions(td.Examples, enc.Norm, mon, mscn.TrainOptions{})
 	if err != nil {
 		return nil, err
 	}

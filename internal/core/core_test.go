@@ -19,8 +19,7 @@ func buildTestSketch(t testing.TB) (*db.DB, *Sketch) {
 	t.Helper()
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 81, Titles: 1200, Keywords: 60, Companies: 30, Persons: 200})
 	cfg := Config{
-		Name: "test-sketch", SampleSize: 64, TrainQueries: 600, MaxJoins: 2, MaxPreds: 2,
-		Seed: 5, Workers: 2,
+		Name: "test-sketch", SampleSize: 64, TrainQueries: 600, MaxJoins: 2, MaxPreds: 2, Seed: 5,
 		Model: mscn.Config{HiddenUnits: 24, Epochs: 10, BatchSize: 32, Seed: 5},
 	}
 	s, err := Build(d, cfg, nil)
@@ -281,13 +280,13 @@ func TestFootprint(t *testing.T) {
 
 // TestSketchDeterministicBuild: a sketch file is a pure function of its
 // inputs, the database, config and seed. Builds from the same ones save the
-// same bytes at 1, 2 and 3 workers, and so do refreshes of one parent on
+// same bytes at GOMAXPROCS 1, 2 and 3, and so do refreshes of one parent on
 // one delta workload — with no field zeroed, so nothing clock- or
 // core-count-dependent may enter the file.
 func TestSketchDeterministicBuild(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 84, Titles: 400, Keywords: 40, Companies: 20, Persons: 100})
 	cfg := Config{
-		SampleSize: 32, TrainQueries: 120, MaxJoins: 2, MaxPreds: 2, Seed: 9, Workers: 2,
+		SampleSize: 32, TrainQueries: 120, MaxJoins: 2, MaxPreds: 2, Seed: 9,
 		Model: mscn.Config{HiddenUnits: 8, Epochs: 3, BatchSize: 32, Seed: 9},
 	}
 	saved := func(s *Sketch) []byte {
@@ -298,11 +297,10 @@ func TestSketchDeterministicBuild(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	build := func(workers int) *Sketch {
+	build := func(procs int) *Sketch {
 		t.Helper()
-		c := cfg
-		c.Workers = workers
-		s, err := Build(d, c, nil)
+		setGOMAXPROCS(t, procs)
+		s, err := Build(d, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,9 +308,9 @@ func TestSketchDeterministicBuild(t *testing.T) {
 	}
 	parent := build(2)
 	want := saved(parent)
-	for _, workers := range []int{1, 2, 3} {
-		if got := saved(build(workers)); !bytes.Equal(got, want) {
-			t.Fatalf("a build at %d workers saved a different file than one at 2 (%d and %d bytes)", workers, len(got), len(want))
+	for _, procs := range []int{1, 2, 3} {
+		if got := saved(build(procs)); !bytes.Equal(got, want) {
+			t.Fatalf("a build at GOMAXPROCS %d saved a different file than one at 2 (%d and %d bytes)", procs, len(got), len(want))
 		}
 	}
 
@@ -324,18 +322,19 @@ func TestSketchDeterministicBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refresh := func(workers int) []byte {
+	refresh := func(procs int) []byte {
 		t.Helper()
-		ns, err := Refresh(context.Background(), parent, labeled, RefreshOptions{Epochs: 2, Workers: workers}, nil)
+		setGOMAXPROCS(t, procs)
+		ns, err := Refresh(context.Background(), parent, labeled, RefreshOptions{Epochs: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return saved(ns)
 	}
 	want = refresh(2)
-	for _, workers := range []int{1, 2, 3} {
-		if got := refresh(workers); !bytes.Equal(got, want) {
-			t.Fatalf("a refresh at %d workers saved a different file than one at 2 (%d and %d bytes)", workers, len(got), len(want))
+	for _, procs := range []int{1, 2, 3} {
+		if got := refresh(procs); !bytes.Equal(got, want) {
+			t.Fatalf("a refresh at GOMAXPROCS %d saved a different file than one at 2 (%d and %d bytes)", procs, len(got), len(want))
 		}
 	}
 }

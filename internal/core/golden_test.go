@@ -18,8 +18,8 @@ import (
 // The constants hold every step from labeled query to saved byte — which
 // query each example packs, its bitmaps and feature rows, the training run
 // and the file — where TestTrainFingerprint, on synthetic feature rows,
-// holds only the training loop. The worker count is not an input: every
-// width saves the same pair.
+// holds only the training loop. GOMAXPROCS is not an input: every width
+// saves the same pair.
 func TestSketchBytesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("constants recorded on amd64; %s may fuse multiply-adds, so the bits differ by platform, not by commit", runtime.GOARCH)
@@ -37,15 +37,16 @@ func TestSketchBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
+	for _, procs := range []int{1, 3} {
+		setGOMAXPROCS(t, procs)
 		s, err := Build(d, Config{
-			SampleSize: 48, TrainQueries: 150, MaxJoins: 2, MaxPreds: 2, Seed: 11, Workers: workers,
+			SampleSize: 48, TrainQueries: 150, MaxJoins: 2, MaxPreds: 2, Seed: 11,
 			Model: mscn.Config{HiddenUnits: 8, Epochs: 2, BatchSize: 32, Seed: 11},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ns, err := Refresh(context.Background(), s, labeled, RefreshOptions{Epochs: 2, Workers: workers}, nil)
+		ns, err := Refresh(context.Background(), s, labeled, RefreshOptions{Epochs: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,8 +61,17 @@ func TestSketchBytesGolden(t *testing.T) {
 			}
 			sum := sha256.Sum256(buf.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != c.want {
-				t.Errorf("workers %d: %s saves SHA-256 %s, recorded %s", workers, c.what, got, c.want)
+				t.Errorf("GOMAXPROCS %d: %s saves SHA-256 %s, recorded %s", procs, c.what, got, c.want)
 			}
 		}
 	}
+}
+
+// setGOMAXPROCS sets the width every parallel stage of a build or refresh
+// sizes itself from, and restores the previous one when t ends. t must not
+// run in parallel with other tests.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }

@@ -259,7 +259,7 @@ func TestReferenceRowMemoChangesNoEstimate(t *testing.T) {
 
 	// Refresh = clone + warm-start training: a new Sketch value, a new
 	// model, a new engine, new weights.
-	refreshed, err := Refresh(context.Background(), s, deltaWorkload(t, s, 403, 150), RefreshOptions{Epochs: 1, Workers: 2}, nil)
+	refreshed, err := Refresh(context.Background(), s, deltaWorkload(t, s, 403, 150), RefreshOptions{Epochs: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestTemplatesHeldInMemo(t *testing.T) {
 func TestReferenceRowsOfSmallTables(t *testing.T) {
 	d := datagen.TPCH(datagen.TPCHConfig{Seed: 3, Orders: 600})
 	s, err := Build(d, Config{
-		SampleSize: 64, TrainQueries: 200, MaxJoins: 3, MaxPreds: 2, Seed: 2, Workers: 2,
+		SampleSize: 64, TrainQueries: 200, MaxJoins: 3, MaxPreds: 2, Seed: 2,
 		Model: mscn.Config{HiddenUnits: 16, Epochs: 2, BatchSize: 32, Seed: 2},
 	}, nil)
 	if err != nil {

@@ -34,9 +34,6 @@ type RefreshOptions struct {
 	// q-error reaches this value or better (0 disables) — "train until as
 	// good as before" instead of a fixed budget.
 	StopAtValQ float64
-	// Workers bounds the data-parallel training shards; 0 uses
-	// GOMAXPROCS. The refreshed sketch is the same at every worker count.
-	Workers int
 }
 
 // Refresh warm-start retrains a sketch on a drift-delta workload and
@@ -51,7 +48,8 @@ type RefreshOptions struct {
 // count); a sketch loaded from a v1 file has none, and fine-tunes from warm
 // weights with a cold optimizer instead. Either way a delta workload
 // reaches the old validation quality in a fraction of a full build's
-// epochs.
+// epochs. The fine-tune shards across GOMAXPROCS; the refreshed sketch is
+// the same at every width.
 //
 // ctx is checked between the featurize and train stages; the fine-tune
 // itself runs to completion once started.
@@ -80,10 +78,9 @@ func Refresh(ctx context.Context, s *Sketch, labeled []workload.LabeledQuery, op
 	ns := s.Clone()
 	mon.StartStage(trainmon.StageTrain, "featurizing and fine-tuning MSCN (warm start)")
 	stats, err := ns.Model.TrainWithOptions(examples, ns.Encoder.Norm, mon, mscn.TrainOptions{
-		Parallelism: opts.Workers,
-		Resume:      ns.Model.OptState(),
-		Epochs:      opts.Epochs,
-		StopAtValQ:  opts.StopAtValQ,
+		Resume:     ns.Model.OptState(),
+		Epochs:     opts.Epochs,
+		StopAtValQ: opts.StopAtValQ,
 	})
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -118,8 +119,8 @@ func TestLoadV1Sketch(t *testing.T) {
 	if loaded.Model.OptState() != nil {
 		t.Error("v1 sketch should have no optimizer state")
 	}
-	if loaded.Cfg.Workers != 0 {
-		t.Errorf("v1 sketch loaded workers %d; the header field is ignored", loaded.Cfg.Workers)
+	if !reflect.DeepEqual(loaded.Cfg, s.Cfg) {
+		t.Errorf("v1 sketch loaded config %+v, want %+v; the header's workers field is ignored", loaded.Cfg, s.Cfg)
 	}
 	if !slices.Equal(loaded.Epochs, s.Epochs) {
 		t.Errorf("v1 training record = %+v, want %+v", loaded.Epochs, s.Epochs)
@@ -140,7 +141,7 @@ func TestLoadV1Sketch(t *testing.T) {
 	}
 	// And a v1-loaded sketch still refreshes: warm weights, cold optimizer.
 	labeled := deltaWorkload(t, s, 401, 120)
-	ns, err := Refresh(context.Background(), loaded, labeled, RefreshOptions{Epochs: 1, Workers: 2}, nil)
+	ns, err := Refresh(context.Background(), loaded, labeled, RefreshOptions{Epochs: 1}, nil)
 	if err != nil {
 		t.Fatalf("refreshing a v1 sketch: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestRefreshLeavesOriginalServing(t *testing.T) {
 	baseEpochs := len(s.Epochs)
 
 	labeled := deltaWorkload(t, s, 402, 150)
-	ns, err := Refresh(context.Background(), s, labeled, RefreshOptions{Epochs: 2, Workers: 2}, nil)
+	ns, err := Refresh(context.Background(), s, labeled, RefreshOptions{Epochs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestRefreshWarmBeatsColdRebuild(t *testing.T) {
 	targetQ := cold.Epochs[coldEpochs-1].ValMeanQ * 1.05 // small tolerance band
 
 	ns, err := Refresh(context.Background(), s, labeled, RefreshOptions{
-		Epochs: coldEpochs, StopAtValQ: targetQ, Workers: 2,
+		Epochs: coldEpochs, StopAtValQ: targetQ,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -105,11 +105,10 @@ type ControllerConfig struct {
 	// up to 10% worse and still promote, since it was refreshed for a
 	// reason; set < 1 to require strict improvement).
 	MaxQRatio float64
-	// Epochs, StopAtValQ and Workers are the warm-start budget of a
+	// Epochs and StopAtValQ are the warm-start budget of a
 	// trigger-started refresh (see lifecycle.RefreshOptions).
 	Epochs     int
 	StopAtValQ float64
-	Workers    int
 	// Pinned, when non-nil, is the held-out pinned-benchmark rail: before
 	// any refresh candidate is installed, it is evaluated on this frozen
 	// labeled set against the live version, and the cycle ends
@@ -164,11 +163,10 @@ type CycleOptions struct {
 	// that traffic share, to be promoted or aborted by the gate (or an
 	// operator); 0 swaps it live directly.
 	CanaryFraction float64
-	// Epochs, StopAtValQ and Workers are the warm-start budget (see
+	// Epochs and StopAtValQ are the warm-start budget (see
 	// lifecycle.RefreshOptions).
 	Epochs     int
 	StopAtValQ float64
-	Workers    int
 	// Monitor receives the fine-tune's stage/epoch events (nil for none).
 	Monitor *trainmon.Monitor
 }
@@ -294,7 +292,7 @@ func (c *Controller) handleTrigger(name string, r Reason) bool {
 	}
 	o := CycleOptions{
 		Reason: r, CanaryFraction: c.cfg.CanaryFraction,
-		Epochs: c.cfg.Epochs, StopAtValQ: c.cfg.StopAtValQ, Workers: c.cfg.Workers,
+		Epochs: c.cfg.Epochs, StopAtValQ: c.cfg.StopAtValQ,
 	}
 	decided := WorkloadInfo{Source: SourceSynthetic}
 	if c.cfg.Observed != nil {
@@ -436,7 +434,7 @@ func (c *Controller) run(ctx context.Context, name string, cy *cycle, o CycleOpt
 	c.mu.Unlock()
 	cand, err := c.reg.RefreshCandidate(ctx, lifecycle.RefreshOptions{
 		Name: name, Workload: labeled,
-		Epochs: o.Epochs, StopAtValQ: o.StopAtValQ, Workers: o.Workers, Monitor: o.Monitor,
+		Epochs: o.Epochs, StopAtValQ: o.StopAtValQ, Monitor: o.Monitor,
 	})
 	if err != nil {
 		fail(fmt.Errorf("drift: refresh of %q: %w", name, err))

@@ -65,7 +65,7 @@ func newCycleStack(t *testing.T, cfg ControllerConfig) (*Monitor, *Controller, *
 			return
 		}
 		f.base, f.err = core.BuildWithWorkload(f.d, core.Config{
-			Name: "s", SampleSize: 16, MaxJoins: 1, MaxPreds: 2, Seed: 3, Workers: 2,
+			Name: "s", SampleSize: 16, MaxJoins: 1, MaxPreds: 2, Seed: 3,
 			Model: mscn.Config{HiddenUnits: 8, Epochs: 1, BatchSize: 32, Seed: 3},
 		}, f.labeled, nil)
 	})
@@ -78,7 +78,7 @@ func newCycleStack(t *testing.T, cfg ControllerConfig) (*Monitor, *Controller, *
 	}
 	mon := NewMonitor(Config{SampleEvery: 1, Window: 16, MinSamples: 2, MaxMedianQ: 2, Cooldown: time.Hour}, nil)
 	events := &eventLog{}
-	cfg.Epochs, cfg.Workers = 1, 2
+	cfg.Epochs = 1
 	cfg.OnEvent = events.add
 	return mon, NewController(reg, mon, cfg), events
 }

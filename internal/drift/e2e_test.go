@@ -46,7 +46,7 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{
-		Name: "imdb", SampleSize: 48, MaxJoins: 2, MaxPreds: 2, Seed: 5, Workers: 2,
+		Name: "imdb", SampleSize: 48, MaxJoins: 2, MaxPreds: 2, Seed: 5,
 		Model: mscn.Config{HiddenUnits: 16, Epochs: 8, BatchSize: 32, Seed: 5},
 	}
 	base, err := core.BuildWithWorkload(d, cfg, narrow, nil)
@@ -107,7 +107,7 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 	var events []Event
 	ctrl := NewController(reg, mon, ControllerConfig{
 		CanaryFraction: 0.1, PromoteAfter: 8, MaxQRatio: 1.0,
-		Epochs: 40, Workers: 2, Synchronous: true,
+		Epochs: 40, Synchronous: true,
 		Synthetic: func(context.Context, string) ([]workload.LabeledQuery, error) { return delta, nil },
 		OnEvent: func(ev Event) {
 			evMu.Lock()

@@ -531,9 +531,6 @@ type RefreshOptions struct {
 	// StopAtValQ ends the fine-tune once the validation mean q-error
 	// reaches this value or better (0 disables).
 	StopAtValQ float64
-	// Workers bounds data-parallel training (0: GOMAXPROCS); the candidate
-	// is the same at every worker count.
-	Workers int
 	// Monitor receives stage/epoch events (nil for none).
 	Monitor *trainmon.Monitor
 }
@@ -550,7 +547,7 @@ func (g *Registry) RefreshCandidate(ctx context.Context, o RefreshOptions) (*cor
 		return nil, err
 	}
 	return core.Refresh(ctx, live, o.Workload, core.RefreshOptions{
-		Epochs: o.Epochs, StopAtValQ: o.StopAtValQ, Workers: o.Workers,
+		Epochs: o.Epochs, StopAtValQ: o.StopAtValQ,
 	}, o.Monitor)
 }
 

@@ -31,8 +31,7 @@ func fixture(t *testing.T) *db.DB {
 func buildNamed(t *testing.T, d *db.DB, name string, seed int64) *core.Sketch {
 	t.Helper()
 	s, err := core.Build(d, core.Config{
-		Name: name, SampleSize: 48, TrainQueries: 400, MaxJoins: 2, MaxPreds: 2,
-		Seed: seed, Workers: 2,
+		Name: name, SampleSize: 48, TrainQueries: 400, MaxJoins: 2, MaxPreds: 2, Seed: seed,
 		Model: mscn.Config{HiddenUnits: 16, Epochs: 8, BatchSize: 32, Seed: seed},
 	}, nil)
 	if err != nil {
@@ -203,7 +202,7 @@ func TestLifecycleEndToEnd(t *testing.T) {
 
 	// Warm-start refresh under traffic.
 	ver, ns, err := reg.Refresh(ctx, RefreshOptions{
-		Name: "imdb", Workload: delta, Epochs: coldEpochs, StopAtValQ: targetQ, Workers: 2,
+		Name: "imdb", Workload: delta, Epochs: coldEpochs, StopAtValQ: targetQ,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +327,7 @@ func TestRefreshCandidateTrainsWithoutInstalling(t *testing.T) {
 	delta := labelDelta(t, d, 23, 120)
 
 	cand, err := reg.RefreshCandidate(context.Background(), RefreshOptions{
-		Name: "imdb", Workload: delta, Epochs: 2, Workers: 2,
+		Name: "imdb", Workload: delta, Epochs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +452,7 @@ func TestRollbackAnswersAsWhenLive(t *testing.T) {
 func TestRetiredVersionsReleaseSnapshots(t *testing.T) {
 	d := fixture(t)
 	base, err := core.Build(d, core.Config{
-		Name: "imdb", SampleSize: 48, TrainQueries: 200, MaxJoins: 2, MaxPreds: 2, Seed: 31, Workers: 2,
+		Name: "imdb", SampleSize: 48, TrainQueries: 200, MaxJoins: 2, MaxPreds: 2, Seed: 31,
 		Model: mscn.Config{HiddenUnits: 64, Epochs: 2, BatchSize: 32, Seed: 31},
 	}, nil)
 	if err != nil {

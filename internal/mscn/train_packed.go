@@ -18,7 +18,8 @@ type TrainOptions struct {
 	// a range of each layer's output units' parameter gradients over every
 	// shard in query order, so the weights are the same bits at every
 	// parallelism: it sets throughput, never the result. 0 uses
-	// GOMAXPROCS; 1 is fully serial.
+	// GOMAXPROCS; 1 is fully serial. Every production caller passes 0;
+	// benchmarks and tests set it to compare widths in one process.
 	Parallelism int
 	// Resume warm-starts the optimizer from a previous run's exported state
 	// (Adam moments + step count, see Model.OptState). The moments carry

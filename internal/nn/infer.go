@@ -257,8 +257,12 @@ func roundToSingle(v float64) float64 {
 // output; the terms gemmBias has and they leave out, and the terms a tile
 // adds for another row's columns, have x[k] == 0, and adding 0·w changes
 // no bit of an accumulator that started at +0 — provided w is finite
-// (0·±Inf and 0·NaN are NaN). For finite weights the result therefore
-// equals gemmBias's in every bit, at any fill, on either kernel.
+// (0·±Inf and 0·NaN are NaN). For finite weights and NaN-free inputs the
+// result therefore equals gemmBias's in every bit, at any fill, on either
+// kernel. A NaN input's payload is held only between the tiles, the dot
+// and the axpy loop, which keep the same one (TestForwardWidthOne,
+// TestForwardTileMatchesAxpy); gemmBias orders its operands the other way,
+// so where two NaNs of different payloads meet it may keep the other.
 //
 //deepsketch:zeroalloc
 func (l Layer) Forward(x Matrix, y Matrix, rows []int, relu bool, ws *Workspace) {

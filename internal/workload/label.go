@@ -18,9 +18,11 @@ type LabeledQuery struct {
 // Label executes queries against the database with a bounded worker pool to
 // obtain true cardinalities — the paper's step 3, which it accelerates by
 // running "the training queries (in parallel) on multiple HyPer instances".
-// workers <= 0 uses GOMAXPROCS. progress, when non-nil, is called after each
-// completed query with the number done so far (from multiple goroutines,
-// monotonically non-decreasing values are not guaranteed per call site).
+// workers <= 0 uses GOMAXPROCS, which every production caller passes;
+// benchmarks set it to compare widths. progress, when non-nil, is called
+// after each completed query with the number done so far (from multiple
+// goroutines, monotonically non-decreasing values are not guaranteed per
+// call site).
 func Label(d *db.DB, queries []db.Query, workers int, progress func(done int)) ([]LabeledQuery, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
