@@ -46,8 +46,10 @@
 // -pinned-benchmark set the candidate must pass the pinned rail first (PUT
 // upload is the way around it). The old version keeps serving until the
 // swap; a failed or rejected refresh never replaces it. Labeling and
-// fine-tuning run on GOMAXPROCS cores; start the daemon with a smaller
-// GOMAXPROCS to leave cores to serving. Poll GET
+// fine-tuning run on GOMAXPROCS cores while the daemon is idle and leave
+// one to serving while estimate, template or actuals requests are in
+// flight, deciding afresh at every training step; GET
+// /api/sketches/1/drift counts each epoch's steps at either width. Poll GET
 // /api/sketches/1 for status ("refreshing" → "ready", the version field
 // bumps) and the full version history. If the refreshed
 // model misbehaves, POST /api/sketches/1/rollback restores the previous
@@ -104,6 +106,7 @@ import (
 	"time"
 
 	"deepsketch"
+	"deepsketch/internal/pressure"
 	"deepsketch/internal/trainmon"
 )
 
@@ -713,13 +716,25 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("POST /api/sketches/{id}/refresh", s.handleSketchRefresh)
 	mux.HandleFunc("POST /api/sketches/{id}/rollback", s.handleSketchRollback)
 	mux.HandleFunc("GET /api/sketches/{id}/drift", s.handleSketchDrift)
-	mux.HandleFunc("POST /api/sketches/{id}/actuals", s.handleSketchActuals)
+	mux.HandleFunc("POST /api/sketches/{id}/actuals", serving(s.handleSketchActuals))
 	mux.HandleFunc("POST /api/sketches/{id}/canary", s.handleSketchCanary)
 	mux.HandleFunc("POST /api/sketches/{id}/promote", s.handleSketchPromote)
 	mux.HandleFunc("DELETE /api/sketches/{id}/canary", s.handleSketchCanaryAbort)
-	mux.HandleFunc("POST /api/estimate", s.handleEstimate)
-	mux.HandleFunc("POST /api/template", s.handleTemplate)
+	mux.HandleFunc("POST /api/estimate", serving(s.handleEstimate))
+	mux.HandleFunc("POST /api/template", serving(s.handleTemplate))
 	return mux
+}
+
+// serving brackets a serving route's handler with the process's
+// serving-pressure gauge: while one of its requests is in flight, training
+// and labeling — refreshes, canaries, drift cycles, new builds — leave a
+// core to serving (internal/pressure).
+func serving(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		pressure.Begin()
+		defer pressure.End()
+		h(w, r)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

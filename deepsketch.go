@@ -480,8 +480,9 @@ func GenerateWorkload(d *DB, cfg GenConfig) ([]Query, error) {
 	return g.Generate(), nil
 }
 
-// LabelWorkload executes queries in parallel, one worker per GOMAXPROCS,
-// to obtain true cardinalities.
+// LabelWorkload executes queries in parallel, one worker per GOMAXPROCS
+// (one fewer while a daemon serves requests), to obtain true
+// cardinalities.
 func LabelWorkload(d *DB, qs []Query) ([]LabeledQuery, error) {
 	return workload.Label(d, qs, 0, nil)
 }

@@ -56,7 +56,8 @@ func PrepareTrainingData(d *db.DB, cfg Config, mon *trainmon.Monitor) (*Training
 	mon.EndStage(trainmon.StageGenerate)
 
 	// Step 3: execute — obtain true cardinalities in parallel (the demo's
-	// "multiple HyPer instances"), one worker per GOMAXPROCS.
+	// "multiple HyPer instances"), one worker per GOMAXPROCS, one fewer
+	// while the process serves requests (workload.Label).
 	mon.StartStage(trainmon.StageExecute, "executing training queries and materializing samples")
 	total := len(queries)
 	labeled, err := workload.Label(d, queries, 0, func(done int) {
@@ -149,8 +150,9 @@ func BuildFromData(td *TrainingData, mon *trainmon.Monitor) (*Sketch, error) {
 	}
 	enc := td.Encoder
 	model := mscn.New(modelCfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	// Data-parallel training shards across GOMAXPROCS; the sketch is the
-	// same at every width.
+	// Data-parallel training shards across GOMAXPROCS, each step across one
+	// fewer while the process serves requests; the sketch is the same at
+	// every width.
 	stats, err := model.TrainWithOptions(td.Examples, enc.Norm, mon, mscn.TrainOptions{})
 	if err != nil {
 		return nil, err

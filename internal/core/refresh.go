@@ -48,8 +48,10 @@ type RefreshOptions struct {
 // count); a sketch loaded from a v1 file has none, and fine-tunes from warm
 // weights with a cold optimizer instead. Either way a delta workload
 // reaches the old validation quality in a fraction of a full build's
-// epochs. The fine-tune shards across GOMAXPROCS; the refreshed sketch is
-// the same at every width.
+// epochs. The fine-tune shards across GOMAXPROCS workers, and each of its
+// steps across one fewer while the process serves requests (a daemon's
+// refresh beside its traffic, see mscn.TrainOptions.Parallelism); the
+// refreshed sketch is the same at every width.
 //
 // ctx is checked between the featurize and train stages; the fine-tune
 // itself runs to completion once started.

@@ -3,6 +3,7 @@ package drift
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -193,6 +194,24 @@ type cycleState struct {
 	// evidence; deferredFor is the trigger that is waiting.
 	deferred    *Deferral
 	deferredFor Reason
+	// training is the running cycle's fine-tune so far, or the most recent
+	// one's when idle; Start resets it.
+	training Training
+}
+
+// Training is a cycle's fine-tune as it ran: the worker count of a full
+// step and, per epoch so far, how many steps ran at it and how many
+// narrowed to one fewer (never below one) because the process was serving
+// requests as they began.
+type Training struct {
+	Workers int          `json:"workers"`
+	Epochs  []EpochSteps `json:"epochs"`
+}
+
+// EpochSteps is one fine-tune epoch's step count at each width.
+type EpochSteps struct {
+	Epoch int `json:"epoch"`
+	trainmon.Steps
 }
 
 // CycleStatus reports a sketch's controller state for the drift endpoint.
@@ -216,6 +235,9 @@ type CycleStatus struct {
 	// sketch (nil when the rail is off or has not run); it outlives the
 	// cycle that produced it.
 	Pinned *PinnedResult `json:"pinned,omitempty"`
+	// Training is the running cycle's fine-tune so far, or the most recent
+	// cycle's (nil before a cycle has begun training).
+	Training *Training `json:"training,omitempty"`
 }
 
 // Controller runs every refresh cycle over a lifecycle registry: obtain a
@@ -371,6 +393,7 @@ func (c *Controller) start(name string, o CycleOptions, decided WorkloadInfo) er
 	}
 	ns := c.stateLocked(name)
 	ns.cur, ns.workload, ns.lastErr, ns.deferred = cy, decided, "", nil
+	ns.training = Training{}
 	if decided.Source == SourceWAL {
 		c.observedCycles++
 	}
@@ -432,9 +455,14 @@ func (c *Controller) run(ctx context.Context, name string, cy *cycle, o CycleOpt
 	c.mu.Lock()
 	c.stateLocked(name).workload = info
 	c.mu.Unlock()
+	// The fine-tune reports to a monitor of the cycle's own, which records
+	// its widths for Cycle and passes every event on to the caller's.
+	mon := trainmon.New()
+	mon.AddSink(o.Monitor.Relay)
+	mon.AddSink(func(e trainmon.Event) { c.noteTraining(name, e) })
 	cand, err := c.reg.RefreshCandidate(ctx, lifecycle.RefreshOptions{
 		Name: name, Workload: labeled,
-		Epochs: o.Epochs, StopAtValQ: o.StopAtValQ, Monitor: o.Monitor,
+		Epochs: o.Epochs, StopAtValQ: o.StopAtValQ, Monitor: mon,
 	})
 	if err != nil {
 		fail(fmt.Errorf("drift: refresh of %q: %w", name, err))
@@ -494,6 +522,22 @@ func (c *Controller) run(ctx context.Context, name string, cy *cycle, o CycleOpt
 	cy.state = StateCanarying
 	cy.canaryVer = ver
 	c.mu.Unlock()
+}
+
+// noteTraining records a train_start or epoch event of name's running
+// fine-tune.
+func (c *Controller) noteTraining(name string, e trainmon.Event) {
+	if e.Kind != trainmon.KindTrainStart && e.Kind != trainmon.KindEpoch {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tr := &c.stateLocked(name).training
+	if e.Kind == trainmon.KindTrainStart {
+		tr.Workers = e.Workers
+		return
+	}
+	tr.Epochs = append(tr.Epochs, EpochSteps{Epoch: e.Epoch, Steps: e.Steps})
 }
 
 // AdoptCanary registers an already-active registry canary (one resumed
@@ -643,6 +687,9 @@ func (c *Controller) Cycle(name string) CycleStatus {
 	if ns.deferred != nil {
 		d := *ns.deferred
 		st.Deferred = &d
+	}
+	if ns.training.Workers > 0 {
+		st.Training = &Training{Workers: ns.training.Workers, Epochs: slices.Clone(ns.training.Epochs)}
 	}
 	if cy := ns.cur; cy != nil {
 		r := cy.reason

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"deepsketch/internal/trainmon"
 )
 
 // trainFingerprint is a SHA-256 over everything a training run decides, in a
@@ -85,5 +87,73 @@ func TestTrainFingerprint(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTrainFingerprintStepWidths: a step's width is a schedule, not an
+// input. A run whose width changes at every step — as a daemon's does when
+// serving requests come and go — ends on TestTrainFingerprint's recorded
+// digest, and its epoch events count each step at the width it ran.
+func TestTrainFingerprintStepWidths(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("constants recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	const tdim, jdim, pdim = 17, 4, 6
+	const want = "98c40f54e2fd297b385669aa0c76db7133618abf0662394e0b24ce7d0c97add9"
+	cfg := Config{HiddenUnits: 12, Epochs: 6, BatchSize: 16, Seed: 17, ValFrac: 0.2}
+	for _, p := range []int{3, 8} {
+		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
+			widths := []int{1, 3, 2, 1, p}
+			var calls int
+			old := stepWidths
+			stepWidths = func() func(int) int {
+				return func(full int) int {
+					if full != p {
+						t.Errorf("trainer asked for the width of %d workers, want %d", full, p)
+					}
+					calls++
+					return widths[calls%len(widths)]
+				}
+			}
+			t.Cleanup(func() { stepWidths = old })
+
+			examples, norm := trainExamples(rand.New(rand.NewSource(82)), 80, tdim, jdim, pdim)
+			m := New(cfg, tdim, jdim, pdim)
+			mon := trainmon.New()
+			stats, err := m.TrainWithOptions(examples, norm, mon, TrainOptions{Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := trainFingerprint(m, stats); got != want {
+				t.Errorf("fingerprint %s, recorded %s", got, want)
+			}
+			// 64 training examples in minibatches of 16: 4 steps an epoch,
+			// plus one validation pass that asks for a width too.
+			var full, narrowed int
+			for _, e := range mon.Events() {
+				if e.Kind != trainmon.KindEpoch {
+					continue
+				}
+				if n := e.Steps.Full + e.Steps.Narrowed; n != 4 {
+					t.Errorf("epoch %d counts %d steps (%+v), want 4", e.Epoch, n, e.Steps)
+				}
+				full += e.Steps.Full
+				narrowed += e.Steps.Narrowed
+			}
+			if calls != 6*5 {
+				t.Errorf("%d width readings over 6 epochs, want 30 (4 steps and a validation each)", calls)
+			}
+			// Readings 5, 10, … are the validations, so each epoch's steps
+			// read widths[1:5].
+			wantFull := 0
+			for _, w := range widths[1:] {
+				if w == p {
+					wantFull += 6
+				}
+			}
+			if full != wantFull || narrowed != 24-wantFull {
+				t.Errorf("steps: %d full, %d narrowed; want %d and %d", full, narrowed, wantFull, 24-wantFull)
+			}
+		})
 	}
 }

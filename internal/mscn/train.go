@@ -163,7 +163,7 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 			st.ValMedQ = median(qs)
 		}
 		stats = append(stats, st)
-		mon.Epoch(epoch, st.TrainLoss, st.ValMeanQ, st.ValMedQ)
+		mon.Epoch(epoch, st.TrainLoss, st.ValMeanQ, st.ValMedQ, tr.takeSteps())
 		if opts.StopAtValQ > 0 && len(val) > 0 && !math.IsNaN(st.ValMeanQ) && st.ValMeanQ <= opts.StopAtValQ {
 			break
 		}

@@ -5,6 +5,8 @@ import (
 	"sync"
 
 	"deepsketch/internal/nn"
+	"deepsketch/internal/pressure"
+	"deepsketch/internal/trainmon"
 )
 
 // TrainOptions says how one training run executes — how many workers, where
@@ -12,14 +14,21 @@ import (
 // There is one schedule: train an epoch, validate it on the same workers,
 // report, maybe stop.
 type TrainOptions struct {
-	// Parallelism is the number of data-parallel workers each minibatch is
-	// sharded across. Every worker packs, forwards and backpropagates its
-	// own contiguous shard with a private workspace arena, and accumulates
-	// a range of each layer's output units' parameter gradients over every
-	// shard in query order, so the weights are the same bits at every
-	// parallelism: it sets throughput, never the result. 0 uses
-	// GOMAXPROCS; 1 is fully serial. Every production caller passes 0;
-	// benchmarks and tests set it to compare widths in one process.
+	// Parallelism is the number of data-parallel workers a step's
+	// minibatch is sharded across at full width. Every worker packs,
+	// forwards and backpropagates its own contiguous shard with a private
+	// workspace arena, and accumulates a range of each layer's output
+	// units' parameter gradients over every shard in query order, so the
+	// weights are the same bits at every parallelism: it sets throughput,
+	// never the result. 0 uses GOMAXPROCS; 1 is fully serial. Every
+	// production caller passes 0; benchmarks and tests set it to compare
+	// widths in one process.
+	//
+	// Each step decides its own width: Parallelism, or max(1,
+	// Parallelism−1) if a serving request was in flight in the process at
+	// any moment since the previous step began (pressure.Watch), so a
+	// daemon that trains beside serving leaves one core to its requests.
+	// The monitor's epoch events count the steps at each width.
 	Parallelism int
 	// Resume warm-starts the optimizer from a previous run's exported state
 	// (Adam moments + step count, see Model.OptState). The moments carry
@@ -182,6 +191,12 @@ func (wk *trainWorker) tape(li int) (x nn.Matrix, runs *nn.RunIndex, dy nn.Matri
 // Every fork runs on the calling goroutine and the trainer's helpers,
 // which live until stop, so a step starts no goroutine; update's and
 // transpose's shares are bound once, so neither allocates per step.
+//
+// A step runs at width k, at most the worker count, which begin decides
+// when the step starts: all of its forks — the transpose, the forward's and
+// the backward's shards, the parameter gradients' output split and the
+// Adam update — take the first k workers. A width is a schedule like the
+// worker count, so a width that changes between steps moves no bit either.
 type packedTrainer struct {
 	m       *Model
 	w       weights
@@ -197,12 +212,21 @@ type packedTrainer struct {
 
 	// transpose's and update's shares, bound to t once.
 	transposeShare, updateShare func(w int)
+
+	width func(full int) int // the next step's width (stepWidths)
+	k     int                // the current step's width; full until the first begin
+	steps trainmon.Steps     // steps begun since the last takeSteps
 }
+
+// stepWidths returns, for a new trainer, the function that gives the width
+// of each of its steps from its worker count: the serving-pressure gauge's
+// (pressure.Watch). Tests replace it to change the width step by step.
+var stepWidths = func() func(full int) int { return pressure.NewWatch().Width }
 
 // newPackedTrainer returns a trainer of parallelism workers stepping
 // params, the model's, with opt; it runs until stop.
 func newPackedTrainer(m *Model, params []*nn.Param, opt *nn.Adam, parallelism int) *packedTrainer {
-	t := &packedTrainer{m: m, w: newWeights(m), opt: opt, params: params}
+	t := &packedTrainer{m: m, w: newWeights(m), opt: opt, params: params, width: stepWidths(), k: parallelism}
 	t.workers = make([]*trainWorker, parallelism)
 	for i := range t.workers {
 		t.workers[i] = new(trainWorker)
@@ -220,9 +244,24 @@ func newPackedTrainer(m *Model, params []*nn.Param, opt *nn.Adam, parallelism in
 			t.joined.Done() // stop's
 		}()
 	}
-	t.transposeShare = func(w int) { transposeShard(t.m, &t.w, w, parallelism) }
-	t.updateShare = func(w int) { t.opt.StepShard(t.params, w, parallelism) }
+	t.transposeShare = func(w int) { transposeShard(t.m, &t.w, w, t.k) }
+	t.updateShare = func(w int) { t.opt.StepShard(t.params, w, t.k) }
 	return t
+}
+
+// begin decides the width of the step or validation pass that starts now
+// and reports whether it is narrower than the worker count.
+func (t *packedTrainer) begin() bool {
+	t.k = t.width(len(t.workers))
+	return t.k < len(t.workers)
+}
+
+// takeSteps returns how many steps began at full width and how many
+// narrowed since its last call.
+func (t *packedTrainer) takeSteps() trainmon.Steps {
+	s := t.steps
+	t.steps = trainmon.Steps{}
+	return s
 }
 
 // stop ends the trainer's helpers and returns once they have exited. The
@@ -268,24 +307,24 @@ func transposeShard(m *Model, w *weights, s, n int) {
 	}
 }
 
-// transpose rewrites w from the live weights, its rows split across every
-// worker in one fork.
-func (t *packedTrainer) transpose() { t.fork(len(t.workers), t.transposeShare) }
+// transpose rewrites w from the live weights, its rows split across the
+// step's k workers in one fork.
+func (t *packedTrainer) transpose() { t.fork(t.k, t.transposeShare) }
 
 // update applies one step of opt to the live weights from the gradients a
 // step accumulated, and zeroes them: the serial half (nn.Adam.BeginStep),
-// then the element-wise half split across every worker in one fork.
+// then the element-wise half split across the step's k workers in one fork.
 func (t *packedTrainer) update() {
 	t.opt.BeginStep(t.params)
-	t.fork(len(t.workers), t.updateShare)
+	t.fork(t.k, t.updateShare)
 }
 
-// parallelism reports the configured worker count.
+// parallelism reports the configured worker count, a full step's width.
 func (t *packedTrainer) parallelism() int { return len(t.workers) }
 
-// shards is how many workers n queries are split across: every worker, or
-// one per query when there are fewer queries than workers.
-func (t *packedTrainer) shards(n int) int { return min(len(t.workers), n) }
+// shards is how many workers n queries are split across: the step's k, or
+// one per query when there are fewer queries than that.
+func (t *packedTrainer) shards(n int) int { return min(t.k, n) }
 
 // forEachShard splits [0, n) into shards(n) contiguous shards — worker w
 // takes [lo(w), lo(w+1)), the first n%p shards one element longer — and runs
@@ -314,11 +353,11 @@ func (t *packedTrainer) forEachShard(n int, fn func(w, lo, hi int) error) error 
 }
 
 // paramGrads accumulates layer li's parameter gradients for worker w's
-// share of its output units into the shared Param.Grad, over the first p
-// workers' shards in shard order.
+// share (of the step's k) of its output units into the shared Param.Grad,
+// over the first p workers' shards in shard order.
 func (t *packedTrainer) paramGrads(w, p, li int) {
 	l := t.m.layers()[li]
-	lo, hi := w*l.Out/len(t.workers), (w+1)*l.Out/len(t.workers)
+	lo, hi := w*l.Out/t.k, (w+1)*l.Out/t.k
 	if lo == hi {
 		return
 	}
@@ -334,11 +373,16 @@ func (t *packedTrainer) paramGrads(w, p, li int) {
 	}
 }
 
-// step runs one minibatch, the len(targets) queries of src: returns the
-// mean loss with parameter gradients accumulated (the caller applies the
-// optimizer step, update). src and targets are staged by the caller in
-// shuffled order.
+// step runs one minibatch, the len(targets) queries of src, at the width
+// begin decides for it: returns the mean loss with parameter gradients
+// accumulated (the caller applies the optimizer step, update, at the same
+// width). src and targets are staged by the caller in shuffled order.
 func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNorm) (float64, error) {
+	if t.begin() {
+		t.steps.Narrowed++
+	} else {
+		t.steps.Full++
+	}
 	n := len(targets)
 	if cap(t.preds) < n {
 		t.preds = make([]float64, n)
@@ -362,7 +406,7 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 		return nil
 	})
 	p := t.shards(n)
-	t.fork(len(t.workers), func(w int) {
+	t.fork(t.k, func(w int) {
 		for li := range t.m.layers() {
 			t.paramGrads(w, p, li)
 		}
@@ -371,13 +415,15 @@ func (t *packedTrainer) step(src QuerySource, targets []float64, norm nn.LabelNo
 }
 
 // predict writes the live weights' normalized predictions for the
-// len(preds) queries of src into preds: the forward half of a step, on a
-// freshly transposed copy, sharded across the same workers and walked in
-// Cfg.BatchSize chunks so each worker's arena stays minibatch-sized. A
-// prediction does not depend on its batch or its worker (layer rows and
-// segment pools are per query), so any parallelism returns the same bits.
+// len(preds) queries of src into preds: the forward half of a step, at a
+// width begin decides for it, on a freshly transposed copy, sharded across
+// the same workers and walked in Cfg.BatchSize chunks so each worker's
+// arena stays minibatch-sized. A prediction does not depend on its batch or
+// its worker (layer rows and segment pools are per query), so any
+// parallelism returns the same bits.
 func (t *packedTrainer) predict(src QuerySource, preds []float64) error {
 	bs := t.m.Cfg.BatchSize
+	t.begin()
 	t.transpose()
 	return t.forEachShard(len(preds), func(w, lo, hi int) error {
 		for ; lo < hi; lo += bs {

@@ -51,11 +51,24 @@ type Event struct {
 	TrainLoss float64 `json:"train_loss,omitempty"`
 	ValMeanQ  float64 `json:"val_mean_q,omitempty"`
 	ValMedQ   float64 `json:"val_median_q,omitempty"`
-	// Workers is the data-parallel training worker count (KindTrainStart).
+	// Steps counts the epoch's training steps by the width they ran at
+	// (KindEpoch).
+	Steps Steps `json:"steps,omitzero"`
+	// Workers is the data-parallel training worker count, the width of a
+	// full step (KindTrainStart).
 	Workers int `json:"workers,omitempty"`
 	// Elapsed is the stage duration, set on KindStageEnd.
 	Elapsed time.Duration `json:"elapsed,omitempty"`
 	Msg     string        `json:"msg,omitempty"`
+}
+
+// Steps counts one epoch's training steps by the width they ran at: Full at
+// the run's worker count (its train_start event's Workers), Narrowed at one
+// fewer, never below one, which a step takes when the process served
+// requests while it began (a daemon training beside its traffic).
+type Steps struct {
+	Full     int `json:"full"`
+	Narrowed int `json:"narrowed"`
 }
 
 // Monitor is a concurrency-safe event recorder with optional sinks. A nil
@@ -128,18 +141,25 @@ func (m *Monitor) Progress(s Stage, done, total int) {
 }
 
 // TrainStart records the training execution shape: the number of
-// data-parallel workers and the train/validation split sizes.
+// data-parallel workers a full step takes and the train/validation split
+// sizes.
 func (m *Monitor) TrainStart(workers, train, val int) {
 	m.emit(Event{Kind: KindTrainStart, Stage: StageTrain, Workers: workers,
 		Total: train + val,
 		Msg:   fmt.Sprintf("training on %d examples (%d held out) with %d workers", train, val, workers)})
 }
 
-// Epoch records per-epoch training metrics.
-func (m *Monitor) Epoch(epoch int, trainLoss, valMeanQ, valMedQ float64) {
+// Epoch records per-epoch training metrics and the widths its steps ran at.
+func (m *Monitor) Epoch(epoch int, trainLoss, valMeanQ, valMedQ float64, steps Steps) {
 	m.emit(Event{Kind: KindEpoch, Stage: StageTrain, Epoch: epoch,
-		TrainLoss: trainLoss, ValMeanQ: valMeanQ, ValMedQ: valMedQ})
+		TrainLoss: trainLoss, ValMeanQ: valMeanQ, ValMedQ: valMedQ, Steps: steps})
 }
+
+// Relay records e, an event another monitor emitted, as if m had emitted
+// it: m's sinks see it, and its stage and elapsed time are kept. A nil m
+// records nothing. As a sink it passes one run's events on to a monitor
+// that outlives the run.
+func (m *Monitor) Relay(e Event) { m.emit(e) }
 
 // Events returns a copy of all recorded events.
 func (m *Monitor) Events() []Event {
@@ -161,7 +181,7 @@ type Snapshot struct {
 	Epoch      int           `json:"epoch"`
 	ValMeanQ   float64       `json:"val_mean_q"`
 	ValMedQ    float64       `json:"val_median_q"`
-	Workers    int           `json:"workers,omitempty"`
+	Workers    int           `json:"workers,omitempty"` // a full step's width
 	StageTimes map[Stage]int `json:"stage_ms"`
 	Finished   bool          `json:"finished"`
 }

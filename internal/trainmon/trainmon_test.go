@@ -18,8 +18,8 @@ func TestMonitorStagesAndSnapshot(t *testing.T) {
 	m.Progress(StageGenerate, 5, 10)
 	m.EndStage(StageGenerate)
 	m.StartStage(StageTrain, "")
-	m.Epoch(1, 5.5, 40, 8)
-	m.Epoch(2, 3.0, 20, 4)
+	m.Epoch(1, 5.5, 40, 8, Steps{})
+	m.Epoch(2, 3.0, 20, 4, Steps{})
 	m.EndStage(StageTrain)
 
 	evs := m.Events()
@@ -42,7 +42,7 @@ func TestMonitorNilSafe(t *testing.T) {
 	var m *Monitor
 	m.StartStage(StageTrain, "")
 	m.EndStage(StageTrain)
-	m.Epoch(1, 0, 0, 0)
+	m.Epoch(1, 0, 0, 0, Steps{})
 	m.Progress(StageTrain, 1, 2)
 	if m.Events() != nil {
 		t.Error("nil monitor should return nil events")
@@ -53,7 +53,7 @@ func TestSinkReceivesEvents(t *testing.T) {
 	m := New()
 	var got []Event
 	m.AddSink(func(e Event) { got = append(got, e) })
-	m.Epoch(1, 1, 2, 3)
+	m.Epoch(1, 1, 2, 3, Steps{})
 	m.Progress(StageExecute, 3, 9)
 	if len(got) != 2 {
 		t.Fatalf("sink saw %d events", len(got))
@@ -67,7 +67,7 @@ func TestJSONLSink(t *testing.T) {
 	m := New()
 	var buf bytes.Buffer
 	m.AddSink(NewJSONLSink(&buf, nil))
-	m.Epoch(3, 1.5, 12, 4)
+	m.Epoch(3, 1.5, 12, 4, Steps{})
 	line := strings.TrimSpace(buf.String())
 	var e Event
 	if err := json.Unmarshal([]byte(line), &e); err != nil {
@@ -100,5 +100,34 @@ func TestFormatStageTimes(t *testing.T) {
 	// Pipeline order: generate before train.
 	if strings.Index(out, "generate") > strings.Index(out, "train") {
 		t.Error("stages out of order")
+	}
+}
+
+// TestRelayPassesEventsOn: a run's own monitor relays every event to a
+// shared one, whose sinks see it with its stage times and step widths.
+func TestRelayPassesEventsOn(t *testing.T) {
+	shared, run := New(), New()
+	var seen []Event
+	shared.AddSink(func(e Event) { seen = append(seen, e) })
+	run.AddSink(shared.Relay)
+	run.AddSink((*Monitor)(nil).Relay)
+	run.StartStage(StageTrain, "")
+	run.Epoch(1, 1, 2, 3, Steps{Full: 2, Narrowed: 5})
+	run.EndStage(StageTrain)
+	if len(seen) != 3 || len(shared.Events()) != 3 {
+		t.Fatalf("relayed %d events to the sink, %d recorded; want 3", len(seen), len(shared.Events()))
+	}
+	if got := seen[1].Steps; got != (Steps{Full: 2, Narrowed: 5}) {
+		t.Errorf("relayed epoch steps %+v", got)
+	}
+	if !shared.Snapshot().Finished {
+		t.Error("relayed train stage end should finish the shared snapshot")
+	}
+	blob, err := json.Marshal(seen[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"steps":{"full":2,"narrowed":5}`) {
+		t.Errorf("epoch event JSON %s lacks its steps", blob)
 	}
 }

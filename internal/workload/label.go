@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"deepsketch/internal/db"
+	"deepsketch/internal/pressure"
 )
 
 // LabeledQuery pairs a query with its true cardinality (its ML label).
@@ -19,17 +20,16 @@ type LabeledQuery struct {
 // obtain true cardinalities — the paper's step 3, which it accelerates by
 // running "the training queries (in parallel) on multiple HyPer instances".
 // workers <= 0 uses GOMAXPROCS, which every production caller passes;
-// benchmarks set it to compare widths. progress, when non-nil, is called
+// benchmarks set it to compare widths. Label reads the serving-pressure
+// gauge once, as it starts: while a serving request is in flight in the
+// process it runs one worker fewer, never below one (pressure.Width), so a
+// daemon labeling a refresh's workload leaves a core to its traffic. The
+// labels are the same at any width. progress, when non-nil, is called
 // after each completed query with the number done so far (from multiple
 // goroutines, monotonically non-decreasing values are not guaranteed per
 // call site).
 func Label(d *db.DB, queries []db.Query, workers int, progress func(done int)) ([]LabeledQuery, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	workers = labelWorkers(workers, len(queries))
 	out := make([]LabeledQuery, len(queries))
 	var done atomic.Int64
 	var firstErr atomic.Value
@@ -77,4 +77,13 @@ func Split(all []LabeledQuery, valFrac float64) (train, val []LabeledQuery) {
 	}
 	nVal := int(float64(len(all)) * valFrac)
 	return all[:len(all)-nVal], all[len(all)-nVal:]
+}
+
+// labelWorkers is how many workers Label runs for n queries when asked for
+// workers.
+func labelWorkers(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(pressure.Width(workers), n)
 }

@@ -6,6 +6,7 @@ import (
 
 	"deepsketch/internal/datagen"
 	"deepsketch/internal/db"
+	"deepsketch/internal/pressure"
 	"deepsketch/internal/sample"
 )
 
@@ -320,5 +321,38 @@ func TestTemplateErrors(t *testing.T) {
 	bad := Template{Base: tpl.Base, Alias: "zz", Col: "production_year"}
 	if _, err := bad.Instantiate(s2, GroupDistinct, 0); err == nil {
 		t.Error("unknown alias should error")
+	}
+}
+
+// TestLabelNarrowedBesideServing: while a serving request is in flight
+// Label runs one worker fewer, and its labels are the full-width call's.
+func TestLabelNarrowedBesideServing(t *testing.T) {
+	d := wlDB(t)
+	g, err := NewGenerator(d, GenConfig{Seed: 5, Count: 60, MaxJoins: 2, MaxPreds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := g.Generate()
+	if got := labelWorkers(3, len(qs)); got != 3 {
+		t.Fatalf("idle: %d workers, want 3", got)
+	}
+	full, err := Label(d, qs, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pressure.Begin()
+	narrowedWorkers := labelWorkers(3, len(qs))
+	narrowed, err := Label(d, qs, 3, nil)
+	pressure.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if narrowedWorkers != 2 {
+		t.Errorf("beside a serving request: %d workers, want 2", narrowedWorkers)
+	}
+	for i := range full {
+		if full[i].Card != narrowed[i].Card || full[i].Query.Signature() != narrowed[i].Query.Signature() {
+			t.Fatalf("query %d: narrowed label %d, full-width %d", i, narrowed[i].Card, full[i].Card)
+		}
 	}
 }
